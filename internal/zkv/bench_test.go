@@ -1,8 +1,12 @@
 package zkv
 
 import (
+	"context"
 	"encoding/binary"
+	"net"
 	"testing"
+
+	"zcache/internal/zkvproto"
 )
 
 // benchStore builds a store prefilled to roughly half capacity so Get hits
@@ -68,4 +72,54 @@ func BenchmarkZKVGetParallel(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkServerPipelinedGet is the serving path whole: one client sends
+// 16-deep GET bursts over loopback TCP and waits for the replies, so an
+// iteration is one request's share of client codec, two syscalls each way,
+// serveConn and Store.Get. Client and server run in this process and both
+// sides' allocations count: the path must stay at 0 allocs/op.
+func BenchmarkServerPipelinedGet(b *testing.B) {
+	s, n := benchStore(b)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := NewServer(s, ServerConfig{})
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	cl, err := zkvproto.Dial(ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const depth = 16
+	var key [8]byte
+	burst := func(first int) {
+		for i := first; i < first+depth; i++ {
+			binary.BigEndian.PutUint64(key[:], uint64(i%n))
+			if err := cl.QueueGet(key[:]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := cl.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < depth; i++ {
+			if resp, err := cl.ReadReply(); err != nil || resp.Status != zkvproto.StatusOK {
+				b.Fatalf("reply: %v, %+v", err, resp)
+			}
+		}
+	}
+	burst(0) // size both sides' reusable buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += depth {
+		burst(i)
+	}
+	b.StopTimer()
+	cl.Close()
+	if err := srv.Shutdown(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	<-served
 }

@@ -275,7 +275,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for conn := range s.conns {
 		// Unblock handlers parked in a read: already-buffered pipelined
 		// frames still get decoded and answered; only waiting for *new*
-		// bytes times out. serveConn clamps any deadline it sets after
+		// bytes times out. deadlineConn clamps any deadline it sets after
 		// this point to the same drain deadline.
 		conn.SetReadDeadline(deadline)
 	}
@@ -320,17 +320,70 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
+// deadlineConn sits under a connection's bufio.Reader and bufio.Writer and
+// arms a deadline only immediately before an underlying Read or Write: a
+// handler blocks nowhere else, so a burst that arrives in one read and leaves
+// in one write pays for two timers, not two per request. serveConn owns both
+// flags; every deadline goes through deadlineIn, hence through clampDrain.
+type deadlineConn struct {
+	net.Conn
+	s *Server
+	// inFrame: bytes of the frame being decoded have arrived, so a read
+	// that blocks now is bounded by ReadTimeout, not IdleTimeout.
+	inFrame bool
+	// frameArmed: this frame's deadline is set. Later reads of the same
+	// frame leave it alone, or a peer trickling one byte per read would
+	// push it out for ever.
+	frameArmed bool
+}
+
+func (c *deadlineConn) Read(p []byte) (int, error) {
+	switch {
+	case !c.inFrame:
+		c.Conn.SetReadDeadline(c.s.deadlineIn(c.s.cfg.IdleTimeout))
+	case !c.frameArmed:
+		// With ReadTimeout disabled this clears the idle deadline the
+		// burst's first read left armed.
+		c.Conn.SetReadDeadline(c.s.deadlineIn(c.s.cfg.ReadTimeout))
+		c.frameArmed = true
+	}
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.inFrame = true
+	}
+	return n, err
+}
+
+func (c *deadlineConn) Write(p []byte) (int, error) {
+	if c.s.cfg.WriteTimeout > 0 {
+		c.Conn.SetWriteDeadline(c.s.deadlineIn(c.s.cfg.WriteTimeout))
+	}
+	return c.Conn.Write(p)
+}
+
+// deadlineIn returns the instant d from now, or no deadline when d is 0 (the
+// timer is disabled), clamped to the drain deadline either way.
+func (s *Server) deadlineIn(d time.Duration) time.Time {
+	var t time.Time
+	if d > 0 {
+		t = time.Now().Add(d)
+	}
+	return s.clampDrain(t)
+}
+
 // serveConn runs one connection's request loop. All per-request state is
 // reused across iterations, so the steady-state loop does not allocate.
 //
-// Deadline discipline: while waiting for a burst's first byte the idle
-// timeout applies; once bytes are flowing, each frame must complete within
-// ReadTimeout and each response write within WriteTimeout. Every deadline
-// is clamped to the drain deadline during shutdown, so a silent or stalled
-// peer can never hold the drain hostage.
+// Deadline discipline (deadlineConn): a read that waits for a burst's first
+// byte runs under the idle timeout; a frame whose first byte is in must
+// complete within ReadTimeout of the first read that blocks on it; each
+// underlying write gets WriteTimeout. Every deadline is clamped to the drain
+// deadline during shutdown, so a silent or stalled peer can never hold the
+// drain hostage.
 func (s *Server) serveConn(conn net.Conn) {
-	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
+	dc := &deadlineConn{Conn: conn, s: s}
+	br := bufio.NewReaderSize(dc, 64<<10)
+	bw := bufio.NewWriterSize(dc, 64<<10)
 	var (
 		req   zkvproto.Request
 		resp  zkvproto.Response
@@ -338,38 +391,19 @@ func (s *Server) serveConn(conn net.Conn) {
 		depth int // requests executed in the current burst
 	)
 	for {
-		if br.Buffered() == 0 {
-			// Between bursts: wait for the next request under the idle
-			// timeout. This also clears any stale per-frame ReadTimeout
-			// deadline left armed by the previous burst.
-			var idle time.Time
-			if s.cfg.IdleTimeout > 0 {
-				idle = time.Now().Add(s.cfg.IdleTimeout)
-			}
-			conn.SetReadDeadline(s.clampDrain(idle))
-			if _, err := br.Peek(1); err != nil {
-				if isTimeout(err) {
-					if s.inShutdown.Load() {
-						s.drainCloses.Add(1)
-					} else {
-						s.idleCloses.Add(1)
-					}
-				}
-				return
-			}
-		}
-		if s.cfg.ReadTimeout > 0 {
-			conn.SetReadDeadline(s.clampDrain(time.Now().Add(s.cfg.ReadTimeout)))
-		}
+		dc.inFrame, dc.frameArmed = br.Buffered() > 0, false
 		err := req.ReadFrom(br)
 		if err != nil {
 			if isTimeout(err) {
-				// A frame started arriving and never finished: slow loris
-				// (or the drain deadline caught a mid-frame straggler).
-				if s.inShutdown.Load() {
+				switch {
+				case s.inShutdown.Load():
 					s.drainCloses.Add(1)
-				} else {
+				case dc.inFrame:
+					// A frame started arriving and never finished: slow
+					// loris.
 					s.readCloses.Add(1)
+				default:
+					s.idleCloses.Add(1)
 				}
 				return
 			}
@@ -431,11 +465,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			case zkvproto.OpForget:
 				s.serveForget(&req, &resp)
 			}
-		}
-		if s.cfg.WriteTimeout > 0 {
-			// One deadline covers both the buffered write (which may
-			// write through when full) and the burst-end flush below.
-			conn.SetWriteDeadline(s.clampDrain(time.Now().Add(s.cfg.WriteTimeout)))
 		}
 		if err := resp.WriteTo(bw); err != nil {
 			if isTimeout(err) {
@@ -563,6 +592,7 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 	line("zkv_gets_total", st.Gets)
 	line("zkv_get_hits_total", st.GetHits)
 	line("zkv_get_misses_total", st.GetMisses)
+	line("zkv_get_locked_total", st.GetLocked)
 	line("zkv_sets_total", st.Sets)
 	line("zkv_inserts_total", st.Inserts)
 	line("zkv_overwrites_total", st.Overwrites)

@@ -1,25 +1,35 @@
 package zkv
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"zcache/internal/zkvproto"
 )
 
-// startServer runs a server on an ephemeral port and returns it with its
-// address and the Serve error channel.
-func startServer(t *testing.T, scfg ServerConfig) (*Server, string, chan error) {
+// testStore opens the small store the server tests run against.
+func testStore(t *testing.T) *Store {
 	t.Helper()
 	store, err := Open(Config{Shards: 2, Ways: 4, Rows: 256, Levels: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return store
+}
+
+// startServer runs a server on an ephemeral port and returns it with its
+// address and the Serve error channel.
+func startServer(t *testing.T, scfg ServerConfig) (*Server, string, chan error) {
+	t.Helper()
+	store := testStore(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -177,6 +187,11 @@ func TestServerGracefulDrain(t *testing.T) {
 	}
 	defer conn.Close()
 	cl := zkvproto.NewClient(conn)
+	// A connection Serve has not accepted yet when Shutdown begins is
+	// closed unserved; prove the handler is running first.
+	if err := cl.Ping(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Queue a pipelined burst and flush it, then immediately shut down.
 	// The server must answer every request before the connection dies.
@@ -378,6 +393,260 @@ func TestServerSlowLorisClosed(t *testing.T) {
 	}
 	if got := srv.ShedStats().ReadCloses; got == 0 {
 		t.Fatal("slow-loris close not counted")
+	}
+}
+
+// TestServerTrickleSlowLorisClosed: a peer that keeps a frame open by
+// sending one byte every ReadTimeout/3 is still cut off about ReadTimeout
+// after its first byte. A frame deadline re-armed by every read would keep
+// this connection for as long as the bytes kept coming.
+func TestServerTrickleSlowLorisClosed(t *testing.T) {
+	const readTimeout = 300 * time.Millisecond
+	srv, addr, errc := startServer(t, ServerConfig{ReadTimeout: readTimeout, DrainTimeout: time.Second})
+	defer shutdownServer(t, srv, errc)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A SET whose key is 65535 bytes long: at this pace it never completes.
+	next := []byte{zkvproto.OpSet, 0xff, 0xff, 0, 0, 0, 0}
+	start := time.Now()
+	for {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("trickling connection was not closed")
+		}
+		if _, err := conn.Write(next[:1]); err != nil {
+			break
+		}
+		if next = next[1:]; len(next) == 0 {
+			next = []byte{'k'}
+		}
+		// Wait out the gap to the next byte in a read, which is also how
+		// the close shows up.
+		conn.SetReadDeadline(time.Now().Add(readTimeout / 3))
+		n, err := conn.Read(make([]byte, 1))
+		if n > 0 {
+			t.Fatal("server answered an unfinished frame")
+		}
+		if !isTimeout(err) {
+			break
+		}
+	}
+	if d := time.Since(start); d > 2*readTimeout {
+		t.Fatalf("closed %v after the first byte, want within %v", d, 2*readTimeout)
+	}
+	if got := srv.ShedStats(); got.ReadCloses != 1 || got.IdleCloses != 0 {
+		t.Fatalf("trickle close miscounted: %+v", got)
+	}
+}
+
+// TestServerFrameOutlivesIdleTimeout: with ReadTimeout disabled nothing
+// bounds a frame, so the idle deadline under which its first byte arrived
+// must not stay armed and cut it off.
+func TestServerFrameOutlivesIdleTimeout(t *testing.T) {
+	const idle = 100 * time.Millisecond
+	srv, addr, errc := startServer(t, ServerConfig{IdleTimeout: idle, ReadTimeout: -1, DrainTimeout: time.Second})
+	defer shutdownServer(t, srv, errc)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frame := encodeRequests(t, zkvproto.Request{Op: zkvproto.OpSet, Key: []byte("k"), Val: []byte("v")})
+	if _, err := conn.Write(frame[:2]); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(3 * idle)
+	if _, err := conn.Write(frame[2:]); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var resp zkvproto.Response
+	if err := resp.ReadFrom(bufio.NewReader(conn)); err != nil || resp.Status != zkvproto.StatusOK {
+		t.Fatalf("frame spanning %v with ReadTimeout disabled: status %d, err %v", 3*idle, resp.Status, err)
+	}
+	if got := srv.ShedStats(); got.ReadCloses != 0 || got.IdleCloses != 0 {
+		t.Fatalf("deadline closes counted on a served connection: %+v", got)
+	}
+}
+
+// encodeRequests returns the wire bytes of reqs, back to back.
+func encodeRequests(t *testing.T, reqs ...zkvproto.Request) []byte {
+	t.Helper()
+	var wire bytes.Buffer
+	bw := bufio.NewWriter(&wire)
+	for i := range reqs {
+		if err := reqs[i].WriteTo(bw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return wire.Bytes()
+}
+
+// burstOf returns n SET requests on distinct keys.
+func burstOf(n int) []zkvproto.Request {
+	reqs := make([]zkvproto.Request, n)
+	for i := range reqs {
+		reqs[i] = zkvproto.Request{Op: zkvproto.OpSet, Key: []byte(fmt.Sprintf("burst%02d", i)), Val: []byte("v")}
+	}
+	return reqs
+}
+
+// hookConn counts the deadlines a server arms on its side of a connection
+// and reports the size of every read that returned data.
+type hookConn struct {
+	net.Conn
+	readArms, writeArms atomic.Int32
+	afterRead           func(n int) // optional
+}
+
+func (c *hookConn) SetReadDeadline(t time.Time) error {
+	c.readArms.Add(1)
+	return c.Conn.SetReadDeadline(t)
+}
+
+func (c *hookConn) SetWriteDeadline(t time.Time) error {
+	c.writeArms.Add(1)
+	return c.Conn.SetWriteDeadline(t)
+}
+
+func (c *hookConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 && c.afterRead != nil {
+		c.afterRead(n)
+	}
+	return n, err
+}
+
+// hookListener hands Serve every accepted connection through wrap.
+type hookListener struct {
+	net.Listener
+	wrap func(net.Conn) net.Conn
+}
+
+func (l hookListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return l.wrap(conn), nil
+}
+
+// TestServerArmsDeadlinesPerSyscall: a 16-frame burst that arrives in one
+// read and is answered in one write costs the timers of those two blocking
+// points — the idle wait before it, the write, the idle wait after it — and
+// nothing per request.
+func TestServerArmsDeadlinesPerSyscall(t *testing.T) {
+	srv := NewServer(testStore(t), ServerConfig{})
+	client, server := net.Pipe()
+	defer client.Close()
+	hc := &hookConn{Conn: server}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer server.Close()
+		srv.serveConn(hc)
+	}()
+
+	const n = 16
+	// A pipe hands a Write to the reader whole when the reader's buffer has
+	// room for it, and the server's has: one read carries the burst.
+	client.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := client.Write(encodeRequests(t, burstOf(n)...)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(client)
+	var resp zkvproto.Response
+	for i := 0; i < n; i++ {
+		if err := resp.ReadFrom(br); err != nil || resp.Status != zkvproto.StatusOK {
+			t.Fatalf("reply %d: status %d, err %v", i, resp.Status, err)
+		}
+	}
+	client.Close()
+	<-done
+	if r, w := hc.readArms.Load(), hc.writeArms.Load(); r < 1 || r > 2 || w != 1 {
+		t.Fatalf("%d-frame burst armed %d read and %d write deadlines, want 1-2 and 1", n, r, w)
+	}
+}
+
+// TestServerShutdownAnswersBufferedBurst: Shutdown that begins while a whole
+// burst sits decoded-but-unanswered in the handler's read buffer still gets
+// every frame executed and answered, and the connection — silent afterwards
+// — is closed at the drain deadline, not later.
+func TestServerShutdownAnswersBufferedBurst(t *testing.T) {
+	store := testStore(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 16
+	burst := encodeRequests(t, burstOf(n)...)
+	// The handler's read that completes the burst parks until released, so
+	// Shutdown provably starts with all n frames buffered.
+	buffered, release := make(chan struct{}), make(chan struct{})
+	arrived := 0
+	wrap := func(conn net.Conn) net.Conn {
+		return &hookConn{Conn: conn, afterRead: func(n int) {
+			if arrived += n; arrived == len(burst) {
+				close(buffered)
+				<-release
+			}
+		}}
+	}
+	const drain = 300 * time.Millisecond
+	srv := NewServer(store, ServerConfig{DrainTimeout: drain})
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(hookListener{ln, wrap}) }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	<-buffered
+	start := time.Now()
+	sdErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		sdErr <- srv.Shutdown(ctx)
+	}()
+	for !srv.inShutdown.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+	var resp zkvproto.Response
+	for i := 0; i < n; i++ {
+		if err := resp.ReadFrom(br); err != nil || resp.Status != zkvproto.StatusOK {
+			t.Fatalf("buffered frame %d: status %d, err %v", i, resp.Status, err)
+		}
+	}
+	if got := store.Len(); got != n {
+		t.Fatalf("%d keys resident, want %d", got, n)
+	}
+	if err := <-sdErr; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("drain took %v, want ~DrainTimeout (%v)", d, drain)
+	}
+	if err := <-errc; !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("Serve returned %v", err)
+	}
+	if got := srv.ShedStats().DrainCloses; got != 1 {
+		t.Fatalf("DrainCloses = %d, want 1", got)
 	}
 }
 

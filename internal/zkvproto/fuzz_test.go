@@ -32,12 +32,24 @@ func FuzzFraming(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{OpGet})
 	f.Add([]byte{OpSet, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	// A whole frame, then a header that stops after its key length.
+	f.Add([]byte{OpGet, 0, 1, 0, 0, 0, 0, 'k', OpSet, 0, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
-		var req Request
+		// The same bytes with every header split across reads must decode
+		// to the same frames and end on the same error.
+		split := oneByteReader(data)
+		var req, sreq Request
 		for {
 			err := req.ReadFrom(br)
+			serr := sreq.ReadFrom(split)
+			if (err == nil) != (serr == nil) || err != nil && err.Error() != serr.Error() {
+				t.Fatalf("whole reads gave %v, one-byte reads %v", err, serr)
+			}
+			if err == nil && (sreq.Op != req.Op || !bytes.Equal(sreq.Key, req.Key) || !bytes.Equal(sreq.Val, req.Val)) {
+				t.Fatalf("one-byte reads changed frame: %v vs %v", req, sreq)
+			}
 			if err != nil {
 				if err == io.EOF || err == io.ErrUnexpectedEOF {
 					return

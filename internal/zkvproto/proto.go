@@ -95,16 +95,14 @@ func validOp(op byte) bool { return op >= OpGet && op <= OpForget }
 // ReadFrom decodes one request frame, reusing r's buffers. io.EOF is
 // returned unwrapped only when the stream ends cleanly between frames.
 func (r *Request) ReadFrom(br *bufio.Reader) error {
-	var hdr [reqHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
-		return err // io.EOF here = clean end of stream
-	}
-	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
-		return unexpectedEOF(err)
+	hdr, err := peekHeader(br, reqHeaderLen)
+	if err != nil {
+		return err
 	}
 	op := hdr[0]
 	keyLen := int(binary.BigEndian.Uint16(hdr[1:3]))
 	valLen := int(binary.BigEndian.Uint32(hdr[3:7]))
+	br.Discard(reqHeaderLen) // cannot fail: the bytes were just peeked
 	if !validOp(op) {
 		return fmt.Errorf("%w: %d", ErrBadOp, op)
 	}
@@ -156,34 +154,35 @@ func (r *Request) WriteTo(bw *bufio.Writer) error {
 	if len(r.Val) > MaxValLen {
 		return fmt.Errorf("%w: value %d bytes", ErrFrameTooLarge, len(r.Val))
 	}
-	var hdr [reqHeaderLen]byte
-	hdr[0] = r.Op
-	binary.BigEndian.PutUint16(hdr[1:3], uint16(len(r.Key)))
-	binary.BigEndian.PutUint32(hdr[3:7], uint32(len(r.Val)))
-	if _, err := bw.Write(hdr[:]); err != nil {
+	hdr, err := headerBuffer(bw, reqHeaderLen)
+	if err != nil {
+		return err
+	}
+	hdr = append(hdr, r.Op)
+	hdr = binary.BigEndian.AppendUint16(hdr, uint16(len(r.Key)))
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(r.Val)))
+	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
 	if _, err := bw.Write(r.Key); err != nil {
 		return err
 	}
-	_, err := bw.Write(r.Val)
+	_, err = bw.Write(r.Val)
 	return err
 }
 
 // ReadFrom decodes one response frame, reusing r's buffer.
 func (r *Response) ReadFrom(br *bufio.Reader) error {
-	var hdr [respHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
+	hdr, err := peekHeader(br, respHeaderLen)
+	if err != nil {
 		return err
 	}
-	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
-		return unexpectedEOF(err)
-	}
 	status := hdr[0]
+	valLen := int(binary.BigEndian.Uint32(hdr[1:5]))
+	br.Discard(respHeaderLen) // cannot fail: the bytes were just peeked
 	if status > StatusBusy {
 		return fmt.Errorf("%w: status %d", ErrBadFrame, status)
 	}
-	valLen := int(binary.BigEndian.Uint32(hdr[1:5]))
 	if valLen > MaxValLen {
 		return fmt.Errorf("%w: value %d bytes", ErrFrameTooLarge, valLen)
 	}
@@ -200,14 +199,44 @@ func (r *Response) WriteTo(bw *bufio.Writer) error {
 	if len(r.Val) > MaxValLen {
 		return fmt.Errorf("%w: value %d bytes", ErrFrameTooLarge, len(r.Val))
 	}
-	var hdr [respHeaderLen]byte
-	hdr[0] = r.Status
-	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(r.Val)))
-	if _, err := bw.Write(hdr[:]); err != nil {
+	hdr, err := headerBuffer(bw, respHeaderLen)
+	if err != nil {
 		return err
 	}
-	_, err := bw.Write(r.Val)
+	hdr = append(hdr, r.Status)
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(r.Val)))
+	if _, err := bw.Write(hdr); err != nil {
+		return err
+	}
+	_, err = bw.Write(r.Val)
 	return err
+}
+
+// peekHeader returns the next n header bytes without consuming them; the
+// caller Discards them once parsed. Reading the header in br's own buffer
+// keeps it off the heap: a local array handed to io.ReadFull escapes through
+// the io.Reader interface, one allocation per frame. A stream that ends
+// before the frame's first byte is a bare io.EOF; one that ends inside the
+// header is io.ErrUnexpectedEOF.
+func peekHeader(br *bufio.Reader, n int) ([]byte, error) {
+	hdr, err := br.Peek(n)
+	if err == io.EOF && len(hdr) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return hdr, err
+}
+
+// headerBuffer returns an empty slice over bw's free space with room for an
+// n-byte header, flushing first when fewer than n bytes are free, so that
+// appending the header and passing it to bw.Write neither allocates nor
+// copies (see bufio.Writer.AvailableBuffer).
+func headerBuffer(bw *bufio.Writer, n int) ([]byte, error) {
+	if bw.Available() < n {
+		if err := bw.Flush(); err != nil {
+			return nil, err
+		}
+	}
+	return bw.AvailableBuffer(), nil
 }
 
 // readInto resizes *buf to n bytes, reusing capacity when it can.

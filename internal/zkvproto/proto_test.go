@@ -7,22 +7,43 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
-func roundTripRequest(t *testing.T, op byte, key, val []byte) Request {
+// oneByteReader delivers wire one byte per read through the smallest buffer
+// bufio allows, so every header arrives split across reads and the buffer
+// wraps inside frames.
+func oneByteReader(wire []byte) *bufio.Reader {
+	return bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(wire)), 16)
+}
+
+// wireOf returns the bytes one WriteTo puts on the wire.
+func wireOf(t *testing.T, writeTo func(*bufio.Writer) error) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	out := Request{Op: op, Key: key, Val: val}
-	if err := out.WriteTo(bw); err != nil {
+	if err := writeTo(bw); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	var in Request
-	if err := in.ReadFrom(bufio.NewReader(&buf)); err != nil {
+	return buf.Bytes()
+}
+
+func roundTripRequest(t *testing.T, op byte, key, val []byte) Request {
+	t.Helper()
+	out := Request{Op: op, Key: key, Val: val}
+	wire := wireOf(t, out.WriteTo)
+	var in, split Request
+	if err := in.ReadFrom(bufio.NewReader(bytes.NewReader(wire))); err != nil {
 		t.Fatal(err)
+	}
+	if err := split.ReadFrom(oneByteReader(wire)); err != nil {
+		t.Fatal(err)
+	}
+	if split.Op != in.Op || !bytes.Equal(split.Key, in.Key) || !bytes.Equal(split.Val, in.Val) {
+		t.Fatalf("op %d decoded differently one byte at a time: %v vs %v", op, split, in)
 	}
 	return in
 }
@@ -57,21 +78,121 @@ func TestResponseRoundTrip(t *testing.T) {
 		{StatusNotFound, ""},
 		{StatusErr, "bad things"},
 	} {
-		var buf bytes.Buffer
-		bw := bufio.NewWriter(&buf)
 		out := Response{Status: c.status, Val: []byte(c.val)}
-		if err := out.WriteTo(bw); err != nil {
-			t.Fatal(err)
+		wire := wireOf(t, out.WriteTo)
+		for _, br := range []*bufio.Reader{bufio.NewReader(bytes.NewReader(wire)), oneByteReader(wire)} {
+			var in Response
+			if err := in.ReadFrom(br); err != nil {
+				t.Fatal(err)
+			}
+			if in.Status != c.status || string(in.Val) != c.val {
+				t.Errorf("status %d: got status=%d val=%q", c.status, in.Status, in.Val)
+			}
 		}
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestTruncatedFrames cuts a GET, a SET and a response frame at every offset:
+// a stream that ends before a frame's first byte is a clean end (bare
+// io.EOF, which callers compare with ==), one that ends anywhere inside the
+// frame is io.ErrUnexpectedEOF — however the bytes were split into reads.
+func TestTruncatedFrames(t *testing.T) {
+	get := Request{Op: OpGet, Key: []byte("key")}
+	set := Request{Op: OpSet, Key: []byte("key"), Val: []byte("value")}
+	resp := Response{Status: StatusOK, Val: []byte("value")}
+	var req Request
+	for _, c := range []struct {
+		name   string
+		wire   []byte
+		decode func(*bufio.Reader) error
+	}{
+		{"GET", wireOf(t, get.WriteTo), req.ReadFrom},
+		{"SET", wireOf(t, set.WriteTo), req.ReadFrom},
+		{"response", wireOf(t, resp.WriteTo), resp.ReadFrom},
+	} {
+		for cut := 0; cut < len(c.wire); cut++ {
+			want := io.ErrUnexpectedEOF
+			if cut == 0 {
+				want = io.EOF
+			}
+			for _, br := range []*bufio.Reader{bufio.NewReader(bytes.NewReader(c.wire[:cut])), oneByteReader(c.wire[:cut])} {
+				if err := c.decode(br); err != want {
+					t.Errorf("%s cut at %d of %d: got %v, want %v", c.name, cut, len(c.wire), err, want)
+				}
+			}
 		}
-		var in Response
-		if err := in.ReadFrom(bufio.NewReader(&buf)); err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestCodecDoesNotAllocate pins all four directions at zero allocations per
+// frame once the reusable buffers are sized. The 32-byte bufio buffers make
+// headers straddle refills and flushes, and the SET's value take bufio's
+// direct path, so the slow branches are held to it too.
+func TestCodecDoesNotAllocate(t *testing.T) {
+	reqs := []Request{
+		{Op: OpGet, Key: []byte("key")},
+		{Op: OpSet, Key: []byte("key"), Val: bytes.Repeat([]byte{'v'}, 64)},
+	}
+	resps := []Response{
+		{Status: StatusOK, Val: bytes.Repeat([]byte{'v'}, 64)},
+		{Status: StatusNotFound},
+	}
+	var reqWire, respWire bytes.Buffer
+	bw := bufio.NewWriterSize(&reqWire, 32)
+	for i := range reqs {
+		reqs[i].WriteTo(bw)
+	}
+	bw.Flush()
+	bw.Reset(&respWire)
+	for i := range resps {
+		resps[i].WriteTo(bw)
+	}
+	bw.Flush()
+
+	var (
+		rd  bytes.Reader
+		br  = bufio.NewReaderSize(&rd, 32)
+		in  Request
+		rin Response
+		err error
+	)
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"Request.WriteTo", func() {
+			bw.Reset(io.Discard)
+			for i := range reqs {
+				err = reqs[i].WriteTo(bw)
+			}
+		}},
+		{"Response.WriteTo", func() {
+			bw.Reset(io.Discard)
+			for i := range resps {
+				err = resps[i].WriteTo(bw)
+			}
+		}},
+		{"Request.ReadFrom", func() {
+			rd.Reset(reqWire.Bytes())
+			br.Reset(&rd)
+			for range reqs {
+				err = in.ReadFrom(br)
+			}
+		}},
+		{"Response.ReadFrom", func() {
+			rd.Reset(respWire.Bytes())
+			br.Reset(&rd)
+			for range resps {
+				err = rin.ReadFrom(br)
+			}
+		}},
+	} {
+		c.run() // size the reusable buffers
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		if in.Status != c.status || string(in.Val) != c.val {
-			t.Errorf("status %d: got status=%d val=%q", c.status, in.Status, in.Val)
+		if allocs := testing.AllocsPerRun(100, c.run); allocs != 0 {
+			t.Errorf("%s: %v allocs per %d frames, want 0", c.name, allocs, len(reqs))
 		}
 	}
 }

@@ -18,6 +18,7 @@ type ServerStats struct {
 	Gets            uint64
 	GetHits         uint64
 	GetMisses       uint64
+	GetLocked       uint64 // GETs that fell back to the shard mutex
 	Sets            uint64
 	Inserts         uint64
 	Overwrites      uint64
@@ -88,6 +89,8 @@ func ParseStats(text string) (*ServerStats, error) {
 			st.GetHits = v
 		case "zkv_get_misses_total":
 			st.GetMisses = v
+		case "zkv_get_locked_total":
+			st.GetLocked = v
 		case "zkv_sets_total":
 			st.Sets = v
 		case "zkv_inserts_total":

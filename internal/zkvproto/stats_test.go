@@ -11,6 +11,7 @@ zkv_resident_entries 1024
 zkv_gets_total 1000
 zkv_get_hits_total 800
 zkv_get_misses_total 200
+zkv_get_locked_total 3
 zkv_sets_total 500
 zkv_inserts_total 300
 zkv_overwrites_total 200
@@ -44,7 +45,7 @@ func TestParseStats(t *testing.T) {
 	if st.Shards != 4 || st.CapacityEntries != 4096 || st.ResidentEntries != 1024 {
 		t.Fatalf("shape fields: %+v", st)
 	}
-	if st.Gets != 1000 || st.GetHits != 800 || st.GetMisses != 200 {
+	if st.Gets != 1000 || st.GetHits != 800 || st.GetMisses != 200 || st.GetLocked != 3 {
 		t.Fatalf("get fields: %+v", st)
 	}
 	if st.Sets != 500 || st.Inserts != 300 || st.Overwrites != 200 {
