@@ -11,36 +11,46 @@ import (
 
 // benchStore builds a store prefilled to roughly half capacity so Get hits
 // and Set exercises both overwrite and install paths.
-func benchStore(b *testing.B) (*Store, int) {
+func benchStore(b *testing.B) (*Store, int) { return benchStoreKeyLen(b, 8) }
+
+// benchStoreKeyLen is benchStore with keys of klen ≥ 8 bytes: the counter in
+// the last eight, zeros before it.
+func benchStoreKeyLen(b *testing.B, klen int) (*Store, int) {
 	b.Helper()
 	s, err := Open(Config{Shards: 4, Ways: 4, Rows: 1024, Levels: 2, Seed: 17})
 	if err != nil {
 		b.Fatal(err)
 	}
 	n := s.Capacity() / 2
-	var key [8]byte
+	key := make([]byte, klen)
 	val := make([]byte, 64)
 	for i := 0; i < n; i++ {
-		binary.BigEndian.PutUint64(key[:], uint64(i))
-		if err := s.Set(key[:], val); err != nil {
+		binary.BigEndian.PutUint64(key[klen-8:], uint64(i))
+		if err := s.Set(key, val); err != nil {
 			b.Fatal(err)
 		}
 	}
 	return s, n
 }
 
-func BenchmarkZKVGet(b *testing.B) {
-	s, n := benchStore(b)
-	var key [8]byte
+func benchGet(b *testing.B, klen int) {
+	s, n := benchStoreKeyLen(b, klen)
+	key := make([]byte, klen)
 	dst := make([]byte, 0, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		binary.BigEndian.PutUint64(key[:], uint64(i%n))
-		dst, _ = s.Get(key[:], dst[:0])
+		binary.BigEndian.PutUint64(key[klen-8:], uint64(i%n))
+		dst, _ = s.Get(key, dst[:0])
 	}
 	_ = dst
 }
+
+func BenchmarkZKVGet(b *testing.B) { benchGet(b, 8) }
+
+// BenchmarkZKVGetKey16 is BenchmarkZKVGet with a two-word key: the probe has
+// one path for every key length, so this stays within a word compare of it.
+func BenchmarkZKVGetKey16(b *testing.B) { benchGet(b, 16) }
 
 func BenchmarkZKVSet(b *testing.B) {
 	s, n := benchStore(b)

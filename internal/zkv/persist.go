@@ -135,8 +135,6 @@ func (sh *shard) adoptFrom(ps *slotstore.Store, maxKey, maxVal int) bool {
 			ok = false
 			return false
 		}
-		sh.keys[slot] = append(sh.keys[slot][:0], key...)
-		sh.vals[slot] = append(sh.vals[slot][:0], val...)
 		sh.publishCell(repl.BlockID(slot), fp, key, val)
 		sh.resident++
 		return true

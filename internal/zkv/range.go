@@ -25,6 +25,7 @@ func (s *Store) MigrateRange(start, end, cursor uint64, maxBytes int, dst []byte
 	blocks := uint64(s.cfg.Ways) * s.cfg.Rows
 	total := uint64(s.cfg.Shards) * blocks
 	base := len(dst)
+	var key, val, scratch []byte // every entry decodes through scratch
 	for gi := cursor; gi < total; {
 		si := int(gi / blocks)
 		sh := s.shards[si]
@@ -36,7 +37,7 @@ func (s *Store) MigrateRange(start, end, cursor uint64, maxBytes int, dst []byte
 			if !ok || !zkvproto.InArc(zkvproto.RingPoint(fp), start, end) {
 				continue
 			}
-			key, val := sh.keys[id], sh.vals[id]
+			key, val, scratch = sh.entry(id, scratch)
 			if count > 0 && len(dst)-base+zkvproto.MigrateEntrySize(len(key), len(val)) > maxBytes {
 				sh.mu.Unlock()
 				return dst, gi, count

@@ -1,14 +1,17 @@
 package zkv
 
-// Lock-free GETs. Each shard keeps an atomic per-slot mirror of its key/value
-// cells (rcells) plus a sequence counter (seq) that writers bump to odd
-// before mutating and back to even after, exactly the protocol
-// internal/slotstore uses on disk. A reader hashes the fingerprint through
-// the shard's own way functions, probes the mirror slots directly, copies
+// The cell store and lock-free GETs. Each shard keeps one cell per slot
+// (rcells) — the shard's only in-memory copy of an entry, written by the
+// mutex holder and read by everyone — plus a sequence counter (seq) that
+// writers bump to odd before mutating and back to even after, exactly the
+// protocol internal/slotstore uses on disk. A reader hashes the fingerprint
+// through the shard's own way functions, probes the cells directly, copies
 // the value out, and then re-checks seq: if it moved, the window overlapped
 // a mutation and the read retries. After seqlockRetries unstable windows the
 // reader falls back to the mutex path, so writers can never starve readers
-// into spinning forever.
+// into spinning forever. Code that holds the mutex reads the same cells with
+// the same atomic loads; nothing can change under it, so it needs no seq
+// check.
 //
 // A read hit must still touch the replacement ranking — that is what makes
 // zkv's eviction decisions bit-identical to the simulator's. Ranking state
@@ -40,10 +43,15 @@ const seqlockRetries = 16
 // locked path did — in batches.
 const touchRingSize = 256
 
-// rcell is one slot's lock-free mirror. meta packs klen<<32|vlen and is zero
-// iff the slot is dead (live keys are at least one byte). words holds the
-// key bytes then the value bytes, packed little-endian into atomic 64-bit
-// words; the buffer is reused in place and republished only on growth, so
+// rcell is one slot's entry. meta packs klen<<32|vlen and is zero iff the
+// slot is dead (live keys are at least one byte). words holds the key, then
+// the value, each zero-padded to a whole number of little-endian 64-bit
+// words, so the value always starts on a word:
+//
+//	words  | key: ⌈klen/8⌉ words | value: ⌈vlen/8⌉ words | spare … |
+//	bytes    k0 … k(klen-1) 0…0    v0 … v(vlen-1) 0…0
+//
+// The buffer is reused in place and republished only on growth, so
 // steady-state writes allocate nothing. Readers that observe a half-written
 // cell are rejected by the seq re-check, but every access is an atomic op,
 // so no schedule is a data race.
@@ -53,16 +61,68 @@ type rcell struct {
 	words atomic.Pointer[[]atomic.Uint64]
 }
 
-// publishCell mirrors (fp, key, val) into slot id. Caller holds the shard
+// cellLens unpacks a meta word.
+func cellLens(meta uint64) (klen, vlen int) { return int(meta >> 32), int(meta & 0xffffffff) }
+
+// wordsFor is the number of words n bytes occupy in a cell.
+func wordsFor(n int) int { return (n + 7) >> 3 }
+
+// tailWord packs the last, partial word of a key or value, zero-padded.
+func tailWord(b []byte) uint64 {
+	var t [8]byte
+	copy(t[:], b)
+	return binary.LittleEndian.Uint64(t[:])
+}
+
+// storeWords writes b into w[:wordsFor(len(b))].
+func storeWords(w []atomic.Uint64, b []byte) {
+	i := 0
+	for ; len(b) >= 8; i, b = i+1, b[8:] {
+		w[i].Store(binary.LittleEndian.Uint64(b))
+	}
+	if len(b) > 0 {
+		w[i].Store(tailWord(b))
+	}
+}
+
+// wordsEqual reports whether w[:wordsFor(len(b))] holds b. The padding is
+// always zero, so the partial last word compares whole.
+func wordsEqual(w []atomic.Uint64, b []byte) bool {
+	i := 0
+	for ; len(b) >= 8; i, b = i+1, b[8:] {
+		if w[i].Load() != binary.LittleEndian.Uint64(b) {
+			return false
+		}
+	}
+	return len(b) == 0 || w[i].Load() == tailWord(b)
+}
+
+// appendWords appends the n bytes packed in w[:wordsFor(n)] to dst, growing
+// dst at most once.
+func appendWords(dst []byte, w []atomic.Uint64, n int) []byte {
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
+	dst = dst[:len(dst)+n]
+	out := dst[len(dst)-n:]
+	i := 0
+	for ; len(out) >= 8; i, out = i+1, out[8:] {
+		binary.LittleEndian.PutUint64(out, w[i].Load())
+	}
+	if len(out) > 0 {
+		var t [8]byte
+		binary.LittleEndian.PutUint64(t[:], w[i].Load())
+		copy(out, t[:])
+	}
+	return dst
+}
+
+// publishCell writes (fp, key, val) into slot id. Caller holds the shard
 // mutex with seq odd (or is single-threaded at Open).
 func (sh *shard) publishCell(id repl.BlockID, fp uint64, key, val []byte) {
 	c := &sh.rcells[id]
-	b := append(append(sh.encBuf[:0], key...), val...)
-	for len(b)&7 != 0 {
-		b = append(b, 0)
-	}
-	sh.encBuf = b
-	nw := len(b) >> 3
+	kw := wordsFor(len(key))
+	nw := kw + wordsFor(len(val))
 	p := c.words.Load()
 	var w []atomic.Uint64
 	if p != nil && len(*p) >= nw {
@@ -78,21 +138,19 @@ func (sh *shard) publishCell(id repl.BlockID, fp uint64, key, val []byte) {
 		w = fresh
 		c.words.Store(&fresh)
 	}
-	for i := 0; i < nw; i++ {
-		w[i].Store(binary.LittleEndian.Uint64(b[8*i:]))
-	}
+	storeWords(w, key)
+	storeWords(w[kw:], val)
 	c.fp.Store(fp)
 	c.meta.Store(uint64(len(key))<<32 | uint64(len(val)))
 }
 
-// killCell marks slot id dead in the mirror.
+// killCell marks slot id dead; its buffer stays for the next tenant.
 func (sh *shard) killCell(id repl.BlockID) {
 	sh.rcells[id].meta.Store(0)
 }
 
-// moveCell replays a relocation on the mirror: to inherits from's entry and
-// from goes dead, with the displaced buffer swapped back for reuse — the
-// same dance SlotMoved does on the plain cells.
+// moveCell follows a relocation: to inherits from's entry and from goes
+// dead, taking the displaced buffer for reuse.
 func (sh *shard) moveCell(from, to repl.BlockID) {
 	cf, ct := &sh.rcells[from], &sh.rcells[to]
 	pf, pt := cf.words.Load(), ct.words.Load()
@@ -101,6 +159,57 @@ func (sh *shard) moveCell(from, to repl.BlockID) {
 	ct.fp.Store(cf.fp.Load())
 	ct.meta.Store(cf.meta.Load())
 	cf.meta.Store(0)
+}
+
+// match reports whether the cell, whose meta word the caller loaded, holds
+// key, and returns the value's words when it does. clean=false flags a meta
+// word and a buffer that disagree — a torn window the lock-free caller must
+// retry; under the shard mutex it cannot happen.
+func (c *rcell) match(meta uint64, key []byte) (val []atomic.Uint64, hit, clean bool) {
+	klen, vlen := cellLens(meta)
+	if klen != len(key) {
+		return nil, false, true
+	}
+	kw := wordsFor(klen)
+	p := c.words.Load()
+	if p == nil || len(*p) < kw+wordsFor(vlen) {
+		return nil, false, false
+	}
+	w := *p
+	if !wordsEqual(w, key) {
+		return nil, false, true
+	}
+	return w[kw:], true, true
+}
+
+// read appends the cell's value to dst if the cell holds key: the one
+// compare-then-copy every Get runs, lock-free or locked.
+func (c *rcell) read(meta uint64, key, dst []byte) (out []byte, hit, clean bool) {
+	val, hit, clean := c.match(meta, key)
+	if !hit {
+		return dst, false, clean
+	}
+	_, vlen := cellLens(meta)
+	return appendWords(dst, val, vlen), true, true
+}
+
+// holdsKey is the mutex holder's key check on a slot the tag array says is
+// live: the verification every fingerprint match needs before it counts.
+func (sh *shard) holdsKey(id repl.BlockID, key []byte) bool {
+	c := &sh.rcells[id]
+	_, hit, _ := c.match(c.meta.Load(), key)
+	return hit
+}
+
+// entry decodes slot id's key and value into buf, which is returned for
+// reuse. Caller holds the shard mutex and knows the slot is live.
+func (sh *shard) entry(id repl.BlockID, buf []byte) (key, val, scratch []byte) {
+	c := &sh.rcells[id]
+	klen, vlen := cellLens(c.meta.Load())
+	w := *c.words.Load()
+	buf = appendWords(buf[:0], w, klen)
+	buf = appendWords(buf, w[wordsFor(klen):], vlen)
+	return buf[:klen], buf[klen:], buf
 }
 
 // getLockFree is the Store.Get body: optimistic seqlock reads with a locked
@@ -115,7 +224,7 @@ func (sh *shard) getLockFree(fp uint64, key, dst []byte) ([]byte, bool) {
 		}
 		out, slot, hit, collision, clean := sh.probeCells(fp, key, dst)
 		if !clean || sh.seq.Load() != s1 {
-			dst = dst[:base]
+			dst = out[:base]
 			continue
 		}
 		sh.gets.Add(1)
@@ -138,12 +247,12 @@ func (sh *shard) getLockFree(fp uint64, key, dst []byte) ([]byte, bool) {
 	return dst, ok
 }
 
-// probeCells hashes fp to its one slot per way and reads the mirror. It
+// probeCells hashes fp to its one slot per way and reads the cells. It
 // reports (dst', slot, hit, collision, clean); clean=false flags an
 // internally inconsistent cell (a torn window) that the caller must retry.
-// The key is compared and the value appended in a single pass over the
-// packed words, so a hit costs exactly one decode and zero allocations when
-// dst has capacity.
+// A hit compares the key word by word and copies the value words straight
+// into dst, whatever the key length: zero allocations when dst has capacity
+// for the value, one otherwise.
 func (sh *shard) probeCells(fp uint64, key, dst []byte) ([]byte, uint64, bool, bool, bool) {
 	var c *rcell
 	var meta, slot uint64
@@ -175,70 +284,10 @@ func (sh *shard) probeCells(fp uint64, key, dst []byte) ([]byte, uint64, bool, b
 	if c == nil {
 		return dst, 0, false, false, true
 	}
-	klen := int(meta >> 32)
-	vlen := int(meta & 0xffffffff)
-	if klen != len(key) {
-		// Fingerprint alias with a different key: a verified miss, same
-		// as the locked path's failed bytesEqual.
-		return dst, 0, false, true, true
-	}
-	p := c.words.Load()
-	total := klen + vlen
-	if p == nil || len(*p)*8 < total {
-		return dst, 0, false, false, false
-	}
-	w := *p
-	// Word-aligned fast path: with a whole-word key (8-byte keys are what
-	// zcached serves) the key is one word compare and the value words copy
-	// straight into dst without byte shuffling.
-	if klen == 8 && cap(dst)-len(dst) >= vlen {
-		if w[0].Load() != binary.LittleEndian.Uint64(key) {
-			return dst, 0, false, true, true
-		}
-		n := len(dst)
-		out := dst[:n+vlen]
-		off, wi := 0, 1
-		for ; off+8 <= vlen; off, wi = off+8, wi+1 {
-			binary.LittleEndian.PutUint64(out[n+off:], w[wi].Load())
-		}
-		if off < vlen {
-			var tmp [8]byte
-			binary.LittleEndian.PutUint64(tmp[:], w[wi].Load())
-			copy(out[n+off:], tmp[:vlen-off])
-		}
-		return out, slot, true, false, true
-	}
-	keyOK := true
-	pos := 0
-	var tmp [8]byte
-	for wi := 0; pos < total; wi++ {
-		binary.LittleEndian.PutUint64(tmp[:], w[wi].Load())
-		n := total - pos
-		if n > 8 {
-			n = 8
-		}
-		chunk := tmp[:n]
-		if pos < klen {
-			k := klen - pos
-			if k > n {
-				k = n
-			}
-			for j := 0; j < k; j++ {
-				if chunk[j] != key[pos+j] {
-					keyOK = false
-				}
-			}
-			chunk = chunk[k:]
-		}
-		if len(chunk) > 0 {
-			dst = append(dst, chunk...)
-		}
-		pos += n
-	}
-	if !keyOK {
-		return dst[:len(dst)-vlen], 0, false, true, true
-	}
-	return dst, slot, true, false, true
+	// A live cell with this fingerprint and another key is an alias: a
+	// verified miss.
+	out, hit, clean := c.read(meta, key, dst)
+	return out, slot, hit, clean && !hit, clean
 }
 
 // noteTouch records a validated read hit for the ranking. The fast path is a
@@ -251,7 +300,7 @@ func (sh *shard) noteTouch(fp, slot uint64, key []byte) {
 	}
 	sh.mu.Lock()
 	sh.drainTouches()
-	if id, ok := sh.c.Peek(fp); ok && bytesEqual(sh.keys[id], key) {
+	if id, ok := sh.c.Peek(fp); ok && sh.holdsKey(id, key) {
 		sh.c.Touch(id, false)
 	}
 	sh.mu.Unlock()

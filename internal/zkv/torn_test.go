@@ -6,37 +6,82 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"zcache/internal/hash"
 )
 
+// Self-certifying entries for the torn-value stress. Key k is 1–24 bytes
+// long (so most keys end mid-word in their cell), and a value written at
+// version ver is tornLen(k, ver) bytes — 0 to 200, so one slot's buffer grows
+// and shrinks as versions pass — of one 8-byte stamp, ver<<12|k, repeated and
+// cut off. A reader holding any value of a stamp or more recovers the key and
+// the version from the first word and can certify the length and every byte
+// after it; a shorter value still shows the key's low bytes.
+func tornKey(buf []byte, k uint64) []byte {
+	buf = append(buf[:0], byte(k/24))
+	for j := uint64(1); j < 1+k%24; j++ {
+		buf = append(buf, byte(k%24+j))
+	}
+	return buf
+}
+
+func tornLen(k, ver uint64) int { return int(hash.Mix64(ver<<12|k) % 201) }
+
+func tornVal(buf []byte, k, ver uint64) []byte {
+	var stamp [8]byte
+	binary.LittleEndian.PutUint64(stamp[:], ver<<12|k)
+	buf = buf[:0]
+	for n := tornLen(k, ver); len(buf) < n; {
+		buf = append(buf, stamp[:min(8, n-len(buf))]...)
+	}
+	return buf
+}
+
+func tornCheck(val []byte, k uint64) error {
+	var stamp [8]byte
+	if len(val) >= 8 {
+		copy(stamp[:], val)
+		w := binary.LittleEndian.Uint64(stamp[:])
+		if w&0xfff != k {
+			return fmt.Errorf("key %d: got a value stamped for key %d", k, w&0xfff)
+		}
+		if want := tornLen(k, w>>12); len(val) != want {
+			return fmt.Errorf("key %d version %d: torn length %d, written as %d", k, w>>12, len(val), want)
+		}
+	} else {
+		binary.LittleEndian.PutUint64(stamp[:], k)
+		if len(val) >= 2 {
+			stamp[1] |= val[1] & 0xf0 // the version's low bits share this byte
+		}
+		val = val[:min(len(val), 2)]
+	}
+	for i, b := range val {
+		if b != stamp[i%8] {
+			return fmt.Errorf("key %d: torn value: byte %d is %#x, stamp % x", k, i, b, stamp)
+		}
+	}
+	return nil
+}
+
 // TestTornValueUnderRelocationStress hammers lock-free GETs against a writer
-// driving constant eviction and relocation pressure through one small shard.
-// Every stored value is self-certifying — one 8-byte word, encoding the key
-// and a version, repeated across the whole payload — so a reader that ever
-// observes a mix of two versions (a torn seqlock window that validated) or a
-// value belonging to a different key fails loudly. Run under -race in the CI
-// chaos job, this also proves the seqlock protocol is free of data races,
-// not just free of observable tears.
+// driving constant eviction and relocation pressure through one small shard,
+// with key and value lengths that vary per write (see tornKey), so cells are
+// regrown and republished under the readers and keys end mid-word. A reader
+// that ever observes a mix of two versions (a torn seqlock window that
+// validated), a length from another version, or a value belonging to a
+// different key fails loudly. Run under -race in the CI chaos job, this also
+// proves the seqlock protocol is free of data races, not just free of
+// observable tears.
 func TestTornValueUnderRelocationStress(t *testing.T) {
 	s, err := Open(Config{Shards: 1, Ways: 4, Rows: 64, Levels: 2, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const (
-		keys     = 512 // 2x capacity: every Set can trigger a walk + chain
-		valWords = 16
-		readers  = 4
-		readOps  = 30000
+		keys    = 512 // 2x capacity: every Set can trigger a walk + chain
+		readers = 4
+		readOps = 30000
 	)
-	mkVal := func(buf []byte, k, ver uint64) []byte {
-		w := k<<20 | ver&0xfffff
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], w)
-		buf = buf[:0]
-		for i := 0; i < valWords; i++ {
-			buf = append(buf, tmp[:]...)
-		}
-		return buf
-	}
 
 	stop := make(chan struct{})
 	var writerWG sync.WaitGroup
@@ -44,8 +89,7 @@ func TestTornValueUnderRelocationStress(t *testing.T) {
 	go func() {
 		defer writerWG.Done()
 		rng := rand.New(rand.NewSource(1))
-		var key [8]byte
-		var val []byte
+		var key, val []byte
 		for ver := uint64(0); ; ver++ {
 			select {
 			case <-stop:
@@ -53,15 +97,14 @@ func TestTornValueUnderRelocationStress(t *testing.T) {
 			default:
 			}
 			k := uint64(rng.Intn(keys))
-			binary.BigEndian.PutUint64(key[:], k)
-			val = mkVal(val, k, ver)
-			if err := s.Set(key[:], val); err != nil {
+			key, val = tornKey(key, k), tornVal(val, k, ver)
+			if err := s.Set(key, val); err != nil {
 				t.Errorf("set: %v", err)
 				return
 			}
 			if ver&127 == 0 {
-				binary.BigEndian.PutUint64(key[:], uint64(rng.Intn(keys)))
-				s.Delete(key[:])
+				key = tornKey(key, uint64(rng.Intn(keys)))
+				s.Delete(key)
 			}
 		}
 	}()
@@ -70,36 +113,27 @@ func TestTornValueUnderRelocationStress(t *testing.T) {
 	var readerWG sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		readerWG.Add(1)
-		go func(seed int64) {
+		go func(r int) {
 			defer readerWG.Done()
-			rng := rand.New(rand.NewSource(seed))
-			var key [8]byte
-			dst := make([]byte, 0, valWords*8)
+			rng := rand.New(rand.NewSource(int64(100 + r)))
+			var key, dst []byte
+			if r > 0 {
+				// Reader 0 keeps a nil dst, so its hits size a fresh buffer.
+				dst = make([]byte, 0, 200)
+			}
 			for i := 0; i < readOps; i++ {
 				k := uint64(rng.Intn(keys))
-				binary.BigEndian.PutUint64(key[:], k)
-				var ok bool
-				dst, ok = s.Get(key[:], dst[:0])
+				key = tornKey(key, k)
+				got, ok := s.Get(key, dst)
 				if !ok {
 					continue
 				}
-				if len(dst) != valWords*8 {
-					errs <- fmt.Errorf("key %d: torn length %d", k, len(dst))
+				if err := tornCheck(got, k); err != nil {
+					errs <- err
 					return
-				}
-				w0 := binary.LittleEndian.Uint64(dst[:8])
-				if w0>>20 != k {
-					errs <- fmt.Errorf("key %d: got value stamped for key %d", k, w0>>20)
-					return
-				}
-				for j := 1; j < valWords; j++ {
-					if w := binary.LittleEndian.Uint64(dst[8*j:]); w != w0 {
-						errs <- fmt.Errorf("key %d: torn value: word 0 %#x, word %d %#x", k, w0, j, w)
-						return
-					}
 				}
 			}
-		}(int64(100 + r))
+		}(r)
 	}
 	readerWG.Wait()
 	close(stop)

@@ -6,8 +6,8 @@
 //
 // The store does not fork the eviction core: each shard wraps the same
 // cache.Cache controller the simulator's L2 banks use, driving it through
-// the slot-returning access paths (Peek/Touch/AccessSlot) and keeping
-// per-slot key and value cells aligned with the tag array via
+// the slot-returning access paths (Peek/Touch/AccessSlot) and keeping one
+// key/value cell per slot (seqlock.go) aligned with the tag array via
 // cache.SlotObserver. Replaying a trace through a one-shard store and
 // through a simulator-built cache therefore yields bit-identical eviction
 // victim sequences — the guarantee the equivalence harness (ReplayEquiv)
@@ -332,31 +332,24 @@ func (s *Store) Stats() Stats {
 	return out
 }
 
-// shard is one independently locked zcache instance with per-slot key and
-// value cells.
+// shard is one independently locked zcache instance with one key/value cell
+// per slot.
 type shard struct {
 	mu  sync.Mutex
 	c   *cache.Cache
 	arr *cache.ZCache
 
-	// keys and vals are per-slot cells, indexed by repl.BlockID like the
-	// tag array. Buffers are recycled in place (append into [:0]) so the
-	// steady-state Get/Set path allocates nothing.
-	keys [][]byte
-	vals [][]byte
-
-	// Lock-free read state (see seqlock.go): seq is the shard seqlock
-	// (odd while a mutation is in flight), rcells the atomic mirror of
-	// the slot cells, touches the deferred read-hit ring, and
-	// ws4/rfns/rowsPer let readers hash fingerprints to slots without
-	// touching the tag array. encBuf is the writer's packing scratch.
+	// The cell store and its lock-free read state (see seqlock.go): rcells
+	// holds every entry once, indexed by repl.BlockID like the tag array;
+	// seq is the shard seqlock (odd while a mutation is in flight), touches
+	// the deferred read-hit ring, and ws4/rfns/rowsPer let readers hash
+	// fingerprints to slots without touching the tag array.
 	seq     atomic.Uint64
 	rcells  []rcell
 	touches touchRing
 	ws4     *hash.WaySet4
 	rfns    []hash.Func
 	rowsPer uint64
-	encBuf  []byte
 
 	resident int
 
@@ -417,8 +410,6 @@ func newShard(cfg Config, i int) (*shard, error) {
 	sh := &shard{
 		c:       c,
 		arr:     arr,
-		keys:    make([][]byte, arr.Blocks()),
-		vals:    make([][]byte, arr.Blocks()),
 		rcells:  make([]rcell, arr.Blocks()),
 		rfns:    fns,
 		rowsPer: cfg.Rows,
@@ -441,9 +432,9 @@ func newShard(cfg Config, i int) (*shard, error) {
 }
 
 // SlotEvicted implements cache.SlotObserver: a block left the cache, so its
-// key/value cells are dead (the buffers stay for reuse by the next tenant).
-// The persistent mirror clears the same cell, keeping the on-disk slot
-// array aligned with the tag array.
+// cell is dead (the buffer stays for reuse by the next tenant). The
+// persistent mirror clears the same cell, keeping the on-disk slot array
+// aligned with the tag array.
 func (sh *shard) SlotEvicted(id repl.BlockID, line uint64, dirty bool) {
 	sh.resident--
 	sh.killCell(id)
@@ -460,12 +451,9 @@ func (sh *shard) SlotEvicted(id repl.BlockID, line uint64, dirty bool) {
 }
 
 // SlotMoved implements cache.SlotObserver: a relocation slid a block into
-// the vacated destination slot; its key/value cells follow. The displaced
-// destination buffers move to the source slot for reuse, and the persistent
-// mirror replays the same relocation on disk.
+// the vacated destination slot; its cell follows, and the persistent mirror
+// replays the same relocation on disk.
 func (sh *shard) SlotMoved(from, to repl.BlockID) {
-	sh.keys[from], sh.keys[to] = sh.keys[to], sh.keys[from]
-	sh.vals[from], sh.vals[to] = sh.vals[to], sh.vals[from]
 	sh.moveCell(from, to)
 	sh.movesThisInstall++
 	if sh.ps != nil {
@@ -482,14 +470,16 @@ func (sh *shard) get(fp uint64, key, dst []byte) ([]byte, bool) {
 		sh.getMisses.Add(1)
 		return dst, false
 	}
-	if !bytesEqual(sh.keys[id], key) {
+	c := &sh.rcells[id]
+	dst, hit, _ := c.read(c.meta.Load(), key, dst)
+	if !hit {
 		sh.collisions.Add(1)
 		sh.getMisses.Add(1)
 		return dst, false
 	}
 	sh.c.Touch(id, false)
 	sh.getHits.Add(1)
-	return append(dst, sh.vals[id]...), true
+	return dst, true
 }
 
 // set is the locked Set body. With persistence, the whole mutation — the
@@ -501,7 +491,7 @@ func (sh *shard) set(fp uint64, key, val []byte) {
 	mirrored := sh.psBegin()
 	id, hit := sh.c.AccessSlot(fp, true)
 	if hit {
-		if bytesEqual(sh.keys[id], key) {
+		if sh.holdsKey(id, key) {
 			sh.overwrites++
 		} else {
 			// Fingerprint alias: a different key owns this tag. A
@@ -518,8 +508,6 @@ func (sh *shard) set(fp uint64, key, val []byte) {
 		}
 		sh.walkHist[d]++
 	}
-	sh.keys[id] = append(sh.keys[id][:0], key...)
-	sh.vals[id] = append(sh.vals[id][:0], val...)
 	sh.publishCell(id, fp, key, val)
 	if mirrored && sh.ps != nil {
 		persisted, err := sh.ps.SetSlot(int(id), fp, key, val)
@@ -536,7 +524,7 @@ func (sh *shard) set(fp uint64, key, val []byte) {
 func (sh *shard) del(fp uint64, key []byte) bool {
 	sh.dels++
 	id, ok := sh.c.Peek(fp)
-	if !ok || !bytesEqual(sh.keys[id], key) {
+	if !ok || !sh.holdsKey(id, key) {
 		return false
 	}
 	mirrored := sh.psBegin()
@@ -547,18 +535,5 @@ func (sh *shard) del(fp uint64, key []byte) bool {
 		sh.psEnd()
 	}
 	sh.delHits++
-	return true
-}
-
-// bytesEqual avoids the bytes package on the hot path (trivially inlined).
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
 	return true
 }
