@@ -88,24 +88,9 @@ exit codes:
 	if *full {
 		preset = zcache.FullPreset()
 	}
-	var pol sim.Policy
-	switch *policy {
-	case "lru":
-		pol = sim.PolicyBucketedLRU
-	case "lru-full":
-		pol = sim.PolicyLRU
-	case "opt":
-		pol = sim.PolicyOPT
-	case "random":
-		pol = sim.PolicyRandom
-	case "lfu":
-		pol = sim.PolicyLFU
-	case "srrip":
-		pol = sim.PolicySRRIP
-	case "drrip":
-		pol = sim.PolicyDRRIP
-	default:
-		log.Fatalf("unknown policy %q", *policy)
+	pol, err := sim.ParsePolicy(*policy)
+	if err != nil {
+		log.Fatal(err)
 	}
 	e := zcache.NewExperiment(preset)
 	e.Check = *check

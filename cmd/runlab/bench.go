@@ -345,7 +345,7 @@ func cmdBench(args []string) error {
 	if err != nil {
 		return err
 	}
-	pol, err := parsePolicy(*policyFlag)
+	pol, err := sim.ParsePolicy(*policyFlag)
 	if err != nil {
 		return err
 	}

@@ -145,28 +145,6 @@ exit codes:
 `, zcache.DefaultStoreDir)
 }
 
-// parsePolicy mirrors cmd/figures' policy names.
-func parsePolicy(name string) (sim.Policy, error) {
-	switch name {
-	case "lru":
-		return sim.PolicyBucketedLRU, nil
-	case "lru-full":
-		return sim.PolicyLRU, nil
-	case "opt":
-		return sim.PolicyOPT, nil
-	case "random":
-		return sim.PolicyRandom, nil
-	case "lfu":
-		return sim.PolicyLFU, nil
-	case "srrip":
-		return sim.PolicySRRIP, nil
-	case "drrip":
-		return sim.PolicyDRRIP, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", name)
-	}
-}
-
 func parsePreset(name string) (zcache.Preset, error) {
 	switch name {
 	case "test":
@@ -227,7 +205,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	pol, err := parsePolicy(*policyFlag)
+	pol, err := sim.ParsePolicy(*policyFlag)
 	if err != nil {
 		return err
 	}

@@ -47,7 +47,7 @@ func cmdValidateSampled(args []string) error {
 	if err != nil {
 		return err
 	}
-	pol, err := parsePolicy(*policyFlag)
+	pol, err := sim.ParsePolicy(*policyFlag)
 	if err != nil {
 		return err
 	}

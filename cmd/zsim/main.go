@@ -46,7 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pol, err := parsePolicy(*policy)
+	pol, err := sim.ParsePolicy(*policy)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,26 +104,5 @@ func parseDesign(name string, ways int) (zcache.DesignPoint, error) {
 		return zcache.DesignPoint{Label: fmt.Sprintf("Z%d/%d", ways, r), Design: sim.ZCacheL3, Ways: ways}, nil
 	default:
 		return zcache.DesignPoint{}, fmt.Errorf("unknown design %q", name)
-	}
-}
-
-func parsePolicy(name string) (sim.Policy, error) {
-	switch name {
-	case "lru":
-		return sim.PolicyBucketedLRU, nil
-	case "lru-full":
-		return sim.PolicyLRU, nil
-	case "opt":
-		return sim.PolicyOPT, nil
-	case "random":
-		return sim.PolicyRandom, nil
-	case "lfu":
-		return sim.PolicyLFU, nil
-	case "srrip":
-		return sim.PolicySRRIP, nil
-	case "drrip":
-		return sim.PolicyDRRIP, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", name)
 	}
 }

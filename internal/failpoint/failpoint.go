@@ -268,6 +268,78 @@ func List() []Status {
 	return out
 }
 
+// SplitSpec splits a fault spec into its semicolon-separated terms, trimmed,
+// empty ones dropped. The spec grammar — terms of head[:key=value[,key=value...]]
+// — is shared with internal/netchaos; each package brings its own heads and
+// keys and parses the common ones (p, n, d) through the functions below.
+func SplitSpec(spec string) []string {
+	var terms []string
+	for _, term := range strings.Split(spec, ";") {
+		if term = strings.TrimSpace(term); term != "" {
+			terms = append(terms, term)
+		}
+	}
+	return terms
+}
+
+// EachArg calls set for every key=value pair of a term's comma-separated
+// argument list (args may be empty), stopping at the first error.
+func EachArg(term, args string, set func(key, val string) error) error {
+	if args == "" {
+		return nil
+	}
+	for _, kv := range strings.Split(args, ",") {
+		k, v, ok := strings.Cut(kv, "=")
+		if !ok {
+			return fmt.Errorf("bad arg %q in %q", kv, term)
+		}
+		if err := set(k, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ParseProb parses a firing probability in (0, 1].
+func ParseProb(v string) (float64, error) {
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad probability %q: %v", v, err)
+	}
+	// NaN slips through ordered comparisons (every clamp test is false),
+	// so spell the valid range positively rather than rejecting the
+	// invalid one.
+	if !(f > 0 && f <= 1) {
+		return 0, fmt.Errorf("probability %q outside (0, 1]", v)
+	}
+	return f, nil
+}
+
+// ParseCount parses an integer argument called what that must be at least
+// floor.
+func ParseCount(what, v string, floor int) (int, error) {
+	i, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, fmt.Errorf("bad %s %q: %v", what, v, err)
+	}
+	if i < floor {
+		return 0, fmt.Errorf("%s %q must be at least %d", what, v, floor)
+	}
+	return i, nil
+}
+
+// ParseDelay parses a non-negative Go duration argument called what.
+func ParseDelay(what, v string) (time.Duration, error) {
+	d, err := time.ParseDuration(v)
+	if err != nil {
+		return 0, fmt.Errorf("bad %s %q: %v", what, v, err)
+	}
+	if d < 0 {
+		return 0, fmt.Errorf("negative %s %q", what, v)
+	}
+	return d, nil
+}
+
 // Configure parses a spec string and enables every failpoint in it,
 // folding seed into each point's firing schedule. The grammar is
 // semicolon-separated terms:
@@ -275,8 +347,8 @@ func List() []Status {
 //	name=mode[:key=value[,key=value...]]
 //
 // with modes error | panic | delay | torn and keys p (probability,
-// float), n (max fires, int), d (delay, Go duration), trunc (torn tail
-// bytes, int). Examples:
+// float), n (max fires, int; omit for unlimited), d (delay, Go duration),
+// trunc (torn tail bytes, int). Examples:
 //
 //	runlab/compute=panic:p=0.1
 //	runlab/store/append=torn:n=1,trunc=7;runlab/compute=delay:d=5ms
@@ -291,84 +363,45 @@ func Configure(spec string, seed uint64) error {
 		opts  []Option
 	}
 	var parsed []pending
-	for _, term := range strings.Split(spec, ";") {
-		term = strings.TrimSpace(term)
-		if term == "" {
-			continue
-		}
+	for _, term := range SplitSpec(spec) {
 		name, rest, ok := strings.Cut(term, "=")
 		if !ok || name == "" {
 			return fmt.Errorf("failpoint: bad term %q (want name=mode[:args])", term)
 		}
 		modeStr, args, _ := strings.Cut(rest, ":")
-		var mode Mode
-		switch modeStr {
-		case "error":
-			mode = Error
-		case "panic":
-			mode = PanicMode
-		case "delay":
-			mode = Delay
-		case "torn":
-			mode = Torn
-		default:
+		mode := Error
+		for mode <= Torn && mode.String() != modeStr {
+			mode++
+		}
+		if mode > Torn {
 			return fmt.Errorf("failpoint: unknown mode %q in %q", modeStr, term)
 		}
-		prob, times := 1.0, 0
-		var opts []Option
-		if args != "" {
-			for _, kv := range strings.Split(args, ",") {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok {
-					return fmt.Errorf("failpoint: bad arg %q in %q", kv, term)
+		p := pending{name: name, mode: mode, prob: 1, opts: []Option{WithSeed(seed)}}
+		err := EachArg(term, args, func(k, v string) (err error) {
+			switch k {
+			case "p":
+				p.prob, err = ParseProb(v)
+			case "n":
+				p.times, err = ParseCount("count", v, 0)
+			case "d":
+				var d time.Duration
+				if d, err = ParseDelay("delay", v); err == nil {
+					p.opts = append(p.opts, WithDelay(d))
 				}
-				switch k {
-				case "p":
-					f, err := strconv.ParseFloat(v, 64)
-					if err != nil {
-						return fmt.Errorf("failpoint: bad probability %q: %v", v, err)
-					}
-					// NaN slips through ordered comparisons (every
-					// clamp test is false), so spell the valid range
-					// positively rather than rejecting the invalid one.
-					if !(f > 0 && f <= 1) {
-						return fmt.Errorf("failpoint: probability %q outside (0, 1]", v)
-					}
-					prob = f
-				case "n":
-					i, err := strconv.Atoi(v)
-					if err != nil {
-						return fmt.Errorf("failpoint: bad count %q: %v", v, err)
-					}
-					if i < 0 {
-						return fmt.Errorf("failpoint: negative count %q (omit n for unlimited)", v)
-					}
-					times = i
-				case "d":
-					d, err := time.ParseDuration(v)
-					if err != nil {
-						return fmt.Errorf("failpoint: bad delay %q: %v", v, err)
-					}
-					if d < 0 {
-						return fmt.Errorf("failpoint: negative delay %q", v)
-					}
-					opts = append(opts, WithDelay(d))
-				case "trunc":
-					i, err := strconv.Atoi(v)
-					if err != nil {
-						return fmt.Errorf("failpoint: bad truncation %q: %v", v, err)
-					}
-					if i < 1 {
-						return fmt.Errorf("failpoint: truncation %q must be at least 1", v)
-					}
-					opts = append(opts, WithTruncate(i))
-				default:
-					return fmt.Errorf("failpoint: unknown arg %q in %q", k, term)
+			case "trunc":
+				var n int
+				if n, err = ParseCount("truncation", v, 1); err == nil {
+					p.opts = append(p.opts, WithTruncate(n))
 				}
+			default:
+				err = fmt.Errorf("unknown arg %q in %q", k, term)
 			}
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("failpoint: %w", err)
 		}
-		opts = append(opts, WithSeed(seed))
-		parsed = append(parsed, pending{name, mode, prob, times, opts})
+		parsed = append(parsed, p)
 	}
 	for _, p := range parsed {
 		Enable(p.name, p.mode, p.prob, p.times, p.opts...)

@@ -33,6 +33,13 @@ func FuzzConfigure(f *testing.F) {
 		";;;",
 		"a=error:p=1e308",
 		"a=delay:d=9999999h",
+		// internal/netchaos parses its specs through the same splitter and
+		// argument parsers; its shapes (no name=, foreign keys) go last so
+		// the seeds above keep their corpus numbers.
+		"latency:d=2ms,jitter=5ms,p=0.1",
+		"reset:p=0.01;latency:d=1ms;bandwidth:bps=1048576",
+		"drop:dir=s2c,p=0.05",
+		"drop:p=0.001,n=1;partial:p=0.2,max=16",
 	} {
 		f.Add(s, uint64(1))
 	}

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"zcache/internal/failpoint"
 )
 
 // Fault is one class of network misbehavior the proxy can inject.
@@ -86,91 +88,50 @@ type Spec struct {
 }
 
 // ParseSpec parses spec, folding seed into every per-connection fault
-// schedule. An empty spec is valid and injects nothing.
+// schedule. An empty spec is valid and injects nothing. Term splitting and
+// the p, n, d arguments are failpoint's; the fault names and the jitter,
+// bps, max and dir keys are this package's.
 func ParseSpec(spec string, seed uint64) (*Spec, error) {
 	s := &Spec{seed: seed}
-	for _, term := range strings.Split(spec, ";") {
-		term = strings.TrimSpace(term)
-		if term == "" {
-			continue
-		}
+	for _, term := range failpoint.SplitSpec(spec) {
 		name, args, _ := strings.Cut(term, ":")
-		cfg := faultCfg{prob: 1, max: 8, dir: -1}
-		switch name {
-		case "latency":
-			cfg.kind = Latency
-		case "bandwidth":
-			cfg.kind = Bandwidth
-		case "drop":
-			cfg.kind = Drop
-		case "reset":
-			cfg.kind = Reset
-		case "partial":
-			cfg.kind = Partial
-		default:
+		cfg := faultCfg{kind: Latency, prob: 1, max: 8, dir: -1}
+		for cfg.kind <= Partial && cfg.kind.String() != name {
+			cfg.kind++
+		}
+		if cfg.kind > Partial {
 			return nil, fmt.Errorf("netchaos: unknown fault %q in %q", name, term)
 		}
-		if args != "" {
-			for _, kv := range strings.Split(args, ",") {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok {
-					return nil, fmt.Errorf("netchaos: bad arg %q in %q", kv, term)
-				}
-				switch k {
-				case "p":
-					f, err := strconv.ParseFloat(v, 64)
-					if err != nil {
-						return nil, fmt.Errorf("netchaos: bad probability %q: %v", v, err)
-					}
-					// Positive-range spelling so NaN cannot slip through
-					// (same trap failpoint.Configure guards against).
-					if !(f > 0 && f <= 1) {
-						return nil, fmt.Errorf("netchaos: probability %q outside (0, 1]", v)
-					}
-					cfg.prob = f
-				case "n":
-					i, err := strconv.Atoi(v)
-					if err != nil || i < 0 {
-						return nil, fmt.Errorf("netchaos: bad count %q (omit n for unlimited)", v)
-					}
-					cfg.times = i
-				case "d":
-					d, err := time.ParseDuration(v)
-					if err != nil || d < 0 {
-						return nil, fmt.Errorf("netchaos: bad delay %q", v)
-					}
-					cfg.delay = d
-				case "jitter":
-					d, err := time.ParseDuration(v)
-					if err != nil || d < 0 {
-						return nil, fmt.Errorf("netchaos: bad jitter %q", v)
-					}
-					cfg.jitter = d
-				case "bps":
-					i, err := strconv.Atoi(v)
-					if err != nil || i < 1 {
-						return nil, fmt.Errorf("netchaos: bad bandwidth %q (bytes/second, at least 1)", v)
-					}
-					cfg.bps = i
-				case "max":
-					i, err := strconv.Atoi(v)
-					if err != nil || i < 1 {
-						return nil, fmt.Errorf("netchaos: bad fragment bound %q (at least 1)", v)
-					}
-					cfg.max = i
-				case "dir":
-					switch v {
-					case "c2s":
-						cfg.dir = 0
-					case "s2c":
-						cfg.dir = 1
-					default:
-						return nil, fmt.Errorf("netchaos: bad direction %q (want c2s or s2c)", v)
-					}
+		err := failpoint.EachArg(term, args, func(k, v string) (err error) {
+			switch k {
+			case "p":
+				cfg.prob, err = failpoint.ParseProb(v)
+			case "n":
+				cfg.times, err = failpoint.ParseCount("count", v, 0)
+			case "d":
+				cfg.delay, err = failpoint.ParseDelay("delay", v)
+			case "jitter":
+				cfg.jitter, err = failpoint.ParseDelay("jitter", v)
+			case "bps":
+				cfg.bps, err = failpoint.ParseCount("bandwidth (bytes/second)", v, 1)
+			case "max":
+				cfg.max, err = failpoint.ParseCount("fragment bound", v, 1)
+			case "dir":
+				switch v {
+				case "c2s":
+					cfg.dir = 0
+				case "s2c":
+					cfg.dir = 1
 				default:
-					return nil, fmt.Errorf("netchaos: unknown arg %q in %q", k, term)
+					err = fmt.Errorf("bad direction %q (want c2s or s2c)", v)
 				}
+			default:
+				err = fmt.Errorf("unknown arg %q in %q", k, term)
 			}
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("netchaos: %w", err)
 		}
 		if cfg.kind == Bandwidth && cfg.bps == 0 {
 			return nil, fmt.Errorf("netchaos: bandwidth needs bps= in %q", term)

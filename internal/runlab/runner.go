@@ -213,10 +213,12 @@ func (r *Runner) Run(ctx context.Context, keys []CellKey, compute ComputeFunc) (
 			prog.ETA = time.Duration(float64(remaining) / prog.CellsPerSec * float64(time.Second))
 		}
 		snap := prog
-		mu.Unlock()
+		// Published under mu so a slower worker cannot overwrite a newer
+		// snapshot with its older one.
 		r.mu.Lock()
 		r.last = snap
 		r.mu.Unlock()
+		mu.Unlock()
 		if r.OnProgress != nil {
 			r.OnProgress(snap)
 		}

@@ -126,6 +126,25 @@ func (p Policy) String() string {
 	}
 }
 
+// ParsePolicy resolves a policy's command-line name — the one spelling
+// zsim, runlab and figures share. The names are not Policy.String's: the
+// CLIs call the paper's evaluated bucketed LRU plain "lru" and the
+// full-timestamp one "lru-full".
+func ParsePolicy(name string) (Policy, error) {
+	switch name {
+	case "lru":
+		return PolicyBucketedLRU, nil
+	case "lru-full":
+		return PolicyLRU, nil
+	}
+	for p := PolicyOPT; p <= PolicyDRRIP; p++ {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q", name)
+}
+
 // Config describes the simulated CMP. PaperSystem returns Table I.
 type Config struct {
 	// Cores is the number of in-order cores.

@@ -391,6 +391,24 @@ func TestDesignAndPolicyStrings(t *testing.T) {
 	}
 }
 
+// TestParsePolicy pins the CLI policy names to the policies zsim, runlab and
+// figures each mapped them to before the table was shared.
+func TestParsePolicy(t *testing.T) {
+	for name, want := range map[string]Policy{
+		"lru": PolicyBucketedLRU, "lru-full": PolicyLRU, "opt": PolicyOPT, "random": PolicyRandom,
+		"lfu": PolicyLFU, "srrip": PolicySRRIP, "drrip": PolicyDRRIP,
+	} {
+		if got, err := ParsePolicy(name); err != nil || got != want {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "LRU", "lru-bucketed", "policy(9)", "mru"} {
+		if got, err := ParsePolicy(name); err == nil {
+			t.Errorf("ParsePolicy(%q) accepted as %v", name, got)
+		}
+	}
+}
+
 func BenchmarkSystemThroughput(b *testing.B) {
 	cfg := tinyConfig(ZCacheL3, PolicyBucketedLRU)
 	cfg.InstructionsPerCore = uint64(b.N)/uint64(cfg.Cores) + 1000

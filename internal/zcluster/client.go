@@ -133,11 +133,19 @@ func (c *Client) Close() error {
 }
 
 // addrOf resolves a node name to its dial address.
-func (c *Client) addrOf(node string) string {
-	if a, ok := c.cfg.DialAddr[node]; ok {
+func (c Config) addrOf(node string) string {
+	if a, ok := c.DialAddr[node]; ok {
 		return a
 	}
 	return node
+}
+
+// dial opens a connection to node whose jitter seed is derived from seed
+// and the node name.
+func (c Config) dial(node string, seed uint64) (*zkvproto.Client, error) {
+	opts := c.Options
+	opts.Seed = hash.Mix64(seed ^ hash.Bytes64([]byte(node)))
+	return zkvproto.DialOptions(c.addrOf(node), opts)
 }
 
 // conn returns the node's connection, dialing on first use. Dial failures
@@ -147,9 +155,7 @@ func (c *Client) conn(node string) (*zkvproto.Client, error) {
 	if cl, ok := c.conns[node]; ok {
 		return cl, nil
 	}
-	opts := c.cfg.Options
-	opts.Seed = hash.Mix64(opts.Seed ^ hash.Bytes64([]byte(node)))
-	cl, err := zkvproto.DialOptions(c.addrOf(node), opts)
+	cl, err := c.cfg.dial(node, c.cfg.Options.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -145,12 +145,12 @@ func TestClusterReadRepair(t *testing.T) {
 	}
 	ring := c.Router().Ring()
 	pri, rep := ring.PrimaryReplica(PointOf(key))
-	priRaw, err := zkvproto.Dial(c.addrOf(pri))
+	priRaw, err := zkvproto.Dial(c.cfg.addrOf(pri))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer priRaw.Close()
-	repRaw, err := zkvproto.Dial(c.addrOf(rep))
+	repRaw, err := zkvproto.Dial(c.cfg.addrOf(rep))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,14 +33,20 @@ type EquivReport struct {
 	Detail   string
 }
 
-// ReplayEquiv replays a workload through the consistent-hash ring onto
-// nodes in-process one-shard stores, each paired with the simulator's
-// L2-bank reference (zkv.NewRefCache) over the same per-node seed, and
-// compares eviction decisions per node. This is the clustered extension of
-// zkv.ReplayEquiv: the ring partitions the key space exactly as sharding
-// partitions it inside one store, so the per-shard equivalence claim
-// survives the cluster layer — each node's slice of the traffic must
-// reproduce its reference bit-for-bit.
+// ReplayEquiv is the repository's one equivalence replay. It routes a
+// workload's reference stream through the consistent-hash ring onto nodes
+// in-process one-shard stores, each paired with the simulator's L2-bank
+// reference (zkv.NewRefCache) over the same per-node seed, and compares
+// eviction decisions per node. The ring partitions the key space exactly as
+// sharding partitions it inside one store, so the per-shard claim is checked
+// one node at a time; nodes = 1 is the single-store case.
+//
+// The mapping is the one zcached serves: each trace line address becomes an
+// 8-byte key; reads are Get (filling on miss), writes are Set. The
+// reference cache sees the key's fingerprint as its line address, so both
+// engines hash, walk, relocate, and evict over the same 64-bit space.
+// Footprints are anchored to the stores' total capacity, so the workload
+// presets stress eviction the way they stress a simulated L2.
 //
 // Routing is R=1 and in-process (no stamps, no network): what is under
 // test here is placement plus the engine, not the transport.
@@ -146,6 +152,8 @@ func ReplayEquiv(w workloads.Workload, cfg zkv.Config, nodes, vnodes, accesses i
 		kvMisses := kv.Inserts
 		switch {
 		case kv.Collisions != 0:
+			// An 8-byte-key replay cannot alias fingerprints short of a
+			// Bytes64 collision; treat one as a divergence, not luck.
 			ne.Match, ne.Detail = false, fmt.Sprintf("%d fingerprint collisions", kv.Collisions)
 		case kvHits != refStats.Hits || kvMisses != refStats.Misses:
 			ne.Match = false

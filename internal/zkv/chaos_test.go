@@ -1,140 +1,12 @@
 package zkv
 
 import (
-	"bufio"
-	"net"
 	"testing"
 	"time"
 
 	"zcache/internal/netchaos"
 	"zcache/internal/zkvproto"
 )
-
-// TestRunLoadChaos drives the full load harness through a netchaos proxy
-// injecting latency, resets, and blackholes. The contract under faults:
-// every operation eventually completes (the clients retry and reconnect),
-// every transport error is classified, and — with the value oracle on —
-// no GET ever returns wrong bytes.
-func TestRunLoadChaos(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos load run in -short mode")
-	}
-	srv, addr, errc := startServer(t, ServerConfig{})
-	defer shutdownServer(t, srv, errc)
-
-	spec, err := netchaos.ParseSpec(
-		"latency:d=200us,jitter=1ms,p=0.05;reset:p=0.01;drop:p=0.002,n=2", 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := netchaos.New(addr, spec)
-	if err := proxy.Start(""); err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-
-	rep, err := RunLoad(LoadConfig{
-		Addr: proxy.Addr(), Clients: 4, Ops: 24000, KeySpace: 1024,
-		ValBytes: 48, GetFrac: 0.7, Pipeline: 16, Seed: 9,
-		OpTimeout: 500 * time.Millisecond, Oracle: true, Stall: 1,
-	})
-	if err != nil {
-		t.Fatalf("RunLoad under chaos: %v", err)
-	}
-	if rep.Ops != 24000 {
-		t.Fatalf("completed %d ops, want 24000", rep.Ops)
-	}
-	if rep.WrongGets > 0 {
-		t.Fatalf("%d wrong GETs under chaos (%d verified)", rep.WrongGets, rep.VerifiedGets)
-	}
-	if rep.Unclassified > 0 {
-		t.Fatalf("%d unclassified transport errors", rep.Unclassified)
-	}
-	if rep.VerifiedGets == 0 {
-		t.Fatal("oracle verified no GET hits; workload degenerate")
-	}
-	// With reset:p=0.01 over thousands of chunks the fault path must have
-	// actually been exercised.
-	faults := rep.Timeouts + rep.Resets + rep.Busys + rep.ProtoErrors
-	if faults == 0 || rep.Retried == 0 || rep.Reconnects == 0 {
-		t.Fatalf("chaos run exercised no fault handling: %+v", rep)
-	}
-	st := proxy.Stats()
-	if st.Resets == 0 {
-		t.Fatalf("proxy injected no resets: %s", st.Describe())
-	}
-	t.Logf("chaos: %d faults (%d timeouts, %d resets, %d proto), %d retried, %d reconnects, %d ambiguous; proxy: %s",
-		faults, rep.Timeouts, rep.Resets, rep.ProtoErrors, rep.Retried, rep.Reconnects,
-		rep.Ambiguous, st.Describe())
-}
-
-// lyingServer speaks just enough zkvproto to answer every SET with OK and
-// every GET with a hit whose value is garbage. The oracle must catch it.
-func lyingServer(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				bw := bufio.NewWriter(conn)
-				var req zkvproto.Request
-				var resp zkvproto.Response
-				for {
-					if err := req.ReadFrom(br); err != nil {
-						return
-					}
-					switch req.Op {
-					case zkvproto.OpGet:
-						resp.Status = zkvproto.StatusOK
-						resp.Val = []byte("not what you stored, promise")
-					default:
-						resp.Status = zkvproto.StatusOK
-						resp.Val = nil
-					}
-					if err := resp.WriteTo(bw); err != nil {
-						return
-					}
-					if br.Buffered() == 0 {
-						if err := bw.Flush(); err != nil {
-							return
-						}
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// TestChaosOracleDetectsWrongValues proves the oracle is a real check: a
-// server that acknowledges writes but returns fabricated reads must show
-// up as WrongGets, the condition zkvbench exits 2 on.
-func TestChaosOracleDetectsWrongValues(t *testing.T) {
-	addr := lyingServer(t)
-	rep, err := RunLoad(LoadConfig{
-		Addr: addr, Clients: 2, Ops: 2000, KeySpace: 128,
-		ValBytes: 32, GetFrac: 0.5, Pipeline: 8, Seed: 3, Oracle: true,
-	})
-	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
-	}
-	if rep.WrongGets == 0 {
-		t.Fatalf("oracle verified a lying server: %+v", rep)
-	}
-	if rep.VerifiedGets != 0 {
-		t.Fatalf("%d GETs verified against garbage values", rep.VerifiedGets)
-	}
-}
 
 // TestChaosProxyBlackholeTimesOut pins the timeout classification: a
 // blackholed direction with an op deadline must surface as ClassTimeout,

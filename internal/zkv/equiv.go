@@ -1,153 +1,20 @@
 package zkv
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"zcache/internal/cache"
 	"zcache/internal/hash"
 	"zcache/internal/repl"
-	"zcache/internal/trace"
-	"zcache/internal/workloads"
 )
-
-// EquivReport is the outcome of one equivalence replay: the same reference
-// stream driven through a one-shard zkv store and through a reference cache
-// built exactly as the simulator builds an L2 bank, with eviction victims
-// captured on both sides.
-type EquivReport struct {
-	Workload string
-	Accesses int
-	// Hits/Misses are the reference side's demand counts; Match implies
-	// the zkv side agrees exactly.
-	Hits, Misses uint64
-	// Victims is the length of the (identical) eviction victim sequence.
-	Victims int
-	// Match reports bit-identical victim sequences and equal hit/miss
-	// counts. Detail explains the first divergence when false.
-	Match  bool
-	Detail string
-}
-
-// ReplayEquiv replays accesses references of workload w through both
-// engines and compares their eviction decisions. cfg's shard count is
-// forced to 1 (sharding partitions the key space across independent
-// arrays; the simulator equivalent of a sharded store is one bank per
-// shard, which the per-shard claim covers one shard at a time).
-//
-// The mapping is the one zcached serves: each trace line address becomes an
-// 8-byte key; reads are Get (filling on miss), writes are Set. The
-// reference cache sees the key's fingerprint as its line address, so both
-// engines hash, walk, relocate, and evict over the same 64-bit space.
-func ReplayEquiv(w workloads.Workload, cfg Config, accesses int) (EquivReport, error) {
-	cfg.Shards = 1
-	cfg = cfg.withDefaults()
-	rep := EquivReport{Workload: w.Name, Accesses: accesses}
-
-	store, err := Open(cfg)
-	if err != nil {
-		return rep, err
-	}
-
-	ref, err := NewRefCache(cfg)
-	if err != nil {
-		return rep, err
-	}
-
-	var refVictims, kvVictims []uint64
-	ref.OnEviction = func(addr uint64, dirty bool) { refVictims = append(refVictims, addr) }
-	store.SetEvictHook(func(shard int, line uint64) { kvVictims = append(kvVictims, line) })
-
-	// One core, footprints anchored to the store capacity so the workload
-	// presets stress eviction the way they stress a simulated L2.
-	const lineBytes = 64
-	gens, err := w.Generators(1, lineBytes, uint64(store.Capacity())*lineBytes, cfg.Seed)
-	if err != nil {
-		return rep, err
-	}
-	gen := gens[0]
-
-	var (
-		key   [8]byte
-		val   [16]byte
-		dst   []byte
-		batch = make([]trace.Access, 256)
-	)
-	done := 0
-	for done < accesses {
-		want := len(batch)
-		if accesses-done < want {
-			want = accesses - done
-		}
-		n := trace.FillBatch(gen, batch[:want])
-		if n == 0 {
-			break
-		}
-		for _, a := range batch[:n] {
-			line := a.Addr / lineBytes
-			binary.BigEndian.PutUint64(key[:], line)
-			fp := hash.Bytes64(key[:])
-			ref.Access(fp, a.Write)
-			if a.Write {
-				binary.BigEndian.PutUint64(val[:], line)
-				if err := store.Set(key[:], val[:]); err != nil {
-					return rep, err
-				}
-			} else {
-				var ok bool
-				dst, ok = store.Get(key[:], dst[:0])
-				if !ok {
-					binary.BigEndian.PutUint64(val[:], line)
-					if err := store.Set(key[:], val[:]); err != nil {
-						return rep, err
-					}
-				}
-			}
-		}
-		done += n
-	}
-	rep.Accesses = done
-
-	refStats := ref.Stats()
-	kv := store.Stats()
-	rep.Hits, rep.Misses = refStats.Hits, refStats.Misses
-	rep.Victims = len(refVictims)
-	rep.Match = true
-
-	kvHits := kv.GetHits + kv.Overwrites
-	kvMisses := kv.Inserts
-	switch {
-	case kv.Collisions != 0:
-		// An 8-byte-key replay cannot alias fingerprints short of a
-		// Bytes64 collision; treat one as a divergence, not luck.
-		rep.Match, rep.Detail = false, fmt.Sprintf("%d fingerprint collisions", kv.Collisions)
-	case kvHits != refStats.Hits || kvMisses != refStats.Misses:
-		rep.Match = false
-		rep.Detail = fmt.Sprintf("hit/miss mismatch: ref %d/%d, zkv %d/%d",
-			refStats.Hits, refStats.Misses, kvHits, kvMisses)
-	case len(refVictims) != len(kvVictims):
-		rep.Match = false
-		rep.Detail = fmt.Sprintf("victim count mismatch: ref %d, zkv %d", len(refVictims), len(kvVictims))
-	default:
-		for i := range refVictims {
-			if refVictims[i] != kvVictims[i] {
-				rep.Match = false
-				rep.Detail = fmt.Sprintf("victim %d diverges: ref %#x, zkv %#x",
-					i, refVictims[i], kvVictims[i])
-				break
-			}
-		}
-	}
-	return rep, nil
-}
 
 // NewRefCache builds the simulator-equivalent reference engine for a
 // one-shard store with cfg (zero fields defaulted): the simulator's L2-bank
 // construction — H3 family, ZCache array, paper policy, cache.Cache
 // controller — over the same seed derivation shard 0 of the store uses.
 // Feeding it key fingerprints as line addresses reproduces the store's
-// eviction decisions bit-for-bit; both equivalence harnesses build their
-// references through this.
+// eviction decisions bit-for-bit; the equivalence replay
+// (zcluster.ReplayEquiv) and bench/ build their references through this.
 func NewRefCache(cfg Config) (*cache.Cache, error) {
 	cfg = cfg.withDefaults()
 	fns, err := (hash.H3Family{Seed: shardSeed(cfg.Seed, 0)}).New(cfg.Ways, cfg.Rows)
@@ -171,13 +38,4 @@ func NewRefCache(cfg Config) (*cache.Cache, error) {
 		return nil, err
 	}
 	return cache.New(arr, pol, 0)
-}
-
-// ReplayEquivByName resolves a workload preset by name and replays it.
-func ReplayEquivByName(name string, cfg Config, accesses int) (EquivReport, error) {
-	w, ok := workloads.ByName(name)
-	if !ok {
-		return EquivReport{}, fmt.Errorf("zkv: unknown workload %q", name)
-	}
-	return ReplayEquiv(w, cfg, accesses)
 }

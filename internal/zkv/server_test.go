@@ -716,32 +716,3 @@ func TestServerRobustnessMetrics(t *testing.T) {
 		t.Error("zkv_ready did not drop to 0 after shutdown")
 	}
 }
-
-func TestRunLoad(t *testing.T) {
-	srv, addr, errc := startServer(t, ServerConfig{})
-	defer shutdownServer(t, srv, errc)
-
-	rep, err := RunLoad(LoadConfig{
-		Addr: addr, Clients: 4, Ops: 20000, KeySpace: 1024,
-		ValBytes: 32, GetFrac: 0.8, Pipeline: 16, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("load saw %d errors", rep.Errors)
-	}
-	if rep.Ops != 20000 {
-		t.Fatalf("completed %d ops, want 20000", rep.Ops)
-	}
-	if rep.Gets == 0 || rep.Sets == 0 || rep.Hits == 0 {
-		t.Fatalf("degenerate mix: %+v", rep)
-	}
-	if rep.OpsPerSec <= 0 {
-		t.Fatalf("ops/s = %v", rep.OpsPerSec)
-	}
-	if rep.P50 <= 0 || rep.P99 < rep.P50 || rep.P999 < rep.P99 || rep.PMax < rep.P999 {
-		t.Fatalf("latency percentiles not monotone: p50=%v p99=%v p999=%v max=%v",
-			rep.P50, rep.P99, rep.P999, rep.PMax)
-	}
-}

@@ -146,19 +146,26 @@ func (c *Client) Reconnect() error {
 	return nil
 }
 
+// Backoff is the serving path's one retry pause: base<<exp capped at limit,
+// scaled by a jitter factor in [0.5, 1.5) that is a pure function of
+// (seed, draw). The client's retries and the load harness's redials both
+// sleep by it, so a seeded run's whole retry schedule is reproducible.
+func Backoff(seed, draw uint64, exp int, base, limit time.Duration) time.Duration {
+	d := limit
+	if exp < 20 { // beyond 1<<20 the cap always wins
+		if e := base << exp; e < d {
+			d = e
+		}
+	}
+	frac := float64(hash.Mix64(seed^(draw+1)*0x9e3779b97f4a7c15)>>11) / float64(uint64(1)<<53) // [0,1)
+	return time.Duration((0.5 + frac) * float64(d))
+}
+
 // backoffDelay is the pause before retry attempt n (1-based): exponential
 // in n, capped, with deterministic jitter drawn from (Seed, draw index).
 func (c *Client) backoffDelay(attempt int) time.Duration {
-	d := c.opts.BackoffMax
-	if attempt-1 < 20 { // beyond 1<<20 the cap always wins
-		if exp := c.opts.BackoffBase << (attempt - 1); exp < d {
-			d = exp
-		}
-	}
-	draw := hash.Mix64(c.opts.Seed ^ (c.nBackoff+1)*0x9e3779b97f4a7c15)
 	c.nBackoff++
-	frac := float64(draw>>11) / float64(uint64(1)<<53) // [0,1)
-	return time.Duration((0.5 + frac) * float64(d))
+	return Backoff(c.opts.Seed, c.nBackoff-1, attempt-1, c.opts.BackoffBase, c.opts.BackoffMax)
 }
 
 func (c *Client) queue(op byte, key, val []byte) error {
