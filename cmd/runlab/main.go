@@ -57,8 +57,6 @@ func main() {
 	switch os.Args[1] {
 	case "run":
 		err = cmdRun(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "validate-sampled":
 		err = cmdValidateSampled(os.Args[2:])
 	case "status":
@@ -88,7 +86,6 @@ func usage() {
 
 verbs:
   run               execute experiment suites through the resumable runner
-  bench             measure the simulation kernel, writing BENCH_kernel.json
   validate-sampled  check sampled execution's speedup and error against the exact suite
   status            show store contents and run history
   gc                compact the store, dropping stale-schema and corrupt records
@@ -125,13 +122,7 @@ validate-sampled flags:
   -max-rel-err F   per-cell miss-ratio error bound vs full replay (default 0.02)
   -min-speedup F   wall-time bound vs the exact execution suite (default 5)
 
-bench flags:
-  -out FILE        report destination (default BENCH_kernel.json; '-' = stdout)
-  -preset NAME     cold-suite preset (default test)
-  -policy NAME     cold-suite policy (default lru)
-  -baseline-ns N   cold-suite wall time of a comparison build, for the speedup field
-
-run and bench both accept the profiling flags:
+run also accepts the profiling flags:
   -cpuprofile FILE  write a CPU profile (go tool pprof)
   -memprofile FILE  write a heap profile on exit
   -trace FILE       write an execution trace (go tool trace)

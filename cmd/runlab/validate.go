@@ -15,6 +15,14 @@ import (
 	"zcache/internal/workloads"
 )
 
+// benchSuiteWorkloads is the reduced workload set the validated suite and
+// the repo benchmark's sim-* workloads (bench/simwl.go) both use: two
+// L1-resident, two cache-sensitive, four in between.
+var benchSuiteWorkloads = []string{
+	"blackscholes", "gamess", "ammp", "canneal",
+	"cactusADM", "mcf", "libquantum", "wupwise",
+}
+
 // suiteLookups is the lookup axis of the validated suite: the Fig. 4 ∪
 // Fig. 5 cell set runs every design under both serial and parallel lookup.
 var suiteLookups = []energy.Lookup{energy.Serial, energy.Parallel}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -98,8 +97,8 @@ func (r RunResult) IPC() float64 { return r.Eval.IPC }
 func (r RunResult) MPKI() float64 { return r.Eval.L2MPKI }
 
 // Experiment runs simulation cells with capture reuse for trace-driven
-// policies and a bounded worker pool. Safe for use by one goroutine;
-// internal parallelism is managed by RunMatrix.
+// policies. Safe for use by one goroutine; RunMatrix runs cells in parallel
+// on a runlab.Runner's bounded worker pool.
 type Experiment struct {
 	Preset Preset
 	Model  *energy.SystemModel
@@ -393,8 +392,8 @@ func asMatrixError(err error) (*MatrixError, bool) {
 	return nil, false
 }
 
-// RunMatrix executes cells across a worker pool and returns results in cell
-// order. By default the first error cancels the context and aborts
+// RunMatrix executes cells across a bounded worker pool and returns results
+// in cell order. By default the first error cancels the context and aborts
 // outstanding cells (cells already running complete; queued cells never
 // start); with Quarantine set, failing cells are set aside instead and the
 // run finishes, returning partial results plus a *MatrixError. Worker
@@ -402,83 +401,14 @@ func asMatrixError(err error) (*MatrixError, bool) {
 // into cell errors either way. When a runlab runner is attached
 // (AttachStore / Lab), cells are served from the content-addressed store
 // where possible and computed cells are checkpointed, making the whole
-// matrix resumable.
+// matrix resumable; without one the same runner runs store-less, one
+// attempt per cell.
 func (e *Experiment) RunMatrix(ctx context.Context, cells []MatrixCell) ([]RunResult, error) {
-	if e.Lab != nil {
-		return e.runMatrixLab(ctx, cells)
+	lab := e.Lab
+	if lab == nil {
+		lab = &runlab.Runner{MaxAttempts: 1}
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make([]RunResult, len(cells))
-	errs := make([]error, len(cells))
-	idx := make(chan int, len(cells))
-	for i := range cells {
-		idx <- i
-	}
-	close(idx)
-	var wg sync.WaitGroup
-	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					errs[i] = ctx.Err()
-					continue
-				}
-				c := cells[i]
-				results[i], errs[i] = e.runCellSafe(c)
-				if errs[i] != nil && !e.Quarantine {
-					cancel()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if e.Quarantine {
-		var missing []MissingCell
-		for i, err := range errs {
-			if err == nil || errors.Is(err, context.Canceled) {
-				continue
-			}
-			c := cells[i]
-			missing = append(missing, MissingCell{Index: i, Workload: c.Workload.Name,
-				Design: c.Design.Label, Policy: c.Policy, Lookup: c.Lookup, Reason: err.Error()})
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if len(missing) > 0 {
-			return results, &MatrixError{Missing: missing}
-		}
-		return results, nil
-	}
-	// Report the first real failure, not a cancellation casualty.
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// runCellSafe runs one cell with panic recovery, so one poisoned cell (a
-// simulator invariant violation, an array bug) surfaces as an error
-// instead of taking the whole process down.
-func (e *Experiment) runCellSafe(c MatrixCell) (r RunResult, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if rerr, ok := rec.(error); ok {
-				err = fmt.Errorf("cell %s/%s panicked: %w", c.Workload.Name, c.Design.Label, rerr)
-			} else {
-				err = fmt.Errorf("cell %s/%s panicked: %v", c.Workload.Name, c.Design.Label, rec)
-			}
-		}
-	}()
-	return e.Run(c.Workload, c.Design, c.Policy, c.Lookup)
+	return e.runMatrixLab(ctx, lab, cells)
 }
 
 // SuiteWorkloads returns the named subset of the 72-workload suite (all of

@@ -189,6 +189,17 @@ func (p *Proxy) pump(src, dst net.Conn, idx uint64, dir int, fwd *atomic.Uint64)
 	blackhole := false
 	var paced uint64 // bytes already paced under the bandwidth cap
 	windowStart := time.Now()
+	// forward writes b to dst. The bytes are counted before the write, so
+	// whoever has received them finds them in Stats already; what a failed
+	// write did not deliver is taken back.
+	forward := func(b []byte) bool {
+		fwd.Add(uint64(len(b)))
+		w, err := dst.Write(b)
+		if err != nil {
+			fwd.Add(-uint64(len(b) - w))
+		}
+		return err == nil
+	}
 	for {
 		n, err := src.Read(buf)
 		if n > 0 && !blackhole {
@@ -242,7 +253,7 @@ func (p *Proxy) pump(src, dst net.Conn, idx uint64, dir int, fwd *atomic.Uint64)
 			}
 			if fragment > 0 {
 				p.partials.Add(1)
-				if _, werr := dst.Write(chunk[:fragment]); werr != nil {
+				if !forward(chunk[:fragment]) {
 					return
 				}
 				// A breath between fragments so the peer actually observes
@@ -250,10 +261,9 @@ func (p *Proxy) pump(src, dst net.Conn, idx uint64, dir int, fwd *atomic.Uint64)
 				time.Sleep(time.Millisecond)
 				chunk = chunk[fragment:]
 			}
-			if _, werr := dst.Write(chunk); werr != nil {
+			if !forward(chunk) {
 				return
 			}
-			fwd.Add(uint64(n))
 		}
 		if err != nil {
 			// Propagate half-close so pipelined tails still drain.

@@ -303,7 +303,7 @@ func (r *Runner) Run(ctx context.Context, keys []CellKey, compute ComputeFunc) (
 			}
 		}
 		entry := ManifestEntry{
-			Sampled: sampled,
+			Sampled:     sampled,
 			GitRev:      GitRev(),
 			Label:       r.Label,
 			Preset:      keys[0].Preset.Name,

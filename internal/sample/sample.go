@@ -211,16 +211,13 @@ func RunLookups(cfg sim.Config, stream *sim.L2Stream, plan *Plan, lookups []ener
 		Intervals: len(plan.Intervals), Clusters: len(plan.Clusters)}
 	if len(stream.Refs) == 0 {
 		// L1-resident workload: the exact empty-stream path is already
-		// O(1); sampled mode degenerates to it.
+		// O(1) and lookup-independent; sampled mode degenerates to it.
 		ms := make([]sim.Metrics, len(lookups))
-		for i, lk := range lookups {
-			c := cfg
-			c.Lookup = lk
-			m, err := sim.ReplayL2(c, stream)
-			if err != nil {
+		for i := range ms {
+			var err error
+			if ms[i], err = sim.ReplayL2(cfg, stream); err != nil {
 				return nil, est, err
 			}
-			ms[i] = m
 		}
 		return ms, est, nil
 	}
@@ -323,44 +320,26 @@ func RunLookups(cfg sim.Config, stream *sim.L2Stream, plan *Plan, lookups []ener
 
 	// Activity counts are lookup-invariant; cycle-derived figures (IPC,
 	// bank loads) are assembled per variant from its own stall totals.
-	var base sim.Metrics
-	base.Counts.Instructions = stream.Instructions
-	base.Counts.L1Accesses = stream.L1Accesses
-	base.Counts.L2Accesses = round(wAcc)
-	base.Counts.L2Misses = round(wMiss)
-	if base.Counts.L2Misses > base.Counts.L2Accesses {
-		base.Counts.L2Misses = base.Counts.L2Accesses
+	var counts energy.SystemCounts
+	counts.L2Accesses = round(wAcc)
+	counts.L2Misses = round(wMiss)
+	if counts.L2Misses > counts.L2Accesses {
+		counts.L2Misses = counts.L2Accesses
 	}
 	// Keep the hit/miss and DRAM identities exact after rounding.
-	base.Counts.L2Hits = base.Counts.L2Accesses - base.Counts.L2Misses
-	base.Counts.Writebacks = round(wWB)
-	base.Counts.DRAMAccesses = base.Counts.L2Misses + base.Counts.Writebacks
-	base.Counts.L2Relocations = round(wReloc)
-	base.Counts.L2WalkTagReads = round(wWalkTR)
-	base.L1Misses = round(wDemand)
+	counts.L2Hits = counts.L2Accesses - counts.L2Misses
+	counts.Writebacks = round(wWB)
+	counts.DRAMAccesses = counts.L2Misses + counts.Writebacks
+	counts.L2Relocations = round(wReloc)
+	counts.L2WalkTagReads = round(wWalkTR)
 
 	ms := make([]sim.Metrics, len(lookups))
+	stalls := make([]uint64, cfg.Cores)
 	for v := range lookups {
-		m := base
-		var maxCycles uint64
-		for c := 0; c < cfg.Cores; c++ {
-			total := stream.PerCoreInstructions[c] + round(wStalls[v][c])
-			if total > maxCycles {
-				maxCycles = total
-			}
-			if total > 0 {
-				m.PerCoreIPC = append(m.PerCoreIPC, float64(stream.PerCoreInstructions[c])/float64(total))
-			} else {
-				m.PerCoreIPC = append(m.PerCoreIPC, 1.0)
-			}
+		for c := range stalls {
+			stalls[c] = round(wStalls[v][c])
 		}
-		m.Counts.Cycles = maxCycles
-		if maxCycles > 0 {
-			denom := float64(maxCycles) * float64(cfg.L2Banks)
-			m.BankDemandLoad = wDemand / denom
-			m.BankTagLoad = wTagLookups / denom
-		}
-		ms[v] = m
+		ms[v] = sim.StreamMetrics(cfg, stream, counts, stalls, wDemand, wTagLookups)
 	}
 
 	if wAcc > 0 {

@@ -276,6 +276,15 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// validateTraceDriven is Validate for the drivers that replay a captured
+// stream, where OPT is legal (§VI-B).
+func (c Config) validateTraceDriven() error {
+	if c.L2Policy == PolicyOPT {
+		c.L2Policy = PolicyLRU
+	}
+	return c.Validate()
+}
+
 // bankLatency resolves the L2 bank hit latency for the design point.
 func (c Config) bankLatency(m *energy.Model) int {
 	if c.L2BankLatency > 0 {

@@ -1,18 +1,9 @@
 package sim
 
 import (
-	"zcache/internal/cache"
 	"zcache/internal/energy"
 	"zcache/internal/repl"
 )
-
-// rbank is one replayed L2 bank: the cache controller plus the demand
-// counter the bandwidth figures need.
-type rbank struct {
-	cache  *cache.Cache
-	policy repl.Policy
-	demand uint64
-}
 
 // timing is one lookup-latency variant's stall accumulators. Cache-state
 // evolution in the trace-driven model is lookup-invariant — serial vs
@@ -20,36 +11,31 @@ type rbank struct {
 // — so a replayer can account several lookup variants' timing in one
 // walk over the stream.
 type timing struct {
-	lookup     energy.Lookup
 	bankLat    int
-	mcuFree    []uint64
+	mcus       []queue
 	coreCycles []uint64
 	coreStalls []uint64
 }
 
 func newTiming(cfg Config) timing {
 	return timing{
-		lookup:     cfg.Lookup,
 		bankLat:    cfg.bankLatency(energy.NewModel()),
-		mcuFree:    make([]uint64, cfg.MemControllers),
+		mcus:       make([]queue, cfg.MemControllers),
 		coreCycles: make([]uint64, cfg.Cores),
 		coreStalls: make([]uint64, cfg.Cores),
 	}
 }
 
-// L2Replayer replays captured L2Refs through one L2 design instance, one
-// reference at a time. ReplayL2 drives it across a whole stream; the
-// sampled executor (internal/sample) drives it across representative
-// interval legs, resetting counters metric-neutrally between the warm-up
-// prefix and the measured leg. The per-reference path never allocates.
+// L2Replayer is the trace-driven driver of the banked L2: it replays captured
+// L2Refs through one design instance, one reference at a time, charging each
+// core's stalls against that core's own clock (there is no global one).
+// ReplayL2 drives it across a whole stream; the sampled executor
+// (internal/sample) drives it across representative interval legs, resetting
+// counters metric-neutrally between the warm-up prefix and the measured leg.
+// The per-reference path never allocates.
 type L2Replayer struct {
-	cfg      Config
-	banks    []*rbank
-	bankMask uint64
-	bankBits uint
-	lineBits uint
-	mcuOccup uint64
-	timings  []timing
+	l2
+	timings []timing
 
 	counts    energy.SystemCounts
 	skipped   uint64
@@ -61,59 +47,27 @@ type L2Replayer struct {
 // no line is ever displaced, so the first eviction disarms the fast path.
 func (x *L2Replayer) Evictions() uint64 { return x.evictions }
 
-// NewL2Replayer builds the configured L2 banks. Like ReplayL2, OPT is
-// accepted (the caller feeds next-use annotations through Replay). The
-// replayer starts with one timing variant, cfg.Lookup; AddLookupTiming
-// registers more.
+// NewL2Replayer builds the configured L2 banks. OPT is accepted (the caller
+// feeds next-use annotations through Replay). The replayer starts with one
+// timing variant, cfg.Lookup; AddLookupTiming registers more.
 func NewL2Replayer(cfg Config) (*L2Replayer, error) {
-	vcfg := cfg
-	if vcfg.L2Policy == PolicyOPT {
-		vcfg.L2Policy = PolicyLRU
-	}
-	if err := vcfg.Validate(); err != nil {
+	if err := cfg.validateTraceDriven(); err != nil {
 		return nil, err
 	}
-	bankBits := uint(0)
-	for b := cfg.L2Banks; b > 1; b >>= 1 {
-		bankBits++
+	banked, err := newL2(cfg)
+	if err != nil {
+		return nil, err
 	}
-	x := &L2Replayer{
-		cfg:      cfg,
-		banks:    make([]*rbank, cfg.L2Banks),
-		bankMask: uint64(cfg.L2Banks) - 1,
-		bankBits: bankBits,
-		lineBits: cfg.lineBits(),
-		timings:  []timing{newTiming(cfg)},
-	}
-	perMCU := cfg.MemBytesPerCycle / float64(cfg.MemControllers)
-	x.mcuOccup = uint64(float64(cfg.LineBytes)/perMCU + 0.5)
-	if x.mcuOccup == 0 {
-		x.mcuOccup = 1
+	x := &L2Replayer{l2: banked, timings: []timing{newTiming(cfg)}}
+	evicted := func(_ uint64, dirty bool) {
+		x.evictions++
+		if dirty {
+			x.counts.Writebacks++
+			x.counts.DRAMAccesses++
+		}
 	}
 	for b := range x.banks {
-		arr, err := buildL2Bank(cfg, b)
-		if err != nil {
-			return nil, err
-		}
-		pol, err := buildPolicy(cfg.L2Policy, arr.Blocks(), cfg.Seed^uint64(b))
-		if err != nil {
-			return nil, err
-		}
-		cc, err := cache.New(arr, pol, x.lineBits)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Check {
-			cc.EnableChecks(true)
-		}
-		cc.OnEviction = func(addr uint64, dirty bool) {
-			x.evictions++
-			if dirty {
-				x.counts.Writebacks++
-				x.counts.DRAMAccesses++
-			}
-		}
-		x.banks[b] = &rbank{cache: cc, policy: pol}
+		x.banks[b].cache.OnEviction = evicted
 	}
 	return x, nil
 }
@@ -129,51 +83,46 @@ func (x *L2Replayer) AddLookupTiming(lk energy.Lookup) int {
 	return len(x.timings) - 1
 }
 
-// Replay drives one reference through its bank, charging stalls exactly as
-// ReplayL2 always has — once per timing variant. nextUse is the
-// reference's next-use annotation for future-aware (OPT) policies; other
-// policies ignore it.
+// Replay drives one reference through its bank, charging a demand
+// reference's stalls once per timing variant. nextUse is the reference's
+// next-use annotation for future-aware (OPT) policies; other policies
+// ignore it.
 func (x *L2Replayer) Replay(r L2Ref, nextUse uint64) {
-	bank := x.banks[int(r.Line&x.bankMask)]
-	bankAddr := (r.Line >> x.bankBits) << x.lineBits
-	if fa, ok := bank.policy.(repl.FutureAware); ok {
+	bank := &x.banks[x.bankOf(r.Line)]
+	if fa, ok := bank.cache.Policy().(repl.FutureAware); ok {
 		fa.SetNextUse(nextUse)
 	}
 	x.counts.L2Accesses++
+	// A writeback (non-demand) is a write, off the critical path.
+	hit := bank.cache.Access(x.bankAddr(r.Line), r.Write || !r.Demand)
+	if hit {
+		x.counts.L2Hits++
+	} else {
+		x.counts.L2Misses++
+		x.counts.DRAMAccesses++
+	}
 	if r.Demand {
 		bank.demand++
-		hit := bank.cache.Access(bankAddr, r.Write)
-		if hit {
-			x.counts.L2Hits++
-		} else {
-			x.counts.L2Misses++
-			x.counts.DRAMAccesses++
+		x.charge(int(r.Core), uint64(r.Gap), r.Line, hit)
+	}
+}
+
+// charge accounts one demand reference's stall on every timing variant: the
+// L1→L2 hop and the variant's bank latency, plus on a miss the line's memory
+// controller queue and the DRAM latency. gap is the instructions the core
+// retired since its previous reference. (Scalar arguments, not the L2Ref:
+// passing the struct costs ~4% on BenchmarkSampledReplayAccess.)
+func (x *L2Replayer) charge(core int, gap, line uint64, hit bool) {
+	mcu := x.mcuOf(line)
+	for t := range x.timings {
+		tm := &x.timings[t]
+		now := tm.coreCycles[core] + gap
+		stall := uint64(x.cfg.L1ToL2 + tm.bankLat)
+		if !hit {
+			stall += tm.mcus[mcu].wait(now+stall, x.mcuOccup) + uint64(x.cfg.MemLatency)
 		}
-		mcu := int((r.Line >> x.bankBits) % uint64(x.cfg.MemControllers))
-		for t := range x.timings {
-			tm := &x.timings[t]
-			tm.coreCycles[r.Core] += uint64(r.Gap)
-			stall := uint64(x.cfg.L1ToL2 + tm.bankLat)
-			if !hit {
-				now := tm.coreCycles[r.Core] + stall
-				start := now
-				if tm.mcuFree[mcu] > start {
-					start = tm.mcuFree[mcu]
-				}
-				tm.mcuFree[mcu] = start + x.mcuOccup
-				stall += (start - now) + uint64(x.cfg.MemLatency)
-			}
-			tm.coreCycles[r.Core] += stall
-			tm.coreStalls[r.Core] += stall
-		}
-	} else {
-		// Writeback: off the critical path.
-		if bank.cache.Access(bankAddr, true) {
-			x.counts.L2Hits++
-		} else {
-			x.counts.L2Misses++
-			x.counts.DRAMAccesses++
-		}
+		tm.coreCycles[core] = now + stall
+		tm.coreStalls[core] += stall
 	}
 }
 
@@ -184,9 +133,7 @@ func (x *L2Replayer) Replay(r L2Ref, nextUse uint64) {
 // metric-neutral and saves the stall/MCU arithmetic on every warm
 // reference.
 func (x *L2Replayer) Warm(r L2Ref) {
-	bank := x.banks[int(r.Line&x.bankMask)]
-	bankAddr := (r.Line >> x.bankBits) << x.lineBits
-	bank.cache.Access(bankAddr, r.Write || !r.Demand)
+	x.banks[x.bankOf(r.Line)].cache.Access(x.bankAddr(r.Line), r.Write || !r.Demand)
 }
 
 // NoteGuaranteedHit accounts a reference the DEW filter proved to be a hit
@@ -200,39 +147,26 @@ func (x *L2Replayer) NoteGuaranteedHit(r L2Ref) {
 	x.counts.L2Hits++
 	x.skipped++
 	if r.Demand {
-		bank := x.banks[int(r.Line&x.bankMask)]
-		bank.demand++
-		for t := range x.timings {
-			tm := &x.timings[t]
-			tm.coreCycles[r.Core] += uint64(r.Gap)
-			stall := uint64(x.cfg.L1ToL2 + tm.bankLat)
-			tm.coreCycles[r.Core] += stall
-			tm.coreStalls[r.Core] += stall
-		}
+		x.banks[x.bankOf(r.Line)].demand++
+		x.charge(int(r.Core), uint64(r.Gap), r.Line, true)
 	}
 }
 
 // ResetCounters zeroes everything measurement-visible — activity counts,
 // stall accumulators, bank demand and tag counters, MCU queues — while
 // keeping cache contents and policy state warm, exactly the warm-up
-// contract System.resetCounters implements for execution-driven runs.
+// contract System.resetCounters implements for execution-driven runs
+// (except that a leg's clocks restart at zero, so its MCU queues do too).
 func (x *L2Replayer) ResetCounters() {
 	x.counts = energy.SystemCounts{}
 	x.skipped = 0
 	for t := range x.timings {
 		tm := &x.timings[t]
-		for i := range tm.coreCycles {
-			tm.coreCycles[i] = 0
-			tm.coreStalls[i] = 0
-		}
-		for i := range tm.mcuFree {
-			tm.mcuFree[i] = 0
-		}
+		clear(tm.coreCycles)
+		clear(tm.coreStalls)
+		clear(tm.mcus)
 	}
-	for _, b := range x.banks {
-		b.demand = 0
-		*b.cache.Array().Counters() = cache.Counters{}
-	}
+	x.resetBankCounters()
 }
 
 // LegCounts is the counter snapshot of one replayed leg: L2/DRAM activity
@@ -256,9 +190,7 @@ type LegCounts struct {
 	SkippedHits uint64
 }
 
-// Leg harvests the counters accumulated since the last ResetCounters,
-// folding per-bank tag counters through the same walk-cost recovery
-// arithmetic ReplayL2 uses.
+// Leg harvests the counters accumulated since the last ResetCounters.
 func (x *L2Replayer) Leg() LegCounts {
 	lc := LegCounts{
 		Counts:      x.counts,
@@ -269,16 +201,7 @@ func (x *L2Replayer) Leg() LegCounts {
 		lc.VariantStalls[t] = append([]uint64(nil), x.timings[t].coreStalls...)
 	}
 	lc.CoreStalls = lc.VariantStalls[0]
-	for _, b := range x.banks {
-		lc.Demand += b.demand
-		ctr := b.cache.Counters()
-		lc.TagLookups += ctr.TagLookups
-		lc.Counts.L2Relocations += ctr.Relocations
-		demandSingles := (ctr.TagLookups - ctr.WalkLookups) * uint64(x.cfg.L2Ways)
-		if ctr.TagReads > demandSingles+ctr.Relocations {
-			lc.Counts.L2WalkTagReads += ctr.TagReads - demandSingles - ctr.Relocations
-		}
-	}
+	lc.Demand, lc.TagLookups = x.fold(&lc.Counts)
 	// DEW-skipped hits would each have cost one tag lookup.
 	lc.TagLookups += x.skipped
 	return lc

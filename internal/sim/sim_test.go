@@ -192,8 +192,8 @@ func TestInclusionInvariant(t *testing.T) {
 	// Walk each L1's resident lines via the directory contract: every
 	// directory entry's sharers must actually hold the line, and every
 	// L1 line must have a directory entry.
-	for _, bank := range sys.banks {
-		bank.dir.forEach(func(line uint64, e *dirEntry) {
+	for _, dir := range sys.dirs {
+		dir.forEach(func(line uint64, e *dirEntry) {
 			addr := line << sys.lineBits
 			if !sys.banks[sys.bankOf(line)].cache.Contains(sys.bankAddr(line)) {
 				t.Fatalf("directory entry for line %#x but L2 does not hold it (inclusion broken)", line)
@@ -215,11 +215,11 @@ func TestInclusionInvariant(t *testing.T) {
 		for l := uint64(1 << (50 - 6)); l < 1<<(50-6)+1024; l++ {
 			addr := l << 6
 			if c.l1.Contains(addr) {
-				bank := sys.banks[sys.bankOf(l)]
-				if e := bank.dir.get(l); e == nil || e.sharers&(1<<uint(cid)) == 0 {
+				b := sys.bankOf(l)
+				if e := sys.dirs[b].get(l); e == nil || e.sharers&(1<<uint(cid)) == 0 {
 					t.Fatalf("core %d holds line %#x not tracked by directory", cid, l)
 				}
-				if !bank.cache.Contains(sys.bankAddr(l)) {
+				if !sys.banks[b].cache.Contains(sys.bankAddr(l)) {
 					t.Fatalf("core %d holds line %#x absent from L2 (inclusion broken)", cid, l)
 				}
 			}
@@ -240,8 +240,8 @@ func TestSingleOwnerInvariant(t *testing.T) {
 	if _, err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, bank := range sys.banks {
-		bank.dir.forEach(func(line uint64, e *dirEntry) {
+	for _, dir := range sys.dirs {
+		dir.forEach(func(line uint64, e *dirEntry) {
 			if e.owner >= 0 {
 				if e.sharers != 1<<uint(e.owner) {
 					t.Fatalf("line %#x owned by core %d but sharers = %b", line, e.owner, e.sharers)
@@ -427,18 +427,18 @@ func BenchmarkSystemThroughput(b *testing.B) {
 func TestBankQueueDelaysContendingAccesses(t *testing.T) {
 	// The bank port issues one demand access per cycle: a burst arriving
 	// together must serialize.
-	b := &l2bank{}
-	if d := b.bankQueueDelay(100); d != 0 {
+	var port queue
+	if d := port.wait(100, 1); d != 0 {
 		t.Errorf("first access delayed %d", d)
 	}
-	if d := b.bankQueueDelay(100); d != 1 {
+	if d := port.wait(100, 1); d != 1 {
 		t.Errorf("second access delayed %d, want 1", d)
 	}
-	if d := b.bankQueueDelay(100); d != 2 {
+	if d := port.wait(100, 1); d != 2 {
 		t.Errorf("third access delayed %d, want 2", d)
 	}
 	// After the burst drains, a late access sees no queue.
-	if d := b.bankQueueDelay(1000); d != 0 {
+	if d := port.wait(1000, 1); d != 0 {
 		t.Errorf("post-drain access delayed %d", d)
 	}
 }

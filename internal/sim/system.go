@@ -18,31 +18,6 @@ type dirEntry struct {
 	owner   int8
 }
 
-// l2bank is one NUCA bank: a cache plus the directory table for its lines.
-type l2bank struct {
-	cache *cache.Cache
-	dir   *dirTable // keyed by full line address
-	// demand counts demand lookups (the §VI-D "core accesses" load).
-	demand uint64
-	// nextFree models the bank's pipelined tag port: one demand access
-	// occupies one issue slot; a request arriving while the port is
-	// backed up queues. Walk traffic deliberately does not occupy the
-	// port here — §VI-D's point is that walks use spare bandwidth and
-	// yield to demand accesses.
-	nextFree uint64
-}
-
-// bankQueueDelay advances the bank's issue queue and returns the cycles a
-// demand access arriving at time now waits.
-func (b *l2bank) bankQueueDelay(now uint64) uint64 {
-	start := now
-	if b.nextFree > start {
-		start = b.nextFree
-	}
-	b.nextFree = start + 1
-	return start - now
-}
-
 // coreBatchLen is the per-core generator batch size: 4 KiB of accesses,
 // enough to amortize the batch call without displacing the simulated tag
 // arrays from the host cache.
@@ -59,7 +34,9 @@ type core struct {
 	// so metrics cover only the measured phase.
 	warmupInstrs uint64
 	warmupCycles uint64
-	done         bool
+	// stop is the instruction count at which the current phase retires
+	// the core.
+	stop uint64
 	// buf holds prefetched accesses (trace.FillBatch); it persists across
 	// warmup and measurement phases so the consumed stream is exactly the
 	// sequence repeated Next() calls would yield.
@@ -118,22 +95,44 @@ func (h coreHeap) down(i int) {
 	}
 }
 
-// init establishes the heap property.
-func (h coreHeap) init() {
+// newCoreHeap schedules every core for a phase of target more instructions.
+func newCoreHeap(cores []*core, target uint64) coreHeap {
+	h := make(coreHeap, len(cores))
+	for i, c := range cores {
+		c.stop = c.instrs + target
+		h[i] = c
+	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
+	return h
 }
 
-// pop removes and returns the root.
-func (h *coreHeap) pop() *core {
+// due returns the core whose access is next in (cycles, id) order, and that
+// access; ok is false once every core has reached its stop or drained its
+// generator. The caller advances the returned core's clock and calls due
+// again, which first sinks the root to its new place. A core's stop is
+// checked after drawing the access, so a phase boundary consumes one access
+// per core — part of the pinned interleaving.
+func (h *coreHeap) due() (c *core, a trace.Access, ok bool) {
+	h.down(0)
+	for len(*h) > 0 {
+		c = (*h)[0]
+		if a, ok = c.next(); ok && c.instrs < c.stop {
+			return c, a, true
+		}
+		h.pop()
+	}
+	return nil, trace.Access{}, false
+}
+
+// pop removes the root.
+func (h *coreHeap) pop() {
 	old := *h
 	n := len(old) - 1
-	x := old[0]
 	old[0] = old[n]
 	*h = old[:n]
 	(*h).down(0)
-	return x
 }
 
 // Metrics is the outcome of a run: activity counts for the energy model
@@ -153,16 +152,22 @@ type Metrics struct {
 	L1Misses uint64
 }
 
-// System is the execution-driven CMP model.
+// System is the execution-driven CMP model: the banked L2 driven by in-order
+// cores through private L1s, with what only a global clock can model on top
+// — the directories, the bank tag ports and the memory controllers' queues.
 type System struct {
-	cfg      Config
-	bankBits uint
-	lineBits uint
-	bankLat  int
-	cores    []*core
-	banks    []*l2bank
-	mcuFree  []uint64
-	mcuOccup uint64
+	l2
+	bankLat int
+	cores   []*core
+	// dirs holds each bank's directory, keyed by full line address.
+	dirs []*dirTable
+	// ports models each bank's pipelined tag port: one demand access
+	// occupies one issue slot; a request arriving while the port is backed
+	// up queues. Walk traffic deliberately does not occupy the port —
+	// §VI-D's point is that walks use spare bandwidth and yield to demand
+	// accesses.
+	ports []queue
+	mcus  []queue
 
 	counts        energy.SystemCounts
 	invalidations uint64
@@ -183,21 +188,16 @@ func NewSystem(cfg Config, gens []trace.Generator) (*System, error) {
 	if len(gens) != cfg.Cores {
 		return nil, fmt.Errorf("sim: %d generators for %d cores", len(gens), cfg.Cores)
 	}
-	bankBits := uint(0)
-	for b := cfg.L2Banks; b > 1; b >>= 1 {
-		bankBits++
+	banked, err := newL2(cfg)
+	if err != nil {
+		return nil, err
 	}
 	s := &System{
-		cfg:      cfg,
-		bankBits: bankBits,
-		lineBits: cfg.lineBits(),
-		bankLat:  cfg.bankLatency(energy.NewModel()),
-		mcuFree:  make([]uint64, cfg.MemControllers),
-	}
-	perMCU := cfg.MemBytesPerCycle / float64(cfg.MemControllers)
-	s.mcuOccup = uint64(float64(cfg.LineBytes)/perMCU + 0.5)
-	if s.mcuOccup == 0 {
-		s.mcuOccup = 1
+		l2:      banked,
+		bankLat: cfg.bankLatency(energy.NewModel()),
+		dirs:    make([]*dirTable, cfg.L2Banks),
+		ports:   make([]queue, cfg.L2Banks),
+		mcus:    make([]queue, cfg.MemControllers),
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		l1, err := buildL1(cfg)
@@ -214,42 +214,13 @@ func NewSystem(cfg Config, gens []trace.Generator) (*System, error) {
 		l1.OnEviction = func(addr uint64, dirty bool) { s.l1Evicted(coreID, addr, dirty) }
 		s.cores = append(s.cores, c)
 	}
-	for b := 0; b < cfg.L2Banks; b++ {
-		arr, err := buildL2Bank(cfg, b)
-		if err != nil {
-			return nil, err
-		}
-		pol, err := buildPolicy(cfg.L2Policy, arr.Blocks(), cfg.Seed^uint64(b))
-		if err != nil {
-			return nil, err
-		}
-		cc, err := cache.New(arr, pol, s.lineBits)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Check {
-			cc.EnableChecks(true)
-		}
-		bank := &l2bank{cache: cc, dir: newDirTable(arr.Blocks())}
+	for b := range s.banks {
+		cc := s.banks[b].cache
+		s.dirs[b] = newDirTable(cc.Array().Blocks())
 		bankIdx := b
 		cc.OnEviction = func(addr uint64, dirty bool) { s.l2Evicted(bankIdx, addr, dirty) }
-		s.banks = append(s.banks, bank)
 	}
 	return s, nil
-}
-
-// bankOf returns the bank index for a full line address.
-func (s *System) bankOf(line uint64) int { return int(line & (uint64(s.cfg.L2Banks) - 1)) }
-
-// bankAddr converts a full line address into the synthetic byte address a
-// bank cache indexes (bank bits stripped so they do not waste index
-// entropy).
-func (s *System) bankAddr(line uint64) uint64 { return (line >> s.bankBits) << s.lineBits }
-
-// fullLine reconstructs the full line address from a bank's synthetic byte
-// address.
-func (s *System) fullLine(bank int, bankByteAddr uint64) uint64 {
-	return (bankByteAddr>>s.lineBits)<<s.bankBits | uint64(bank)
 }
 
 // Run executes the workload until every core retires
@@ -292,9 +263,9 @@ func (s *System) Run() (Metrics, error) {
 // boundaries — Run does, when Config.Check is set.
 func (s *System) CheckInvariants() error {
 	coreMask := uint64(1)<<uint(s.cfg.Cores) - 1
-	for b, bank := range s.banks {
+	for b, dir := range s.dirs {
 		var v *check.Violation
-		bank.dir.forEach(func(line uint64, e *dirEntry) {
+		dir.forEach(func(line uint64, e *dirEntry) {
 			if v != nil {
 				return
 			}
@@ -313,7 +284,7 @@ func (s *System) CheckInvariants() error {
 				v = check.Violationf("sim/mesi-owner",
 					"line %#x owned by core %d but sharer mask is %#x (M state must be exclusive)",
 					line, e.owner, e.sharers)
-			case !bank.cache.Contains(s.bankAddr(line)):
+			case !s.banks[b].cache.Contains(s.bankAddr(line)):
 				v = check.Violationf("sim/inclusion",
 					"directory entry for line %#x but the line is not resident in L2 bank %d", line, b)
 			default:
@@ -341,24 +312,9 @@ func (s *System) CheckInvariants() error {
 
 // phase advances every core by target additional instructions.
 func (s *System) phase(target uint64) {
-	h := make(coreHeap, 0, len(s.cores))
-	stops := make([]uint64, len(s.cores))
-	for i, c := range s.cores {
-		stops[i] = c.instrs + target
-		c.done = false
-		h = append(h, c)
-	}
-	h.init()
-	for len(h) > 0 {
-		c := h[0]
-		a, ok := c.next()
-		if !ok || c.instrs >= stops[c.id] {
-			c.done = true
-			h.pop()
-			continue
-		}
+	h := newCoreHeap(s.cores, target)
+	for c, a, ok := h.due(); ok; c, a, ok = h.due() {
 		s.step(c, a)
-		h.down(0)
 	}
 }
 
@@ -374,10 +330,7 @@ func (s *System) resetCounters() {
 		c.warmupInstrs = c.instrs
 		c.warmupCycles = c.cycles
 	}
-	for _, b := range s.banks {
-		b.demand = 0
-		*b.cache.Array().Counters() = cache.Counters{}
-	}
+	s.resetBankCounters()
 }
 
 // step retires one access (and its non-memory gap) on core c.
@@ -404,8 +357,7 @@ func (s *System) step(c *core, a trace.Access) {
 // writeUpgrade handles a store hitting an L1 line that may be shared: other
 // copies are invalidated and c becomes owner (MESI S/E→M).
 func (s *System) writeUpgrade(coreID int, line uint64) {
-	bank := s.banks[s.bankOf(line)]
-	e := bank.dir.get(line)
+	e := s.dirs[s.bankOf(line)].get(line)
 	if e == nil {
 		// Inclusivity means the directory must know the line; a miss
 		// here is a protocol bug.
@@ -417,7 +369,7 @@ func (s *System) writeUpgrade(coreID int, line uint64) {
 	}
 	others := e.sharers &^ (1 << uint(coreID))
 	if others != 0 {
-		s.invalidateSharers(line, others, bank)
+		s.invalidateSharers(line, others)
 		s.stall += uint64(s.cfg.L1ToL2) // upgrade round trip
 	}
 	e.sharers = 1 << uint(coreID)
@@ -426,7 +378,7 @@ func (s *System) writeUpgrade(coreID int, line uint64) {
 
 // invalidateSharers removes the line from the given cores' L1s. Dirty
 // copies fold into the L2 (one bank write access).
-func (s *System) invalidateSharers(line uint64, mask uint64, bank *l2bank) {
+func (s *System) invalidateSharers(line uint64, mask uint64) {
 	addr := line << s.lineBits
 	for cid := 0; mask != 0; cid++ {
 		if mask&(1<<uint(cid)) == 0 {
@@ -444,7 +396,7 @@ func (s *System) invalidateSharers(line uint64, mask uint64, bank *l2bank) {
 // writebackToL2 folds an L1 dirty line into its L2 bank (off the critical
 // path; counted for bandwidth and energy).
 func (s *System) writebackToL2(line uint64) {
-	bank := s.banks[s.bankOf(line)]
+	bank := &s.banks[s.bankOf(line)]
 	s.counts.L2Accesses++
 	s.counts.Writebacks++
 	// Inclusive L2 holds the line, so this is a write hit. (If a racing
@@ -461,18 +413,19 @@ func (s *System) writebackToL2(line uint64) {
 
 // l2Fetch services an L1 demand miss from the shared L2.
 func (s *System) l2Fetch(coreID int, line uint64, write bool) {
-	bank := s.banks[s.bankOf(line)]
+	b := s.bankOf(line)
+	bank := &s.banks[b]
 	bank.demand++
 	s.counts.L2Accesses++
 	s.stall += uint64(s.cfg.L1ToL2)
-	s.stall += bank.bankQueueDelay(s.now + s.stall)
+	s.stall += s.ports[b].wait(s.now+s.stall, 1)
 	s.stall += uint64(s.bankLat)
 
 	// Single directory probe for the whole fetch. The entry pointer stays
 	// valid across the nested cache accesses below: an entry is only
 	// released when its line is evicted from the L2, and the line being
 	// fetched missed, so it cannot be anyone's victim.
-	e := bank.dir.get(line)
+	e := s.dirs[b].get(line)
 
 	// A dirty copy in another L1 must fold into the L2 first (the
 	// directory forwards the request; we charge one extra hop).
@@ -505,7 +458,7 @@ func (s *System) l2Fetch(coreID int, line uint64, write bool) {
 	if write {
 		others := e.sharers &^ (1 << uint(coreID))
 		if others != 0 {
-			s.invalidateSharers(line, others, bank)
+			s.invalidateSharers(line, others)
 		}
 		e.sharers = 1 << uint(coreID)
 		e.owner = int8(coreID)
@@ -517,15 +470,14 @@ func (s *System) l2Fetch(coreID int, line uint64, write bool) {
 // registerFill returns the directory entry for a line just installed in the
 // L2, creating it if needed (sharers fill in as requests arrive).
 func (s *System) registerFill(line uint64) *dirEntry {
-	return s.banks[s.bankOf(line)].dir.getOrCreate(line)
+	return s.dirs[s.bankOf(line)].getOrCreate(line)
 }
 
 // l1Evicted is the L1 victim callback: maintain the directory, fold dirty
 // victims into the L2.
 func (s *System) l1Evicted(coreID int, addr uint64, dirty bool) {
 	line := addr >> s.lineBits
-	bank := s.banks[s.bankOf(line)]
-	if e := bank.dir.get(line); e != nil {
+	if e := s.dirs[s.bankOf(line)].get(line); e != nil {
 		e.sharers &^= 1 << uint(coreID)
 		if e.owner == int8(coreID) {
 			e.owner = -1
@@ -540,9 +492,9 @@ func (s *System) l1Evicted(coreID int, addr uint64, dirty bool) {
 // (inclusive hierarchy) and write dirty data to memory.
 func (s *System) l2Evicted(bankIdx int, bankByteAddr uint64, l2dirty bool) {
 	line := s.fullLine(bankIdx, bankByteAddr)
-	bank := s.banks[bankIdx]
+	dir := s.dirs[bankIdx]
 	dirty := l2dirty
-	if e := bank.dir.get(line); e != nil {
+	if e := dir.get(line); e != nil {
 		addr := line << s.lineBits
 		mask := e.sharers
 		for cid := 0; mask != 0; cid++ {
@@ -556,7 +508,7 @@ func (s *System) l2Evicted(bankIdx int, bankByteAddr uint64, l2dirty bool) {
 				dirty = true
 			}
 		}
-		bank.dir.del(line)
+		dir.del(line)
 	}
 	if dirty {
 		s.counts.Writebacks++
@@ -565,21 +517,15 @@ func (s *System) l2Evicted(bankIdx int, bankByteAddr uint64, l2dirty bool) {
 }
 
 // memAccess models one DRAM access through the line's memory controller:
-// token-bucket bandwidth plus zero-load latency. critical accesses return
-// the stall; writebacks only consume bandwidth.
+// its queue plus zero-load latency. critical accesses return the stall;
+// writebacks only consume bandwidth.
 func (s *System) memAccess(line uint64, critical bool) uint64 {
 	s.counts.DRAMAccesses++
-	mcu := int((line >> s.bankBits) % uint64(s.cfg.MemControllers))
-	now := s.now + s.stall
-	start := now
-	if s.mcuFree[mcu] > start {
-		start = s.mcuFree[mcu]
-	}
-	s.mcuFree[mcu] = start + s.mcuOccup
+	wait := s.mcus[s.mcuOf(line)].wait(s.now+s.stall, s.mcuOccup)
 	if !critical {
 		return 0
 	}
-	return (start - now) + uint64(s.cfg.MemLatency)
+	return wait + uint64(s.cfg.MemLatency)
 }
 
 // metrics finalizes counters into a Metrics.
@@ -599,22 +545,7 @@ func (s *System) metrics() Metrics {
 		m.PerCoreIPC = append(m.PerCoreIPC, ipc)
 	}
 	s.counts.Cycles = maxCycles
-	var demand, tagLookups uint64
-	for _, b := range s.banks {
-		demand += b.demand
-		ctr := b.cache.Counters()
-		tagLookups += ctr.TagLookups
-		s.counts.L2Relocations += ctr.Relocations
-		// The array counts demand lookups at W single reads each, walk
-		// steps as individual reads, and one tag read per relocation;
-		// recover the walk-only singles for the energy model.
-		demandSingles := (ctr.TagLookups - ctr.WalkLookups) * uint64(s.cfg.L2Ways)
-		extra := uint64(0)
-		if ctr.TagReads > demandSingles+ctr.Relocations {
-			extra = ctr.TagReads - demandSingles - ctr.Relocations
-		}
-		s.counts.L2WalkTagReads += extra
-	}
+	demand, tagLookups := s.fold(&s.counts)
 	m.Counts = s.counts
 	m.Invalidations = s.invalidations
 	m.L1Misses = s.l1Misses

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"zcache/internal/energy"
 	"zcache/internal/trace"
 )
 
@@ -12,7 +13,8 @@ type L2Ref struct {
 	// Line is the full line address.
 	Line uint64
 	// Gap is the instruction count the issuing core retired since its
-	// previous L2 reference (including this reference's instruction).
+	// previous L2 reference (including this reference's instruction). A
+	// core's gaps sum to at most its PerCoreInstructions entry.
 	Gap uint32
 	// Core issued the reference.
 	Core uint8
@@ -39,12 +41,7 @@ type L2Stream struct {
 // trace-driven OPT methodology (§VI-B). Back-invalidation effects on L1
 // contents are absent by construction; DESIGN.md records the substitution.
 func CaptureL2Stream(cfg Config, gens []trace.Generator) (*L2Stream, error) {
-	// Validate with a permissive policy: OPT is legal here.
-	vcfg := cfg
-	if vcfg.L2Policy == PolicyOPT {
-		vcfg.L2Policy = PolicyLRU
-	}
-	if err := vcfg.Validate(); err != nil {
+	if err := cfg.validateTraceDriven(); err != nil {
 		return nil, err
 	}
 	if len(gens) != cfg.Cores {
@@ -76,20 +73,8 @@ func CaptureL2Stream(cfg Config, gens []trace.Generator) (*L2Stream, error) {
 	// runPhase advances every core by target instructions; only recorded
 	// phases emit refs (warmup mirrors the execution-driven fast-forward).
 	runPhase := func(target uint64) {
-		stops := make([]uint64, len(cores))
-		h := make(coreHeap, 0, cfg.Cores)
-		for i, c := range cores {
-			stops[i] = c.instrs + target
-			h = append(h, c)
-		}
-		h.init()
-		for len(h) > 0 {
-			c := h[0]
-			a, ok := c.next()
-			if !ok || c.instrs >= stops[c.id] {
-				h.pop()
-				continue
-			}
+		h := newCoreHeap(cores, target)
+		for c, a, ok := h.due(); ok; c, a, ok = h.due() {
 			c.instrs += uint64(a.Gap) + 1
 			c.cycles = c.instrs // no stalls in capture: interleave by progress
 			if recording {
@@ -106,7 +91,6 @@ func CaptureL2Stream(cfg Config, gens []trace.Generator) (*L2Stream, error) {
 				})
 				lastRef[c.id] = c.instrs
 			}
-			h.down(0)
 		}
 	}
 	if cfg.WarmupInstructionsPerCore > 0 {
@@ -132,11 +116,7 @@ func CaptureL2Stream(cfg Config, gens []trace.Generator) (*L2Stream, error) {
 // replay is trace-driven: the stream's order is fixed, coherence upgrades
 // are not re-simulated, and stalls are charged per reference.
 func ReplayL2(cfg Config, stream *L2Stream) (Metrics, error) {
-	vcfg := cfg
-	if vcfg.L2Policy == PolicyOPT {
-		vcfg.L2Policy = PolicyLRU
-	}
-	if err := vcfg.Validate(); err != nil {
+	if err := cfg.validateTraceDriven(); err != nil {
 		return Metrics{}, err
 	}
 	if stream == nil {
@@ -150,23 +130,11 @@ func ReplayL2(cfg Config, stream *L2Stream) (Metrics, error) {
 		if stream.Instructions == 0 {
 			return Metrics{}, fmt.Errorf("sim: empty L2 stream with no instructions")
 		}
-		var m Metrics
-		m.Counts.Instructions = stream.Instructions
-		m.Counts.L1Accesses = stream.L1Accesses
-		var maxCycles uint64
-		for c := 0; c < cfg.Cores; c++ {
-			cyc := stream.PerCoreInstructions[c]
-			if cyc > maxCycles {
-				maxCycles = cyc
-			}
-			m.PerCoreIPC = append(m.PerCoreIPC, 1.0)
-		}
-		m.Counts.Cycles = maxCycles
-		return m, nil
+		return StreamMetrics(cfg, stream, energy.SystemCounts{}, make([]uint64, cfg.Cores), 0, 0), nil
 	}
-	lineBits := cfg.lineBits()
 
 	// Next-use annotation over the fixed global stream feeds OPT.
+	lineBits := cfg.lineBits()
 	accesses := make([]trace.Access, len(stream.Refs))
 	for i, r := range stream.Refs {
 		accesses[i] = trace.Access{Addr: r.Line << lineBits, Write: r.Write}
@@ -183,66 +151,39 @@ func ReplayL2(cfg Config, stream *L2Stream) (Metrics, error) {
 	for i, r := range stream.Refs {
 		x.Replay(r, nextUse[i])
 	}
-	banks := x.banks
-	counts := x.counts
-	coreCycles := x.timings[0].coreCycles
+	lc := x.Leg()
+	return StreamMetrics(cfg, stream, lc.Counts, lc.CoreStalls, float64(lc.Demand), float64(lc.TagLookups)), nil
+}
 
-	var m Metrics
-	counts.Instructions = stream.Instructions
-	counts.L1Accesses = stream.L1Accesses
+// StreamMetrics finishes a trace-driven run over stream: the stream supplies
+// the instruction totals, counts the L2/DRAM activity, stalls each core's
+// stall cycles (a core's cycles are its instructions plus its stalls), and
+// demand and tagLookups the bank loads' numerators — fractional when the
+// sampled executor extrapolates them from weighted legs. A stream without
+// references is the same formula with zero stalls.
+func StreamMetrics(cfg Config, stream *L2Stream, counts energy.SystemCounts, stalls []uint64, demand, tagLookups float64) Metrics {
+	// Every demand L2 reference is an L1 miss; round the weighted count.
+	m := Metrics{Counts: counts, L1Misses: uint64(demand + 0.5)}
+	m.Counts.Instructions = stream.Instructions
+	m.Counts.L1Accesses = stream.L1Accesses
 	var maxCycles uint64
 	for c := 0; c < cfg.Cores; c++ {
-		// A core's cycles: its instructions plus its accumulated
-		// stalls (stored in coreCycles along with gap instructions).
-		total := coreCycles[c]
-		if rem := stream.PerCoreInstructions[c] - minu64(stream.PerCoreInstructions[c], sumGaps(stream.Refs, c)); rem > 0 {
-			total += rem // instructions after the core's last L2 ref
-		}
+		instrs := stream.PerCoreInstructions[c]
+		total := instrs + stalls[c]
 		if total > maxCycles {
 			maxCycles = total
 		}
+		ipc := 1.0
 		if total > 0 {
-			m.PerCoreIPC = append(m.PerCoreIPC, float64(stream.PerCoreInstructions[c])/float64(total))
-		} else {
-			m.PerCoreIPC = append(m.PerCoreIPC, 1.0)
+			ipc = float64(instrs) / float64(total)
 		}
+		m.PerCoreIPC = append(m.PerCoreIPC, ipc)
 	}
-	counts.Cycles = maxCycles
-	var demand, tagLookups uint64
-	for _, b := range banks {
-		demand += b.demand
-		ctr := b.cache.Counters()
-		tagLookups += ctr.TagLookups
-		counts.L2Relocations += ctr.Relocations
-		demandSingles := (ctr.TagLookups - ctr.WalkLookups) * uint64(cfg.L2Ways)
-		if ctr.TagReads > demandSingles+ctr.Relocations {
-			counts.L2WalkTagReads += ctr.TagReads - demandSingles - ctr.Relocations
-		}
-	}
-	m.Counts = counts
-	m.L1Misses = demand
+	m.Counts.Cycles = maxCycles
 	if maxCycles > 0 {
 		denom := float64(maxCycles) * float64(cfg.L2Banks)
-		m.BankDemandLoad = float64(demand) / denom
-		m.BankTagLoad = float64(tagLookups) / denom
+		m.BankDemandLoad = demand / denom
+		m.BankTagLoad = tagLookups / denom
 	}
-	return m, nil
-}
-
-// sumGaps totals the demand gaps recorded for one core.
-func sumGaps(refs []L2Ref, coreID int) uint64 {
-	var s uint64
-	for _, r := range refs {
-		if r.Demand && int(r.Core) == coreID {
-			s += uint64(r.Gap)
-		}
-	}
-	return s
-}
-
-func minu64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
+	return m
 }

@@ -52,7 +52,7 @@ func (e *Experiment) cellKey(c MatrixCell) runlab.CellKey {
 	}
 	return runlab.CellKey{
 		Sampled: sampled,
-		Schema: runlab.SchemaVersion,
+		Schema:  runlab.SchemaVersion,
 		Preset: runlab.PresetKey{
 			Name:         e.Preset.Name,
 			Cores:        e.Preset.Cores,
@@ -71,21 +71,21 @@ func (e *Experiment) cellKey(c MatrixCell) runlab.CellKey {
 	}
 }
 
-// runMatrixLab executes the matrix through the attached runlab runner:
-// cache lookup before compute, bounded workers, panic-safe retries with
-// backoff, and periodic checkpoint flushes. With Quarantine set the
-// runner runs in FailQuarantine mode: a run with persistently failing
-// cells still completes, and the quarantined cells come back as a
-// *MatrixError alongside the partial results.
-func (e *Experiment) runMatrixLab(ctx context.Context, cells []MatrixCell) ([]RunResult, error) {
+// runMatrixLab executes the matrix through a runlab runner: cache lookup
+// before compute (when the runner has a store), bounded workers, panic-safe
+// attempts with backoff between retries, and periodic checkpoint flushes.
+// With Quarantine set the runner runs in FailQuarantine mode: a run with
+// persistently failing cells still completes, and the quarantined cells come
+// back as a *MatrixError alongside the partial results.
+func (e *Experiment) runMatrixLab(ctx context.Context, lab *runlab.Runner, cells []MatrixCell) ([]RunResult, error) {
 	if e.Quarantine {
-		e.Lab.FailMode = runlab.FailQuarantine
+		lab.FailMode = runlab.FailQuarantine
 	}
 	keys := make([]runlab.CellKey, len(cells))
 	for i, c := range cells {
 		keys[i] = e.cellKey(c)
 	}
-	raws, _, err := e.Lab.Run(ctx, keys, func(_ context.Context, i int, _ runlab.CellKey) (any, error) {
+	raws, _, err := lab.Run(ctx, keys, func(_ context.Context, i int, _ runlab.CellKey) (any, error) {
 		c := cells[i]
 		return e.Run(c.Workload, c.Design, c.Policy, c.Lookup)
 	})
