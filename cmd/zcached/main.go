@@ -83,7 +83,6 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		migPage  = fs.Int("migrate-page", 0, "MIGRATE reply page budget in bytes (0 = 64KiB); requests may ask for less")
 		persist  = fs.String("persist", "", "directory for mmap-backed persistent shards (empty = off); warm-restores valid shard images on boot")
 		psync    = fs.Bool("persist-sync", false, "msync every persisted mutation (crash-bounded loss, much slower)")
-		pcell    = fs.Int("persist-cell", 0, "persistent cell size in bytes incl. 16-byte header (0 = 4096); larger entries are served but not persisted")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -97,7 +96,7 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	store, err := zkv.Open(zkv.Config{
 		Shards: *shards, Ways: *ways, Rows: *rows, Levels: *levels,
 		Policy: pol, Seed: *seed, MaxValBytes: *maxVal,
-		PersistDir: *persist, PersistSync: *psync, PersistCellBytes: *pcell,
+		PersistDir: *persist, PersistSync: *psync,
 	})
 	if err != nil {
 		return err

@@ -13,13 +13,15 @@ import (
 // zero pages.
 func fuzzConfig() Config {
 	return Config{
-		Slots: 8, CellBytes: 64,
-		Seed: 11, Ways: 2, Levels: 1, Rows: 4,
+		Slots: 8,
+		Seed:  11, Ways: 2, Levels: 1, Rows: 4,
 		Policy: 0, Shard: 0, ShardCount: 1,
 	}
 }
 
-// validImage builds a clean two-entry store file and returns its bytes.
+// validImage builds a clean store file with every structure validate
+// walks — two resident slots, a cleared slot that keeps its extent, and a
+// free extent — and returns its bytes.
 func validImage(tb testing.TB) []byte {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "seed.slc")
@@ -27,17 +29,21 @@ func validImage(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for i, k := range []string{"fuzz-a", "fuzz-b"} {
-		if err := s.Begin(); err != nil {
+	if err := s.Begin(); err != nil {
+		tb.Fatal(err)
+	}
+	for i, e := range []struct{ key, val string }{
+		{"fuzz-a", "v"}, {"fuzz-b", "v"}, {"fuzz-c", "v"},
+		{"fuzz-b", "a value that outgrows its extent"},
+	} {
+		kb := []byte(e.key)
+		if _, err := s.SetSlot(i%3, hash.Bytes64(kb), kb, []byte(e.val)); err != nil {
 			tb.Fatal(err)
 		}
-		kb := []byte(k)
-		if _, err := s.SetSlot(i, hash.Bytes64(kb), kb, []byte("v")); err != nil {
-			tb.Fatal(err)
-		}
-		if err := s.End(); err != nil {
-			tb.Fatal(err)
-		}
+	}
+	s.ClearSlot(2)
+	if err := s.End(); err != nil {
+		tb.Fatal(err)
 	}
 	if err := s.Close(true); err != nil {
 		tb.Fatal(err)
@@ -53,21 +59,29 @@ func validImage(tb testing.TB) []byte {
 // under attack: Open returns a usable store or a classified error
 // (ErrNeedsRebuild / ErrInvalidFormat / plain I/O error) — it never
 // panics, and a store it does return satisfies the format invariants
-// (every resident cell's fingerprint matches its stored key, so it cannot
-// serve a value under a wrong key).
+// (every resident slot's fingerprint matches its stored key, so it cannot
+// serve a value under a wrong key), and still does after being written to.
 func FuzzOpen(f *testing.F) {
 	if !Supported() {
 		f.Skip("slotstore unsupported on this platform")
 	}
 	seed := validImage(f)
 	f.Add(seed)
-	f.Add(seed[:headerBytes])      // header only: every cell truncated away
+	base := heapBase(fuzzConfig().Slots)
+	f.Add(seed[:headerBytes])      // header only: table and heap truncated away
+	f.Add(seed[:base])             // header and table, no heap
 	f.Add(seed[:len(seed)-1])      // torn tail
-	f.Add([]byte("SLC1"))          // magic, nothing else
+	f.Add([]byte(Magic))           // magic, nothing else
 	f.Add([]byte{})                // empty file
 	f.Add(make([]byte, len(seed))) // all zeroes at the right size
+	twoWords := sizeClass(2)       // the class of the seed's free extent
 	for _, off := range []int{offMagic, offVersion, offState, offHashVersion,
-		offGeneration, offSlots, offGeomSum, headerBytes, headerBytes + 8} {
+		offGeneration, offSlots, offHeapSize, offGeomSum, offHeapUsed,
+		offFreeHeads + 8*twoWords,
+		headerBytes + slotFP, headerBytes + slotMeta, headerBytes + slotMeta + 4,
+		headerBytes + slotOff, headerBytes + slotCap,
+		headerBytes + 2*slotBytes + slotOff, // the cleared slot's extent
+		base, base + 7} {                    // slot 0's key and its padding
 		flipped := append([]byte(nil), seed...)
 		flipped[off] ^= 0x41
 		f.Add(flipped)
@@ -93,20 +107,36 @@ func FuzzOpen(f *testing.F) {
 		defer s.Close(false)
 		// The store validated: re-check the no-wrong-values invariant from
 		// the outside.
-		n := 0
-		s.Range(func(slot int, fp uint64, key, val []byte) bool {
-			if got := hash.Bytes64(key); got != fp {
-				t.Fatalf("resident cell %d: fingerprint %#x, key hashes to %#x", slot, fp, got)
+		check := func() {
+			n := 0
+			s.Range(func(slot int, fp uint64, key, val []byte) bool {
+				if got := hash.Bytes64(key); got != fp {
+					t.Fatalf("resident slot %d: fingerprint %#x, key hashes to %#x", slot, fp, got)
+				}
+				gotKey, _, ok := s.Lookup(fp)
+				if !ok || string(gotKey) != string(key) {
+					t.Fatalf("slot %d not reachable through Lookup", slot)
+				}
+				n++
+				return true
+			})
+			if n != s.Resident() {
+				t.Fatalf("Range saw %d slots, Resident() = %d", n, s.Resident())
 			}
-			gotKey, _, ok := s.Lookup(fp)
-			if !ok || string(gotKey) != string(key) {
-				t.Fatalf("cell %d not reachable through its own index entry", slot)
-			}
-			n++
-			return true
-		})
-		if n != s.Resident() {
-			t.Fatalf("Range saw %d cells, Resident() = %d", n, s.Resident())
 		}
+		check()
+		// And it is safe to write to: an image whose free lists or spare
+		// extents lied would corrupt a neighbour or fault here.
+		if err := s.Begin(); err != nil {
+			return
+		}
+		for id := 0; id < fuzzConfig().Slots; id++ {
+			kb := []byte{'w', byte('0' + id)}
+			if _, err := s.SetSlot(id, hash.Bytes64(kb), kb, make([]byte, 8*id)); err != nil {
+				t.Fatalf("SetSlot(%d) on a validated image: %v", id, err)
+			}
+		}
+		s.End()
+		check()
 	})
 }

@@ -1,0 +1,213 @@
+package slotstore
+
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"zcache/internal/hash"
+)
+
+// hostileImage builds a clean image with every structure validate walks:
+// resident slots 0 ("alpha") and 1 ("beta"), a cleared slot 2 that keeps its
+// extent, and a one-entry free list (slot 3 outgrew its first extent).
+func hostileImage(t *testing.T, cfg Config) (raw []byte, s *Store) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "base.slc")
+	s = mustCreate(t, path, cfg)
+	put(t, s, "alpha", "value-a", 0)
+	put(t, s, "beta", "value-b", 1)
+	put(t, s, "gone", "value-c", 2)
+	put(t, s, "grows", "v", 3)
+	put(t, s, "grows", strings.Repeat("v", 40), 3)
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	s.ClearSlot(2)
+	if err := s.End(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(true); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw, s
+}
+
+// slc1Image assembles what the previous build wrote for cfg: the SLC1
+// header, an empty index and 4 KiB cells, marked clean.
+func slc1Image(cfg Config) []byte {
+	buckets := 8
+	for buckets < 2*cfg.Slots {
+		buckets <<= 1
+	}
+	raw := make([]byte, 4096+16*buckets+4096*cfg.Slots)
+	copy(raw, "SLC1")
+	le.PutUint32(raw[4:], 1)
+	le.PutUint32(raw[12:], hash.Bytes64Version)
+	le.PutUint64(raw[24:], uint64(cfg.Slots))
+	le.PutUint64(raw[32:], 4096)
+	le.PutUint64(raw[40:], cfg.Seed)
+	le.PutUint64(raw[48:], cfg.Rows)
+	le.PutUint32(raw[56:], uint32(cfg.Ways))
+	le.PutUint32(raw[60:], uint32(cfg.Levels))
+	return raw
+}
+
+// TestHostileImages: every violation of an SLC2 invariant is refused at
+// Open with the error class the caller rebuilds on — never a panic, never a
+// store. Each case breaks one thing in an otherwise valid clean image, and
+// the reason is matched so a case cannot pass on somebody else's check.
+func TestHostileImages(t *testing.T) {
+	cfg := testConfig()
+	base, s := hostileImage(t, cfg)
+	slotField := func(id, field int) int { return s.slot(id) + field }
+	get := func(raw []byte, off int) uint64 { return le.Uint64(raw[off:]) }
+	set := func(raw []byte, off int, v uint64) { le.PutUint64(raw[off:], v) }
+	freeClass := sizeClass(2) // "grows"+"v": slot 3's first, freed extent
+	freeHead := offFreeHeads + 8*freeClass
+	if get(base, freeHead) == 0 {
+		t.Fatal("base image has no free extent to corrupt")
+	}
+
+	cases := []struct {
+		name   string
+		mutate func(raw []byte) []byte
+		want   error
+		reason string
+	}{
+		{"extent past EOF", func(raw []byte) []byte {
+			set(raw, slotField(0, slotOff), uint64(len(raw)))
+			return raw
+		}, ErrNeedsRebuild, "outside the heap"},
+		{"extent past the carved heap", func(raw []byte) []byte {
+			set(raw, slotField(0, slotOff), uint64(s.heapBase)+get(raw, offHeapUsed))
+			return raw
+		}, ErrNeedsRebuild, "outside the heap"},
+		{"extent inside the slot table", func(raw []byte) []byte {
+			set(raw, slotField(0, slotOff), headerBytes)
+			return raw
+		}, ErrNeedsRebuild, "outside the heap"},
+		{"misaligned extent", func(raw []byte) []byte {
+			set(raw, slotField(0, slotOff), get(raw, slotField(0, slotOff))+4)
+			return raw
+		}, ErrNeedsRebuild, "misaligned"},
+		{"capacity of no size class", func(raw []byte) []byte {
+			set(raw, slotField(3, slotCap), 9*8)
+			return raw
+		}, ErrNeedsRebuild, "of no size class"},
+		{"klen+vlen over capacity", func(raw []byte) []byte {
+			set(raw, slotField(0, slotMeta), 5<<32|get(raw, slotField(0, slotCap)))
+			return raw
+		}, ErrNeedsRebuild, "bytes in a"},
+		{"zero-length key", func(raw []byte) []byte {
+			set(raw, slotField(0, slotMeta), 7)
+			return raw
+		}, ErrNeedsRebuild, "bytes in a"},
+		{"resident without an extent", func(raw []byte) []byte {
+			set(raw, slotField(5, slotMeta), 1<<32|1)
+			return raw
+		}, ErrNeedsRebuild, "without an extent"},
+		{"two slots sharing an extent", func(raw []byte) []byte {
+			copy(raw[slotField(2, slotOff):], raw[slotField(0, slotOff):s.slot(0)+slotBytes])
+			return raw
+		}, ErrNeedsRebuild, "overlap"},
+		{"overlapping extents", func(raw []byte) []byte {
+			set(raw, slotField(2, slotOff), get(raw, slotField(0, slotOff))+8)
+			set(raw, slotField(2, slotCap), 8)
+			return raw
+		}, ErrNeedsRebuild, "overlap"},
+		{"free extent owned by a slot", func(raw []byte) []byte {
+			set(raw, slotField(6, slotOff), get(raw, freeHead))
+			set(raw, slotField(6, slotCap), 16)
+			return raw
+		}, ErrNeedsRebuild, "overlap"},
+		{"free list leaves the heap", func(raw []byte) []byte {
+			set(raw, freeHead, uint64(len(raw)))
+			return raw
+		}, ErrNeedsRebuild, "outside the heap"},
+		{"free list loops", func(raw []byte) []byte {
+			set(raw, int(get(raw, freeHead)), get(raw, freeHead))
+			return raw
+		}, ErrNeedsRebuild, "loops"},
+		{"fingerprint disagrees with key", func(raw []byte) []byte {
+			raw[slotField(1, slotFP)] ^= 1
+			return raw
+		}, ErrNeedsRebuild, "does not match its key"},
+		{"non-zero padding", func(raw []byte) []byte {
+			raw[get(raw, slotField(0, slotOff))+7] = 1 // "alpha" pads 3 bytes
+			return raw
+		}, ErrNeedsRebuild, "padding"},
+		{"heap size disagrees with file size", func(raw []byte) []byte {
+			set(raw, offHeapSize, get(raw, offHeapSize)+growQuantum)
+			return raw
+		}, ErrNeedsRebuild, "header says"},
+		{"file longer than the header says", func(raw []byte) []byte {
+			return append(raw, make([]byte, growQuantum)...)
+		}, ErrNeedsRebuild, "header says"},
+		{"heap used over heap size", func(raw []byte) []byte {
+			set(raw, offHeapUsed, get(raw, offHeapSize)+8)
+			return raw
+		}, ErrNeedsRebuild, "bytes used"},
+		{"SLC1 file from the previous build", func([]byte) []byte {
+			return slc1Image(cfg)
+		}, ErrInvalidFormat, "bad magic"},
+		{"SLC2 magic over an SLC1 version", func(raw []byte) []byte {
+			le.PutUint32(raw[offVersion:], 1)
+			return raw
+		}, ErrInvalidFormat, "version 1"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "hostile.slc")
+			raw := c.mutate(append([]byte(nil), base...))
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := Open(path, cfg)
+			if got != nil {
+				got.Close(false)
+				t.Fatal("Open returned a store")
+			}
+			if !errors.Is(err, c.want) || !strings.Contains(err.Error(), c.reason) {
+				t.Fatalf("Open = %v, want %v mentioning %q", err, c.want, c.reason)
+			}
+		})
+	}
+
+	// The untouched base image does open: the cases above fail for their
+	// mutation, not for the fixture.
+	path := filepath.Join(t.TempDir(), "base.slc")
+	if err := os.WriteFile(path, base, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ok, err := Open(path, cfg)
+	if err != nil {
+		t.Fatalf("base image: %v", err)
+	}
+	ok.Close(false)
+}
+
+// TestDuplicateFingerprintNeedsRebuild: one fingerprint resident in two
+// slots is structurally fine — two extents, two valid entries — and
+// cache.Adopt would install both tags. With no stored index to contradict
+// it, validate has to look for it.
+func TestDuplicateFingerprintNeedsRebuild(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard.slc")
+	cfg := testConfig()
+	s := mustCreate(t, path, cfg)
+	put(t, s, "twin", "first", 4)
+	put(t, s, "twin", "second", 21)
+	if err := s.Close(true); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(path, cfg)
+	if !errors.Is(err, ErrNeedsRebuild) || !strings.Contains(err.Error(), "repeats a fingerprint") {
+		t.Fatalf("Open with a fingerprint in two slots = %v, want ErrNeedsRebuild", err)
+	}
+}

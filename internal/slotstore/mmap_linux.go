@@ -28,12 +28,7 @@ func msyncRange(m []byte, off, n int) error {
 	if n <= 0 {
 		return nil
 	}
-	page := os.Getpagesize()
-	lo := off &^ (page - 1)
-	hi := off + n
-	if hi > len(m) {
-		hi = len(m)
-	}
+	lo, hi := pageSpan(off, n, len(m), os.Getpagesize())
 	_, _, errno := syscall.Syscall(syscall.SYS_MSYNC,
 		uintptr(unsafe.Pointer(&m[lo])), uintptr(hi-lo), uintptr(syscall.MS_SYNC))
 	if errno != 0 {

@@ -3,6 +3,7 @@ package slotstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,8 +14,8 @@ import (
 
 func testConfig() Config {
 	return Config{
-		Slots: 64, CellBytes: 128,
-		Seed: 7, Ways: 4, Levels: 2, Rows: 16,
+		Slots: 64,
+		Seed:  7, Ways: 4, Levels: 2, Rows: 16,
 		Policy: 0, Shard: 3, ShardCount: 8,
 	}
 }
@@ -165,7 +166,6 @@ func TestGeometryMismatchInvalidFormat(t *testing.T) {
 		"shard":       func(c *Config) { c.Shard++ },
 		"shard count": func(c *Config) { c.ShardCount *= 2 },
 		"policy":      func(c *Config) { c.Policy = 1 },
-		"cell bytes":  func(c *Config) { c.CellBytes *= 2 },
 	} {
 		other := cfg
 		mut(&other)
@@ -189,11 +189,18 @@ func TestTruncatedFileNeedsRebuild(t *testing.T) {
 	if err := s.Close(true); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, fileSize(cfg)-1); err != nil {
+	fi, err := os.Stat(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path, cfg); !errors.Is(err, ErrNeedsRebuild) {
-		t.Fatalf("Open of truncated file = %v, want ErrNeedsRebuild", err)
+	// One byte short of the heap, then short of the slot table.
+	for _, size := range []int64{fi.Size() - 1, int64(heapBase(cfg.Slots)) - 1} {
+		if err := os.Truncate(path, size); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path, cfg); !errors.Is(err, ErrNeedsRebuild) {
+			t.Fatalf("Open of file truncated to %d = %v, want ErrNeedsRebuild", size, err)
+		}
 	}
 	if err := os.Truncate(path, headerBytes-1); err != nil {
 		t.Fatal(err)
@@ -208,7 +215,7 @@ func TestCorruptCellNeedsRebuild(t *testing.T) {
 	cfg := testConfig()
 	s := mustCreate(t, path, cfg)
 	put(t, s, "victim-key", "victim-val", 7)
-	cellOff := s.cellOff(7)
+	keyOff := le.Uint64(s.m[s.slot(7)+slotOff:])
 	if err := s.Close(true); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +225,7 @@ func TestCorruptCellNeedsRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[cellOff+cellHeaderBytes] ^= 0xff
+	raw[keyOff] ^= 0xff
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -227,33 +234,186 @@ func TestCorruptCellNeedsRebuild(t *testing.T) {
 	}
 }
 
-func TestOversizedEntrySkippedAndClears(t *testing.T) {
+// TestGrowthCrashAndCleanClose fills the store past its initial heap inside
+// one dirty session, so the file grows (ftruncate + remap) under live
+// entries. Killed without Close, the grown file needs a rebuild; closed
+// cleanly, it reopens warm with every byte intact.
+func TestGrowthCrashAndCleanClose(t *testing.T) {
+	cfg := testConfig()
+	val := bytes.Repeat([]byte("0123456789abcdef"), 64) // 1 KiB: 16 slots' worth of initial heap each
+	for _, clean := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "shard.slc")
+		s := mustCreate(t, path, cfg)
+		initial := len(s.m)
+		for i := 0; i < cfg.Slots; i++ {
+			put(t, s, fmt.Sprintf("grow-%02d", i), string(val[:len(val)-i]), i)
+		}
+		if len(s.m) <= initial {
+			t.Fatalf("mapping is still %d bytes after %d KiB of entries", len(s.m), cfg.Slots)
+		}
+		if err := s.Close(clean); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := Open(path, cfg)
+		if !clean {
+			if !errors.Is(err, ErrNeedsRebuild) {
+				t.Fatalf("Open after crash in a grown session = %v, want ErrNeedsRebuild", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("warm open of a grown file: %v", err)
+		}
+		if s2.Resident() != cfg.Slots {
+			t.Fatalf("resident = %d, want %d", s2.Resident(), cfg.Slots)
+		}
+		s2.Range(func(slot int, fp uint64, key, got []byte) bool {
+			if string(key) != fmt.Sprintf("grow-%02d", slot) || !bytes.Equal(got, val[:len(val)-slot]) {
+				t.Fatalf("slot %d came back as %q with a %d-byte value", slot, key, len(got))
+			}
+			return true
+		})
+		s2.Close(true)
+	}
+}
+
+// TestGrowFailpointFailsSetSlot: a failed file growth is a SetSlot error,
+// the slot is left empty, and the dirty file needs a rebuild.
+func TestGrowFailpointFailsSetSlot(t *testing.T) {
+	defer failpoint.Reset()
 	path := filepath.Join(t.TempDir(), "shard.slc")
-	cfg := testConfig() // 128-byte cells
+	cfg := testConfig()
 	s := mustCreate(t, path, cfg)
-	defer s.Close(true)
-	fp := put(t, s, "small", "v1", 4)
-	big := make([]byte, cfg.CellBytes) // does not fit with header+key
+	fp := put(t, s, "k", "small", 3)
+	failpoint.Enable("slotstore/grow", failpoint.Error, 1, 0)
 	if err := s.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	persisted, err := s.SetSlot(4, fp, []byte("small"), big)
-	if err != nil {
+	written, err := s.SetSlot(3, fp, []byte("k"), make([]byte, 1<<16))
+	if err == nil || written {
+		t.Fatalf("SetSlot through a failing growth = %t, %v", written, err)
+	}
+	s.End()
+	if _, _, ok := s.Lookup(fp); ok || s.Resident() != 0 {
+		t.Fatal("failed overwrite left the stale entry resident")
+	}
+	if err := s.Close(false); err != nil {
 		t.Fatal(err)
 	}
-	if persisted {
-		t.Fatal("oversized entry reported persisted")
+	if _, err := Open(path, cfg); !errors.Is(err, ErrNeedsRebuild) {
+		t.Fatalf("Open after failed growth = %v, want ErrNeedsRebuild", err)
+	}
+}
+
+// TestExtentReuse pins the allocator: an overwrite that fits reuses the
+// slot's extent, one that does not frees it to its class's list, the next
+// allocation of that class takes it back, and a cleared slot keeps its
+// extent. The free lists survive a clean restart.
+func TestExtentReuse(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard.slc")
+	cfg := testConfig()
+	s := mustCreate(t, path, cfg)
+	extentOf := func(st *Store, id int) (off, capBytes uint64) {
+		h := st.slot(id)
+		return le.Uint64(st.m[h+slotOff:]), le.Uint64(st.m[h+slotCap:])
+	}
+	put(t, s, "a", "0123456789abcdef", 0) // 1 + 2 words
+	off0, cap0 := extentOf(s, 0)
+	if cap0 != 24 {
+		t.Fatalf("3-word entry got a %d-byte extent", cap0)
+	}
+	put(t, s, "a", "shorter", 0)
+	if off, _ := extentOf(s, 0); off != off0 {
+		t.Fatalf("fitting overwrite moved the extent %d -> %d", off0, off)
+	}
+	put(t, s, "a", string(make([]byte, 100)), 0) // outgrows it
+	if off, c := extentOf(s, 0); off == off0 || c != 112 {
+		t.Fatalf("growing overwrite: extent [%d, +%d), want a fresh 112-byte one", off, c)
+	}
+	used := s.heapUsed
+	put(t, s, "b", "0123456789abcdef", 1)
+	if off, _ := extentOf(s, 1); off != off0 || s.heapUsed != used {
+		t.Fatalf("freed extent %d not reused: got %d, heap %d -> %d", off0, off, used, s.heapUsed)
+	}
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	s.ClearSlot(1)
+	if err := s.End(); err != nil {
+		t.Fatal(err)
+	}
+	if off, _ := extentOf(s, 1); off != off0 {
+		t.Fatal("ClearSlot dropped the slot's extent")
+	}
+	put(t, s, "c", string(make([]byte, 200)), 0) // frees the 112-byte extent
+	if err := s.Close(true); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(path, cfg)
+	if err != nil {
+		t.Fatalf("reopen with a non-empty free list: %v", err)
+	}
+	defer s2.Close(true)
+	used = s2.heapUsed
+	put(t, s2, "d", string(make([]byte, 100)), 2)
+	if s2.heapUsed != used {
+		t.Fatalf("free list lost across restart: heap %d -> %d", used, s2.heapUsed)
+	}
+}
+
+func TestSizeClasses(t *testing.T) {
+	prev := 0
+	for c := 0; c < numClasses; c++ {
+		w := classWords(c)
+		if w <= prev {
+			t.Fatalf("class %d holds %d words, class %d held %d", c, w, c-1, prev)
+		}
+		// Every size in (prev, w] belongs to class c, wasting under 1/4.
+		for _, n := range []int{prev + 1, w} {
+			if got := sizeClass(n); got != c {
+				t.Fatalf("sizeClass(%d) = %d, want %d (%d words)", n, got, c, w)
+			}
+		}
+		if n := prev + 1; n > 8 && (w-n)*4 >= w {
+			t.Fatalf("class %d wastes %d of %d words", c, w-n, w)
+		}
+		prev = w
+	}
+	if prev != maxExtentWords {
+		t.Fatalf("largest class holds %d words, want %d", prev, maxExtentWords)
+	}
+}
+
+// TestFileBytesPerSlot pins the format's density at the benchmark's entry
+// size: a full shard of 8-byte keys and 64-byte values.
+func TestFileBytesPerSlot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard.slc")
+	cfg := testConfig()
+	cfg.Slots, cfg.Rows = 4096, 1024
+	s := mustCreate(t, path, cfg)
+	var key [8]byte
+	val := make([]byte, 64)
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cfg.Slots; i++ {
+		le.PutUint64(key[:], uint64(i))
+		if _, err := s.SetSlot(i, hash.Bytes64(key[:]), key[:], val); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := s.End(); err != nil {
 		t.Fatal(err)
 	}
-	// The stale small value must be gone: serving it after a restart
-	// would be a wrong (outdated) value.
-	if _, _, ok := s.Lookup(fp); ok {
-		t.Fatal("oversized overwrite left the stale entry resident")
+	if err := s.Close(true); err != nil {
+		t.Fatal(err)
 	}
-	if s.Resident() != 0 {
-		t.Fatalf("resident = %d, want 0", s.Resident())
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per := float64(fi.Size()) / float64(cfg.Slots); per > 412 {
+		t.Fatalf("%d-byte file for %d full slots: %.0f bytes per slot, want <= 412", fi.Size(), cfg.Slots, per)
 	}
 }
 
@@ -273,7 +433,7 @@ func TestMoveSlotFollowsIndex(t *testing.T) {
 	if k, v, ok := s.Lookup(fp); !ok || string(k) != "mover" || string(v) != "payload" {
 		t.Fatalf("after move Lookup = %q, %q, %t", k, v, ok)
 	}
-	// Survives a clean cycle with the index pointing at the new slot.
+	// Survives a clean cycle at the new slot.
 	if err := s.Close(true); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +452,7 @@ func TestMoveSlotFollowsIndex(t *testing.T) {
 	}
 }
 
-func TestDeleteManyIndexBackShift(t *testing.T) {
+func TestDeleteManyLookupFindsSurvivors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shard.slc")
 	cfg := testConfig()
 	s := mustCreate(t, path, cfg)
@@ -302,7 +462,7 @@ func TestDeleteManyIndexBackShift(t *testing.T) {
 		put(t, s, k, "v-"+k, i)
 	}
 	// Delete every other key, then verify the survivors all still resolve
-	// (back-shift must never strand an entry behind a hole).
+	// through the index Lookup derives.
 	for i := 0; i < len(keys); i += 2 {
 		if err := s.Begin(); err != nil {
 			t.Fatal(err)
@@ -399,9 +559,9 @@ func TestTornWriteFailpointLeavesRebuildSignal(t *testing.T) {
 	if err := s.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	persisted, err := s.SetSlot(0, fp, []byte("torn"), []byte("full-value"))
-	if err == nil || !persisted {
-		t.Fatalf("torn SetSlot = %t, %v; want persisted with the injected error", persisted, err)
+	written, err := s.SetSlot(0, fp, []byte("torn"), []byte("full-value"))
+	if err == nil || !written {
+		t.Fatalf("torn SetSlot = %t, %v; want written with the injected error", written, err)
 	}
 	s.End()
 	// The process "crashes" here; the dirty mark is the rebuild signal.
@@ -453,4 +613,73 @@ func TestSyncEveryOp(t *testing.T) {
 		t.Fatalf("resident = %d, want 8", s2.Resident())
 	}
 	s2.Close(true)
+}
+
+// TestSyncSpan pins the arithmetic behind SyncEveryOp's msync: the dirty
+// span's low and high water marks, its reset, the page alignment, and a
+// span that reaches past the mapping a growth replaced.
+func TestSyncSpan(t *testing.T) {
+	var d span
+	if d.take() != (span{}) {
+		t.Fatal("zero span is not empty")
+	}
+	d.add(9000, 32)
+	d.add(5000, 8)
+	d.add(6000, 100)
+	if d != (span{5000, 9032}) {
+		t.Fatalf("span = %+v, want [5000, 9032)", d)
+	}
+	if got := d.take(); got != (span{5000, 9032}) || d != (span{}) {
+		t.Fatalf("take = %+v, left %+v", got, d)
+	}
+	for _, c := range []struct{ off, n, size, lo, hi int }{
+		{5000, 4032, 16384, 4096, 9032},  // start rounds down to its page
+		{8192, 10, 16384, 8192, 8202},    // aligned start stays
+		{0, 4096, 16384, 0, 4096},        // the header page
+		{9000, 9000, 12288, 8192, 12288}, // end is cut at the mapping
+	} {
+		if lo, hi := pageSpan(c.off, c.n, c.size, 4096); lo != c.lo || hi != c.hi {
+			t.Errorf("pageSpan(%d, %d, %d) = [%d, %d), want [%d, %d)", c.off, c.n, c.size, lo, hi, c.lo, c.hi)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "shard.slc")
+	cfg := testConfig()
+	cfg.SyncEveryOp = true
+	s := mustCreate(t, path, cfg)
+	old := len(s.m)
+	fp := hash.Bytes64([]byte("big"))
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SetSlot(40, fp, []byte("big"), make([]byte, 2*old)); err != nil {
+		t.Fatal(err)
+	}
+	extent := int(le.Uint64(s.m[s.slot(40)+slotOff:]))
+	if want := (span{s.slot(40), extent + 8 + 2*old}); s.dirty != want || s.dirty.hi <= old {
+		t.Fatalf("dirty span %+v after growth past a %d-byte mapping, want %+v", s.dirty, old, want)
+	}
+	if err := s.End(); err != nil {
+		t.Fatal(err)
+	}
+	if s.dirty != (span{}) {
+		t.Fatalf("End left the dirty span at %+v", s.dirty)
+	}
+	put(t, s, "k", "v", 0)
+	if s.dirty != (span{}) {
+		t.Fatalf("second End left the dirty span at %+v", s.dirty)
+	}
+	// A crash now loses nothing that End reported synced, but the session
+	// is dirty; a clean close reopens warm.
+	if err := s.Close(true); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close(true)
+	if _, v, ok := s2.Lookup(fp); !ok || len(v) != 2*old {
+		t.Fatalf("grown entry: %d bytes, %t", len(v), ok)
+	}
 }

@@ -41,8 +41,6 @@ type PersistReport struct {
 	WarmEntries int
 	// Detached counts shards that dropped persistence after an I/O error.
 	Detached int
-	// Skipped counts entries not persisted because they exceed the cell.
-	Skipped uint64
 }
 
 func (s *Store) persistPath(i int) string {
@@ -52,7 +50,6 @@ func (s *Store) persistPath(i int) string {
 func (s *Store) persistCfg(i int) slotstore.Config {
 	return slotstore.Config{
 		Slots:       s.cfg.Ways * int(s.cfg.Rows),
-		CellBytes:   s.cfg.PersistCellBytes,
 		SyncEveryOp: s.cfg.PersistSync,
 		Seed:        shardSeed(s.cfg.Seed, i),
 		Ways:        s.cfg.Ways,
@@ -226,7 +223,6 @@ func (s *Store) Persist() PersistReport {
 		if sh.psDetached {
 			r.Detached++
 		}
-		r.Skipped += sh.psSkipped
 		sh.mu.Unlock()
 	}
 	return r

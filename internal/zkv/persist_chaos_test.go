@@ -32,7 +32,7 @@ func TestPersistChaosNeverWrong(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		Shards: 2, Ways: 4, Rows: 32, Levels: 2, Seed: 1234,
-		PersistDir: dir, PersistCellBytes: 128,
+		PersistDir: dir,
 	}
 
 	// oracle maps key index -> value revision last written; rev 0 = never
@@ -113,8 +113,8 @@ func TestPersistChaosNeverWrong(t *testing.T) {
 				t.Fatalf("iter %d: warm reopen: %v", iter, err)
 			}
 			rep := s2.Persist()
-			// Oversized entries cannot exist here (24-byte values), so a
-			// graceful close must restore everything.
+			// Every entry is mirrored, so a graceful close must restore
+			// everything.
 			if rep.WarmEntries*10 < preResident*9 {
 				t.Fatalf("iter %d: warm restored %d of %d resident (< 90%%)",
 					iter, rep.WarmEntries, preResident)

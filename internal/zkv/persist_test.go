@@ -1,6 +1,7 @@
 package zkv
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 func persistConfig(dir string) Config {
 	return Config{
 		Shards: 2, Ways: 4, Rows: 64, Levels: 2, Seed: 99,
-		PersistDir: dir, PersistCellBytes: 256,
+		PersistDir: dir,
 	}
 }
 
@@ -211,29 +212,73 @@ func TestPersistDeleteSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestPersistOversizedEntriesStayInMemory: entries above the cell size are
-// served normally but not persisted, and a restart simply forgets them.
-func TestPersistOversizedEntriesStayInMemory(t *testing.T) {
+// TestPersistMaxValueRoundTrip: the shard file holds every entry the store
+// accepts. A MaxValBytes value — which grows the file many times over — and
+// a small neighbour both come back after a restart, byte for byte.
+func TestPersistMaxValueRoundTrip(t *testing.T) {
 	skipNoPersist(t)
 	dir := t.TempDir()
-	cfg := persistConfig(dir) // 256-byte cells
+	cfg := persistConfig(dir)
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := make([]byte, 1024)
+	big := make([]byte, s.Config().MaxValBytes)
 	for i := range big {
-		big[i] = byte(i)
+		big[i] = byte(i * 7)
 	}
 	if err := s.Set([]byte("big-key"), big); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Get([]byte("big-key"), nil)
-	if !ok || len(got) != len(big) {
-		t.Fatal("oversized entry not served from memory")
+	fillKeys(t, s, 10)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if rep := s.Persist(); rep.Skipped != 1 {
-		t.Fatalf("skipped = %d, want 1", rep.Skipped)
+	s2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if rep := s2.Persist(); rep.WarmShards != cfg.Shards || rep.WarmEntries != 11 {
+		t.Fatalf("warm=%d entries=%d, want %d shards / 11 entries", rep.WarmShards, rep.WarmEntries, cfg.Shards)
+	}
+	got, ok := s2.Get([]byte("big-key"), nil)
+	if !ok || !bytes.Equal(got, big) {
+		t.Fatalf("MaxValBytes value after restart: hit=%t, %d bytes", ok, len(got))
+	}
+	if hits := verifyKeys(t, s2, 10); hits != 10 {
+		t.Fatalf("%d of 10 small neighbours survived", hits)
+	}
+}
+
+// TestPersistGrowFaultDetaches: a shard file that cannot grow is a
+// persistence fault like any other — the shard detaches and keeps serving
+// from memory, and the abandoned dirty file rebuilds on the next boot.
+func TestPersistGrowFaultDetaches(t *testing.T) {
+	skipNoPersist(t)
+	defer failpoint.Reset()
+	dir := t.TempDir()
+	cfg := persistConfig(dir)
+	cfg.Shards = 1
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillKeys(t, s, 16)
+	failpoint.Enable("slotstore/grow", failpoint.Error, 1, 0)
+	big := make([]byte, 1<<16) // past the fresh file's heap
+	if err := s.Set([]byte("big-key"), big); err != nil {
+		t.Fatal(err)
+	}
+	failpoint.Reset()
+	if rep := s.Persist(); rep.Detached != 1 {
+		t.Fatalf("detached = %d, want 1", rep.Detached)
+	}
+	if got, ok := s.Get([]byte("big-key"), nil); !ok || len(got) != len(big) {
+		t.Fatal("entry whose mirror write failed is not served from memory")
+	}
+	if hits := verifyKeys(t, s, 16); hits != 16 {
+		t.Fatalf("memory hits = %d, want 16", hits)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -243,8 +288,8 @@ func TestPersistOversizedEntriesStayInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, ok := s2.Get([]byte("big-key"), nil); ok {
-		t.Fatal("oversized entry survived a restart it was never persisted for")
+	if rep := s2.Persist(); rep.WarmShards != 0 || rep.Rebuilds != 1 {
+		t.Fatalf("warm=%d rebuilds=%d after a failed growth, want 0 / 1", rep.WarmShards, rep.Rebuilds)
 	}
 }
 
@@ -323,7 +368,7 @@ func persistBenchStore(b *testing.B) (*Store, int) {
 	b.Helper()
 	skipNoPersist(b)
 	s, err := Open(Config{Shards: 4, Ways: 4, Rows: 1024, Levels: 2, Seed: 17,
-		PersistDir: b.TempDir(), PersistCellBytes: 256})
+		PersistDir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}

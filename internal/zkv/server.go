@@ -634,7 +634,6 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 		line("zkv_persist_rebuilds", uint64(rep.Rebuilds))
 		line("zkv_persist_warm_entries", uint64(rep.WarmEntries))
 		line("zkv_persist_detached_shards", uint64(rep.Detached))
-		line("zkv_persist_skipped_total", rep.Skipped)
 	}
 	return dst
 }

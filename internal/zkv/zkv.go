@@ -103,10 +103,6 @@ type Config struct {
 	// is only guaranteed at Close; the crash-safety contract — a torn image
 	// is never served — holds either way.
 	PersistSync bool
-	// PersistCellBytes is the fixed per-slot cell size in the shard files,
-	// including a 16-byte header (default 4096). Entries whose key+value
-	// exceed it stay cached in memory but are not persisted.
-	PersistCellBytes int
 }
 
 // withDefaults resolves zero fields.
@@ -370,7 +366,6 @@ type shard struct {
 	// off or was detached after a fault); see persist.go.
 	ps         *slotstore.Store
 	psDetached bool
-	psSkipped  uint64
 }
 
 // shardSeed derives shard i's H3 seed from the store seed, mirroring the
@@ -510,11 +505,8 @@ func (sh *shard) set(fp uint64, key, val []byte) {
 	}
 	sh.publishCell(id, fp, key, val)
 	if mirrored && sh.ps != nil {
-		persisted, err := sh.ps.SetSlot(int(id), fp, key, val)
-		if err != nil {
+		if _, err := sh.ps.SetSlot(int(id), fp, key, val); err != nil {
 			sh.psDetach()
-		} else if !persisted {
-			sh.psSkipped++
 		}
 		sh.psEnd()
 	}
