@@ -86,7 +86,7 @@ func usage() {
 
 verbs:
   run               execute experiment suites through the resumable runner
-  validate-sampled  check sampled execution's speedup and error against the exact suite
+  validate-sampled  check sampled execution's work and error against the exact suite
   status            show store contents and run history
   gc                compact the store, dropping stale-schema and corrupt records
   repair            rewrite corrupt shards from surviving records
@@ -120,7 +120,6 @@ validate-sampled flags:
   -intervals N     interval count (default 32)
   -clusters K      cluster/leg count (default 12)
   -max-rel-err F   per-cell miss-ratio error bound vs full replay (default 0.02)
-  -min-speedup F   wall-time bound vs the exact execution suite (default 5)
 
 run also accepts the profiling flags:
   -cpuprofile FILE  write a CPU profile (go tool pprof)

@@ -20,7 +20,7 @@
 // and -max-pipeline sheds requests past the per-connection pipeline depth
 // with a busy reply instead of buffering without bound.
 //
-// With -persist DIR, every shard mirrors its slot cells into an mmap-backed
+// With -persist DIR, every shard keeps its slot cells in an mmap-backed
 // slotstore file under DIR. A graceful shutdown checkpoints and clean-marks
 // the files, so the next boot warm-restores the cache; any abrupt death
 // (kill -9, power loss) leaves them marked dirty, and the next boot logs

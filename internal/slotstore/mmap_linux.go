@@ -10,8 +10,8 @@ import (
 
 const supported = true
 
-func mmapFile(f *os.File, size int) ([]byte, error) {
-	return syscall.Mmap(int(f.Fd()), 0, size,
+func mmapFile(f *os.File, off, size int) ([]byte, error) {
+	return syscall.Mmap(int(f.Fd()), int64(off), size,
 		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 }
 

@@ -11,7 +11,7 @@ const supported = false
 
 var errUnsupported = errors.New("slotstore: mmap persistence is only supported on linux")
 
-func mmapFile(*os.File, int) ([]byte, error) { return nil, errUnsupported }
+func mmapFile(*os.File, int, int) ([]byte, error) { return nil, errUnsupported }
 
 func munmapFile([]byte) error { return nil }
 

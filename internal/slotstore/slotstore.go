@@ -1,18 +1,25 @@
-// Package slotstore is the persistence layer behind zkv's warm restart: a
-// file-backed, mmap'd slot store, format "SLC2". One store file mirrors one
-// zkv shard — a dense table of fixed 32-byte slot headers, indexed exactly
-// like the shard's tag array, over a heap of size-classed extents that hold
-// the entries' bytes — so the on-disk image tracks the in-memory cache slot
-// for slot through eviction and relocation chains. A mutation touches the
-// headers it changes and the one extent it writes, nothing else: there is
-// no persisted index (the shard finds a key by hashing it to W slots, and
-// so does a restart), and a relocation moves a header, not an entry.
+// Package slotstore is zkv's cell store. One Store holds one shard's entries
+// — a dense table of fixed 32-byte slot headers, indexed exactly like the
+// shard's tag array, over a heap of size-classed extents that hold the
+// entries' bytes — and is the shard's only copy of them: the mutex holder
+// mutates it between Begin and End, lock-free readers probe it through a
+// View and validate against the header's generation word, and a warm restart
+// opens the same bytes again. A mutation touches the headers it changes and
+// the one extent it writes: there is no index (the shard finds a key by
+// hashing it to W slots, and so does a restart), and a relocation moves a
+// header, not an entry.
 //
-// The format is correct-or-retry, never silently wrong:
+// The backing is a mapped file, format "SLC2" (Create, Open), or Go-heap
+// slabs (NewHeap). Either way the heap is an append-only list of segments
+// behind a page directory: growth maps or allocates only the new range and
+// nothing moves or is unmapped before Close, so an older View stays valid.
+// The backings differ in where a segment comes from and in whether msync has
+// anything to do, nowhere else.
+//
+// The file format is correct-or-retry, never silently wrong:
 //
 //   - A seqlock generation counter in the header (even = stable snapshot,
-//     odd = write in progress) publishes single-writer mutations to
-//     multi-reader mmaps.
+//     odd = write in progress) publishes the single writer's mutations.
 //   - A clean/dirty lifecycle state gates reopening. The dirty mark is
 //     msync'd durably *before* the first mutation of a writer session, so
 //     any crash — power loss, kill -9, torn page write, a half-finished
@@ -28,16 +35,19 @@
 //     torn or foreign yields ErrNeedsRebuild or ErrInvalidFormat — never a
 //     store that could serve a wrong value.
 //
-// There is no WAL and no salvage mode: the cache is throwaway, the
-// authoritative data lives behind the cache, and the rebuild signal tells
-// the caller to start cold. Durability of individual operations is only
-// guaranteed after Checkpoint/Close; Config.SyncEveryOp trades throughput
-// for per-operation msync.
+// There is no WAL and no salvage mode: the cache is throwaway, and the
+// rebuild signal tells the caller to start cold. Durability of individual
+// operations is only guaranteed after Checkpoint/Close; Config.SyncEveryOp
+// trades throughput for per-operation msync. A persistence fault (a failed
+// msync or growth, an injected write fault) detaches the store from its
+// file: it serves and mutates the same memory, takes later segments from the
+// Go heap, and never syncs or clean-marks the file again, so the next Open
+// refuses it. Words are accessed natively, so on a big-endian host Open
+// refuses every (little-endian) image and each boot is cold.
 //
 // Crash testing hooks: the failpoints "slotstore/create", "slotstore/msync",
-// "slotstore/write" (torn entry writes), "slotstore/grow" (file growth) and
-// "slotstore/close" let the chaos suite prove the contract — see
-// internal/failpoint.
+// "slotstore/write" (a fault while writing an entry), "slotstore/grow"
+// (file growth) and "slotstore/close" — see internal/failpoint.
 package slotstore
 
 import (
@@ -98,6 +108,14 @@ const (
 	// later growth.
 	heapBytesPerSlot = 64
 	growQuantum      = 4096
+
+	// The directory maps each 64 KiB page of the address space (file offsets,
+	// for a file) to its segment. A heap-backed store grows a page at a time
+	// (the Go heap counts a slab touched or not); an extent of bigExtent or
+	// more gets a slab of exactly its own size.
+	pageShift = 16
+	pageBytes = 1 << pageShift
+	bigExtent = pageBytes / 8
 )
 
 // Lifecycle states (header field `state`).
@@ -133,12 +151,12 @@ const (
 	offFreeHeads   = 128 // [numClasses]u64: first free extent per class, 0 = none
 )
 
-// Config stamps a store file with the geometry of the cache it mirrors.
-// Every stamp field must match byte for byte at Open, or the file is
+// Config stamps a store file with the geometry of the cache whose entries it
+// holds. Every stamp field must match byte for byte at Open, or the file is
 // ErrInvalidFormat: a slot array is only meaningful relative to the exact
 // hash seeds and shard routing that produced it.
 type Config struct {
-	// Slots is the slot count — the mirrored cache's Blocks() (required).
+	// Slots is the slot count — the cache's Blocks() (required).
 	Slots int
 	// SyncEveryOp forces an MS_SYNC msync of the mutated range after every
 	// End(), bounding page-cache loss at a large throughput cost. The
@@ -146,7 +164,7 @@ type Config struct {
 	SyncEveryOp bool
 
 	// Geometry stamp: the H3 seed, array shape, policy, and shard routing
-	// of the mirrored zkv shard.
+	// of the zkv shard.
 	Seed       uint64
 	Ways       int
 	Levels     int
@@ -235,19 +253,81 @@ func pageSpan(off, n, size, page int) (lo, hi int) {
 	return off &^ (page - 1), min(off+n, size)
 }
 
-// Store is one open SLC2 file: a single writer (the owning zkv shard,
-// under its mutex) and any number of mmap readers. Mutations happen
-// between Begin and End, which bracket them in the seqlock generation.
+// directory maps a page of the address space to its segment from the page's
+// first word on, which wholly contains every extent starting in the page.
+// Growth publishes a longer directory and never edits a published one below
+// its length.
+type directory [][]atomic.Uint64
+
+// paged appends to dir the n pages that start at w's first word.
+func paged(dir directory, w []atomic.Uint64, n int) directory {
+	for p := 0; p < n; p++ {
+		dir = append(dir, w[p*pageBytes/8:])
+	}
+	return dir
+}
+
+// words returns the n words at byte offset off, or nil when the directory
+// does not hold them all in one segment.
+func (dir directory) words(off, n int) []atomic.Uint64 {
+	p := off >> pageShift
+	if p < 0 || p >= len(dir) {
+		return nil
+	}
+	i := off & (pageBytes - 1) >> 3
+	if w := dir[p]; n >= 0 && i+n <= len(w) {
+		return w[i : i+n]
+	}
+	return nil
+}
+
+// slotAt is the index, in the header-and-slot-table words, of slot id's
+// first header word.
+func slotAt(id int) int { return headerBytes/8 + id*(slotBytes/8) }
+
+// wordsOf views 8-aligned bytes as words.
+func wordsOf(b []byte) []atomic.Uint64 {
+	return unsafe.Slice((*atomic.Uint64)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8)
+}
+
+// pagesFor is the number of directory pages n bytes span.
+func pagesFor(n int) int { return (n + pageBytes - 1) >> pageShift }
+
+// mapping is one mmap of the file: m[0] is the byte at file offset off.
+type mapping struct {
+	off int
+	m   []byte
+}
+
+// Store is one shard's cells: a single writer (the owning zkv shard, under
+// its mutex) and any number of lock-free readers. Mutations happen between
+// Begin and End, which bracket them in the seqlock generation.
 type Store struct {
-	path     string
-	cfg      Config
-	f        *os.File
+	cfg Config
+	// f is the backing file: nil for a heap-backed store and once a fault
+	// has detached it — what msync, growth and the clean mark test.
+	f *os.File
+	// m is the file as mapped at open (validate and the header's byte
+	// fields read it); maps is every mapping, unmapped at Close.
 	m        []byte
+	maps     []mapping
 	heapBase int
-	// heapSize and heapUsed cache the header fields of the same names.
-	heapSize int
-	heapUsed int
-	resident int
+
+	// hdr is the header page and the slot table (and, for a file, the heap
+	// it was opened with), fixed for the store's life; only the writer
+	// replaces dir, and Close empties it.
+	hdr []atomic.Uint64
+	dir atomic.Pointer[directory]
+
+	// heapSize and heapUsed cache the header fields of the same names:
+	// extents are carved from [heapUsed, heapSize), the file's tail — or,
+	// without a file, the newest heap page.
+	heapSize, heapUsed int
+	// resident is the writer's count; End publishes it to residentPub when
+	// it moved, so a full cache's evict-and-insert pays no atomic store.
+	resident    int
+	residentPub atomic.Int64
+	detached    atomic.Bool
 
 	// index is Lookup's fingerprint→slot map, derived from the slot table
 	// on demand and dropped by the next mutation. It is not part of the
@@ -264,6 +344,31 @@ type Store struct {
 	// dirty covers the slot-table and heap bytes mutated since the last
 	// sync; End syncs it and the header page in SyncEveryOp mode.
 	dirty span
+}
+
+// NewHeap builds an empty heap-backed store: a shard's cells without a file.
+func NewHeap(slots int) *Store {
+	return newStore(Config{Slots: slots}, make([]atomic.Uint64, heapBase(slots)/8))
+}
+
+// newStore builds a store that so far is the one segment hdr.
+func newStore(cfg Config, hdr []atomic.Uint64) *Store {
+	s := &Store{cfg: cfg, heapBase: heapBase(cfg.Slots), hdr: hdr}
+	dir := paged(nil, hdr, pagesFor(len(hdr)*8))
+	s.dir.Store(&dir)
+	return s
+}
+
+// mapped maps the size bytes of f as a store, or closes it.
+func mapped(cfg Config, f *os.File, size int) (*Store, error) {
+	m, err := mmapFile(f, 0, size)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	s := newStore(cfg, wordsOf(m))
+	s.f, s.m, s.maps = f, m, []mapping{{0, m}}
+	return s, nil
 }
 
 // Create builds a fresh store file for cfg at path, replacing whatever was
@@ -287,12 +392,12 @@ func Create(path string, cfg Config) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
-	m, err := mmapFile(f, base+heap)
+	s, err := mapped(cfg, f, base+heap)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	s := &Store{path: path, cfg: cfg, f: f, m: m, heapBase: base, heapSize: heap}
+	m := s.m
+	s.heapSize = heap
 	copy(m[offMagic:], Magic)
 	le.PutUint32(m[offVersion:], FormatVersion)
 	le.PutUint32(m[offHashVersion:], hash.Bytes64Version)
@@ -310,7 +415,7 @@ func Create(path string, cfg Config) (*Store, error) {
 	s.setState(StateDirty)
 	s.everDirtied = true
 	if err := s.msync(0, headerBytes); err != nil {
-		s.unmapClose()
+		s.Close(false)
 		return nil, err
 	}
 	s.dirtyDurable = true
@@ -343,14 +448,12 @@ func Open(path string, cfg Config) (*Store, error) {
 		f.Close()
 		return nil, fmt.Errorf("%w: %d-byte file is smaller than the header", ErrInvalidFormat, st.Size())
 	}
-	m, err := mmapFile(f, int(st.Size()))
+	s, err := mapped(cfg, f, int(st.Size()))
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	s := &Store{path: path, cfg: cfg, f: f, m: m, heapBase: heapBase(cfg.Slots)}
 	if err := s.validate(); err != nil {
-		s.unmapClose()
+		s.Close(false)
 		return nil, err
 	}
 	return s, nil
@@ -499,6 +602,7 @@ func (s *Store) validate() error {
 	}
 	// One fingerprint in two slots would adopt into two tags of one cache.
 	s.resident = resident
+	s.residentPub.Store(int64(resident))
 	if _, dup := s.deriveIndex(); dup >= 0 {
 		return fmt.Errorf("%w: slot %d repeats a fingerprint resident in an earlier slot", ErrNeedsRebuild, dup)
 	}
@@ -517,7 +621,7 @@ func allZero(b []byte) bool {
 // deriveIndex builds the fingerprint→slot map from the slot table. dup is
 // the first slot whose fingerprint an earlier slot already holds, or -1.
 func (s *Store) deriveIndex() (index map[uint64]int32, dup int) {
-	index, dup = make(map[uint64]int32, s.resident), -1
+	index, dup = make(map[uint64]int32, s.Resident()), -1
 	s.Range(func(id int, fp uint64, _, _ []byte) bool {
 		if _, seen := index[fp]; seen && dup < 0 {
 			dup = id
@@ -530,22 +634,18 @@ func (s *Store) deriveIndex() (index map[uint64]int32, dup int) {
 
 // --- accessors ---
 
-// Path returns the backing file path.
-func (s *Store) Path() string { return s.path }
+// Resident returns the resident slot count as of the last End (any goroutine).
+func (s *Store) Resident() int { return int(s.residentPub.Load()) }
 
-// Resident returns the number of resident slots.
-func (s *Store) Resident() int { return s.resident }
+// Detached reports whether a persistence fault cut the store off its file.
+func (s *Store) Detached() bool { return s.detached.Load() }
 
 // Generation reads the seqlock counter (even = stable snapshot).
-func (s *Store) Generation() uint64 {
-	return atomic.LoadUint64((*uint64)(unsafe.Pointer(&s.m[offGeneration])))
-}
+func (s *Store) Generation() uint64 { return s.hdr[offGeneration/8].Load() }
 
-func (s *Store) setGen(v uint64) {
-	atomic.StoreUint64((*uint64)(unsafe.Pointer(&s.m[offGeneration])), v)
-}
+func (s *Store) setGen(v uint64) { s.hdr[offGeneration/8].Store(v) }
 
-// State reads the lifecycle state.
+// State reads the file's lifecycle state.
 func (s *Store) State() uint32 {
 	return atomic.LoadUint32((*uint32)(unsafe.Pointer(&s.m[offState])))
 }
@@ -554,276 +654,431 @@ func (s *Store) setState(v uint32) {
 	atomic.StoreUint32((*uint32)(unsafe.Pointer(&s.m[offState])), v)
 }
 
-// slot returns the file offset of slot id's header.
+// slot returns the byte offset of slot id's header, header its four words.
 func (s *Store) slot(id int) int { return headerBytes + id*slotBytes }
 
-// msync flushes the page-aligned span covering m[off:off+n] with MS_SYNC,
-// through the "slotstore/msync" failpoint.
+func (s *Store) header(id int) []atomic.Uint64 { return s.hdr[slotAt(id) : slotAt(id)+slotBytes/8] }
+
+// msync flushes file bytes [off, off+n) with MS_SYNC through the mappings
+// covering them, behind the "slotstore/msync" failpoint — if there is a file.
 func (s *Store) msync(off, n int) error {
+	if s.f == nil {
+		return nil
+	}
 	if err := failpoint.Inject("slotstore/msync"); err != nil {
 		return err
 	}
-	return msyncRange(s.m, off, n)
+	for _, mp := range s.maps {
+		lo, hi := max(off, mp.off), min(off+n, mp.off+len(mp.m))
+		if err := msyncRange(mp.m, lo-mp.off, hi-lo); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// detach gives the file up after a persistence fault. The mappings stay —
+// they are the shard's cells — but nothing is synced or clean-marked again
+// and later segments come from the Go heap: the file stays dirty on disk.
+func (s *Store) detach() {
+	if s.f != nil {
+		s.f.Close()
+		s.f = nil
+		s.detached.Store(true)
+	}
 }
 
 // --- extent heap ---
 
 // alloc returns an extent of at least n words: the head of its class's free
-// list, or fresh bytes off the end of the heap, growing the file when the
-// heap is full. The free lists are threaded through the free extents' first
-// words and headed in the file header, so allocator state costs the Go heap
-// nothing and survives a clean restart.
+// list, or fresh bytes off the carve window, growing the heap when that is
+// spent. The free lists are threaded through the free extents' first words
+// and headed in the header page, so allocator state costs the Go heap
+// nothing and survives a clean restart. err is a failed file growth; the
+// extent is good regardless.
 func (s *Store) alloc(n int) (off, capBytes int, err error) {
 	class := sizeClass(n)
 	capBytes = classWords(class) * 8
-	head := offFreeHeads + 8*class
-	if off = int(le.Uint64(s.m[head:])); off != 0 {
-		copy(s.m[head:head+8], s.m[off:off+8])
+	head := &s.hdr[offFreeHeads/8+class]
+	if off = int(head.Load()); off != 0 {
+		head.Store(s.dir.Load().words(off, 1)[0].Load())
 		return off, capBytes, nil
 	}
 	if s.heapUsed+capBytes > s.heapSize {
-		if err := s.grow(capBytes); err != nil {
-			return 0, 0, err
+		if off, err = s.grow(capBytes); off != 0 {
+			return off, capBytes, err
 		}
 	}
 	off = s.heapBase + s.heapUsed
 	s.heapUsed += capBytes
-	le.PutUint64(s.m[offHeapUsed:], uint64(s.heapUsed))
-	return off, capBytes, nil
+	s.hdr[offHeapUsed/8].Store(uint64(s.heapUsed))
+	return off, capBytes, err
 }
 
 // free pushes an extent onto its class's free list.
 func (s *Store) free(off, capBytes int) {
-	head := offFreeHeads + 8*sizeClass(capBytes/8)
-	copy(s.m[off:off+8], s.m[head:head+8])
-	le.PutUint64(s.m[head:], uint64(off))
+	head := &s.hdr[offFreeHeads/8+sizeClass(capBytes/8)]
+	s.dir.Load().words(off, 1)[0].Store(head.Load())
+	head.Store(uint64(off))
 	s.dirty.add(off, 8)
 }
 
-// grow extends the file so the heap has room for need more bytes — at least
-// doubling it — and remaps. Only the writer holds the mapping (the live
-// shard serves from memory), so swapping s.m races nobody; callers must not
-// keep slices of the old mapping across it. Growth happens inside a dirty
-// session, so a crash anywhere in here reopens as ErrNeedsRebuild.
-func (s *Store) grow(need int) error {
+// grow publishes a directory with room for an extent of need bytes: a longer
+// file, or — without one, or when it cannot grow, which detaches it — a Go
+// slab. A small extent's slab is a page that becomes the carve window; a big
+// one's is its own size and off names it, the window staying put. Growth is
+// inside a dirty session, so a crash in here reopens as ErrNeedsRebuild.
+func (s *Store) grow(need int) (off int, err error) {
+	dir := *s.dir.Load()
+	if s.f != nil {
+		if dir, err = s.growFile(dir, need); err != nil {
+			s.detach()
+		}
+	}
+	if s.f == nil {
+		lo := len(dir) << pageShift
+		if need >= bigExtent {
+			off = lo
+		} else {
+			need = pageBytes
+			s.heapUsed, s.heapSize = lo-s.heapBase, lo-s.heapBase+pageBytes
+		}
+		// In place: readers of the old directory stop at its length.
+		dir = paged(dir, make([]atomic.Uint64, need/8), pagesFor(need))
+	}
+	s.dir.Store(&dir)
+	return off, err
+}
+
+// growFile extends the file for need more heap bytes — at least doubling it
+// — and maps the new range as one more segment. The mapping starts at the
+// directory page holding the carve point, aliasing what older mappings show
+// of it, so carving continues where it left off and each page from there on
+// has one segment wholly containing its extents; the directory is copied up
+// to that page, older Views keeping theirs. On error it returns dir as it was.
+func (s *Store) growFile(dir directory, need int) (directory, error) {
 	if err := failpoint.Inject("slotstore/grow"); err != nil {
-		return err
+		return dir, err
 	}
 	size := roundUp(max(2*s.heapSize, s.heapUsed+need), growQuantum)
 	if err := s.f.Truncate(int64(s.heapBase + size)); err != nil {
-		return err
+		return dir, err
 	}
-	m, err := mmapFile(s.f, s.heapBase+size)
+	from := (s.heapBase + s.heapUsed) >> pageShift
+	lo := from << pageShift
+	m, err := mmapFile(s.f, lo, s.heapBase+size-lo)
 	if err != nil {
-		return err
+		return dir, err
 	}
-	old := s.m
-	s.m, s.heapSize = m, size
-	le.PutUint64(m[offHeapSize:], uint64(size))
-	return munmapFile(old)
+	s.maps = append(s.maps, mapping{lo, m})
+	s.heapSize = size
+	s.hdr[offHeapSize/8].Store(uint64(size))
+	return paged(dir[:from:from], wordsOf(m), pagesFor(len(m))), nil
 }
 
 // --- writer session ---
 
 // Begin opens one mutation batch: it durably marks the file dirty if this
-// session has not yet, then bumps the generation to odd. A Begin error
-// means the dirty mark could not be proven durable — the caller must not
-// mutate the image (zkv detaches persistence for the shard and carries on
-// memory-only; the file, still stale-but-clean or dirty, stays safe).
+// session has not yet, then bumps the generation to odd. An error means the
+// dirty mark could not be proven durable and the store has detached; the
+// batch is open regardless — the cells are the shard's only copy.
 func (s *Store) Begin() error {
-	if !s.dirtyDurable {
+	var err error
+	if !s.dirtyDurable && s.f != nil {
 		s.setState(StateDirty)
 		s.everDirtied = true
-		if err := s.msync(0, headerBytes); err != nil {
-			return err
+		if err = s.msync(0, headerBytes); err != nil {
+			s.detach()
 		}
-		s.dirtyDurable = true
+		s.dirtyDurable = err == nil
 	}
 	s.setGen(s.Generation() + 1)
-	return nil
+	return err
 }
 
 // End closes the batch: generation back to even, and (in SyncEveryOp mode)
-// an msync of the header page and of the span mutated since the last sync.
+// an msync of the header page and the span mutated since the last sync.
 func (s *Store) End() error {
+	if int64(s.resident) != s.residentPub.Load() {
+		s.residentPub.Store(int64(s.resident))
+	}
 	s.setGen(s.Generation() + 1)
 	if !s.cfg.SyncEveryOp {
 		return nil
 	}
 	d := s.dirty.take()
-	if err := s.msync(0, headerBytes); err != nil || d.hi == 0 {
-		return err
+	err := s.msync(0, headerBytes)
+	if err == nil && d.hi != 0 {
+		err = s.msync(d.lo, d.hi-d.lo)
 	}
-	return s.msync(d.lo, d.hi-d.lo)
+	if err != nil {
+		s.detach()
+	}
+	return err
 }
 
 // SetSlot writes (fp, key, val) into slot id, replacing any previous
 // tenant: in the slot's own extent when the entry fits it, in a larger one
-// otherwise. written reports whether the slot now names the entry. A
-// non-nil error is an injected or real fault (a torn write, a failed file
-// growth); the caller should stop persisting (the file is dirty, so a
-// future Open rebuilds). Must be called between Begin and End.
+// otherwise. Every store is atomic — readers are concurrent. Only an
+// out-of-bounds entry leaves written false; an error beside written is a
+// persistence fault (a failed file growth, an injected write fault) that
+// detached the store, with the entry in place. Call between Begin and End.
 func (s *Store) SetSlot(id int, fp uint64, key, val []byte) (written bool, err error) {
 	if len(key) < 1 || uint64(len(key)) > math.MaxUint32 || uint64(len(val)) > math.MaxUint32 {
 		return false, fmt.Errorf("slotstore: key of %d and value of %d bytes outside the format's bounds", len(key), len(val))
 	}
-	h := s.slot(id)
+	h := s.header(id)
 	s.index = nil
-	s.dirty.add(h, slotBytes)
-	if le.Uint64(s.m[h+slotMeta:]) != 0 {
-		le.PutUint64(s.m[h+slotMeta:], 0)
-		s.resident--
-	}
-	act := failpoint.Eval("slotstore/write")
-	if act.Mode == failpoint.Error {
-		return false, act.Err
+	s.dirty.add(s.slot(id), slotBytes)
+	if h[slotMeta/8].Load() == 0 {
+		s.resident++
 	}
 	kw, vw := wordsFor(len(key)), wordsFor(len(val))
-	off, capBytes := int(le.Uint64(s.m[h+slotOff:])), int(le.Uint64(s.m[h+slotCap:]))
+	off, capBytes := int(h[slotOff/8].Load()), int(h[slotCap/8].Load())
 	if (kw+vw)*8 > capBytes {
 		if capBytes != 0 {
 			s.free(off, capBytes)
 		}
-		if off, capBytes, err = s.alloc(kw + vw); err != nil {
-			le.PutUint64(s.m[h+slotOff:], 0)
-			le.PutUint64(s.m[h+slotCap:], 0)
-			return false, err
+		off, capBytes, err = s.alloc(kw + vw)
+		h[slotOff/8].Store(uint64(off))
+		h[slotCap/8].Store(uint64(capBytes))
+	}
+	if s.f != nil { // still attached: alloc did not fail
+		if err = failpoint.Eval("slotstore/write").Err; err != nil {
+			s.detach()
 		}
-		le.PutUint64(s.m[h+slotOff:], uint64(off))
-		le.PutUint64(s.m[h+slotCap:], uint64(capBytes))
 	}
-	vlen := len(val)
-	if act.Mode == failpoint.Torn && act.Truncate < vlen {
-		// Simulate a torn page write: the value's tail never reaches the
-		// extent, but the header claims it did. The session's dirty mark is
-		// what keeps this from ever being served.
-		vlen -= act.Truncate
-	}
-	// Key words, then value words, each zero-padded to a whole word: the
-	// layout of a zkv cell.
-	m := s.m
-	voff := off + kw*8
-	copy(m[off:], key)
-	clear(m[off+len(key) : voff])
-	copy(m[voff:], val[:vlen])
-	clear(m[voff+len(val) : voff+vw*8])
-	le.PutUint64(m[h+slotFP:], fp)
-	le.PutUint64(m[h+slotMeta:], uint64(len(key))<<32|uint64(len(val)))
-	s.resident++
+	// Key words, then value words, each zero-padded to a whole word.
+	w := s.dir.Load().words(off, kw+vw)
+	storeWords(w, key)
+	storeWords(w[kw:], val)
+	h[slotFP/8].Store(fp)
+	h[slotMeta/8].Store(uint64(len(key))<<32 | uint64(len(val)))
 	s.dirty.add(off, (kw+vw)*8)
-	if act.Mode == failpoint.Torn {
-		return true, act.Err
-	}
-	return true, nil
+	return true, err
 }
 
 // ClearSlot empties slot id (eviction or deletion): one header store. The
 // slot keeps its extent for the next tenant. Must be called between Begin
 // and End.
 func (s *Store) ClearSlot(id int) {
-	h := s.slot(id)
-	if le.Uint64(s.m[h+slotMeta:]) == 0 {
-		return
+	if meta := &s.hdr[slotAt(id)+slotMeta/8]; meta.Load() != 0 {
+		meta.Store(0)
+		s.resident--
+		s.index = nil
+		s.dirty.add(s.slot(id), slotBytes)
 	}
-	le.PutUint64(s.m[h+slotMeta:], 0)
-	s.resident--
-	s.index = nil
-	s.dirty.add(h, slotBytes)
 }
 
-// MoveSlot mirrors a relocation: slot from's entry slides into slot to
+// MoveSlot follows a relocation: slot from's entry slides into slot to
 // (which a preceding eviction or move vacated) by moving its header, and
 // from takes over to's spare extent. A non-resident source clears the
 // destination instead. Must be called between Begin and End.
 func (s *Store) MoveSlot(from, to int) {
-	f, t := s.slot(from), s.slot(to)
-	m := s.m
-	if le.Uint64(m[t+slotMeta:]) != 0 {
+	f, d := s.header(from), s.header(to)
+	if d[slotMeta/8].Load() != 0 {
 		// Defensive: the destination should already be vacated.
 		s.resident--
 	}
-	var spare [16]byte
-	copy(spare[:], m[t+slotOff:t+slotBytes])
-	copy(m[t:t+slotBytes], m[f:f+slotBytes])
-	le.PutUint64(m[f+slotMeta:], 0)
-	copy(m[f+slotOff:f+slotBytes], spare[:])
+	spareOff, spareCap := d[slotOff/8].Load(), d[slotCap/8].Load()
+	for i := range d {
+		d[i].Store(f[i].Load())
+	}
+	f[slotMeta/8].Store(0)
+	f[slotOff/8].Store(spareOff)
+	f[slotCap/8].Store(spareCap)
 	s.index = nil
-	s.dirty.add(f, slotBytes)
-	s.dirty.add(t, slotBytes)
+	s.dirty.add(s.slot(from), slotBytes)
+	s.dirty.add(s.slot(to), slotBytes)
 }
 
-// entry returns the key and value of the resident slot whose header sits at
-// h, as views into the mapping.
-func (s *Store) entry(h int) (key, val []byte) {
-	meta := le.Uint64(s.m[h+slotMeta:])
-	kl, vl := int(meta>>32), int(meta&math.MaxUint32)
-	off := int(le.Uint64(s.m[h+slotOff:]))
-	voff := off + wordsFor(kl)*8
-	return s.m[off : off+kl], s.m[voff : voff+vl]
+// storeWords writes b into w[:wordsFor(len(b))], zero-padding the last word.
+func storeWords(w []atomic.Uint64, b []byte) {
+	i := 0
+	for ; len(b) >= 8; i, b = i+1, b[8:] {
+		w[i].Store(binary.NativeEndian.Uint64(b))
+	}
+	if len(b) > 0 {
+		w[i].Store(tailWord(b))
+	}
 }
 
-// Lookup finds fp's slot and returns views into its mapped extent (valid
-// until the next mutation). The file stores no index: Lookup derives one
-// from the slot table on first use after a mutation, wherever the
-// fingerprints were placed. Intended for tools and tests; the live shard
-// serves from memory.
+// tailWord packs the last, partial word of a key or value, zero-padded.
+func tailWord(b []byte) uint64 {
+	var t [8]byte
+	copy(t[:], b)
+	return binary.NativeEndian.Uint64(t[:])
+}
+
+// wordsEqual reports whether w[:wordsFor(len(b))] holds b. The padding is
+// always zero, so the partial last word compares whole.
+func wordsEqual(w []atomic.Uint64, b []byte) bool {
+	i := 0
+	for ; len(b) >= 8; i, b = i+1, b[8:] {
+		if w[i].Load() != binary.NativeEndian.Uint64(b) {
+			return false
+		}
+	}
+	return len(b) == 0 || w[i].Load() == tailWord(b)
+}
+
+// appendWords appends the n bytes packed in w[:wordsFor(n)] to dst, growing
+// dst at most once.
+func appendWords(dst []byte, w []atomic.Uint64, n int) []byte {
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
+	dst = dst[:len(dst)+n]
+	out := dst[len(dst)-n:]
+	i := 0
+	for ; len(out) >= 8; i, out = i+1, out[8:] {
+		binary.NativeEndian.PutUint64(out, w[i].Load())
+	}
+	if len(out) > 0 {
+		var t [8]byte
+		binary.NativeEndian.PutUint64(t[:], w[i].Load())
+		copy(out, t[:])
+	}
+	return dst
+}
+
+// View is the store as of one moment: its words and the directory then in
+// force. A lock-free reader takes one, notes Seq, probes, and trusts what it
+// read only if Seq is still the same even number; the mutex holder needs no
+// check. Growth never invalidates a View (it just cannot see later
+// segments); Close does, and a View taken after it is Closed. It is two
+// words so that it travels in registers: a by-value copy of the slices
+// themselves cost a store-forwarding stall (~15 ns) at every use.
+type View struct {
+	s   *Store
+	dir *directory
+}
+
+// View returns the store as it stands.
+func (s *Store) View() View { return View{s, s.dir.Load()} }
+
+// Closed reports a View taken after Close: it holds no slots.
+func (v View) Closed() bool { return len(*v.dir) == 0 }
+
+// Seq reads the seqlock generation (odd while a batch is open).
+func (v View) Seq() uint64 { return v.s.hdr[offGeneration/8].Load() }
+
+// FP and Meta read slot id's fingerprint and its meta word, klen<<32|vlen,
+// zero iff the slot is empty.
+func (v View) FP(id int) uint64   { return v.s.hdr[slotAt(id)+slotFP/8].Load() }
+func (v View) Meta(id int) uint64 { return v.s.hdr[slotAt(id)+slotMeta/8].Load() }
+
+// match reports whether slot id, whose meta word the caller loaded, holds
+// key, and returns the value's words when it does. clean=false flags a
+// header this View cannot follow to whole words — a torn window the
+// lock-free caller retries; under the writer's mutex it cannot happen.
+func (v View) match(id int, meta uint64, key []byte) (val []atomic.Uint64, hit, clean bool) {
+	klen, vlen := int(meta>>32), int(uint32(meta))
+	if klen != len(key) {
+		return nil, false, true
+	}
+	kw := wordsFor(klen)
+	w := v.dir.words(int(v.s.hdr[slotAt(id)+slotOff/8].Load()), kw+wordsFor(vlen))
+	if w == nil {
+		return nil, false, false
+	}
+	if !wordsEqual(w, key) {
+		return nil, false, true
+	}
+	return w[kw:], true, true
+}
+
+// Read appends slot id's value to dst if the slot holds key — the one
+// compare-then-copy every Get runs — allocating only if dst lacks the room.
+func (v View) Read(id int, meta uint64, key, dst []byte) (out []byte, hit, clean bool) {
+	val, hit, clean := v.match(id, meta, key)
+	if !hit {
+		return dst, false, clean
+	}
+	return appendWords(dst, val, int(uint32(meta))), true, true
+}
+
+// Holds is the mutex holder's key check on slot id: the verification every
+// fingerprint match needs before it counts.
+func (s *Store) Holds(id int, key []byte) bool {
+	v := s.View()
+	_, hit, _ := v.match(id, v.Meta(id), key)
+	return hit
+}
+
+// Entry returns resident slot id's key and value as views into its extent,
+// valid until the next mutation: for the mutex holder only.
+func (s *Store) Entry(id int) (key, val []byte) {
+	meta := s.hdr[slotAt(id)+slotMeta/8].Load()
+	kl, vl := int(meta>>32), int(uint32(meta))
+	kw := wordsFor(kl)
+	w := s.dir.Load().words(int(s.hdr[slotAt(id)+slotOff/8].Load()), kw+wordsFor(vl))
+	b := unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), len(w)*8)
+	return b[:kl], b[kw*8 : kw*8+vl]
+}
+
+// Lookup finds fp's slot and returns its Entry. There is no stored index:
+// Lookup derives one from the slot table on first use after a mutation,
+// wherever the fingerprints were placed. Intended for tools and tests; the
+// shard finds a key by hashing it to its W slots.
 func (s *Store) Lookup(fp uint64) (key, val []byte, ok bool) {
 	if s.index == nil {
 		s.index, _ = s.deriveIndex()
 	}
-	id, ok := s.index[fp]
-	if !ok {
-		return nil, nil, false
+	if id, ok := s.index[fp]; ok {
+		key, val = s.Entry(int(id))
 	}
-	key, val = s.entry(s.slot(int(id)))
-	return key, val, true
+	return key, val, key != nil
 }
 
 // Range calls fn for every resident slot in slot order, with key and val
-// aliasing the mapped file (copy before retaining). It stops early if fn
-// returns false.
+// aliasing the store (copy before retaining). It stops early if fn returns
+// false.
 func (s *Store) Range(fn func(slot int, fp uint64, key, val []byte) bool) {
+	v := s.View()
 	for id := 0; id < s.cfg.Slots; id++ {
-		h := s.slot(id)
-		if le.Uint64(s.m[h+slotMeta:]) == 0 {
+		if v.Meta(id) == 0 {
 			continue
 		}
-		key, val := s.entry(h)
-		if !fn(id, le.Uint64(s.m[h+slotFP:]), key, val) {
+		if key, val := s.Entry(id); !fn(id, v.FP(id), key, val) {
 			return
 		}
 	}
 }
 
 // Checkpoint publishes a durable clean snapshot: data msync first, then
-// the clean mark, then the header msync. On error the in-memory state
-// reverts to dirty and the next Begin re-proves the dirty mark durable.
+// the clean mark, then the header msync. A store without a file checkpoints
+// trivially; a failure detaches it, with the mark back at dirty.
 func (s *Store) Checkpoint() error {
-	if err := s.msync(0, len(s.m)); err != nil {
-		return err
+	if s.f == nil {
+		return nil
 	}
-	s.dirty = span{}
-	s.setState(StateClean)
-	if err := s.msync(0, headerBytes); err != nil {
+	err := s.msync(0, s.heapBase+s.heapSize)
+	if err == nil {
+		s.dirty = span{}
+		s.setState(StateClean)
+		if err = s.msync(0, headerBytes); err == nil {
+			// The file is clean on disk; the next mutation must re-mark it
+			// dirty durably before touching slots.
+			s.dirtyDurable, s.everDirtied = false, false
+			return nil
+		}
 		s.setState(StateDirty)
-		s.dirtyDurable = false
-		return err
 	}
-	// The file is clean on disk; the next mutation must re-mark it dirty
-	// durably before touching slots.
-	s.dirtyDurable = false
-	s.everDirtied = false
-	return nil
+	s.detach()
+	return err
 }
 
-// Close unmaps and closes the file. clean=true first checkpoints, so the
-// next Open is warm; clean=false leaves the lifecycle state as-is (a
-// dirtied session therefore reopens as ErrNeedsRebuild — the crash path).
-// A session that never mutated the file leaves it bit-identical either
-// way. The "slotstore/close" failpoint turns a clean close into a crashed
-// one, for the chaos suite.
+// Close marks the store closed, so operations that start afterwards find no
+// slots, then unmaps and closes the file. The caller must have quiesced
+// every reader first: a View taken before Close points into memory that is
+// gone. clean=true first checkpoints, so the next Open is warm; clean=false
+// leaves the lifecycle state as-is (a dirtied session therefore reopens as
+// ErrNeedsRebuild — the crash path). A session that never mutated the file
+// leaves it bit-identical either way. The "slotstore/close" failpoint turns
+// a clean close into a crashed one, for the chaos suite.
 func (s *Store) Close(clean bool) error {
-	if s.m == nil {
+	if len(*s.dir.Load()) == 0 {
 		return nil
 	}
 	var err error
@@ -831,21 +1086,20 @@ func (s *Store) Close(clean bool) error {
 		err, clean = e, false
 	}
 	if clean && s.everDirtied {
-		if e := s.Checkpoint(); e != nil && err == nil {
+		err = s.Checkpoint()
+	}
+	s.dir.Store(new(directory))
+	for _, mp := range s.maps {
+		if e := munmapFile(mp.m); e != nil && err == nil {
 			err = e
 		}
 	}
-	if e := s.unmapClose(); e != nil && err == nil {
-		err = e
-	}
-	return err
-}
-
-func (s *Store) unmapClose() error {
-	err := munmapFile(s.m)
-	s.m = nil
-	if e := s.f.Close(); e != nil && err == nil {
-		err = e
+	s.maps, s.m, s.hdr = nil, nil, nil
+	if s.f != nil {
+		if e := s.f.Close(); e != nil && err == nil {
+			err = e
+		}
+		s.f = nil
 	}
 	return err
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"zcache/internal/failpoint"
@@ -235,8 +236,8 @@ func TestCorruptCellNeedsRebuild(t *testing.T) {
 }
 
 // TestGrowthCrashAndCleanClose fills the store past its initial heap inside
-// one dirty session, so the file grows (ftruncate + remap) under live
-// entries. Killed without Close, the grown file needs a rebuild; closed
+// one dirty session, so the file grows (ftruncate + one more mapping) under
+// live entries. Killed without Close, the grown file needs a rebuild; closed
 // cleanly, it reopens warm with every byte intact.
 func TestGrowthCrashAndCleanClose(t *testing.T) {
 	cfg := testConfig()
@@ -244,12 +245,12 @@ func TestGrowthCrashAndCleanClose(t *testing.T) {
 	for _, clean := range []bool{false, true} {
 		path := filepath.Join(t.TempDir(), "shard.slc")
 		s := mustCreate(t, path, cfg)
-		initial := len(s.m)
+		initial := s.heapBase + s.heapSize
 		for i := 0; i < cfg.Slots; i++ {
 			put(t, s, fmt.Sprintf("grow-%02d", i), string(val[:len(val)-i]), i)
 		}
-		if len(s.m) <= initial {
-			t.Fatalf("mapping is still %d bytes after %d KiB of entries", len(s.m), cfg.Slots)
+		if s.heapBase+s.heapSize <= initial || len(s.maps) < 2 {
+			t.Fatalf("file is still %d bytes in %d mappings after %d KiB of entries", s.heapBase+s.heapSize, len(s.maps), cfg.Slots)
 		}
 		if err := s.Close(clean); err != nil {
 			t.Fatal(err)
@@ -277,8 +278,10 @@ func TestGrowthCrashAndCleanClose(t *testing.T) {
 	}
 }
 
-// TestGrowFailpointFailsSetSlot: a failed file growth is a SetSlot error,
-// the slot is left empty, and the dirty file needs a rebuild.
+// TestGrowFailpointFailsSetSlot: a failed file growth is a SetSlot error
+// that detaches the store — the entry lands in a Go-heap segment and is
+// served, later writes keep working, and the file is never clean-marked
+// again, so even a clean close leaves it needing a rebuild.
 func TestGrowFailpointFailsSetSlot(t *testing.T) {
 	defer failpoint.Reset()
 	path := filepath.Join(t.TempDir(), "shard.slc")
@@ -289,15 +292,28 @@ func TestGrowFailpointFailsSetSlot(t *testing.T) {
 	if err := s.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	written, err := s.SetSlot(3, fp, []byte("k"), make([]byte, 1<<16))
-	if err == nil || written {
-		t.Fatalf("SetSlot through a failing growth = %t, %v", written, err)
+	big := bytes.Repeat([]byte("grown"), 1<<14)
+	written, err := s.SetSlot(3, fp, []byte("k"), big)
+	if err == nil || !written || !s.Detached() {
+		t.Fatalf("SetSlot through a failing growth = %t, %v, detached %t", written, err, s.Detached())
 	}
 	s.End()
-	if _, _, ok := s.Lookup(fp); ok || s.Resident() != 0 {
-		t.Fatal("failed overwrite left the stale entry resident")
+	failpoint.Reset()
+	if _, v, ok := s.Lookup(fp); !ok || !bytes.Equal(v, big) || s.Resident() != 1 {
+		t.Fatal("entry written through the failed growth is not served")
 	}
-	if err := s.Close(false); err != nil {
+	// Small and large entries after the fault come from heap segments too.
+	for i := 0; i < 40; i++ {
+		val := strings.Repeat(string(rune('a'+i%26)), 100+i*700)
+		fpI := put(t, s, fmt.Sprintf("after-%02d", i), val, 4+i)
+		if _, v, ok := s.Lookup(fpI); !ok || string(v) != val {
+			t.Fatalf("entry %d written after the fault: %d bytes, %t", i, len(v), ok)
+		}
+	}
+	if _, v, ok := s.Lookup(fp); !ok || !bytes.Equal(v, big) {
+		t.Fatal("later writes disturbed the entry written through the fault")
+	}
+	if err := s.Close(true); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(path, cfg); !errors.Is(err, ErrNeedsRebuild) {
@@ -681,5 +697,57 @@ func TestSyncSpan(t *testing.T) {
 	defer s2.Close(true)
 	if _, v, ok := s2.Lookup(fp); !ok || len(v) != 2*old {
 		t.Fatalf("grown entry: %d bytes, %t", len(v), ok)
+	}
+}
+
+// TestViewsSurviveGrowth pins the reader's side of growth on both backings:
+// a View taken before the store grew keeps reading what it could already
+// see — nothing moved, nothing was unmapped — reports an entry in a segment
+// added since as unreadable (never a wrong value), and a fresh View reads
+// everything, small extents and ones big enough for a slab of their own.
+func TestViewsSurviveGrowth(t *testing.T) {
+	cfg := testConfig()
+	for name, open := range map[string]func(t *testing.T) *Store{
+		"heap": func(*testing.T) *Store { return NewHeap(cfg.Slots) },
+		"file": func(t *testing.T) *Store { return mustCreate(t, filepath.Join(t.TempDir(), "shard.slc"), cfg) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := open(t)
+			defer s.Close(false)
+			val := func(i int) string { return strings.Repeat(string(rune('A'+i%26)), 30+i*i*40) } // to ~160 KiB
+			key := func(i int) string { return fmt.Sprintf("grow-%02d", i) }
+			read := func(v View, i int) (string, bool, bool) {
+				out, hit, clean := v.Read(i, v.Meta(i), []byte(key(i)), nil)
+				return string(out), hit, clean
+			}
+			put(t, s, key(0), val(0), 0)
+			old := s.View()
+			segments := func() int { return len(*s.dir.Load()) }
+			before := segments()
+			for i := 1; i < cfg.Slots; i++ {
+				put(t, s, key(i), val(i), i)
+			}
+			if segments() < before+4 {
+				t.Fatalf("directory went from %d to %d pages: the store barely grew", before, segments())
+			}
+			if got, hit, clean := read(old, 0); !hit || !clean || got != val(0) {
+				t.Fatalf("old view lost the entry it could see: hit %t clean %t", hit, clean)
+			}
+			stale := 0
+			for i := 0; i < cfg.Slots; i++ {
+				if got, hit, clean := read(s.View(), i); !hit || !clean || got != val(i) {
+					t.Fatalf("fresh view, entry %d: hit %t clean %t, %d bytes", i, hit, clean, len(got))
+				}
+				switch got, hit, clean := read(old, i); {
+				case !clean:
+					stale++
+				case !hit || got != val(i):
+					t.Fatalf("old view served entry %d wrong: hit %t, %d bytes", i, hit, len(got))
+				}
+			}
+			if stale == 0 {
+				t.Fatal("old view reached every extent: no entry landed in a newer segment")
+			}
+		})
 	}
 }

@@ -10,20 +10,19 @@ import (
 	"zcache/internal/slotstore"
 )
 
-// Persistence: each shard optionally mirrors its slot cells into one
-// slotstore file (PersistDir/shard-NNN.slc) through the same SlotObserver
-// events that keep the in-memory cells aligned with the tag array. The
-// mirror is write-through into an mmap (no syscalls on the hot path unless
-// PersistSync is set), bracketed per mutation by the store's seqlock.
+// Persistence: with a PersistDir, each shard's cell store is one mapped
+// slotstore file (PersistDir/shard-NNN.slc) instead of Go-heap slabs, under
+// the same serving code (no syscalls on it unless PersistSync is set). This
+// file opens and attaches the shard files, closes them, and reports.
 //
-// On Open, a shard whose file validates warm is reloaded slot for slot via
-// cache.Adopt, so the tag array — and therefore future eviction decisions —
-// reproduces the pre-shutdown state exactly. A file that reports
-// ErrNeedsRebuild (crashed writer) or ErrInvalidFormat (foreign geometry)
-// is recreated empty: the shard starts cold, which is always safe. A shard
-// that hits a persistence I/O error mid-flight detaches its mirror and
-// carries on memory-only; the abandoned file stays marked dirty on disk, so
-// the next boot rebuilds it rather than trusting a half-written image.
+// On Open, a shard whose file validates warm has its tags re-placed slot for
+// slot via cache.Adopt — the entries are already where the shard reads them —
+// so the tag array, and therefore future eviction decisions, reproduces the
+// pre-shutdown state exactly. A file that reports ErrNeedsRebuild (crashed
+// writer) or ErrInvalidFormat (foreign geometry) is recreated empty: a cold
+// shard is always safe. A shard whose file hits an I/O error mid-flight
+// detaches from it and carries on in the same memory; the file stays marked
+// dirty on disk, so the next boot rebuilds it rather than trusting it.
 
 // PersistReport summarizes the persistence layer for logs and metrics.
 type PersistReport struct {
@@ -39,26 +38,12 @@ type PersistReport struct {
 	Rebuilds int
 	// WarmEntries is the total number of entries restored at open.
 	WarmEntries int
-	// Detached counts shards that dropped persistence after an I/O error.
+	// Detached counts shards cut off from their file by an I/O error.
 	Detached int
 }
 
 func (s *Store) persistPath(i int) string {
 	return filepath.Join(s.cfg.PersistDir, fmt.Sprintf("shard-%03d.slc", i))
-}
-
-func (s *Store) persistCfg(i int) slotstore.Config {
-	return slotstore.Config{
-		Slots:       s.cfg.Ways * int(s.cfg.Rows),
-		SyncEveryOp: s.cfg.PersistSync,
-		Seed:        shardSeed(s.cfg.Seed, i),
-		Ways:        s.cfg.Ways,
-		Levels:      s.cfg.Levels,
-		Rows:        s.cfg.Rows,
-		Policy:      uint32(s.cfg.Policy),
-		Shard:       i,
-		ShardCount:  s.cfg.Shards,
-	}
 }
 
 // openPersist attaches a slot store to every shard: warm when the file
@@ -71,6 +56,7 @@ func (s *Store) openPersist() error {
 	if err := os.MkdirAll(s.cfg.PersistDir, 0o755); err != nil {
 		return err
 	}
+	s.persist.Enabled, s.persist.Dir = true, s.cfg.PersistDir
 	for i := range s.shards {
 		if err := s.attachPersist(i); err != nil {
 			return err
@@ -81,149 +67,98 @@ func (s *Store) openPersist() error {
 
 func (s *Store) attachPersist(i int) error {
 	sh := s.shards[i]
-	pcfg := s.persistCfg(i)
+	pcfg := slotstore.Config{
+		Slots:       s.cfg.Ways * int(s.cfg.Rows),
+		SyncEveryOp: s.cfg.PersistSync,
+		Seed:        shardSeed(s.cfg.Seed, i),
+		Ways:        s.cfg.Ways,
+		Levels:      s.cfg.Levels,
+		Rows:        s.cfg.Rows,
+		Policy:      uint32(s.cfg.Policy),
+		Shard:       i,
+		ShardCount:  s.cfg.Shards,
+	}
 	path := s.persistPath(i)
-	ps, err := slotstore.Open(path, pcfg)
+	cells, err := slotstore.Open(path, pcfg)
 	if err == nil {
-		if sh.adoptFrom(ps, s.cfg.MaxKeyBytes, s.cfg.MaxValBytes) {
-			sh.ps = ps
-			s.warmShards++
-			s.warmEntries += sh.resident
+		if sh.adopt(cells, s.cfg.MaxKeyBytes, s.cfg.MaxValBytes) {
+			sh.cells = cells
+			s.persist.WarmShards++
+			s.persist.WarmEntries += cells.Resident()
 			return nil
 		}
 		// Adoption failed partway: the image contradicted its own geometry
 		// stamp. Discard both the image and the partially-adopted core —
 		// a cold shard is always safe, a half-warm one is not.
-		ps.Close(false)
+		cells.Close(false)
 		fresh, ferr := newShard(s.cfg, i)
 		if ferr != nil {
 			return ferr
 		}
 		s.shards[i] = fresh
 		sh = fresh
-		s.rebuilds++
+		s.persist.Rebuilds++
 	} else if errors.Is(err, slotstore.ErrNeedsRebuild) {
-		s.rebuilds++
+		s.persist.Rebuilds++
 	} else if !errors.Is(err, slotstore.ErrInvalidFormat) && !os.IsNotExist(err) {
 		return fmt.Errorf("zkv: shard %d persistence: %w", i, err)
 	}
-	ps, err = slotstore.Create(path, pcfg)
-	if err != nil {
+	if sh.cells, err = slotstore.Create(path, pcfg); err != nil {
 		return fmt.Errorf("zkv: shard %d persistence: %w", i, err)
 	}
-	sh.ps = ps
-	s.coldShards++
+	s.persist.ColdShards++
 	return nil
 }
 
-// adoptFrom replays a validated slot image into the shard core, slot for
-// slot. It returns false if any placement is rejected (the caller rebuilds
-// the shard cold). Entries that no longer fit the store's key/value bounds
-// are dropped from the image rather than adopted.
-func (sh *shard) adoptFrom(ps *slotstore.Store, maxKey, maxVal int) bool {
+// adopt places a validated image's tags in the shard core, slot for slot,
+// reporting false if a placement is rejected (the caller rebuilds the shard
+// cold). Entries over the store's key/value bounds are dropped, not adopted.
+func (sh *shard) adopt(cells *slotstore.Store, maxKey, maxVal int) bool {
 	ok := true
 	var drop []int
-	ps.Range(func(slot int, fp uint64, key, val []byte) bool {
+	cells.Range(func(slot int, fp uint64, key, val []byte) bool {
 		if len(key) > maxKey || len(val) > maxVal {
 			drop = append(drop, slot)
 			return true
 		}
-		if err := sh.c.Adopt(repl.BlockID(slot), fp); err != nil {
-			ok = false
-			return false
-		}
-		sh.publishCell(repl.BlockID(slot), fp, key, val)
-		sh.resident++
-		return true
+		ok = sh.c.Adopt(repl.BlockID(slot), fp) == nil
+		return ok
 	})
-	if !ok {
-		return false
-	}
-	if len(drop) > 0 {
-		if ps.Begin() != nil {
-			return false
-		}
+	if ok && len(drop) > 0 {
+		ok = cells.Begin() == nil
 		for _, id := range drop {
-			ps.ClearSlot(id)
+			cells.ClearSlot(id)
 		}
-		if ps.End() != nil {
-			return false
-		}
+		ok = cells.End() == nil && ok
 	}
-	return true
+	return ok
 }
 
-// psBegin opens the mirror's mutation batch for one locked shard op. It
-// returns false — with the mirror detached — if the dirty mark cannot be
-// made durable, in which case the caller must not mirror the mutation.
-func (sh *shard) psBegin() bool {
-	if sh.ps == nil {
-		return false
-	}
-	if err := sh.ps.Begin(); err != nil {
-		sh.psDetach()
-		return false
-	}
-	return true
-}
-
-// psEnd closes the batch opened by psBegin.
-func (sh *shard) psEnd() {
-	if sh.ps == nil {
-		return
-	}
-	if err := sh.ps.End(); err != nil {
-		sh.psDetach()
-	}
-}
-
-// psDetach drops the shard's mirror after a persistence fault: the shard
-// carries on memory-only, and the file — still marked dirty on disk —
-// triggers a rebuild on the next boot instead of serving a torn image.
-func (sh *shard) psDetach() {
-	if sh.ps == nil {
-		return
-	}
-	sh.ps.Close(false)
-	sh.ps = nil
-	sh.psDetached = true
-}
-
-// Close cleanly shuts down the persistence layer: every shard's mirror is
-// checkpointed (data msync, then the clean mark) so the next Open is warm.
-// A store without persistence closes trivially. The store must not be used
-// after Close.
+// Close checkpoints every shard file (data msync, then the clean mark), so
+// the next Open is warm, and unmaps it. The caller must have quiesced the
+// store: an operation still inside a shard may be reading memory Close
+// unmaps. Operations that start after Close returns find nothing — Get
+// misses, Set returns ErrClosed, Delete, MigrateRange and ForgetRange report
+// zero.
 func (s *Store) Close() error {
 	var first error
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		if sh.ps != nil {
-			if err := sh.ps.Close(true); err != nil && first == nil {
-				first = err
-			}
-			sh.ps = nil
+		if err := sh.cells.Close(true); err != nil && first == nil {
+			first = err
 		}
 		sh.mu.Unlock()
 	}
 	return first
 }
 
-// Persist reports the persistence layer's state.
+// Persist reports the persistence layer's state, without taking a lock.
 func (s *Store) Persist() PersistReport {
-	r := PersistReport{
-		Enabled:     s.cfg.PersistDir != "",
-		Dir:         s.cfg.PersistDir,
-		WarmShards:  s.warmShards,
-		ColdShards:  s.coldShards,
-		Rebuilds:    s.rebuilds,
-		WarmEntries: s.warmEntries,
-	}
+	r := s.persist
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if sh.psDetached {
+		if sh.cells.Detached() {
 			r.Detached++
 		}
-		sh.mu.Unlock()
 	}
 	return r
 }

@@ -3,6 +3,7 @@ package zkv
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"zcache/internal/failpoint"
@@ -60,15 +61,38 @@ func verifyKeys(t testing.TB, s *Store, n int) int {
 	return hits
 }
 
-// abandon simulates kill -9: every shard's mirror is dropped without the
+// growAfterFault keeps writing to a store whose shard files have detached:
+// values from a few bytes to past a directory page, on new keys and over old
+// ones, each read back at once and all of them again at the end.
+func growAfterFault(t *testing.T, s *Store) {
+	t.Helper()
+	val := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 40+i*i*90) }
+	const n = 30 // up to ~76 KiB
+	for round := 0; round < 2; round++ {
+		for i := 0; i < n; i++ {
+			key := []byte(fmt.Sprintf("after-fault-%02d", (i+round*7)%n))
+			if err := s.Set(key, val(i)); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := s.Get(key, nil); !ok || !bytes.Equal(got, val(i)) {
+				t.Fatalf("round %d: %d-byte value written after the fault reads back as %d bytes, hit %t", round, len(val(i)), len(got), ok)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		key := []byte(fmt.Sprintf("after-fault-%02d", (i+7)%n))
+		if got, ok := s.Get(key, nil); !ok || !bytes.Equal(got, val(i)) {
+			t.Fatalf("%d-byte value written after the fault: %d bytes, hit %t at the end", len(val(i)), len(got), ok)
+		}
+	}
+}
+
+// abandon simulates kill -9: every shard's file is dropped without the
 // clean mark, exactly the on-disk state a crashed process leaves.
 func abandon(s *Store) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		if sh.ps != nil {
-			sh.ps.Close(false)
-			sh.ps = nil
-		}
+		sh.cells.Close(false)
 		sh.mu.Unlock()
 	}
 }
@@ -253,7 +277,8 @@ func TestPersistMaxValueRoundTrip(t *testing.T) {
 
 // TestPersistGrowFaultDetaches: a shard file that cannot grow is a
 // persistence fault like any other — the shard detaches and keeps serving
-// from memory, and the abandoned dirty file rebuilds on the next boot.
+// and writing in memory (the mapping it had, Go-heap segments from here on),
+// and the abandoned dirty file rebuilds on the next boot.
 func TestPersistGrowFaultDetaches(t *testing.T) {
 	skipNoPersist(t)
 	defer failpoint.Reset()
@@ -275,10 +300,17 @@ func TestPersistGrowFaultDetaches(t *testing.T) {
 		t.Fatalf("detached = %d, want 1", rep.Detached)
 	}
 	if got, ok := s.Get([]byte("big-key"), nil); !ok || len(got) != len(big) {
-		t.Fatal("entry whose mirror write failed is not served from memory")
+		t.Fatal("entry written through the failed growth is not served")
 	}
 	if hits := verifyKeys(t, s, 16); hits != 16 {
 		t.Fatalf("memory hits = %d, want 16", hits)
+	}
+	growAfterFault(t, s)
+	if got, ok := s.Get([]byte("big-key"), nil); !ok || !bytes.Equal(got, big) {
+		t.Fatal("later writes disturbed the entry written through the failed growth")
+	}
+	if hits := verifyKeys(t, s, 16); hits != 16 {
+		t.Fatalf("memory hits = %d after more writes, want 16", hits)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -294,8 +326,9 @@ func TestPersistGrowFaultDetaches(t *testing.T) {
 }
 
 // TestPersistDetachOnFault: a persistence I/O fault mid-flight detaches the
-// mirror — the store keeps serving from memory — and the abandoned dirty
-// file forces a rebuild on the next boot instead of a torn warm image.
+// shard from its file — the store keeps serving and writing in memory — and
+// the abandoned dirty file forces a rebuild on the next boot instead of a
+// torn warm image.
 func TestPersistDetachOnFault(t *testing.T) {
 	skipNoPersist(t)
 	defer failpoint.Reset()
@@ -317,6 +350,10 @@ func TestPersistDetachOnFault(t *testing.T) {
 	// Memory serving is unaffected.
 	if hits := verifyKeys(t, s, 64); hits != 64 {
 		t.Fatalf("memory hits = %d, want 64", hits)
+	}
+	growAfterFault(t, s)
+	if hits := verifyKeys(t, s, 64); hits != 64 {
+		t.Fatalf("memory hits = %d after more writes, want 64", hits)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -346,8 +383,7 @@ func TestPersistShardFilesAreIndependent(t *testing.T) {
 	}
 	fillKeys(t, s, s.Capacity()/2)
 	// Crash shard 0 only; close shard 1 cleanly.
-	s.shards[0].ps.Close(false)
-	s.shards[0].ps = nil
+	s.shards[0].cells.Close(false)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -385,9 +421,9 @@ func persistBenchStore(b *testing.B) (*Store, int) {
 	return s, n
 }
 
-// BenchmarkZKVGetPersist and BenchmarkZKVSetPersist guard the acceptance
-// criterion that persistence keeps the hot path at 0 allocs/op: the mirror
-// writes straight into the mmap, no buffers, no syscalls (PersistSync off).
+// BenchmarkZKVGetPersist and BenchmarkZKVSetPersist time the hot path on
+// mapped cells: straight into the mmap, no buffers, no syscalls (PersistSync
+// off), 0 allocs/op (TestSetAllocs and TestGetAllocs gate that in tier 1).
 func BenchmarkZKVGetPersist(b *testing.B) {
 	s, n := persistBenchStore(b)
 	var key [8]byte

@@ -16,7 +16,8 @@ import (
 // for resident keys whose ring point lies in the arc (start, end], scanning
 // globally slot-ordered from cursor. It stops once the appended entry bytes
 // reach maxBytes (always emitting at least one entry per call while any
-// remain), and returns the cursor to resume from — 0 when the scan is done.
+// remain), and returns the cursor to resume from — 0 when the scan is done,
+// which is at once on a closed store.
 //
 // The scan is a point-in-time slot sweep, not a snapshot: entries relocated
 // by concurrent writes can be missed or repeated across pages. The resharding
@@ -25,19 +26,20 @@ func (s *Store) MigrateRange(start, end, cursor uint64, maxBytes int, dst []byte
 	blocks := uint64(s.cfg.Ways) * s.cfg.Rows
 	total := uint64(s.cfg.Shards) * blocks
 	base := len(dst)
-	var key, val, scratch []byte // every entry decodes through scratch
 	for gi := cursor; gi < total; {
 		si := int(gi / blocks)
 		sh := s.shards[si]
 		segEnd := (uint64(si) + 1) * blocks
-		sh.mu.Lock()
+		if !sh.lock() {
+			return dst, 0, count
+		}
 		for ; gi < segEnd; gi++ {
 			id := repl.BlockID(gi % blocks)
 			fp, ok := sh.arr.SlotLine(id)
 			if !ok || !zkvproto.InArc(zkvproto.RingPoint(fp), start, end) {
 				continue
 			}
-			key, val, scratch = sh.entry(id, scratch)
+			key, val := sh.cells.Entry(int(id))
 			if count > 0 && len(dst)-base+zkvproto.MigrateEntrySize(len(key), len(val)) > maxBytes {
 				sh.mu.Unlock()
 				return dst, gi, count
@@ -53,13 +55,14 @@ func (s *Store) MigrateRange(start, end, cursor uint64, maxBytes int, dst []byte
 // ForgetRange invalidates every resident key whose ring point lies in the
 // arc (start, end], returning how many were dropped. Drops are handoffs, not
 // demand evictions: they bypass the eviction counters and the evict hook,
-// and each shard's batch publishes through the seqlock and the persistent
-// mirror exactly like a Delete.
+// and each shard's batch publishes through the cell store exactly like a
+// Delete. A closed store drops nothing.
 func (s *Store) ForgetRange(start, end uint64) (dropped int) {
 	var lines []uint64
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.drainTouches()
+		if !sh.lock() {
+			return dropped
+		}
 		lines = lines[:0]
 		blocks := repl.BlockID(sh.arr.Blocks())
 		for id := repl.BlockID(0); id < blocks; id++ {
@@ -68,17 +71,7 @@ func (s *Store) ForgetRange(start, end uint64) (dropped int) {
 			}
 		}
 		if len(lines) > 0 {
-			mirrored := sh.psBegin()
-			sh.seq.Add(1)
-			sh.deleting = true
-			for _, fp := range lines {
-				sh.c.Invalidate(fp)
-			}
-			sh.deleting = false
-			sh.seq.Add(1)
-			if mirrored {
-				sh.psEnd()
-			}
+			sh.invalidate(lines...)
 			dropped += len(lines)
 		}
 		sh.mu.Unlock()
@@ -86,23 +79,17 @@ func (s *Store) ForgetRange(start, end uint64) (dropped int) {
 	return dropped
 }
 
-// Checkpoint publishes a durable clean snapshot of every persistent shard
-// mirror (data msync, then the clean mark) without closing the store. A
-// resharding source calls this after ForgetRange so its on-disk image
-// reflects the handed-off state; a store without persistence checkpoints
-// trivially. A shard whose checkpoint faults detaches its mirror (memory-only
-// from then on, dirty on disk — the standard rebuild signal).
+// Checkpoint publishes a durable clean snapshot of every shard file (data
+// msync, then the clean mark) without closing the store. A resharding source
+// calls this after ForgetRange so its on-disk image reflects the handed-off
+// state; a store without persistence checkpoints trivially. A shard whose
+// checkpoint faults detaches from its file and serves on.
 func (s *Store) Checkpoint() error {
 	var first error
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		if sh.ps != nil {
-			if err := sh.ps.Checkpoint(); err != nil {
-				sh.psDetach()
-				if first == nil {
-					first = err
-				}
-			}
+		if err := sh.cells.Checkpoint(); err != nil && first == nil {
+			first = err
 		}
 		sh.mu.Unlock()
 	}

@@ -515,8 +515,8 @@ func (s *Server) serveMigrate(req *zkvproto.Request, resp *zkvproto.Response) {
 	s.migrateBytes.Add(uint64(len(page)))
 }
 
-// serveForget drops an arc's entries and clean-marks the persistent shard
-// mirrors, so the on-disk image a crash would restore reflects the handoff.
+// serveForget drops an arc's entries and clean-marks the shard files, so the
+// on-disk image a crash would restore reflects the handoff.
 func (s *Server) serveForget(req *zkvproto.Request, resp *zkvproto.Response) {
 	if s.cfg.DisableMigration {
 		resp.Status = zkvproto.StatusErr
@@ -530,8 +530,8 @@ func (s *Server) serveForget(req *zkvproto.Request, resp *zkvproto.Response) {
 		return
 	}
 	dropped := s.store.ForgetRange(freq.Start, freq.End)
-	// Best effort: a checkpoint fault detaches the mirror (standard rebuild
-	// signal) but the forget itself succeeded.
+	// Best effort: a checkpoint fault detaches the shard from its file
+	// (standard rebuild signal) but the forget itself succeeded.
 	s.store.Checkpoint()
 	s.forgets.Add(1)
 	s.forgetDropped.Add(uint64(dropped))

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"os"
 	"sync"
 	"testing"
 
@@ -69,14 +70,17 @@ func tornCheck(val []byte, k uint64) error {
 // regrown and republished under the readers and keys end mid-word. A reader
 // that ever observes a mix of two versions (a torn seqlock window that
 // validated), a length from another version, or a value belonging to a
-// different key fails loudly. Run under -race in the CI chaos job, this also
-// proves the seqlock protocol is free of data races, not just free of
-// observable tears.
+// different key fails loudly. It runs on both backings: extents are
+// reallocated as values grow, and the file-backed store also grows its file
+// — one more mapping each time — under the readers. Run under -race in the CI
+// chaos job, the heap-backed case also proves the seqlock protocol is free of
+// data races, not just free of observable tears (the race detector does not
+// track a mapping's memory; the stress itself covers that case).
 func TestTornValueUnderRelocationStress(t *testing.T) {
-	s, err := Open(Config{Shards: 1, Ways: 4, Rows: 64, Levels: 2, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eachBacking(t, Config{Shards: 1, Ways: 4, Rows: 64, Levels: 2, Seed: 42}, testTornValue)
+}
+
+func testTornValue(t *testing.T, s *Store) {
 	const (
 		keys    = 512 // 2x capacity: every Set can trigger a walk + chain
 		readers = 4
@@ -152,4 +156,15 @@ func TestTornValueUnderRelocationStress(t *testing.T) {
 	}
 	t.Logf("gets %d (hits %d, locked fallbacks %d), sets %d, relocations %d, evictions %d",
 		st.Gets, st.GetHits, st.GetLocked, st.Sets, st.Relocations, st.Evictions)
+	if s.cfg.PersistDir != "" {
+		// A fresh file has 64 heap bytes per slot and at least doubles per
+		// growth: four times that is two growths under the readers.
+		fi, err := os.Stat(s.persistPath(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slots := int64(s.Capacity()); fi.Size() < 4096+32*slots+4*64*slots {
+			t.Fatalf("shard file is %d bytes: it did not grow twice under the readers", fi.Size())
+		}
+	}
 }

@@ -7,7 +7,7 @@
 // The store does not fork the eviction core: each shard wraps the same
 // cache.Cache controller the simulator's L2 banks use, driving it through
 // the slot-returning access paths (Peek/Touch/AccessSlot) and keeping one
-// key/value cell per slot (seqlock.go) aligned with the tag array via
+// key/value cell per slot (internal/slotstore) aligned with the tag array via
 // cache.SlotObserver. Replaying a trace through a one-shard store and
 // through a simulator-built cache therefore yields bit-identical eviction
 // victim sequences — the guarantee the equivalence harness (ReplayEquiv)
@@ -22,7 +22,9 @@
 package zkv
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -94,9 +96,9 @@ type Config struct {
 	MaxKeyBytes int
 	MaxValBytes int
 
-	// PersistDir, when non-empty, mirrors every shard into an mmap'd
+	// PersistDir, when non-empty, keeps every shard's cells in an mmap'd
 	// slotstore file under this directory and warm-restores from valid
-	// images at Open (see internal/slotstore). Empty disables persistence.
+	// images at Open (see internal/slotstore). Empty: the Go heap.
 	PersistDir string
 	// PersistSync msyncs each mutation's dirty range before the operation
 	// returns (crash-bounded loss, large throughput cost). Off, durability
@@ -139,11 +141,8 @@ type Store struct {
 	mask      uint64
 	shardSalt uint64
 
-	// Persistence open-time outcome (immutable after Open; see persist.go).
-	warmShards  int
-	coldShards  int
-	rebuilds    int
-	warmEntries int
+	// persist is the open-time outcome (immutable after Open; persist.go).
+	persist PersistReport
 }
 
 // Open builds a store from cfg (zero fields defaulted).
@@ -155,8 +154,8 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.MaxKeyBytes < 1 || cfg.MaxKeyBytes > 1<<16-1 {
 		return nil, fmt.Errorf("zkv: max key bytes must be in [1, 65535], got %d", cfg.MaxKeyBytes)
 	}
-	if cfg.MaxValBytes < 1 {
-		return nil, fmt.Errorf("zkv: max value bytes must be positive, got %d", cfg.MaxValBytes)
+	if cfg.MaxValBytes < 1 || uint64(cfg.MaxValBytes) > math.MaxUint32 {
+		return nil, fmt.Errorf("zkv: max value bytes must be in [1, 2^32), got %d", cfg.MaxValBytes)
 	}
 	s := &Store{
 		cfg:       cfg,
@@ -197,9 +196,9 @@ func (s *Store) shardFor(fp uint64) *shard {
 // whether the key was resident. A hit touches the replacement ranking
 // exactly like a read hit in the simulator (the touch is deferred through
 // the shard's ring; see seqlock.go). GETs do not take the shard mutex:
-// they validate against the shard's sequence counter and retry if a
+// they validate against the cell store's generation and retry if a
 // mutation raced, so readers never wait behind a relocation chain. Steady
-// state allocates nothing when dst has capacity.
+// state allocates nothing when dst has capacity. A closed store misses.
 func (s *Store) Get(key, dst []byte) ([]byte, bool) {
 	if len(key) == 0 || len(key) > s.cfg.MaxKeyBytes {
 		return dst, false
@@ -207,6 +206,9 @@ func (s *Store) Get(key, dst []byte) ([]byte, bool) {
 	fp := hash.Bytes64(key)
 	return s.shardFor(fp).getLockFree(fp, key, dst)
 }
+
+// ErrClosed is what a mutation of a closed store returns.
+var ErrClosed = errors.New("zkv: store is closed")
 
 // Set stores val under key, evicting (and possibly relocating) resident
 // entries through the zcache replacement walk when the shard is full at
@@ -221,11 +223,10 @@ func (s *Store) Set(key, val []byte) error {
 	}
 	fp := hash.Bytes64(key)
 	sh := s.shardFor(fp)
-	sh.mu.Lock()
-	sh.drainTouches()
-	sh.seq.Add(1)
+	if !sh.lock() {
+		return ErrClosed
+	}
 	sh.set(fp, key, val)
-	sh.seq.Add(1)
 	sh.mu.Unlock()
 	return nil
 }
@@ -237,25 +238,16 @@ func (s *Store) Delete(key []byte) bool {
 	}
 	fp := hash.Bytes64(key)
 	sh := s.shardFor(fp)
-	sh.mu.Lock()
-	sh.drainTouches()
-	sh.seq.Add(1)
+	if !sh.lock() {
+		return false
+	}
 	ok := sh.del(fp, key)
-	sh.seq.Add(1)
 	sh.mu.Unlock()
 	return ok
 }
 
-// Len returns the number of resident entries.
-func (s *Store) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += sh.resident
-		sh.mu.Unlock()
-	}
-	return n
-}
+// Len returns the number of resident entries. Like Stats it takes no lock.
+func (s *Store) Len() int { return s.Stats().Resident }
 
 // SetEvictHook attaches fn to every shard's demand evictions (the evicted
 // entry's fingerprint). The equivalence harnesses — zkv's own and the
@@ -302,29 +294,31 @@ type Stats struct {
 	WalkDepth [WalkHistBuckets]uint64
 }
 
-// Stats snapshots and sums every shard's counters.
+// Stats sums every shard's counters without taking a lock: a scrape never
+// stalls a writer, and sees each counter whole though not all at one instant.
 func (s *Store) Stats() Stats {
 	out := Stats{Shards: s.cfg.Shards, Capacity: s.Capacity()}
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		out.Resident += sh.resident
+		out.Resident += sh.cells.Resident()
 		out.Gets += sh.gets.Load()
 		out.GetHits += sh.getHits.Load()
 		out.GetMisses += sh.getMisses.Load()
 		out.GetLocked += sh.getLocked.Load()
-		out.Sets += sh.sets
-		out.Inserts += sh.inserts
-		out.Overwrites += sh.overwrites
-		out.Dels += sh.dels
-		out.DelHits += sh.delHits
-		out.Evictions += sh.evictions
+		out.Overwrites += sh.overwrites.Load()
+		out.Dels += sh.dels.Load()
+		out.DelHits += sh.delHits.Load()
+		out.Evictions += sh.evictions.Load()
 		out.Collisions += sh.collisions.Load()
-		out.Relocations += sh.arr.Counters().Relocations
-		for i, v := range sh.walkHist {
-			out.WalkDepth[i] += v
+		out.Relocations += sh.relocations.Load()
+		out.Sets += sh.aliased.Load()
+		for i := range sh.walkHist {
+			out.WalkDepth[i] += sh.walkHist[i].Load()
+			out.Inserts += sh.walkHist[i].Load()
 		}
-		sh.mu.Unlock()
 	}
+	// Every Set is an insert (one walkHist bucket), an overwrite or an alias
+	// replaced: the totals need no counters of their own on the SET path.
+	out.Sets += out.Inserts + out.Overwrites
 	return out
 }
 
@@ -335,38 +329,34 @@ type shard struct {
 	c   *cache.Cache
 	arr *cache.ZCache
 
-	// The cell store and its lock-free read state (see seqlock.go): rcells
-	// holds every entry once, indexed by repl.BlockID like the tag array;
-	// seq is the shard seqlock (odd while a mutation is in flight), touches
-	// the deferred read-hit ring, and ws4/rfns/rowsPer let readers hash
-	// fingerprints to slots without touching the tag array.
-	seq     atomic.Uint64
-	rcells  []rcell
+	// cells holds every entry once, indexed by repl.BlockID like the tag
+	// array, on the Go heap or in the shard's file (persist.go); its
+	// generation word is the shard's seqlock. touches is the deferred
+	// read-hit ring, and ws4/rfns/rowsPer let readers hash fingerprints to
+	// slots without touching the tag array (seqlock.go).
+	cells   *slotstore.Store
 	touches touchRing
 	ws4     *hash.WaySet4
 	rfns    []hash.Func
 	rowsPer uint64
 
-	resident int
-
-	// Counters written by lock-free readers are atomic; the rest are
-	// writer-only under mu.
-	gets, getHits, getMisses  atomic.Uint64
-	collisions, getLocked     atomic.Uint64
-	sets, inserts, overwrites uint64
-	dels, delHits             uint64
-	evictions                 uint64
-	walkHist                  [WalkHistBuckets]uint64
-	movesThisInstall          int
-	deleting                  bool
-	idx                       int
-	evictHook                 func(shard int, line uint64)
-
-	// ps mirrors this shard's slot cells on disk (nil when persistence is
-	// off or was detached after a fault); see persist.go.
-	ps         *slotstore.Store
-	psDetached bool
+	// Lock-free readers Add to the first two rows; the mutex holder is the
+	// only writer of the rest and bumps them with a load and a store. Stats
+	// reads them all without the mutex. aliased: Sets that replaced an alias.
+	gets, getHits, getMisses atomic.Uint64
+	collisions, getLocked    atomic.Uint64
+	overwrites, aliased      atomic.Uint64
+	dels, delHits            atomic.Uint64
+	evictions, relocations   atomic.Uint64
+	walkHist                 [WalkHistBuckets]atomic.Uint64
+	movesThisInstall         int
+	deleting                 bool
+	idx                      int
+	evictHook                func(shard int, line uint64)
 }
+
+// bump adds n to a counter whose only writer is the caller.
+func bump(c *atomic.Uint64, n int) { c.Store(c.Load() + uint64(n)) }
 
 // shardSeed derives shard i's H3 seed from the store seed, mirroring the
 // simulator's per-bank derivation so a one-shard store and a one-bank
@@ -375,8 +365,9 @@ func shardSeed(storeSeed uint64, i int) uint64 {
 	return hash.Mix64(storeSeed ^ uint64(i)*0x9e37)
 }
 
-// newShard builds shard i of a store: ZCache array + policy + controller
-// with zero line bits, so key fingerprints are the line addresses.
+// newShard builds shard i of a store: ZCache array + policy + controller with
+// zero line bits, so key fingerprints are the line addresses, over cells on
+// the Go heap (openPersist swaps in a shard file before the store is used).
 func newShard(cfg Config, i int) (*shard, error) {
 	fns, err := (hash.H3Family{Seed: shardSeed(cfg.Seed, i)}).New(cfg.Ways, cfg.Rows)
 	if err != nil {
@@ -405,7 +396,7 @@ func newShard(cfg Config, i int) (*shard, error) {
 	sh := &shard{
 		c:       c,
 		arr:     arr,
-		rcells:  make([]rcell, arr.Blocks()),
+		cells:   slotstore.NewHeap(arr.Blocks()),
 		rfns:    fns,
 		rowsPer: cfg.Rows,
 		idx:     i,
@@ -427,33 +418,23 @@ func newShard(cfg Config, i int) (*shard, error) {
 }
 
 // SlotEvicted implements cache.SlotObserver: a block left the cache, so its
-// cell is dead (the buffer stays for reuse by the next tenant). The
-// persistent mirror clears the same cell, keeping the on-disk slot array
-// aligned with the tag array.
+// cell is dead (the extent stays for reuse by the next tenant).
 func (sh *shard) SlotEvicted(id repl.BlockID, line uint64, dirty bool) {
-	sh.resident--
-	sh.killCell(id)
-	if sh.ps != nil {
-		sh.ps.ClearSlot(int(id))
-	}
+	sh.cells.ClearSlot(int(id))
 	if sh.deleting {
 		return
 	}
-	sh.evictions++
+	bump(&sh.evictions, 1)
 	if sh.evictHook != nil {
 		sh.evictHook(sh.idx, line)
 	}
 }
 
 // SlotMoved implements cache.SlotObserver: a relocation slid a block into
-// the vacated destination slot; its cell follows, and the persistent mirror
-// replays the same relocation on disk.
+// the vacated destination slot; its cell's header follows.
 func (sh *shard) SlotMoved(from, to repl.BlockID) {
-	sh.moveCell(from, to)
+	sh.cells.MoveSlot(int(from), int(to))
 	sh.movesThisInstall++
-	if sh.ps != nil {
-		sh.ps.MoveSlot(int(from), int(to))
-	}
 }
 
 // get is the locked Get body (the seqlock fallback); the value is appended
@@ -465,8 +446,8 @@ func (sh *shard) get(fp uint64, key, dst []byte) ([]byte, bool) {
 		sh.getMisses.Add(1)
 		return dst, false
 	}
-	c := &sh.rcells[id]
-	dst, hit, _ := c.read(c.meta.Load(), key, dst)
+	v := sh.cells.View()
+	dst, hit, _ := v.Read(int(id), v.Meta(int(id)), key, dst)
 	if !hit {
 		sh.collisions.Add(1)
 		sh.getMisses.Add(1)
@@ -477,55 +458,54 @@ func (sh *shard) get(fp uint64, key, dst []byte) ([]byte, bool) {
 	return dst, true
 }
 
-// set is the locked Set body. With persistence, the whole mutation — the
-// eviction/relocation events AccessSlot fires through the observer plus the
-// cell write — runs inside one seqlock batch on the mirror.
+// set is the locked Set body: the eviction/relocation events AccessSlot fires
+// through the observer plus the cell write, in one batch of the cell store.
+// Its errors are persistence faults it has answered by detaching from its
+// file, which Persist reports.
 func (sh *shard) set(fp uint64, key, val []byte) {
-	sh.sets++
 	sh.movesThisInstall = 0
-	mirrored := sh.psBegin()
+	sh.cells.Begin()
 	id, hit := sh.c.AccessSlot(fp, true)
 	if hit {
-		if sh.holdsKey(id, key) {
-			sh.overwrites++
+		if sh.cells.Holds(int(id), key) {
+			bump(&sh.overwrites, 1)
 		} else {
 			// Fingerprint alias: a different key owns this tag. A
 			// cache may replace it — the verified-get contract keeps
 			// the alias from ever serving the wrong value.
 			sh.collisions.Add(1)
+			bump(&sh.aliased, 1)
 		}
 	} else {
-		sh.inserts++
-		sh.resident++
-		d := sh.movesThisInstall
-		if d >= WalkHistBuckets {
-			d = WalkHistBuckets - 1
+		bump(&sh.walkHist[min(sh.movesThisInstall, WalkHistBuckets-1)], 1)
+		if sh.movesThisInstall > 0 {
+			bump(&sh.relocations, sh.movesThisInstall)
 		}
-		sh.walkHist[d]++
 	}
-	sh.publishCell(id, fp, key, val)
-	if mirrored && sh.ps != nil {
-		if _, err := sh.ps.SetSlot(int(id), fp, key, val); err != nil {
-			sh.psDetach()
-		}
-		sh.psEnd()
-	}
+	sh.cells.SetSlot(int(id), fp, key, val)
+	sh.cells.End()
 }
 
-// del is the locked Delete body.
+// del is the locked Delete body; a miss leaves a clean file untouched.
 func (sh *shard) del(fp uint64, key []byte) bool {
-	sh.dels++
+	bump(&sh.dels, 1)
 	id, ok := sh.c.Peek(fp)
-	if !ok || !sh.holdsKey(id, key) {
+	if !ok || !sh.cells.Holds(int(id), key) {
 		return false
 	}
-	mirrored := sh.psBegin()
-	sh.deleting = true
-	sh.c.Invalidate(fp)
-	sh.deleting = false
-	if mirrored {
-		sh.psEnd()
-	}
-	sh.delHits++
+	sh.invalidate(fp)
+	bump(&sh.delHits, 1)
 	return true
+}
+
+// invalidate drops lines from the shard in one batch of the cell store,
+// bypassing the eviction counters and the evict hook.
+func (sh *shard) invalidate(lines ...uint64) {
+	sh.cells.Begin()
+	sh.deleting = true
+	for _, fp := range lines {
+		sh.c.Invalidate(fp)
+	}
+	sh.deleting = false
+	sh.cells.End()
 }

@@ -1,6 +1,7 @@
 package zkv
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -226,4 +227,88 @@ func TestDeterministicAcrossStores(t *testing.T) {
 	if sa.Evictions == 0 {
 		t.Fatal("determinism check saw no evictions; grow the churn")
 	}
+}
+
+// TestScrapeDoesNotTakeShardMutex: Stats, Len and Persist read atomics, so a
+// scrape finishes while a writer sits on a shard's mutex — and, run beside
+// live writers under -race, races with nothing.
+func TestScrapeDoesNotTakeShardMutex(t *testing.T) {
+	s, err := Open(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := s.Set([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() { // a live writer on the other shards, for the race detector
+		defer writer.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Set([]byte(fmt.Sprintf("w%d", i%500)), []byte("v"))
+			}
+		}
+	}()
+	s.shards[0].mu.Lock()
+	scraped := make(chan Stats)
+	go func() {
+		var st Stats
+		for i := 0; i < 1000; i++ {
+			st = s.Stats()
+			st.Resident = s.Len()
+			s.Persist()
+		}
+		scraped <- st
+	}()
+	st := <-scraped // blocks forever (the test times out) if a scrape locks shard 0
+	s.shards[0].mu.Unlock()
+	close(stop)
+	writer.Wait()
+	if st.Sets < 100 || st.Resident < 100 {
+		t.Fatalf("scrape under a held mutex saw %d sets, %d resident", st.Sets, st.Resident)
+	}
+}
+
+// TestUseAfterClose: once Close has returned, every operation finds an empty
+// store instead of touching cells that are gone — unmapped, when they were a
+// file.
+func TestUseAfterClose(t *testing.T) {
+	eachBacking(t, testConfig(), func(t *testing.T, s *Store) {
+		key := []byte("hello")
+		if err := s.Set(key, []byte("world")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := s.Get(key, nil); ok {
+			t.Fatalf("Get after Close hit with %q", v)
+		}
+		if err := s.Set(key, []byte("again")); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Set after Close = %v, want ErrClosed", err)
+		}
+		if s.Delete(key) {
+			t.Fatal("Delete after Close hit")
+		}
+		if out, next, n := s.MigrateRange(0, 0, 0, 1<<20, nil); len(out) != 0 || next != 0 || n != 0 {
+			t.Fatalf("MigrateRange after Close = %d bytes, cursor %d, %d entries", len(out), next, n)
+		}
+		if n := s.ForgetRange(0, 0); n != 0 {
+			t.Fatalf("ForgetRange after Close dropped %d", n)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint after Close = %v", err)
+		}
+		s.Stats()
+		if err := s.Close(); err != nil {
+			t.Fatalf("second Close = %v", err)
+		}
+	})
 }
