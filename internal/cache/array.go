@@ -121,10 +121,16 @@ func (c *Counters) add(other Counters) {
 // tagEntry is one tag slot. Address and valid bit live in a single struct
 // so a way probe touches one cache line instead of two; at the multi-MB
 // array sizes the experiments simulate, the tag probe loop is memory-bound
-// and this halves its line footprint.
+// and this halves its line footprint. The zcache walk's repeat-detection
+// stamp rides in what would otherwise be padding, so visiting a slot touches
+// this one 16-byte entry and nothing else; the other arrays leave it zero.
 type tagEntry struct {
 	addr  uint64
 	valid bool
+	// stamp is the low 16 bits of the zcache walk epoch that last visited
+	// the slot (ZCache.bumpEpoch); zero means never, or not since the
+	// stamps were last cleared.
+	stamp uint16
 }
 
 // tagStore is the shared ways×rows tag storage used by the indexed arrays.

@@ -581,7 +581,7 @@ func (c *Cache) selectVictim(cands []Candidate, excluded int) int {
 // along the relocation chain, and the final insertion. It returns the slot
 // the incoming line landed in (the root of the victim's ancestor chain).
 func (c *Cache) finishInstall(line uint64, cands []Candidate, victim int, moves []Move, write bool) repl.BlockID {
-	v := cands[victim]
+	v := &cands[victim]
 	if v.Valid {
 		c.stats.Evictions++
 		wasDirty := c.dirty[v.ID]

@@ -6,6 +6,7 @@ package cache
 
 import (
 	"testing"
+	"unsafe"
 
 	"zcache/internal/hash"
 	"zcache/internal/repl"
@@ -269,6 +270,23 @@ func TestAccessBatchMatchesAccess(t *testing.T) {
 				t.Fatalf("counters diverge:\nper-access %+v\nbatched    %+v", single.Counters(), batched.Counters())
 			}
 		})
+	}
+}
+
+// TestWalkRecordLayout pins the two records a walk touches per candidate.
+// The tag entry must stay 16 bytes — the epoch stamp lives in the padding
+// after the valid bit, so a visited slot costs one tag line and four entries
+// still share a cache line — and the candidate record must not regrow past
+// the 56 bytes the emit loop stores field by field.
+func TestWalkRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(tagEntry{}); got != 16 {
+		t.Fatalf("tagEntry is %d bytes, want 16: the stamp no longer fits the padding", got)
+	}
+	if off := unsafe.Offsetof(tagEntry{}.stamp); off < 9 || off+2 > 16 {
+		t.Fatalf("tagEntry.stamp at offset %d, want inside bytes 9..15", off)
+	}
+	if got := unsafe.Sizeof(Candidate{}); got != 56 {
+		t.Fatalf("Candidate is %d bytes, want 56", got)
 	}
 }
 

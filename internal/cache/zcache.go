@@ -30,9 +30,10 @@ type ZCache struct {
 	// (the paper's configuration), so walk expansion — W-1 hashes per
 	// candidate — pays no interface dispatch.
 	h3 []*hash.H3
-	// ws4 is the way-merged nibble table for the 4-way all-H3
-	// configuration: one table walk yields all four rows, so lookups and
-	// walk frontiers hash in a single pass (nil otherwise).
+	// ws4 is the packed four-lane nibble table for the 4-way all-H3
+	// configuration with at most hash.WaySet4MaxRows rows per way: one
+	// table walk yields all four rows, so lookups and walk frontiers hash
+	// in a single pass. It is nil otherwise, and hashing goes through h3.
 	ws4    *hash.WaySet4
 	tags   tagStore
 	levels int
@@ -53,17 +54,15 @@ type ZCache struct {
 	// repeats counts walk expansions that landed on an already-visited
 	// slot, for the §III-D "repeats are rare in large caches" claim.
 	repeats uint64
-	// seen[id] holds the walk epoch that last visited slot id, so repeat
-	// detection is one array read instead of a rescan of the candidate
-	// buffer on every expansion. Stamps are 16-bit to keep the array
-	// small enough to stay cache-resident next to the tags; bumpEpoch
-	// clears it on the rare low-word wraparound, so a stale stamp can
-	// never alias a live epoch and the semantics match full-width stamps
-	// exactly.
-	seen      []uint16
+	// walkEpoch numbers the walks; its low 16 bits are the stamp a walk
+	// leaves in every tag entry it visits (tagEntry.stamp), so repeat
+	// detection reads the tag line the walk is reading anyway. bumpEpoch
+	// clears the stamps on the rare low-word wraparound, so a stale stamp
+	// can never alias a live epoch and the semantics match full-width
+	// stamps exactly.
 	walkEpoch uint64
 
-	// Flat-walk scratch (candidatesFlat, ExpandFrom), preallocated to the
+	// Flat-walk scratch (expandLevel, under Candidates and ExpandFrom), preallocated to the
 	// true MaxCandidates bound so no walk or hybrid expansion allocates:
 	// frontier holds the current level's parent addresses, rowBuf the
 	// batch-hashed rows for every way (rowBuf[w*frontierCap+i] is way w's
@@ -206,7 +205,6 @@ func NewZCache(rows uint64, fns []hash.Func, levels int, opts ...ZOption) (*ZCac
 	// the hybrid second phase, and Install never allocates on the hot path.
 	z.chain = make([]repl.BlockID, 0, 2*r)
 	z.moves = make([]Move, 0, 2*r)
-	z.seen = make([]uint16, len(fns)*int(rows))
 	z.frontierCap = 2 * r
 	z.frontier = make([]uint64, z.frontierCap)
 	z.rowBuf = make([]uint64, len(fns)*z.frontierCap)
@@ -336,8 +334,9 @@ func (z *ZCache) MaxCandidates() int {
 // preallocated frontier array, batch-hashes the whole frontier through every
 // way function (one HashBatch call per way per level instead of one Hash
 // call per candidate), then emits candidates by pure index arithmetic —
-// parent i's way-w row sits at rowBuf[w·frontierCap+i]. Epoch-stamped repeat
-// detection rides the same emit pass. Candidate order, counter charges, and
+// parent i's way-w row sits at rowBuf[w·frontierCap+i]. A candidate costs one
+// tag line (address, valid bit and the repeat-detection stamp share it) and
+// one record written in place. Candidate order, counter charges, and
 // early-exit behaviour are bit-identical to the recursive formulation
 // (walk_ref_test.go holds that formulation as a property-test oracle).
 func (z *ZCache) Candidates(line uint64, buf []Candidate) []Candidate {
@@ -345,18 +344,7 @@ func (z *ZCache) Candidates(line uint64, buf []Candidate) []Candidate {
 		return z.candidatesDFS(line, buf)
 	}
 	start := len(buf)
-	// Ensure capacity once so the emit loops below store into buf by index
-	// with no per-candidate append bookkeeping. Level 1 always emits W
-	// candidates even under a tighter budget.
-	need := z.maxCands
-	if need < z.tags.ways {
-		need = z.tags.ways
-	}
-	if cap(buf) < start+need {
-		nb := make([]Candidate, start, start+need)
-		copy(nb, buf)
-		buf = nb
-	}
+	buf = z.reserve(buf, z.maxCands)
 	if z.repeatFilter != nil {
 		z.repeatFilter.Reset()
 	}
@@ -369,105 +357,133 @@ func (z *ZCache) Candidates(line uint64, buf []Candidate) []Candidate {
 	if !z.memoOK || z.memoLine != line {
 		rows = z.lineRows(line)
 	}
+	buf, stop := z.rootLevel(buf, rows, epoch, z.repeatFilter)
+	z.noteLevel(1, uint64(len(buf)-start), 0)
+	// Deeper levels: expand each frontier into the other ways.
+	levelStart, levelEnd := start, len(buf)
+	for level := 2; level <= z.levels && !stop && levelStart < levelEnd; level++ {
+		buf, stop = z.expandLevel(buf, levelStart, levelEnd, level, start+z.maxCands, epoch, z.repeatFilter)
+		levelStart, levelEnd = levelEnd, len(buf)
+	}
+	return buf
+}
+
+// reserve returns buf with room for a walk of up to budget more candidates,
+// so the emit loops store into it by index with no per-candidate append
+// bookkeeping. Level 1 always emits W candidates even under a tighter
+// budget. The controller's buffer is sized to MaxCandidates, so this
+// allocates only for a caller that brought a smaller one.
+func (z *ZCache) reserve(buf []Candidate, budget int) []Candidate {
+	if budget < z.tags.ways {
+		budget = z.tags.ways
+	}
+	if cap(buf) >= len(buf)+budget {
+		return buf
+	}
+	nb := make([]Candidate, len(buf), len(buf)+budget)
+	copy(nb, buf)
+	return nb
+}
+
+// put writes one candidate record in place. Field stores, not a struct
+// literal: the compiler assembles a literal in a stack temporary with narrow
+// stores and copies it out with wide loads, a store-forwarding stall per
+// candidate on the walk's hottest statement.
+func (c *Candidate) put(id repl.BlockID, addr uint64, valid bool, way int, row uint64, level, parent int) {
+	c.ID = id
+	c.Addr = addr
+	c.Valid = valid
+	c.Way = way
+	c.Row = row
+	c.Level = level
+	c.Parent = parent
+}
+
+// rootLevel emits the first level — the blocks at the incoming line's W
+// slots, rows[w] being way w's row — stamping each slot with the walk's
+// epoch. It reports stop=true when it ended at an empty slot.
+func (z *ZCache) rootLevel(buf []Candidate, rows []uint64, epoch uint16, filter *Bloom) (out []Candidate, stop bool) {
+	n := len(buf)
+	buf = buf[:cap(buf)]
 	for w := 0; w < z.tags.ways; w++ {
 		row := rows[w]
 		id := z.tags.slot(w, row)
 		e := &z.tags.e[id]
 		addr, valid := e.addr, e.valid
-		n := len(buf)
-		buf = buf[:n+1]
-		buf[n] = Candidate{
-			ID:     id,
-			Addr:   addr,
-			Valid:  valid,
-			Way:    w,
-			Row:    row,
-			Level:  1,
-			Parent: -1,
-		}
-		z.seen[id] = epoch
+		buf[n].put(id, addr, valid, w, row, 1, -1)
+		n++
+		e.stamp = epoch
 		if !valid {
-			z.noteLevel(1, uint64(len(buf)-start), 0)
-			return buf
+			return buf[:n], true
 		}
-		if z.repeatFilter != nil {
-			z.repeatFilter.Add(addr)
+		if filter != nil {
+			filter.Add(addr)
 		}
 	}
-	z.noteLevel(1, uint64(len(buf)-start), 0)
-	// Deeper levels: expand each frontier into the other ways. Hot-path
-	// state is hoisted into locals so the emit loop reads no ZCache fields.
-	levelStart, levelEnd := start, len(buf)
-	tags := z.tags.e
-	seen := z.seen
-	ways := z.tags.ways
-	rowsPerWay := z.tags.rows
-	budget := z.maxCands
-	fcap := z.frontierCap
-	for level := 2; level <= z.levels; level++ {
-		z.hashFrontier(buf[levelStart:levelEnd])
-		rowBuf := z.rowBuf
-		var singleReads uint64
-		levelBase := len(buf)
-		for parent := levelStart; parent < levelEnd; parent++ {
-			pWay := buf[parent].Way
-			ri := parent - levelStart
-			for w := 0; w < ways; w++ {
-				if w == pWay {
-					// This hash matches the slot the parent
-					// already occupies (§III-A: "one of the
-					// hash values always matches").
-					continue
-				}
-				if len(buf)-start >= budget {
-					z.chargeWalk(singleReads)
-					z.noteLevel(level, uint64(len(buf)-levelBase), singleReads)
-					return buf
-				}
-				row := rowBuf[w*fcap+ri]
-				id := repl.BlockID(uint64(w)*rowsPerWay + row)
-				e := &tags[id]
-				addr, valid := e.addr, e.valid
-				singleReads++
-				if seen[id] == epoch {
-					z.repeats++
-				}
-				if valid && z.repeatFilter != nil && z.repeatFilter.MayContain(addr) {
-					// Pruned (§III-D): the address was already
-					// visited (or a false positive), so do not
-					// re-add it or expand through it.
-					continue
-				}
-				n := len(buf)
-				buf = buf[:n+1]
-				buf[n] = Candidate{
-					ID:     id,
-					Addr:   addr,
-					Valid:  valid,
-					Way:    w,
-					Row:    row,
-					Level:  level,
-					Parent: parent,
-				}
-				seen[id] = epoch
-				if !valid {
-					z.chargeWalk(singleReads)
-					z.noteLevel(level, uint64(len(buf)-levelBase), singleReads)
-					return buf
-				}
-				if z.repeatFilter != nil {
-					z.repeatFilter.Add(addr)
-				}
+	return buf[:n], false
+}
+
+// expandLevel emits the children of the parents buf[lo:hi] as one walk
+// level: every parent's block hashed into every way but its own, in parent
+// then way order. It stops — reporting stop=true — once buf holds limit
+// candidates or an empty slot has been emitted, charges the level's tag
+// reads, and accounts it in the walk profile. filter, when non-nil, prunes
+// children whose address the walk has already visited (§III-D). buf must
+// have capacity for limit candidates.
+func (z *ZCache) expandLevel(buf []Candidate, lo, hi, level, limit int, epoch uint16, filter *Bloom) (out []Candidate, stop bool) {
+	z.hashFrontier(buf[lo:hi])
+	// Hot-path state is hoisted into locals: outside the rare repeat, the
+	// emit loop reads no ZCache fields.
+	tags, rowBuf := z.tags.e, z.rowBuf
+	ways, rowsPerWay, fcap := z.tags.ways, z.tags.rows, z.frontierCap
+	base := len(buf)
+	n := base
+	buf = buf[:cap(buf)]
+	var reads uint64
+emit:
+	for parent := lo; parent < hi; parent++ {
+		pWay := buf[parent].Way
+		ri := parent - lo
+		for w := 0; w < ways; w++ {
+			if w == pWay {
+				// This hash matches the slot the parent already
+				// occupies (§III-A: "one of the hash values always
+				// matches").
+				continue
+			}
+			if n >= limit {
+				stop = true
+				break emit
+			}
+			row := rowBuf[w*fcap+ri]
+			id := repl.BlockID(uint64(w)*rowsPerWay + row)
+			e := &tags[id]
+			addr, valid := e.addr, e.valid
+			reads++
+			if e.stamp == epoch {
+				z.repeats++
+			}
+			if filter != nil && valid && filter.MayContain(addr) {
+				// Pruned (§III-D): the address was already visited
+				// (or a false positive), so do not re-add it or
+				// expand through it.
+				continue
+			}
+			buf[n].put(id, addr, valid, w, row, level, parent)
+			n++
+			e.stamp = epoch
+			if !valid {
+				stop = true
+				break emit
+			}
+			if filter != nil {
+				filter.Add(addr)
 			}
 		}
-		z.chargeWalk(singleReads)
-		z.noteLevel(level, uint64(len(buf)-levelBase), singleReads)
-		levelStart, levelEnd = levelEnd, len(buf)
-		if levelStart == levelEnd {
-			break
-		}
 	}
-	return buf
+	z.chargeWalk(reads)
+	z.noteLevel(level, uint64(n-base), reads)
+	return buf[:n], stop
 }
 
 // hashFrontier copies the parents' addresses into the frontier scratch and
@@ -516,14 +532,16 @@ func (z *ZCache) growProfile(level int) {
 }
 
 // bumpEpoch advances the walk epoch and returns its 16-bit stamp. On the
-// rare low-word wraparound the seen array is cleared (and zero skipped), so
-// a stamp from 65535 walks ago can never alias the live epoch — the repeat
-// accounting is exactly that of unbounded stamps.
+// rare low-word wraparound every tag entry's stamp is cleared (and zero
+// skipped), so a stamp from 65535 walks ago can never alias the live epoch —
+// the repeat accounting is exactly that of unbounded stamps.
 func (z *ZCache) bumpEpoch() uint16 {
 	z.walkEpoch++
 	if uint16(z.walkEpoch) == 0 {
 		z.walkEpoch++
-		clear(z.seen)
+		for i := range z.tags.e {
+			z.tags.e[i].stamp = 0
+		}
 	}
 	return uint16(z.walkEpoch)
 }
@@ -544,72 +562,37 @@ func (z *ZCache) ExpandFrom(cands []Candidate, idx, extraLevels int) []Candidate
 		return cands
 	}
 	start := len(cands)
+	limit := 2 * z.maxCands
+	if start < limit {
+		cands = z.reserve(cands, limit-start)
+	}
 	// Re-stamp the existing tree under a fresh epoch so repeat detection
 	// covers the whole walk even when ExpandFrom is called on its own.
 	epoch := z.bumpEpoch()
 	for i := range cands {
-		z.seen[cands[i].ID] = epoch
+		z.tags.e[cands[i].ID].stamp = epoch
 	}
 	levelStart, levelEnd := idx, idx+1
-	firstLevel := true
-	for lvl := 0; lvl < extraLevels; lvl++ {
-		if len(cands) >= 2*z.maxCands || levelEnd-levelStart > z.frontierCap {
+	for lvl := 0; lvl < extraLevels && levelStart < levelEnd; lvl++ {
+		if len(cands) >= limit || levelEnd-levelStart > z.frontierCap {
 			// The budget is already spent (possible when the caller
 			// hands in an oversized tree): nothing would be emitted
 			// or charged, so stop before staging the frontier.
-			return cands
+			break
 		}
-		z.hashFrontier(cands[levelStart:levelEnd])
-		var singleReads uint64
-		levelBase := len(cands)
-		level := cands[levelStart].Level + 1
-		for parent := levelStart; parent < levelEnd; parent++ {
-			pWay := cands[parent].Way
-			ri := parent - levelStart
-			for w := 0; w < z.tags.ways; w++ {
-				if w == pWay {
-					continue
-				}
-				if len(cands) >= 2*z.maxCands {
-					z.chargeWalk(singleReads)
-					z.noteLevel(level, uint64(len(cands)-levelBase), singleReads)
-					return cands
-				}
-				row := z.rowBuf[w*z.frontierCap+ri]
-				id := z.tags.slot(w, row)
-				singleReads++
-				c := Candidate{
-					ID:     id,
-					Addr:   z.tags.e[id].addr,
-					Valid:  z.tags.e[id].valid,
-					Way:    w,
-					Row:    row,
-					Level:  cands[parent].Level + 1,
-					Parent: parent,
-				}
-				if z.seen[id] == epoch {
-					z.repeats++
-				}
-				cands = append(cands, c)
-				z.seen[id] = epoch
-				if !c.Valid {
-					z.chargeWalk(singleReads)
-					z.noteLevel(level, uint64(len(cands)-levelBase), singleReads)
-					return cands
-				}
-			}
+		var stop bool
+		cands, stop = z.expandLevel(cands, levelStart, levelEnd, cands[levelStart].Level+1, limit, epoch, nil)
+		if stop {
+			break
 		}
-		z.chargeWalk(singleReads)
-		z.noteLevel(level, uint64(len(cands)-levelBase), singleReads)
-		if firstLevel {
-			levelStart, firstLevel = start, false
+		// The first expansion's parent is idx alone; every later level's
+		// parents are the candidates the previous one appended.
+		if lvl == 0 {
+			levelStart = start
 		} else {
 			levelStart = levelEnd
 		}
 		levelEnd = len(cands)
-		if levelStart == levelEnd {
-			break
-		}
 	}
 	return cands
 }
@@ -623,30 +606,19 @@ func (z *ZCache) ExpandFrom(cands []Candidate, idx, extraLevels int) []Candidate
 // cannot be pipelined.
 func (z *ZCache) candidatesDFS(line uint64, buf []Candidate) []Candidate {
 	start := len(buf)
+	buf = z.reserve(buf, z.maxCands)
 	epoch := z.bumpEpoch()
-	for w := 0; w < z.tags.ways; w++ {
-		row := z.row(w, line)
-		id := z.tags.slot(w, row)
-		c := Candidate{
-			ID:     id,
-			Addr:   z.tags.e[id].addr,
-			Valid:  z.tags.e[id].valid,
-			Way:    w,
-			Row:    row,
-			Level:  1,
-			Parent: -1,
-		}
-		buf = append(buf, c)
-		z.seen[id] = epoch
-		if !c.Valid {
-			return buf
-		}
+	buf, stop := z.rootLevel(buf, z.lineRows(line), epoch, nil)
+	if stop {
+		return buf
 	}
 	// Chain from a pseudo-random first-level candidate.
 	z.dfsState = hash.Mix64(z.dfsState ^ line)
 	cur := start + int(z.dfsState%uint64(z.tags.ways))
-	for len(buf)-start < z.maxCands {
-		p := buf[cur]
+	n := len(buf)
+	buf = buf[:cap(buf)]
+	for n-start < z.maxCands {
+		p := &buf[cur]
 		z.dfsState = hash.Mix64(z.dfsState)
 		hop := int(z.dfsState % uint64(z.tags.ways-1))
 		w := (p.Way + 1 + hop) % z.tags.ways
@@ -656,29 +628,22 @@ func (z *ZCache) candidatesDFS(line uint64, buf []Candidate) []Candidate {
 		z.ctr.TagReads++
 		z.ctr.WalkLookups++
 		z.ctr.TagLookups++
-		c := Candidate{
-			ID:     id,
-			Addr:   z.tags.e[id].addr,
-			Valid:  z.tags.e[id].valid,
-			Way:    w,
-			Row:    row,
-			Level:  p.Level + 1,
-			Parent: cur,
-		}
-		if z.seen[id] == epoch {
+		e := &z.tags.e[id]
+		if e.stamp == epoch {
 			z.repeats++
 			// A chain that bites its own tail cannot continue; the
 			// controller will pick among what was found.
 			break
 		}
-		buf = append(buf, c)
-		z.seen[id] = epoch
-		if !c.Valid {
+		buf[n].put(id, e.addr, e.valid, w, row, p.Level+1, cur)
+		e.stamp = epoch
+		cur = n
+		n++
+		if !e.valid {
 			break
 		}
-		cur = len(buf) - 1
 	}
-	return buf
+	return buf[:n]
 }
 
 // chargeWalk accounts one walk level's tag traffic: singles for the energy
@@ -763,7 +728,8 @@ func (z *ZCache) Adopt(id repl.BlockID, line uint64) error {
 		return fmt.Errorf("cache: line %#x does not hash to adopt slot %d (way %d row %d)",
 			line, id, w, row)
 	}
-	z.tags.e[id] = tagEntry{addr: line, valid: true}
+	z.tags.e[id].addr = line
+	z.tags.e[id].valid = true
 	z.ctr.TagWrites++
 	return nil
 }

@@ -143,52 +143,65 @@ func WayRows(fns []*H3, addr uint64, dst []uint64) {
 	}
 }
 
-// WaySet4 merges the nibble tables of exactly four H3 way functions into a
-// single way-major table: entry ((pos·16)+v)·4+w holds way w's partial for
-// nibble value v at position pos. One table walk then yields all four ways'
-// rows at once — the four partials for a nibble sit in 32 contiguous bytes,
-// so a lookup that would touch four scattered 2 KiB tables touches half a
-// cache line instead, and the per-way call overhead disappears. This is the
-// shape the zcache walk wants: every probe (demand lookup, walk expansion)
+// WaySet4MaxRows is the largest per-way row count a WaySet4 can index: each
+// way's partial occupies one 16-bit lane of a table word. It covers every
+// geometry the experiments and the server build (the paper's 8 MB, 4-way L2
+// is 32768 rows per way); above it NewWaySet4 returns nil and callers hash
+// through the per-way H3 functions.
+const WaySet4MaxRows = 1 << 16
+
+// WaySet4 merges the nibble tables of exactly four H3 way functions into one
+// table of packed words: entry pos·16+v holds, in four 16-bit lanes, the four
+// ways' partials for nibble value v at position pos (way w in bits
+// 16w..16w+15). XOR acts on the lanes independently, so one table walk — one
+// load per nibble, 2 KiB of table in all — accumulates all four ways' rows at
+// once, and the lanes are split only when the walk ends. This is the shape
+// the zcache wants: every probe (demand lookup, walk expansion, a zkv GET)
 // needs the same address through all W ways.
 type WaySet4 struct {
-	tab [1024]uint64 // ((pos*16)+v)*4 + w
+	tab [256]uint64 // (pos*16)+v, way w in lane w
 }
 
-// NewWaySet4 builds the merged table, or returns nil if fns is not exactly
-// four functions.
+// NewWaySet4 builds the packed table, or returns nil if fns is not exactly
+// four functions or any of them has more than WaySet4MaxRows buckets (its
+// rows would not fit a lane).
 func NewWaySet4(fns []*H3) *WaySet4 {
 	if len(fns) != 4 {
 		return nil
 	}
 	ws := &WaySet4{}
 	for w, h := range fns {
+		if h.bkts > WaySet4MaxRows {
+			return nil
+		}
 		for pos := 0; pos < 16; pos++ {
 			for v := 0; v < 16; v++ {
-				ws.tab[((pos<<4)|v)<<2|w] = h.nibble[pos][v]
+				ws.tab[pos<<4|v] |= h.nibble[pos][v] << (16 * w)
 			}
 		}
 	}
 	return ws
 }
 
-// Rows4 writes the four ways' rows for addr into dst[0..3]. The masks keep
-// every table index provably in range, so the loop runs bounds-check free.
-func (ws *WaySet4) Rows4(addr uint64, dst []uint64) {
-	_ = dst[3]
-	var a0, a1, a2, a3 uint64
-	for p := 0; addr != 0; p += 4 {
-		o0 := (p<<6 | int(addr&0xf)<<2) & 1023
-		o1 := ((p+1)<<6 | int(addr>>4&0xf)<<2) & 1023
-		o2 := ((p+2)<<6 | int(addr>>8&0xf)<<2) & 1023
-		o3 := ((p+3)<<6 | int(addr>>12&0xf)<<2) & 1023
-		a0 ^= ws.tab[o0] ^ ws.tab[o1] ^ ws.tab[o2] ^ ws.tab[o3]
-		a1 ^= ws.tab[o0|1] ^ ws.tab[o1|1] ^ ws.tab[o2|1] ^ ws.tab[o3|1]
-		a2 ^= ws.tab[o0|2] ^ ws.tab[o1|2] ^ ws.tab[o2|2] ^ ws.tab[o3|2]
-		a3 ^= ws.tab[o0|3] ^ ws.tab[o1|3] ^ ws.tab[o2|3] ^ ws.tab[o3|3]
+// packed returns the four ways' rows for addr in the lanes of one word. Two
+// accumulators keep the XOR chain off the loads' critical path; the masks
+// keep every table index provably in range, so the loop runs bounds-check
+// free.
+func (ws *WaySet4) packed(addr uint64) uint64 {
+	var a, b uint64
+	for p := 0; addr != 0; p += 64 {
+		a ^= ws.tab[(p|int(addr&0xf))&255] ^ ws.tab[(p+32|int(addr>>8&0xf))&255]
+		b ^= ws.tab[(p+16|int(addr>>4&0xf))&255] ^ ws.tab[(p+48|int(addr>>12&0xf))&255]
 		addr >>= 16
 	}
-	dst[0], dst[1], dst[2], dst[3] = a0, a1, a2, a3
+	return a ^ b
+}
+
+// Rows4 writes the four ways' rows for addr into dst[0..3].
+func (ws *WaySet4) Rows4(addr uint64, dst []uint64) {
+	_ = dst[3]
+	r := ws.packed(addr)
+	dst[0], dst[1], dst[2], dst[3] = r&0xffff, r>>16&0xffff, r>>32&0xffff, r>>48
 }
 
 // RowsBatch4 hashes a whole walk frontier in one call: for each addrs[i] it
@@ -198,19 +211,8 @@ func (ws *WaySet4) Rows4(addr uint64, dst []uint64) {
 func (ws *WaySet4) RowsBatch4(addrs []uint64, dst []uint64, stride int) {
 	_ = dst[3*stride+len(addrs)-1]
 	for i, addr := range addrs {
-		var a0, a1, a2, a3 uint64
-		for p := 0; addr != 0; p += 4 {
-			o0 := (p<<6 | int(addr&0xf)<<2) & 1023
-			o1 := ((p+1)<<6 | int(addr>>4&0xf)<<2) & 1023
-			o2 := ((p+2)<<6 | int(addr>>8&0xf)<<2) & 1023
-			o3 := ((p+3)<<6 | int(addr>>12&0xf)<<2) & 1023
-			a0 ^= ws.tab[o0] ^ ws.tab[o1] ^ ws.tab[o2] ^ ws.tab[o3]
-			a1 ^= ws.tab[o0|1] ^ ws.tab[o1|1] ^ ws.tab[o2|1] ^ ws.tab[o3|1]
-			a2 ^= ws.tab[o0|2] ^ ws.tab[o1|2] ^ ws.tab[o2|2] ^ ws.tab[o3|2]
-			a3 ^= ws.tab[o0|3] ^ ws.tab[o1|3] ^ ws.tab[o2|3] ^ ws.tab[o3|3]
-			addr >>= 16
-		}
-		dst[i], dst[stride+i], dst[2*stride+i], dst[3*stride+i] = a0, a1, a2, a3
+		r := ws.packed(addr)
+		dst[i], dst[stride+i], dst[2*stride+i], dst[3*stride+i] = r&0xffff, r>>16&0xffff, r>>32&0xffff, r>>48
 	}
 }
 

@@ -326,6 +326,8 @@ func TestH3CoversAllRowsForContiguousRegions(t *testing.T) {
 // seeds and addresses.
 func FuzzH3Consistency(f *testing.F) {
 	f.Add(uint64(1), uint64(0xdeadbeef))
+	f.Add(uint64(2), uint64(0))
+	f.Add(uint64(3), uint64(0xfedcba9876543210))
 	f.Fuzz(func(t *testing.T, seed, addr uint64) {
 		h1, err := NewH3(seed, 1024)
 		if err != nil {
@@ -345,6 +347,11 @@ func FuzzH3Consistency(f *testing.F) {
 		// GF(2) linearity must hold for every instance.
 		if h1.Hash(addr^0x5a5a) != v^h1.Hash(0x5a5a) {
 			t.Fatal("linearity broken")
+		}
+		// The packed four-way table must agree with the per-way functions
+		// at a mid-range geometry and at the last row count its lanes hold.
+		for _, rows := range []uint64{1024, WaySet4MaxRows} {
+			checkWaySet4(t, seed, rows, []uint64{addr, addr >> 40, addr ^ 0x5a5a})
 		}
 	})
 }

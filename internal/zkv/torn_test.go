@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"zcache/internal/hash"
 )
@@ -84,8 +86,28 @@ func testTornValue(t *testing.T, s *Store) {
 	const (
 		keys    = 512 // 2x capacity: every Set can trigger a walk + chain
 		readers = 4
-		readOps = 30000
+		readOps = 30000 // per reader, at least
+		// minRelocs is the writer progress the readers wait for: the shard
+		// filled (256 slots) and relocation chains published under them.
+		minRelocs = 500
 	)
+	// The readers run until the writer has done what the test is about —
+	// minRelocs relocations and, file-backed, two file growths — not for a
+	// fixed op count that a fast GET path can finish before the shard has
+	// even filled. The deadline only bounds a run in which the writer never
+	// gets there; the checks at the end then say what was missing.
+	deadline := time.Now().Add(30 * time.Second)
+	var pressured atomic.Bool
+	// A fresh file has 64 heap bytes per slot and at least doubles per
+	// growth: four times that is two growths under the readers.
+	grownTwice := func() bool {
+		if s.cfg.PersistDir == "" {
+			return true
+		}
+		fi, err := os.Stat(s.persistPath(0))
+		slots := int64(s.Capacity())
+		return err == nil && fi.Size() >= 4096+32*slots+4*64*slots
+	}
 
 	stop := make(chan struct{})
 	var writerWG sync.WaitGroup
@@ -109,6 +131,9 @@ func testTornValue(t *testing.T, s *Store) {
 			if ver&127 == 0 {
 				key = tornKey(key, uint64(rng.Intn(keys)))
 				s.Delete(key)
+				if !pressured.Load() && s.Stats().Relocations >= minRelocs && grownTwice() {
+					pressured.Store(true)
+				}
 			}
 		}
 	}()
@@ -125,7 +150,10 @@ func testTornValue(t *testing.T, s *Store) {
 				// Reader 0 keeps a nil dst, so its hits size a fresh buffer.
 				dst = make([]byte, 0, 200)
 			}
-			for i := 0; i < readOps; i++ {
+			for i := 0; ; i++ {
+				if i >= readOps && (pressured.Load() || i&1023 == 0 && time.Now().After(deadline)) {
+					return
+				}
 				k := uint64(rng.Intn(keys))
 				key = tornKey(key, k)
 				got, ok := s.Get(key, dst)
@@ -151,20 +179,13 @@ func testTornValue(t *testing.T, s *Store) {
 	if st.GetHits == 0 {
 		t.Fatal("stress run produced no lock-free hits; the test exercised nothing")
 	}
-	if st.Relocations == 0 {
-		t.Fatal("stress run drove no relocation chains; shrink the shard")
+	if st.Relocations < minRelocs {
+		t.Fatalf("stress run published %d relocations before the deadline, want >= %d; shrink the shard",
+			st.Relocations, minRelocs)
 	}
 	t.Logf("gets %d (hits %d, locked fallbacks %d), sets %d, relocations %d, evictions %d",
 		st.Gets, st.GetHits, st.GetLocked, st.Sets, st.Relocations, st.Evictions)
-	if s.cfg.PersistDir != "" {
-		// A fresh file has 64 heap bytes per slot and at least doubles per
-		// growth: four times that is two growths under the readers.
-		fi, err := os.Stat(s.persistPath(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if slots := int64(s.Capacity()); fi.Size() < 4096+32*slots+4*64*slots {
-			t.Fatalf("shard file is %d bytes: it did not grow twice under the readers", fi.Size())
-		}
+	if !grownTwice() {
+		t.Fatal("shard file did not grow twice under the readers before the deadline")
 	}
 }
