@@ -2,7 +2,7 @@
 // associative TLBs. A fully-associative 64-entry TLB activates 64 tag
 // comparators per lookup; a 4-way zcache TLB activates 4 and recovers the
 // lost associativity with replacement walks (with the §III-D Bloom filter,
-// since repeats are common in tiny arrays). This example races the three
+// since repeats are common in tiny arrays). This example races internal/tlb's
 // organizations on a locality-heavy page stream with a working set 1.5x
 // the TLB, reporting hit rate, page walks, and the comparator count that
 // dominates lookup energy.
@@ -12,65 +12,48 @@ import (
 	"fmt"
 	"log"
 
-	"zcache"
+	"zcache/internal/tlb"
 )
 
 const (
 	pages    = 96
 	accesses = 1_000_000
-	pageBits = 12
 )
 
-// tlbish runs a TLB-shaped experiment through the public cache API: a tiny
-// cache whose "line size" is the page size.
-func run(design zcache.DesignKind, ways, walkLevels, comparators int, label string) {
-	cfg := zcache.Config{
-		CapacityBytes: 64 << pageBits, // 64 translations
-		LineBytes:     1 << pageBits,
-		Ways:          ways,
-		Design:        design,
-		WalkLevels:    walkLevels,
-		Policy:        zcache.PolicyLRU,
-		Seed:          7,
-	}
-	if design == zcache.DesignZCache {
-		cfg.AvoidWalkRepeats = true // §III-D: repeats are common in tiny arrays
-	}
-	t, err := zcache.New(cfg)
+// run drives one TLB over the page stream: 70% of translations fall in a hot
+// quarter of the working set, the rest anywhere in it.
+func run(label string, cfg tlb.Config) {
+	t, err := tlb.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	state := uint64(5)
-	mix := func() uint64 {
+	for i := 0; i < accesses; i++ {
 		state ^= state << 13
 		state ^= state >> 7
 		state ^= state << 17
-		return state * 0x2545f4914f6cdd1d
-	}
-	for i := 0; i < accesses; i++ {
-		v := mix()
-		var page uint64
+		v := state * 0x2545f4914f6cdd1d
+		page := v % pages
 		if v%10 < 7 {
 			page = v % (pages / 4)
-		} else {
-			page = v % pages
 		}
-		t.Access(page<<pageBits, false)
+		t.Translate(page << cfg.PageBits)
 	}
 	st := t.Stats()
-	hitRate := float64(st.Hits) / float64(st.Accesses)
-	const walkCycles = 30
 	fmt.Printf("%-22s hit-rate=%.4f  page-walks=%-7d  walk-stall=%-8d  comparators/lookup=%d\n",
-		label, hitRate, st.Misses, st.Misses*walkCycles, comparators)
+		label, t.HitRate(), st.PageWalks, st.StallCycles, st.LookupComparators)
 }
 
 func main() {
 	log.SetFlags(0)
 	fmt.Printf("64-entry TLB, 4KB pages, %d accesses over a %d-page working set:\n\n", accesses, pages)
-	run(zcache.DesignFullyAssociative, 1, 0, 64, "fully-assoc (CAM)")
-	run(zcache.DesignSetAssociative, 4, 0, 4, "set-assoc 4-way")
-	run(zcache.DesignSkewAssociative, 4, 0, 4, "skew 4-way (Z4/4)")
-	run(zcache.DesignZCache, 4, 3, 4, "zcache 4-way (Z4/52)")
+	run("fully-assoc (CAM)", tlb.PaperlikeConfig(tlb.FullyAssociative))
+	run("set-assoc 4-way", tlb.PaperlikeConfig(tlb.SetAssociative))
+	// A one-level walk sees only the line's own four slots: a skew cache.
+	skew := tlb.PaperlikeConfig(tlb.ZCacheTLB)
+	skew.WalkLevels = 1
+	run("skew 4-way (Z4/4)", skew)
+	run("zcache 4-way (Z4/52)", tlb.PaperlikeConfig(tlb.ZCacheTLB))
 	fmt.Println()
 	fmt.Println("The zcache TLB sits at the CAM's hit rate with 16x fewer comparators")
 	fmt.Println("per lookup — §VIII's deferred use case, working.")

@@ -90,7 +90,7 @@ func TestAdoptRejectsIllegalPlacements(t *testing.T) {
 	// among line 99's per-way slots.
 	legal := map[repl.BlockID]bool{}
 	for w := 0; w < z.Ways(); w++ {
-		legal[z.tags.slot(w, z.row(w, 99))] = true
+		legal[z.tags.slot(w, z.idx.Row(w, 99))] = true
 	}
 	for id := 0; id < z.Blocks(); id++ {
 		bid := repl.BlockID(id)

@@ -357,8 +357,8 @@ func (c *Cache) installFlat(line uint64, write bool) repl.BlockID {
 	} else {
 		a := c.skFast
 		tags = &a.tags
-		for w := 0; w < tags.ways; w++ {
-			id := tags.slot(w, a.row(w, line))
+		for w, row := range a.lineRows(line) {
+			id := tags.slot(w, row)
 			e := &tags.e[id]
 			if !e.valid {
 				return c.finishFlat(id, 0, false, line, write)

@@ -27,7 +27,12 @@ func kernelAddrs(n int, footprint uint64) ([]uint64, []bool) {
 
 func newKernelZCache(t testing.TB, rows uint64, levels int) *Cache {
 	t.Helper()
-	fns := make([]hash.Func, 4)
+	return newKernelZCacheWays(t, 4, rows, levels)
+}
+
+func newKernelZCacheWays(t testing.TB, ways int, rows uint64, levels int) *Cache {
+	t.Helper()
+	fns := make([]hash.Func, ways)
 	for w := range fns {
 		h, err := hash.NewH3(uint64(w)+1, rows)
 		if err != nil {
@@ -45,6 +50,17 @@ func newKernelZCache(t testing.TB, rows uint64, levels int) *Cache {
 	}
 	c, err := New(z, pol, 6)
 	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// newKernelHybrid is the Z4/16 kernel geometry with the §III-D hybrid walk
+// on: a phase-1 victim plus one ExpandFrom level.
+func newKernelHybrid(t testing.TB) *Cache {
+	t.Helper()
+	c := newKernelZCache(t, 2048, 2)
+	if err := c.EnableHybridWalk(1); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -102,9 +118,10 @@ func newKernelSkew(t testing.TB, ways int, rows uint64) *Cache {
 	return c
 }
 
-// TestAccessSteadyStateZeroAllocs asserts the tentpole property: once the
-// scratch buffers are warm, Access allocates nothing on either the zcache
-// walk path or the set-associative flat path.
+// TestAccessSteadyStateZeroAllocs asserts the kernel property: once the
+// scratch buffers are warm, Access allocates nothing — on the zcache walk
+// (packed and per-way hashing, with and without the hybrid second phase) or
+// on the flat set-associative and skew paths.
 func TestAccessSteadyStateZeroAllocs(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -113,6 +130,8 @@ func TestAccessSteadyStateZeroAllocs(t *testing.T) {
 		{"zcache", func(t testing.TB) *Cache { return newKernelZCache(t, 1024, 2) }},
 		{"setassoc", func(t testing.TB) *Cache { return newKernelSetAssoc(t, 4, 1024, true) }},
 		{"skew", func(t testing.TB) *Cache { return newKernelSkew(t, 4, 1024) }},
+		{"zcache-hybrid", newKernelHybrid},
+		{"zcache-8way", func(t testing.TB) *Cache { return newKernelZCacheWays(t, 8, 256, 2) }},
 	}
 	for _, cse := range cases {
 		t.Run(cse.name, func(t *testing.T) {
@@ -318,15 +337,15 @@ func BenchmarkKernelZCacheAccess(b *testing.B) {
 }
 
 // BenchmarkKernelZCacheHybridAccess measures the hybrid BFS+DFS walk
-// (§III-D): phase-1 victim plus an ExpandFrom second phase. It exists in the
-// baseline so benchguard gates ExpandFrom's ns/op and — more importantly —
-// its allocs/op: the scratch slices must stay preallocated.
+// (§III-D): phase-1 victim plus an ExpandFrom second phase.
 func BenchmarkKernelZCacheHybridAccess(b *testing.B) {
-	c := newKernelZCache(b, 2048, 2)
-	if err := c.EnableHybridWalk(1); err != nil {
-		b.Fatal(err)
-	}
-	benchAccess(b, c)
+	benchAccess(b, newKernelHybrid(b))
+}
+
+// BenchmarkKernelZCache8WayAccess is the walk path on a geometry the packed
+// four-lane table does not serve: eight H3 ways, hashed per way.
+func BenchmarkKernelZCache8WayAccess(b *testing.B) {
+	benchAccess(b, newKernelZCacheWays(b, 8, 1024, 2))
 }
 
 // BenchmarkKernelSetAssocAccess measures steady-state ns/access on the

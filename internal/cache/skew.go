@@ -7,6 +7,101 @@ import (
 	"zcache/internal/repl"
 )
 
+// skewTags is the part of a skew-indexed array that Skew and ZCache share —
+// on a hit a zcache *is* a skew-associative cache (§III): a tag store probed
+// at one slot per way, the rows computed by the array's hash.Indexer.
+type skewTags struct {
+	tags tagStore
+	idx  *hash.Indexer
+	ctr  Counters
+	// memoRows[:memoN] are the first rows of memoLine, the last line
+	// hashed. Rows depend only on the line address, never on tag contents,
+	// so the memo never goes stale: the miss path that follows a missed
+	// Lookup (Candidates, the controller's flat install) and a second probe
+	// of the same line (zkv's Peek, then Access) reuse it instead of
+	// re-hashing.
+	memoLine uint64
+	memoRows []uint64
+	memoN    int
+}
+
+// newSkewTags validates the geometry and way functions and builds the tag
+// store and indexer. The functions must be distinct-seeded: identical
+// functions silently degenerate to a set-associative cache, so function
+// slices where any pair behaves identically on a probe set are rejected.
+func newSkewTags(design string, rows uint64, fns []hash.Func) (skewTags, error) {
+	if err := validateSkewFns(design, rows, fns); err != nil {
+		return skewTags{}, err
+	}
+	return skewTags{
+		tags:     newTagStore(len(fns), rows),
+		idx:      hash.NewIndexer(fns),
+		memoRows: make([]uint64, len(fns)),
+	}, nil
+}
+
+// lineRows returns all of line's per-way rows (rows[w] is way w's), hashing
+// only what the memo does not already hold.
+func (s *skewTags) lineRows(line uint64) []uint64 {
+	if s.memoLine != line {
+		s.memoLine, s.memoN = line, 0
+	}
+	for s.memoN < len(s.memoRows) {
+		s.memoN = s.idx.RowsFrom(s.memoN, line, s.memoRows)
+	}
+	return s.memoRows
+}
+
+// Indexer returns the array's address → rows mapping, so a layer that keeps
+// per-slot state of its own (zkv's cells) can find a line's slots without
+// touching the tags.
+func (s *skewTags) Indexer() *hash.Indexer { return s.idx }
+
+// Blocks returns the capacity in lines.
+func (s *skewTags) Blocks() int { return s.tags.ways * int(s.tags.rows) }
+
+// Ways returns the number of ways.
+func (s *skewTags) Ways() int { return s.tags.ways }
+
+// Counters exposes access accounting.
+func (s *skewTags) Counters() *Counters { return &s.ctr }
+
+// Lookup probes the line's one slot per way — the common case, and the
+// reason zcache hits cost exactly what a W-way skew cache's hits cost. It
+// hashes as it goes (hash.Indexer.RowsFrom): a hit never pays for rows it did
+// not read unless the table hands them over free, and a full-probe miss
+// leaves every row in the memo for the walk that follows.
+func (s *skewTags) Lookup(line uint64) (repl.BlockID, bool) {
+	s.ctr.TagLookups++
+	s.ctr.TagReads += uint64(s.tags.ways)
+	if s.memoLine != line {
+		s.memoLine, s.memoN = line, 0
+	}
+	for w := range s.memoRows {
+		if w == s.memoN {
+			s.memoN = s.idx.RowsFrom(w, line, s.memoRows)
+		}
+		id := s.tags.slot(w, s.memoRows[w])
+		if e := &s.tags.e[id]; e.valid && e.addr == line {
+			return id, true
+		}
+	}
+	return 0, false
+}
+
+// Invalidate removes line if resident.
+func (s *skewTags) Invalidate(line uint64) (repl.BlockID, bool) {
+	for w, row := range s.lineRows(line) {
+		id := s.tags.slot(w, row)
+		if e := &s.tags.e[id]; e.valid && e.addr == line {
+			e.valid = false
+			s.ctr.TagWrites++
+			return id, true
+		}
+	}
+	return 0, false
+}
+
 // Skew is a skew-associative array (Seznec, ISCA'93; §II-A): each way has
 // its own hash function, so a line has exactly one slot per way but two
 // lines that conflict in one way usually do not conflict in the others.
@@ -14,53 +109,19 @@ import (
 // structurally identical to a zcache whose walk is limited to one level
 // (the paper's Z4/4 configuration).
 type Skew struct {
-	name string
-	fns  []hash.Func
-	// h3 mirrors fns with concrete types when every way hash is an H3
-	// (the paper's configuration), killing the per-way interface dispatch
-	// on the probe loop.
-	h3    []*hash.H3
-	tags  tagStore
-	ctr   Counters
+	skewTags
+	name  string
 	moves []Move
 }
 
-// h3Fns returns fns as concrete *hash.H3 values, or nil if any way uses a
-// different implementation.
-func h3Fns(fns []hash.Func) []*hash.H3 {
-	h3 := make([]*hash.H3, len(fns))
-	for i, f := range fns {
-		h, ok := f.(*hash.H3)
-		if !ok {
-			return nil
-		}
-		h3[i] = h
-	}
-	return h3
-}
-
 // NewSkew returns a skew-associative array with rows rows per way, indexed
-// by fns (one per way). The functions must be distinct-seeded: identical
-// functions silently degenerate to a set-associative cache, so constructors
-// reject function slices where any pair behaves identically on a probe set.
+// by fns (one per way).
 func NewSkew(rows uint64, fns []hash.Func) (*Skew, error) {
-	if err := validateSkewFns("skew-associative", rows, fns); err != nil {
+	st, err := newSkewTags("skew-associative", rows, fns)
+	if err != nil {
 		return nil, err
 	}
-	return &Skew{
-		name: fmt.Sprintf("skew-%dw-%dr", len(fns), rows),
-		fns:  fns,
-		h3:   h3Fns(fns),
-		tags: newTagStore(len(fns), rows),
-	}, nil
-}
-
-// row computes way w's row for addr through the concrete hash when known.
-func (a *Skew) row(w int, addr uint64) uint64 {
-	if a.h3 != nil {
-		return a.h3[w].Hash(addr)
-	}
-	return a.fns[w].Hash(addr)
+	return &Skew{skewTags: st, name: fmt.Sprintf("skew-%dw-%dr", len(fns), rows)}, nil
 }
 
 // validateSkewFns checks geometry and pairwise distinctness of way hashes.
@@ -97,30 +158,10 @@ func validateSkewFns(design string, rows uint64, fns []hash.Func) error {
 // Name identifies the design.
 func (a *Skew) Name() string { return a.name }
 
-// Blocks returns the capacity in lines.
-func (a *Skew) Blocks() int { return a.tags.ways * int(a.tags.rows) }
-
-// Ways returns the number of ways.
-func (a *Skew) Ways() int { return a.tags.ways }
-
-// Lookup probes the line's one slot per way.
-func (a *Skew) Lookup(line uint64) (repl.BlockID, bool) {
-	a.ctr.TagLookups++
-	a.ctr.TagReads += uint64(a.tags.ways)
-	for w := 0; w < a.tags.ways; w++ {
-		id := a.tags.slot(w, a.row(w, line))
-		if e := &a.tags.e[id]; e.valid && e.addr == line {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
 // Candidates returns the blocks at the line's per-way positions; the demand
 // lookup already read these tags.
 func (a *Skew) Candidates(line uint64, buf []Candidate) []Candidate {
-	for w := 0; w < a.tags.ways; w++ {
-		row := a.row(w, line)
+	for w, row := range a.lineRows(line) {
 		id := a.tags.slot(w, row)
 		buf = append(buf, Candidate{
 			ID:     id,
@@ -159,19 +200,3 @@ func (a *Skew) installAt(id repl.BlockID, line uint64) {
 	a.ctr.TagWrites++
 	a.ctr.DataWrites++
 }
-
-// Invalidate removes line if resident.
-func (a *Skew) Invalidate(line uint64) (repl.BlockID, bool) {
-	for w := 0; w < a.tags.ways; w++ {
-		id := a.tags.slot(w, a.row(w, line))
-		if a.tags.e[id].valid && a.tags.e[id].addr == line {
-			a.tags.e[id].valid = false
-			a.ctr.TagWrites++
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-// Counters exposes access accounting.
-func (a *Skew) Counters() *Counters { return &a.ctr }

@@ -31,7 +31,7 @@ func refCandidates(z *ZCache, st *refWalkState, line uint64, buf []Candidate) []
 	}
 	st.epoch++
 	for w := 0; w < z.tags.ways; w++ {
-		row := z.row(w, line)
+		row := z.idx.Row(w, line)
 		id := z.tags.slot(w, row)
 		c := Candidate{
 			ID:     id,
@@ -64,7 +64,7 @@ func refCandidates(z *ZCache, st *refWalkState, line uint64, buf []Candidate) []
 					z.chargeWalk(singleReads)
 					return buf
 				}
-				row := z.row(w, p.Addr)
+				row := z.idx.Row(w, p.Addr)
 				id := z.tags.slot(w, row)
 				singleReads++
 				c := Candidate{
@@ -127,7 +127,7 @@ func refExpandFrom(z *ZCache, st *refWalkState, cands []Candidate, idx, extraLev
 					z.chargeWalk(singleReads)
 					return cands
 				}
-				row := z.row(w, p.Addr)
+				row := z.idx.Row(w, p.Addr)
 				id := z.tags.slot(w, row)
 				singleReads++
 				c := Candidate{

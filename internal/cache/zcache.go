@@ -19,23 +19,14 @@ var ErrCuckooCycle = errors.New("cache: relocation chain revisits a slot")
 // replacement candidates than the cache has ways, then frees the incoming
 // line's slot through a chain of relocations.
 //
-// Hits behave exactly like a skew-associative cache — one probe per way —
-// so hit latency and energy are those of a W-way design. Associativity
-// instead tracks the number of replacement candidates R (§IV), which grows
-// geometrically with the walk depth: R = W · Σ_{l=0}^{L-1} (W-1)^l.
+// Hits behave exactly like a skew-associative cache — one probe per way,
+// the embedded skewTags — so hit latency and energy are those of a W-way
+// design. Associativity instead tracks the number of replacement candidates
+// R (§IV), which grows geometrically with the walk depth:
+// R = W · Σ_{l=0}^{L-1} (W-1)^l.
 type ZCache struct {
-	name string
-	fns  []hash.Func
-	// h3 mirrors fns with concrete types when every way hash is an H3
-	// (the paper's configuration), so walk expansion — W-1 hashes per
-	// candidate — pays no interface dispatch.
-	h3 []*hash.H3
-	// ws4 is the packed four-lane nibble table for the 4-way all-H3
-	// configuration with at most hash.WaySet4MaxRows rows per way: one
-	// table walk yields all four rows, so lookups and walk frontiers hash
-	// in a single pass. It is nil otherwise, and hashing goes through h3.
-	ws4    *hash.WaySet4
-	tags   tagStore
+	skewTags
+	name   string
 	levels int
 	// maxCands lets the controller stop the walk early under bandwidth or
 	// energy pressure (§III: "the replacement process can be stopped
@@ -48,7 +39,6 @@ type ZCache struct {
 	strategy WalkStrategy
 	// dfsState seeds the DFS way choices deterministically.
 	dfsState uint64
-	ctr      Counters
 	moves    []Move
 	chain    []repl.BlockID
 	// repeats counts walk expansions that landed on an already-visited
@@ -61,23 +51,9 @@ type ZCache struct {
 	// can never alias a live epoch and the semantics match full-width
 	// stamps exactly.
 	walkEpoch uint64
-
-	// Flat-walk scratch (expandLevel, under Candidates and ExpandFrom), preallocated to the
-	// true MaxCandidates bound so no walk or hybrid expansion allocates:
-	// frontier holds the current level's parent addresses, rowBuf the
-	// batch-hashed rows for every way (rowBuf[w*frontierCap+i] is way w's
-	// row for frontier[i]).
-	frontier    []uint64
-	rowBuf      []uint64
-	frontierCap int
-
-	// memoLine/memoRows cache the per-way rows computed by the last Lookup.
-	// Rows depend only on the line address, never on tag contents, so the
-	// memo stays valid across installs; Candidates reuses it to skip
-	// re-hashing the line the demand miss just hashed.
-	memoLine uint64
-	memoRows []uint64
-	memoOK   bool
+	// walkRows is expandLevel's scratch: the rows of the parent being
+	// expanded (memoRows keeps the incoming line's).
+	walkRows []uint64
 
 	// Per-level walk profile: walks counts Candidates calls, levelEmits[l]
 	// candidates emitted at level l+1, levelReads[l] single tag reads
@@ -169,7 +145,8 @@ func WithRepeatAvoidance(logBits uint, hashes int) ZOption {
 // fns, and a walk of the given number of levels. levels == 1 degenerates to
 // a skew-associative cache (the paper's Z W/W configuration).
 func NewZCache(rows uint64, fns []hash.Func, levels int, opts ...ZOption) (*ZCache, error) {
-	if err := validateSkewFns("zcache", rows, fns); err != nil {
+	st, err := newSkewTags("zcache", rows, fns)
+	if err != nil {
 		return nil, err
 	}
 	if levels < 1 {
@@ -179,14 +156,10 @@ func NewZCache(rows uint64, fns []hash.Func, levels int, opts ...ZOption) (*ZCac
 		return nil, fmt.Errorf("cache: a 1-way zcache cannot walk (no alternative ways)")
 	}
 	z := &ZCache{
-		name:   fmt.Sprintf("z-%dw-%dr-L%d", len(fns), rows, levels),
-		fns:    fns,
-		h3:     h3Fns(fns),
-		tags:   newTagStore(len(fns), rows),
-		levels: levels,
-	}
-	if z.h3 != nil {
-		z.ws4 = hash.NewWaySet4(z.h3)
+		skewTags: st,
+		name:     fmt.Sprintf("z-%dw-%dr-L%d", len(fns), rows, levels),
+		levels:   levels,
+		walkRows: make([]uint64, len(fns)),
 	}
 	for _, opt := range opts {
 		if err := opt(z); err != nil {
@@ -197,7 +170,7 @@ func NewZCache(rows uint64, fns []hash.Func, levels int, opts ...ZOption) (*ZCac
 	if z.maxCands == 0 || z.maxCands > r {
 		// A budget above R cannot be spent — the walk runs out of tree
 		// first — but it would inflate ExpandFrom's 2×budget bound past
-		// the preallocated scratch. Clamp, mirroring SetWalkBudget.
+		// MaxCandidates. Clamp, mirroring SetWalkBudget.
 		z.maxCands = r
 	}
 	// A relocation chain visits strictly decreasing candidate indices, so
@@ -205,31 +178,13 @@ func NewZCache(rows uint64, fns []hash.Func, levels int, opts ...ZOption) (*ZCac
 	// the hybrid second phase, and Install never allocates on the hot path.
 	z.chain = make([]repl.BlockID, 0, 2*r)
 	z.moves = make([]Move, 0, 2*r)
-	z.frontierCap = 2 * r
-	z.frontier = make([]uint64, z.frontierCap)
-	z.rowBuf = make([]uint64, len(fns)*z.frontierCap)
-	z.memoRows = make([]uint64, len(fns))
 	z.levelEmits = make([]uint64, levels, levels+8)
 	z.levelReads = make([]uint64, levels, levels+8)
 	return z, nil
 }
 
-// row computes way w's row for addr through the concrete hash when known.
-func (z *ZCache) row(w int, addr uint64) uint64 {
-	if z.h3 != nil {
-		return z.h3[w].Hash(addr)
-	}
-	return z.fns[w].Hash(addr)
-}
-
 // Name identifies the design.
 func (z *ZCache) Name() string { return z.name }
-
-// Blocks returns the capacity in lines.
-func (z *ZCache) Blocks() int { return z.tags.ways * int(z.tags.rows) }
-
-// Ways returns the number of ways.
-func (z *ZCache) Ways() int { return z.tags.ways }
 
 // Levels returns the configured walk depth.
 func (z *ZCache) Levels() int { return z.levels }
@@ -256,65 +211,6 @@ func (z *ZCache) SetWalkBudget(n int) error {
 // WalkBudget returns the current candidate bound.
 func (z *ZCache) WalkBudget() int { return z.maxCands }
 
-// Lookup probes the line's one slot per way — the common case, and the
-// reason zcache hits cost exactly what a W-way skew cache's hits cost.
-// Hashing stays lazy (a hit at way w pays only w+1 hashes), but the rows
-// computed along the way are captured, and on a full-probe miss — which
-// hashed every way — they are published as a memo. The Candidates call that
-// follows a demand miss reuses them for its first level instead of
-// re-hashing the line. The memo never goes stale: rows depend only on the
-// line address, not on tag contents.
-func (z *ZCache) Lookup(line uint64) (repl.BlockID, bool) {
-	z.ctr.TagLookups++
-	z.ctr.TagReads += uint64(z.tags.ways)
-	rows := z.memoRows
-	if z.ws4 != nil {
-		// One merged-table walk hashes all four ways — cheaper than
-		// even two sequential per-way hashes, so eager beats lazy.
-		z.ws4.Rows4(line, rows)
-		z.memoLine, z.memoOK = line, true
-		rowsPerWay := z.tags.rows
-		for w := 0; w < 4; w++ {
-			id := repl.BlockID(uint64(w)*rowsPerWay + rows[w])
-			if e := &z.tags.e[id]; e.valid && e.addr == line {
-				return id, true
-			}
-		}
-		return 0, false
-	}
-	for w := 0; w < z.tags.ways; w++ {
-		row := z.row(w, line)
-		rows[w] = row
-		id := z.tags.slot(w, row)
-		if e := &z.tags.e[id]; e.valid && e.addr == line {
-			z.memoOK = false
-			return id, true
-		}
-	}
-	z.memoLine, z.memoOK = line, true
-	return 0, false
-}
-
-// lineRows returns line's per-way rows, from the memo when a missed Lookup
-// already computed them for this line.
-func (z *ZCache) lineRows(line uint64) []uint64 {
-	if z.memoOK && z.memoLine == line {
-		return z.memoRows
-	}
-	switch {
-	case z.ws4 != nil:
-		z.ws4.Rows4(line, z.memoRows)
-	case z.h3 != nil:
-		hash.WayRows(z.h3, line, z.memoRows)
-	default:
-		for w := range z.fns {
-			z.memoRows[w] = z.fns[w].Hash(line)
-		}
-	}
-	z.memoLine, z.memoOK = line, true
-	return z.memoRows
-}
-
 // MaxCandidates returns the most candidates a walk can yield: the natural
 // R(W, L) bound, doubled because the §III-D hybrid second phase may expand
 // the tree up to twice the budget. Runtime budget changes (SetWalkBudget)
@@ -330,13 +226,11 @@ func (z *ZCache) MaxCandidates() int {
 // depth, at the candidate budget, or as soon as an empty slot is found
 // (an empty slot is a free installation — no deeper candidate can beat it).
 //
-// The walk is flat: each level copies the previous level's addresses into a
-// preallocated frontier array, batch-hashes the whole frontier through every
-// way function (one HashBatch call per way per level instead of one Hash
-// call per candidate), then emits candidates by pure index arithmetic —
-// parent i's way-w row sits at rowBuf[w·frontierCap+i]. A candidate costs one
-// tag line (address, valid bit and the repeat-detection stamp share it) and
-// one record written in place. Candidate order, counter charges, and
+// The walk is flat: a level's parents are a range of buf itself, each parent
+// is hashed through all W ways by one Indexer.Rows call inside the emit loop,
+// and a candidate costs one tag line (address, valid bit and the
+// repeat-detection stamp share it) and one record written in place — no
+// frontier is staged. Candidate order, counter charges, and
 // early-exit behaviour are bit-identical to the recursive formulation
 // (walk_ref_test.go holds that formulation as a property-test oracle).
 func (z *ZCache) Candidates(line uint64, buf []Candidate) []Candidate {
@@ -351,15 +245,10 @@ func (z *ZCache) Candidates(line uint64, buf []Candidate) []Candidate {
 	epoch := z.bumpEpoch()
 	z.walks++
 	// Level 1: direct conflicts. Tag reads were charged by the demand
-	// lookup that missed, and the rows were memoized by it too (the
-	// inline memo check keeps the common path call-free).
-	rows := z.memoRows
-	if !z.memoOK || z.memoLine != line {
-		rows = z.lineRows(line)
-	}
-	buf, stop := z.rootLevel(buf, rows, epoch, z.repeatFilter)
+	// lookup that missed, and the rows were memoized by it too.
+	buf, stop := z.rootLevel(buf, z.lineRows(line), epoch, z.repeatFilter)
 	z.noteLevel(1, uint64(len(buf)-start), 0)
-	// Deeper levels: expand each frontier into the other ways.
+	// Deeper levels: expand each level into the other ways.
 	levelStart, levelEnd := start, len(buf)
 	for level := 2; level <= z.levels && !stop && levelStart < levelEnd; level++ {
 		buf, stop = z.expandLevel(buf, levelStart, levelEnd, level, start+z.maxCands, epoch, z.repeatFilter)
@@ -431,11 +320,10 @@ func (z *ZCache) rootLevel(buf []Candidate, rows []uint64, epoch uint16, filter 
 // children whose address the walk has already visited (§III-D). buf must
 // have capacity for limit candidates.
 func (z *ZCache) expandLevel(buf []Candidate, lo, hi, level, limit int, epoch uint16, filter *Bloom) (out []Candidate, stop bool) {
-	z.hashFrontier(buf[lo:hi])
 	// Hot-path state is hoisted into locals: outside the rare repeat, the
 	// emit loop reads no ZCache fields.
-	tags, rowBuf := z.tags.e, z.rowBuf
-	ways, rowsPerWay, fcap := z.tags.ways, z.tags.rows, z.frontierCap
+	tags, idx, rows := z.tags.e, z.idx, z.walkRows
+	ways, rowsPerWay := z.tags.ways, z.tags.rows
 	base := len(buf)
 	n := base
 	buf = buf[:cap(buf)]
@@ -443,7 +331,7 @@ func (z *ZCache) expandLevel(buf []Candidate, lo, hi, level, limit int, epoch ui
 emit:
 	for parent := lo; parent < hi; parent++ {
 		pWay := buf[parent].Way
-		ri := parent - lo
+		idx.Rows(buf[parent].Addr, rows)
 		for w := 0; w < ways; w++ {
 			if w == pWay {
 				// This hash matches the slot the parent already
@@ -455,7 +343,7 @@ emit:
 				stop = true
 				break emit
 			}
-			row := rowBuf[w*fcap+ri]
+			row := rows[w]
 			id := repl.BlockID(uint64(w)*rowsPerWay + row)
 			e := &tags[id]
 			addr, valid := e.addr, e.valid
@@ -484,32 +372,6 @@ emit:
 	z.chargeWalk(reads)
 	z.noteLevel(level, uint64(n-base), reads)
 	return buf[:n], stop
-}
-
-// hashFrontier copies the parents' addresses into the frontier scratch and
-// batch-hashes them through every way function, filling
-// rowBuf[w·frontierCap+i] with way w's row for parent i.
-func (z *ZCache) hashFrontier(parents []Candidate) {
-	n := len(parents)
-	for i := range parents {
-		z.frontier[i] = parents[i].Addr
-	}
-	if z.ws4 != nil {
-		z.ws4.RowsBatch4(z.frontier[:n], z.rowBuf, z.frontierCap)
-		return
-	}
-	if z.h3 != nil {
-		for w := 0; w < z.tags.ways; w++ {
-			z.h3[w].HashBatch(z.frontier[:n], z.rowBuf[w*z.frontierCap:w*z.frontierCap+n])
-		}
-		return
-	}
-	for w := 0; w < z.tags.ways; w++ {
-		dst := z.rowBuf[w*z.frontierCap : w*z.frontierCap+n]
-		for i := 0; i < n; i++ {
-			dst[i] = z.fns[w].Hash(z.frontier[i])
-		}
-	}
 }
 
 // noteLevel accumulates the per-level walk profile. The grow path is split
@@ -574,10 +436,10 @@ func (z *ZCache) ExpandFrom(cands []Candidate, idx, extraLevels int) []Candidate
 	}
 	levelStart, levelEnd := idx, idx+1
 	for lvl := 0; lvl < extraLevels && levelStart < levelEnd; lvl++ {
-		if len(cands) >= limit || levelEnd-levelStart > z.frontierCap {
+		if len(cands) >= limit {
 			// The budget is already spent (possible when the caller
 			// hands in an oversized tree): nothing would be emitted
-			// or charged, so stop before staging the frontier.
+			// or charged, and the walk profile must not grow a level.
 			break
 		}
 		var stop bool
@@ -622,7 +484,7 @@ func (z *ZCache) candidatesDFS(line uint64, buf []Candidate) []Candidate {
 		z.dfsState = hash.Mix64(z.dfsState)
 		hop := int(z.dfsState % uint64(z.tags.ways-1))
 		w := (p.Way + 1 + hop) % z.tags.ways
-		row := z.row(w, p.Addr)
+		row := z.idx.Row(w, p.Addr)
 		id := z.tags.slot(w, row)
 		// Serialized single read: one pipeline slot each.
 		z.ctr.TagReads++
@@ -724,7 +586,7 @@ func (z *ZCache) Adopt(id repl.BlockID, line uint64) error {
 		return fmt.Errorf("cache: adopt slot %d is occupied", id)
 	}
 	w, row := z.tags.wayRow(id)
-	if z.row(w, line) != row {
+	if z.lineRows(line)[w] != row {
 		return fmt.Errorf("cache: line %#x does not hash to adopt slot %d (way %d row %d)",
 			line, id, w, row)
 	}
@@ -745,22 +607,6 @@ func (z *ZCache) SlotLine(id repl.BlockID) (uint64, bool) {
 	e := &z.tags.e[id]
 	return e.addr, e.valid
 }
-
-// Invalidate removes line if resident.
-func (z *ZCache) Invalidate(line uint64) (repl.BlockID, bool) {
-	for w := 0; w < z.tags.ways; w++ {
-		id := z.tags.slot(w, z.row(w, line))
-		if z.tags.e[id].valid && z.tags.e[id].addr == line {
-			z.tags.e[id].valid = false
-			z.ctr.TagWrites++
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-// Counters exposes access accounting.
-func (z *ZCache) Counters() *Counters { return &z.ctr }
 
 // ReplacementCandidates returns R for a W-way, L-level walk with no repeats:
 // R = W · Σ_{l=0}^{L-1} (W-1)^l (§III-B). The paper's Z4/16 is (4,2) and

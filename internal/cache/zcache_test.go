@@ -291,30 +291,18 @@ func TestZCacheResidentLineIsInOwnWayPosition(t *testing.T) {
 	}
 }
 
-// TestZCachePackedHashThreshold pins where a 4-way all-H3 zcache stops using
-// the packed WaySet4 table: at hash.WaySet4MaxRows rows per way it still
-// does, one doubling later the rows no longer fit a 16-bit lane and the array
-// hashes through the per-way H3 functions — the path every non-4-way
-// geometry already takes. Both sides must keep every resident line where its
-// own way function puts it.
+// TestZCachePackedHashThreshold drives a 4-way all-H3 zcache on both sides
+// of the indexer's lane bound: at hash.WaySet4MaxRows rows per way the rows
+// come from the packed table, one doubling later from the per-way H3
+// functions (internal/hash's TestIndexerMatchesFuncs pins which table is
+// chosen where). Either way every access must be found again and every
+// resident line must sit where its own way function puts it.
 func TestZCachePackedHashThreshold(t *testing.T) {
-	for _, tc := range []struct {
-		rows   uint64
-		packed bool
-	}{
-		{hash.WaySet4MaxRows, true},
-		{hash.WaySet4MaxRows << 1, false},
-	} {
-		fns := mkFns(t, 4, tc.rows, 31)
-		z, err := NewZCache(tc.rows, fns, 2)
+	for _, rows := range []uint64{hash.WaySet4MaxRows, hash.WaySet4MaxRows << 1} {
+		fns := mkFns(t, 4, rows, 31)
+		z, err := NewZCache(rows, fns, 2)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if z.h3 == nil {
-			t.Fatalf("rows=%d: all-H3 ways not recognised", tc.rows)
-		}
-		if got := z.ws4 != nil; got != tc.packed {
-			t.Fatalf("rows=%d: packed table present = %t, want %t", tc.rows, got, tc.packed)
 		}
 		pol, _ := repl.NewLRU(z.Blocks())
 		c, _ := New(z, pol, 6)
@@ -325,7 +313,7 @@ func TestZCachePackedHashThreshold(t *testing.T) {
 			addr := (state % 3000) << 6
 			c.Access(addr, false)
 			if !c.Contains(addr) {
-				t.Fatalf("rows=%d: line %#x not found right after its access", tc.rows, addr>>6)
+				t.Fatalf("rows=%d: line %#x not found right after its access", rows, addr>>6)
 			}
 		}
 		for id, ent := range z.tags.e {
@@ -335,7 +323,7 @@ func TestZCachePackedHashThreshold(t *testing.T) {
 			way, row := z.tags.wayRow(repl.BlockID(id))
 			if fns[way].Hash(ent.addr) != row {
 				t.Fatalf("rows=%d: line %#x in way %d row %d, but h(line) = %d",
-					tc.rows, ent.addr, way, row, fns[way].Hash(ent.addr))
+					rows, ent.addr, way, row, fns[way].Hash(ent.addr))
 			}
 		}
 	}

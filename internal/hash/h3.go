@@ -87,46 +87,9 @@ func (h *H3) Hash(addr uint64) uint64 {
 	return a ^ b ^ c ^ d
 }
 
-// HashBatch writes h(addrs[i]) into dst[i] for every i. One call hashes a
-// whole zcache walk frontier: the nibble-table base stays in a register and
-// the per-call overhead of Hash (not inlinable — it loops) is paid once per
-// level instead of once per candidate. Addresses are processed in pairs so
-// the two table walks interleave; H3 table lookups have no cross-address
-// dependencies, so the CPU overlaps their loads. dst must be at least as
-// long as addrs.
-func (h *H3) HashBatch(addrs []uint64, dst []uint64) {
-	dst = dst[:len(addrs)]
-	i := 0
-	for ; i+1 < len(addrs); i += 2 {
-		x, y := addrs[i], addrs[i+1]
-		var xa, xb, xc, xd uint64
-		var ya, yb, yc, yd uint64
-		for pos := 0; x != 0 || y != 0; pos += 4 {
-			xa ^= h.nibble[pos][x&0xf]
-			ya ^= h.nibble[pos][y&0xf]
-			xb ^= h.nibble[pos+1][(x>>4)&0xf]
-			yb ^= h.nibble[pos+1][(y>>4)&0xf]
-			xc ^= h.nibble[pos+2][(x>>8)&0xf]
-			yc ^= h.nibble[pos+2][(y>>8)&0xf]
-			xd ^= h.nibble[pos+3][(x>>12)&0xf]
-			yd ^= h.nibble[pos+3][(y>>12)&0xf]
-			x >>= 16
-			y >>= 16
-		}
-		dst[i] = xa ^ xb ^ xc ^ xd
-		dst[i+1] = ya ^ yb ^ yc ^ yd
-	}
-	if i < len(addrs) {
-		dst[i] = h.Hash(addrs[i])
-	}
-}
-
-// WayRows writes fns[w](addr) into dst[w] for every way function. Skew-style
-// probes (skew lookup, zcache lookup, the controller's flat miss path) hash
-// one address through all W way functions; computing the rows up front in one
-// pass lets the tag probes that follow issue back to back instead of
-// alternating hash → load → branch per way. dst must be at least as long as
-// fns.
+// WayRows writes fns[w](addr) into dst[w] for every way function: one call,
+// one loop, no per-way dispatch — an Indexer's path for all-H3 geometries the
+// packed table does not serve. dst must be at least as long as fns.
 func WayRows(fns []*H3, addr uint64, dst []uint64) {
 	dst = dst[:len(fns)]
 	for w, h := range fns {
@@ -146,8 +109,8 @@ func WayRows(fns []*H3, addr uint64, dst []uint64) {
 // WaySet4MaxRows is the largest per-way row count a WaySet4 can index: each
 // way's partial occupies one 16-bit lane of a table word. It covers every
 // geometry the experiments and the server build (the paper's 8 MB, 4-way L2
-// is 32768 rows per way); above it NewWaySet4 returns nil and callers hash
-// through the per-way H3 functions.
+// is 32768 rows per way); above it NewWaySet4 returns nil and an Indexer
+// hashes through the per-way H3 functions.
 const WaySet4MaxRows = 1 << 16
 
 // WaySet4 merges the nibble tables of exactly four H3 way functions into one
@@ -183,37 +146,19 @@ func NewWaySet4(fns []*H3) *WaySet4 {
 	return ws
 }
 
-// packed returns the four ways' rows for addr in the lanes of one word. Two
-// accumulators keep the XOR chain off the loads' critical path; the masks
-// keep every table index provably in range, so the loop runs bounds-check
-// free.
-func (ws *WaySet4) packed(addr uint64) uint64 {
+// Rows4 writes the four ways' rows for addr into dst[0..3]. Two accumulators
+// keep the XOR chain off the loads' critical path; the masks keep every table
+// index provably in range, so the loop runs bounds-check free.
+func (ws *WaySet4) Rows4(addr uint64, dst []uint64) {
+	_ = dst[3]
 	var a, b uint64
 	for p := 0; addr != 0; p += 64 {
 		a ^= ws.tab[(p|int(addr&0xf))&255] ^ ws.tab[(p+32|int(addr>>8&0xf))&255]
 		b ^= ws.tab[(p+16|int(addr>>4&0xf))&255] ^ ws.tab[(p+48|int(addr>>12&0xf))&255]
 		addr >>= 16
 	}
-	return a ^ b
-}
-
-// Rows4 writes the four ways' rows for addr into dst[0..3].
-func (ws *WaySet4) Rows4(addr uint64, dst []uint64) {
-	_ = dst[3]
-	r := ws.packed(addr)
+	r := a ^ b
 	dst[0], dst[1], dst[2], dst[3] = r&0xffff, r>>16&0xffff, r>>32&0xffff, r>>48
-}
-
-// RowsBatch4 hashes a whole walk frontier in one call: for each addrs[i] it
-// writes way w's row into dst[w·stride+i], the way-major layout the flat
-// walk indexes by pure arithmetic. dst must hold at least 3·stride+len(addrs)
-// elements.
-func (ws *WaySet4) RowsBatch4(addrs []uint64, dst []uint64, stride int) {
-	_ = dst[3*stride+len(addrs)-1]
-	for i, addr := range addrs {
-		r := ws.packed(addr)
-		dst[i], dst[stride+i], dst[2*stride+i], dst[3*stride+i] = r&0xffff, r>>16&0xffff, r>>32&0xffff, r>>48
-	}
 }
 
 // Buckets returns the output range size.

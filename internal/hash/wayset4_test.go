@@ -38,7 +38,7 @@ func fourH3(tb testing.TB, seed, rows uint64) []*H3 {
 
 // checkWaySet4 builds four H3 functions over rows buckets and asserts that
 // NewWaySet4 answers nil exactly above the lane bound, and that below it
-// Rows4 and RowsBatch4 equal the four per-way Hash values for every addr.
+// Rows4 equals the four per-way Hash values for every addr.
 func checkWaySet4(t *testing.T, seed, rows uint64, addrs []uint64) {
 	t.Helper()
 	fns := fourH3(t, seed, rows)
@@ -52,22 +52,12 @@ func checkWaySet4(t *testing.T, seed, rows uint64, addrs []uint64) {
 	if ws == nil {
 		t.Fatalf("rows=%d: NewWaySet4 returned nil within the %d-row lane bound", rows, WaySet4MaxRows)
 	}
-	const stride = 7 // deliberately not len(addrs): the layout is way-major by stride
 	var got [4]uint64
-	batch := make([]uint64, 4*stride)
-	for base := 0; base < len(addrs); base += stride {
-		chunk := addrs[base:min(base+stride, len(addrs))]
-		ws.RowsBatch4(chunk, batch, stride)
-		for i, addr := range chunk {
-			ws.Rows4(addr, got[:])
-			for w, h := range fns {
-				want := h.Hash(addr)
-				if got[w] != want {
-					t.Fatalf("rows=%d addr=%#x way %d: Rows4 %d, per-way H3 %d", rows, addr, w, got[w], want)
-				}
-				if b := batch[w*stride+i]; b != want {
-					t.Fatalf("rows=%d addr=%#x way %d: RowsBatch4 %d, per-way H3 %d", rows, addr, w, b, want)
-				}
+	for _, addr := range addrs {
+		ws.Rows4(addr, got[:])
+		for w, h := range fns {
+			if want := h.Hash(addr); got[w] != want {
+				t.Fatalf("rows=%d addr=%#x way %d: Rows4 %d, per-way H3 %d", rows, addr, w, got[w], want)
 			}
 		}
 	}

@@ -1019,8 +1019,12 @@ func (s *Store) Entry(id int) (key, val []byte) {
 
 // Lookup finds fp's slot and returns its Entry. There is no stored index:
 // Lookup derives one from the slot table on first use after a mutation,
-// wherever the fingerprints were placed. Intended for tools and tests; the
-// shard finds a key by hashing it to its W slots.
+// wherever the fingerprints were placed.
+//
+// Instrument-only: the shard finds a key by hashing it to its W slots, and
+// nothing in this module calls Lookup outside tests. Its one caller is the
+// benchmark module's slotstore.lookup_ns layer metric (bench/layers.go); it
+// and the derived index leave with that metric when bench/ is next opened.
 func (s *Store) Lookup(fp uint64) (key, val []byte, ok bool) {
 	if s.index == nil {
 		s.index, _ = s.deriveIndex()

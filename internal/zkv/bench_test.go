@@ -11,11 +11,11 @@ import (
 
 // benchStore builds a store prefilled to roughly half capacity so Get hits
 // and Set exercises both overwrite and install paths.
-func benchStore(b *testing.B) (*Store, int) { return benchStoreKeyLen(b, 8) }
+func benchStore(b testing.TB) (*Store, int) { return benchStoreKeyLen(b, 8) }
 
 // benchStoreKeyLen is benchStore with keys of klen ≥ 8 bytes: the counter in
 // the last eight, zeros before it.
-func benchStoreKeyLen(b *testing.B, klen int) (*Store, int) {
+func benchStoreKeyLen(b testing.TB, klen int) (*Store, int) {
 	b.Helper()
 	s, err := Open(Config{Shards: 4, Ways: 4, Rows: 1024, Levels: 2, Seed: 17})
 	if err != nil {
@@ -84,52 +84,86 @@ func BenchmarkZKVGetParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkServerPipelinedGet is the serving path whole: one client sends
-// 16-deep GET bursts over loopback TCP and waits for the replies, so an
-// iteration is one request's share of client codec, two syscalls each way,
-// serveConn and Store.Get. Client and server run in this process and both
-// sides' allocations count: the path must stay at 0 allocs/op.
-func BenchmarkServerPipelinedGet(b *testing.B) {
-	s, n := benchStore(b)
+// pipelinedGetDepth is the burst size of the serving-loop instruments.
+const pipelinedGetDepth = 16
+
+// servePipelinedGets boots a server over a prefilled store on loopback TCP
+// and returns burst, which sends pipelinedGetDepth GETs starting at key first
+// in one flush and reads every reply, and stop. Client and server run in this
+// process, so an allocation count taken around burst sees both sides. One
+// burst has already run, sizing both sides' reusable buffers.
+func servePipelinedGets(tb testing.TB) (burst func(first int), stop func()) {
+	tb.Helper()
+	s, n := benchStore(tb)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	srv := NewServer(s, ServerConfig{})
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ln) }()
 	cl, err := zkvproto.Dial(ln.Addr().String())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	const depth = 16
 	var key [8]byte
-	burst := func(first int) {
-		for i := first; i < first+depth; i++ {
+	burst = func(first int) {
+		for i := first; i < first+pipelinedGetDepth; i++ {
 			binary.BigEndian.PutUint64(key[:], uint64(i%n))
 			if err := cl.QueueGet(key[:]); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		if err := cl.Flush(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		for i := 0; i < depth; i++ {
+		for i := 0; i < pipelinedGetDepth; i++ {
 			if resp, err := cl.ReadReply(); err != nil || resp.Status != zkvproto.StatusOK {
-				b.Fatalf("reply: %v, %+v", err, resp)
+				tb.Fatalf("reply: %v, %+v", err, resp)
 			}
 		}
 	}
-	burst(0) // size both sides' reusable buffers
+	stop = func() {
+		cl.Close()
+		if err := srv.Shutdown(context.Background()); err != nil {
+			tb.Fatal(err)
+		}
+		<-served
+	}
+	burst(0)
+	return burst, stop
+}
+
+// BenchmarkServerPipelinedGet is the serving path whole: one client sends
+// 16-deep GET bursts over loopback TCP and waits for the replies, so an
+// iteration is one request's share of client codec, two syscalls each way,
+// serveConn and Store.Get. TestServerPipelinedGetAllocs pins its 0 allocs.
+func BenchmarkServerPipelinedGet(b *testing.B) {
+	burst, stop := servePipelinedGets(b)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i += depth {
+	for i := 0; i < b.N; i += pipelinedGetDepth {
 		burst(i)
 	}
 	b.StopTimer()
-	cl.Close()
-	if err := srv.Shutdown(context.Background()); err != nil {
-		b.Fatal(err)
+	stop()
+}
+
+// TestServerPipelinedGetAllocs pins the serving loop at zero allocations per
+// burst on both sides of the socket once the buffers are warm: client codec,
+// serveConn and Store.Get. A per-request cost creeping back into the loop (a
+// timer, a reply buffer) shows here as a whole number of objects per burst.
+func TestServerPipelinedGetAllocs(t *testing.T) {
+	burst, stop := servePipelinedGets(t)
+	defer stop()
+	for i := 0; i < 64; i++ {
+		burst(i * pipelinedGetDepth)
 	}
-	<-served
+	next := 0
+	if n := testing.AllocsPerRun(200, func() {
+		burst(next)
+		next += pipelinedGetDepth
+	}); n != 0 {
+		t.Fatalf("a %d-deep pipelined GET burst allocates %.0f objects across client and server, want 0", pipelinedGetDepth, n)
+	}
 }

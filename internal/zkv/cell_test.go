@@ -36,6 +36,13 @@ func TestGetAllocs(t *testing.T) {
 	eachBacking(t, Config{Shards: 1, Ways: 4, Rows: 64, Levels: 2, Seed: 3}, testGetAllocs)
 }
 
+// TestGetAllocsPerWayHashing is TestGetAllocs on a geometry the indexer's
+// packed table does not serve: the probe hashes way by way into rows that
+// must stay on the reader's stack.
+func TestGetAllocsPerWayHashing(t *testing.T) {
+	eachBacking(t, Config{Shards: 1, Ways: 8, Rows: 32, Levels: 2, Seed: 3}, testGetAllocs)
+}
+
 func testGetAllocs(t *testing.T, s *Store) {
 	for _, klen := range []int{1, 8, 13, 16} {
 		for _, vlen := range []int{0, 7, 64, 1024} {
@@ -73,8 +80,7 @@ func testGetAllocs(t *testing.T, s *Store) {
 // TestSetAllocs pins the steady-state SET path at zero allocations on either
 // backing: overwrites in place, and inserts that evict (and sometimes
 // relocate) once every slot has held an entry of the size written — what
-// BenchmarkZKVSet and BenchmarkZKVSetPersist otherwise show only to
-// benchguard.
+// BenchmarkZKVSet and BenchmarkZKVSetPersist only report.
 func TestSetAllocs(t *testing.T) {
 	eachBacking(t, Config{Shards: 1, Ways: 4, Rows: 64, Levels: 2, Seed: 5}, func(t *testing.T, s *Store) {
 		var key [8]byte

@@ -98,16 +98,19 @@ func (sh *shard) getLockFree(fp uint64, key, dst []byte) ([]byte, bool) {
 // for the value, one otherwise.
 func (sh *shard) probe(v slotstore.View, fp uint64, key, dst []byte) ([]byte, uint64, bool, bool, bool) {
 	var meta, slot uint64
-	var rows [4]uint64
-	if sh.ws4 != nil {
-		sh.ws4.Rows4(fp, rows[:])
+	// The rows live on this reader's stack (only a store wider than any
+	// the paper considers spills them to the heap) and are hashed as the
+	// probe goes, so a hit pays for no way it did not read.
+	var buf [8]uint64
+	rows, ways := buf[:], sh.ix.Ways()
+	if ways > len(buf) {
+		rows = make([]uint64, ways)
 	}
-	for w := 0; w < len(sh.rfns) && meta == 0; w++ {
-		row := rows[w&3]
-		if sh.ws4 == nil {
-			row = sh.rfns[w].Hash(fp)
+	for w, n := 0, 0; w < ways && meta == 0; w++ {
+		if w == n {
+			n = sh.ix.RowsFrom(w, fp, rows)
 		}
-		if id := uint64(w)*sh.rowsPer + row; v.FP(int(id)) == fp {
+		if id := uint64(w)*sh.rowsPer + rows[w]; v.FP(int(id)) == fp {
 			meta, slot = v.Meta(int(id)), id
 		}
 	}

@@ -332,12 +332,11 @@ type shard struct {
 	// cells holds every entry once, indexed by repl.BlockID like the tag
 	// array, on the Go heap or in the shard's file (persist.go); its
 	// generation word is the shard's seqlock. touches is the deferred
-	// read-hit ring, and ws4/rfns/rowsPer let readers hash fingerprints to
-	// slots without touching the tag array (seqlock.go).
+	// read-hit ring, and ix — the array's own indexer — lets readers hash
+	// fingerprints to slots without touching the tag array (seqlock.go).
 	cells   *slotstore.Store
 	touches touchRing
-	ws4     *hash.WaySet4
-	rfns    []hash.Func
+	ix      *hash.Indexer
 	rowsPer uint64
 
 	// Lock-free readers Add to the first two rows; the mutex holder is the
@@ -397,20 +396,9 @@ func newShard(cfg Config, i int) (*shard, error) {
 		c:       c,
 		arr:     arr,
 		cells:   slotstore.NewHeap(arr.Blocks()),
-		rfns:    fns,
+		ix:      arr.Indexer(),
 		rowsPer: cfg.Rows,
 		idx:     i,
-	}
-	if cfg.Ways == 4 {
-		h3s := make([]*hash.H3, 0, 4)
-		for _, f := range fns {
-			if h, ok := f.(*hash.H3); ok {
-				h3s = append(h3s, h)
-			}
-		}
-		if len(h3s) == 4 {
-			sh.ws4 = hash.NewWaySet4(h3s)
-		}
 	}
 	sh.touches.init(touchRingSize)
 	c.SetSlotObserver(sh)

@@ -252,11 +252,11 @@ func TestSampledEstimateSurvivesStore(t *testing.T) {
 // BenchmarkSampledSuite measures the sampled Fig. 4 ∪ Fig. 5 suite (96
 // cells: 8 workloads × 6 designs × 2 lookups, capture + plan + legs, all
 // cold) — the headline wall time sampled execution buys. Compare against
-// BenchmarkFig4LRU/BenchmarkFig5 for the exact-suite cost. benchguard
-// gates its ns/op; the zero-alloc contract is gated at the per-reference
-// level by BenchmarkSampledReplayAccess, where the count is deterministic
-// (whole-suite allocs/op jitters a few counts with GC scheduling, which
-// would flake benchguard's any-increase rule).
+// BenchmarkFig4LRU/BenchmarkFig5 for the exact-suite cost. An instrument, not
+// a gate: the zero-alloc contract is pinned per reference by
+// internal/sample's TestSampledHotPathZeroAllocs, where the count is
+// deterministic (whole-suite allocs/op jitters a few counts with GC
+// scheduling).
 func BenchmarkSampledSuite(b *testing.B) {
 	designs := append([]DesignPoint{BaselineDesign()}, Fig4Designs()...)
 	pol := sim.PolicyBucketedLRU
