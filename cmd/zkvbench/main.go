@@ -7,14 +7,15 @@
 //	zkvbench -nodes 127.0.0.1:7171,127.0.0.1:7172,127.0.0.1:7173 \
 //	    -topology replicated -oracle -join 127.0.0.1:7174 -join-after 50000
 //
-// drives a reproducible mixed GET/SET stream from -clients pipelined
-// clients through the client-side consistent-hash ring (internal/zcluster)
-// and reports ops/s, hit rate, p50/p99/p999 per-op latency overall and per
-// node, errors by class, and a per-node health line parsed from each
-// server's STATS text. There is one load path: -addr A is exactly
+// drives a reproducible mixed GET/SET stream from -clients cluster clients
+// (internal/zcluster.Client, -pipeline operations per batch) and reports
+// ops/s, hit rate, p50/p99/p999 per-op latency overall and per node, errors
+// by class, and a per-node health line parsed from each server's STATS
+// text. There is one load path and one client: -addr A is exactly
 // -nodes A -topology ring, a ring of one node. -topology ring keeps one copy
-// per key; replicated fans writes out R=2 and lets reads fail over. SET
-// payloads are -val-bytes long and travel under an 8-byte version stamp.
+// per key; replicated writes both copies in one flush (R=2), fails reads
+// over, read-repairs lost copies and cross-checks 1 hit in 64. SET payloads
+// are -val-bytes long and travel under an 8-byte version stamp.
 //
 // With -writers N, N additional clients issue only SETs, unmeasured, for
 // the whole window (contention mode): combined with -get-frac 1 the
@@ -32,10 +33,10 @@
 //
 // puts an in-process netchaos proxy injecting the given fault spec (see
 // internal/netchaos) in front of every node, each with its own derived
-// seed. The client stack must absorb the faults: every transport error is
-// classified (timeout, reset, busy, protocol), clipped operations are
-// retried, and -oracle verifies every GET hit against its key-derived
-// expected value.
+// seed. The client stack must absorb the faults: the cluster client
+// classifies every transport error (timeout, reset, busy, protocol) and
+// returns the operations it clipped, the harness re-issues them, and -oracle
+// verifies every GET hit against its key-derived expected value.
 //
 // Equivalence replay:
 //
@@ -95,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		chaos     = fs.String("chaos", "", "netchaos fault spec; route all connections through in-process fault proxies (e.g. 'latency:d=1ms,p=0.1;reset:p=0.01')")
 		chaosSeed = fs.Uint64("chaos-seed", 1, "fault schedule seed (chaos mode)")
 		oracle    = fs.Bool("oracle", false, "self-certifying values: verify every GET hit against its key-derived expected bytes")
-		opTimeout = fs.Duration("op-timeout", 0, "per-burst deadline (default 2s in chaos mode, none otherwise)")
+		opTimeout = fs.Duration("op-timeout", 0, "deadline of each batch round (default 2s in chaos mode, none otherwise)")
 		stall     = fs.Int("stall", 0, "silent connections held open for the whole run (slow-loris pressure)")
 
 		equiv      = fs.String("equiv", "", "equivalence mode: workload preset to replay (e.g. canneal)")
@@ -190,9 +191,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// MaxRetries covers the convenience ops the reshard controller and
-	// read-repair issue (measured ops carry their own retry loop); a shed
-	// MIGRATE during a live join must back off and retry, not abort.
+	// MaxRetries covers the reshard controller's and the health sweep's
+	// one-call ops (a shed MIGRATE must back off and retry, not abort);
+	// measured ops come back from the client and the harness re-issues them.
 	ccfg := zcluster.Config{
 		Nodes: ring, VNodes: *vnodes, Replication: replication,
 		DialAddr: dial, Options: zkvproto.Options{OpTimeout: *opTimeout, Seed: *seed, MaxRetries: 8},
@@ -209,7 +210,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rep, err := zcluster.RunLoad(zcluster.LoadConfig{
 		Cluster: ccfg, Clients: *clients, Ops: *ops, KeySpace: *keySpace,
 		ValBytes: *valBytes, GetFrac: *getFrac, Pipeline: *pipeline, Seed: *seed,
-		Writers: *writers, OpTimeout: *opTimeout, Oracle: *oracle, Stall: *stall,
+		Writers: *writers, Oracle: *oracle, Stall: *stall,
 		JoinNode: *join, JoinAfterOps: *joinAfter, JoinPageBytes: *joinPage,
 	})
 	if err != nil {
@@ -237,8 +238,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			rep.Ambiguous, rep.Retried, rep.Reconnects)
 	}
 	if replication == 2 {
-		fmt.Fprintf(stdout, "replication: %d replica sets, %d failovers, %d replica errors\n",
-			rep.ReplicaSets, rep.Failovers, rep.ReplicaErrors)
+		fmt.Fprintf(stdout, "replication: %d replica sets, %d failovers, %d repairs, %d replica errors\n",
+			rep.ReplicaSets, rep.Failovers, rep.Repairs, rep.ReplicaErrors)
 	}
 	if *oracle {
 		fmt.Fprintf(stdout, "oracle: %d GET hits verified, %d wrong\n", rep.VerifiedGets, rep.WrongGets)

@@ -15,7 +15,7 @@ import (
 
 // startNode boots one in-process zcached node on an ephemeral port and
 // returns its address. Cleanup shuts it down.
-func startNode(t *testing.T, seed uint64) string {
+func startNode(t testing.TB, seed uint64) string {
 	t.Helper()
 	store, err := zkv.Open(zkv.Config{Shards: 2, Ways: 4, Rows: 512, Levels: 2, Seed: seed})
 	if err != nil {
@@ -39,7 +39,7 @@ func startNode(t *testing.T, seed uint64) string {
 	return ln.Addr().String()
 }
 
-func startNodes(t *testing.T, n int) []string {
+func startNodes(t testing.TB, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
 	for i := range addrs {
@@ -261,7 +261,7 @@ func TestClusterLiveReshard(t *testing.T) {
 	}
 	router := NewRouter(ring)
 	cfg := LoadConfig{
-		Cluster:      Config{Router: router, VNodes: 32},
+		Cluster:      Config{Router: router, VNodes: 32, Options: zkvproto.Options{OpTimeout: 2 * time.Second}},
 		Clients:      3,
 		Ops:          60000,
 		KeySpace:     4096,
@@ -269,7 +269,6 @@ func TestClusterLiveReshard(t *testing.T) {
 		GetFrac:      0.8,
 		Pipeline:     16,
 		Seed:         99,
-		OpTimeout:    2 * time.Second,
 		Oracle:       true,
 		JoinNode:     joiner,
 		JoinAfterOps: 3000,
@@ -306,9 +305,9 @@ func TestClusterLiveReshard(t *testing.T) {
 		// The measured run can outpace the drain on a fast machine; the
 		// grown router must still serve the joiner on the next load.
 		after, err := RunLoad(LoadConfig{
-			Cluster: Config{Router: router, VNodes: 32},
+			Cluster: cfg.Cluster,
 			Clients: 2, Ops: 4000, KeySpace: cfg.KeySpace, ValBytes: cfg.ValBytes,
-			GetFrac: 0.8, Pipeline: 8, Seed: 100, OpTimeout: 2 * time.Second, Oracle: true,
+			GetFrac: 0.8, Pipeline: 8, Seed: 100, Oracle: true,
 		})
 		if err != nil {
 			t.Fatalf("post-join load: %v", err)
@@ -387,16 +386,16 @@ func TestClusterLoadReplicated(t *testing.T) {
 			Replication: 2,
 			VNodes:      32,
 			DialAddr:    map[string]string{addrs[0]: proxy.Addr()},
+			Options:     zkvproto.Options{OpTimeout: 250 * time.Millisecond},
 		},
-		Clients:   2,
-		Ops:       12000,
-		KeySpace:  2048,
-		ValBytes:  32,
-		GetFrac:   0.7,
-		Pipeline:  8,
-		Seed:      5,
-		OpTimeout: 250 * time.Millisecond,
-		Oracle:    true,
+		Clients:  2,
+		Ops:      12000,
+		KeySpace: 2048,
+		ValBytes: 32,
+		GetFrac:  0.7,
+		Pipeline: 8,
+		Seed:     5,
+		Oracle:   true,
 	}
 	rep, err := RunLoad(cfg)
 	if err != nil {
@@ -445,5 +444,157 @@ func TestClusterEquiv(t *testing.T) {
 			t.Fatalf("%d nodes: no victims; equivalence is vacuous", nodes)
 		}
 		t.Logf("%d nodes: %d identical victims across the cluster", nodes, victims)
+	}
+}
+
+// keyRouted finds a key whose primary and replica are the given nodes.
+func keyRouted(t *testing.T, c *Client, pri, rep string) []byte {
+	t.Helper()
+	for i := 0; i < 1000; i++ {
+		if p, r := c.Router().Ring().PrimaryReplica(PointOf(testKey(i))); p == pri && r == rep {
+			return testKey(i)
+		}
+	}
+	t.Fatalf("no key routes %s -> %s", pri, rep)
+	return nil
+}
+
+// TestClusterClientSetOverlap pins the contract of the overlapped R=2 write:
+// both copies leave in one flush and both replies are drained, whatever
+// either says. A replica that dies mid-reply costs one counted replica error
+// and nothing else; a primary that refuses the write fails it while the
+// replica's reply is still consumed.
+func TestClusterClientSetOverlap(t *testing.T) {
+	t.Run("replica closes mid-reply", func(t *testing.T) {
+		pri := fakeNode(t, func(int64, *zkvproto.Request, *zkvproto.Response) {})
+		rep := fakeNode(t, func(n int64, _ *zkvproto.Request, resp *zkvproto.Response) {
+			if n == 0 {
+				resp.Status = hangUp
+			}
+		})
+		c, err := New(Config{Nodes: []string{pri, rep}, Replication: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		key := keyRouted(t, c, pri, rep)
+		if err := c.Set(key, []byte("v1")); err != nil {
+			t.Fatalf("set with a dying replica: %v", err)
+		}
+		if st := c.Stats(); st.ReplicaErrors != 1 || st.ReplicaSets != 0 {
+			t.Fatalf("after the replica hung up: %+v", st)
+		}
+		// The next operations reconnect the replica and read only their own
+		// replies: nothing of the clipped round is left pending.
+		if err := c.Set(key, []byte("v2")); err != nil {
+			t.Fatalf("set after the replica came back: %v", err)
+		}
+		if _, ok, err := c.Get(key, nil); err != nil || !ok {
+			t.Fatalf("get after the replica came back: ok=%v err=%v", ok, err)
+		}
+		if st := c.Stats(); st.ReplicaErrors != 1 || st.ReplicaSets != 1 || st.Reconnects != 1 {
+			t.Fatalf("after recovery: %+v", st)
+		}
+		for node, p := range c.byNode {
+			if n := p.cl.Pending(); n != 0 {
+				t.Fatalf("%d replies still pending on %s", n, node)
+			}
+		}
+	})
+
+	t.Run("primary refuses", func(t *testing.T) {
+		pri := fakeNode(t, func(n int64, _ *zkvproto.Request, resp *zkvproto.Response) {
+			if n == 0 {
+				resp.Status, resp.Val = zkvproto.StatusErr, []byte("no")
+			}
+		})
+		rep := fakeNode(t, func(int64, *zkvproto.Request, *zkvproto.Response) {})
+		c, err := New(Config{Nodes: []string{pri, rep}, Replication: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		key := keyRouted(t, c, pri, rep)
+		err = c.Set(key, []byte("v1"))
+		if zkvproto.Classify(err) != zkvproto.ClassProtocol {
+			t.Fatalf("refused set returned %v, want a protocol-class error", err)
+		}
+		if st := c.Stats(); st.ReplicaSets != 1 || st.ReplicaErrors != 0 {
+			t.Fatalf("the replica's reply was not drained and counted: %+v", st)
+		}
+		if n := c.byNode[rep].cl.Pending(); n != 0 {
+			t.Fatalf("%d replies still pending on the replica", n)
+		}
+		if err := c.Set(key, []byte("v2")); err != nil {
+			t.Fatalf("set after the refusal: %v", err)
+		}
+		if st := c.Stats(); st.ReplicaSets != 2 {
+			t.Fatalf("second write: %+v", st)
+		}
+	})
+}
+
+// TestClusterClientAllocs pins the cluster client at zero allocations per
+// operation over loopback once its buffers are warm, servers included: a GET
+// hit, an R=2 SET (two frames, one flush), and a 16-op mixed batch with
+// sampled cross-checks riding along.
+func TestClusterClientAllocs(t *testing.T) {
+	c, err := New(Config{Nodes: startNodes(t, 3), Replication: 2, VNodes: 32, RepairEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const keys = 64
+	var key [keys][]byte
+	val := bytes.Repeat([]byte("v"), 48)
+	for i := range key {
+		key[i] = testKey(i)
+		if err := c.Set(key[i], val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf, next, failed := make([]byte, 0, 64), 0, 0
+	get := func() {
+		var ok bool
+		if buf, ok, err = c.Get(key[next%keys], buf[:0]); err != nil || !ok {
+			failed++
+		}
+		next++
+	}
+	set := func() {
+		if c.Set(key[next%keys], val) != nil {
+			failed++
+		}
+		next++
+	}
+	emit := func(r Result) {
+		if r.Err != nil || r.Status != zkvproto.StatusOK {
+			failed++
+		}
+	}
+	batch := func() {
+		for i := 0; i < 16; i++ {
+			if i%4 == 3 {
+				c.Queue(zkvproto.OpSet, key[(next+i)%keys], val)
+			} else {
+				c.Queue(zkvproto.OpGet, key[(next+i)%keys], nil)
+			}
+		}
+		c.Drain(emit)
+		next += 16
+	}
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{{"GET hit", get}, {"R=2 SET", set}, {"16-op batch", batch}} {
+		for i := 0; i < 32; i++ {
+			tc.run()
+		}
+		if n := testing.AllocsPerRun(200, tc.run); n != 0 {
+			t.Errorf("%s allocates %.1f objects across client and servers, want 0", tc.name, n)
+		}
+	}
+	if st := c.Stats(); failed != 0 || st.ReplicaErrors != 0 || st.Repairs != 0 || st.ReplicaSets == 0 {
+		t.Fatalf("%d operations failed; stats %+v", failed, st)
 	}
 }

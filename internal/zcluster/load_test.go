@@ -2,6 +2,7 @@ package zcluster
 
 import (
 	"bufio"
+	"bytes"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -108,6 +109,10 @@ func TestRunLoadDeterministic(t *testing.T) {
 	}
 }
 
+// hangUp, set as the status of a fakeNode reply, makes the node close the
+// connection one byte into that reply's header.
+const hangUp = 0xff
+
 // fakeNode speaks just enough zkvproto to answer each request through
 // reply, which sees the request's 0-based arrival number.
 func fakeNode(t *testing.T, reply func(n int64, req *zkvproto.Request, resp *zkvproto.Response)) string {
@@ -136,6 +141,11 @@ func fakeNode(t *testing.T, reply func(n int64, req *zkvproto.Request, resp *zkv
 					}
 					resp.Status, resp.Val = zkvproto.StatusOK, nil
 					reply(served.Add(1)-1, &req, &resp)
+					if resp.Status == hangUp {
+						bw.WriteByte(zkvproto.StatusOK)
+						bw.Flush()
+						return
+					}
 					if err := resp.WriteTo(bw); err != nil {
 						return
 					}
@@ -217,10 +227,11 @@ func TestRunLoadChaos(t *testing.T) {
 	defer proxy.Close()
 
 	rep, err := RunLoad(LoadConfig{
-		Cluster: Config{Nodes: nodes, DialAddr: map[string]string{nodes[0]: proxy.Addr()}},
+		Cluster: Config{Nodes: nodes, DialAddr: map[string]string{nodes[0]: proxy.Addr()},
+			Options: zkvproto.Options{OpTimeout: 500 * time.Millisecond}},
 		Clients: 4, Ops: 24000, KeySpace: 1024,
 		ValBytes: 48, GetFrac: 0.7, Pipeline: 16, Seed: 9,
-		OpTimeout: 500 * time.Millisecond, Oracle: true, Stall: 1,
+		Oracle: true, Stall: 1,
 	})
 	if err != nil {
 		t.Fatalf("RunLoad under chaos: %v", err)
@@ -250,4 +261,115 @@ func TestRunLoadChaos(t *testing.T) {
 	t.Logf("chaos: %d faults (%d timeouts, %d resets, %d proto), %d retried, %d reconnects, %d ambiguous; proxy: %s",
 		faults, rep.Timeouts, rep.Resets, rep.ProtoErrors, rep.Retried, rep.Reconnects,
 		rep.Ambiguous, st.Describe())
+}
+
+// TestClusterLoadReadRepair drives read-repair through the drill: after an R=2
+// fill every key's primary copy is deleted behind the client's back, and a
+// GET-only pass must serve every key it finds from the replica — right
+// bytes, per the oracle — and write the primary copies back.
+func TestClusterLoadReadRepair(t *testing.T) {
+	addrs := startNodes(t, 3)
+	cfg := LoadConfig{
+		Cluster: Config{Nodes: addrs, Replication: 2, VNodes: 32},
+		Clients: 2, Ops: 4000, KeySpace: 256, ValBytes: 24, Pipeline: 8, Seed: 13, Oracle: true,
+	}
+	if _, err := RunLoad(cfg); err != nil { // GetFrac 0: both copies of every key
+		t.Fatal(err)
+	}
+
+	ring, err := NewRing(addrs, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := make(map[string]*zkvproto.Client)
+	for _, a := range addrs {
+		if raw[a], err = zkvproto.Dial(a); err != nil {
+			t.Fatal(err)
+		}
+		defer raw[a].Close()
+	}
+	key := make([]byte, 8)
+	var lost []uint64
+	for k := 0; k < cfg.KeySpace; k++ {
+		putKey(key, uint64(k))
+		ok, err := raw[ring.Primary(PointOf(key))].Del(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			lost = append(lost, uint64(k))
+		}
+	}
+	if len(lost) < cfg.KeySpace/2 {
+		t.Fatalf("the fill left only %d of %d keys on their primaries", len(lost), cfg.KeySpace)
+	}
+
+	cfg.GetFrac, cfg.Seed = 1, 14
+	rep, err := RunLoad(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WrongGets != 0 || rep.Hits == 0 || rep.Repairs == 0 {
+		t.Fatalf("GET pass over lost primaries: %d wrong, %d hits, %d repairs", rep.WrongGets, rep.Hits, rep.Repairs)
+	}
+	restored, expect := 0, make([]byte, cfg.ValBytes)
+	for _, k := range lost {
+		putKey(key, k)
+		v, ok, err := raw[ring.Primary(PointOf(key))].Get(key, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			continue // the seeded GET stream never asked for it
+		}
+		restored++
+		oracleFill(expect, k)
+		if _, payload := versionOf(v); !bytes.Equal(payload, expect) {
+			t.Fatalf("key %d repaired with wrong bytes", k)
+		}
+	}
+	if restored == 0 || restored > rep.Repairs {
+		t.Fatalf("%d primary copies restored by %d repairs (of %d lost)", restored, rep.Repairs, len(lost))
+	}
+	t.Logf("%d of %d lost primary copies restored by %d repairs", restored, len(lost), rep.Repairs)
+}
+
+// TestClusterLoadFailoverIsVerified: the oracle sees the failover path. Behind a
+// fully partitioned primary (replies blackholed) a replica that fabricates
+// its reads must show up as wrong GETs, one per read it served.
+func TestClusterLoadFailoverIsVerified(t *testing.T) {
+	honest := startNode(t, 100)
+	spec, err := netchaos.ParseSpec("drop:p=1,dir=s2c", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := netchaos.New(honest, spec)
+	if err := proxy.Start(""); err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	liar := fakeNode(t, func(_ int64, req *zkvproto.Request, resp *zkvproto.Response) {
+		if req.Op == zkvproto.OpGet {
+			resp.Val = []byte("not what you stored, promise")
+		}
+	})
+
+	rep, err := RunLoad(LoadConfig{
+		Cluster: Config{
+			Nodes: []string{honest, liar}, Replication: 2, VNodes: 32,
+			DialAddr: map[string]string{honest: proxy.Addr()},
+			Options:  zkvproto.Options{OpTimeout: 50 * time.Millisecond},
+		},
+		Clients: 1, Ops: 48, KeySpace: 64, ValBytes: 16, GetFrac: 1, Pipeline: 16, Seed: 5, Oracle: true,
+	})
+	if err != nil {
+		t.Fatalf("RunLoad: %v (report %+v)", err, rep)
+	}
+	if rep.Failovers == 0 || rep.Timeouts == 0 {
+		t.Fatalf("no read failed over (%d failovers, %d timeouts); test is vacuous", rep.Failovers, rep.Timeouts)
+	}
+	if rep.WrongGets != rep.Ops || rep.VerifiedGets != 0 {
+		t.Fatalf("the liar served all %d reads, %d of them by failover, yet %d were wrong and %d verified",
+			rep.Ops, rep.Failovers, rep.WrongGets, rep.VerifiedGets)
+	}
 }

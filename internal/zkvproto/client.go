@@ -168,7 +168,8 @@ func (c *Client) backoffDelay(attempt int) time.Duration {
 	return Backoff(c.opts.Seed, c.nBackoff-1, attempt-1, c.opts.BackoffBase, c.opts.BackoffMax)
 }
 
-func (c *Client) queue(op byte, key, val []byte) error {
+// Queue buffers one request frame without flushing.
+func (c *Client) Queue(op byte, key, val []byte) error {
 	c.req.Op, c.req.Key, c.req.Val = op, key, val
 	if err := c.req.WriteTo(c.bw); err != nil {
 		return err
@@ -178,13 +179,13 @@ func (c *Client) queue(op byte, key, val []byte) error {
 }
 
 // QueueGet buffers a GET without flushing.
-func (c *Client) QueueGet(key []byte) error { return c.queue(OpGet, key, nil) }
+func (c *Client) QueueGet(key []byte) error { return c.Queue(OpGet, key, nil) }
 
 // QueueSet buffers a SET without flushing.
-func (c *Client) QueueSet(key, val []byte) error { return c.queue(OpSet, key, val) }
+func (c *Client) QueueSet(key, val []byte) error { return c.Queue(OpSet, key, val) }
 
 // QueueDel buffers a DEL without flushing.
-func (c *Client) QueueDel(key []byte) error { return c.queue(OpDel, key, nil) }
+func (c *Client) QueueDel(key []byte) error { return c.Queue(OpDel, key, nil) }
 
 // Flush writes all buffered requests to the connection.
 func (c *Client) Flush() error { return c.bw.Flush() }
@@ -211,7 +212,7 @@ func (c *Client) once(op byte, key, val []byte) (resp *Response, sent bool, err 
 			return nil, true, err
 		}
 	}
-	if err := c.queue(op, key, val); err != nil {
+	if err := c.Queue(op, key, val); err != nil {
 		// WriteTo fails either on frame validation (nothing buffered,
 		// nothing sent) or on a write-through to a dead socket.
 		validation := errors.Is(err, ErrBadOp) || errors.Is(err, ErrFrameTooLarge)
