@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation,
 // one benchmark per artifact. These run reduced presets so `go test -bench`
-// stays tractable; cmd/figures, cmd/assoclab, and cmd/cachecost produce the
+// stays tractable; cmd/runlab's run, assoc, and cost verbs produce the
 // full-suite versions (EXPERIMENTS.md records full-run numbers).
 //
 // Custom metrics attached via b.ReportMetric carry the reproduced result

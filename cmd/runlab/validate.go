@@ -1,10 +1,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"log"
-	"strings"
+	"math"
 	"time"
 
 	"zcache"
@@ -12,7 +10,6 @@ import (
 	"zcache/internal/sample"
 	"zcache/internal/sim"
 	"zcache/internal/stats"
-	"zcache/internal/workloads"
 )
 
 // benchSuiteWorkloads is the reduced workload set the validated suite and
@@ -47,75 +44,73 @@ var suiteLookups = []energy.Lookup{energy.Serial, energy.Parallel}
 // maxRefsFrac sits just over the default plan's 12 legs of 32 intervals.
 const maxRefsFrac = 0.40
 
-func cmdValidateSampled(args []string) error {
-	fs := flag.NewFlagSet("validate-sampled", flag.ExitOnError)
-	presetFlag := fs.String("preset", "test", "test | quick | full")
-	policyFlag := fs.String("policy", "lru", "replacement policy")
-	workloadsFlag := fs.String("workloads", "", "comma-separated subset (default: bench suite)")
-	intervals := fs.Int("intervals", 0, "interval count (0 = default 32)")
-	clusters := fs.Int("clusters", 0, "cluster/leg count (0 = default 12)")
+func (c *cli) validateSampled(args []string) error {
+	sh := newShared()
+	sh.preset = "test"
+	fs := c.flagSet("validate-sampled")
+	sh.register(fs, "preset", "policy", "workloads", "intervals", "clusters")
 	maxRelErr := fs.Float64("max-rel-err", 0.02, "per-cell miss-ratio error bound vs full replay")
-	fs.Parse(args)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 
-	preset, err := parsePreset(*presetFlag)
+	preset, err := sh.presetValue()
 	if err != nil {
 		return err
 	}
-	pol, err := sim.ParsePolicy(*policyFlag)
+	pol, err := sh.policyValue()
 	if err != nil {
 		return err
 	}
 	if pol == sim.PolicyOPT {
-		return fmt.Errorf("opt is not sampleable (next-use spans the full stream)")
+		return usagef("opt is not sampleable (next-use spans the full stream)")
 	}
-	names := benchSuiteWorkloads
-	if *workloadsFlag != "" {
-		names = strings.Split(*workloadsFlag, ",")
+	names, err := sh.subset()
+	if err != nil {
+		return err
 	}
-	var ws []workloads.Workload
-	for _, n := range names {
-		w, ok := workloads.ByName(strings.TrimSpace(n))
-		if !ok {
-			return fmt.Errorf("unknown workload %q", n)
-		}
-		ws = append(ws, w)
+	if names == nil {
+		names = benchSuiteWorkloads
+	}
+	ws, err := zcache.SuiteWorkloads(names)
+	if err != nil {
+		return err
 	}
 	designs := append([]zcache.DesignPoint{zcache.BaselineDesign()}, zcache.Fig4Designs()...)
-	spec := sample.Spec{Intervals: *intervals, Clusters: *clusters}
+	spec := sample.Spec{Intervals: sh.intervals, Clusters: sh.clusters}
 
-	// Exact leg: every suite cell execution-driven, cold.
-	exact := zcache.NewExperiment(preset)
-	start := time.Now()
-	for _, w := range ws {
-		for _, d := range designs {
-			for _, lk := range suiteLookups {
-				if _, err := exact.Run(w, d, pol, lk); err != nil {
-					return fmt.Errorf("exact %s/%s: %w", w.Name, d.Label, err)
+	// runAll runs every suite cell cold on e and keys the serial-lookup
+	// results by workload/design.
+	runAll := func(e *zcache.Experiment, leg string) (map[string]zcache.RunResult, time.Duration, error) {
+		start := time.Now()
+		results := map[string]zcache.RunResult{}
+		for _, w := range ws {
+			for _, d := range designs {
+				for _, lk := range suiteLookups {
+					r, err := e.Run(w, d, pol, lk)
+					if err != nil {
+						return nil, 0, fmt.Errorf("%s %s/%s: %w", leg, w.Name, d.Label, err)
+					}
+					if lk == energy.Serial {
+						results[w.Name+"/"+d.Label] = r
+					}
 				}
 			}
 		}
+		return results, time.Since(start), nil
 	}
-	exactWall := time.Since(start)
-
-	// Sampled leg: same cells, cold (capture + plan + walks included).
+	// Exact leg: every suite cell execution-driven.
+	_, exactWall, err := runAll(zcache.NewExperiment(preset), "exact")
+	if err != nil {
+		return err
+	}
+	// Sampled leg: same cells (capture + plan + walks included).
 	sampled := zcache.NewExperiment(preset)
 	sampled.Sampled = &spec
-	start = time.Now()
-	results := map[string]zcache.RunResult{}
-	for _, w := range ws {
-		for _, d := range designs {
-			for _, lk := range suiteLookups {
-				r, err := sampled.Run(w, d, pol, lk)
-				if err != nil {
-					return fmt.Errorf("sampled %s/%s: %w", w.Name, d.Label, err)
-				}
-				if lk == energy.Serial {
-					results[w.Name+"/"+d.Label] = r
-				}
-			}
-		}
+	results, sampledWall, err := runAll(sampled, "sampled")
+	if err != nil {
+		return err
 	}
-	sampledWall := time.Since(start)
 	speedup := float64(exactWall) / float64(sampledWall)
 
 	// Accuracy leg: full-stream replay per (workload, design) as reference.
@@ -151,13 +146,8 @@ func cmdValidateSampled(args []string) error {
 			} else if sm > 0 {
 				rel = 1
 			}
-			abs := rel
-			if abs < 0 {
-				abs = -abs
-			}
-			if abs > maxErr {
-				maxErr = abs
-			}
+			abs := math.Abs(rel)
+			maxErr = max(maxErr, abs)
 			mark := ""
 			if abs > *maxRelErr {
 				failures++
@@ -168,15 +158,15 @@ func cmdValidateSampled(args []string) error {
 				fmt.Sprintf("±%.4f", r.Sampled.MissRatioErr), r.Sampled.SkippedHits)
 		}
 	}
-	fmt.Print(t.String())
-	fmt.Printf("\nsuite: %d cells (%d workloads × %d designs × %d lookups), policy %s, preset %s\n",
-		len(ws)*len(designs)*len(suiteLookups), len(ws), len(designs), len(suiteLookups), *policyFlag, *presetFlag)
+	fmt.Fprint(c.stdout, t.String())
+	fmt.Fprintf(c.stdout, "\nsuite: %d cells (%d workloads × %d designs × %d lookups), policy %s, preset %s\n",
+		len(ws)*len(designs)*len(suiteLookups), len(ws), len(designs), len(suiteLookups), sh.policy, sh.preset)
 	refsFrac := float64(sampledRefs) / float64(max(totalRefs, 1))
-	fmt.Printf("measured legs walk %d of %d references: %.4f (bound %.2f); DEW settled %d of them without the arrays\n",
+	fmt.Fprintf(c.stdout, "measured legs walk %d of %d references: %.4f (bound %.2f); DEW settled %d of them without the arrays\n",
 		sampledRefs, totalRefs, refsFrac, maxRefsFrac, skippedHits)
-	fmt.Printf("exact %s  sampled %s  speedup %.2fx (not gated)\n",
+	fmt.Fprintf(c.stdout, "exact %s  sampled %s  speedup %.2fx (not gated)\n",
 		exactWall.Round(time.Millisecond), sampledWall.Round(time.Millisecond), speedup)
-	fmt.Printf("max |rel err| %.3f%% (bound %.1f%%)\n", 100*maxErr, 100**maxRelErr)
+	fmt.Fprintf(c.stdout, "max |rel err| %.3f%% (bound %.1f%%)\n", 100*maxErr, 100**maxRelErr)
 
 	if failures > 0 {
 		return fmt.Errorf("%d cell(s) exceed the %.1f%% miss-ratio error bound", failures, 100**maxRelErr)
@@ -184,6 +174,6 @@ func cmdValidateSampled(args []string) error {
 	if refsFrac > maxRefsFrac {
 		return fmt.Errorf("measured legs walk %.4f of the references, over the %.2f bound", refsFrac, maxRefsFrac)
 	}
-	log.Printf("validate-sampled: OK")
+	c.log.Printf("validate-sampled: OK")
 	return nil
 }

@@ -115,7 +115,7 @@ func TestZCacheMatchesUniformityCloserThanSetAssoc(t *testing.T) {
 	// hot-loop reuse). Very miss-intensive streams re-probe the same
 	// walk positions before LRU ages them, which measurably lowers the
 	// effective candidate count — visible as the per-workload spread in
-	// Fig. 3d and reproduced by cmd/assoclab.
+	// Fig. 3d and reproduced by `runlab assoc -fig 3`.
 	run := func(arr cache.Array) float64 {
 		pol, _ := repl.NewLRU(arr.Blocks())
 		m, _ := Instrument(pol, arr.Blocks(), 100)

@@ -183,7 +183,7 @@ func replacementCandidates(ways, levels int) int {
 	return ways * r
 }
 
-// RenderTableII formats the rows as the plain-text table cmd/cachecost
+// RenderTableII formats the rows as the plain-text table `runlab cost`
 // prints.
 func RenderTableII(rows []TableIIRow) string {
 	t := stats.NewTable("design", "ways", "cands", "hit-lat(cyc)", "hit-E(nJ)", "miss-E(nJ)", "area(mm2)", "leak(W)")

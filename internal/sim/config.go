@@ -127,7 +127,7 @@ func (p Policy) String() string {
 }
 
 // ParsePolicy resolves a policy's command-line name — the one spelling
-// zsim, runlab and figures share. The names are not Policy.String's: the
+// every runlab verb shares. The names are not Policy.String's: the
 // CLIs call the paper's evaluated bucketed LRU plain "lru" and the
 // full-timestamp one "lru-full".
 func ParsePolicy(name string) (Policy, error) {

@@ -9,7 +9,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// goldenTables pins the exact rendering cmd/figures and cmd/runlab emit.
+// goldenTables pins the exact rendering cmd/runlab's figures emit.
 // The figure tools' output format is part of the repository's recorded
 // results (results/*.txt), so a formatting change must be deliberate:
 // run `go test ./internal/stats -update` and review the diff.

@@ -9,7 +9,7 @@ import (
 	"zcache/internal/runlab"
 )
 
-// DefaultStoreDir is where cmd/runlab and cmd/figures keep cached cells.
+// DefaultStoreDir is where `runlab run` keeps cached cells.
 const DefaultStoreDir = "results/store"
 
 // AttachStore opens (creating if needed) the runlab result store at dir

@@ -69,7 +69,7 @@ type SystemResult struct {
 }
 
 // RunSystem executes one workload (by suite name) on the configured CMP and
-// evaluates timing and energy. It is the programmatic form of cmd/zsim.
+// evaluates timing and energy. It is the programmatic form of `runlab sim`.
 func RunSystem(cfg SimConfig, workloadName string) (SystemResult, error) {
 	w, ok := workloads.ByName(workloadName)
 	if !ok {
