@@ -59,8 +59,9 @@ func validImage(tb testing.TB) []byte {
 // under attack: Open returns a usable store or a classified error
 // (ErrNeedsRebuild / ErrInvalidFormat / plain I/O error) — it never
 // panics, and a store it does return satisfies the format invariants
-// (every resident slot's fingerprint matches its stored key, so it cannot
-// serve a value under a wrong key), and still does after being written to.
+// (every resident slot's tag is Line of its stored key's fingerprint, so it
+// cannot serve a value under a wrong key, and every empty slot's is Empty),
+// and still does after being written to.
 func FuzzOpen(f *testing.F) {
 	if !Supported() {
 		f.Skip("slotstore unsupported on this platform")
@@ -78,7 +79,7 @@ func FuzzOpen(f *testing.F) {
 	for _, off := range []int{offMagic, offVersion, offState, offHashVersion,
 		offGeneration, offSlots, offHeapSize, offGeomSum, offHeapUsed,
 		offFreeHeads + 8*twoWords,
-		headerBytes + slotFP, headerBytes + slotMeta, headerBytes + slotMeta + 4,
+		headerBytes + slotTag, headerBytes + slotMeta, headerBytes + slotMeta + 4,
 		headerBytes + slotOff, headerBytes + slotCap,
 		headerBytes + 2*slotBytes + slotOff, // the cleared slot's extent
 		base, base + 7} {                    // slot 0's key and its padding
@@ -86,6 +87,14 @@ func FuzzOpen(f *testing.F) {
 		flipped[off] ^= 0x41
 		f.Add(flipped)
 	}
+	// Empty slots whose tag is not Empty: the cleared slot keeping its
+	// tenant's tag, and a never-used one holding a zero word.
+	stale := append([]byte(nil), seed...)
+	copy(stale[headerBytes+2*slotBytes+slotTag:], seed[headerBytes+slotTag:headerBytes+slotTag+8])
+	f.Add(stale)
+	zeroed := append([]byte(nil), seed...)
+	le.PutUint64(zeroed[headerBytes+5*slotBytes+slotTag:], 0)
+	f.Add(zeroed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.slc")
@@ -106,12 +115,18 @@ func FuzzOpen(f *testing.F) {
 		}
 		defer s.Close(false)
 		// The store validated: re-check the no-wrong-values invariant from
-		// the outside.
+		// the outside, and that the tag array has no line in an empty slot.
 		check := func() {
 			n := 0
+			v := s.View()
+			for id := 0; id < fuzzConfig().Slots; id++ {
+				if (v.Meta(id) == 0) != (v.Tag(id) == Empty) {
+					t.Fatalf("slot %d: meta %#x beside tag %#x", id, v.Meta(id), v.Tag(id))
+				}
+			}
 			s.Range(func(slot int, fp uint64, key, val []byte) bool {
-				if got := hash.Bytes64(key); got != fp {
-					t.Fatalf("resident slot %d: fingerprint %#x, key hashes to %#x", slot, fp, got)
+				if got := hash.Bytes64(key); got != fp || v.Tag(slot) != Line(fp) {
+					t.Fatalf("resident slot %d: fingerprint %#x under tag %#x, key hashes to %#x", slot, fp, v.Tag(slot), got)
 				}
 				gotKey, _, ok := s.Lookup(fp)
 				if !ok || string(gotKey) != string(key) {

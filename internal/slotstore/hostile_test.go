@@ -10,9 +10,14 @@ import (
 	"zcache/internal/hash"
 )
 
+// reservedKey's fingerprint is Empty, the tag of an empty slot (the suffix
+// was found offline by lattice reduction over FNV-1a's byte steps).
+var reservedKey = append([]byte("zcache:reserved:"), 0x02, 0x0c, 0x00, 0x09, 0x06, 0x01, 0x3c, 0x0e, 0x1b, 0x1c, 0x04, 0x06, 0x1d, 0x01, 0x02, 0x0b)
+
 // hostileImage builds a clean image with every structure validate walks:
 // resident slots 0 ("alpha") and 1 ("beta"), a cleared slot 2 that keeps its
-// extent, and a one-entry free list (slot 3 outgrew its first extent).
+// extent, a one-entry free list (slot 3 outgrew its first extent) and the
+// reserved key in slot 4.
 func hostileImage(t *testing.T, cfg Config) (raw []byte, s *Store) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "base.slc")
@@ -22,6 +27,7 @@ func hostileImage(t *testing.T, cfg Config) (raw []byte, s *Store) {
 	put(t, s, "gone", "value-c", 2)
 	put(t, s, "grows", "v", 3)
 	put(t, s, "grows", strings.Repeat("v", 40), 3)
+	put(t, s, string(reservedKey), "reserved", 4)
 	if err := s.Begin(); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +65,7 @@ func slc1Image(cfg Config) []byte {
 	return raw
 }
 
-// TestHostileImages: every violation of an SLC2 invariant is refused at
+// TestHostileImages: every violation of an SLC3 invariant is refused at
 // Open with the error class the caller rebuilds on — never a panic, never a
 // store. Each case breaks one thing in an otherwise valid clean image, and
 // the reason is matched so a case cannot pass on somebody else's check.
@@ -136,9 +142,23 @@ func TestHostileImages(t *testing.T) {
 			return raw
 		}, ErrNeedsRebuild, "loops"},
 		{"fingerprint disagrees with key", func(raw []byte) []byte {
-			raw[slotField(1, slotFP)] ^= 1
+			raw[slotField(1, slotTag)] ^= 1
 			return raw
 		}, ErrNeedsRebuild, "does not match its key"},
+		{"reserved key under its raw fingerprint", func(raw []byte) []byte {
+			// Slot 4 holds the key whose fingerprint is Empty; its tag
+			// must be Line(Empty), not the fingerprint.
+			set(raw, slotField(4, slotTag), hash.Bytes64(reservedKey))
+			return raw
+		}, ErrNeedsRebuild, "does not match its key"},
+		{"cleared slot keeps its tenant's tag", func(raw []byte) []byte {
+			set(raw, slotField(2, slotTag), hash.Bytes64([]byte("gone")))
+			return raw
+		}, ErrNeedsRebuild, "empty slot 2 holds tag"},
+		{"never-used slot with a zero tag", func(raw []byte) []byte {
+			set(raw, slotField(7, slotTag), 0)
+			return raw
+		}, ErrNeedsRebuild, "empty slot 7 holds tag"},
 		{"non-zero padding", func(raw []byte) []byte {
 			raw[get(raw, slotField(0, slotOff))+7] = 1 // "alpha" pads 3 bytes
 			return raw
@@ -158,9 +178,14 @@ func TestHostileImages(t *testing.T) {
 			return slc1Image(cfg)
 		}, ErrInvalidFormat, "bad magic"},
 		{"SLC2 magic over an SLC1 version", func(raw []byte) []byte {
+			copy(raw[offMagic:], "SLC2")
 			le.PutUint32(raw[offVersion:], 1)
 			return raw
-		}, ErrInvalidFormat, "version 1"},
+		}, ErrInvalidFormat, "bad magic"},
+		{"SLC3 magic over an SLC2 version", func(raw []byte) []byte {
+			le.PutUint32(raw[offVersion:], 2)
+			return raw
+		}, ErrInvalidFormat, "version 2"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -194,9 +219,9 @@ func TestHostileImages(t *testing.T) {
 }
 
 // TestDuplicateFingerprintNeedsRebuild: one fingerprint resident in two
-// slots is structurally fine — two extents, two valid entries — and
-// cache.Adopt would install both tags. With no stored index to contradict
-// it, validate has to look for it.
+// slots is structurally fine — two extents, two valid entries — but would be
+// one line in two slots of the shard's tag array. With no stored index to
+// contradict it, validate has to look for it.
 func TestDuplicateFingerprintNeedsRebuild(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shard.slc")
 	cfg := testConfig()

@@ -3,6 +3,7 @@ package slotstore
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,18 +12,22 @@ import (
 	"zcache/internal/hash"
 )
 
-// The pinned image: testdata/pr16.slc was written by the tree at 21ac8db
-// (PR 16, the first SLC2 build) with writePinnedImage below, before the
-// shard's cells moved into the slot file. It holds every structure the
-// format has — entries with keys of 1–24 bytes and values of 0–200, slots
-// that were relocated, deleted and overwritten past their extent, a heap
-// that grew once and free lists in several classes. Any later build must
-// open it warm and find exactly these entries; regenerating it defeats the
-// purpose (SLOTSTORE_WRITE_PINNED=1 does, for a deliberate format change).
+// The pinned image: testdata/slc3.slc was written by the first SLC3 build
+// with writePinnedImage below, before the shard's tag array moved into the
+// slot table. It holds every structure the format has — entries with keys
+// of 1–24 bytes and values of 0–200, the key whose fingerprint is Empty,
+// slots that were relocated, deleted and overwritten past their extent, a
+// heap that grew once and free lists in several classes. Any later build
+// must open it warm and find exactly these entries; regenerating it defeats
+// the purpose (SLOTSTORE_WRITE_PINNED=1 does, for a deliberate format
+// change). testdata/slc2.slc is the previous format's pinned image, the same
+// history less the reserved key, whose empty slots keep stale tags: it must
+// open cold.
 const (
-	pinnedPath     = "testdata/pr16.slc"
-	pinnedDigest   = "d11658fce878c91f65072b28f83d80c57559dfa4f472319a6877adda06050c50"
-	pinnedResident = 376
+	pinnedPath     = "testdata/slc3.slc"
+	pinnedDigest   = "ca60c1e961d71a0c334bdd619955099b8100db974f7047bb346c481fde96d053"
+	pinnedResident = 377
+	slc2Path       = "testdata/slc2.slc"
 )
 
 func pinnedConfig() Config {
@@ -89,6 +94,11 @@ func writePinnedImage(t *testing.T, path string) {
 	for i := 3; i < 400; i += 33 { // new tenants in deleted slots
 		set(i, 1000+i, 0)
 	}
+	batch(func() {
+		if _, err := s.SetSlot(511, hash.Bytes64(reservedKey), reservedKey, []byte("reserved")); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if err := s.Close(true); err != nil {
 		t.Fatal(err)
 	}
@@ -140,5 +150,29 @@ func TestPinnedImageOpensWarm(t *testing.T) {
 	if got := hex.EncodeToString(sum.Sum(nil)); got != pinnedDigest || n != pinnedResident || s.Resident() != pinnedResident {
 		t.Fatalf("pinned image: %d entries (Resident %d) digest %s, recorded %d entries digest %s",
 			n, s.Resident(), got, pinnedResident, pinnedDigest)
+	}
+}
+
+// TestSLC2ImageOpensCold: an image from the previous format is refused as
+// foreign, so the caller starts the shard cold instead of reading its stale
+// empty-slot tags as lines.
+func TestSLC2ImageOpensCold(t *testing.T) {
+	if !Supported() {
+		t.Skip("slotstore unsupported on this platform")
+	}
+	raw, err := os.ReadFile(slc2Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "slc2.slc")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path, pinnedConfig())
+	if s != nil {
+		s.Close(false)
+	}
+	if !errors.Is(err, ErrInvalidFormat) {
+		t.Fatalf("Open of an SLC2 image = %v, want ErrInvalidFormat", err)
 	}
 }
