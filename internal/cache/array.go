@@ -128,16 +128,26 @@ const EmptyLine = ^uint64(0)
 
 // tagStore is the shared ways×rows tag storage used by the indexed arrays:
 // one word per slot, the resident line or EmptyLine, so a way probe is one
-// load and one compare.
+// load and one compare. The arrays' own stores are dense (e[id], shift 0). A
+// zcache over borrowed words (NewZCacheOver) reads its tags out of another
+// layer's per-slot records instead, e[id<<shift], and never writes them.
 type tagStore struct {
 	ways int
 	rows uint64
-	e    []uint64 // indexed by way*rows + row
+	e    []uint64 // slot id = way*rows + row; its tag is e[id<<shift]
+	// shift is log2 of the word stride between two slots' tags.
+	shift uint
+	// borrowed marks words the array does not own: the controller's
+	// SlotObserver applies every tag change (see NewZCacheOver).
+	borrowed bool
 }
 
 func newTagStore(ways int, rows uint64) tagStore {
 	return tagStore{ways: ways, rows: rows, e: emptyTags(uint64(ways) * rows)}
 }
+
+// at reads slot id's tag.
+func (t *tagStore) at(id repl.BlockID) uint64 { return t.e[uint64(id)<<(t.shift&63)] }
 
 // emptyTags returns n tags, all EmptyLine.
 func emptyTags(n uint64) []uint64 {

@@ -46,8 +46,11 @@ type Cache struct {
 	array    Array
 	policy   repl.Policy
 	lineBits uint
-	dirty    []bool
-	stats    Stats
+	// dirty is nil for a zcache over borrowed tags (NewZCacheOver): there
+	// the tags are a store's records and the records its entries, written
+	// in place, so no line is ever written back and nothing reads a flag.
+	dirty []bool
+	stats Stats
 
 	// Concrete-typed views of array and policy, populated at construction
 	// when the dynamic type is one of the shipped implementations. The
@@ -105,7 +108,6 @@ func New(array Array, policy repl.Policy, lineBits uint) (*Cache, error) {
 		array:    array,
 		policy:   policy,
 		lineBits: lineBits,
-		dirty:    make([]bool, array.Blocks()),
 		candBuf:  make([]Candidate, 0, maxCands),
 		validIDs: make([]repl.BlockID, 0, maxCands),
 		validIdx: make([]int, 0, maxCands),
@@ -117,6 +119,9 @@ func New(array Array, policy repl.Policy, lineBits uint) (*Cache, error) {
 		c.skFast = a
 	case *ZCache:
 		c.zFast = a
+	}
+	if c.zFast == nil || !c.zFast.tags.borrowed {
+		c.dirty = make([]bool, array.Blocks())
 	}
 	switch p := policy.(type) {
 	case *repl.LRU:
@@ -237,9 +242,11 @@ func (c *Cache) onMoves(moves []Move) {
 			c.policy.OnMove(m.From, m.To)
 		}
 	}
-	for _, m := range moves {
-		c.dirty[m.To] = c.dirty[m.From]
-		c.dirty[m.From] = false
+	if c.dirty != nil {
+		for _, m := range moves {
+			c.dirty[m.To] = c.dirty[m.From]
+			c.dirty[m.From] = false
+		}
 	}
 	if c.slotObs != nil {
 		for _, m := range moves {
@@ -267,7 +274,7 @@ func (c *Cache) AccessSlot(addr uint64, write bool) (repl.BlockID, bool) {
 	if id, ok := c.lookup(line); ok {
 		c.stats.Hits++
 		c.onAccess(id, write)
-		if write {
+		if write && c.dirty != nil {
 			c.dirty[id] = true
 		}
 		return id, true
@@ -286,45 +293,43 @@ func (c *Cache) Peek(addr uint64) (repl.BlockID, bool) {
 	return c.lookup(addr >> c.lineBits)
 }
 
-// Touch records a demand hit on slot id as if Access had found it there:
-// access/hit counters, policy notification, and dirty marking. Peek+Touch
-// lets a caller that must verify slot contents first (zkv compares stored
-// key bytes against the probe's fingerprint match) reproduce Access's hit
-// path exactly.
-func (c *Cache) Touch(id repl.BlockID, write bool) {
+// Touch records a demand read hit on slot id as if Access had found it
+// there: access/hit counters and policy notification. Peek+Touch lets a
+// caller that must verify slot contents first (zkv compares stored key bytes
+// against the probe's fingerprint match) reproduce Access's hit path
+// exactly.
+func (c *Cache) Touch(id repl.BlockID) {
 	c.stats.Accesses++
 	c.stats.Hits++
-	c.onAccess(id, write)
-	if write {
-		c.dirty[id] = true
-	}
+	c.onAccess(id, false)
 }
 
 // SetSlotObserver attaches o to the controller's eviction and relocation
 // events (nil detaches). See SlotObserver.
 func (c *Cache) SetSlotObserver(o SlotObserver) { c.slotObs = o }
 
-// Adopt installs line directly into slot id without running the
-// replacement process: the warm-restart path, where a persisted shard
-// image restores each surviving line into exactly the slot it occupied
-// before the restart, reproducing the pre-shutdown tag array bit for bit.
-// The policy sees a normal insertion (adoption order becomes recency
-// order — per-slot replacement ranks are not persisted); hit/miss stats
-// are untouched. Only zcache arrays support adoption, the placement must
-// be one of line's own per-way slots, the slot must be empty, and the
-// line must not already be resident elsewhere.
-func (c *Cache) Adopt(id repl.BlockID, line uint64) error {
-	if c.zFast == nil {
-		return fmt.Errorf("cache: %s does not support adoption", c.array.Name())
+// Restore takes into service a controller whose zcache array already holds
+// lines: one over a warm slot table (NewZCacheOver), whose tags are exactly
+// those of the shard that wrote it. It checks that every resident line sits
+// in one of its own per-way slots and in no other slot, and notifies the
+// policy of each as an insertion, in slot order — per-slot replacement
+// ranks are not persisted, so slot order becomes recency order. Hit/miss
+// stats are untouched. After an error the controller must be discarded.
+func (c *Cache) Restore() error {
+	z := c.zFast
+	if z == nil {
+		return fmt.Errorf("cache: %s does not support restore", c.array.Name())
 	}
-	if _, ok := c.lookup(line); ok {
-		return fmt.Errorf("cache: line %#x is already resident", line)
+	for id := repl.BlockID(0); int(id) < z.Blocks(); id++ {
+		line := z.tags.at(id)
+		if line == EmptyLine {
+			continue
+		}
+		if at, ok := z.Lookup(line); !ok || at != id {
+			return fmt.Errorf("cache: line %#x in slot %d is not where a probe finds it (slot %d, %t)", line, id, at, ok)
+		}
+		c.onInsert(id, line)
 	}
-	if err := c.zFast.Adopt(id, line); err != nil {
-		return err
-	}
-	c.onInsert(id, line)
-	c.dirty[id] = false
 	return nil
 }
 
@@ -591,7 +596,7 @@ func (c *Cache) finishInstall(line uint64, cands []Candidate, victim int, moves 
 	v := &cands[victim]
 	if v.Valid {
 		c.stats.Evictions++
-		wasDirty := c.dirty[v.ID]
+		wasDirty := c.dirty != nil && c.dirty[v.ID]
 		if wasDirty {
 			c.stats.Writebacks++
 		}
@@ -602,7 +607,6 @@ func (c *Cache) finishInstall(line uint64, cands []Candidate, victim int, moves 
 			c.slotObs.SlotEvicted(v.ID, v.Addr, wasDirty)
 		}
 		c.onEvict(v.ID)
-		c.dirty[v.ID] = false
 	}
 	c.onMoves(moves)
 	// The incoming line landed in the root of the victim's ancestor chain.
@@ -612,7 +616,9 @@ func (c *Cache) finishInstall(line uint64, cands []Candidate, victim int, moves 
 	}
 	id := cands[root].ID
 	c.onInsert(id, line)
-	c.dirty[id] = write
+	if c.dirty != nil {
+		c.dirty[id] = write
+	}
 	return id
 }
 
@@ -712,11 +718,13 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	if !ok {
 		return false, false
 	}
-	d := c.dirty[id]
+	d := c.dirty != nil && c.dirty[id]
 	if c.slotObs != nil {
 		c.slotObs.SlotEvicted(id, line, d)
 	}
 	c.onEvict(id)
-	c.dirty[id] = false
+	if d {
+		c.dirty[id] = false
+	}
 	return true, d
 }

@@ -5,6 +5,7 @@
 package cache
 
 import (
+	"math"
 	"testing"
 	"unsafe"
 
@@ -19,10 +20,14 @@ func kernelAddrs(n int, footprint uint64) ([]uint64, []bool) {
 	addrs := make([]uint64, n)
 	writes := make([]bool, n)
 	for i := range addrs {
-		addrs[i] = (hash.Mix64(uint64(i)+1) % footprint) &^ 63
-		writes[i] = i&7 == 0
+		addrs[i], writes[i] = kernelAddr(i, footprint)
 	}
 	return addrs, writes
+}
+
+// kernelAddr is access i of kernelAddrs's stream.
+func kernelAddr(i int, footprint uint64) (uint64, bool) {
+	return (hash.Mix64(uint64(i)+1) % footprint) &^ 63, i&7 == 0
 }
 
 func newKernelZCache(t testing.TB, rows uint64, levels int) *Cache {
@@ -331,6 +336,73 @@ func benchAccess(b *testing.B, c *Cache) {
 // walk path (the ISSUE's zcache kernel target).
 func BenchmarkKernelZCacheAccess(b *testing.B) {
 	benchAccess(b, newKernelZCache(b, 2048, 2))
+}
+
+// largeRows is the large-geometry instrument's rows per way: 2^18, so a
+// 4-way array's tags (8 MB dense, 32 MB as zkv's slot headers) are far past
+// the host's caches and a walk's tag reads can miss.
+const largeRows = 1 << 18
+
+// BenchmarkKernelZCacheAccessLarge is BenchmarkKernelZCacheAccess at
+// largeRows. The stream is hashed as it goes: a table of it would be as large
+// as the array.
+func BenchmarkKernelZCacheAccessLarge(b *testing.B) {
+	c := newKernelZCache(b, largeRows, 2)
+	footprint := uint64(c.Array().Blocks()) * 64 * 2
+	warm := 2 * c.Array().Blocks()
+	for i := 0; i < warm; i++ {
+		c.Access(kernelAddr(i, footprint))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Access(kernelAddr(warm+i, footprint))
+	}
+}
+
+// TestLargeGeometryWalkShape checks that the large-geometry instrument
+// measures the same walk as the small one, so only the memory system
+// differs: once the array has taken twice its capacity in misses, a walk at
+// largeRows yields as many candidates and tag reads as at 4096 rows, and
+// relocates as often. They agree up to sampling noise: the odd walk still
+// ends early at one of the last empty slots.
+func TestLargeGeometryWalkShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fills a 2^20-slot array")
+	}
+	type shape struct{ cands, reads, relocs float64 }
+	measure := func(rows uint64) shape {
+		c := newKernelZCache(t, rows, 2)
+		z := c.zFast
+		// Random 58-bit lines: every access misses. (Consecutive lines
+		// would meet the H3 functions' linearity, not the walk.)
+		i := uint64(0)
+		for ; i < 2*uint64(z.Blocks()); i++ {
+			c.Access(hash.Mix64(i)&^63, false)
+		}
+		walks0, levels0 := z.WalkProfile()
+		relocs0 := z.Counters().Relocations
+		const misses = 40000
+		for end := i + misses; i < end; i++ {
+			c.Access(hash.Mix64(i)&^63, false)
+		}
+		walks1, levels1 := z.WalkProfile()
+		var s shape
+		for i := range levels1 {
+			s.cands += float64(levels1[i].Candidates - levels0[i].Candidates)
+			s.reads += float64(levels1[i].TagReads - levels0[i].TagReads)
+		}
+		walks := float64(walks1 - walks0)
+		s.cands, s.reads = s.cands/walks, s.reads/walks
+		s.relocs = float64(z.Counters().Relocations-relocs0) / walks
+		return s
+	}
+	small, large := measure(4096), measure(largeRows)
+	t.Logf("per walk at 4096 rows %+v, at %d rows %+v", small, largeRows, large)
+	if math.Abs(small.cands-large.cands) > 0.1 || math.Abs(small.reads-large.reads) > 0.1 ||
+		math.Abs(small.relocs-large.relocs) > 0.02 {
+		t.Fatalf("walk shape differs: %+v at 4096 rows, %+v at %d", small, large, largeRows)
+	}
 }
 
 // BenchmarkKernelZCacheHybridAccess measures the hybrid BFS+DFS walk

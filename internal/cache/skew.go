@@ -25,16 +25,22 @@ type skewTags struct {
 	memoN    int
 }
 
-// newSkewTags validates the geometry and way functions and builds the tag
-// store and indexer. The functions must be distinct-seeded: identical
-// functions silently degenerate to a set-associative cache, so function
-// slices where any pair behaves identically on a probe set are rejected.
-func newSkewTags(design string, rows uint64, fns []hash.Func) (skewTags, error) {
-	if err := validateSkewFns(design, rows, fns); err != nil {
+// newSkewTags validates the geometry and way functions and builds the
+// indexer over tags — a dense store of the array's own unless tags.e names
+// borrowed words — for tags.rows rows per way. The functions must be
+// distinct-seeded: identical functions silently degenerate to a
+// set-associative cache, so function slices where any pair behaves
+// identically on a probe set are rejected.
+func newSkewTags(design string, tags tagStore, fns []hash.Func) (skewTags, error) {
+	if err := validateSkewFns(design, tags.rows, fns); err != nil {
 		return skewTags{}, err
 	}
+	if tags.e == nil {
+		tags = newTagStore(len(fns), tags.rows)
+	}
+	tags.ways = len(fns)
 	return skewTags{
-		tags:     newTagStore(len(fns), rows),
+		tags:     tags,
 		idx:      hash.NewIndexer(fns),
 		memoRows: make([]uint64, len(fns)),
 	}, nil
@@ -82,19 +88,22 @@ func (s *skewTags) Lookup(line uint64) (repl.BlockID, bool) {
 			s.memoN = s.idx.RowsFrom(w, line, s.memoRows)
 		}
 		id := s.tags.slot(w, s.memoRows[w])
-		if s.tags.e[id] == line {
+		if s.tags.at(id) == line {
 			return id, true
 		}
 	}
 	return 0, false
 }
 
-// Invalidate removes line if resident.
+// Invalidate removes line if resident. Over borrowed tags it only finds the
+// slot: the controller's SlotObserver empties it.
 func (s *skewTags) Invalidate(line uint64) (repl.BlockID, bool) {
 	for w, row := range s.lineRows(line) {
 		id := s.tags.slot(w, row)
-		if s.tags.e[id] == line {
-			s.tags.e[id] = EmptyLine
+		if s.tags.at(id) == line {
+			if !s.tags.borrowed {
+				s.tags.e[id] = EmptyLine
+			}
 			s.ctr.TagWrites++
 			return id, true
 		}
@@ -117,7 +126,7 @@ type Skew struct {
 // NewSkew returns a skew-associative array with rows rows per way, indexed
 // by fns (one per way).
 func NewSkew(rows uint64, fns []hash.Func) (*Skew, error) {
-	st, err := newSkewTags("skew-associative", rows, fns)
+	st, err := newSkewTags("skew-associative", tagStore{rows: rows}, fns)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"zcache/internal/hash"
 	"zcache/internal/repl"
@@ -135,7 +136,38 @@ func WithRepeatAvoidance(logBits uint, hashes int) ZOption {
 // fns, and a walk of the given number of levels. levels == 1 degenerates to
 // a skew-associative cache (the paper's Z W/W configuration).
 func NewZCache(rows uint64, fns []hash.Func, levels int, opts ...ZOption) (*ZCache, error) {
-	st, err := newSkewTags("zcache", rows, fns)
+	return newZCache(tagStore{rows: rows}, fns, levels, opts)
+}
+
+// NewZCacheOver is NewZCache over tags it does not own: slot id's tag is
+// words[id*stride], the first word of another layer's per-slot record (zkv's
+// slot headers, internal/slotstore, which are then a shard's only copy of
+// its lines). Each word must hold EmptyLine or a line in one of its own
+// per-way slots; Cache.Restore checks a table that already holds lines.
+//
+// The array reads the words with plain loads and never writes them: Install
+// and Invalidate report what changes and the controller's SlotObserver, which
+// the caller must attach, applies it. SlotEvicted empties a slot, SlotMoved
+// moves a tag along with its record, and the caller writes the incoming line
+// into the slot AccessSlot returns. stride is a power of two.
+func NewZCacheOver(words []uint64, stride int, rows uint64, fns []hash.Func, levels int, opts ...ZOption) (*ZCache, error) {
+	if stride < 1 || stride&(stride-1) != 0 {
+		return nil, fmt.Errorf("cache: tag stride %d is not a power of two", stride)
+	}
+	shift := uint(bits.TrailingZeros(uint(stride)))
+	z, err := newZCache(tagStore{rows: rows, e: words, shift: shift, borrowed: true}, fns, levels, opts)
+	if err != nil {
+		return nil, err
+	}
+	if uint64(len(words)) < uint64(z.Blocks()-1)<<shift+1 {
+		return nil, fmt.Errorf("cache: %d tag words cannot hold %d slots %d words apart", len(words), z.Blocks(), stride)
+	}
+	return z, nil
+}
+
+func newZCache(tags tagStore, fns []hash.Func, levels int, opts []ZOption) (*ZCache, error) {
+	rows := tags.rows
+	st, err := newSkewTags("zcache", tags, fns)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +315,7 @@ func (z *ZCache) rootLevel(buf []Candidate, rows []uint64, filter *Bloom) (out [
 	for w := 0; w < z.tags.ways; w++ {
 		row := rows[w]
 		id := z.tags.slot(w, row)
-		addr := z.tags.e[id]
+		addr := z.tags.at(id)
 		valid := addr != EmptyLine
 		buf[n].put(id, addr, valid, w, row, 1, -1)
 		n++
@@ -307,7 +339,7 @@ func (z *ZCache) rootLevel(buf []Candidate, rows []uint64, filter *Bloom) (out [
 func (z *ZCache) expandLevel(buf []Candidate, lo, hi, level, limit int, filter *Bloom) (out []Candidate, stop bool) {
 	// Hot-path state is hoisted into locals: the emit loop reads no ZCache
 	// fields.
-	tags, idx, rows := z.tags.e, z.idx, z.walkRows
+	tags, shift, idx, rows := z.tags.e, z.tags.shift&63, z.idx, z.walkRows
 	ways, rowsPerWay := z.tags.ways, z.tags.rows
 	base := len(buf)
 	n := base
@@ -330,7 +362,7 @@ emit:
 			}
 			row := rows[w]
 			id := repl.BlockID(uint64(w)*rowsPerWay + row)
-			addr := tags[id]
+			addr := tags[uint64(id)<<shift]
 			valid := addr != EmptyLine
 			reads++
 			if filter != nil && valid && filter.MayContain(addr) {
@@ -458,7 +490,7 @@ chain:
 				break chain
 			}
 		}
-		addr := z.tags.e[id]
+		addr := z.tags.at(id)
 		buf[n].put(id, addr, addr != EmptyLine, w, row, p.Level+1, cur)
 		cur = n
 		n++
@@ -486,7 +518,9 @@ func (z *ZCache) chargeWalk(singleReads uint64) {
 // Install evicts cands[victim] and relocates its ancestor chain so the
 // incoming line lands in a first-level slot (§III-A "Relocations"). The
 // returned moves, ordered from the victim's slot upward, let the caller
-// migrate per-slot metadata (replacement state, dirty bits).
+// migrate per-slot metadata (replacement state, dirty bits). Over borrowed
+// tags (NewZCacheOver) Install writes none: the moves are the caller's to
+// apply, each tag with its record, so a relocated line is written once.
 func (z *ZCache) Install(line uint64, cands []Candidate, victim int) ([]Move, error) {
 	if victim < 0 || victim >= len(cands) {
 		return nil, fmt.Errorf("cache: victim index %d out of range [0,%d)", victim, len(cands))
@@ -510,9 +544,12 @@ func (z *ZCache) Install(line uint64, cands []Candidate, victim int) ([]Move, er
 	// Relocate ancestors: each parent's block moves into its child's
 	// (now free) slot, from the victim upward.
 	z.moves = z.moves[:0]
+	own := !z.tags.borrowed
 	for i := 0; i+1 < len(z.chain); i++ {
 		to, from := z.chain[i], z.chain[i+1]
-		z.tags.e[to], z.tags.e[from] = z.tags.e[from], EmptyLine
+		if own {
+			z.tags.e[to], z.tags.e[from] = z.tags.e[from], EmptyLine
+		}
 		z.moves = append(z.moves, Move{From: from, To: to})
 		// §III-B: each relocation reads and writes both arrays.
 		z.ctr.TagReads++
@@ -522,34 +559,12 @@ func (z *ZCache) Install(line uint64, cands []Candidate, victim int) ([]Move, er
 		z.ctr.Relocations++
 	}
 	// The incoming line lands in the chain's root (a first-level slot).
-	z.tags.e[z.chain[len(z.chain)-1]] = line
+	if own {
+		z.tags.e[z.chain[len(z.chain)-1]] = line
+	}
 	z.ctr.TagWrites++
 	z.ctr.DataWrites++
 	return z.moves, nil
-}
-
-// Adopt places line directly into slot id, bypassing the replacement walk.
-// It is the warm-restart path: a persisted slot image is reloaded into
-// exactly the slot it occupied, so the tag array reproduces its pre-restart
-// state bit for bit. The placement must be legal — id in range, currently
-// empty, and one of line's own per-way slots (a slot store written against
-// a different geometry would otherwise plant lines where Lookup can never
-// find them, or worse, where a different line's probe would).
-func (z *ZCache) Adopt(id repl.BlockID, line uint64) error {
-	if int(id) < 0 || int(id) >= len(z.tags.e) {
-		return fmt.Errorf("cache: adopt slot %d outside [0,%d)", id, len(z.tags.e))
-	}
-	if z.tags.e[id] != EmptyLine {
-		return fmt.Errorf("cache: adopt slot %d is occupied", id)
-	}
-	w, row := z.tags.wayRow(id)
-	if z.lineRows(line)[w] != row {
-		return fmt.Errorf("cache: line %#x does not hash to adopt slot %d (way %d row %d)",
-			line, id, w, row)
-	}
-	z.tags.e[id] = line
-	z.ctr.TagWrites++
-	return nil
 }
 
 // SlotLine reports the line resident in slot id, if any. It is a single tag
@@ -557,10 +572,10 @@ func (z *ZCache) Adopt(id repl.BlockID, line uint64) error {
 // read-hit touches use to confirm a slot still holds the fingerprint they
 // were queued for.
 func (z *ZCache) SlotLine(id repl.BlockID) (uint64, bool) {
-	if int(id) >= len(z.tags.e) {
+	if int(id) >= z.Blocks() {
 		return 0, false
 	}
-	line := z.tags.e[id]
+	line := z.tags.at(id)
 	return line, line != EmptyLine
 }
 

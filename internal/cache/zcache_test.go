@@ -535,7 +535,6 @@ func TestEmptyLineIsRefused(t *testing.T) {
 		"Peek":       func() { c.Peek(EmptyLine) },
 		"Contains":   func() { c.Contains(EmptyLine) },
 		"Invalidate": func() { c.Invalidate(EmptyLine) },
-		"Adopt":      func() { c.Adopt(0, EmptyLine) },
 	} {
 		func() {
 			defer func() {

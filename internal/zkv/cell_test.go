@@ -137,7 +137,7 @@ func TestBytesPerEntry(t *testing.T) {
 		name    string
 		persist bool
 		bound   float64
-	}{{"heap", false, 137}, {"persist", true, 13}} {
+	}{{"heap", false, 120}, {"persist", true, 5}} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := Config{Shards: 2, Ways: 4, Rows: 4096, Levels: 2, Seed: 9}
 			if c.persist {

@@ -25,7 +25,14 @@ func NewRefCache(cfg Config) (*cache.Cache, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newController(cfg, arr)
+}
+
+// newController wraps arr in cfg's policy and a controller with zero line
+// bits: a shard's, or its reference engine's.
+func newController(cfg Config, arr *cache.ZCache) (*cache.Cache, error) {
 	var pol repl.Policy
+	var err error
 	switch cfg.Policy {
 	case PolicyBucketedLRU:
 		pol, err = repl.PaperBucketedLRU(arr.Blocks())
