@@ -191,12 +191,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// MaxRetries covers the reshard controller's and the health sweep's
-	// one-call ops (a shed MIGRATE must back off and retry, not abort);
-	// measured ops come back from the client and the harness re-issues them.
+	// The cluster client owns every resend: the harness re-issues the ops it
+	// returns, it resends the join's idempotent verbs itself (a shed MIGRATE
+	// does not abort the join), and the health sweep tries each node once.
 	ccfg := zcluster.Config{
 		Nodes: ring, VNodes: *vnodes, Replication: replication,
-		DialAddr: dial, Options: zkvproto.Options{OpTimeout: *opTimeout, Seed: *seed, MaxRetries: 8},
+		DialAddr: dial, Options: zkvproto.Options{OpTimeout: *opTimeout},
 	}
 	if replication == 2 {
 		ccfg.RepairEvery = 64
@@ -280,7 +280,7 @@ func sortedNodes[V any](m map[string]V) []string {
 }
 
 // printHealth dials each node once more and renders one line per node from
-// its typed STATS — the post-run cluster health view.
+// its STATS counters — the post-run cluster health view.
 func printHealth(stdout, stderr io.Writer, ccfg zcluster.Config) {
 	cl, err := zcluster.New(ccfg)
 	if err != nil {
@@ -295,9 +295,10 @@ func printHealth(stdout, stderr io.Writer, ccfg zcluster.Config) {
 			fmt.Fprintf(stdout, "health %s: UNREACHABLE (%v)\n", node, h.Err)
 			continue
 		}
-		st := h.Stats
+		m := h.Stats.All
 		fmt.Fprintf(stdout, "health %s: %d/%d resident, server hit ratio %.3f, %d evictions, %d migrated out (%d pages), %d dropped by forget, %d shed\n",
-			node, st.ResidentEntries, st.CapacityEntries, st.HitRate(), st.Evictions,
-			st.MigrateEntries, st.MigratePages, st.ForgetDropped, st.ShedConns+st.ShedRequests)
+			node, m["zkv_resident_entries"], m["zkv_capacity_entries"], h.Stats.HitRate(), m["zkv_evictions_total"],
+			m["zkv_migrate_entries_total"], m["zkv_migrate_pages_total"], m["zkv_forget_dropped_total"],
+			m["zkv_shed_conns_total"]+m["zkv_shed_requests_total"])
 	}
 }

@@ -530,29 +530,35 @@ func (s *System) memAccess(line uint64, critical bool) uint64 {
 
 // metrics finalizes counters into a Metrics.
 func (s *System) metrics() Metrics {
-	var m Metrics
+	demand, tagLookups := s.fold(&s.counts)
+	m := Metrics{Counts: s.counts, Invalidations: s.invalidations, L1Misses: s.l1Misses}
+	m.finish(len(s.cores), s.cfg.L2Banks, func(i int) (instrs, cycles uint64) {
+		c := s.cores[i]
+		return c.instrs - c.warmupInstrs, c.cycles - c.warmupCycles
+	}, float64(demand), float64(tagLookups))
+	return m
+}
+
+// finish derives what every driver computes alike from each core's measured
+// instructions and cycles: PerCoreIPC, Counts.Cycles (the slowest core's)
+// and the two bank loads over it, from their numerators demand and
+// tagLookups. A core with no measured cycles retired nothing: its IPC is 0
+// (DESIGN §5).
+func (m *Metrics) finish(cores, banks int, core func(i int) (instrs, cycles uint64), demand, tagLookups float64) {
 	var maxCycles uint64
-	for _, c := range s.cores {
-		cycles := c.cycles - c.warmupCycles
-		instrs := c.instrs - c.warmupInstrs
-		if cycles > maxCycles {
-			maxCycles = cycles
-		}
+	for i := 0; i < cores; i++ {
+		instrs, cycles := core(i)
+		maxCycles = max(maxCycles, cycles)
 		ipc := 0.0
 		if cycles > 0 {
 			ipc = float64(instrs) / float64(cycles)
 		}
 		m.PerCoreIPC = append(m.PerCoreIPC, ipc)
 	}
-	s.counts.Cycles = maxCycles
-	demand, tagLookups := s.fold(&s.counts)
-	m.Counts = s.counts
-	m.Invalidations = s.invalidations
-	m.L1Misses = s.l1Misses
+	m.Counts.Cycles = maxCycles
 	if maxCycles > 0 {
-		denom := float64(maxCycles) * float64(s.cfg.L2Banks)
-		m.BankDemandLoad = float64(demand) / denom
-		m.BankTagLoad = float64(tagLookups) / denom
+		denom := float64(maxCycles) * float64(banks)
+		m.BankDemandLoad = demand / denom
+		m.BankTagLoad = tagLookups / denom
 	}
-	return m
 }

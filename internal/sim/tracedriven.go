@@ -166,24 +166,9 @@ func StreamMetrics(cfg Config, stream *L2Stream, counts energy.SystemCounts, sta
 	m := Metrics{Counts: counts, L1Misses: uint64(demand + 0.5)}
 	m.Counts.Instructions = stream.Instructions
 	m.Counts.L1Accesses = stream.L1Accesses
-	var maxCycles uint64
-	for c := 0; c < cfg.Cores; c++ {
-		instrs := stream.PerCoreInstructions[c]
-		total := instrs + stalls[c]
-		if total > maxCycles {
-			maxCycles = total
-		}
-		ipc := 1.0
-		if total > 0 {
-			ipc = float64(instrs) / float64(total)
-		}
-		m.PerCoreIPC = append(m.PerCoreIPC, ipc)
-	}
-	m.Counts.Cycles = maxCycles
-	if maxCycles > 0 {
-		denom := float64(maxCycles) * float64(cfg.L2Banks)
-		m.BankDemandLoad = demand / denom
-		m.BankTagLoad = tagLookups / denom
-	}
+	m.finish(cfg.Cores, cfg.L2Banks, func(c int) (instrs, cycles uint64) {
+		instrs = stream.PerCoreInstructions[c]
+		return instrs, instrs + stalls[c]
+	}, demand, tagLookups)
 	return m
 }

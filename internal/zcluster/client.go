@@ -33,13 +33,14 @@ type Config struct {
 	// renaming it in the ring.
 	DialAddr map[string]string
 	// Options tunes every per-node connection. OpTimeout is the deadline of
-	// one round of a batch (0 = none: a blackholed node then hangs the
-	// client instead of failing classified). MaxRetries governs only
-	// AddNode's and Health's one-call operations; a batch returns what
-	// failed instead of retrying it. Each node's connection derives its
-	// jitter seed from Options.Seed and the node name, so schedules stay
-	// deterministic but decorrelated across nodes.
+	// one round of a batch and of each of AddNode's and Health's verbs
+	// (0 = none: a blackholed node then hangs the client instead of failing
+	// classified).
 	Options zkvproto.Options
+	// Seed makes the redial pauses' jitter deterministic. Each node's
+	// schedule derives from Seed and the node name, so schedules stay
+	// reproducible but decorrelated across nodes.
+	Seed uint64
 	// StampBase offsets this client's version counter. Version stamps
 	// order writes from one client; concurrent writers get a total order
 	// only if their StampBase ranges are disjoint (e.g. client i shifts
@@ -79,8 +80,9 @@ type Stats struct {
 	// ReplicaSets counts R=2 SET copies the replica acknowledged;
 	// Reconnects, successful re-dials of a broken node connection.
 	ReplicaSets, Reconnects uint64
-	// Faults counts transport failure events by zkvproto.Class: a failed
-	// dial is one, and so is a reset, however many queued operations it clips.
+	// Faults counts failure events by zkvproto.Class: a failed dial is one,
+	// and so is a reset, however many queued operations it clips, or a shed
+	// or failed verb of AddNode or Health.
 	Faults [zkvproto.ClassUnknown + 1]uint64
 }
 
@@ -247,15 +249,14 @@ func (c *Client) live(p *peer) bool {
 	if len(p.q)+len(p.nq) > 0 {
 		return false
 	}
-	// The client's jitter seed, decorrelated by node name.
-	opts := c.cfg.Options
-	opts.Seed = hash.Mix64(opts.Seed ^ hash.Bytes64([]byte(p.node)))
 	if p.fails > 1 {
-		time.Sleep(zkvproto.Backoff(opts.Seed, uint64(p.fails), p.fails-1, 2*time.Millisecond, 300*time.Millisecond))
+		// The client's jitter seed, decorrelated by node name.
+		seed := hash.Mix64(c.cfg.Seed ^ hash.Bytes64([]byte(p.node)))
+		time.Sleep(zkvproto.Backoff(seed, uint64(p.fails), p.fails-1, 2*time.Millisecond, 300*time.Millisecond))
 	}
 	var err error
 	if p.cl == nil {
-		p.cl, err = zkvproto.DialOptions(c.cfg.addrOf(p.node), opts)
+		p.cl, err = zkvproto.DialOptions(c.cfg.addrOf(p.node), c.cfg.Options)
 	} else if err = p.cl.Reconnect(); err == nil {
 		c.stats.Reconnects++
 	}
@@ -276,14 +277,42 @@ func (c *Client) fail(p *peer, err error) {
 	p.down = err
 }
 
-// conn returns the node's live connection for the one-call zkvproto
-// operations of AddNode and Health, which run between batches.
-func (c *Client) conn(node string) (*zkvproto.Client, error) {
-	p := c.peer(node)
+// try sends one verb — a one-shot zkvproto call, or several on one
+// connection — to p, between batches. Any failure takes p down, so its next
+// use redials; a success resets p's failure count, as a cleanly drained
+// round does.
+func (c *Client) try(p *peer, verb func(*zkvproto.Client) error) error {
 	if !c.live(p) {
-		return nil, p.down
+		return p.down
 	}
-	return p.cl, nil
+	if err := verb(p.cl); err != nil {
+		c.fail(p, err)
+		return err
+	}
+	p.fails = 0
+	return nil
+}
+
+// call sends AddNode's verb to node until it succeeds: after a shed reply
+// or a transport failure it sends again, once live has redialed (pausing by
+// zkvproto.Backoff from the second failure in a row). It gives up on a
+// protocol error, or when the node is unreachable — the batch path's budget
+// of maxConsecutiveFailures failures in a row. Resending is safe only
+// because every verb AddNode sends is idempotent.
+func (c *Client) call(node string, verb func(*zkvproto.Client) error) error {
+	p := c.peer(node)
+	for {
+		err := c.try(p, verb)
+		switch zkvproto.Classify(err) {
+		case zkvproto.ClassNone:
+			return nil
+		case zkvproto.ClassProtocol, zkvproto.ClassUnknown:
+			return err
+		}
+		if errors.Is(p.down, errUnreachable) {
+			return p.down
+		}
+	}
 }
 
 // versionOf splits a stored envelope. A value too short to carry a stamp
@@ -557,19 +586,22 @@ type NodeHealth struct {
 	Err   error
 }
 
-// Health probes every ring member with a typed STATS round trip. A node
-// that cannot answer gets its error recorded rather than failing the
-// sweep — health checks exist precisely for unhealthy clusters.
+// Health probes every ring member with one STATS round trip each and parses
+// the reply. A node that cannot answer gets its error recorded rather than
+// failing the sweep — health checks exist precisely for unhealthy clusters.
 func (c *Client) Health() map[string]NodeHealth {
 	out := make(map[string]NodeHealth)
 	for _, node := range c.router.Ring().Nodes() {
-		cl, err := c.conn(node)
-		if err != nil {
-			out[node] = NodeHealth{Err: err}
-			continue
+		var h NodeHealth
+		var text string
+		h.Err = c.try(c.peer(node), func(cl *zkvproto.Client) (err error) {
+			text, err = cl.Stats()
+			return err
+		})
+		if h.Err == nil {
+			h.Stats, h.Err = zkvproto.ParseStats(text)
 		}
-		st, err := cl.StatsTyped()
-		out[node] = NodeHealth{Stats: st, Err: err}
+		out[node] = h
 	}
 	return out
 }

@@ -122,7 +122,7 @@ func TestClusterRoutedOps(t *testing.T) {
 		if h.Err != nil {
 			t.Fatalf("health %s: %v", node, h.Err)
 		}
-		if !h.Stats.Ready {
+		if h.Stats.All["zkv_ready"] != 1 {
 			t.Fatalf("health %s: not ready", node)
 		}
 	}
@@ -228,7 +228,8 @@ func TestClusterFailoverAsymmetric(t *testing.T) {
 		Replication: 2,
 		VNodes:      32,
 		DialAddr:    map[string]string{pri: proxy.Addr()},
-		Options:     zkvproto.Options{OpTimeout: 150 * time.Millisecond, Seed: 7},
+		Options:     zkvproto.Options{OpTimeout: 150 * time.Millisecond},
+		Seed:        7,
 	})
 	if err != nil {
 		t.Fatal(err)

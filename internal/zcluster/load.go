@@ -216,7 +216,7 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	}
 	// The join controller's router is the one every load client shares.
 	ccfg := cfg.Cluster
-	ccfg.Options.Seed = hash.Mix64(cfg.Seed ^ 0xc0ffee)
+	ccfg.Seed = hash.Mix64(cfg.Seed ^ 0xc0ffee)
 	ctl, err := New(ccfg)
 	if err != nil {
 		return LoadReport{}, err
@@ -227,8 +227,9 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	// Stalled readers: connect, then do nothing for the whole run. The
 	// server's idle/drain deadlines are what get them off the books.
 	nodes := ccfg.Router.Ring().Nodes()
+	d := net.Dialer{Timeout: 5 * time.Second}
 	for i := 0; i < cfg.Stall; i++ {
-		conn, err := net.DialTimeout("tcp", ccfg.addrOf(nodes[i%len(nodes)]), 5*time.Second)
+		conn, err := d.Dial("tcp", ccfg.addrOf(nodes[i%len(nodes)]))
 		if err != nil {
 			return LoadReport{}, fmt.Errorf("zcluster: stall conn %d: %w", i, err)
 		}
@@ -376,7 +377,7 @@ func runClient(cfg LoadConfig, ccfg Config, ci int, stop <-chan struct{}, comple
 	// Disjoint stamp ranges per client keep cross-client versions from
 	// colliding; the payload is key-derived either way.
 	ccfg.StampBase += (uint64(ci) + 1) << 40
-	ccfg.Options.Seed = rng
+	ccfg.Seed = rng
 	cl, err := New(ccfg)
 	if err != nil {
 		res.err = err

@@ -57,11 +57,14 @@ type ReshardReport struct {
 // post-scan and be dropped by step 4 — the same caveat as any
 // cache-tier reshard, bounded by the flip-to-forget window.
 //
-// An error before the flip leaves the cluster routing exactly as it was
-// (the new node just holds dead copies). An error after the flip leaves
-// routing on the new ring with the report describing how far the drain
-// got; rerunning the remaining passes is safe because every verb involved
-// is idempotent.
+// Every verb goes through call, which resends it across sheds and
+// transport failures; that is safe because every verb involved is
+// idempotent. An error — a protocol error, or a node unreachable after
+// maxConsecutiveFailures failures in a row — before the flip leaves the
+// cluster routing exactly as it was (the new node just holds dead copies).
+// An error after the flip leaves routing on the new ring with the report
+// describing how far the drain got; rerunning the remaining passes is safe
+// for the same reason. AddNode runs between batches.
 func (c *Client) AddNode(node string, opts ReshardOpts) (*ReshardReport, error) {
 	old := c.router.Ring()
 	if old.HasNode(node) {
@@ -74,8 +77,9 @@ func (c *Client) AddNode(node string, opts ReshardOpts) (*ReshardReport, error) 
 	arcs := next.ArcsOwnedBy(node)
 	rep := &ReshardReport{Node: node, Arcs: len(arcs)}
 
-	dst, err := c.conn(node)
-	if err != nil {
+	// The joiner must answer before any arc moves: with nothing to copy, the
+	// flip would otherwise route to a node nobody has reached.
+	if err := c.call(node, (*zkvproto.Client).Ping); err != nil {
 		return rep, fmt.Errorf("zcluster: dial new node: %w", err)
 	}
 
@@ -89,13 +93,11 @@ func (c *Client) AddNode(node string, opts ReshardOpts) (*ReshardReport, error) 
 	}
 
 	// Copy pass: land a near-complete image before anyone routes to it.
+	// Each SET writes a verbatim stamped envelope, so a resent one lands the
+	// same bytes.
 	for i, a := range arcs {
-		src, err := c.conn(srcOf[i])
-		if err != nil {
-			return rep, fmt.Errorf("zcluster: copy arc %d from %s: %w", i, srcOf[i], err)
-		}
-		pages, entries, bytes, err := streamArc(src, a, opts.PageBytes, func(e zkvproto.MigrateEntry) error {
-			return dst.Set(e.Key, e.Val)
+		pages, entries, bytes, err := c.streamArc(srcOf[i], a, opts.PageBytes, func(e zkvproto.MigrateEntry) error {
+			return c.call(node, func(dst *zkvproto.Client) error { return dst.Set(e.Key, e.Val) })
 		})
 		rep.CopyPages += pages
 		rep.CopiedEntries += entries
@@ -110,25 +112,30 @@ func (c *Client) AddNode(node string, opts ReshardOpts) (*ReshardReport, error) 
 	// the source drain normally.
 	c.router.Swap(next)
 
-	// Delta pass: catch writes that landed on the source mid-copy.
+	// Delta pass: catch writes that landed on the source mid-copy. The unit
+	// resent is the whole GET-compare-SET, never a bare SET: a resend
+	// re-reads what the clipped attempt may have written.
 	for i, a := range arcs {
-		src, err := c.conn(srcOf[i])
-		if err != nil {
-			return rep, fmt.Errorf("zcluster: delta arc %d from %s: %w", i, srcOf[i], err)
-		}
-		_, checked, _, err := streamArc(src, a, opts.PageBytes, func(e zkvproto.MigrateEntry) error {
+		_, checked, _, err := c.streamArc(srcOf[i], a, opts.PageBytes, func(e zkvproto.MigrateEntry) error {
 			srcVer, _ := versionOf(e.Val)
-			have, ok, gerr := dst.Get(e.Key, nil)
-			if gerr != nil {
-				return gerr
-			}
-			if ok {
-				if dstVer, _ := versionOf(have); dstVer >= srcVer {
-					return nil
+			applied := false
+			err := c.call(node, func(dst *zkvproto.Client) error {
+				have, ok, err := dst.Get(e.Key, nil)
+				if err != nil {
+					return err
 				}
+				if ok {
+					if dstVer, _ := versionOf(have); dstVer >= srcVer {
+						return nil
+					}
+				}
+				applied = true
+				return dst.Set(e.Key, e.Val)
+			})
+			if applied && err == nil {
+				rep.DeltaApplied++
 			}
-			rep.DeltaApplied++
-			return dst.Set(e.Key, e.Val)
+			return err
 		})
 		rep.DeltaChecked += checked
 		if err != nil {
@@ -146,11 +153,11 @@ func (c *Client) AddNode(node string, opts ReshardOpts) (*ReshardReport, error) 
 				continue
 			}
 		}
-		src, err := c.conn(srcOf[i])
-		if err != nil {
-			return rep, fmt.Errorf("zcluster: forget arc %d on %s: %w", i, srcOf[i], err)
-		}
-		dropped, err := src.Forget(zkvproto.ForgetReq{Start: a.Start, End: a.End})
+		var dropped uint64
+		err := c.call(srcOf[i], func(src *zkvproto.Client) (err error) {
+			dropped, err = src.Forget(zkvproto.ForgetReq{Start: a.Start, End: a.End})
+			return err
+		})
 		if err != nil {
 			return rep, fmt.Errorf("zcluster: forget arc %d on %s: %w", i, srcOf[i], err)
 		}
@@ -161,13 +168,19 @@ func (c *Client) AddNode(node string, opts ReshardOpts) (*ReshardReport, error) 
 }
 
 // streamArc pages through src's resident entries in the arc, invoking fn
-// per entry. The cursor must strictly advance between pages; a stuck
-// cursor is a protocol violation, not a retry.
-func streamArc(src *zkvproto.Client, a Arc, pageBytes int, fn func(zkvproto.MigrateEntry) error) (pages, entries, bytes int, err error) {
+// per entry. A page is requested at a fixed cursor, so a resent MIGRATE
+// returns the same scan position. The cursor must strictly advance between
+// pages; a stuck cursor is a protocol violation, not a resend.
+func (c *Client) streamArc(src string, a Arc, pageBytes int, fn func(zkvproto.MigrateEntry) error) (pages, entries, bytes int, err error) {
 	var cursor uint64
 	for {
-		next, page, err := src.Migrate(zkvproto.MigrateReq{
-			Start: a.Start, End: a.End, Cursor: cursor, MaxBytes: uint32(pageBytes),
+		var next uint64
+		var page []zkvproto.MigrateEntry
+		err := c.call(src, func(cl *zkvproto.Client) (err error) {
+			next, page, err = cl.Migrate(zkvproto.MigrateReq{
+				Start: a.Start, End: a.End, Cursor: cursor, MaxBytes: uint32(pageBytes),
+			})
+			return err
 		})
 		if err != nil {
 			return pages, entries, bytes, err

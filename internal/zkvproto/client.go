@@ -11,55 +11,31 @@ import (
 	"zcache/internal/hash"
 )
 
-// Options tunes a Client's robustness behavior. The zero Options is the
-// legacy configuration: no deadlines, no retries, no backoff — exactly what
-// NewClient over a raw connection has always done.
+// Options tunes a Client. The zero Options arms no deadline.
 type Options struct {
-	// OpTimeout bounds each convenience-method round trip (Get/Set/Del/
-	// Ping/Stats): queue, flush, and reply must all complete within it.
+	// OpTimeout bounds each one-shot round trip (Get/Set/Del/Ping/Stats/
+	// Migrate/Forget): queue, flush, and reply must all complete within it.
 	// 0 means no deadline. The deadline is armed on the connection per
 	// operation; manual pipeliners using Queue*/Flush/ReadReply should
 	// arm their own via SetDeadline.
 	OpTimeout time.Duration
-	// DialTimeout bounds Dial and every Reconnect attempt (default 5s).
-	DialTimeout time.Duration
-	// MaxRetries is how many times a convenience operation is retried
-	// after a retryable failure, reconnecting as needed. Idempotent
-	// operations (GET/PING/STATS) retry on timeout/reset/busy; mutations
-	// (SET/DEL) retry only on busy — a shed request was never executed —
-	// and surface ErrAmbiguous when the connection dies mid-operation.
-	// 0 means no retries.
-	MaxRetries int
-	// BackoffBase and BackoffMax shape the jittered exponential backoff
-	// between retries: attempt n sleeps BackoffBase<<(n-1) capped at
-	// BackoffMax, scaled by a jitter factor in [0.5, 1.5). Defaults 2ms
-	// and 250ms.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// Seed makes the jitter schedule deterministic: the same seed and the
-	// same retry sequence sleep the same durations, in the spirit of
-	// internal/failpoint's reproducible fault schedules.
-	Seed uint64
 }
 
-func (o Options) withDefaults() Options {
-	if o.DialTimeout == 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 2 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 250 * time.Millisecond
-	}
-	return o
+// dial connects to addr within 5 s: the bound of Dial and every Reconnect.
+func dial(addr string) (net.Conn, error) {
+	d := net.Dialer{Timeout: 5 * time.Second}
+	return d.Dial("tcp", addr)
 }
 
-// Client is a pipelining zcached client. Queue* methods buffer request
-// frames without touching the network; Flush pushes them out, and ReadReply
-// consumes responses in request order. The convenience Get/Set/Del helpers
-// do one round trip each, and — when Options enable it — classify failures,
-// arm per-op deadlines, reconnect, and retry where the retry is safe.
+// errBroken is the cause of the reset-class error a one-shot op returns on
+// a connection an earlier failure broke: nothing is sent until Reconnect.
+var errBroken = errors.New("connection broken by an earlier failure; Reconnect first")
+
+// Client is one pipelined connection to a zcached server. Queue* methods
+// buffer request frames without touching the network; Flush pushes them
+// out, and ReadReply consumes responses in request order. The one-shot
+// Get/Set/Del/Ping/Stats/Migrate/Forget each send their request exactly
+// once and classify any failure; resending is the caller's decision.
 //
 // A Client is not safe for concurrent use; run one per goroutine.
 type Client struct {
@@ -72,23 +48,16 @@ type Client struct {
 
 	addr   string // dial address; "" = wrapped conn, not reconnectable
 	opts   Options
-	broken bool // transport failed mid-stream; reconnect before reuse
-
-	nBackoff   uint64 // jitter draws so far (determinism counter)
-	retries    uint64
-	reconnects uint64
+	broken bool // transport failed mid-stream; Reconnect before reuse
 }
 
 // Dial connects to a zcached server with zero Options.
 func Dial(addr string) (*Client, error) { return DialOptions(addr, Options{}) }
 
-// DialOptions connects to a zcached server with explicit robustness
-// options. The returned client reconnects to addr when its connection
-// breaks.
+// DialOptions connects to a zcached server with explicit options. The
+// returned client can Reconnect to addr when its connection breaks.
 func DialOptions(addr string, opts Options) (*Client, error) {
-	opts = opts.withDefaults()
-	d := net.Dialer{Timeout: opts.DialTimeout}
-	conn, err := d.Dial("tcp", addr)
+	conn, err := dial(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +74,6 @@ func NewClient(conn net.Conn) *Client {
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 64<<10),
 		bw:   bufio.NewWriterSize(conn, 64<<10),
-		opts: Options{}.withDefaults(),
 	}
 }
 
@@ -114,12 +82,6 @@ func (c *Client) Close() error { return c.conn.Close() }
 
 // Pending reports how many queued requests still await a reply.
 func (c *Client) Pending() int { return c.pending }
-
-// Retries reports how many operation retries this client has performed.
-func (c *Client) Retries() uint64 { return c.retries }
-
-// Reconnects reports how many times this client has re-dialed.
-func (c *Client) Reconnects() uint64 { return c.reconnects }
 
 // SetDeadline arms a read+write deadline on the underlying connection, for
 // manual pipeliners that bound whole bursts rather than single ops.
@@ -132,8 +94,7 @@ func (c *Client) Reconnect() error {
 		return fmt.Errorf("zkvproto: client wraps a raw conn; no address to reconnect")
 	}
 	c.conn.Close()
-	d := net.Dialer{Timeout: c.opts.DialTimeout}
-	conn, err := d.Dial("tcp", c.addr)
+	conn, err := dial(c.addr)
 	if err != nil {
 		return err
 	}
@@ -142,14 +103,13 @@ func (c *Client) Reconnect() error {
 	c.bw.Reset(conn)
 	c.pending = 0
 	c.broken = false
-	c.reconnects++
 	return nil
 }
 
 // Backoff is the serving path's one retry pause: base<<exp capped at limit,
 // scaled by a jitter factor in [0.5, 1.5) that is a pure function of
-// (seed, draw). The client's retries and the load harness's redials both
-// sleep by it, so a seeded run's whole retry schedule is reproducible.
+// (seed, draw). The cluster client's redials sleep by it, so a seeded run's
+// whole redial schedule is reproducible.
 func Backoff(seed, draw uint64, exp int, base, limit time.Duration) time.Duration {
 	d := limit
 	if exp < 20 { // beyond 1<<20 the cap always wins
@@ -159,13 +119,6 @@ func Backoff(seed, draw uint64, exp int, base, limit time.Duration) time.Duratio
 	}
 	frac := float64(hash.Mix64(seed^(draw+1)*0x9e3779b97f4a7c15)>>11) / float64(uint64(1)<<53) // [0,1)
 	return time.Duration((0.5 + frac) * float64(d))
-}
-
-// backoffDelay is the pause before retry attempt n (1-based): exponential
-// in n, capped, with deterministic jitter drawn from (Seed, draw index).
-func (c *Client) backoffDelay(attempt int) time.Duration {
-	c.nBackoff++
-	return Backoff(c.opts.Seed, c.nBackoff-1, attempt-1, c.opts.BackoffBase, c.opts.BackoffMax)
 }
 
 // Queue buffers one request frame without flushing.
@@ -203,88 +156,50 @@ func (c *Client) ReadReply() (*Response, error) {
 	return &c.resp, nil
 }
 
-// once performs one queue+flush+read round trip. sent reports whether any
-// request bytes may have reached the network (and therefore whether a
-// failed mutation is ambiguous).
-func (c *Client) once(op byte, key, val []byte) (resp *Response, sent bool, err error) {
-	if c.opts.OpTimeout > 0 {
-		if err := c.conn.SetDeadline(time.Now().Add(c.opts.OpTimeout)); err != nil {
-			return nil, true, err
-		}
-	}
-	if err := c.Queue(op, key, val); err != nil {
-		// WriteTo fails either on frame validation (nothing buffered,
-		// nothing sent) or on a write-through to a dead socket.
-		validation := errors.Is(err, ErrBadOp) || errors.Is(err, ErrFrameTooLarge)
-		return nil, !validation, err
-	}
-	if err := c.Flush(); err != nil {
-		return nil, true, err
-	}
-	r, err := c.ReadReply()
-	if err != nil {
-		return nil, true, err
-	}
-	return r, true, nil
-}
-
-// do runs one operation under the retry policy. It returns the terminal
-// response (never StatusBusy) or an *OpError.
+// do sends one request exactly once and reads its reply. It returns the
+// reply (never StatusBusy) or an *OpError: busy for a shed reply, ambiguous
+// for a SET/DEL whose connection failed after its frame was written, and
+// the transport's class otherwise. A transport failure breaks the client:
+// every later op fails fast with a reset until Reconnect.
 func (c *Client) do(opName string, op byte, key, val []byte) (*Response, error) {
 	if c.broken {
-		if c.addr == "" {
-			return nil, &OpError{Op: opName, Class: ClassReset,
-				Err: errors.New("connection broken and not reconnectable")}
-		}
-		if err := c.Reconnect(); err != nil {
-			return nil, &OpError{Op: opName, Class: Classify(err), Err: err}
-		}
+		return nil, &OpError{Op: opName, Class: ClassReset, Err: errBroken}
 	}
 	if c.pending != 0 {
 		return nil, &OpError{Op: opName, Class: ClassProtocol,
 			Err: fmt.Errorf("%d pipelined replies outstanding; drain ReadReply first", c.pending)}
 	}
-	// MIGRATE is a read; FORGET drops an arc, and dropping an already-
-	// dropped arc is a no-op — both retry safely.
-	idempotent := op == OpGet || op == OpPing || op == OpStats ||
-		op == OpMigrate || op == OpForget
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if attempt > c.opts.MaxRetries {
-				return nil, lastErr
-			}
-			c.retries++
-			time.Sleep(c.backoffDelay(attempt))
-			if c.broken {
-				if err := c.Reconnect(); err != nil {
-					lastErr = &OpError{Op: opName, Class: Classify(err), Err: err}
-					continue
-				}
-			}
+	if c.opts.OpTimeout > 0 {
+		if err := c.conn.SetDeadline(time.Now().Add(c.opts.OpTimeout)); err != nil {
+			c.broken = true
+			return nil, &OpError{Op: opName, Class: Classify(err), Err: err}
 		}
-		resp, sent, err := c.once(op, key, val)
-		if err == nil {
-			if resp.Status == StatusBusy {
-				// Shed, not executed: retrying is safe for every op.
-				lastErr = &OpError{Op: opName, Class: ClassBusy, Err: ErrBusy}
-				continue
-			}
-			return resp, nil
-		}
-		class := Classify(err)
-		if !sent {
-			// Frame validation failure: the request never existed on the
-			// wire, and retrying the same frame cannot succeed.
-			return nil, &OpError{Op: opName, Class: class, Err: err}
-		}
+	}
+	err := c.Queue(op, key, val)
+	if errors.Is(err, ErrBadOp) || errors.Is(err, ErrFrameTooLarge) {
+		// Frame validation: nothing was buffered or sent.
+		return nil, &OpError{Op: opName, Class: Classify(err), Err: err}
+	}
+	if err == nil {
+		err = c.Flush()
+	}
+	var resp *Response
+	if err == nil {
+		resp, err = c.ReadReply()
+	}
+	switch {
+	case err != nil:
 		c.broken = true
-		if !idempotent {
+		if op == OpSet || op == OpDel {
 			return nil, &OpError{Op: opName, Class: ClassAmbiguous,
 				Err: fmt.Errorf("%w: %v", ErrAmbiguous, err)}
 		}
-		lastErr = &OpError{Op: opName, Class: class, Err: err}
+		return nil, &OpError{Op: opName, Class: Classify(err), Err: err}
+	case resp.Status == StatusBusy:
+		// Shed, not executed: resending is safe for every op.
+		return nil, &OpError{Op: opName, Class: ClassBusy, Err: ErrBusy}
 	}
+	return resp, nil
 }
 
 // Get does one GET round trip, appending the value to dst.

@@ -62,37 +62,53 @@ func serveStatuses(statuses ...byte) func(net.Conn) {
 	}
 }
 
-// TestClientReconnectRetriesGet: the first connection dies before
-// answering; an idempotent op must transparently reconnect and succeed.
-func TestClientReconnectRetriesGet(t *testing.T) {
-	var served atomic.Bool
+// TestClientBrokenConnFailsFast: after a transport failure the client sends
+// nothing and dials nothing — every one-shot op fails fast with a reset —
+// until the caller reconnects it.
+func TestClientBrokenConnFailsFast(t *testing.T) {
+	var accepted atomic.Int64
 	addr := fakeServer(t, func(conn net.Conn) {
-		if served.CompareAndSwap(false, true) {
-			conn.Close() // die before the client's request is answered
+		if accepted.Add(1) == 1 {
+			var req Request
+			req.ReadFrom(bufio.NewReader(conn)) // consume the GET, then die without answering
+			conn.Close()
 			return
 		}
 		serveStatuses(StatusNotFound)(conn)
 	})
-	cl, err := DialOptions(addr, Options{MaxRetries: 3, Seed: 1})
+	cl, err := DialOptions(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	_, ok, err := cl.Get([]byte("k"), nil)
-	if err != nil {
-		t.Fatalf("Get after reconnect: %v", err)
+	if _, _, err := cl.Get([]byte("k"), nil); Classify(err) != ClassReset {
+		t.Fatalf("GET on a dying connection: %v, want a reset", err)
 	}
-	if ok {
-		t.Fatal("miss reported as hit")
+	for _, op := range []func() error{
+		func() error { _, _, err := cl.Get([]byte("k"), nil); return err },
+		func() error { return cl.Set([]byte("k"), []byte("v")) },
+		cl.Ping,
+	} {
+		if err := op(); Classify(err) != ClassReset || !errors.Is(err, errBroken) {
+			t.Fatalf("op on a broken connection: %v, want a fail-fast reset", err)
+		}
 	}
-	if cl.Reconnects() == 0 || cl.Retries() == 0 {
-		t.Fatalf("reconnects=%d retries=%d, want both > 0", cl.Reconnects(), cl.Retries())
+	if err := cl.Reconnect(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := cl.Get([]byte("k"), nil); err != nil || ok {
+		t.Fatalf("GET after Reconnect: ok=%v err=%v, want a miss", ok, err)
+	}
+	// The reconnected connection was served, so had any fail-fast op dialed,
+	// its connection would have been accepted before it.
+	if n := accepted.Load(); n != 2 {
+		t.Fatalf("server accepted %d connections, want 2 (the first and Reconnect's)", n)
 	}
 }
 
 // TestClientSetAmbiguousOnMidOpDeath: a mutation whose connection dies
 // after the request may or may not have executed; the client must say so
-// rather than silently retrying.
+// rather than silently resending.
 func TestClientSetAmbiguousOnMidOpDeath(t *testing.T) {
 	var served atomic.Bool
 	addr := fakeServer(t, func(conn net.Conn) {
@@ -105,7 +121,7 @@ func TestClientSetAmbiguousOnMidOpDeath(t *testing.T) {
 		}
 		serveStatuses(StatusOK)(conn)
 	})
-	cl, err := DialOptions(addr, Options{MaxRetries: 5, Seed: 1})
+	cl, err := DialOptions(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,50 +136,12 @@ func TestClientSetAmbiguousOnMidOpDeath(t *testing.T) {
 	if got := Classify(err); got != ClassAmbiguous {
 		t.Fatalf("classified %v, want ambiguous", got)
 	}
-	if cl.Retries() != 0 {
-		t.Fatalf("ambiguous mutation was retried %d times", cl.Retries())
+	// The caller heals the connection for the next operation.
+	if err := cl.Reconnect(); err != nil {
+		t.Fatal(err)
 	}
-	// The client heals for the next operation: reconnect is automatic.
 	if err := cl.Ping(); err != nil {
 		t.Fatalf("Ping after ambiguous SET: %v", err)
-	}
-	if cl.Reconnects() == 0 {
-		t.Fatal("no reconnect recorded")
-	}
-}
-
-// TestClientRetriesBusy: StatusBusy means "not executed", so even
-// mutations retry through it.
-func TestClientRetriesBusy(t *testing.T) {
-	addr := fakeServer(t, serveStatuses(StatusBusy, StatusBusy, StatusOK))
-	cl, err := DialOptions(addr, Options{MaxRetries: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if err := cl.Set([]byte("k"), []byte("v")); err != nil {
-		t.Fatalf("Set through busy: %v", err)
-	}
-	if got := cl.Retries(); got != 2 {
-		t.Fatalf("retries = %d, want 2", got)
-	}
-}
-
-// TestClientBusyExhaustsRetries: a persistently shedding server surfaces
-// ErrBusy once the retry budget runs out.
-func TestClientBusyExhaustsRetries(t *testing.T) {
-	addr := fakeServer(t, serveStatuses(StatusBusy))
-	cl, err := DialOptions(addr, Options{MaxRetries: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	err = cl.Ping()
-	if err == nil {
-		t.Fatal("Ping succeeded against an always-busy server")
-	}
-	if !errors.Is(err, ErrBusy) || Classify(err) != ClassBusy {
-		t.Fatalf("error %v classified %v, want busy", err, Classify(err))
 	}
 }
 
@@ -199,14 +177,13 @@ func TestClientOpTimeout(t *testing.T) {
 }
 
 // TestBackoffDeterministic: the jitter schedule is a pure function of the
-// seed, so two clients with the same seed sleep identically — fault
+// seed, so two callers with the same seed sleep identically — fault
 // schedules stay reproducible end to end.
 func TestBackoffDeterministic(t *testing.T) {
 	mk := func(seed uint64) []time.Duration {
-		c := &Client{opts: Options{Seed: seed}.withDefaults()}
 		var out []time.Duration
 		for attempt := 1; attempt <= 8; attempt++ {
-			out = append(out, c.backoffDelay(attempt))
+			out = append(out, Backoff(seed, uint64(attempt-1), attempt-1, 2*time.Millisecond, 250*time.Millisecond))
 		}
 		return out
 	}

@@ -42,27 +42,19 @@ func TestParseStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Shards != 4 || st.CapacityEntries != 4096 || st.ResidentEntries != 1024 {
-		t.Fatalf("shape fields: %+v", st)
-	}
-	if st.Gets != 1000 || st.GetHits != 800 || st.GetMisses != 200 || st.GetLocked != 3 {
-		t.Fatalf("get fields: %+v", st)
-	}
-	if st.Sets != 500 || st.Inserts != 300 || st.Overwrites != 200 {
-		t.Fatalf("set fields: %+v", st)
-	}
-	if st.Dels != 10 || st.DelHits != 7 || st.Evictions != 42 || st.Relocations != 99 {
-		t.Fatalf("mutation fields: %+v", st)
-	}
-	if !st.Ready || st.ShedConns != 1 || st.ShedRequests != 2 {
-		t.Fatalf("serving fields: %+v", st)
-	}
-	if st.MigratePages != 3 || st.MigrateEntries != 120 || st.MigrateBytes != 5760 ||
-		st.Forgets != 2 || st.ForgetDropped != 118 {
-		t.Fatalf("migration fields: %+v", st)
-	}
-	if len(st.WalkDepth) != 3 || st.WalkDepth[0] != 250 || st.WalkDepth[1] != 40 || st.WalkDepth[2] != 10 {
-		t.Fatalf("walk depth histogram: %v", st.WalkDepth)
+	for name, want := range map[string]uint64{
+		"zkv_shards": 4, "zkv_capacity_entries": 4096, "zkv_resident_entries": 1024,
+		"zkv_gets_total": 1000, "zkv_get_hits_total": 800, "zkv_get_misses_total": 200, "zkv_get_locked_total": 3,
+		"zkv_sets_total": 500, "zkv_inserts_total": 300, "zkv_overwrites_total": 200,
+		"zkv_dels_total": 10, "zkv_del_hits_total": 7, "zkv_evictions_total": 42, "zkv_relocations_total": 99,
+		"zkv_ready": 1, "zkv_shed_conns_total": 1, "zkv_shed_requests_total": 2,
+		"zkv_migrate_pages_total": 3, "zkv_migrate_entries_total": 120, "zkv_migrate_bytes_total": 5760,
+		"zkv_forgets_total": 2, "zkv_forget_dropped_total": 118,
+		`zkv_walk_depth_bucket{depth="0"}`: 250, `zkv_walk_depth_bucket{depth="1"}`: 40, `zkv_walk_depth_bucket{depth="2+"}`: 10,
+	} {
+		if got, ok := st.All[name]; !ok || got != want {
+			t.Fatalf("%s = %d (present %v), want %d", name, got, ok, want)
+		}
 	}
 	if hr := st.HitRate(); hr != 0.8 {
 		t.Fatalf("hit rate %v, want 0.8", hr)
