@@ -45,11 +45,10 @@ func TestRunMatrixQuarantineProducesPartialMatrixError(t *testing.T) {
 	cells := storeTestCells(t)
 
 	e := NewExperiment(TestPreset())
-	e.Quarantine = true
+	e.Lab.Quarantine = true
 	if _, err := e.AttachStore(dir); err != nil {
 		t.Fatal(err)
 	}
-	e.Lab.MaxAttempts = 1
 	failpoint.Enable("runlab/compute", failpoint.Error, 1, 2) // first two cells fail persistently
 	partial, err := e.RunMatrix(context.Background(), cells)
 	var merr *MatrixError
@@ -107,11 +106,10 @@ func TestFig4PartialAfterQuarantine(t *testing.T) {
 	defer failpoint.Reset()
 	names := []string{"canneal", "gamess", "mcf"}
 	e := NewExperiment(TestPreset())
-	e.Quarantine = true
+	e.Lab.Quarantine = true
 	if _, err := e.AttachStore(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
-	e.Lab.MaxAttempts = 1
 	failpoint.Enable("runlab/compute", failpoint.Error, 1, 1)
 	lines, err := e.Fig4(context.Background(), names, sim.PolicyLRU)
 	var merr *MatrixError
@@ -133,14 +131,14 @@ func TestFig4PartialAfterQuarantine(t *testing.T) {
 	}
 }
 
-// TestRunMatrixQuarantineWithoutStore covers the in-process path (no lab
+// TestRunMatrixQuarantineWithoutStore covers the in-process path (no store
 // attached): a panicking cell is recovered, reported in the MatrixError,
 // and the rest of the matrix completes.
 func TestRunMatrixQuarantineWithoutStore(t *testing.T) {
 	defer failpoint.Reset()
 	cells := storeTestCells(t)
 	e := NewExperiment(TestPreset())
-	e.Quarantine = true
+	e.Lab.Quarantine = true
 	failpoint.Enable("sim/run", failpoint.Error, 1, 1)
 	results, err := e.RunMatrix(context.Background(), cells)
 	var merr *MatrixError

@@ -125,7 +125,7 @@ exit codes:
   1  runtime error
   2  usage error
   3  store corruption detected (run 'runlab repair')
-  4  cells quarantined; results are partial (rerun to retry)
+  4  cells quarantined; results are partial (rerun to backfill)
 `
 
 // shared holds the flags more than one verb reads. Each verb registers only
@@ -155,7 +155,7 @@ func (s *shared) register(fs *flag.FlagSet, names ...string) {
 		case "check":
 			fs.BoolVar(&s.check, n, false, "enable simulator invariant checks (MESI, inclusion, walk legality)")
 		case "quarantine":
-			fs.BoolVar(&s.quarantine, n, false, "keep running past persistently failing cells; exit 4 with partial results")
+			fs.BoolVar(&s.quarantine, n, false, "keep running past failing cells; exit 4 with partial results")
 		case "sampled":
 			fs.BoolVar(&s.sampled, n, false, "run cells through sampled execution (not valid with -policy opt)")
 		case "intervals":

@@ -110,7 +110,7 @@ func TestUsageErrors(t *testing.T) {
 func TestQuarantineThenRepair(t *testing.T) {
 	store := filepath.Join(t.TempDir(), "store")
 	args := []string{"run", "-store", store, "-preset", "test", "-suite", "fig4", "-workloads", "canneal,gamess,mcf"}
-	out := mustExit(t, 4, append(args, "-quarantine", "-max-attempts", "1", "-failpoints", "runlab/compute=error:n=2")...)
+	out := mustExit(t, 4, append(args, "-quarantine", "-failpoints", "runlab/compute=error:n=2")...)
 	if !strings.Contains(out, "MISSING CELLS (2") {
 		t.Errorf("partial figure does not list the missing cells:\n%s", out)
 	}

@@ -45,9 +45,6 @@ func (c *cli) runSuites(args []string) error {
 	flushEvery := fs.Int("flush-every", 0, "checkpoint interval in cells (0 = default 16)")
 	durable := fs.Bool("durable", false, "fsync store appends and flushes")
 	strict := fs.Bool("strict", false, "treat corrupt store records as fatal")
-	maxAttempts := fs.Int("max-attempts", 0, "attempts per cell (0 = default 2)")
-	cellTimeout := fs.Duration("cell-timeout", 0, "per-attempt deadline (0 = none)")
-	backoff := fs.Duration("backoff", 0, "base retry backoff, doubled per retry with deterministic jitter (0 = immediate)")
 	failpoints := fs.String("failpoints", "", "fault injection, e.g. 'runlab/compute=panic:p=0.2;runlab/store/append=torn'")
 	failSeed := fs.Uint64("fail-seed", 1, "seed for deterministic failpoint firing")
 	if err := parse(fs, args); err != nil {
@@ -113,8 +110,6 @@ func (c *cli) runSuites(args []string) error {
 			return err
 		}
 		c.log.Printf("store %s: %d cells on disk", sh.store, before.Cells)
-	} else {
-		e.Lab = &runlab.Runner{}
 	}
 	if sh.sampled {
 		e.Sampled = &sample.Spec{Intervals: sh.intervals, Clusters: sh.clusters}
@@ -123,12 +118,9 @@ func (c *cli) runSuites(args []string) error {
 			spec.Intervals, spec.Clusters)
 	}
 	e.Check = sh.check
-	e.Quarantine = sh.quarantine
+	e.Lab.Quarantine = sh.quarantine
 	e.Lab.Workers = *workers
 	e.Lab.FlushEvery = *flushEvery
-	e.Lab.MaxAttempts = *maxAttempts
-	e.Lab.CellTimeout = *cellTimeout
-	e.Lab.BackoffBase = *backoff
 	e.Lab.OnProgress = c.progressMeter()
 
 	start := time.Now()
@@ -158,7 +150,7 @@ func (c *cli) runSuites(args []string) error {
 			took, p.Cached, p.Computed, after.Cells, after.Shards, float64(after.Bytes)/1e6)
 	}
 	if missing > 0 {
-		return &exitErr{code: 4, msg: fmt.Sprintf("%d cell(s) quarantined; figures above are partial (rerun to retry, `runlab status` for history)", missing)}
+		return &exitErr{code: 4, msg: fmt.Sprintf("%d cell(s) quarantined; figures above are partial (rerun to backfill, `runlab status` for history)", missing)}
 	}
 	// Corrupt store lines surface as exit 3 even when every figure
 	// rendered: their cells were recomputed rather than served.

@@ -98,25 +98,23 @@ func (r RunResult) MPKI() float64 { return r.Eval.L2MPKI }
 
 // Experiment runs simulation cells with capture reuse for trace-driven
 // policies. Safe for use by one goroutine; RunMatrix runs cells in parallel
-// on a runlab.Runner's bounded worker pool.
+// on Lab's bounded worker pool.
 type Experiment struct {
 	Preset Preset
 	Model  *energy.SystemModel
-	// Lab, when non-nil, routes RunMatrix through the content-addressed
-	// result store: previously computed cells are served from disk and
-	// new cells are checkpointed as they finish, so an interrupted suite
-	// resumes and a warm rerun performs zero simulations. Attach one
-	// with AttachStore, or set it directly to control runner knobs.
+	// Lab runs RunMatrix's cells, each once. NewExperiment gives it no
+	// store and fail-fast; AttachStore adds the content-addressed result
+	// store (previously computed cells are served from disk and new cells
+	// are checkpointed as they finish, so an interrupted suite resumes and
+	// a warm rerun performs zero simulations), and Lab.Quarantine sets
+	// failing cells aside instead of aborting. Set its other fields
+	// directly to control workers, flushes and progress.
 	Lab *runlab.Runner
 	// Check enables the simulator invariant checker on every cell
 	// (sim.Config.Check): candidate trees are validated per miss and
 	// MESI/directory/inclusion invariants at phase boundaries. Checking
 	// does not alter results and is excluded from cell fingerprints.
 	Check bool
-	// Quarantine makes RunMatrix set persistently failing cells aside
-	// and finish the rest, returning partial results plus a *MatrixError
-	// naming the missing cells, instead of aborting on first failure.
-	Quarantine bool
 	// Sampled, when non-nil, switches every cell to sampled execution:
 	// the workload's captured L2 stream is split into intervals,
 	// clustered by reuse-distance signature, and only one representative
@@ -176,7 +174,7 @@ type legSlot struct {
 func NewExperiment(p Preset) *Experiment {
 	m := energy.NewSystemModel()
 	m.Cores = p.Cores
-	return &Experiment{Preset: p, Model: m,
+	return &Experiment{Preset: p, Model: m, Lab: &runlab.Runner{},
 		captures: map[string]*captureSlot{}, plans: map[string]*planSlot{},
 		legs: map[legKey]*legSlot{}}
 }
@@ -390,25 +388,6 @@ func asMatrixError(err error) (*MatrixError, bool) {
 		return m, true
 	}
 	return nil, false
-}
-
-// RunMatrix executes cells across a bounded worker pool and returns results
-// in cell order. By default the first error cancels the context and aborts
-// outstanding cells (cells already running complete; queued cells never
-// start); with Quarantine set, failing cells are set aside instead and the
-// run finishes, returning partial results plus a *MatrixError. Worker
-// panics (including invariant violations from -check mode) are recovered
-// into cell errors either way. When a runlab runner is attached
-// (AttachStore / Lab), cells are served from the content-addressed store
-// where possible and computed cells are checkpointed, making the whole
-// matrix resumable; without one the same runner runs store-less, one
-// attempt per cell.
-func (e *Experiment) RunMatrix(ctx context.Context, cells []MatrixCell) ([]RunResult, error) {
-	lab := e.Lab
-	if lab == nil {
-		lab = &runlab.Runner{MaxAttempts: 1}
-	}
-	return e.runMatrixLab(ctx, lab, cells)
 }
 
 // SuiteWorkloads returns the named subset of the 72-workload suite (all of

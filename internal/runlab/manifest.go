@@ -31,9 +31,9 @@ type ManifestEntry struct {
 	Cached      int       `json:"cached"`
 	Computed    int       `json:"computed"`
 	Failed      int       `json:"failed"`
-	// Quarantined counts cells that failed persistently but did not abort
-	// the run (FailQuarantine mode); Corrupt is the store's corrupt-line
-	// count observed at the end of the run.
+	// Quarantined counts cells that failed but did not abort the run
+	// (Runner.Quarantine); Corrupt is the store's corrupt-line count
+	// observed at the end of the run.
 	Quarantined int `json:"quarantined,omitempty"`
 	Corrupt     int `json:"corrupt,omitempty"`
 	// Sampled counts the run's sampled-execution cells (disjoint

@@ -195,7 +195,7 @@ func TestRunnerCachesAndResumes(t *testing.T) {
 		keys[i] = testKey(i)
 	}
 	compute := func(calls *atomic.Int64) ComputeFunc {
-		return func(ctx context.Context, i int, key CellKey) (any, error) {
+		return func(i int, key CellKey) (any, error) {
 			calls.Add(1)
 			return cellResult{IPC: float64(i) * 1.5, N: i}, nil
 		}
@@ -270,7 +270,7 @@ func TestRunnerInterruptionCheckpointsCompletedCells(t *testing.T) {
 		}
 	}
 	var calls atomic.Int64
-	_, _, err := r.Run(ctx, keys, func(ctx context.Context, i int, key CellKey) (any, error) {
+	_, _, err := r.Run(ctx, keys, func(i int, key CellKey) (any, error) {
 		calls.Add(1)
 		return cellResult{N: i}, nil
 	})
@@ -290,7 +290,7 @@ func TestRunnerInterruptionCheckpointsCompletedCells(t *testing.T) {
 	}
 	var resumed atomic.Int64
 	r2 := &Runner{Store: st2, Workers: 4}
-	_, prog, err := r2.Run(context.Background(), keys, func(ctx context.Context, i int, key CellKey) (any, error) {
+	_, prog, err := r2.Run(context.Background(), keys, func(i int, key CellKey) (any, error) {
 		resumed.Add(1)
 		return cellResult{N: i}, nil
 	})
@@ -306,7 +306,7 @@ func TestRunnerRetriesOnceThenFails(t *testing.T) {
 	keys := []CellKey{testKey(0), testKey(1), testKey(2), testKey(3)}
 	var calls atomic.Int64
 	r := &Runner{Workers: 1}
-	_, prog, err := r.Run(context.Background(), keys, func(ctx context.Context, i int, key CellKey) (any, error) {
+	_, prog, err := r.Run(context.Background(), keys, func(i int, key CellKey) (any, error) {
 		calls.Add(1)
 		if i == 1 {
 			return nil, errors.New("boom")
@@ -316,34 +316,50 @@ func TestRunnerRetriesOnceThenFails(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v", err)
 	}
-	if prog.Retried != 1 || prog.Failed != 1 {
-		t.Errorf("retried=%d failed=%d, want 1/1", prog.Retried, prog.Failed)
+	if prog.Failed != 1 {
+		t.Errorf("failed=%d, want 1", prog.Failed)
 	}
 	// Workers=1 and cancellation on failure: cells after the failing one
 	// must not run.
-	if calls.Load() != 3 { // cell 0, cell 1 twice
-		t.Errorf("calls = %d, want 3 (failure cancels the rest)", calls.Load())
+	if calls.Load() != 2 { // cell 0, cell 1 once
+		t.Errorf("calls = %d, want 2 (failure cancels the rest)", calls.Load())
 	}
 }
 
-func TestRunnerFlakyCellRecoversViaRetry(t *testing.T) {
-	keys := []CellKey{testKey(0), testKey(1)}
-	var flaked atomic.Bool
-	r := &Runner{Workers: 2}
-	out, prog, err := r.Run(context.Background(), keys, func(ctx context.Context, i int, key CellKey) (any, error) {
-		if i == 1 && flaked.CompareAndSwap(false, true) {
-			return nil, errors.New("transient")
-		}
-		return cellResult{N: i}, nil
-	})
+// TestRunnerComputesEachCellOnce: a cell is a pure function of its key, so
+// a compute that would succeed on a second call still leaves its cell
+// failed, with nothing stored for it, and every cell is computed once.
+func TestRunnerComputesEachCellOnce(t *testing.T) {
+	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.Retried != 1 || prog.Failed != 0 || prog.Done != 2 {
-		t.Errorf("prog = %+v", prog)
+	keys := []CellKey{testKey(0), testKey(1), testKey(2)}
+	var calls [3]atomic.Int32
+	r := &Runner{Store: st, Workers: 2, Quarantine: true}
+	out, prog, err := r.Run(context.Background(), keys, func(i int, key CellKey) (any, error) {
+		if calls[i].Add(1) == 1 && i == 1 {
+			return nil, errors.New("first call fails")
+		}
+		return cellResult{N: i}, nil
+	})
+	var qerr *QuarantineError
+	if !errors.As(err, &qerr) || len(qerr.Cells) != 1 || qerr.Cells[0].Index != 1 {
+		t.Fatalf("err = %v, want cell 1 quarantined", err)
 	}
-	if out[1] == nil {
-		t.Error("flaky cell has no result")
+	for i := range calls {
+		if n := calls[i].Load(); n != 1 {
+			t.Errorf("cell %d computed %d times, want 1", i, n)
+		}
+	}
+	if out[1] != nil {
+		t.Error("failed cell has a result")
+	}
+	if _, ok := st.Get(keys[1].Fingerprint()); ok {
+		t.Error("failed cell has a stored result")
+	}
+	if prog.Failed != 1 || prog.Computed != 2 {
+		t.Errorf("prog = %+v, want 1 failed / 2 computed", prog)
 	}
 }
 

@@ -252,7 +252,7 @@ func (c *Client) live(p *peer) bool {
 	if p.fails > 1 {
 		// The client's jitter seed, decorrelated by node name.
 		seed := hash.Mix64(c.cfg.Seed ^ hash.Bytes64([]byte(p.node)))
-		time.Sleep(zkvproto.Backoff(seed, uint64(p.fails), p.fails-1, 2*time.Millisecond, 300*time.Millisecond))
+		time.Sleep(backoff(seed, uint64(p.fails), p.fails-1, 2*time.Millisecond, 300*time.Millisecond))
 	}
 	var err error
 	if p.cl == nil {
@@ -266,6 +266,21 @@ func (c *Client) live(p *peer) bool {
 	}
 	p.down = nil
 	return true
+}
+
+// backoff is the client's one redial pause: base<<exp capped at limit,
+// scaled by a jitter factor in [0.5, 1.5) that is a pure function of
+// (seed, draw). live sleeps by it, so a seeded run's whole redial schedule
+// is reproducible.
+func backoff(seed, draw uint64, exp int, base, limit time.Duration) time.Duration {
+	d := limit
+	if exp < 20 { // beyond 1<<20 the cap always wins
+		if e := base << exp; e < d {
+			d = e
+		}
+	}
+	frac := float64(hash.Mix64(seed^(draw+1)*0x9e3779b97f4a7c15)>>11) / float64(uint64(1)<<53) // [0,1)
+	return time.Duration((0.5 + frac) * float64(d))
 }
 
 // fail takes p down on a transport error: one fault event, whatever it clips.
@@ -295,7 +310,7 @@ func (c *Client) try(p *peer, verb func(*zkvproto.Client) error) error {
 
 // call sends AddNode's verb to node until it succeeds: after a shed reply
 // or a transport failure it sends again, once live has redialed (pausing by
-// zkvproto.Backoff from the second failure in a row). It gives up on a
+// backoff from the second failure in a row). It gives up on a
 // protocol error, or when the node is unreachable — the batch path's budget
 // of maxConsecutiveFailures failures in a row. Resending is safe only
 // because every verb AddNode sends is idempotent.

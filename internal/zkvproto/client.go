@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"net"
 	"time"
-
-	"zcache/internal/hash"
 )
 
 // Options tunes a Client. The zero Options arms no deadline.
@@ -104,21 +102,6 @@ func (c *Client) Reconnect() error {
 	c.pending = 0
 	c.broken = false
 	return nil
-}
-
-// Backoff is the serving path's one retry pause: base<<exp capped at limit,
-// scaled by a jitter factor in [0.5, 1.5) that is a pure function of
-// (seed, draw). The cluster client's redials sleep by it, so a seeded run's
-// whole redial schedule is reproducible.
-func Backoff(seed, draw uint64, exp int, base, limit time.Duration) time.Duration {
-	d := limit
-	if exp < 20 { // beyond 1<<20 the cap always wins
-		if e := base << exp; e < d {
-			d = e
-		}
-	}
-	frac := float64(hash.Mix64(seed^(draw+1)*0x9e3779b97f4a7c15)>>11) / float64(uint64(1)<<53) // [0,1)
-	return time.Duration((0.5 + frac) * float64(d))
 }
 
 // Queue buffers one request frame without flushing.

@@ -176,40 +176,6 @@ func TestClientOpTimeout(t *testing.T) {
 	}
 }
 
-// TestBackoffDeterministic: the jitter schedule is a pure function of the
-// seed, so two callers with the same seed sleep identically — fault
-// schedules stay reproducible end to end.
-func TestBackoffDeterministic(t *testing.T) {
-	mk := func(seed uint64) []time.Duration {
-		var out []time.Duration
-		for attempt := 1; attempt <= 8; attempt++ {
-			out = append(out, Backoff(seed, uint64(attempt-1), attempt-1, 2*time.Millisecond, 250*time.Millisecond))
-		}
-		return out
-	}
-	a, b, other := mk(42), mk(42), mk(43)
-	diff := false
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at attempt %d: %v vs %v", i+1, a[i], b[i])
-		}
-		if a[i] != other[i] {
-			diff = true
-		}
-		// Bounds: attempt n sleeps base<<(n-1) capped, jittered [0.5, 1.5).
-		base := 2 * time.Millisecond << (i)
-		if base > 250*time.Millisecond {
-			base = 250 * time.Millisecond
-		}
-		if a[i] < base/2 || a[i] >= base*3/2 {
-			t.Fatalf("attempt %d slept %v, want [%v, %v)", i+1, a[i], base/2, base*3/2)
-		}
-	}
-	if !diff {
-		t.Fatal("different seeds produced identical jitter schedules")
-	}
-}
-
 // TestClassify pins the error taxonomy: each class is the answer to "is a
 // retry safe, and why/why not".
 func TestClassify(t *testing.T) {

@@ -14,8 +14,8 @@ const DefaultStoreDir = "results/store"
 
 // AttachStore opens (creating if needed) the runlab result store at dir
 // and routes this experiment's matrix runs through it. Returns the store
-// for status inspection; tune worker count, flush cadence, or progress
-// reporting via the Lab field afterwards.
+// for status inspection; tune worker count, flush cadence, quarantine or
+// progress reporting via the Lab field.
 func (e *Experiment) AttachStore(dir string) (*runlab.Store, error) {
 	return e.AttachStoreOptions(dir, runlab.Options{})
 }
@@ -27,7 +27,7 @@ func (e *Experiment) AttachStoreOptions(dir string, opts runlab.Options) (*runla
 	if err != nil {
 		return nil, err
 	}
-	e.Lab = &runlab.Runner{Store: st}
+	e.Lab.Store = st
 	return st, nil
 }
 
@@ -71,28 +71,29 @@ func (e *Experiment) cellKey(c MatrixCell) runlab.CellKey {
 	}
 }
 
-// runMatrixLab executes the matrix through a runlab runner: cache lookup
-// before compute (when the runner has a store), bounded workers, panic-safe
-// attempts with backoff between retries, and periodic checkpoint flushes.
-// With Quarantine set the runner runs in FailQuarantine mode: a run with
-// persistently failing cells still completes, and the quarantined cells come
-// back as a *MatrixError alongside the partial results.
+// RunMatrix executes cells on Lab's bounded worker pool and returns results
+// in cell order. Each cell runs once. By default the first failure cancels
+// the context and aborts outstanding cells (cells already running complete;
+// queued cells never start); with Lab.Quarantine set, failing cells are set
+// aside instead and the run finishes, returning partial results plus a
+// *MatrixError naming the missing cells. Worker panics (including invariant
+// violations from -check mode) are recovered into cell errors either way.
+// With a store attached (AttachStore), cells are served from it where
+// possible and computed cells are checkpointed, making the whole matrix
+// resumable.
 //
 // Cells are dispatched round-robin over workloads (each workload's first
 // cell, then each one's second, …): a workload's capture and sampling plan
 // are built once, by the first of its cells to run, and a worker that took a
 // second cell of the same workload would block until they are done. Results
 // come back in cell order all the same.
-func (e *Experiment) runMatrixLab(ctx context.Context, lab *runlab.Runner, cells []MatrixCell) ([]RunResult, error) {
-	if e.Quarantine {
-		lab.FailMode = runlab.FailQuarantine
-	}
+func (e *Experiment) RunMatrix(ctx context.Context, cells []MatrixCell) ([]RunResult, error) {
 	order := roundRobin(cells) // order[j] is the cell dispatched j-th
 	keys := make([]runlab.CellKey, len(cells))
 	for j, i := range order {
 		keys[j] = e.cellKey(cells[i])
 	}
-	raws, _, err := lab.Run(ctx, keys, func(_ context.Context, j int, _ runlab.CellKey) (any, error) {
+	raws, _, err := e.Lab.Run(ctx, keys, func(j int, _ runlab.CellKey) (any, error) {
 		c := cells[order[j]]
 		return e.Run(c.Workload, c.Design, c.Policy, c.Lookup)
 	})
