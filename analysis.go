@@ -16,7 +16,7 @@ type Distribution = assoc.Distribution
 // Instrument wraps a policy so the cache built around it records its
 // associativity distribution. Typical use:
 //
-//	pol, _ := zcache.BuildPolicy(zcache.PolicyLRU, blocks, seed)
+//	pol, _ := zcache.PolicyLRU.New(blocks, seed)
 //	m, _ := zcache.Instrument(pol, blocks, 0)
 //	c, _ := zcache.NewWithPolicy(cfg, m)
 //	... drive c ...

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"zcache/internal/energy"
-	"zcache/internal/sim"
 )
 
 // benchWorkloads is the reduced suite used by the figure benches: two
@@ -65,7 +64,7 @@ func BenchmarkFig2Validation(b *testing.B) {
 	var ks float64
 	for i := 0; i < b.N; i++ {
 		const blocks, n = 1024, 16
-		pol, err := BuildPolicy(PolicyLRU, blocks, 1)
+		pol, err := PolicyLRU.New(blocks, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,7 +97,7 @@ func BenchmarkFig2Validation(b *testing.B) {
 
 // fig3Bench measures one Fig. 3 panel on a canneal-class stream and
 // reports the KS distance to the uniformity curve.
-func fig3Bench(b *testing.B, panel Fig3Design, variant int) {
+func fig3Bench(b *testing.B, panel DesignKind, variant int) {
 	var ks float64
 	for i := 0; i < b.N; i++ {
 		e := NewExperiment(TestPreset())
@@ -112,20 +111,20 @@ func fig3Bench(b *testing.B, panel Fig3Design, variant int) {
 }
 
 // BenchmarkFig3a: set-associative (bit-selected), 16 ways.
-func BenchmarkFig3a(b *testing.B) { fig3Bench(b, Fig3SetAssoc, 16) }
+func BenchmarkFig3a(b *testing.B) { fig3Bench(b, DesignSetAssociative, 16) }
 
 // BenchmarkFig3b: set-associative with H3 hashing, 16 ways.
-func BenchmarkFig3b(b *testing.B) { fig3Bench(b, Fig3SetAssocHash, 16) }
+func BenchmarkFig3b(b *testing.B) { fig3Bench(b, DesignSetAssociativeHashed, 16) }
 
 // BenchmarkFig3c: skew-associative, 4 ways.
-func BenchmarkFig3c(b *testing.B) { fig3Bench(b, Fig3Skew, 4) }
+func BenchmarkFig3c(b *testing.B) { fig3Bench(b, DesignSkewAssociative, 4) }
 
 // BenchmarkFig3d: 4-way zcache, 2-level walk (16 candidates).
-func BenchmarkFig3d(b *testing.B) { fig3Bench(b, Fig3Z, 2) }
+func BenchmarkFig3d(b *testing.B) { fig3Bench(b, DesignZCache, 2) }
 
 // fig4Bench runs the Fig. 4 study over the reduced workload set and reports
 // the Z4/52 median MPKI and IPC improvements.
-func fig4Bench(b *testing.B, pol sim.Policy) {
+func fig4Bench(b *testing.B, pol PolicyKind) {
 	var lines []Fig4Line
 	for i := 0; i < b.N; i++ {
 		e := NewExperiment(TestPreset())
@@ -146,10 +145,10 @@ func fig4Bench(b *testing.B, pol sim.Policy) {
 }
 
 // BenchmarkFig4OPT regenerates Fig. 4a (OPT replacement, trace-driven).
-func BenchmarkFig4OPT(b *testing.B) { fig4Bench(b, sim.PolicyOPT) }
+func BenchmarkFig4OPT(b *testing.B) { fig4Bench(b, PolicyOPT) }
 
 // BenchmarkFig4LRU regenerates Fig. 4b (bucketed LRU, execution-driven).
-func BenchmarkFig4LRU(b *testing.B) { fig4Bench(b, sim.PolicyBucketedLRU) }
+func BenchmarkFig4LRU(b *testing.B) { fig4Bench(b, PolicyBucketedLRU) }
 
 // BenchmarkFig5 regenerates Fig. 5 (IPC and BIPS/W, serial vs parallel) and
 // reports the Z4/52-parallel geomean gains over the serial SA-4 baseline.
@@ -158,7 +157,7 @@ func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := NewExperiment(TestPreset())
 		var err error
-		cells, err = e.Fig5(context.Background(), benchWorkloads, sim.PolicyBucketedLRU)
+		cells, err = e.Fig5(context.Background(), benchWorkloads, PolicyBucketedLRU)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,7 +207,7 @@ func BenchmarkFigureSuiteWarm(b *testing.B) {
 		if _, err := e.AttachStore(dir); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.Fig4(context.Background(), benchWorkloads, sim.PolicyBucketedLRU); err != nil {
+		if _, err := e.Fig4(context.Background(), benchWorkloads, PolicyBucketedLRU); err != nil {
 			b.Fatal(err)
 		}
 		if p := e.Lab.Last(); p.Failed != 0 {
@@ -248,7 +247,7 @@ func BenchmarkHeadlineClaims(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := NewExperiment(TestPreset())
 		var err error
-		cells, err = e.Fig5(context.Background(), benchWorkloads, sim.PolicyBucketedLRU)
+		cells, err = e.Fig5(context.Background(), benchWorkloads, PolicyBucketedLRU)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -362,11 +361,7 @@ func BenchmarkAntiLRUPathology(b *testing.B) {
 		{"Z4/52", Config{CapacityBytes: capacity, LineBytes: 64, Ways: 4, Design: DesignZCache, WalkLevels: 3}},
 	} {
 		for _, pk := range []PolicyKind{PolicyLRU, PolicySRRIP} {
-			pname := "lru"
-			if pk == PolicySRRIP {
-				pname = "srrip"
-			}
-			b.Run(cse.name+"/"+pname, func(b *testing.B) {
+			b.Run(cse.name+"/"+pk.String(), func(b *testing.B) {
 				cfg := cse.cfg
 				cfg.Policy = pk
 				cfg.Seed = 13
@@ -398,12 +393,7 @@ func BenchmarkAntiLRUPathology(b *testing.B) {
 // supplies candidates, the policy ranks them.
 func BenchmarkPolicyAblation(b *testing.B) {
 	for _, pk := range []PolicyKind{PolicyLRU, PolicyBucketedLRU, PolicyRandom, PolicyLFU, PolicySRRIP, PolicyDRRIP} {
-		name := map[PolicyKind]string{
-			PolicyLRU: "lru", PolicyBucketedLRU: "lru-bucketed",
-			PolicyRandom: "random", PolicyLFU: "lfu", PolicySRRIP: "srrip",
-			PolicyDRRIP: "drrip",
-		}[pk]
-		b.Run(name, func(b *testing.B) {
+		b.Run(pk.String(), func(b *testing.B) {
 			const capacity = 512 << 10
 			c, err := New(Config{
 				CapacityBytes: capacity, LineBytes: 64, Ways: 4,

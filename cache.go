@@ -26,29 +26,27 @@ type CacheStats = cache.Stats
 // accounting.
 type ArrayCounters = cache.Counters
 
-// PolicyKind selects a replacement policy.
-type PolicyKind int
+// PolicyKind selects a replacement policy; its String is the -policy
+// flag spelling and its New builds the policy. The zero value is the
+// paper's bucketed LRU.
+type PolicyKind = repl.Kind
 
 const (
+	// PolicyBucketedLRU is the paper's evaluated LRU (§III-E): 8-bit
+	// timestamps bumped every 5% of the cache size.
+	PolicyBucketedLRU = repl.KindBucketedLRU
 	// PolicyLRU is full-timestamp LRU (§III-E "Full LRU").
-	PolicyLRU PolicyKind = iota
-	// PolicyBucketedLRU is the paper's evaluated LRU: 8-bit timestamps
-	// bumped every 5% of the cache size (§III-E "Bucketed LRU").
-	PolicyBucketedLRU
-	// PolicyOPT is Belady's optimal policy; it needs a next-use-annotated
-	// trace (see AnnotateNextUse) and panics if driven without one.
-	PolicyOPT
+	PolicyLRU = repl.KindLRU
+	// PolicyOPT is Belady's policy; drive it with AnnotateNextUse's trace.
+	PolicyOPT = repl.KindOPT
 	// PolicyRandom evicts a deterministic pseudo-random candidate.
-	PolicyRandom
+	PolicyRandom = repl.KindRandom
 	// PolicyLFU evicts the least frequently used candidate.
-	PolicyLFU
-	// PolicySRRIP is 2-bit static re-reference interval prediction, the
-	// repository's modern-policy extension.
-	PolicySRRIP
-	// PolicyDRRIP is dynamic RRIP with set-less leader dueling — the
-	// repository's take on §VIII's "replacement policies specifically
-	// suited to the zcache" (no set ordering required).
-	PolicyDRRIP
+	PolicyLFU = repl.KindLFU
+	// PolicySRRIP is 2-bit static re-reference interval prediction.
+	PolicySRRIP = repl.KindSRRIP
+	// PolicyDRRIP is dynamic RRIP with set-less leader dueling (§VIII).
+	PolicyDRRIP = repl.KindDRRIP
 )
 
 // DesignKind selects an array organization.
@@ -102,7 +100,8 @@ type Config struct {
 	// VictimEntries sets the victim-cache buffer size (ignored by other
 	// designs); 0 defaults to 16.
 	VictimEntries int
-	// Policy selects the replacement policy.
+	// Policy selects the replacement policy; the zero value is the
+	// paper's bucketed LRU.
 	Policy PolicyKind
 	// Hash selects the hash family for hashed/skewed/z designs; the zero
 	// value is HashH3 (the paper's choice). HashSHA1 is the §IV-C
@@ -110,12 +109,6 @@ type Config struct {
 	Hash HashKind
 	// Seed makes hash functions and stochastic policies reproducible.
 	Seed uint64
-	// MaxWalkCandidates, if positive, stops zcache walks early after
-	// this many candidates (the §III early-stop safety valve).
-	MaxWalkCandidates int
-	// AvoidWalkRepeats attaches the §III-D Bloom filter that prunes
-	// repeated candidates (useful for small, TLB-like caches).
-	AvoidWalkRepeats bool
 	// HybridWalkLevels, if positive, enables the §III-D hybrid BFS+DFS
 	// extension: after the first walk selects a victim, the tree is
 	// expanded below it by this many levels and the victim reconsidered,
@@ -179,7 +172,7 @@ func New(cfg Config) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	pol, err := BuildPolicy(cfg.Policy, arr.Blocks(), cfg.Seed)
+	pol, err := cfg.Policy.New(arr.Blocks(), cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -211,14 +204,7 @@ func buildArray(cfg Config, rows uint64, blocks int) (cache.Array, error) {
 		if err != nil {
 			return nil, err
 		}
-		var opts []cache.ZOption
-		if cfg.MaxWalkCandidates > 0 {
-			opts = append(opts, cache.WithMaxCandidates(cfg.MaxWalkCandidates))
-		}
-		if cfg.AvoidWalkRepeats {
-			opts = append(opts, cache.WithRepeatAvoidance(14, 3))
-		}
-		return cache.NewZCache(rows, fns, levels, opts...)
+		return cache.NewZCache(rows, fns, levels)
 	case DesignSetAssociative:
 		idx, err := hash.NewBitSelect(0, rows)
 		if err != nil {
@@ -274,30 +260,6 @@ func buildArray(cfg Config, rows uint64, blocks int) (cache.Array, error) {
 		return cache.NewColumnAssoc(rows, fns[0], fns[1])
 	default:
 		return nil, fmt.Errorf("zcache: unknown design %d", cfg.Design)
-	}
-}
-
-// BuildPolicy constructs a policy instance for a cache of blocks slots.
-// Exposed so callers wrapping policies (e.g. with Instrument) can build the
-// same kinds New does.
-func BuildPolicy(kind PolicyKind, blocks int, seed uint64) (Policy, error) {
-	switch kind {
-	case PolicyLRU:
-		return repl.NewLRU(blocks)
-	case PolicyBucketedLRU:
-		return repl.PaperBucketedLRU(blocks)
-	case PolicyOPT:
-		return repl.NewOPT(blocks)
-	case PolicyRandom:
-		return repl.NewRandom(blocks, seed|1)
-	case PolicyLFU:
-		return repl.NewLFU(blocks)
-	case PolicySRRIP:
-		return repl.NewSRRIP(blocks, 2)
-	case PolicyDRRIP:
-		return repl.NewDRRIP(blocks, 2, seed|1)
-	default:
-		return nil, fmt.Errorf("zcache: unknown policy %d", kind)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"zcache/internal/failpoint"
-	"zcache/internal/sim"
 )
 
 // TestFig4CheckModeCleanAndIdentical: running the Fig. 4 matrix with
@@ -23,7 +22,7 @@ func TestFig4CheckModeCleanAndIdentical(t *testing.T) {
 	run := func(check bool) []Fig4Line {
 		e := NewExperiment(TestPreset())
 		e.Check = check
-		lines, err := e.Fig4(context.Background(), names, sim.PolicyLRU)
+		lines, err := e.Fig4(context.Background(), names, PolicyLRU)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +110,7 @@ func TestFig4PartialAfterQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	failpoint.Enable("runlab/compute", failpoint.Error, 1, 1)
-	lines, err := e.Fig4(context.Background(), names, sim.PolicyLRU)
+	lines, err := e.Fig4(context.Background(), names, PolicyLRU)
 	var merr *MatrixError
 	if !errors.As(err, &merr) {
 		t.Fatalf("err = %v, want *MatrixError", err)

@@ -107,7 +107,7 @@ func conflictProxy(w io.Writer) error {
 // count and KS distance to x^n.
 func measureKS(cfg zcache.Config, pk zcache.PolicyKind, gen zcache.Generator, accesses, n int, label string) (uint64, float64, error) {
 	blocks := int(cfg.CapacityBytes / cfg.LineBytes)
-	pol, err := zcache.BuildPolicy(pk, blocks, 1)
+	pol, err := pk.New(blocks, 1)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -205,8 +205,7 @@ func validate(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			name := map[zcache.PolicyKind]string{zcache.PolicyLRU: "lru", zcache.PolicyLFU: "lfu"}[pk]
-			t.AddRow(n, name, samples, ks)
+			t.AddRow(n, pk.String(), samples, ks)
 		}
 	}
 	fmt.Fprint(w, t.String())
@@ -218,24 +217,24 @@ func validate(w io.Writer) error {
 // paper's six benchmarks.
 func fig3(w io.Writer, preset zcache.Preset, panel string) error {
 	var (
-		p        zcache.Fig3Design
+		d        zcache.DesignKind
 		variants []int
 		title    string
 	)
 	switch panel {
 	case "a":
-		p, variants, title = zcache.Fig3SetAssoc, []int{4, 16}, "set-associative (bit-selected), 4/16 ways"
+		d, variants, title = zcache.DesignSetAssociative, []int{4, 16}, "set-associative (bit-selected), 4/16 ways"
 	case "b":
-		p, variants, title = zcache.Fig3SetAssocHash, []int{4, 16}, "set-associative with H3 hashing, 4/16 ways"
+		d, variants, title = zcache.DesignSetAssociativeHashed, []int{4, 16}, "set-associative with H3 hashing, 4/16 ways"
 	case "c":
-		p, variants, title = zcache.Fig3Skew, []int{4, 16}, "skew-associative, 4/16 ways"
+		d, variants, title = zcache.DesignSkewAssociative, []int{4, 16}, "skew-associative, 4/16 ways"
 	case "d":
-		p, variants, title = zcache.Fig3Z, []int{2, 3}, "4-way zcache, 2/3-level walks (16/52 candidates)"
+		d, variants, title = zcache.DesignZCache, []int{2, 3}, "4-way zcache, 2/3-level walks (16/52 candidates)"
 	default:
 		return usagef("unknown panel %q", panel)
 	}
 	fmt.Fprintf(w, "Fig. 3%s: %s — LRU, %s preset\n\n", panel, title, preset.Name)
-	cases, err := zcache.NewExperiment(preset).Fig3(p, variants, nil)
+	cases, err := zcache.NewExperiment(preset).Fig3(d, variants, nil)
 	if err != nil {
 		return err
 	}

@@ -33,8 +33,8 @@ import (
 
 	"zcache"
 	"zcache/internal/prof"
+	"zcache/internal/repl"
 	"zcache/internal/runlab"
-	"zcache/internal/sim"
 	"zcache/internal/stats"
 )
 
@@ -117,8 +117,9 @@ verbs:
 
 'runlab <verb> -h' lists a verb's flags. Shared flags mean the same in every
 verb that takes them: -preset test|quick|full, -policy lru|lru-full|opt|random|
-lfu|srrip|drrip, -workloads LIST, -store DIR ("" = no store), -check,
--quarantine, -sampled, -intervals, -clusters, -cpuprofile, -memprofile, -trace.
+lfu|srrip|drrip (lru is the paper's bucketed LRU), -workloads LIST, -store DIR
+("" = no store), -check, -quarantine, -sampled, -intervals, -clusters,
+-cpuprofile, -memprofile, -trace.
 
 exit codes:
   0  success
@@ -147,7 +148,7 @@ func (s *shared) register(fs *flag.FlagSet, names ...string) {
 		case "preset":
 			fs.StringVar(&s.preset, n, s.preset, "machine preset: test | quick | full")
 		case "policy":
-			fs.StringVar(&s.policy, n, s.policy, "replacement policy: lru | lru-full | opt | random | lfu | srrip | drrip")
+			fs.StringVar(&s.policy, n, s.policy, "replacement policy: lru (the paper's bucketed LRU) | lru-full | opt | random | lfu | srrip | drrip")
 		case "workloads":
 			fs.StringVar(&s.workloads, n, s.workloads, "comma-separated workload subset")
 		case "store":
@@ -182,8 +183,8 @@ func (s *shared) presetValue() (zcache.Preset, error) {
 	return zcache.Preset{}, usagef("unknown preset %q", s.preset)
 }
 
-func (s *shared) policyValue() (sim.Policy, error) {
-	pol, err := sim.ParsePolicy(s.policy)
+func (s *shared) policyValue() (repl.Kind, error) {
+	pol, err := repl.ParseKind(s.policy)
 	if err != nil {
 		return 0, usagef("%v", err)
 	}

@@ -14,16 +14,16 @@ import (
 
 	"zcache"
 	"zcache/internal/failpoint"
+	"zcache/internal/repl"
 	"zcache/internal/runlab"
 	"zcache/internal/sample"
-	"zcache/internal/sim"
 	"zcache/internal/stats"
 )
 
 // suite computes one figure's matrix over the workload subset (nil: all 72)
 // and renders it to w, partial figures included. It returns the number of
 // quarantined cells the rendering lists as missing.
-type suite func(ctx context.Context, w io.Writer, e *zcache.Experiment, subset []string, pol sim.Policy) (int, error)
+type suite func(ctx context.Context, w io.Writer, e *zcache.Experiment, subset []string, pol repl.Kind) (int, error)
 
 // suiteOrder is what `-suite all` runs, in order.
 var suiteOrder = []string{"fig4", "fig5", "bw", "headline", "policies"}
@@ -59,7 +59,7 @@ func (c *cli) runSuites(args []string) error {
 	if err != nil {
 		return err
 	}
-	if sh.sampled && pol == sim.PolicyOPT {
+	if sh.sampled && pol == repl.KindOPT {
 		return usagef("-sampled cannot run OPT (next-use spans the full stream); drop -sampled or pick another policy")
 	}
 	subset, err := sh.subset()
@@ -227,10 +227,10 @@ func reportMissing(w io.Writer, merr *zcache.MatrixError) int {
 
 // policyStudy fixes the array (Z4/52) and sweeps replacement policies — the
 // §II/§VIII orthogonality experiment the paper defers.
-func policyStudy(ctx context.Context, w io.Writer, e *zcache.Experiment, subset []string, _ sim.Policy) (int, error) {
+func policyStudy(ctx context.Context, w io.Writer, e *zcache.Experiment, subset []string, _ repl.Kind) (int, error) {
 	fmt.Fprintf(w, "Policy study (Z4/52 array fixed, %s preset): per-workload IPC and MPKI\n", e.Preset.Name)
 	fmt.Fprintln(w, "improvements vs the same array under bucketed LRU, sorted per policy.")
-	policies := []sim.Policy{sim.PolicyLRU, sim.PolicySRRIP, sim.PolicyDRRIP, sim.PolicyLFU, sim.PolicyRandom}
+	policies := []repl.Kind{repl.KindLRU, repl.KindSRRIP, repl.KindDRRIP, repl.KindLFU, repl.KindRandom}
 	lines, err := e.PolicyStudy(ctx, subset, policies)
 	merr, err := partial(err)
 	if err != nil {
@@ -255,7 +255,7 @@ func policyStudy(ctx context.Context, w io.Writer, e *zcache.Experiment, subset 
 	return reportMissing(w, merr), nil
 }
 
-func fig4(ctx context.Context, w io.Writer, e *zcache.Experiment, subset []string, pol sim.Policy) (int, error) {
+func fig4(ctx context.Context, w io.Writer, e *zcache.Experiment, subset []string, pol repl.Kind) (int, error) {
 	fmt.Fprintf(w, "Fig. 4 (%v, %s preset): improvements over the serial SA-4+H3 baseline.\n", pol, e.Preset.Name)
 	fmt.Fprintln(w, "Workloads sorted per design (x-axis of the paper's monotone lines).")
 	lines, err := e.Fig4(ctx, subset, pol)
@@ -320,7 +320,7 @@ func lineTable(w io.Writer, labels []string, lines [][]float64, rows int, withMa
 	fmt.Fprint(w, t.String())
 }
 
-func fig5(ctx context.Context, w io.Writer, e *zcache.Experiment, subset []string, pol sim.Policy) (int, error) {
+func fig5(ctx context.Context, w io.Writer, e *zcache.Experiment, subset []string, pol repl.Kind) (int, error) {
 	fmt.Fprintf(w, "Fig. 5 (%v, %s preset): IPC and BIPS/W vs the serial SA-4+H3 baseline.\n\n", pol, e.Preset.Name)
 	cells, err := e.Fig5(ctx, subset, pol)
 	merr, err := partial(err)
@@ -344,7 +344,7 @@ func fig5(ctx context.Context, w io.Writer, e *zcache.Experiment, subset []strin
 	return reportMissing(w, merr), nil
 }
 
-func bandwidth(ctx context.Context, w io.Writer, e *zcache.Experiment, subset []string, _ sim.Policy) (int, error) {
+func bandwidth(ctx context.Context, w io.Writer, e *zcache.Experiment, subset []string, _ repl.Kind) (int, error) {
 	fmt.Fprintf(w, "§VI-D (Z4/52, bucketed LRU, %s preset): per-bank array load.\n\n", e.Preset.Name)
 	pts, err := e.Bandwidth(ctx, subset)
 	merr, err := partial(err)
@@ -384,9 +384,9 @@ func bandwidth(ctx context.Context, w io.Writer, e *zcache.Experiment, subset []
 	return reportMissing(w, merr), nil
 }
 
-func headline(ctx context.Context, w io.Writer, e *zcache.Experiment, subset []string, _ sim.Policy) (int, error) {
+func headline(ctx context.Context, w io.Writer, e *zcache.Experiment, subset []string, _ repl.Kind) (int, error) {
 	fmt.Fprintf(w, "Headline claims (§I, §VIII) under bucketed LRU, %s preset:\n\n", e.Preset.Name)
-	cells, err := e.Fig5(ctx, subset, sim.PolicyBucketedLRU)
+	cells, err := e.Fig5(ctx, subset, repl.KindBucketedLRU)
 	merr, err := partial(err)
 	if err != nil {
 		return 0, err

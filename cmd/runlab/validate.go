@@ -7,6 +7,7 @@ import (
 
 	"zcache"
 	"zcache/internal/energy"
+	"zcache/internal/repl"
 	"zcache/internal/sample"
 	"zcache/internal/sim"
 	"zcache/internal/stats"
@@ -62,7 +63,7 @@ func (c *cli) validateSampled(args []string) error {
 	if err != nil {
 		return err
 	}
-	if pol == sim.PolicyOPT {
+	if pol == repl.KindOPT {
 		return usagef("opt is not sampleable (next-use spans the full stream)")
 	}
 	names, err := sh.subset()

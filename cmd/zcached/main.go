@@ -49,6 +49,7 @@ import (
 	"syscall"
 	"time"
 
+	"zcache/internal/repl"
 	"zcache/internal/zkv"
 )
 
@@ -69,7 +70,7 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		ways     = fs.Int("ways", 4, "zcache ways per shard")
 		rows     = fs.Uint64("rows", 4096, "rows per way per shard, power of two")
 		levels   = fs.Int("levels", 2, "replacement walk depth")
-		policy   = fs.String("policy", "lru", "replacement policy: lru (bucketed) or lru-full")
+		policy   = fs.String("policy", "lru", "replacement policy: lru (the paper's bucketed LRU), lru-full, random, lfu, srrip or drrip")
 		seed     = fs.Uint64("seed", 1, "hash seed (identical seeds build identical stores)")
 		maxConns = fs.Int("max-conns", 0, "max concurrent connections (0 = 4*GOMAXPROCS)")
 		maxVal   = fs.Int("max-val", 1<<20, "max value size in bytes")
@@ -89,7 +90,7 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	}
 	lg := log.New(logw, "zcached: ", log.LstdFlags)
 
-	pol, err := zkv.ParsePolicy(*policy)
+	pol, err := repl.ParseKind(*policy)
 	if err != nil {
 		return err
 	}

@@ -63,6 +63,7 @@ import (
 	"time"
 
 	"zcache/internal/netchaos"
+	"zcache/internal/repl"
 	"zcache/internal/zcluster"
 	"zcache/internal/zkv"
 	"zcache/internal/zkvproto"
@@ -104,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ways       = fs.Int("ways", 4, "zcache ways (equiv mode)")
 		rows       = fs.Uint64("rows", 1024, "rows per way (equiv mode)")
 		levels     = fs.Int("levels", 2, "walk depth (equiv mode)")
-		policy     = fs.String("policy", "lru", "replacement policy: lru or lru-full (equiv mode)")
+		policy     = fs.String("policy", "lru", "replacement policy: lru, lru-full, random, lfu, srrip or drrip (equiv mode)")
 		accesses   = fs.Int("accesses", 200000, "trace accesses to replay (equiv mode)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -116,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *equiv != "" {
-		pol, err := zkv.ParsePolicy(*policy)
+		pol, err := repl.ParseKind(*policy)
 		if err != nil {
 			return fail(1, "%v", err)
 		}

@@ -61,7 +61,7 @@ func ExampleUniformDistribution() {
 // Instrument measures a live cache's associativity distribution (§IV).
 func ExampleInstrument() {
 	const blocks = 4096
-	pol, _ := zcache.BuildPolicy(zcache.PolicyLRU, blocks, 1)
+	pol, _ := zcache.PolicyLRU.New(blocks, 1)
 	m, _ := zcache.Instrument(pol, blocks, 100)
 	c, _ := zcache.NewWithPolicy(zcache.Config{
 		CapacityBytes: blocks * 64, LineBytes: 64, Ways: 4,

@@ -14,7 +14,7 @@ import (
 )
 
 func run(design zcache.SimDesign, ways int, lookup zcache.LookupMode, label string) {
-	cfg := zcache.PaperSimConfig(design, zcache.SimBucketedLRU, lookup, ways)
+	cfg := zcache.PaperSimConfig(design, zcache.PolicyBucketedLRU, lookup, ways)
 	// Scale the run so the example finishes in seconds on one core.
 	cfg.Cores = 8
 	cfg.L2Bytes = 1 << 20

@@ -99,7 +99,7 @@ func run(design zcache.DesignKind, walkLevels int, label string) {
 		pinCount = 2048 // half the cache: ~2 pinned blocks per set on average
 	)
 	blocks := capacity / line
-	inner, err := zcache.BuildPolicy(zcache.PolicyLRU, blocks, 1)
+	inner, err := zcache.PolicyLRU.New(blocks, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func main() {
 
 	// 4. Replay under LRU and OPT on identical Z4/52 arrays.
 	replay := func(kind zcache.PolicyKind) zcache.CacheStats {
-		pol, err := zcache.BuildPolicy(kind, blocks, 0)
+		pol, err := kind.New(blocks, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

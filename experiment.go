@@ -80,7 +80,7 @@ func Fig4Designs() []DesignPoint {
 type RunResult struct {
 	Workload string
 	Design   DesignPoint
-	Policy   sim.Policy
+	Policy   PolicyKind
 	Lookup   energy.Lookup
 	Metrics  sim.Metrics
 	Eval     energy.Result
@@ -158,7 +158,7 @@ var sampledLookups = []energy.Lookup{energy.Serial, energy.Parallel}
 type legKey struct {
 	workload string
 	design   string
-	policy   sim.Policy
+	policy   PolicyKind
 }
 
 // legSlot runs one (workload, design, policy) leg walk exactly once and
@@ -180,7 +180,7 @@ func NewExperiment(p Preset) *Experiment {
 }
 
 // config assembles the sim configuration for one cell.
-func (e *Experiment) config(d DesignPoint, pol sim.Policy, lk energy.Lookup) sim.Config {
+func (e *Experiment) config(d DesignPoint, pol PolicyKind, lk energy.Lookup) sim.Config {
 	cfg := sim.PaperSystem(d.Design, pol, lk, d.Ways)
 	cfg.Cores = e.Preset.Cores
 	cfg.L2Bytes = e.Preset.L2Bytes
@@ -195,7 +195,7 @@ func (e *Experiment) config(d DesignPoint, pol sim.Policy, lk energy.Lookup) sim
 // Config assembles the sim configuration for one cell, exactly as Run
 // does. Validation tooling uses it to replay captured streams under the
 // same configuration the sampled executor saw.
-func (e *Experiment) Config(d DesignPoint, pol sim.Policy, lk energy.Lookup) sim.Config {
+func (e *Experiment) Config(d DesignPoint, pol PolicyKind, lk energy.Lookup) sim.Config {
 	return e.config(d, pol, lk)
 }
 
@@ -215,7 +215,7 @@ func (e *Experiment) capture(w workloads.Workload) (*sim.L2Stream, error) {
 	}
 	e.mu.Unlock()
 	slot.once.Do(func() {
-		cfg := e.config(BaselineDesign(), sim.PolicyLRU, energy.Serial)
+		cfg := e.config(BaselineDesign(), PolicyLRU, energy.Serial)
 		gens, err := w.Generators(cfg.Cores, cfg.LineBytes, cfg.L2Bytes, cfg.Seed)
 		if err != nil {
 			slot.err = err
@@ -245,7 +245,7 @@ func (e *Experiment) samplePlan(w workloads.Workload, stream *sim.L2Stream) (*sa
 
 // sampledLegs returns (running once) the leg-walk outcome for one
 // (workload, design, policy) row, covering every lookup in sampledLookups.
-func (e *Experiment) sampledLegs(w workloads.Workload, d DesignPoint, pol sim.Policy) (*legSlot, error) {
+func (e *Experiment) sampledLegs(w workloads.Workload, d DesignPoint, pol PolicyKind) (*legSlot, error) {
 	e.mu.Lock()
 	key := legKey{workload: w.Name, design: d.Label, policy: pol}
 	slot, ok := e.legs[key]
@@ -278,8 +278,8 @@ func (e *Experiment) sampledLegs(w workloads.Workload, d DesignPoint, pol sim.Po
 // workload), plan (shared per workload), then per-cluster representative
 // legs through the leg replayer — one walk per (workload, design, policy)
 // row serving both lookup variants' cells.
-func (e *Experiment) runSampled(w workloads.Workload, d DesignPoint, pol sim.Policy, lk energy.Lookup) (RunResult, error) {
-	if pol == sim.PolicyOPT {
+func (e *Experiment) runSampled(w workloads.Workload, d DesignPoint, pol PolicyKind, lk energy.Lookup) (RunResult, error) {
+	if pol == PolicyOPT {
 		return RunResult{}, fmt.Errorf("zcache: sampled mode cannot run OPT (next-use spans the full stream); drop -sampled for OPT cells")
 	}
 	slot, err := e.sampledLegs(w, d, pol)
@@ -310,13 +310,13 @@ func (e *Experiment) runSampled(w workloads.Workload, d DesignPoint, pol sim.Pol
 // Run executes one cell. OPT cells replay the workload's captured stream
 // (§VI-B); all other policies run execution-driven — unless Sampled is
 // set, in which case the cell runs through the sampled executor.
-func (e *Experiment) Run(w workloads.Workload, d DesignPoint, pol sim.Policy, lk energy.Lookup) (RunResult, error) {
+func (e *Experiment) Run(w workloads.Workload, d DesignPoint, pol PolicyKind, lk energy.Lookup) (RunResult, error) {
 	if e.Sampled != nil {
 		return e.runSampled(w, d, pol, lk)
 	}
 	cfg := e.config(d, pol, lk)
 	var m sim.Metrics
-	if pol == sim.PolicyOPT {
+	if pol == PolicyOPT {
 		stream, err := e.capture(w)
 		if err != nil {
 			return RunResult{}, fmt.Errorf("capture %s: %w", w.Name, err)
@@ -350,7 +350,7 @@ func (e *Experiment) Run(w workloads.Workload, d DesignPoint, pol sim.Policy, lk
 type MatrixCell struct {
 	Workload workloads.Workload
 	Design   DesignPoint
-	Policy   sim.Policy
+	Policy   PolicyKind
 	Lookup   energy.Lookup
 }
 
@@ -359,7 +359,7 @@ type MissingCell struct {
 	Index    int
 	Workload string
 	Design   string
-	Policy   sim.Policy
+	Policy   PolicyKind
 	Lookup   energy.Lookup
 	Reason   string
 }
@@ -421,7 +421,7 @@ type Fig4Line struct {
 // Fig4 runs the Fig. 4 experiment: every workload on the baseline and each
 // comparison design under the given policy (the paper shows OPT in 4a and
 // LRU in 4b), returning one sorted line per design.
-func (e *Experiment) Fig4(ctx context.Context, names []string, pol sim.Policy) ([]Fig4Line, error) {
+func (e *Experiment) Fig4(ctx context.Context, names []string, pol PolicyKind) ([]Fig4Line, error) {
 	ws, err := SuiteWorkloads(names)
 	if err != nil {
 		return nil, err
@@ -506,7 +506,7 @@ var Fig5Representatives = []string{"ammp", "gamess", "cpu2006rand00", "canneal",
 // workloads, every design × {serial, parallel}, reporting the five
 // representative workloads plus geomeans over the full suite and over the
 // ten most L2 miss-intensive workloads.
-func (e *Experiment) Fig5(ctx context.Context, names []string, pol sim.Policy) ([]Fig5Cell, error) {
+func (e *Experiment) Fig5(ctx context.Context, names []string, pol PolicyKind) ([]Fig5Cell, error) {
 	ws, err := SuiteWorkloads(names)
 	if err != nil {
 		return nil, err
@@ -648,20 +648,20 @@ func (e *Experiment) Fig5(ctx context.Context, names []string, pol sim.Policy) (
 // "associativity and replacement policy are separate issues" experiment the
 // paper's §II sets up and defers (§VIII: policies suited to the zcache).
 type PolicyStudyLine struct {
-	Policy          sim.Policy
+	Policy          PolicyKind
 	IPCImprovement  []float64
 	MPKIImprovement []float64
 }
 
 // PolicyStudy runs every workload on the Z4/52 design under each policy and
 // returns sorted improvement lines vs the bucketed-LRU reference.
-func (e *Experiment) PolicyStudy(ctx context.Context, names []string, policies []sim.Policy) ([]PolicyStudyLine, error) {
+func (e *Experiment) PolicyStudy(ctx context.Context, names []string, policies []PolicyKind) ([]PolicyStudyLine, error) {
 	ws, err := SuiteWorkloads(names)
 	if err != nil {
 		return nil, err
 	}
 	d := DesignPoint{Label: "Z4/52", Design: sim.ZCacheL3, Ways: 4}
-	ref := sim.PolicyBucketedLRU
+	ref := PolicyBucketedLRU
 	var cells []MatrixCell
 	for _, w := range ws {
 		cells = append(cells, MatrixCell{Workload: w, Design: d, Policy: ref, Lookup: energy.Serial})
@@ -675,7 +675,7 @@ func (e *Experiment) PolicyStudy(ctx context.Context, names []string, policies [
 		return nil, err
 	}
 	base := map[string]RunResult{}
-	perPolicy := map[sim.Policy][]RunResult{}
+	perPolicy := map[PolicyKind][]RunResult{}
 	for i, r := range res {
 		if !present(r) {
 			continue
@@ -729,7 +729,7 @@ func (e *Experiment) Bandwidth(ctx context.Context, names []string) ([]Bandwidth
 	d := DesignPoint{Label: "Z4/52", Design: sim.ZCacheL3, Ways: 4}
 	var cells []MatrixCell
 	for _, w := range ws {
-		cells = append(cells, MatrixCell{Workload: w, Design: d, Policy: sim.PolicyBucketedLRU, Lookup: energy.Serial})
+		cells = append(cells, MatrixCell{Workload: w, Design: d, Policy: PolicyBucketedLRU, Lookup: energy.Serial})
 	}
 	res, err := e.RunMatrix(ctx, cells)
 	merr, partial := asMatrixError(err)
@@ -774,25 +774,12 @@ type Fig3Case struct {
 // the paper's selection).
 var Fig3Workloads = []string{"wupwise", "apsi", "mgrid", "canneal", "fluidanimate", "blackscholes"}
 
-// Fig3Designs names the array organizations of Fig. 3a–d.
-type Fig3Design int
-
-const (
-	// Fig3SetAssoc: unhashed set-associative (Fig. 3a).
-	Fig3SetAssoc Fig3Design = iota
-	// Fig3SetAssocHash: H3-hashed set-associative (Fig. 3b).
-	Fig3SetAssocHash
-	// Fig3Skew: skew-associative (Fig. 3c).
-	Fig3Skew
-	// Fig3Z: 4-way zcache, 2- and 3-level walks (Fig. 3d).
-	Fig3Z
-)
-
-// Fig3 measures associativity distributions for one panel of Fig. 3. The
-// L2-scale single-cache measurement drives the workload's merged L2-level
-// stream (captured through the L1s) into an instrumented cache of the
-// preset's L2 capacity.
-func (e *Experiment) Fig3(panel Fig3Design, variants []int, names []string) ([]Fig3Case, error) {
+// Fig3 measures associativity distributions for one panel of Fig. 3: 3a
+// DesignSetAssociative, 3b DesignSetAssociativeHashed, 3c
+// DesignSkewAssociative, 3d DesignZCache. The L2-scale single-cache
+// measurement drives the workload's merged L2-level stream (captured
+// through the L1s) into an instrumented cache of the preset's L2 capacity.
+func (e *Experiment) Fig3(design DesignKind, variants []int, names []string) ([]Fig3Case, error) {
 	if len(names) == 0 {
 		names = Fig3Workloads
 	}
@@ -807,7 +794,7 @@ func (e *Experiment) Fig3(panel Fig3Design, variants []int, names []string) ([]F
 			return nil, err
 		}
 		for _, v := range variants {
-			c, cands, label, err := e.fig3Cache(panel, v)
+			c, cands, label, err := e.fig3Cache(design, v)
 			if err != nil {
 				return nil, err
 			}
@@ -836,41 +823,36 @@ func (e *Experiment) Fig3(panel Fig3Design, variants []int, names []string) ([]F
 }
 
 // fig3Cache builds one instrumented single-cache design for Fig. 3.
-// variant means ways for the set-associative and skew panels, and walk
-// levels for the zcache panel.
-func (e *Experiment) fig3Cache(panel Fig3Design, variant int) (*Cache, int, string, error) {
+// variant means ways for the set-associative and skew designs, and walk
+// levels for the 4-way zcache.
+func (e *Experiment) fig3Cache(design DesignKind, variant int) (*Cache, int, string, error) {
 	cfg := Config{
 		CapacityBytes: e.Preset.L2Bytes,
 		LineBytes:     64,
+		Ways:          variant,
+		Design:        design,
 		Policy:        PolicyLRU,
 		Seed:          e.Preset.Seed,
 	}
 	var label string
 	cands := variant
-	switch panel {
-	case Fig3SetAssoc:
-		cfg.Design = DesignSetAssociative
-		cfg.Ways = variant
+	switch design {
+	case DesignSetAssociative:
 		label = fmt.Sprintf("SA-%d", variant)
-	case Fig3SetAssocHash:
-		cfg.Design = DesignSetAssociativeHashed
-		cfg.Ways = variant
+	case DesignSetAssociativeHashed:
 		label = fmt.Sprintf("SA-%d-h3", variant)
-	case Fig3Skew:
-		cfg.Design = DesignSkewAssociative
-		cfg.Ways = variant
+	case DesignSkewAssociative:
 		label = fmt.Sprintf("Skew-%d", variant)
-	case Fig3Z:
-		cfg.Design = DesignZCache
+	case DesignZCache:
 		cfg.Ways = 4
 		cfg.WalkLevels = variant
 		cands = ReplacementCandidates(4, variant)
 		label = fmt.Sprintf("Z4/%d", cands)
 	default:
-		return nil, 0, "", fmt.Errorf("zcache: unknown Fig. 3 panel %d", panel)
+		return nil, 0, "", fmt.Errorf("zcache: design %d is not a Fig. 3 panel", design)
 	}
 	blocks := int(cfg.CapacityBytes / cfg.LineBytes)
-	pol, err := BuildPolicy(cfg.Policy, blocks, cfg.Seed)
+	pol, err := cfg.Policy.New(blocks, cfg.Seed)
 	if err != nil {
 		return nil, 0, "", err
 	}

@@ -93,7 +93,7 @@ func TestGoldenSimMetrics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			blru := e.Config(d, sim.PolicyBucketedLRU, energy.Serial)
+			blru := e.Config(d, PolicyBucketedLRU, energy.Serial)
 			sampled(prefix+"sampled-blru", blru, stream, sample.Spec{})
 			sampled(prefix+"stitched-blru", blru, stream, sample.Spec{WarmupRefs: 256})
 			if wname != "canneal" {
@@ -116,8 +116,8 @@ func TestGoldenSimMetrics(t *testing.T) {
 
 			for _, p := range []struct {
 				name string
-				pol  sim.Policy
-			}{{"replay-opt", sim.PolicyOPT}, {"replay-lru", sim.PolicyLRU}} {
+				pol  PolicyKind
+			}{{"replay-opt", PolicyOPT}, {"replay-lru", PolicyLRU}} {
 				m, err := sim.ReplayL2(e.Config(d, p.pol, energy.Serial), stream)
 				if err != nil {
 					t.Fatal(err)
@@ -127,7 +127,7 @@ func TestGoldenSimMetrics(t *testing.T) {
 		}
 
 		// A blackscholes-class stream: the L1s absorb everything.
-		cfg := e.Config(d, sim.PolicyBucketedLRU, energy.Serial)
+		cfg := e.Config(d, PolicyBucketedLRU, energy.Serial)
 		empty := &sim.L2Stream{Instructions: 4 * 10000, L1Accesses: 4 * 3000,
 			PerCoreInstructions: []uint64{10000, 9000, 10000, 7000}}
 		m, err := sim.ReplayL2(cfg, empty)

@@ -26,8 +26,9 @@ import (
 // SchemaVersion is folded into every fingerprint. Bump it whenever the
 // simulator's semantics or the result encoding change in a way that makes
 // previously stored cells stale; old records then simply stop matching
-// and `runlab gc` can drop them.
-const SchemaVersion = 1
+// and `runlab gc` can drop them. Version 2: the policy number is a
+// repl.Kind, which swapped full and bucketed LRU against version 1.
+const SchemaVersion = 2
 
 // Fingerprint is the stable content address of one experiment cell:
 // 32 lowercase hex characters (the first 16 bytes of a SHA-256 over the
@@ -79,7 +80,7 @@ type CellKey struct {
 	Design   string `json:"design"`
 	DesignID int    `json:"design_id"`
 	Ways     int    `json:"ways"`
-	// Policy and Lookup are the sim.Policy / energy.Lookup enum values.
+	// Policy and Lookup are the repl.Kind / energy.Lookup enum values.
 	Policy int `json:"policy"`
 	Lookup int `json:"lookup"`
 	// Sampled, when non-nil, marks a sampled-execution cell and pins the

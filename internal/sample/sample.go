@@ -6,6 +6,7 @@ import (
 
 	"zcache/internal/energy"
 	"zcache/internal/hash"
+	"zcache/internal/repl"
 	"zcache/internal/sim"
 )
 
@@ -197,7 +198,7 @@ func Run(cfg sim.Config, stream *sim.L2Stream, plan *Plan) (sim.Metrics, Estimat
 // differ. This is what lets a sampled suite amortize the walk across the
 // Fig. 5 lookup axis — each exact execution-driven cell must re-simulate.
 func RunLookups(cfg sim.Config, stream *sim.L2Stream, plan *Plan, lookups []energy.Lookup) ([]sim.Metrics, Estimate, error) {
-	if cfg.L2Policy == sim.PolicyOPT {
+	if cfg.L2Policy == repl.KindOPT {
 		return nil, Estimate{}, fmt.Errorf("sample: OPT requires the full stream; run it exact")
 	}
 	if stream == nil || plan == nil {

@@ -6,12 +6,13 @@ import (
 
 	"zcache/internal/energy"
 	"zcache/internal/hash"
+	"zcache/internal/repl"
 	"zcache/internal/sim"
 )
 
 // testConfig is a small machine for executor tests: 4 cores, 512KB L2.
 func testConfig() sim.Config {
-	cfg := sim.PaperSystem(sim.ZCacheL2, sim.PolicyBucketedLRU, energy.Serial, 4)
+	cfg := sim.PaperSystem(sim.ZCacheL2, repl.KindBucketedLRU, energy.Serial, 4)
 	cfg.Cores = 4
 	cfg.L2Bytes = 512 << 10
 	cfg.L2Banks = 4
@@ -97,7 +98,7 @@ func TestRunMatchesRunLookups(t *testing.T) {
 // annotations over a stream it does not fully visit.
 func TestRunRejectsOPT(t *testing.T) {
 	cfg := testConfig()
-	cfg.L2Policy = sim.PolicyOPT
+	cfg.L2Policy = repl.KindOPT
 	stream := testStream(1000)
 	plan, err := BuildPlan(stream, cfg.L2Bytes/64, Spec{})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"zcache/internal/repl"
 	"zcache/internal/trace"
 )
 
@@ -33,7 +34,7 @@ func wrapNextOnly(gens []trace.Generator) []trace.Generator {
 func TestRunBatchedDriveMatchesNext(t *testing.T) {
 	for _, design := range []Design{SetAssocH3, ZCacheL2} {
 		t.Run(designLabel(design), func(t *testing.T) {
-			cfg := tinyConfig(design, PolicyLRU)
+			cfg := tinyConfig(design, repl.KindLRU)
 			cfg.InstructionsPerCore = 100_000
 			cfg.WarmupInstructionsPerCore = 20_000
 
@@ -66,7 +67,7 @@ func TestRunBatchedDriveMatchesNext(t *testing.T) {
 // capture path: the captured L2 stream must be identical element for
 // element.
 func TestCaptureBatchedDriveMatchesNext(t *testing.T) {
-	cfg := tinyConfig(SetAssocH3, PolicyLRU)
+	cfg := tinyConfig(SetAssocH3, repl.KindLRU)
 	cfg.InstructionsPerCore = 100_000
 	cfg.WarmupInstructionsPerCore = 20_000
 

@@ -47,28 +47,6 @@ func buildL2Bank(cfg Config, bank int) (cache.Array, error) {
 	}
 }
 
-// buildPolicy constructs an L2 replacement policy instance for blocks slots.
-func buildPolicy(p Policy, blocks int, seed uint64) (repl.Policy, error) {
-	switch p {
-	case PolicyLRU:
-		return repl.NewLRU(blocks)
-	case PolicyBucketedLRU:
-		return repl.PaperBucketedLRU(blocks)
-	case PolicyOPT:
-		return repl.NewOPT(blocks)
-	case PolicyRandom:
-		return repl.NewRandom(blocks, seed)
-	case PolicyLFU:
-		return repl.NewLFU(blocks)
-	case PolicySRRIP:
-		return repl.NewSRRIP(blocks, 2)
-	case PolicyDRRIP:
-		return repl.NewDRRIP(blocks, 2, seed)
-	default:
-		return nil, fmt.Errorf("sim: unknown policy %v", p)
-	}
-}
-
 // buildL1 constructs one core's L1 data cache (conventional bit-selected
 // set-associative, true per-set LRU).
 func buildL1(cfg Config) (*cache.Cache, error) {

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"testing"
+
+	"zcache/internal/repl"
 )
 
 // TestCheckModeCleanAndBehaviourPreserving: enabling Config.Check must
@@ -11,7 +13,7 @@ import (
 func TestCheckModeCleanAndBehaviourPreserving(t *testing.T) {
 	for _, design := range []Design{SetAssocH3, ZCacheL3} {
 		run := func(checkOn bool) Metrics {
-			cfg := tinyConfig(design, PolicyBucketedLRU)
+			cfg := tinyConfig(design, repl.KindBucketedLRU)
 			cfg.InstructionsPerCore = 50_000
 			cfg.WarmupInstructionsPerCore = 10_000
 			cfg.Check = checkOn
@@ -37,7 +39,7 @@ func TestCheckModeCleanAndBehaviourPreserving(t *testing.T) {
 // TestCheckInvariantsExplicitPass: after a full run the directory, MESI
 // state, and inclusion property all verify on demand.
 func TestCheckInvariantsExplicitPass(t *testing.T) {
-	cfg := tinyConfig(ZCacheL3, PolicyLRU)
+	cfg := tinyConfig(ZCacheL3, repl.KindLRU)
 	cfg.InstructionsPerCore = 30_000
 	gens := zipfGens(t, cfg, 1<<20, 0.8, 0.3)
 	sys, err := NewSystem(cfg, gens)
@@ -55,7 +57,7 @@ func TestCheckInvariantsExplicitPass(t *testing.T) {
 // TestReplayCheckModeBehaviourPreserving covers the trace-driven path:
 // candidate-forest checks on the replay banks must not change metrics.
 func TestReplayCheckModeBehaviourPreserving(t *testing.T) {
-	cfg := tinyConfig(ZCacheL3, PolicyBucketedLRU)
+	cfg := tinyConfig(ZCacheL3, repl.KindBucketedLRU)
 	cfg.InstructionsPerCore = 40_000
 	gens := zipfGens(t, cfg, 1<<20, 0.8, 0.2)
 	stream, err := CaptureL2Stream(cfg, gens)

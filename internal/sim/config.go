@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"zcache/internal/energy"
+	"zcache/internal/repl"
 )
 
 // Design selects the L2 array organization (the comparison space of
@@ -82,68 +83,9 @@ func (d Design) ZLevels() int {
 	}
 }
 
-// Policy selects the L2 replacement policy.
-type Policy int
-
-const (
-	// PolicyLRU is full-timestamp LRU.
-	PolicyLRU Policy = iota
-	// PolicyBucketedLRU is the paper's evaluated LRU (8-bit timestamps,
-	// k = 5% of cache size; §III-E).
-	PolicyBucketedLRU
-	// PolicyOPT is Belady's policy; only valid with ReplayL2.
-	PolicyOPT
-	// PolicyRandom evicts a random candidate.
-	PolicyRandom
-	// PolicyLFU evicts the least frequently used candidate.
-	PolicyLFU
-	// PolicySRRIP is the RRIP extension policy.
-	PolicySRRIP
-	// PolicyDRRIP is the dynamic RRIP extension (dueling insertion),
-	// the repository's §VIII zcache-suited policy.
-	PolicyDRRIP
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case PolicyLRU:
-		return "lru"
-	case PolicyBucketedLRU:
-		return "lru-bucketed"
-	case PolicyOPT:
-		return "opt"
-	case PolicyRandom:
-		return "random"
-	case PolicyLFU:
-		return "lfu"
-	case PolicySRRIP:
-		return "srrip"
-	case PolicyDRRIP:
-		return "drrip"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
-// ParsePolicy resolves a policy's command-line name — the one spelling
-// every runlab verb shares. The names are not Policy.String's: the
-// CLIs call the paper's evaluated bucketed LRU plain "lru" and the
-// full-timestamp one "lru-full".
-func ParsePolicy(name string) (Policy, error) {
-	switch name {
-	case "lru":
-		return PolicyBucketedLRU, nil
-	case "lru-full":
-		return PolicyLRU, nil
-	}
-	for p := PolicyOPT; p <= PolicyDRRIP; p++ {
-		if p.String() == name {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown policy %q", name)
-}
+// PolicyLRU is full-timestamp LRU under the name bench/simwl.go uses;
+// everything else names repl.KindLRU.
+const PolicyLRU = repl.KindLRU
 
 // Config describes the simulated CMP. PaperSystem returns Table I.
 type Config struct {
@@ -162,7 +104,7 @@ type Config struct {
 	L2Banks int
 	// Design / L2Policy / Lookup: the L2 organization under study.
 	Design   Design
-	L2Policy Policy
+	L2Policy repl.Kind
 	Lookup   energy.Lookup
 	// L1Latency is the L1 hit latency (cycles); L1 hits do not stall an
 	// IPC=1 core.
@@ -201,7 +143,7 @@ type Config struct {
 // PaperSystem returns the Table I configuration with the given L2 design
 // point. InstructionsPerCore defaults to 1M (callers scale it down for
 // tests and up for full runs).
-func PaperSystem(design Design, policy Policy, lookup energy.Lookup, l2Ways int) Config {
+func PaperSystem(design Design, policy repl.Kind, lookup energy.Lookup, l2Ways int) Config {
 	return Config{
 		Cores:               32,
 		L1Bytes:             32 << 10,
@@ -270,7 +212,7 @@ func (c Config) Validate() error {
 	if c.InstructionsPerCore == 0 {
 		return fmt.Errorf("sim: zero instructions per core")
 	}
-	if c.L2Policy == PolicyOPT {
+	if c.L2Policy == repl.KindOPT {
 		return fmt.Errorf("sim: OPT is trace-driven; use CaptureL2Stream + ReplayL2 (§VI-B)")
 	}
 	return nil
@@ -279,8 +221,8 @@ func (c Config) Validate() error {
 // validateTraceDriven is Validate for the drivers that replay a captured
 // stream, where OPT is legal (§VI-B).
 func (c Config) validateTraceDriven() error {
-	if c.L2Policy == PolicyOPT {
-		c.L2Policy = PolicyLRU
+	if c.L2Policy == repl.KindOPT {
+		c.L2Policy = repl.KindLRU
 	}
 	return c.Validate()
 }

@@ -84,7 +84,7 @@ func newL2(cfg Config) (l2, error) {
 		if err != nil {
 			return l2{}, err
 		}
-		pol, err := buildPolicy(cfg.L2Policy, arr.Blocks(), cfg.Seed^uint64(b))
+		pol, err := cfg.L2Policy.New(arr.Blocks(), cfg.Seed^uint64(b))
 		if err != nil {
 			return l2{}, err
 		}

@@ -5,14 +5,15 @@ import (
 
 	"zcache/internal/cache"
 	"zcache/internal/energy"
+	"zcache/internal/repl"
 )
 
 // TestL2CoreArithmetic checks the banked-L2 core where its arithmetic lives,
 // rather than through the three drivers that share it: bank and controller
 // routing, the queue bucket, and the counter fold.
 func TestL2CoreArithmetic(t *testing.T) {
-	cfg := tinyConfig(ZCacheL2, PolicyLRU) // 4 banks, 2 MCUs, 64 B lines
-	cfg.MemBytesPerCycle = 16              // 8 B/cycle per MCU: 8 cycles a line
+	cfg := tinyConfig(ZCacheL2, repl.KindLRU) // 4 banks, 2 MCUs, 64 B lines
+	cfg.MemBytesPerCycle = 16                 // 8 B/cycle per MCU: 8 cycles a line
 	l, err := newL2(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"zcache/internal/energy"
+	"zcache/internal/repl"
 	"zcache/internal/trace"
 )
 
 // tinyConfig returns a scaled-down CMP that keeps tests fast: 4 cores,
 // 8KB L1s, 256KB L2 in 4 banks.
-func tinyConfig(design Design, policy Policy) Config {
+func tinyConfig(design Design, policy repl.Kind) Config {
 	return Config{
 		Cores:               4,
 		L1Bytes:             8 << 10,
@@ -47,7 +48,7 @@ func zipfGens(t testing.TB, cfg Config, footprint uint64, theta float64, writeFr
 }
 
 func TestConfigValidation(t *testing.T) {
-	good := tinyConfig(SetAssocH3, PolicyLRU)
+	good := tinyConfig(SetAssocH3, repl.KindLRU)
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("non-power-of-two banks accepted")
 	}
 	bad = good
-	bad.L2Policy = PolicyOPT
+	bad.L2Policy = repl.KindOPT
 	if bad.Validate() == nil {
 		t.Error("OPT accepted in execution-driven mode")
 	}
@@ -79,7 +80,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestPaperSystemMatchesTableI(t *testing.T) {
-	cfg := PaperSystem(SetAssocH3, PolicyBucketedLRU, energy.Serial, 4)
+	cfg := PaperSystem(SetAssocH3, repl.KindBucketedLRU, energy.Serial, 4)
 	if cfg.Cores != 32 {
 		t.Errorf("cores = %d, want 32", cfg.Cores)
 	}
@@ -104,7 +105,7 @@ func TestPaperSystemMatchesTableI(t *testing.T) {
 }
 
 func TestSystemRunsAndCounts(t *testing.T) {
-	cfg := tinyConfig(SetAssocH3, PolicyLRU)
+	cfg := tinyConfig(SetAssocH3, repl.KindLRU)
 	gens := zipfGens(t, cfg, 1<<20, 0.8, 0.2)
 	sys, err := NewSystem(cfg, gens)
 	if err != nil {
@@ -142,7 +143,7 @@ func TestSystemRunsAndCounts(t *testing.T) {
 
 func TestSystemDeterminism(t *testing.T) {
 	run := func() Metrics {
-		cfg := tinyConfig(ZCacheL3, PolicyBucketedLRU)
+		cfg := tinyConfig(ZCacheL3, repl.KindBucketedLRU)
 		cfg.InstructionsPerCore = 50_000
 		gens := zipfGens(t, cfg, 1<<20, 0.8, 0.2)
 		sys, err := NewSystem(cfg, gens)
@@ -165,7 +166,7 @@ func TestInclusionInvariant(t *testing.T) {
 	// Inclusive hierarchy: after any run, every L1-resident line must be
 	// L2-resident. Use a small working set with sharing so back-
 	// invalidations and upgrades fire.
-	cfg := tinyConfig(ZCacheL2, PolicyLRU)
+	cfg := tinyConfig(ZCacheL2, repl.KindLRU)
 	cfg.InstructionsPerCore = 100_000
 	gens := make([]trace.Generator, cfg.Cores)
 	for i := range gens {
@@ -228,7 +229,7 @@ func TestInclusionInvariant(t *testing.T) {
 }
 
 func TestSingleOwnerInvariant(t *testing.T) {
-	cfg := tinyConfig(SetAssocH3, PolicyLRU)
+	cfg := tinyConfig(SetAssocH3, repl.KindLRU)
 	cfg.InstructionsPerCore = 50_000
 	gens := make([]trace.Generator, cfg.Cores)
 	for i := range gens {
@@ -255,7 +256,7 @@ func TestHigherAssociativityReducesMPKIUnderConflicts(t *testing.T) {
 	// A zcache with more candidates must not miss more than the 4-way
 	// set-associative baseline on a conflict-prone workload.
 	missRate := func(design Design) float64 {
-		cfg := tinyConfig(design, PolicyLRU)
+		cfg := tinyConfig(design, repl.KindLRU)
 		cfg.InstructionsPerCore = 150_000
 		gens := zipfGens(t, cfg, 1<<19, 0.7, 0.1) // ~2x L2 per core
 		sys, err := NewSystem(cfg, gens)
@@ -279,7 +280,7 @@ func TestCaptureAndReplayAgreeWithExecution(t *testing.T) {
 	// For the same design and policy, trace-driven replay should land
 	// near the execution-driven result (it lacks back-invalidation
 	// feedback, so demand exact equality only on MPKI magnitude).
-	cfg := tinyConfig(SetAssocH3, PolicyLRU)
+	cfg := tinyConfig(SetAssocH3, repl.KindLRU)
 	cfg.InstructionsPerCore = 100_000
 	mkGens := func() []trace.Generator { return zipfGens(t, cfg, 1<<20, 0.8, 0.2) }
 
@@ -310,7 +311,7 @@ func TestCaptureAndReplayAgreeWithExecution(t *testing.T) {
 func TestReplayOPTBeatsLRU(t *testing.T) {
 	// Belady is (near-)optimal: on the same stream and design, OPT must
 	// not miss more than LRU.
-	cfg := tinyConfig(SetAssocH3, PolicyLRU)
+	cfg := tinyConfig(SetAssocH3, repl.KindLRU)
 	cfg.InstructionsPerCore = 100_000
 	stream, err := CaptureL2Stream(cfg, zipfGens(t, cfg, 1<<20, 0.8, 0.2))
 	if err != nil {
@@ -320,7 +321,7 @@ func TestReplayOPTBeatsLRU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.L2Policy = PolicyOPT
+	cfg.L2Policy = repl.KindOPT
 	opt, err := ReplayL2(cfg, stream)
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +332,7 @@ func TestReplayOPTBeatsLRU(t *testing.T) {
 }
 
 func TestReplayEmptyStreamRejected(t *testing.T) {
-	cfg := tinyConfig(SetAssocH3, PolicyLRU)
+	cfg := tinyConfig(SetAssocH3, repl.KindLRU)
 	if _, err := ReplayL2(cfg, &L2Stream{}); err == nil {
 		t.Error("empty stream accepted")
 	}
@@ -339,7 +340,7 @@ func TestReplayEmptyStreamRejected(t *testing.T) {
 
 func TestAllDesignsAndPoliciesRun(t *testing.T) {
 	for _, d := range []Design{SetAssocBitSel, SetAssocH3, SkewAssoc, ZCacheL2, ZCacheL3} {
-		for _, p := range []Policy{PolicyLRU, PolicyBucketedLRU, PolicyRandom, PolicyLFU, PolicySRRIP, PolicyDRRIP} {
+		for _, p := range []repl.Kind{repl.KindLRU, repl.KindBucketedLRU, repl.KindRandom, repl.KindLFU, repl.KindSRRIP, repl.KindDRRIP} {
 			cfg := tinyConfig(d, p)
 			cfg.InstructionsPerCore = 20_000
 			sys, err := NewSystem(cfg, zipfGens(t, cfg, 1<<19, 0.8, 0.2))
@@ -357,7 +358,7 @@ func TestMemoryBandwidthQueueingBites(t *testing.T) {
 	// Streaming misses at full tilt must see queueing delays: constrain
 	// bandwidth hard and verify IPC drops versus an unconstrained run.
 	run := func(bw float64) float64 {
-		cfg := tinyConfig(SetAssocH3, PolicyLRU)
+		cfg := tinyConfig(SetAssocH3, repl.KindLRU)
 		cfg.MemBytesPerCycle = bw
 		cfg.InstructionsPerCore = 50_000
 		gens := make([]trace.Generator, cfg.Cores)
@@ -379,38 +380,17 @@ func TestMemoryBandwidthQueueingBites(t *testing.T) {
 	}
 }
 
-func TestDesignAndPolicyStrings(t *testing.T) {
+func TestDesignStrings(t *testing.T) {
 	if SetAssocH3.String() != "sa-h3" || ZCacheL3.String() != "z-L3" {
 		t.Error("design names broken")
-	}
-	if PolicyOPT.String() != "opt" || PolicyBucketedLRU.String() != "lru-bucketed" {
-		t.Error("policy names broken")
 	}
 	if ZCacheL3.ZLevels() != 3 || SkewAssoc.ZLevels() != 1 || SetAssocH3.ZLevels() != 0 {
 		t.Error("ZLevels broken")
 	}
 }
 
-// TestParsePolicy pins the CLI policy names to the policies zsim, runlab and
-// figures each mapped them to before the table was shared.
-func TestParsePolicy(t *testing.T) {
-	for name, want := range map[string]Policy{
-		"lru": PolicyBucketedLRU, "lru-full": PolicyLRU, "opt": PolicyOPT, "random": PolicyRandom,
-		"lfu": PolicyLFU, "srrip": PolicySRRIP, "drrip": PolicyDRRIP,
-	} {
-		if got, err := ParsePolicy(name); err != nil || got != want {
-			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	for _, name := range []string{"", "LRU", "lru-bucketed", "policy(9)", "mru"} {
-		if got, err := ParsePolicy(name); err == nil {
-			t.Errorf("ParsePolicy(%q) accepted as %v", name, got)
-		}
-	}
-}
-
 func BenchmarkSystemThroughput(b *testing.B) {
-	cfg := tinyConfig(ZCacheL3, PolicyBucketedLRU)
+	cfg := tinyConfig(ZCacheL3, repl.KindBucketedLRU)
 	cfg.InstructionsPerCore = uint64(b.N)/uint64(cfg.Cores) + 1000
 	gens := make([]trace.Generator, cfg.Cores)
 	for i := range gens {
@@ -447,7 +427,7 @@ func TestBankContentionSlowsHotBankTraffic(t *testing.T) {
 	// All cores hammering lines of one bank must see lower aggregate IPC
 	// than the same traffic spread across banks.
 	run := func(spread bool) float64 {
-		cfg := tinyConfig(SetAssocH3, PolicyLRU)
+		cfg := tinyConfig(SetAssocH3, repl.KindLRU)
 		cfg.InstructionsPerCore = 40_000
 		gens := make([]trace.Generator, cfg.Cores)
 		for i := range gens {
@@ -488,7 +468,7 @@ func TestWarmupExcludesColdMisses(t *testing.T) {
 	// With warmup covering the working set, the measured phase must show
 	// a much lower miss ratio than a cold-start run of the same length.
 	run := func(warmup uint64) float64 {
-		cfg := tinyConfig(SetAssocH3, PolicyLRU)
+		cfg := tinyConfig(SetAssocH3, repl.KindLRU)
 		cfg.InstructionsPerCore = 30_000
 		cfg.WarmupInstructionsPerCore = warmup
 		gens := zipfGens(t, cfg, 1<<16, 0.4, 0.2) // fits the L2
@@ -519,7 +499,7 @@ func TestWarmupExcludesColdMisses(t *testing.T) {
 func TestDirtyDataReachesDRAM(t *testing.T) {
 	// Write-heavy traffic with eviction pressure: dirty L2 victims must
 	// generate DRAM writebacks (DRAM accesses exceed demand misses).
-	cfg := tinyConfig(SetAssocH3, PolicyLRU)
+	cfg := tinyConfig(SetAssocH3, repl.KindLRU)
 	cfg.InstructionsPerCore = 100_000
 	gens := zipfGens(t, cfg, 1<<21, 0.4, 0.5) // 8x L2, 50% writes
 	sys, err := NewSystem(cfg, gens)
@@ -547,7 +527,7 @@ func TestReplayHandlesFullyFilteredStreams(t *testing.T) {
 		L1Accesses:          4 * 3000,
 		PerCoreInstructions: []uint64{10000, 10000, 10000, 10000},
 	}
-	cfg := tinyConfig(ZCacheL3, PolicyLRU)
+	cfg := tinyConfig(ZCacheL3, repl.KindLRU)
 	m, err := ReplayL2(cfg, stream)
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,8 @@
 package zkv
 
 import (
-	"fmt"
-
 	"zcache/internal/cache"
 	"zcache/internal/hash"
-	"zcache/internal/repl"
 )
 
 // NewRefCache builds the simulator-equivalent reference engine for a
@@ -25,22 +22,14 @@ func NewRefCache(cfg Config) (*cache.Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newController(cfg, arr)
+	return newController(cfg, 0, arr)
 }
 
 // newController wraps arr in cfg's policy and a controller with zero line
-// bits: a shard's, or its reference engine's.
-func newController(cfg Config, arr *cache.ZCache) (*cache.Cache, error) {
-	var pol repl.Policy
-	var err error
-	switch cfg.Policy {
-	case PolicyBucketedLRU:
-		pol, err = repl.PaperBucketedLRU(arr.Blocks())
-	case PolicyFullLRU:
-		pol, err = repl.NewLRU(arr.Blocks())
-	default:
-		err = fmt.Errorf("zkv: unknown policy %v", cfg.Policy)
-	}
+// bits: shard i's, or its reference engine's. The policy seed follows the
+// simulator's per-bank derivation (Seed^bank).
+func newController(cfg Config, i int, arr *cache.ZCache) (*cache.Cache, error) {
+	pol, err := cfg.Policy.New(arr.Blocks(), cfg.Seed^uint64(i))
 	if err != nil {
 		return nil, err
 	}

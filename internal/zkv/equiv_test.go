@@ -3,6 +3,7 @@ package zkv_test
 import (
 	"testing"
 
+	"zcache/internal/repl"
 	"zcache/internal/zcluster"
 	"zcache/internal/zkv"
 )
@@ -14,7 +15,7 @@ import (
 // (there is only one); a one-node ring is the single-store case.
 func TestEquivalence(t *testing.T) {
 	workloadNames := []string{"canneal", "libquantum", "mcf"}
-	for _, pol := range []zkv.Policy{zkv.PolicyBucketedLRU, zkv.PolicyFullLRU} {
+	for _, pol := range []repl.Kind{repl.KindBucketedLRU, repl.KindLRU} {
 		for _, name := range workloadNames {
 			t.Run(name+"/"+pol.String(), func(t *testing.T) {
 				cfg := zkv.Config{Ways: 4, Rows: 256, Levels: 2, Policy: pol, Seed: 1234}

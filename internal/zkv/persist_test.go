@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"zcache/internal/failpoint"
+	"zcache/internal/repl"
 	"zcache/internal/slotstore"
 )
 
@@ -448,5 +450,51 @@ func BenchmarkZKVSetPersist(b *testing.B) {
 		if err := s.Set(key[:], val); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestPolicyStamp pins the policy numbers shard files carry: Config{} stamps
+// 0 and lru-full stamps 1, as every earlier build did, so a reordering of
+// repl.Kind cannot silently cold-open deployed shards. OPT, which needs the
+// future of the key stream, is refused at Open.
+func TestPolicyStamp(t *testing.T) {
+	skipNoPersist(t)
+	for _, c := range []struct {
+		name  string
+		stamp uint32
+	}{{"", 0}, {"lru-full", 1}} {
+		cfg := Config{Shards: 1, Ways: 4, Rows: 64, Levels: 2, Seed: 7, PersistDir: t.TempDir()}
+		if c.name != "" {
+			pol, err := repl.ParseKind(c.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Policy = pol
+		}
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillKeys(t, s, 32)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		pcfg := slotstore.Config{Slots: 4 * 64, Seed: shardSeed(7, 0), Ways: 4, Levels: 2, Rows: 64,
+			Policy: c.stamp, Shard: 0, ShardCount: 1}
+		path := filepath.Join(cfg.PersistDir, "shard-000.slc")
+		cells, err := slotstore.Open(path, pcfg)
+		if err != nil {
+			t.Fatalf("policy %q: shard file does not carry stamp %d: %v", c.name, c.stamp, err)
+		}
+		cells.Close(true)
+		pcfg.Policy = 1 - c.stamp
+		if cells, err := slotstore.Open(path, pcfg); err == nil {
+			cells.Close(true)
+			t.Fatalf("policy %q: shard file also opens under stamp %d", c.name, pcfg.Policy)
+		}
+	}
+	if s, err := Open(Config{Policy: repl.KindOPT}); err == nil {
+		s.Close()
+		t.Fatal("Open accepted opt")
 	}
 }

@@ -38,43 +38,6 @@ import (
 	"zcache/internal/slotstore"
 )
 
-// Policy selects the replacement ranking a store's shards use. Only the
-// LRU variants are offered: they are the paper's evaluated policies and the
-// ones the simulator equivalence guarantee covers.
-type Policy int
-
-const (
-	// PolicyBucketedLRU is the paper's area-efficient LRU (§III-E): 8-bit
-	// wrapped timestamps, counter increment every 5% of the shard size.
-	PolicyBucketedLRU Policy = iota
-	// PolicyFullLRU is full-timestamp LRU.
-	PolicyFullLRU
-)
-
-// String names the policy as the CLI flags spell it.
-func (p Policy) String() string {
-	switch p {
-	case PolicyBucketedLRU:
-		return "lru"
-	case PolicyFullLRU:
-		return "lru-full"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
-// ParsePolicy resolves the CLI spelling of a policy.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "lru":
-		return PolicyBucketedLRU, nil
-	case "lru-full":
-		return PolicyFullLRU, nil
-	default:
-		return 0, fmt.Errorf("zkv: unknown policy %q (want lru or lru-full)", s)
-	}
-}
-
 // Config sizes a Store. The zero value is not valid; Open fills defaults
 // for zero fields.
 type Config struct {
@@ -89,8 +52,11 @@ type Config struct {
 	Rows uint64
 	// Levels is the replacement-walk depth (default 2: the paper's Z4/16).
 	Levels int
-	// Policy is the replacement ranking (default bucketed LRU).
-	Policy Policy
+	// Policy is the replacement ranking (default: the zero value, the
+	// paper's bucketed LRU). Every kind but OPT, which needs the future of
+	// the key stream, is accepted. Its number is stamped into shard files,
+	// so a store reopened under another policy starts cold.
+	Policy repl.Kind
 	// Seed derives every shard's H3 way hashes and the shard-selection
 	// salt; identical seeds build identical stores.
 	Seed uint64
@@ -159,6 +125,9 @@ func Open(cfg Config) (*Store, error) {
 	}
 	if cfg.MaxValBytes < 1 || uint64(cfg.MaxValBytes) > math.MaxUint32 {
 		return nil, fmt.Errorf("zkv: max value bytes must be in [1, 2^32), got %d", cfg.MaxValBytes)
+	}
+	if cfg.Policy == repl.KindOPT {
+		return nil, fmt.Errorf("zkv: policy opt needs the future of the key stream")
 	}
 	s := &Store{
 		cfg:       cfg,
@@ -394,7 +363,7 @@ func newShard(cfg Config, i int, cells *slotstore.Store) (*shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := newController(cfg, arr)
+	c, err := newController(cfg, i, arr)
 	if err != nil {
 		return nil, err
 	}

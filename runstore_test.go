@@ -29,7 +29,7 @@ func storeTestCells(t *testing.T) []MatrixCell {
 			{Label: "Z4/16", Design: sim.ZCacheL2, Ways: 4},
 			{Label: "Z4/52", Design: sim.ZCacheL3, Ways: 4},
 		} {
-			cells = append(cells, MatrixCell{Workload: w, Design: d, Policy: sim.PolicyBucketedLRU, Lookup: energy.Serial})
+			cells = append(cells, MatrixCell{Workload: w, Design: d, Policy: PolicyBucketedLRU, Lookup: energy.Serial})
 		}
 	}
 	return cells
@@ -128,7 +128,7 @@ func TestRunMatrixCancelsOutstandingCellsOnError(t *testing.T) {
 	e := NewExperiment(TestPreset())
 	w, _ := workloads.ByName("gamess")
 	bad := MatrixCell{Workload: w, Design: DesignPoint{Label: "bad", Design: sim.SetAssocH3, Ways: -1},
-		Policy: sim.PolicyBucketedLRU, Lookup: energy.Serial}
+		Policy: PolicyBucketedLRU, Lookup: energy.Serial}
 	cells := []MatrixCell{bad}
 	for i := 0; i < 12; i++ {
 		cells = append(cells, storeTestCells(t)...)
@@ -192,7 +192,7 @@ func TestRunDeterminism(t *testing.T) {
 func TestRunResultJSONRoundTrip(t *testing.T) {
 	e := NewExperiment(TestPreset())
 	w, _ := workloads.ByName("canneal")
-	r, err := e.Run(w, BaselineDesign(), sim.PolicyBucketedLRU, energy.Serial)
+	r, err := e.Run(w, BaselineDesign(), PolicyBucketedLRU, energy.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}

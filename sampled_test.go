@@ -26,7 +26,7 @@ var sampledTestWorkloads = []string{"gamess", "ammp", "canneal", "wupwise"}
 // full bench suite with wall-time bounds.
 func TestSampledAccuracyVsReplay(t *testing.T) {
 	designs := append([]DesignPoint{BaselineDesign()}, Fig4Designs()...)
-	pol := sim.PolicyBucketedLRU
+	pol := PolicyBucketedLRU
 	e := NewExperiment(TestPreset())
 	e.Sampled = &sample.Spec{}
 
@@ -210,7 +210,7 @@ func TestSampledRejectsOPT(t *testing.T) {
 	e := NewExperiment(TestPreset())
 	e.Sampled = &sample.Spec{}
 	w, _ := workloads.ByName("gamess")
-	if _, err := e.Run(w, BaselineDesign(), sim.PolicyOPT, energy.Serial); err == nil {
+	if _, err := e.Run(w, BaselineDesign(), PolicyOPT, energy.Serial); err == nil {
 		t.Fatal("sampled OPT cell succeeded")
 	}
 }
@@ -259,7 +259,7 @@ func TestSampledEstimateSurvivesStore(t *testing.T) {
 // scheduling).
 func BenchmarkSampledSuite(b *testing.B) {
 	designs := append([]DesignPoint{BaselineDesign()}, Fig4Designs()...)
-	pol := sim.PolicyBucketedLRU
+	pol := PolicyBucketedLRU
 	var ws []workloads.Workload
 	for _, n := range benchWorkloads {
 		w, ok := workloads.ByName(n)

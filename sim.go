@@ -31,20 +31,6 @@ const (
 	SimZCache3              = sim.ZCacheL3
 )
 
-// SimPolicy selects the simulator's L2 replacement policy.
-type SimPolicy = sim.Policy
-
-// Simulator policies.
-const (
-	SimLRU         = sim.PolicyLRU
-	SimBucketedLRU = sim.PolicyBucketedLRU
-	SimOPT         = sim.PolicyOPT
-	SimRandom      = sim.PolicyRandom
-	SimLFU         = sim.PolicyLFU
-	SimSRRIP       = sim.PolicySRRIP
-	SimDRRIP       = sim.PolicyDRRIP
-)
-
 // LookupMode selects serial or parallel tag/data access.
 type LookupMode = energy.Lookup
 
@@ -57,7 +43,7 @@ const (
 // PaperSimConfig returns the Table I machine with the given L2 design
 // point: 32 in-order cores, 32KB 4-way L1s, 8MB 8-bank shared L2, MESI
 // directory, 4 MCUs at 200-cycle zero-load latency and 64GB/s peak.
-func PaperSimConfig(design SimDesign, policy SimPolicy, lookup LookupMode, l2Ways int) SimConfig {
+func PaperSimConfig(design SimDesign, policy PolicyKind, lookup LookupMode, l2Ways int) SimConfig {
 	return sim.PaperSystem(design, policy, lookup, l2Ways)
 }
 

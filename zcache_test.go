@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"zcache/internal/energy"
-	"zcache/internal/sim"
 	"zcache/internal/workloads"
 )
 
@@ -94,7 +93,7 @@ func TestQuickstartFlow(t *testing.T) {
 
 func TestInstrumentedFacade(t *testing.T) {
 	const blocks = 1 << 10
-	pol, err := BuildPolicy(PolicyLRU, blocks, 1)
+	pol, err := PolicyLRU.New(blocks, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +135,7 @@ func TestOPTThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol, err := BuildPolicy(PolicyOPT, 256, 0)
+	pol, err := PolicyOPT.New(256, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func TestOPTThroughFacade(t *testing.T) {
 		SetNextUse(pol, next[i])
 		c.Access(a.Addr, a.Write)
 	}
-	lru, _ := BuildPolicy(PolicyLRU, 256, 0)
+	lru, _ := PolicyLRU.New(256, 0)
 	cl, err := NewWithPolicy(Config{
 		CapacityBytes: 256 * 64, LineBytes: 64, Ways: 4,
 		Design: DesignZCache, WalkLevels: 2, Seed: 9,
@@ -171,7 +170,7 @@ func TestOPTThroughFacade(t *testing.T) {
 func TestExperimentRunAndFig4(t *testing.T) {
 	e := NewExperiment(TestPreset())
 	names := []string{"canneal", "gamess", "mcf"}
-	lines, err := e.Fig4(context.Background(), names, sim.PolicyLRU)
+	lines, err := e.Fig4(context.Background(), names, PolicyLRU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +192,7 @@ func TestExperimentRunAndFig4(t *testing.T) {
 func TestExperimentFig5Aggregates(t *testing.T) {
 	e := NewExperiment(TestPreset())
 	names := []string{"canneal", "gamess", "cactusADM", "ammp", "cpu2006rand00"}
-	cells, err := e.Fig5(context.Background(), names, sim.PolicyBucketedLRU)
+	cells, err := e.Fig5(context.Background(), names, PolicyBucketedLRU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +237,7 @@ func TestExperimentBandwidth(t *testing.T) {
 
 func TestExperimentFig3(t *testing.T) {
 	e := NewExperiment(TestPreset())
-	cases, err := e.Fig3(Fig3Z, []int{2}, []string{"canneal"})
+	cases, err := e.Fig3(DesignZCache, []int{2}, []string{"canneal"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +301,7 @@ func TestExperimentDeterminism(t *testing.T) {
 	run := func() RunResult {
 		e := NewExperiment(TestPreset())
 		w, _ := workloads.ByName("canneal")
-		r, err := e.Run(w, BaselineDesign(), sim.PolicyLRU, energy.Serial)
+		r, err := e.Run(w, BaselineDesign(), PolicyLRU, energy.Serial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -496,7 +495,7 @@ func TestHashFamilySelection(t *testing.T) {
 }
 
 func TestSimFacadeRoundTrip(t *testing.T) {
-	cfg := PaperSimConfig(SimZCache3, SimBucketedLRU, SerialLookup, 4)
+	cfg := PaperSimConfig(SimZCache3, PolicyBucketedLRU, SerialLookup, 4)
 	cfg.Cores = 4
 	cfg.L2Bytes = 512 << 10
 	cfg.L2Banks = 4
@@ -516,12 +515,12 @@ func TestSimFacadeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.L2Policy = SimOPT
+	cfg.L2Policy = PolicyOPT
 	opt, err := ReplayL2(cfg, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.L2Policy = SimBucketedLRU
+	cfg.L2Policy = PolicyBucketedLRU
 	lru, err := ReplayL2(cfg, stream)
 	if err != nil {
 		t.Fatal(err)
@@ -569,7 +568,7 @@ func TestWalkTree(t *testing.T) {
 func TestPolicyStudy(t *testing.T) {
 	e := NewExperiment(TestPreset())
 	lines, err := e.PolicyStudy(context.Background(), []string{"canneal", "gcc", "ammp"},
-		[]sim.Policy{sim.PolicySRRIP, sim.PolicyRandom})
+		[]PolicyKind{PolicySRRIP, PolicyRandom})
 	if err != nil {
 		t.Fatal(err)
 	}
