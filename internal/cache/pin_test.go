@@ -7,8 +7,9 @@ import (
 	"zcache/internal/repl"
 )
 
-// This file pins, as digests, walk behaviour no other test fixes exactly:
-// the candidate sequences of the DFS walk and of the hybrid second phase
+// This file pins, as digests, behaviour no other test fixes exactly: the
+// skew-associative controller's hits, evictions and counts, and the
+// candidate sequences of the DFS walk and of the hybrid second phase
 // (ExpandFrom) over walkGeoms, FuzzFlatWalk's geometry table. The flat ≡
 // reference property compares two implementations with each other; these
 // digests compare one implementation with its own past, so a change that
@@ -142,6 +143,88 @@ func TestWalkDigestsPinned(t *testing.T) {
 		if dfs != want[i].dfs || hybrid != want[i].hybrid {
 			t.Errorf("%+v: digests {%#x, %#x}, pinned {%#x, %#x}", g, uint64(dfs), uint64(hybrid),
 				uint64(want[i].dfs), uint64(want[i].hybrid))
+		}
+	}
+}
+
+// pinSkew drives a controller over a ways-way skew-associative array of 1024
+// blocks with policy k through steps seeded references (a fifth of them
+// writes, every 97th an invalidation) and digests every hit and slot, every
+// eviction with its dirtiness, in order, and at the end the array's Counters
+// and the controller's Stats. generic forces the candidate/select/install
+// miss path instead of the flat one.
+func pinSkew(t *testing.T, ways int, k repl.Kind, generic bool, steps int) walkDigest {
+	t.Helper()
+	const blocks = 1024
+	rows := uint64(blocks / ways)
+	arr, err := NewSkew(rows, mkFns(t, ways, rows, 31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := k.New(blocks, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(arr, pol, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.noFastPath = generic
+	var d walkDigest
+	c.OnEviction = func(addr uint64, dirty bool) { d.add(addr<<1 | b2u(dirty)) }
+	rng := rand.New(rand.NewSource(int64(ways)))
+	for step := 0; step < steps; step++ {
+		addr := uint64(rng.Intn(2*blocks)) << 6
+		if step%97 == 96 {
+			present, dirty := c.Invalidate(addr)
+			d.add(b2u(present)<<1 | b2u(dirty))
+			continue
+		}
+		id, hit := c.AccessSlot(addr, rng.Intn(5) == 0)
+		d.add(uint64(id)<<1 | b2u(hit))
+	}
+	ctr, st := c.Counters(), c.Stats()
+	for _, v := range []uint64{ctr.TagLookups, ctr.WalkLookups, ctr.TagReads, ctr.TagWrites,
+		ctr.DataReads, ctr.DataWrites, ctr.Relocations,
+		st.Accesses, st.Hits, st.Misses, st.Evictions, st.Writebacks, st.CycleRetries} {
+		d.add(v)
+	}
+	return d
+}
+
+// TestSkewDigestsPinned checks the skew-associative controller — the paper's
+// Z W/W — for 2, 4, 8 and 16 ways under every policy whose order needs no
+// trace oracle against the digests recorded when the pin was taken, on the
+// flat miss path and on the generic one, which must agree.
+func TestSkewDigestsPinned(t *testing.T) {
+	kinds := []repl.Kind{repl.KindBucketedLRU, repl.KindLRU, repl.KindRandom,
+		repl.KindLFU, repl.KindSRRIP, repl.KindDRRIP}
+	want := map[int][]walkDigest{
+		2: {
+			0xc86cffd250176e59, 0xbe3ba01061124f35, 0x7f336c3708a49848,
+			0x82c9555ce56557c0, 0x1cfcc052bca991a2, 0xb125ba65ee29399d,
+		},
+		4: {
+			0xf6402d6d85a957f1, 0xc411c77b1922df93, 0xef804e8b306109d6,
+			0x2a362a6b99a11f2e, 0x401acae0268cd4b4, 0x43437141efd2bc3b,
+		},
+		8: {
+			0x814cbe8847652fc0, 0x487017564fe89894, 0xb31cd045ee2bb048,
+			0x760a6ec38df38e23, 0xd456691da22118ba, 0x97de26274afaed38,
+		},
+		16: {
+			0xf7a123ec42ea3417, 0x048293610c5b6a31, 0x17d0a80067cda727,
+			0x5c52656e1b29fd94, 0x8839ac31cf20a0f6, 0x1a7fe95f6743bb27,
+		},
+	}
+	for _, ways := range []int{2, 4, 8, 16} {
+		for i, k := range kinds {
+			for _, generic := range []bool{false, true} {
+				if got := pinSkew(t, ways, k, generic, 100_000); got != want[ways][i] {
+					t.Errorf("%d ways, %v, generic %t: digest %#x, pinned %#x",
+						ways, k, generic, uint64(got), uint64(want[ways][i]))
+				}
+			}
 		}
 	}
 }
