@@ -2,6 +2,7 @@ package zcache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"zcache/internal/cache"
 	"zcache/internal/hash"
@@ -140,62 +141,71 @@ func (c Config) family() (hash.Family, error) {
 	}
 }
 
-// lineBits returns log2(LineBytes), validating it is a power of two.
-func (c Config) lineBits() (uint, error) {
-	if c.LineBytes == 0 || c.LineBytes&(c.LineBytes-1) != 0 {
-		return 0, fmt.Errorf("zcache: line size must be a power of two, got %d", c.LineBytes)
+// New builds a cache from the configuration, with the policy it names.
+func New(cfg Config) (*Cache, error) {
+	blocks, _, err := cfg.geometry()
+	if err != nil {
+		return nil, err
 	}
-	b := uint(0)
-	for l := c.LineBytes; l > 1; l >>= 1 {
-		b++
+	pol, err := cfg.Policy.New(int(blocks), cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
-	return b, nil
+	return NewWithPolicy(cfg, pol)
 }
 
-// New builds a cache from the configuration.
-func New(cfg Config) (*Cache, error) {
-	lineBits, err := cfg.lineBits()
-	if err != nil {
-		return nil, err
+// geometry validates the line size (a power of two), ways and capacity and
+// returns the cache's block count and log2(LineBytes).
+func (c Config) geometry() (blocks uint64, lineBits uint, err error) {
+	if c.LineBytes == 0 || c.LineBytes&(c.LineBytes-1) != 0 {
+		return 0, 0, fmt.Errorf("zcache: line size must be a power of two, got %d", c.LineBytes)
 	}
-	if cfg.Ways <= 0 {
-		return nil, fmt.Errorf("zcache: ways must be positive, got %d", cfg.Ways)
+	lineBits = uint(bits.TrailingZeros64(c.LineBytes))
+	if c.Ways <= 0 {
+		return 0, 0, fmt.Errorf("zcache: ways must be positive, got %d", c.Ways)
 	}
-	if cfg.CapacityBytes == 0 || cfg.CapacityBytes%(cfg.LineBytes*uint64(cfg.Ways)) != 0 {
-		return nil, fmt.Errorf("zcache: capacity %d does not divide into %d ways of %dB lines",
-			cfg.CapacityBytes, cfg.Ways, cfg.LineBytes)
+	if c.CapacityBytes == 0 || c.CapacityBytes%(c.LineBytes*uint64(c.Ways)) != 0 {
+		return 0, 0, fmt.Errorf("zcache: capacity %d does not divide into %d ways of %dB lines",
+			c.CapacityBytes, c.Ways, c.LineBytes)
 	}
-	blocks := cfg.CapacityBytes / cfg.LineBytes
-	rows := blocks / uint64(cfg.Ways)
+	return c.CapacityBytes / c.LineBytes, lineBits, nil
+}
 
-	arr, err := buildArray(cfg, rows, int(blocks))
-	if err != nil {
-		return nil, err
-	}
-	pol, err := cfg.Policy.New(arr.Blocks(), cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	c, err := cache.New(arr, pol, lineBits)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.HybridWalkLevels > 0 {
-		if err := c.EnableHybridWalk(cfg.HybridWalkLevels); err != nil {
-			return nil, err
+// walkLevels returns the configured walk depth: WalkLevels (2 when unset)
+// for a zcache, 1 for the skew-associative design — the paper's Z W/W, a
+// zcache whose walk stops at the first level — and 0 for every design that
+// does not walk.
+func (c Config) walkLevels() int {
+	switch c.Design {
+	case DesignZCache:
+		if c.WalkLevels == 0 {
+			return 2
 		}
+		return c.WalkLevels
+	case DesignSkewAssociative:
+		return 1
+	default:
+		return 0
 	}
-	return c, nil
+}
+
+// Label is the paper's name for a set-associative, skew-associative or
+// zcache configuration (cache.DesignLabel): "SAbit-W" bit-selected, "SA-W"
+// hashed, and "ZW/R" for a walk yielding R candidates, so skew is "ZW/W".
+// The other designs have no such name and get "".
+func (c Config) Label() string {
+	switch c.Design {
+	case DesignSetAssociative, DesignSetAssociativeHashed, DesignSkewAssociative, DesignZCache:
+		return cache.DesignLabel(c.Ways, c.walkLevels(), c.Design != DesignSetAssociative)
+	default:
+		return ""
+	}
 }
 
 // buildArray constructs the configured array organization.
 func buildArray(cfg Config, rows uint64, blocks int) (cache.Array, error) {
 	switch cfg.Design {
-	case DesignZCache:
-		levels := cfg.WalkLevels
-		if levels == 0 {
-			levels = 2
-		}
+	case DesignZCache, DesignSkewAssociative:
 		fam, err := cfg.family()
 		if err != nil {
 			return nil, err
@@ -204,7 +214,7 @@ func buildArray(cfg Config, rows uint64, blocks int) (cache.Array, error) {
 		if err != nil {
 			return nil, err
 		}
-		return cache.NewZCache(rows, fns, levels)
+		return cache.NewZCache(rows, fns, cfg.walkLevels())
 	case DesignSetAssociative:
 		idx, err := hash.NewBitSelect(0, rows)
 		if err != nil {
@@ -221,16 +231,6 @@ func buildArray(cfg Config, rows uint64, blocks int) (cache.Array, error) {
 			return nil, err
 		}
 		return cache.NewSetAssoc(cfg.Ways, rows, fns[0])
-	case DesignSkewAssociative:
-		fam, err := cfg.family()
-		if err != nil {
-			return nil, err
-		}
-		fns, err := fam.New(cfg.Ways, rows)
-		if err != nil {
-			return nil, err
-		}
-		return cache.NewSkew(rows, fns)
 	case DesignFullyAssociative:
 		return cache.NewFullyAssoc(blocks)
 	case DesignRandomCandidates:
@@ -275,23 +275,24 @@ type BlockID = repl.BlockID
 // instrumented or custom policies). The policy must be sized for the
 // configured block count.
 func NewWithPolicy(cfg Config, pol Policy) (*Cache, error) {
-	lineBits, err := cfg.lineBits()
+	blocks, lineBits, err := cfg.geometry()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Ways <= 0 {
-		return nil, fmt.Errorf("zcache: ways must be positive, got %d", cfg.Ways)
-	}
-	if cfg.CapacityBytes == 0 || cfg.CapacityBytes%(cfg.LineBytes*uint64(cfg.Ways)) != 0 {
-		return nil, fmt.Errorf("zcache: capacity %d does not divide into %d ways of %dB lines",
-			cfg.CapacityBytes, cfg.Ways, cfg.LineBytes)
-	}
-	blocks := cfg.CapacityBytes / cfg.LineBytes
 	arr, err := buildArray(cfg, blocks/uint64(cfg.Ways), int(blocks))
 	if err != nil {
 		return nil, err
 	}
-	return cache.New(arr, pol, lineBits)
+	c, err := cache.New(arr, pol, lineBits)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.HybridWalkLevels > 0 {
+		if err := c.EnableHybridWalk(cfg.HybridWalkLevels); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
 }
 
 // SetWalkBudget adjusts a zcache's walk at runtime to at most n replacement

@@ -79,19 +79,19 @@ func conflictProxy(w io.Writer) error {
 	sa.Ways, sa.Design = 4, zcache.DesignSetAssociativeHashed
 	t := stats.NewTable("stream", "design", "design misses", "FA misses", "conflict misses", "negative gap")
 	for _, r := range []struct {
-		stream, design string
-		accs           []zcache.Access
-		cfg            zcache.Config
+		stream string
+		accs   []zcache.Access
+		cfg    zcache.Config
 	}{
-		{"aliased (fits cache)", "SA-1", aliased, dm},
-		{"aliased (fits cache)", "Z4/52", aliased, z},
-		{"cyclic 1.17x capacity", "SA-4-h3", cyclic, sa},
+		{"aliased (fits cache)", aliased, dm},
+		{"aliased (fits cache)", aliased, z},
+		{"cyclic 1.17x capacity", cyclic, sa},
 	} {
 		rep, err := zcache.CompareConflictMisses(r.cfg, r.accs)
 		if err != nil {
 			return err
 		}
-		t.AddRow(r.stream, r.design, rep.DesignMisses, rep.FullAssocMisses, rep.ConflictMisses, rep.NegativeGap)
+		t.AddRow(r.stream, r.cfg.Label(), rep.DesignMisses, rep.FullAssocMisses, rep.ConflictMisses, rep.NegativeGap)
 	}
 	fmt.Fprint(w, t.String())
 	fmt.Fprintln(w, "\nRow 1: pure conflict misses — the proxy works (direct-mapped aliasing).")

@@ -3,7 +3,7 @@
 //
 //	runlab run [-suite all] [-policy lru] [-preset quick] ...   # Figs. 4–5, §VI-D, headline, policies
 //	runlab assoc -fig 2|validate|conflict|hash|3 [-panel a..d]  # Figs. 2–3, §IV
-//	runlab sim -workload canneal -design z3 ...                 # one Table I cell, every metric
+//	runlab sim -workload canneal -design z-L3 ...               # one Table I cell, every metric
 //	runlab cost [table2|merit|ratios|sweep]                     # Table II, §III-B
 //	runlab validate-sampled                                     # sampled vs exact execution
 //	runlab status | gc | repair                                 # the result store

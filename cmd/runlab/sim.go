@@ -16,14 +16,14 @@ import (
 // Table I CMP and prints the full metric set: MPKI, IPC, energy, bandwidth,
 // and replacement-process activity.
 //
-//	runlab sim -workload canneal -design z3 -ways 4 -policy lru -lookup serial
+//	runlab sim -workload canneal -design z-L3 -ways 4 -policy lru -lookup serial
 //	runlab sim -list            # list the workload suite
 func (c *cli) sim(args []string) error {
 	sh := newShared()
 	fs := c.flagSet("sim")
 	sh.register(fs, "preset", "policy")
 	workload := fs.String("workload", "canneal", "workload name from the suite")
-	design := fs.String("design", "z3", `L2 design: "sa", "sa-h3", "skew", "z2", "z3"`)
+	design := fs.String("design", sim.ZCacheL3.String(), `L2 design: "sa", "sa-h3", "skew", "z-L2", "z-L3"`)
 	ways := fs.Int("ways", 4, "L2 ways")
 	lookup := fs.String("lookup", "serial", `"serial" or "parallel"`)
 	list := fs.Bool("list", false, "list the workload suite and exit")
@@ -40,10 +40,11 @@ func (c *cli) sim(args []string) error {
 	if !ok {
 		return usagef("unknown workload %q (use -list)", *workload)
 	}
-	d, err := parseDesign(*design, *ways)
+	sd, err := sim.ParseDesign(*design)
 	if err != nil {
-		return err
+		return usagef("%v", err)
 	}
+	d := zcache.NewDesignPoint(sd, *ways)
 	pol, err := sh.policyValue()
 	if err != nil {
 		return err
@@ -89,24 +90,6 @@ func (c *cli) sim(args []string) error {
 	t.AddRow("BIPS/W", r.Eval.BIPSPerW)
 	fmt.Fprint(c.stdout, t.String())
 	return nil
-}
-
-func parseDesign(name string, ways int) (zcache.DesignPoint, error) {
-	switch name {
-	case "sa":
-		return zcache.DesignPoint{Label: fmt.Sprintf("SAbit-%d", ways), Design: sim.SetAssocBitSel, Ways: ways}, nil
-	case "sa-h3":
-		return zcache.DesignPoint{Label: fmt.Sprintf("SA-%d", ways), Design: sim.SetAssocH3, Ways: ways}, nil
-	case "skew":
-		return zcache.DesignPoint{Label: fmt.Sprintf("Z%d/%d", ways, ways), Design: sim.SkewAssoc, Ways: ways}, nil
-	case "z2":
-		r := zcache.ReplacementCandidates(ways, 2)
-		return zcache.DesignPoint{Label: fmt.Sprintf("Z%d/%d", ways, r), Design: sim.ZCacheL2, Ways: ways}, nil
-	case "z3":
-		r := zcache.ReplacementCandidates(ways, 3)
-		return zcache.DesignPoint{Label: fmt.Sprintf("Z%d/%d", ways, r), Design: sim.ZCacheL3, Ways: ways}, nil
-	}
-	return zcache.DesignPoint{}, usagef("unknown design %q", name)
 }
 
 // cost regenerates the paper's Table II — timing, area, and power of
@@ -161,17 +144,13 @@ func printSweep(w io.Writer, m *energy.Model) {
 	fmt.Fprintln(w)
 	t := stats.NewTable("capacity", "design", "hit-lat(cyc)", "hit-E(nJ)", "miss-E(nJ)", "area(mm2)")
 	for _, mb := range []uint64{1, 2, 4, 8, 16} {
-		for _, d := range []struct {
-			label  string
-			ways   int
-			levels int
-		}{{"SA-4", 4, 0}, {"SA-32", 32, 0}, {"Z4/52", 4, 3}} {
+		for _, d := range []struct{ ways, levels int }{{4, 0}, {32, 0}, {4, 3}} {
 			s := energy.CacheSpec{
 				CapacityBytes: mb << 20, LineBytes: 64, Banks: 8,
 				Ways: d.ways, ZLevels: d.levels, HashedIndex: true,
 			}
 			walk, relocs := energy.DefaultWalkStats(d.ways, d.levels)
-			t.AddRow(fmt.Sprintf("%dMB", mb), d.label,
+			t.AddRow(fmt.Sprintf("%dMB", mb), cache.DesignLabel(d.ways, d.levels, true),
 				m.HitLatencyExact(s), m.HitEnergyNJ(s),
 				m.MissEnergyNJ(s, walk, relocs), m.AreaMM2(s))
 		}

@@ -13,7 +13,7 @@ import (
 	"zcache"
 )
 
-func run(design zcache.SimDesign, ways int, lookup zcache.LookupMode, label string) {
+func run(design zcache.SimDesign, ways int, lookup zcache.LookupMode) {
 	cfg := zcache.PaperSimConfig(design, zcache.PolicyBucketedLRU, lookup, ways)
 	// Scale the run so the example finishes in seconds on one core.
 	cfg.Cores = 8
@@ -26,7 +26,7 @@ func run(design zcache.SimDesign, ways int, lookup zcache.LookupMode, label stri
 	}
 	c := res.Metrics.Counts
 	fmt.Printf("%-16s IPC=%.3f  MPKI=%.2f  BIPS/W=%.3f  invalidations=%d  bankload=%.3f (tag %.3f)\n",
-		label, res.Eval.IPC, res.Eval.L2MPKI, res.Eval.BIPSPerW,
+		zcache.NewDesignPoint(design, ways).Label+" "+lookup.String(), res.Eval.IPC, res.Eval.L2MPKI, res.Eval.BIPSPerW,
 		res.Metrics.Invalidations, res.Metrics.BankDemandLoad, res.Metrics.BankTagLoad)
 	_ = c
 }
@@ -36,10 +36,10 @@ func main() {
 	fmt.Println("canneal-class multithreaded workload (pointer chasing + 30% shared region)")
 	fmt.Println("on a scaled Table I CMP (8 cores, 1MB L2, MESI directory):")
 	fmt.Println()
-	run(zcache.SimSetAssociativeHashed, 4, zcache.SerialLookup, "SA-4 serial")
-	run(zcache.SimSetAssociativeHashed, 32, zcache.SerialLookup, "SA-32 serial")
-	run(zcache.SimZCache3, 4, zcache.SerialLookup, "Z4/52 serial")
-	run(zcache.SimZCache3, 4, zcache.ParallelLookup, "Z4/52 parallel")
+	run(zcache.SimSetAssociativeHashed, 4, zcache.SerialLookup)
+	run(zcache.SimSetAssociativeHashed, 32, zcache.SerialLookup)
+	run(zcache.SimZCache3, 4, zcache.SerialLookup)
+	run(zcache.SimZCache3, 4, zcache.ParallelLookup)
 	fmt.Println()
 	fmt.Println("The zcache takes the 4-way hit latency (and the parallel-lookup option)")
 	fmt.Println("while matching or beating the 32-way design's miss rate — §VI in one run.")

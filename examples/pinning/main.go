@@ -91,7 +91,7 @@ func (p *pinningPolicy) Select(cands []zcache.BlockID) int {
 	return idx[p.Policy.Select(unpinned)]
 }
 
-func run(design zcache.DesignKind, walkLevels int, label string) {
+func run(design zcache.DesignKind, walkLevels int) {
 	const (
 		capacity = 256 << 10
 		line     = 64
@@ -104,10 +104,11 @@ func run(design zcache.DesignKind, walkLevels int, label string) {
 		log.Fatal(err)
 	}
 	pol := newPinningPolicy(inner)
-	c, err := zcache.NewWithPolicy(zcache.Config{
+	cfg := zcache.Config{
 		CapacityBytes: capacity, LineBytes: line, Ways: ways,
 		Design: design, WalkLevels: walkLevels, Seed: 5,
-	}, pol)
+	}
+	c, err := zcache.NewWithPolicy(cfg, pol)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -138,18 +139,18 @@ func run(design zcache.DesignKind, walkLevels int, label string) {
 		}
 	}
 	fmt.Printf("%-22s pinned=%d survived=%d pin-violations=%d\n",
-		label, pinCount, resident, pol.violations)
+		cfg.Label(), pinCount, resident, pol.violations)
 }
 
 func main() {
 	log.SetFlags(0)
 	fmt.Println("Pinning 2048 speculative blocks in a 256KB, 4-way cache under 2M background accesses:")
 	fmt.Println()
-	run(zcache.DesignSetAssociative, 0, "SA-4 (bit-selected)")
-	run(zcache.DesignSetAssociativeHashed, 0, "SA-4 (hashed)")
-	run(zcache.DesignSkewAssociative, 0, "Skew-4 (Z4/4)")
-	run(zcache.DesignZCache, 2, "Z4/16")
-	run(zcache.DesignZCache, 3, "Z4/52")
+	run(zcache.DesignSetAssociative, 0)
+	run(zcache.DesignSetAssociativeHashed, 0)
+	run(zcache.DesignSkewAssociative, 0)
+	run(zcache.DesignZCache, 2)
+	run(zcache.DesignZCache, 3)
 	fmt.Println()
 	fmt.Println("More replacement candidates → pinned sets survive without fallbacks (§I).")
 }

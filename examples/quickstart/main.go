@@ -22,7 +22,7 @@ func main() {
 		ways     = 4
 	)
 
-	z, err := zcache.New(zcache.Config{
+	zCfg := zcache.Config{
 		CapacityBytes: capacity,
 		LineBytes:     line,
 		Ways:          ways,
@@ -30,18 +30,14 @@ func main() {
 		WalkLevels:    3, // R = 52 candidates per eviction
 		Policy:        zcache.PolicyLRU,
 		Seed:          42,
-	})
+	}
+	z, err := zcache.New(zCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sa, err := zcache.New(zcache.Config{
-		CapacityBytes: capacity,
-		LineBytes:     line,
-		Ways:          ways,
-		Design:        zcache.DesignSetAssociativeHashed, // the paper's baseline
-		Policy:        zcache.PolicyLRU,
-		Seed:          42,
-	})
+	saCfg := zCfg
+	saCfg.Design = zcache.DesignSetAssociativeHashed // the paper's baseline
+	sa, err := zcache.New(saCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +61,7 @@ func main() {
 
 	zs, ss := z.Stats(), sa.Stats()
 	fmt.Printf("workload: zipf(theta=0.8) over %.1fx cache capacity, %d accesses\n\n", 1.5, accesses)
-	fmt.Printf("%-28s %12s %12s\n", "", "SA-4 (H3)", "Z4/52")
+	fmt.Printf("%-28s %12s %12s\n", "", saCfg.Label(), zCfg.Label())
 	fmt.Printf("%-28s %12d %12d\n", "misses", ss.Misses, zs.Misses)
 	fmt.Printf("%-28s %12.4f %12.4f\n", "miss rate", rate(ss), rate(zs))
 	fmt.Printf("%-28s %12d %12d\n", "writebacks", ss.Writebacks, zs.Writebacks)

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"zcache/internal/assoc"
+	"zcache/internal/cache"
 	"zcache/internal/energy"
 	"zcache/internal/runlab"
 	"zcache/internal/sample"
@@ -51,16 +52,24 @@ func TestPreset() Preset {
 
 // DesignPoint is one L2 organization in the Fig. 4/5 comparison space.
 type DesignPoint struct {
-	// Label is the paper's name for the design ("SA-16", "Z4/52", ...).
+	// Label is the paper's name for the design ("SA-16", "Z4/52", ...),
+	// as NewDesignPoint spells it.
 	Label  string
 	Design sim.Design
 	Ways   int
 }
 
+// NewDesignPoint returns design d at ways ways under its paper label
+// (cache.DesignLabel): "SA-W" hashed, "SAbit-W" bit-selected, "ZW/R" for a
+// zcache, so skew is "ZW/W".
+func NewDesignPoint(d sim.Design, ways int) DesignPoint {
+	return DesignPoint{Label: cache.DesignLabel(ways, d.ZLevels(), d != sim.SetAssocBitSel), Design: d, Ways: ways}
+}
+
 // BaselineDesign is the paper's baseline: 4-way set-associative with H3
 // index hashing, serial lookup.
 func BaselineDesign() DesignPoint {
-	return DesignPoint{Label: "SA-4", Design: sim.SetAssocH3, Ways: 4}
+	return NewDesignPoint(sim.SetAssocH3, 4)
 }
 
 // Fig4Designs returns the comparison designs of Fig. 4: 16- and 32-way
@@ -68,11 +77,11 @@ func BaselineDesign() DesignPoint {
 // (Z4/4 = skew, Z4/16, Z4/52).
 func Fig4Designs() []DesignPoint {
 	return []DesignPoint{
-		{Label: "SA-16", Design: sim.SetAssocH3, Ways: 16},
-		{Label: "SA-32", Design: sim.SetAssocH3, Ways: 32},
-		{Label: "Z4/4", Design: sim.SkewAssoc, Ways: 4},
-		{Label: "Z4/16", Design: sim.ZCacheL2, Ways: 4},
-		{Label: "Z4/52", Design: sim.ZCacheL3, Ways: 4},
+		NewDesignPoint(sim.SetAssocH3, 16),
+		NewDesignPoint(sim.SetAssocH3, 32),
+		NewDesignPoint(sim.SkewAssoc, 4),
+		NewDesignPoint(sim.ZCacheL2, 4),
+		NewDesignPoint(sim.ZCacheL3, 4),
 	}
 }
 
@@ -426,6 +435,7 @@ func (e *Experiment) Fig4(ctx context.Context, names []string, pol PolicyKind) (
 	if err != nil {
 		return nil, err
 	}
+	// designs[0] is the baseline.
 	designs := append([]DesignPoint{BaselineDesign()}, Fig4Designs()...)
 	var cells []MatrixCell
 	for _, w := range ws {
@@ -448,7 +458,7 @@ func (e *Experiment) Fig4(ctx context.Context, names []string, pol PolicyKind) (
 			continue
 		}
 		d := cells[i].Design
-		if d.Label == "SA-4" {
+		if d == designs[0] {
 			baseline[r.Workload] = r
 		} else {
 			perDesign[d.Label] = append(perDesign[d.Label], r)
@@ -511,6 +521,7 @@ func (e *Experiment) Fig5(ctx context.Context, names []string, pol PolicyKind) (
 	if err != nil {
 		return nil, err
 	}
+	// designs[0] is the baseline.
 	designs := append([]DesignPoint{BaselineDesign()}, Fig4Designs()...)
 	var cells []MatrixCell
 	for _, w := range ws {
@@ -538,7 +549,7 @@ func (e *Experiment) Fig5(ctx context.Context, names []string, pol PolicyKind) (
 	}
 	// Baseline is serial SA-4.
 	base := func(w string) (RunResult, bool) {
-		r, ok := byKey[key{w, "SA-4", energy.Serial}]
+		r, ok := byKey[key{w, designs[0].Label, energy.Serial}]
 		return r, ok
 	}
 
@@ -570,7 +581,7 @@ func (e *Experiment) Fig5(ctx context.Context, names []string, pol PolicyKind) (
 	var out []Fig5Cell
 	for _, d := range designs {
 		for _, lk := range []energy.Lookup{energy.Serial, energy.Parallel} {
-			if d.Label == "SA-4" && lk == energy.Serial {
+			if d == designs[0] && lk == energy.Serial {
 				continue // the baseline itself
 			}
 			var allIPC, allEff, topIPC, topEff []float64
@@ -660,7 +671,7 @@ func (e *Experiment) PolicyStudy(ctx context.Context, names []string, policies [
 	if err != nil {
 		return nil, err
 	}
-	d := DesignPoint{Label: "Z4/52", Design: sim.ZCacheL3, Ways: 4}
+	d := NewDesignPoint(sim.ZCacheL3, 4)
 	ref := PolicyBucketedLRU
 	var cells []MatrixCell
 	for _, w := range ws {
@@ -726,7 +737,7 @@ func (e *Experiment) Bandwidth(ctx context.Context, names []string) ([]Bandwidth
 	if err != nil {
 		return nil, err
 	}
-	d := DesignPoint{Label: "Z4/52", Design: sim.ZCacheL3, Ways: 4}
+	d := NewDesignPoint(sim.ZCacheL3, 4)
 	var cells []MatrixCell
 	for _, w := range ws {
 		cells = append(cells, MatrixCell{Workload: w, Design: d, Policy: PolicyBucketedLRU, Lookup: energy.Serial})
@@ -834,22 +845,16 @@ func (e *Experiment) fig3Cache(design DesignKind, variant int) (*Cache, int, str
 		Policy:        PolicyLRU,
 		Seed:          e.Preset.Seed,
 	}
-	var label string
-	cands := variant
 	switch design {
-	case DesignSetAssociative:
-		label = fmt.Sprintf("SA-%d", variant)
-	case DesignSetAssociativeHashed:
-		label = fmt.Sprintf("SA-%d-h3", variant)
-	case DesignSkewAssociative:
-		label = fmt.Sprintf("Skew-%d", variant)
+	case DesignSetAssociative, DesignSetAssociativeHashed, DesignSkewAssociative:
 	case DesignZCache:
-		cfg.Ways = 4
-		cfg.WalkLevels = variant
-		cands = ReplacementCandidates(4, variant)
-		label = fmt.Sprintf("Z4/%d", cands)
+		cfg.Ways, cfg.WalkLevels = 4, variant
 	default:
 		return nil, 0, "", fmt.Errorf("zcache: design %d is not a Fig. 3 panel", design)
+	}
+	cands := cfg.Ways
+	if l := cfg.walkLevels(); l > 0 {
+		cands = ReplacementCandidates(cfg.Ways, l)
 	}
 	blocks := int(cfg.CapacityBytes / cfg.LineBytes)
 	pol, err := cfg.Policy.New(blocks, cfg.Seed)
@@ -864,5 +869,5 @@ func (e *Experiment) fig3Cache(design DesignKind, variant int) (*Cache, int, str
 	if err != nil {
 		return nil, 0, "", err
 	}
-	return c, cands, label, nil
+	return c, cands, cfg.Label(), nil
 }

@@ -3,8 +3,8 @@
 //   - Array: the physical organization — where a line may live, and which
 //     resident blocks are replacement candidates for an incoming line. This
 //     package provides set-associative (with or without index hashing),
-//     skew-associative, zcache, fully-associative, and random-candidates
-//     arrays (§II–§III, §IV-B).
+//     zcache (skew-associative being the one-level zcache, Z W/W),
+//     fully-associative, and random-candidates arrays (§II–§III, §IV-B).
 //   - Cache: the controller wrapping an Array with a repl.Policy, hit/miss
 //     and writeback bookkeeping, the bandwidth/energy event counters that
 //     §III-B and §VI-D consume, and optional eviction observers for the

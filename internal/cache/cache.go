@@ -56,9 +56,11 @@ type Cache struct {
 	// when the dynamic type is one of the shipped implementations. The
 	// per-access dispatch helpers check these so the hot loop makes direct
 	// (devirtualized, often inlined) calls; any other implementation falls
-	// back to the interface.
+	// back to the interface. skFast is zFast again when the zcache is the
+	// paper's Z W/W over tags of its own — a one-level walk, i.e. a
+	// skew-associative cache — whose misses take the flat install path.
 	saFast   *SetAssoc
-	skFast   *Skew
+	skFast   *ZCache
 	zFast    *ZCache
 	lruFast  *repl.LRU
 	blruFast *repl.BucketedLRU
@@ -115,10 +117,11 @@ func New(array Array, policy repl.Policy, lineBits uint) (*Cache, error) {
 	switch a := array.(type) {
 	case *SetAssoc:
 		c.saFast = a
-	case *Skew:
-		c.skFast = a
 	case *ZCache:
 		c.zFast = a
+		if a.levels == 1 && !a.tags.borrowed {
+			c.skFast = a
+		}
 	}
 	if c.zFast == nil || !c.zFast.tags.borrowed {
 		c.dirty = make([]bool, array.Blocks())
@@ -161,8 +164,6 @@ func (c *Cache) lookup(line uint64) (repl.BlockID, bool) {
 	switch {
 	case c.saFast != nil:
 		return c.saFast.Lookup(line)
-	case c.skFast != nil:
-		return c.skFast.Lookup(line)
 	case c.zFast != nil:
 		return c.zFast.Lookup(line)
 	default:
@@ -310,15 +311,16 @@ func (c *Cache) SetSlotObserver(o SlotObserver) { c.slotObs = o }
 
 // Restore takes into service a controller whose zcache array already holds
 // lines: one over a warm slot table (NewZCacheOver), whose tags are exactly
-// those of the shard that wrote it. It checks that every resident line sits
+// those of the shard that wrote it. An array that owns its tags starts
+// empty and has nothing to restore. It checks that every resident line sits
 // in one of its own per-way slots and in no other slot, and notifies the
 // policy of each as an insertion, in slot order — per-slot replacement
 // ranks are not persisted, so slot order becomes recency order. Hit/miss
 // stats are untouched. After an error the controller must be discarded.
 func (c *Cache) Restore() error {
 	z := c.zFast
-	if z == nil {
-		return fmt.Errorf("cache: %s does not support restore", c.array.Name())
+	if z == nil || !z.tags.borrowed {
+		return fmt.Errorf("cache: %s owns its tags and does not support restore", c.array.Name())
 	}
 	for id := repl.BlockID(0); int(id) < z.Blocks(); id++ {
 		line := z.tags.at(id)
@@ -346,9 +348,10 @@ func (c *Cache) AccessBatch(accs []trace.Access) int {
 	return hits
 }
 
-// installFlat is the miss path for flat arrays (set-associative and skew),
-// whose candidates are exactly the line's W slots, installs never relocate,
-// and cuckoo cycles cannot occur. It scans the slots directly instead of
+// installFlat is the miss path for flat arrays (set-associative, and a
+// one-level zcache — skew-associative — over its own tags), whose candidates
+// are exactly the line's W slots, installs never relocate, and cuckoo cycles
+// cannot occur. It scans the slots directly instead of
 // materializing Candidate structs, preferring the first empty slot just like
 // the generic path's first-invalid-candidate scan; when the set is full the
 // policy selects over the W slot IDs in way order, which is precisely the
@@ -523,7 +526,8 @@ func (c *Cache) installArray(line uint64, cands []Candidate, victim int) ([]Move
 
 // EnableHybridWalk turns on the §III-D hybrid BFS+DFS extension with the
 // given second-phase depth (1 or 2 in practice). It fails for non-zcache
-// arrays.
+// arrays. The second phase walks below the first level, so a one-level
+// zcache leaves the flat miss path for the generic one.
 func (c *Cache) EnableHybridWalk(levels int) error {
 	if c.zFast == nil {
 		return fmt.Errorf("cache: %s has no walk to hybridize", c.array.Name())
@@ -532,6 +536,7 @@ func (c *Cache) EnableHybridWalk(levels int) error {
 		return fmt.Errorf("cache: hybrid walk needs at least one level, got %d", levels)
 	}
 	c.hybridLevels = levels
+	c.skFast = nil
 	return nil
 }
 
@@ -635,8 +640,6 @@ func (c *Cache) tags() *tagStore {
 	switch {
 	case c.saFast != nil:
 		return &c.saFast.tags
-	case c.skFast != nil:
-		return &c.skFast.tags
 	case c.zFast != nil:
 		return &c.zFast.tags
 	default:

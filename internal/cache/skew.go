@@ -7,9 +7,9 @@ import (
 	"zcache/internal/repl"
 )
 
-// skewTags is the part of a skew-indexed array that Skew and ZCache share —
-// on a hit a zcache *is* a skew-associative cache (§III): a tag store probed
-// at one slot per way, the rows computed by the array's hash.Indexer.
+// skewTags is the probe half of a ZCache — on a hit a zcache *is* a
+// skew-associative cache (§III): a tag store probed at one slot per way, the
+// rows computed by the array's hash.Indexer.
 type skewTags struct {
 	tags tagStore
 	idx  *hash.Indexer
@@ -31,8 +31,8 @@ type skewTags struct {
 // distinct-seeded: identical functions silently degenerate to a
 // set-associative cache, so function slices where any pair behaves
 // identically on a probe set are rejected.
-func newSkewTags(design string, tags tagStore, fns []hash.Func) (skewTags, error) {
-	if err := validateSkewFns(design, tags.rows, fns); err != nil {
+func newSkewTags(tags tagStore, fns []hash.Func) (skewTags, error) {
+	if err := validateSkewFns("zcache", tags.rows, fns); err != nil {
 		return skewTags{}, err
 	}
 	if tags.e == nil {
@@ -111,26 +111,15 @@ func (s *skewTags) Invalidate(line uint64) (repl.BlockID, bool) {
 	return 0, false
 }
 
-// Skew is a skew-associative array (Seznec, ISCA'93; §II-A): each way has
-// its own hash function, so a line has exactly one slot per way but two
-// lines that conflict in one way usually do not conflict in the others.
-// Candidates are the W resident blocks at the line's per-way positions —
-// structurally identical to a zcache whose walk is limited to one level
-// (the paper's Z4/4 configuration).
-type Skew struct {
-	skewTags
-	name  string
-	moves []Move
-}
-
-// NewSkew returns a skew-associative array with rows rows per way, indexed
-// by fns (one per way).
-func NewSkew(rows uint64, fns []hash.Func) (*Skew, error) {
-	st, err := newSkewTags("skew-associative", tagStore{rows: rows}, fns)
-	if err != nil {
-		return nil, err
-	}
-	return &Skew{skewTags: st, name: fmt.Sprintf("skew-%dw-%dr", len(fns), rows)}, nil
+// NewSkew returns a skew-associative array (Seznec, ISCA'93; §II-A) with
+// rows rows per way, indexed by fns (one per way): each way has its own hash
+// function, so a line has exactly one slot per way but two lines that
+// conflict in one way usually do not conflict in the others. It is a zcache
+// whose walk stops at the first level — the paper's Z W/W — so its
+// candidates are the W blocks at the line's per-way slots and installs
+// never relocate.
+func NewSkew(rows uint64, fns []hash.Func) (*ZCache, error) {
+	return NewZCache(rows, fns, 1)
 }
 
 // validateSkewFns checks geometry and pairwise distinctness of way hashes.
@@ -162,48 +151,4 @@ func validateSkewFns(design string, rows uint64, fns []hash.Func) error {
 		}
 	}
 	return nil
-}
-
-// Name identifies the design.
-func (a *Skew) Name() string { return a.name }
-
-// Candidates returns the blocks at the line's per-way positions; the demand
-// lookup already read these tags.
-func (a *Skew) Candidates(line uint64, buf []Candidate) []Candidate {
-	for w, row := range a.lineRows(line) {
-		id := a.tags.slot(w, row)
-		buf = append(buf, Candidate{
-			ID:     id,
-			Addr:   a.tags.e[id],
-			Valid:  a.tags.e[id] != EmptyLine,
-			Way:    w,
-			Row:    row,
-			Level:  1,
-			Parent: -1,
-		})
-	}
-	return buf
-}
-
-// Install replaces the victim slot; skew installs never relocate.
-func (a *Skew) Install(line uint64, cands []Candidate, victim int) ([]Move, error) {
-	if victim < 0 || victim >= len(cands) {
-		return nil, fmt.Errorf("cache: victim index %d out of range [0,%d)", victim, len(cands))
-	}
-	a.tags.e[cands[victim].ID] = line
-	a.ctr.TagWrites++
-	a.ctr.DataWrites++
-	return a.moves[:0], nil
-}
-
-// MaxCandidates returns the most candidates one Candidates call can yield.
-func (a *Skew) MaxCandidates() int { return a.tags.ways }
-
-// installAt writes line into slot id, charging the same install traffic as
-// Install. The controller's flat fast path uses it to place a line without
-// materializing Candidate structs.
-func (a *Skew) installAt(id repl.BlockID, line uint64) {
-	a.tags.e[id] = line
-	a.ctr.TagWrites++
-	a.ctr.DataWrites++
 }

@@ -133,8 +133,8 @@ func WithRepeatAvoidance(logBits uint, hashes int) ZOption {
 }
 
 // NewZCache returns a zcache with rows rows per way, per-way hash functions
-// fns, and a walk of the given number of levels. levels == 1 degenerates to
-// a skew-associative cache (the paper's Z W/W configuration).
+// fns, and a walk of the given number of levels. levels == 1 is a
+// skew-associative cache (the paper's Z W/W configuration, NewSkew).
 func NewZCache(rows uint64, fns []hash.Func, levels int, opts ...ZOption) (*ZCache, error) {
 	return newZCache(tagStore{rows: rows}, fns, levels, opts)
 }
@@ -167,7 +167,7 @@ func NewZCacheOver(words []uint64, stride int, rows uint64, fns []hash.Func, lev
 
 func newZCache(tags tagStore, fns []hash.Func, levels int, opts []ZOption) (*ZCache, error) {
 	rows := tags.rows
-	st, err := newSkewTags("zcache", tags, fns)
+	st, err := newSkewTags(tags, fns)
 	if err != nil {
 		return nil, err
 	}
@@ -567,6 +567,15 @@ func (z *ZCache) Install(line uint64, cands []Candidate, victim int) ([]Move, er
 	return z.moves, nil
 }
 
+// installAt writes line into slot id, charging the same install traffic as
+// an Install that relocates nothing. The controller's flat miss path uses it
+// on a one-level zcache to place a line without materializing Candidates.
+func (z *ZCache) installAt(id repl.BlockID, line uint64) {
+	z.tags.e[id] = line
+	z.ctr.TagWrites++
+	z.ctr.DataWrites++
+}
+
 // SlotLine reports the line resident in slot id, if any. It is a single tag
 // read with no ranking side effects — the cheap revalidation zkv's deferred
 // read-hit touches use to confirm a slot still holds the fingerprint they
@@ -590,6 +599,23 @@ func ReplacementCandidates(ways, levels int) int {
 		pow *= ways - 1
 	}
 	return ways * r
+}
+
+// DesignLabel is the paper's name for a ways-way array, the one spelling
+// every figure, table and result-store key uses: "ZW/R" for a zcache whose
+// levels-level walk yields R = ReplacementCandidates(W, L) candidates — so a
+// skew-associative cache, one level, is "ZW/W" — and for a set-associative
+// array (levels 0) "SA-W" when its index is hashed, as the paper's baseline
+// is, or "SAbit-W" when it is bit-selected.
+func DesignLabel(ways, levels int, hashed bool) string {
+	switch {
+	case levels > 0:
+		return fmt.Sprintf("Z%d/%d", ways, ReplacementCandidates(ways, levels))
+	case hashed:
+		return fmt.Sprintf("SA-%d", ways)
+	default:
+		return fmt.Sprintf("SAbit-%d", ways)
+	}
 }
 
 // WalkLevelsFor returns the smallest L such that a W-way, L-level walk

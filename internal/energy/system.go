@@ -3,6 +3,7 @@ package energy
 import (
 	"fmt"
 
+	"zcache/internal/cache"
 	"zcache/internal/stats"
 )
 
@@ -135,52 +136,29 @@ type TableIIRow struct {
 // 64B-line, 8-bank L2: set-associative caches of 4–32 ways and 4-way
 // zcaches with 2- and 3-level walks, in serial and parallel lookup.
 func TableII(m *Model) []TableIIRow {
-	base := CacheSpec{CapacityBytes: 8 << 20, LineBytes: 64, Banks: 8}
 	var rows []TableIIRow
 	for _, lk := range []Lookup{Serial, Parallel} {
-		for _, ways := range []int{4, 8, 16, 32} {
-			s := base
-			s.Ways = ways
-			s.Lookup = lk
-			s.HashedIndex = true
-			rows = append(rows, tableRow(m, fmt.Sprintf("SA-%d %s", ways, lk), s, ways))
-		}
-		for _, z := range []struct{ ways, levels int }{{4, 2}, {4, 3}} {
-			s := base
-			s.Ways = z.ways
-			s.Lookup = lk
-			s.ZLevels = z.levels
-			s.HashedIndex = true
-			r := replacementCandidates(z.ways, z.levels)
-			rows = append(rows, tableRow(m, fmt.Sprintf("Z%d/%d %s", z.ways, r, lk), s, r))
+		for _, d := range []struct{ ways, levels int }{{4, 0}, {8, 0}, {16, 0}, {32, 0}, {4, 2}, {4, 3}} {
+			s := CacheSpec{CapacityBytes: 8 << 20, LineBytes: 64, Banks: 8,
+				Ways: d.ways, Lookup: lk, ZLevels: d.levels, HashedIndex: true}
+			cands := d.ways
+			if d.levels > 0 {
+				cands = cache.ReplacementCandidates(d.ways, d.levels)
+			}
+			walk, relocs := DefaultWalkStats(s.Ways, s.ZLevels)
+			rows = append(rows, TableIIRow{
+				Label:        cache.DesignLabel(s.Ways, s.ZLevels, s.HashedIndex) + " " + lk.String(),
+				Spec:         s,
+				Candidates:   cands,
+				HitLatency:   m.HitLatencyExact(s),
+				HitEnergyNJ:  m.HitEnergyNJ(s),
+				MissEnergyNJ: m.MissEnergyNJ(s, walk, relocs),
+				AreaMM2:      m.AreaMM2(s),
+				LeakageW:     m.LeakageW(s),
+			})
 		}
 	}
 	return rows
-}
-
-func tableRow(m *Model, label string, s CacheSpec, candidates int) TableIIRow {
-	walk, relocs := DefaultWalkStats(s.Ways, s.ZLevels)
-	return TableIIRow{
-		Label:        label,
-		Spec:         s,
-		Candidates:   candidates,
-		HitLatency:   m.HitLatencyExact(s),
-		HitEnergyNJ:  m.HitEnergyNJ(s),
-		MissEnergyNJ: m.MissEnergyNJ(s, walk, relocs),
-		AreaMM2:      m.AreaMM2(s),
-		LeakageW:     m.LeakageW(s),
-	}
-}
-
-// replacementCandidates mirrors cache.ReplacementCandidates without the
-// import (energy is a leaf package usable by both).
-func replacementCandidates(ways, levels int) int {
-	r, pow := 0, 1
-	for l := 0; l < levels; l++ {
-		r += pow
-		pow *= ways - 1
-	}
-	return ways * r
 }
 
 // RenderTableII formats the rows as the plain-text table `runlab cost`

@@ -30,13 +30,7 @@ func buildL2Bank(cfg Config, bank int) (cache.Array, error) {
 			return nil, err
 		}
 		return cache.NewSetAssoc(cfg.L2Ways, rows, idx)
-	case SkewAssoc:
-		fns, err := (hash.H3Family{Seed: seed}).New(cfg.L2Ways, rows)
-		if err != nil {
-			return nil, err
-		}
-		return cache.NewSkew(rows, fns)
-	case ZCacheL2, ZCacheL3:
+	case SkewAssoc, ZCacheL2, ZCacheL3:
 		fns, err := (hash.H3Family{Seed: seed}).New(cfg.L2Ways, rows)
 		if err != nil {
 			return nil, err

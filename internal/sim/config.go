@@ -50,22 +50,25 @@ const (
 	ZCacheL3
 )
 
-// String names the design.
+// designNames are the command-line spellings, in Design order.
+var designNames = [...]string{"sa", "sa-h3", "skew", "z-L2", "z-L3"}
+
+// String names the design as the -design flag spells it.
 func (d Design) String() string {
-	switch d {
-	case SetAssocBitSel:
-		return "sa"
-	case SetAssocH3:
-		return "sa-h3"
-	case SkewAssoc:
-		return "skew"
-	case ZCacheL2:
-		return "z-L2"
-	case ZCacheL3:
-		return "z-L3"
-	default:
-		return fmt.Sprintf("design(%d)", int(d))
+	if d >= 0 && int(d) < len(designNames) {
+		return designNames[d]
 	}
+	return fmt.Sprintf("design(%d)", int(d))
+}
+
+// ParseDesign resolves a design name, the inverse of String.
+func ParseDesign(name string) (Design, error) {
+	for d, n := range designNames {
+		if n == name {
+			return Design(d), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown design %q", name)
 }
 
 // ZLevels returns the walk depth implied by the design (0 for

@@ -2,11 +2,69 @@ package zcache
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 
+	"zcache/internal/cache"
 	"zcache/internal/energy"
+	"zcache/internal/sim"
 	"zcache/internal/workloads"
 )
+
+// TestDesignIdentitiesPinned pins the design spellings other code compares:
+// the labels of the baseline and the Fig. 4 designs (bench/simwl.go, Fig4's
+// baseline lookup and the run-store key match them), Fig4Designs' JSON, the
+// label scheme itself, and sim.ParseDesign as the inverse of Design.String.
+func TestDesignIdentitiesPinned(t *testing.T) {
+	for _, c := range []struct {
+		d    DesignPoint
+		want string
+	}{
+		{BaselineDesign(), "SA-4"},
+		{Fig4Designs()[0], "SA-16"},
+		{Fig4Designs()[1], "SA-32"},
+		{Fig4Designs()[2], "Z4/4"},
+		{Fig4Designs()[3], "Z4/16"},
+		{Fig4Designs()[4], "Z4/52"},
+		{NewDesignPoint(sim.SetAssocBitSel, 4), "SAbit-4"},
+		{NewDesignPoint(sim.SkewAssoc, 16), "Z16/16"},
+	} {
+		if c.d.Label != c.want {
+			t.Errorf("%v at %d ways is labelled %q, want %q", c.d.Design, c.d.Ways, c.d.Label, c.want)
+		}
+	}
+	for _, c := range []struct {
+		ways, levels int
+		hashed       bool
+		want         string
+	}{
+		{1, 0, false, "SAbit-1"},
+		{4, 0, true, "SA-4"},
+		{4, 1, true, "Z4/4"},
+		{3, 3, true, "Z3/21"},
+	} {
+		if got := cache.DesignLabel(c.ways, c.levels, c.hashed); got != c.want {
+			t.Errorf("DesignLabel(%d, %d, %t) = %q, want %q", c.ways, c.levels, c.hashed, got, c.want)
+		}
+	}
+	js, err := json.Marshal(Fig4Designs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantJSON = `[{"Label":"SA-16","Design":1,"Ways":16},{"Label":"SA-32","Design":1,"Ways":32},` +
+		`{"Label":"Z4/4","Design":2,"Ways":4},{"Label":"Z4/16","Design":3,"Ways":4},{"Label":"Z4/52","Design":4,"Ways":4}]`
+	if string(js) != wantJSON {
+		t.Errorf("Fig4Designs JSON\n%s\nwant\n%s", js, wantJSON)
+	}
+	for _, d := range []sim.Design{sim.SetAssocBitSel, sim.SetAssocH3, sim.SkewAssoc, sim.ZCacheL2, sim.ZCacheL3} {
+		if got, err := sim.ParseDesign(d.String()); err != nil || got != d {
+			t.Errorf("ParseDesign(%q) = %v, %v; want %v", d.String(), got, err, d)
+		}
+	}
+	if d, err := sim.ParseDesign("z3"); err == nil {
+		t.Errorf("ParseDesign accepted the unknown spelling z3 as %v", d)
+	}
+}
 
 func TestNewValidatesConfig(t *testing.T) {
 	base := Config{CapacityBytes: 1 << 16, LineBytes: 64, Ways: 4, Seed: 1}
