@@ -1,0 +1,56 @@
+package zcache
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// TestBuilderDigestsPinned pins, per root design no other test fixes
+// exactly, the array's Name and a digest of every hit, every eviction with
+// its dirtiness, in order, and the array's Counters, against the values
+// recorded when the pin was taken: the §II-B comparators, the
+// fully-associative and random-candidates references, and the SHA-1-hashed
+// skew and zcache arrays.
+func TestBuilderDigestsPinned(t *testing.T) {
+	for _, c := range []struct {
+		cfg    Config
+		name   string
+		digest uint64
+	}{
+		{Config{Ways: 4, Design: DesignVictimCache, VictimEntries: 8}, "victim-4w-128s+8", 0x65b9a118e02cd555},
+		{Config{Ways: 4, Design: DesignRandomCandidates, Candidates: 12}, "randcand-512-n12", 0x6e60ac38210ea22},
+		{Config{Ways: 1, Design: DesignColumnAssociative}, "column-512r", 0xdb6cf5904852d5b1},
+		{Config{Ways: 4, Design: DesignFullyAssociative}, "fa-512", 0x6a821a36965b94e},
+		{Config{Ways: 4, Design: DesignSkewAssociative, Hash: HashSHA1}, "z-4w-128r-L1", 0xd6c1ee2100dffbcc},
+		{Config{Ways: 4, Design: DesignZCache, WalkLevels: 3, Hash: HashSHA1}, "z-4w-128r-L3", 0x8d99b3f0c6c665b3},
+	} {
+		cfg := c.cfg
+		cfg.CapacityBytes, cfg.LineBytes, cfg.Policy, cfg.Seed = 64*512, 64, PolicyLRU, 11
+		cc, err := New(cfg)
+		if err != nil {
+			t.Fatalf("design %d: %v", cfg.Design, err)
+		}
+		d := uint64(14695981039346656037)
+		add := func(v uint64) { d = (d ^ v) * 1099511628211 }
+		cc.OnEviction = func(addr uint64, dirty bool) {
+			if dirty {
+				addr |= 1
+			}
+			add(addr)
+		}
+		rng := rand.New(rand.NewSource(int64(cfg.Design)))
+		for i := 0; i < 20000; i++ {
+			if cc.Access(uint64(rng.Intn(1536))<<6, rng.Intn(5) == 0) {
+				add(uint64(i))
+			}
+		}
+		ctr := cc.Counters()
+		for _, v := range []uint64{ctr.TagLookups, ctr.WalkLookups, ctr.TagReads, ctr.TagWrites,
+			ctr.DataReads, ctr.DataWrites, ctr.Relocations} {
+			add(v)
+		}
+		if got := cc.Array().Name(); got != c.name || d != c.digest {
+			t.Errorf("design %d: %s %#x, pinned %s %#x", cfg.Design, got, d, c.name, c.digest)
+		}
+	}
+}
