@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"zcache/internal/cache"
-	"zcache/internal/hash"
 	"zcache/internal/repl"
 )
 
@@ -50,35 +49,36 @@ const (
 	PolicyDRRIP = repl.KindDRRIP
 )
 
-// DesignKind selects an array organization.
-type DesignKind int
+// DesignKind selects an array organization (cache.Org); the zero value is
+// the zcache.
+type DesignKind = cache.Org
 
 const (
 	// DesignZCache is the paper's contribution: skewed ways plus a
 	// multi-level replacement walk.
-	DesignZCache DesignKind = iota
+	DesignZCache = cache.OrgZCache
 	// DesignSetAssociative is a conventional set-associative array with
 	// bit-selected indexing.
-	DesignSetAssociative
+	DesignSetAssociative = cache.OrgSetAssoc
 	// DesignSetAssociativeHashed indexes the set-associative array with
 	// an H3 hash (the paper's baseline).
-	DesignSetAssociativeHashed
+	DesignSetAssociativeHashed = cache.OrgSetAssocHashed
 	// DesignSkewAssociative is a skew-associative array (a zcache with a
 	// 1-level walk).
-	DesignSkewAssociative
+	DesignSkewAssociative = cache.OrgSkew
 	// DesignFullyAssociative is the fully-associative reference.
-	DesignFullyAssociative
+	DesignFullyAssociative = cache.OrgFullyAssoc
 	// DesignRandomCandidates is the §IV-B random-candidates construction
 	// (candidates drawn uniformly from the whole array).
-	DesignRandomCandidates
+	DesignRandomCandidates = cache.OrgRandomCandidates
 	// DesignVictimCache is the §II-B comparator: a set-associative main
 	// array with a small fully-associative victim buffer (tags-only
 	// miss-rate model).
-	DesignVictimCache
+	DesignVictimCache = cache.OrgVictimCache
 	// DesignColumnAssociative is the §II-B comparator: direct-mapped with
 	// primary/secondary locations and swap-on-secondary-hit (tags-only
 	// miss-rate model; Ways must be 1).
-	DesignColumnAssociative
+	DesignColumnAssociative = cache.OrgColumnAssoc
 )
 
 // Config describes a cache to build.
@@ -117,28 +117,23 @@ type Config struct {
 	HybridWalkLevels int
 }
 
-// HashKind selects the per-way hash family (§III-C, §IV-C).
-type HashKind int
+// HashKind selects the per-way hash family (cache.HashKind, §III-C,
+// §IV-C).
+type HashKind = cache.HashKind
 
 const (
 	// HashH3 is the paper's H3 universal family (a few XOR gates per
 	// hash bit in hardware).
-	HashH3 HashKind = iota
+	HashH3 = cache.HashH3
 	// HashSHA1 folds a SHA-1 digest — far too slow for hardware, used as
 	// the §IV-C hash-quality yardstick.
-	HashSHA1
+	HashSHA1 = cache.HashSHA1
 )
 
-// family returns the configured hash.Family.
-func (c Config) family() (hash.Family, error) {
-	switch c.Hash {
-	case HashH3:
-		return hash.H3Family{Seed: c.Seed}, nil
-	case HashSHA1:
-		return hash.SHA1Family{Seed: c.Seed}, nil
-	default:
-		return nil, fmt.Errorf("zcache: unknown hash family %d", c.Hash)
-	}
+// spec returns the array design cfg names, at rows rows per way.
+func (c Config) spec(rows uint64) cache.Spec {
+	return cache.Spec{Org: c.Design, Ways: c.Ways, Rows: rows, Levels: c.WalkLevels,
+		Hash: c.Hash, Seed: c.Seed, Candidates: c.Candidates, VictimEntries: c.VictimEntries}
 }
 
 // New builds a cache from the configuration, with the policy it names.
@@ -171,97 +166,11 @@ func (c Config) geometry() (blocks uint64, lineBits uint, err error) {
 	return c.CapacityBytes / c.LineBytes, lineBits, nil
 }
 
-// walkLevels returns the configured walk depth: WalkLevels (2 when unset)
-// for a zcache, 1 for the skew-associative design — the paper's Z W/W, a
-// zcache whose walk stops at the first level — and 0 for every design that
-// does not walk.
-func (c Config) walkLevels() int {
-	switch c.Design {
-	case DesignZCache:
-		if c.WalkLevels == 0 {
-			return 2
-		}
-		return c.WalkLevels
-	case DesignSkewAssociative:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // Label is the paper's name for a set-associative, skew-associative or
-// zcache configuration (cache.DesignLabel): "SAbit-W" bit-selected, "SA-W"
+// zcache configuration (cache.Spec.Label): "SAbit-W" bit-selected, "SA-W"
 // hashed, and "ZW/R" for a walk yielding R candidates, so skew is "ZW/W".
 // The other designs have no such name and get "".
-func (c Config) Label() string {
-	switch c.Design {
-	case DesignSetAssociative, DesignSetAssociativeHashed, DesignSkewAssociative, DesignZCache:
-		return cache.DesignLabel(c.Ways, c.walkLevels(), c.Design != DesignSetAssociative)
-	default:
-		return ""
-	}
-}
-
-// buildArray constructs the configured array organization.
-func buildArray(cfg Config, rows uint64, blocks int) (cache.Array, error) {
-	switch cfg.Design {
-	case DesignZCache, DesignSkewAssociative:
-		fam, err := cfg.family()
-		if err != nil {
-			return nil, err
-		}
-		fns, err := fam.New(cfg.Ways, rows)
-		if err != nil {
-			return nil, err
-		}
-		return cache.NewZCache(rows, fns, cfg.walkLevels())
-	case DesignSetAssociative:
-		idx, err := hash.NewBitSelect(0, rows)
-		if err != nil {
-			return nil, err
-		}
-		return cache.NewSetAssoc(cfg.Ways, rows, idx)
-	case DesignSetAssociativeHashed:
-		fam, err := cfg.family()
-		if err != nil {
-			return nil, err
-		}
-		fns, err := fam.New(1, rows)
-		if err != nil {
-			return nil, err
-		}
-		return cache.NewSetAssoc(cfg.Ways, rows, fns[0])
-	case DesignFullyAssociative:
-		return cache.NewFullyAssoc(blocks)
-	case DesignRandomCandidates:
-		n := cfg.Candidates
-		if n == 0 {
-			n = 16
-		}
-		return cache.NewRandomCandidates(blocks, n, cfg.Seed|1)
-	case DesignVictimCache:
-		entries := cfg.VictimEntries
-		if entries == 0 {
-			entries = 16
-		}
-		idx, err := hash.NewBitSelect(0, rows)
-		if err != nil {
-			return nil, err
-		}
-		return cache.NewVictimCache(cfg.Ways, rows, entries, idx)
-	case DesignColumnAssociative:
-		if cfg.Ways != 1 {
-			return nil, fmt.Errorf("zcache: column-associative is physically direct-mapped; set Ways to 1, got %d", cfg.Ways)
-		}
-		fns, err := (hash.H3Family{Seed: cfg.Seed}).New(2, rows)
-		if err != nil {
-			return nil, err
-		}
-		return cache.NewColumnAssoc(rows, fns[0], fns[1])
-	default:
-		return nil, fmt.Errorf("zcache: unknown design %d", cfg.Design)
-	}
-}
+func (c Config) Label() string { return c.spec(0).Label() }
 
 // Policy is the replacement-policy interface of the paper's §IV model: it
 // ranks all resident blocks globally and selects victims among the array's
@@ -279,7 +188,7 @@ func NewWithPolicy(cfg Config, pol Policy) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	arr, err := buildArray(cfg, blocks/uint64(cfg.Ways), int(blocks))
+	arr, err := cfg.spec(blocks / uint64(cfg.Ways)).Build()
 	if err != nil {
 		return nil, err
 	}

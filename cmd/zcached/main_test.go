@@ -231,4 +231,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if err := run(context.Background(), []string{"-shards", "3"}, os.Stderr); err == nil {
 		t.Fatal("bad shard count accepted")
 	}
+	if err := run(context.Background(), []string{"-levels", "20"}, os.Stderr); err == nil {
+		t.Fatal("a walk of R(4, 20) candidates accepted")
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"zcache/internal/assoc"
-	"zcache/internal/cache"
 	"zcache/internal/energy"
 	"zcache/internal/runlab"
 	"zcache/internal/sample"
@@ -60,10 +59,10 @@ type DesignPoint struct {
 }
 
 // NewDesignPoint returns design d at ways ways under its paper label
-// (cache.DesignLabel): "SA-W" hashed, "SAbit-W" bit-selected, "ZW/R" for a
+// (cache.Spec.Label): "SA-W" hashed, "SAbit-W" bit-selected, "ZW/R" for a
 // zcache, so skew is "ZW/W".
 func NewDesignPoint(d sim.Design, ways int) DesignPoint {
-	return DesignPoint{Label: cache.DesignLabel(ways, d.ZLevels(), d != sim.SetAssocBitSel), Design: d, Ways: ways}
+	return DesignPoint{Label: d.Spec(ways).Label(), Design: d, Ways: ways}
 }
 
 // BaselineDesign is the paper's baseline: 4-way set-associative with H3
@@ -853,7 +852,7 @@ func (e *Experiment) fig3Cache(design DesignKind, variant int) (*Cache, int, str
 		return nil, 0, "", fmt.Errorf("zcache: design %d is not a Fig. 3 panel", design)
 	}
 	cands := cfg.Ways
-	if l := cfg.walkLevels(); l > 0 {
+	if l := cfg.spec(0).WalkLevels(); l > 0 {
 		cands = ReplacementCandidates(cfg.Ways, l)
 	}
 	blocks := int(cfg.CapacityBytes / cfg.LineBytes)

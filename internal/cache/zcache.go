@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"zcache/internal/hash"
@@ -176,6 +177,9 @@ func newZCache(tags tagStore, fns []hash.Func, levels int, opts []ZOption) (*ZCa
 	}
 	if len(fns) == 1 && levels > 1 {
 		return nil, fmt.Errorf("cache: a 1-way zcache cannot walk (no alternative ways)")
+	}
+	if err := checkWalkSize(len(fns), levels); err != nil {
+		return nil, err
 	}
 	z := &ZCache{
 		skewTags: st,
@@ -599,6 +603,26 @@ func ReplacementCandidates(ways, levels int) int {
 		pow *= ways - 1
 	}
 	return ways * r
+}
+
+// maxWalkCandidates bounds R(W, L): a zcache keeps relocation scratch for
+// 2R candidates, so a walk must fit in memory. The paper's largest walk is
+// R = 52.
+const maxWalkCandidates = 1 << 16
+
+// checkWalkSize rejects a walk whose R(ways, levels) exceeds
+// maxWalkCandidates. R is computed in floating point, so a deep walk cannot
+// overflow it: W·((W−1)^L − 1)/(W − 2), or W·L when W ≤ 2.
+func checkWalkSize(ways, levels int) error {
+	r := float64(ways) * float64(levels)
+	if ways > 2 {
+		r = float64(ways) * (math.Pow(float64(ways-1), float64(levels)) - 1) / float64(ways-2)
+	}
+	if r > maxWalkCandidates {
+		return fmt.Errorf("cache: a %d-way, %d-level walk yields R = %.4g replacement candidates, over the %d one walk may gather",
+			ways, levels, r, maxWalkCandidates)
+	}
+	return nil
 }
 
 // DesignLabel is the paper's name for a ways-way array, the one spelling

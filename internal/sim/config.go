@@ -24,6 +24,7 @@ package sim
 import (
 	"fmt"
 
+	"zcache/internal/cache"
 	"zcache/internal/energy"
 	"zcache/internal/repl"
 )
@@ -50,40 +51,49 @@ const (
 	ZCacheL3
 )
 
-// designNames are the command-line spellings, in Design order.
-var designNames = [...]string{"sa", "sa-h3", "skew", "z-L2", "z-L3"}
+// designs are the L2 organizations in Design order: the -design flag's
+// spelling and the array, whose geometry and seed BankSpec fills in.
+var designs = [...]struct {
+	name string
+	spec cache.Spec
+}{
+	{"sa", cache.Spec{Org: cache.OrgSetAssoc}},
+	{"sa-h3", cache.Spec{Org: cache.OrgSetAssocHashed}},
+	{"skew", cache.Spec{Org: cache.OrgSkew}},
+	{"z-L2", cache.Spec{Org: cache.OrgZCache, Levels: 2}},
+	{"z-L3", cache.Spec{Org: cache.OrgZCache, Levels: 3}},
+}
+
+// valid reports whether d is one of the five designs.
+func (d Design) valid() bool { return d >= 0 && int(d) < len(designs) }
 
 // String names the design as the -design flag spells it.
 func (d Design) String() string {
-	if d >= 0 && int(d) < len(designNames) {
-		return designNames[d]
+	if d.valid() {
+		return designs[d].name
 	}
 	return fmt.Sprintf("design(%d)", int(d))
 }
 
 // ParseDesign resolves a design name, the inverse of String.
 func ParseDesign(name string) (Design, error) {
-	for d, n := range designNames {
-		if n == name {
+	for d, e := range designs {
+		if e.name == name {
 			return Design(d), nil
 		}
 	}
 	return 0, fmt.Errorf("unknown design %q", name)
 }
 
-// ZLevels returns the walk depth implied by the design (0 for
-// non-relocating arrays).
-func (d Design) ZLevels() int {
-	switch d {
-	case ZCacheL2:
-		return 2
-	case ZCacheL3:
-		return 3
-	case SkewAssoc:
-		return 1
-	default:
-		return 0
+// Spec returns the design's organization and walk depth at ways ways; an
+// unknown design's organization builds nothing.
+func (d Design) Spec(ways int) cache.Spec {
+	s := cache.Spec{Org: -1}
+	if d.valid() {
+		s = designs[d].spec
 	}
+	s.Ways = ways
+	return s
 }
 
 // PolicyLRU is full-timestamp LRU under the name bench/simwl.go uses;
@@ -176,9 +186,24 @@ func (c Config) L2Spec() energy.CacheSpec {
 		Banks:         c.L2Banks,
 		Ways:          c.L2Ways,
 		Lookup:        c.Lookup,
-		ZLevels:       c.Design.ZLevels(),
+		ZLevels:       c.Design.Spec(c.L2Ways).WalkLevels(),
 		HashedIndex:   c.Design != SetAssocBitSel,
 	}
+}
+
+// BankSpec returns L2 bank b's array: the design at the bank's geometry,
+// with the bank's own index functions (cache.Spec.Bank).
+func (c Config) BankSpec(b int) cache.Spec {
+	s := c.Design.Spec(c.L2Ways)
+	s.Rows = c.L2Bytes / uint64(c.L2Banks) / c.LineBytes / uint64(c.L2Ways)
+	s.Seed = c.Seed
+	return s.Bank(b)
+}
+
+// l1Spec returns a core's L1 data cache array: conventional bit-selected
+// set-associative.
+func (c Config) l1Spec() cache.Spec {
+	return cache.Spec{Org: cache.OrgSetAssoc, Ways: c.L1Ways, Rows: c.L1Bytes / c.LineBytes / uint64(c.L1Ways)}
 }
 
 // Validate checks the configuration.
@@ -194,6 +219,9 @@ func (c Config) Validate() error {
 	}
 	if c.L2Bytes == 0 || c.L2Ways <= 0 || c.L2Banks <= 0 {
 		return fmt.Errorf("sim: bad L2 geometry %dB/%dw/%d banks", c.L2Bytes, c.L2Ways, c.L2Banks)
+	}
+	if !c.Design.valid() {
+		return fmt.Errorf("sim: unknown design %v", c.Design)
 	}
 	if c.L2Banks&(c.L2Banks-1) != 0 {
 		return fmt.Errorf("sim: L2 banks must be a power of two, got %d", c.L2Banks)

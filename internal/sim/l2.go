@@ -80,15 +80,7 @@ func newL2(cfg Config) (l2, error) {
 		l.mcuOccup = 1
 	}
 	for b := range l.banks {
-		arr, err := buildL2Bank(cfg, b)
-		if err != nil {
-			return l2{}, err
-		}
-		pol, err := cfg.L2Policy.New(arr.Blocks(), cfg.Seed^uint64(b))
-		if err != nil {
-			return l2{}, err
-		}
-		cc, err := cache.New(arr, pol, l.lineBits)
+		cc, err := cfg.BankSpec(b).NewCache(cfg.L2Policy, cfg.Seed^uint64(b), l.lineBits)
 		if err != nil {
 			return l2{}, err
 		}

@@ -384,8 +384,8 @@ func TestDesignStrings(t *testing.T) {
 	if SetAssocH3.String() != "sa-h3" || ZCacheL3.String() != "z-L3" {
 		t.Error("design names broken")
 	}
-	if ZCacheL3.ZLevels() != 3 || SkewAssoc.ZLevels() != 1 || SetAssocH3.ZLevels() != 0 {
-		t.Error("ZLevels broken")
+	if ZCacheL3.Spec(4).WalkLevels() != 3 || SkewAssoc.Spec(4).WalkLevels() != 1 || SetAssocH3.Spec(4).WalkLevels() != 0 {
+		t.Error("walk depths broken")
 	}
 }
 

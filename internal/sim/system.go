@@ -7,6 +7,7 @@ import (
 	"zcache/internal/check"
 	"zcache/internal/energy"
 	"zcache/internal/failpoint"
+	"zcache/internal/repl"
 	"zcache/internal/trace"
 )
 
@@ -200,7 +201,7 @@ func NewSystem(cfg Config, gens []trace.Generator) (*System, error) {
 		mcus:    make([]queue, cfg.MemControllers),
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		l1, err := buildL1(cfg)
+		l1, err := cfg.l1Spec().NewCache(repl.KindLRU, 0, cfg.lineBits())
 		if err != nil {
 			return nil, err
 		}

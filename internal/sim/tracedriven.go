@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"zcache/internal/energy"
+	"zcache/internal/repl"
 	"zcache/internal/trace"
 )
 
@@ -54,7 +55,7 @@ func CaptureL2Stream(cfg Config, gens []trace.Generator) (*L2Stream, error) {
 	lastRef := make([]uint64, cfg.Cores) // instruction count at last emitted ref
 	recording := cfg.WarmupInstructionsPerCore == 0
 	for i := range cores {
-		l1, err := buildL1(cfg)
+		l1, err := cfg.l1Spec().NewCache(repl.KindLRU, 0, cfg.lineBits())
 		if err != nil {
 			return nil, err
 		}

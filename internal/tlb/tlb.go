@@ -18,35 +18,18 @@ import (
 	"fmt"
 
 	"zcache/internal/cache"
-	"zcache/internal/hash"
 	"zcache/internal/repl"
 )
 
-// Design selects the TLB organization.
-type Design int
-
+// The three TLB organizations (cache.Org values; New accepts no other).
 const (
 	// FullyAssociative is the conventional CAM-based TLB.
-	FullyAssociative Design = iota
+	FullyAssociative = cache.OrgFullyAssoc
 	// SetAssociative is a low-cost, low-associativity TLB.
-	SetAssociative
+	SetAssociative = cache.OrgSetAssoc
 	// ZCacheTLB is a zcache-organized TLB with repeat-avoiding walks.
-	ZCacheTLB
+	ZCacheTLB = cache.OrgZCache
 )
-
-// String names the design.
-func (d Design) String() string {
-	switch d {
-	case FullyAssociative:
-		return "fully-associative"
-	case SetAssociative:
-		return "set-associative"
-	case ZCacheTLB:
-		return "zcache"
-	default:
-		return fmt.Sprintf("design(%d)", int(d))
-	}
-}
 
 // Config describes a TLB.
 type Config struct {
@@ -54,12 +37,13 @@ type Config struct {
 	Entries int
 	// Ways applies to the set-associative and zcache designs.
 	Ways int
-	// WalkLevels is the zcache walk depth.
+	// WalkLevels is the zcache walk depth; 0 means 2.
 	WalkLevels int
 	// PageBits is log2(page size); 12 for 4KB pages.
 	PageBits uint
-	// Design selects the organization.
-	Design Design
+	// Design selects the organization: FullyAssociative, SetAssociative
+	// or ZCacheTLB.
+	Design cache.Org
 	// PageWalkCycles is the miss penalty (a radix page-table walk).
 	PageWalkCycles int
 	// Seed feeds the hash functions.
@@ -67,8 +51,8 @@ type Config struct {
 }
 
 // PaperlikeConfig returns a 64-entry, 4KB-page TLB of the given design —
-// the shape §VIII gestures at.
-func PaperlikeConfig(d Design) Config {
+// the shape §VIII gestures at. Its hash seed is 9, the zcache TLB's.
+func PaperlikeConfig(d cache.Org) Config {
 	return Config{
 		Entries:        64,
 		Ways:           4,
@@ -76,7 +60,7 @@ func PaperlikeConfig(d Design) Config {
 		PageBits:       12,
 		Design:         d,
 		PageWalkCycles: 30,
-		Seed:           0x7 + uint64(d),
+		Seed:           9,
 	}
 }
 
@@ -111,60 +95,27 @@ func New(cfg Config) (*TLB, error) {
 	if cfg.PageWalkCycles <= 0 {
 		return nil, fmt.Errorf("tlb: page walk cost must be positive")
 	}
-	var (
-		arr cache.Array
-		err error
-	)
+	spec := cache.Spec{Org: cfg.Design, Ways: cfg.Ways, Levels: cfg.WalkLevels, Seed: cfg.Seed}
 	switch cfg.Design {
 	case FullyAssociative:
-		arr, err = cache.NewFullyAssoc(cfg.Entries)
-	case SetAssociative:
+		spec.Ways = cfg.Entries // a CAM: one set, a comparator per entry
+	case SetAssociative, ZCacheTLB:
 		if cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
 			return nil, fmt.Errorf("tlb: %d entries do not divide into %d ways", cfg.Entries, cfg.Ways)
-		}
-		var idx *hash.BitSelect
-		idx, err = hash.NewBitSelect(0, uint64(cfg.Entries/cfg.Ways))
-		if err == nil {
-			arr, err = cache.NewSetAssoc(cfg.Ways, uint64(cfg.Entries/cfg.Ways), idx)
-		}
-	case ZCacheTLB:
-		if cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
-			return nil, fmt.Errorf("tlb: %d entries do not divide into %d ways", cfg.Entries, cfg.Ways)
-		}
-		rows := uint64(cfg.Entries / cfg.Ways)
-		var fns []hash.Func
-		fns, err = (hash.H3Family{Seed: cfg.Seed}).New(cfg.Ways, rows)
-		if err == nil {
-			levels := cfg.WalkLevels
-			if levels == 0 {
-				levels = 2
-			}
-			// Small structure: repeats are common (§III-D), so the
-			// Bloom filter is on by default here.
-			arr, err = cache.NewZCache(rows, fns, levels, cache.WithRepeatAvoidance(10, 2))
 		}
 	default:
 		return nil, fmt.Errorf("tlb: unknown design %d", cfg.Design)
 	}
-	if err != nil {
-		return nil, err
-	}
-	pol, err := repl.NewLRU(arr.Blocks())
-	if err != nil {
-		return nil, err
-	}
-	// The controller's "line size" is the page size: the TLB maps pages.
-	c, err := cache.New(arr, pol, cfg.PageBits)
+	spec.Rows = uint64(cfg.Entries / spec.Ways)
+	// Small structure: repeats are common (§III-D), so the zcache's Bloom
+	// filter is on. The controller's "line size" is the page size: the TLB
+	// maps pages.
+	c, err := spec.NewCache(repl.KindLRU, 0, cfg.PageBits, cache.WithRepeatAvoidance(10, 2))
 	if err != nil {
 		return nil, err
 	}
 	t := &TLB{cfg: cfg, cache: c}
-	switch cfg.Design {
-	case FullyAssociative:
-		t.stats.LookupComparators = cfg.Entries
-	default:
-		t.stats.LookupComparators = cfg.Ways
-	}
+	t.stats.LookupComparators = spec.Ways
 	return t, nil
 }
 
@@ -201,7 +152,7 @@ func (t *TLB) HitRate() float64 {
 }
 
 // Design returns the configured organization.
-func (t *TLB) Design() Design { return t.cfg.Design }
+func (t *TLB) Design() cache.Org { return t.cfg.Design }
 
 // Cache exposes the underlying controller for instrumentation.
 func (t *TLB) Cache() *cache.Cache { return t.cache }

@@ -3,6 +3,7 @@ package tlb
 import (
 	"testing"
 
+	"zcache/internal/cache"
 	"zcache/internal/hash"
 )
 
@@ -32,7 +33,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("ragged ways accepted")
 	}
 	bad = good
-	bad.Design = Design(9)
+	bad.Design = cache.OrgVictimCache
 	if _, err := New(bad); err == nil {
 		t.Error("unknown design accepted")
 	}
@@ -90,8 +91,8 @@ func TestZCacheTLBApproachesCAMHitRate(t *testing.T) {
 	// The §VIII pitch: a 4-way zcache TLB should track the fully-
 	// associative hit rate (within a point or two) while activating 16x
 	// fewer comparators, and beat the plain 4-way set-associative TLB.
-	rates := map[Design]float64{}
-	for _, d := range []Design{FullyAssociative, SetAssociative, ZCacheTLB} {
+	rates := map[cache.Org]float64{}
+	for _, d := range []cache.Org{FullyAssociative, SetAssociative, ZCacheTLB} {
 		tl, err := New(PaperlikeConfig(d))
 		if err != nil {
 			t.Fatal(err)
@@ -118,12 +119,6 @@ func TestShootdown(t *testing.T) {
 	}
 	if hit, _ := tl.Translate(0x42 << 12); hit {
 		t.Error("translation survived shootdown")
-	}
-}
-
-func TestDesignString(t *testing.T) {
-	if FullyAssociative.String() != "fully-associative" || ZCacheTLB.String() != "zcache" {
-		t.Error("design names broken")
 	}
 }
 

@@ -66,7 +66,7 @@ func (s *Store) attachPersist(i int) (*shard, error) {
 	pcfg := slotstore.Config{
 		Slots:       s.cfg.Ways * int(s.cfg.Rows),
 		SyncEveryOp: s.cfg.PersistSync,
-		Seed:        shardSeed(s.cfg.Seed, i),
+		Seed:        s.cfg.shardSpec(i).Seed,
 		Ways:        s.cfg.Ways,
 		Levels:      s.cfg.Levels,
 		Rows:        s.cfg.Rows,

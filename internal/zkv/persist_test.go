@@ -479,7 +479,7 @@ func TestPolicyStamp(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		pcfg := slotstore.Config{Slots: 4 * 64, Seed: shardSeed(7, 0), Ways: 4, Levels: 2, Rows: 64,
+		pcfg := slotstore.Config{Slots: 4 * 64, Seed: cfg.shardSpec(0).Seed, Ways: 4, Levels: 2, Rows: 64,
 			Policy: c.stamp, Shard: 0, ShardCount: 1}
 		path := filepath.Join(cfg.PersistDir, "shard-000.slc")
 		cells, err := slotstore.Open(path, pcfg)

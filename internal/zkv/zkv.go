@@ -91,9 +91,7 @@ func (c Config) withDefaults() Config {
 	if c.Rows == 0 {
 		c.Rows = 1024
 	}
-	if c.Levels == 0 {
-		c.Levels = 2
-	}
+	c.Levels = c.shardSpec(0).WalkLevels() // 2 when unset, as every zcache's
 	if c.MaxKeyBytes == 0 {
 		c.MaxKeyBytes = 1<<16 - 1
 	}
@@ -343,23 +341,18 @@ type shard struct {
 // bump adds n to a counter whose only writer is the caller.
 func bump(c *atomic.Uint64, n int) { c.Store(c.Load() + uint64(n)) }
 
-// shardSeed derives shard i's H3 seed from the store seed, mirroring the
-// simulator's per-bank derivation so a one-shard store and a one-bank
-// simulator L2 built from the same seed index identically.
-func shardSeed(storeSeed uint64, i int) uint64 {
-	return hash.Mix64(storeSeed ^ uint64(i)*0x9e37)
+// shardSpec returns shard i's array: bank i of the simulator's zcache L2 at
+// the store's geometry (sim.Config.BankSpec), so a one-shard store and a
+// one-bank simulator L2 built from the same seed index identically.
+func (c Config) shardSpec(i int) cache.Spec {
+	return cache.Spec{Org: cache.OrgZCache, Ways: c.Ways, Rows: c.Rows, Levels: c.Levels, Seed: c.Seed}.Bank(i)
 }
 
 // newShard builds shard i of a store over cells, a slot table of its
 // geometry: a ZCache array whose tags are the table's, and a controller with
 // zero line bits, so key fingerprints are the line addresses.
 func newShard(cfg Config, i int, cells *slotstore.Store) (*shard, error) {
-	fns, err := (hash.H3Family{Seed: shardSeed(cfg.Seed, i)}).New(cfg.Ways, cfg.Rows)
-	if err != nil {
-		return nil, err
-	}
-	words, stride := cells.Tags()
-	arr, err := cache.NewZCacheOver(words, stride, cfg.Rows, fns, cfg.Levels)
+	arr, err := cfg.shardSpec(i).BuildOver(cells.Tags())
 	if err != nil {
 		return nil, err
 	}
