@@ -3,8 +3,11 @@ package zcache
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"zcache/internal/energy"
@@ -280,5 +283,31 @@ func BenchmarkSampledSuite(b *testing.B) {
 				}
 			}
 		}
+	}
+}
+
+// TestMemoBuildsEachKeyOnce: concurrent callers of one key share a single
+// build and get its value and error; distinct keys build separately.
+func TestMemoBuildsEachKeyOnce(t *testing.T) {
+	var m memo[string, int]
+	var builds atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		key := []string{"a", "bb"}[i%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := m.get(key, func() (int, error) {
+				builds.Add(1)
+				return len(key), errors.New(key)
+			})
+			if v != len(key) || err == nil || err.Error() != key {
+				t.Errorf("get(%q) = %d, %v", key, v, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := builds.Load(); n != 2 {
+		t.Fatalf("%d builds for 2 keys", n)
 	}
 }
