@@ -6,7 +6,6 @@ import (
 
 	"zcache/internal/check"
 	"zcache/internal/repl"
-	"zcache/internal/trace"
 )
 
 // Stats tallies controller-level events.
@@ -333,19 +332,6 @@ func (c *Cache) Restore() error {
 		c.onInsert(id, line)
 	}
 	return nil
-}
-
-// AccessBatch performs accs in order and returns the number of hits. It is
-// exactly equivalent to calling Access per element; batch drivers use it so
-// the per-access loop stays in one frame.
-func (c *Cache) AccessBatch(accs []trace.Access) int {
-	hits := 0
-	for i := range accs {
-		if c.Access(accs[i].Addr, accs[i].Write) {
-			hits++
-		}
-	}
-	return hits
 }
 
 // installFlat is the miss path for flat arrays (set-associative, and a

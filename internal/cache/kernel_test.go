@@ -11,7 +11,6 @@ import (
 
 	"zcache/internal/hash"
 	"zcache/internal/repl"
-	"zcache/internal/trace"
 )
 
 // kernelAddrs returns a deterministic pseudo-random address stream over
@@ -233,68 +232,6 @@ func b2u(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// TestAccessBatchMatchesAccess drives one controller per access and its twin
-// through AccessBatch over FillBatch-refilled buffers; stats and counters
-// must be bit-identical, with the identical generator stream feeding both.
-func TestAccessBatchMatchesAccess(t *testing.T) {
-	builds := []struct {
-		name  string
-		build func(t testing.TB) *Cache
-	}{
-		{"zcache", func(t testing.TB) *Cache { return newKernelZCache(t, 256, 2) }},
-		{"setassoc", func(t testing.TB) *Cache { return newKernelSetAssoc(t, 4, 256, true) }},
-	}
-	for _, cse := range builds {
-		t.Run(cse.name, func(t *testing.T) {
-			single := cse.build(t)
-			batched := cse.build(t)
-			footprint := uint64(single.Array().Blocks()) * 64 * 2
-			mk := func() trace.Generator {
-				g, err := trace.NewZipf(0, footprint, 64, 0.8, 0, 0.25, 99)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return g
-			}
-			g1, g2 := mk(), mk()
-			const total = 1 << 16
-			singleHits := 0
-			for i := 0; i < total; i++ {
-				a, ok := g1.Next()
-				if !ok {
-					t.Fatal("generator ended early")
-				}
-				if single.Access(a.Addr, a.Write) {
-					singleHits++
-				}
-			}
-			buf := make([]trace.Access, 192) // deliberately not a divisor of total
-			batchedHits := 0
-			for done := 0; done < total; {
-				want := len(buf)
-				if rem := total - done; rem < want {
-					want = rem
-				}
-				n := trace.FillBatch(g2, buf[:want])
-				if n == 0 {
-					t.Fatal("generator ended early")
-				}
-				batchedHits += batched.AccessBatch(buf[:n])
-				done += n
-			}
-			if singleHits != batchedHits {
-				t.Fatalf("hits diverge: per-access %d, batched %d", singleHits, batchedHits)
-			}
-			if single.Stats() != batched.Stats() {
-				t.Fatalf("stats diverge:\nper-access %+v\nbatched    %+v", single.Stats(), batched.Stats())
-			}
-			if single.Counters() != batched.Counters() {
-				t.Fatalf("counters diverge:\nper-access %+v\nbatched    %+v", single.Counters(), batched.Counters())
-			}
-		})
-	}
 }
 
 // TestWalkRecordLayout pins the two records a walk touches per candidate.
