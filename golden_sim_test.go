@@ -21,31 +21,27 @@ import (
 // bank/MCU/counter core. A simulator change that is meant to alter a
 // statistic must say so and re-record; a refactor must not touch this table.
 var goldenSimDigests = map[string]string{
-	"canneal/SA-4/replay-lru":     "3eb1091b8baa4ae9daf7083b3c3d39a228e6dccc96c884c4e408dcf647cb9174",
-	"canneal/SA-4/replay-opt":     "ea5ed26ff0817b423bfa827a3c8e562d1b17018c31eb40097f89e71a97219f2c",
-	"canneal/SA-4/sampled-blru":   "8b7c0758da06f2debebf3f36341e73f7024638fda9f685b9ecbdb8c01f86ef75",
-	"canneal/SA-4/stitched-blru":  "0772a1c1221ad2cac45a47fd2af0978efa5e7cfb61560729146f7648f694dcc9",
-	"canneal/SA-4/system-blru":    "646d0e165e52402a70629df7a7af1cb285c666d2a49ecb29eb575d3f8bbb7cdd",
-	"canneal/Z4/52/replay-lru":    "3546a946c90b7e07698acdf3cd088f3f120be0cbbd321cd6e3ce8c890136393a",
-	"canneal/Z4/52/replay-opt":    "12ce9e5b78f436030737b6014eba45459e7e2eb4f26453178be831bf5eac28fa",
-	"canneal/Z4/52/sampled-blru":  "83a09c24b45504ca36610b45689ef95480d6c20862c8c99660b0d240ca171402",
-	"canneal/Z4/52/stitched-blru": "9b92097b85e3446f8449db6aa3723083940110a7799734f026d99902d9eddbc6",
-	"canneal/Z4/52/system-blru":   "2c08e161337a16dfd7af322a9f56271716687bb8f2503cd238741468676ae9f5",
-	"empty-stream/SA-4/replay":    "ba04945dc7d70ff60f509b2dcf7b7c8be24a6ed4f837d02a3ec36ed83c4eee7b",
-	"empty-stream/SA-4/sampled":   "335da73c094f400385bee6d945dcbfdc885143e5036afedb091b7f2d62ecff73",
-	"empty-stream/Z4/52/replay":   "ba04945dc7d70ff60f509b2dcf7b7c8be24a6ed4f837d02a3ec36ed83c4eee7b",
-	"empty-stream/Z4/52/sampled":  "335da73c094f400385bee6d945dcbfdc885143e5036afedb091b7f2d62ecff73",
-	"gamess/SA-4/sampled-blru":    "6f2225ed6532016300fc14cba1b393895a54df6866cfe4e94c2edce9ebb66a89",
-	"gamess/SA-4/stitched-blru":   "13321f62b0b07dcef23f54d4ade994117e56bf7862200ebfe509ee8e9b91b7dd",
-	"gamess/Z4/52/sampled-blru":   "6f2225ed6532016300fc14cba1b393895a54df6866cfe4e94c2edce9ebb66a89",
-	"gamess/Z4/52/stitched-blru":  "13321f62b0b07dcef23f54d4ade994117e56bf7862200ebfe509ee8e9b91b7dd",
+	"canneal/SA-4/replay-lru":    "3eb1091b8baa4ae9daf7083b3c3d39a228e6dccc96c884c4e408dcf647cb9174",
+	"canneal/SA-4/replay-opt":    "ea5ed26ff0817b423bfa827a3c8e562d1b17018c31eb40097f89e71a97219f2c",
+	"canneal/SA-4/sampled-blru":  "8b7c0758da06f2debebf3f36341e73f7024638fda9f685b9ecbdb8c01f86ef75",
+	"canneal/SA-4/system-blru":   "646d0e165e52402a70629df7a7af1cb285c666d2a49ecb29eb575d3f8bbb7cdd",
+	"canneal/Z4/52/replay-lru":   "3546a946c90b7e07698acdf3cd088f3f120be0cbbd321cd6e3ce8c890136393a",
+	"canneal/Z4/52/replay-opt":   "12ce9e5b78f436030737b6014eba45459e7e2eb4f26453178be831bf5eac28fa",
+	"canneal/Z4/52/sampled-blru": "83a09c24b45504ca36610b45689ef95480d6c20862c8c99660b0d240ca171402",
+	"canneal/Z4/52/system-blru":  "2c08e161337a16dfd7af322a9f56271716687bb8f2503cd238741468676ae9f5",
+	"empty-stream/SA-4/replay":   "ba04945dc7d70ff60f509b2dcf7b7c8be24a6ed4f837d02a3ec36ed83c4eee7b",
+	"empty-stream/SA-4/sampled":  "335da73c094f400385bee6d945dcbfdc885143e5036afedb091b7f2d62ecff73",
+	"empty-stream/Z4/52/replay":  "ba04945dc7d70ff60f509b2dcf7b7c8be24a6ed4f837d02a3ec36ed83c4eee7b",
+	"empty-stream/Z4/52/sampled": "335da73c094f400385bee6d945dcbfdc885143e5036afedb091b7f2d62ecff73",
+	"gamess/SA-4/sampled-blru":   "6f2225ed6532016300fc14cba1b393895a54df6866cfe4e94c2edce9ebb66a89",
+	"gamess/Z4/52/sampled-blru":  "6f2225ed6532016300fc14cba1b393895a54df6866cfe4e94c2edce9ebb66a89",
 }
 
 // TestGoldenSimMetrics replays the table above. canneal is the
 // cache-sensitive workload (misses, relocations and MCU queueing all fire);
 // gamess fits the DEW residency bound, so its sampled rows cover
-// NoteGuaranteedHit; the stitched rows cover Warm with a bounded warm-up;
-// the empty-stream rows cover the L1-resident degenerate case.
+// NoteGuaranteedHit; the empty-stream rows cover the L1-resident
+// degenerate case.
 func TestGoldenSimMetrics(t *testing.T) {
 	e := NewExperiment(TestPreset())
 	z452 := DesignPoint{Label: "Z4/52", Design: sim.ZCacheL3, Ways: 4}
@@ -95,7 +91,6 @@ func TestGoldenSimMetrics(t *testing.T) {
 			}
 			blru := e.Config(d, PolicyBucketedLRU, energy.Serial)
 			sampled(prefix+"sampled-blru", blru, stream, sample.Spec{})
-			sampled(prefix+"stitched-blru", blru, stream, sample.Spec{WarmupRefs: 256})
 			if wname != "canneal" {
 				continue
 			}

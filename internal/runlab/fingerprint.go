@@ -92,7 +92,9 @@ type CellKey struct {
 }
 
 // SampledKey is the sampled-execution half of a cell's identity: every
-// sampling parameter that changes the extrapolated result.
+// sampling parameter that changes the extrapolated result. WarmupRefs is
+// always 0; it named a retired stitched warm-up mode and stays in the key
+// so sampled fingerprints, and stores filled before, do not move.
 type SampledKey struct {
 	Intervals   int    `json:"intervals"`
 	Clusters    int    `json:"clusters"`

@@ -124,9 +124,6 @@ type Config struct {
 	L1Latency int
 	// L1ToL2 is the average NUCA network latency to an L2 bank.
 	L1ToL2 int
-	// L2BankLatency overrides the energy model's per-design bank latency
-	// when positive; 0 means "derive from the cost model".
-	L2BankLatency int
 	// MemControllers and MemLatency: MCU count and zero-load latency.
 	MemControllers int
 	MemLatency     int
@@ -256,14 +253,6 @@ func (c Config) validateTraceDriven() error {
 		c.L2Policy = repl.KindLRU
 	}
 	return c.Validate()
-}
-
-// bankLatency resolves the L2 bank hit latency for the design point.
-func (c Config) bankLatency(m *energy.Model) int {
-	if c.L2BankLatency > 0 {
-		return c.L2BankLatency
-	}
-	return m.HitLatency(c.L2Spec())
 }
 
 // lineBits returns log2(LineBytes).

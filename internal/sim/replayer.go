@@ -19,7 +19,7 @@ type timing struct {
 
 func newTiming(cfg Config) timing {
 	return timing{
-		bankLat:    cfg.bankLatency(energy.NewModel()),
+		bankLat:    energy.NewModel().HitLatency(cfg.L2Spec()),
 		mcus:       make([]queue, cfg.MemControllers),
 		coreCycles: make([]uint64, cfg.Cores),
 		coreStalls: make([]uint64, cfg.Cores),

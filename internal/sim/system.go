@@ -195,7 +195,7 @@ func NewSystem(cfg Config, gens []trace.Generator) (*System, error) {
 	}
 	s := &System{
 		l2:      banked,
-		bankLat: cfg.bankLatency(energy.NewModel()),
+		bankLat: energy.NewModel().HitLatency(cfg.L2Spec()),
 		dirs:    make([]*dirTable, cfg.L2Banks),
 		ports:   make([]queue, cfg.L2Banks),
 		mcus:    make([]queue, cfg.MemControllers),

@@ -45,7 +45,6 @@ func (e *Experiment) cellKey(c MatrixCell) runlab.CellKey {
 		sampled = &runlab.SampledKey{
 			Intervals:   spec.Intervals,
 			Clusters:    spec.Clusters,
-			WarmupRefs:  spec.WarmupRefs,
 			DEWPermille: spec.DEWPermille,
 			Seed:        spec.Seed,
 		}
