@@ -228,3 +228,75 @@ func TestSkewDigestsPinned(t *testing.T) {
 		}
 	}
 }
+
+// pinComparator drives a controller with LRU over arr through steps seeded
+// references into twice its capacity (a fifth of them writes, every ninth
+// step an invalidation) and digests the array's name, every hit and slot,
+// every eviction with its dirtiness, in order, every invalidation's
+// (present, dirty), and at the end the array's Counters, the controller's
+// Stats and, for a victim cache, its buffer hits.
+func pinComparator(t *testing.T, arr Array, steps int) walkDigest {
+	t.Helper()
+	pol, err := repl.KindLRU.New(arr.Blocks(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(arr, pol, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d walkDigest
+	for _, b := range []byte(arr.Name()) {
+		d.add(uint64(b))
+	}
+	c.OnEviction = func(addr uint64, dirty bool) { d.add(addr<<1 | b2u(dirty)) }
+	rng := rand.New(rand.NewSource(int64(arr.Blocks())))
+	for step := 0; step < steps; step++ {
+		addr := uint64(rng.Intn(2*arr.Blocks())) << 6
+		if step%9 == 8 {
+			present, dirty := c.Invalidate(addr)
+			d.add(b2u(present)<<1 | b2u(dirty))
+			continue
+		}
+		id, hit := c.AccessSlot(addr, rng.Intn(5) == 0)
+		d.add(uint64(id)<<1 | b2u(hit))
+	}
+	ctr, st := c.Counters(), c.Stats()
+	for _, v := range []uint64{ctr.TagLookups, ctr.WalkLookups, ctr.TagReads, ctr.TagWrites,
+		ctr.DataReads, ctr.DataWrites, ctr.Relocations,
+		st.Accesses, st.Hits, st.Misses, st.Evictions, st.Writebacks, st.CycleRetries} {
+		d.add(v)
+	}
+	if v, ok := arr.(*VictimCache); ok {
+		d.add(v.VictimHits)
+	}
+	return d
+}
+
+// TestComparatorDigestsPinned checks the §II–§IV comparators — the
+// fully-associative reference, the random-candidates array and the victim
+// cache — under accesses and invalidations against the digests recorded when
+// the pin was taken. The invalidation holes of the unconstrained arrays and
+// the victim buffer's pseudo-slot invalidation are on these paths.
+func TestComparatorDigestsPinned(t *testing.T) {
+	fa, err := NewFullyAssoc(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := NewRandomCandidates(256, 12, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		arr  Array
+		want walkDigest
+	}{
+		{fa, 0xaf225bab48190fa0},
+		{rc, 0x922e51a2db6b5dfa},
+		{newVictim(t, 4, 64, 8), 0xf15913db83f01bf7},
+	} {
+		if got := pinComparator(t, tc.arr, 30_000); got != tc.want {
+			t.Errorf("%s: digest %#x, pinned %#x", tc.arr.Name(), uint64(got), uint64(tc.want))
+		}
+	}
+}
