@@ -107,17 +107,6 @@ type Counters struct {
 	Relocations uint64
 }
 
-// add accumulates other into c.
-func (c *Counters) add(other Counters) {
-	c.TagLookups += other.TagLookups
-	c.WalkLookups += other.WalkLookups
-	c.TagReads += other.TagReads
-	c.TagWrites += other.TagWrites
-	c.DataReads += other.DataReads
-	c.DataWrites += other.DataWrites
-	c.Relocations += other.Relocations
-}
-
 // EmptyLine is the tag of an empty slot. A tag is the resident line address
 // and nothing else (§III-A: the array holds tags only), so one address is
 // reserved to mean "no line". The simulator never produces it — its lines

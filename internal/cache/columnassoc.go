@@ -26,7 +26,6 @@ type ColumnAssoc struct {
 	// variable-latency population).
 	SecondaryHits uint64
 	ctr           Counters
-	moves         []Move
 }
 
 // NewColumnAssoc returns a column-associative array with rows slots,
@@ -122,7 +121,7 @@ func (a *ColumnAssoc) Install(line uint64, cands []Candidate, victim int) ([]Mov
 	a.tags.e[cands[victim].ID] = line
 	a.ctr.TagWrites++
 	a.ctr.DataWrites++
-	return a.moves[:0], nil
+	return nil, nil
 }
 
 // Invalidate removes line if resident in either location.

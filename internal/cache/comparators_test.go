@@ -126,7 +126,7 @@ func TestVictimCacheLookupConsistency(t *testing.T) {
 		}
 		if i%1000 == 0 {
 			seen := map[uint64]int{}
-			for _, tags := range [][]uint64{v.main.e, v.vb} {
+			for _, tags := range [][]uint64{v.tags.e, v.vb} {
 				for _, l := range tags {
 					if l != EmptyLine {
 						seen[l]++

@@ -23,7 +23,6 @@ type SetAssoc struct {
 	idxBS *hash.BitSelect
 	tags  tagStore
 	ctr   Counters
-	moves []Move // always empty; kept for interface symmetry
 }
 
 // NewSetAssoc returns a set-associative array with the given ways and sets,
@@ -114,7 +113,7 @@ func (a *SetAssoc) Install(line uint64, cands []Candidate, victim int) ([]Move, 
 	a.tags.e[cands[victim].ID] = line
 	a.ctr.TagWrites++
 	a.ctr.DataWrites++
-	return a.moves[:0], nil
+	return nil, nil
 }
 
 // MaxCandidates returns the most candidates one Candidates call can yield.

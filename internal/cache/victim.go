@@ -19,54 +19,34 @@ import (
 // is bounded by ways + victim entries *shared across all sets*, so a single
 // hot set exhausts it.
 //
-// VictimCache is a tags-only miss-rate comparator: buffer entries are not
-// policy-visible slots, so swap-backs recycle the per-slot replacement and
-// dirty state of the block they displace. Use it for §II comparisons, not
+// The main array is the embedded SetAssoc: its slots, candidates and
+// counters are the design's. Buffer entries are not policy-visible slots, so
+// swap-backs recycle the per-slot replacement and dirty state of the block
+// they displace; VictimCache is a tags-only miss-rate comparator for §II, not
 // for writeback-accurate hierarchy simulation.
 type VictimCache struct {
-	name string
-	main tagStore
-	idx  hash.Func
+	*SetAssoc
 	// Victim buffer: fully associative, FIFO replacement (the classical
 	// design); an empty entry holds EmptyLine, like an empty tag.
 	vb     []uint64
 	vbNext int
 	// VictimHits counts misses served by the buffer (swap-backs).
 	VictimHits uint64
-	ctr        Counters
-	moves      []Move
 }
 
 // NewVictimCache returns a ways×sets main array with a victimEntries-entry
 // buffer, indexed by idx.
 func NewVictimCache(ways int, sets uint64, victimEntries int, idx hash.Func) (*VictimCache, error) {
-	if err := validateGeometry("victim-cache", ways, sets); err != nil {
-		return nil, err
-	}
 	if victimEntries <= 0 {
 		return nil, fmt.Errorf("cache: victim buffer needs positive entries, got %d", victimEntries)
 	}
-	if idx.Buckets() != sets {
-		return nil, fmt.Errorf("cache: index function covers %d buckets, array has %d sets", idx.Buckets(), sets)
+	main, err := NewSetAssoc(ways, sets, idx)
+	if err != nil {
+		return nil, err
 	}
-	return &VictimCache{
-		name: fmt.Sprintf("victim-%dw-%ds+%d", ways, sets, victimEntries),
-		main: newTagStore(ways, sets),
-		idx:  idx,
-		vb:   emptyTags(uint64(victimEntries)),
-	}, nil
+	main.name = fmt.Sprintf("victim-%dw-%ds+%d", ways, sets, victimEntries)
+	return &VictimCache{SetAssoc: main, vb: emptyTags(uint64(victimEntries))}, nil
 }
-
-// Name identifies the design.
-func (a *VictimCache) Name() string { return a.name }
-
-// Blocks returns the main-array capacity; victim-buffer entries are
-// transient storage, not named slots for the policy (the classical buffer
-// keeps FIFO order internally).
-func (a *VictimCache) Blocks() int { return a.main.ways * int(a.main.rows) }
-
-// Ways returns the main array's associativity.
-func (a *VictimCache) Ways() int { return a.main.ways }
 
 // VictimEntries returns the buffer size.
 func (a *VictimCache) VictimEntries() int { return len(a.vb) }
@@ -76,14 +56,8 @@ func (a *VictimCache) VictimEntries() int { return len(a.vb) }
 // the buffer, per the classical swap) and reports a hit at the swapped-in
 // slot.
 func (a *VictimCache) Lookup(line uint64) (repl.BlockID, bool) {
-	row := a.idx.Hash(line)
-	a.ctr.TagLookups++
-	a.ctr.TagReads += uint64(a.main.ways)
-	for w := 0; w < a.main.ways; w++ {
-		id := a.main.slot(w, row)
-		if a.main.e[id] == line {
-			return id, true
-		}
+	if id, ok := a.SetAssoc.Lookup(line); ok {
+		return id, true
 	}
 	// Buffer probe: charged on every main miss (§II-B's latency/energy
 	// criticism).
@@ -91,76 +65,39 @@ func (a *VictimCache) Lookup(line uint64) (repl.BlockID, bool) {
 	for i := range a.vb {
 		if a.vb[i] == line {
 			a.VictimHits++
-			a.swapBack(i, row, line)
-			return a.main.slot(0, row), true
+			id := a.tags.slot(0, a.row(line))
+			a.vb[i], a.tags.e[id] = a.tags.e[id], line
+			// One read and one write on each side of the swap.
+			a.ctr.TagReads += 2
+			a.ctr.TagWrites += 2
+			a.ctr.DataReads += 2
+			a.ctr.DataWrites += 2
+			a.ctr.Relocations++
+			return id, true
 		}
 	}
 	return 0, false
 }
 
-// swapBack exchanges buffer entry i with the block in way 0 of row.
-func (a *VictimCache) swapBack(i int, row uint64, line uint64) {
-	id := a.main.slot(0, row)
-	a.vb[i], a.main.e[id] = a.main.e[id], line
-	// One read and one write on each side of the swap.
-	a.ctr.TagReads += 2
-	a.ctr.TagWrites += 2
-	a.ctr.DataReads += 2
-	a.ctr.DataWrites += 2
-	a.ctr.Relocations++
-}
-
-// Candidates returns the indexed set's blocks (the victim buffer is not a
-// placement target for incoming lines).
-func (a *VictimCache) Candidates(line uint64, buf []Candidate) []Candidate {
-	row := a.idx.Hash(line)
-	for w := 0; w < a.main.ways; w++ {
-		id := a.main.slot(w, row)
-		buf = append(buf, Candidate{
-			ID:     id,
-			Addr:   a.main.e[id],
-			Valid:  a.main.e[id] != EmptyLine,
-			Way:    w,
-			Row:    row,
-			Level:  1,
-			Parent: -1,
-		})
-	}
-	return buf
-}
-
-// MaxCandidates returns the most candidates one Candidates call can yield.
-func (a *VictimCache) MaxCandidates() int { return a.main.ways }
-
 // Install replaces the victim slot; the displaced block drops into the
 // victim buffer (FIFO), displacing its oldest entry.
 func (a *VictimCache) Install(line uint64, cands []Candidate, victim int) ([]Move, error) {
-	if victim < 0 || victim >= len(cands) {
-		return nil, fmt.Errorf("cache: victim index %d out of range [0,%d)", victim, len(cands))
+	if _, err := a.SetAssoc.Install(line, cands, victim); err != nil {
+		return nil, err
 	}
-	c := cands[victim]
-	if c.Valid {
+	if c := cands[victim]; c.Valid {
 		a.vb[a.vbNext] = c.Addr
 		a.vbNext = (a.vbNext + 1) % len(a.vb)
 		a.ctr.TagWrites++
 		a.ctr.DataWrites++
 	}
-	a.main.e[c.ID] = line
-	a.ctr.TagWrites++
-	a.ctr.DataWrites++
-	return a.moves[:0], nil
+	return nil, nil
 }
 
 // Invalidate removes line from the main array or the buffer.
 func (a *VictimCache) Invalidate(line uint64) (repl.BlockID, bool) {
-	row := a.idx.Hash(line)
-	for w := 0; w < a.main.ways; w++ {
-		id := a.main.slot(w, row)
-		if a.main.e[id] == line {
-			a.main.e[id] = EmptyLine
-			a.ctr.TagWrites++
-			return id, true
-		}
+	if id, ok := a.SetAssoc.Invalidate(line); ok {
+		return id, true
 	}
 	for i := range a.vb {
 		if a.vb[i] == line {
@@ -170,11 +107,8 @@ func (a *VictimCache) Invalidate(line uint64) (repl.BlockID, bool) {
 			// the line's set as a stable pseudo-slot. Controllers
 			// only use the ID for policy bookkeeping of main-array
 			// blocks, and this line had none.
-			return a.main.slot(0, row), false
+			return a.tags.slot(0, a.row(line)), false
 		}
 	}
 	return 0, false
 }
-
-// Counters exposes access accounting.
-func (a *VictimCache) Counters() *Counters { return &a.ctr }

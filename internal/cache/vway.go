@@ -46,7 +46,6 @@ type VWay struct {
 	// replacement).
 	LocalFallbacks uint64
 	ctr            Counters
-	moves          []Move
 }
 
 // NewVWay returns a V-Way cache with the given data capacity in blocks,
@@ -209,7 +208,7 @@ func (v *VWay) Install(line uint64, cands []Candidate, victim int) ([]Move, erro
 	v.dataValid[d] = true
 	v.ctr.TagWrites++
 	v.ctr.DataWrites++
-	return v.moves[:0], nil
+	return nil, nil
 }
 
 // Invalidate removes line if resident, freeing both its tag and data block.
