@@ -74,21 +74,6 @@ func batchCases(t *testing.T) map[string]func() Generator {
 			}
 			return NewLimit(z, 5000) // shorter than the drive target
 		},
-		"phased": func() Generator {
-			z, err := NewZipf(0, 1<<18, 64, 0.7, 0, 0.3, 19)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := NewStrided(1<<24, 64, 1<<14, 0, 3, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, err := NewPhased("ph", []Generator{z, s}, []uint64{137, 251})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return g
-		},
 		"replay": func() Generator {
 			accs := make([]Access, 777)
 			for i := range accs {

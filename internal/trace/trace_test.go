@@ -398,65 +398,6 @@ func TestStridedCoversFootprintAcrossSweeps(t *testing.T) {
 	}
 }
 
-func TestPhasedCyclesThroughParts(t *testing.T) {
-	a, _ := NewStrided(0, 64, 64, 0, 0, 1)     // always low addresses
-	b, _ := NewStrided(1<<30, 64, 64, 0, 0, 1) // always high addresses
-	g, err := NewPhased("p", []Generator{a, b}, []uint64{3, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantHigh := []bool{false, false, false, true, true, false, false, false, true, true}
-	for i, want := range wantHigh {
-		if ph := g.Phase(); (ph == 1) != want {
-			t.Fatalf("access %d: Phase() = %d, want high=%v", i, ph, want)
-		}
-		acc, ok := g.Next()
-		if !ok {
-			t.Fatal("phased stream ended")
-		}
-		if got := acc.Addr >= 1<<30; got != want {
-			t.Fatalf("access %d from wrong phase: addr %#x", i, acc.Addr)
-		}
-	}
-	g.Reset()
-	acc, _ := g.Next()
-	if acc.Addr >= 1<<30 {
-		t.Error("Reset did not rewind to phase 0")
-	}
-}
-
-func TestPhasedRestartsFiniteParts(t *testing.T) {
-	fin := NewLimit(mustStrided(t, 0, 64, 64*4), 2)
-	g, err := NewPhased("p", []Generator{fin}, []uint64{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if _, ok := g.Next(); !ok {
-			t.Fatalf("access %d: finite part did not restart", i)
-		}
-	}
-}
-
-func mustStrided(t *testing.T, base, stride, foot uint64) Generator {
-	t.Helper()
-	g, err := NewStrided(base, stride, foot, 0, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
-func TestPhasedValidation(t *testing.T) {
-	a, _ := NewStrided(0, 64, 64, 0, 0, 1)
-	if _, err := NewPhased("p", nil, nil); err == nil {
-		t.Error("empty phased accepted")
-	}
-	if _, err := NewPhased("p", []Generator{a}, []uint64{0}); err == nil {
-		t.Error("zero-length phase accepted")
-	}
-}
-
 func TestReadTraceNeverPanicsOnGarbage(t *testing.T) {
 	// Robustness fuzz-lite: mutated headers and truncated bodies must
 	// produce errors, never panics or absurd allocations.
