@@ -110,7 +110,6 @@ func (r RunResult) MPKI() float64 { return r.Eval.L2MPKI }
 // on Lab's bounded worker pool.
 type Experiment struct {
 	Preset Preset
-	Model  *energy.SystemModel
 	// Lab runs RunMatrix's cells, each once. NewExperiment gives it no
 	// store and fail-fast; AttachStore adds the content-addressed result
 	// store (previously computed cells are served from disk and new cells
@@ -190,13 +189,13 @@ type legWalk struct {
 
 // NewExperiment returns an experiment harness over the preset.
 func NewExperiment(p Preset) *Experiment {
-	m := energy.NewSystemModel()
-	m.Cores = p.Cores
-	return &Experiment{Preset: p, Model: m, Lab: &runlab.Runner{}}
+	return &Experiment{Preset: p, Lab: &runlab.Runner{}}
 }
 
-// config assembles the sim configuration for one cell.
-func (e *Experiment) config(d DesignPoint, pol PolicyKind, lk energy.Lookup) sim.Config {
+// Config assembles the sim configuration for one cell, exactly as Run
+// does. Validation tooling uses it to replay captured streams under the
+// same configuration the sampled executor saw.
+func (e *Experiment) Config(d DesignPoint, pol PolicyKind, lk energy.Lookup) sim.Config {
 	cfg := sim.PaperSystem(d.Design, pol, lk, d.Ways)
 	cfg.Cores = e.Preset.Cores
 	cfg.L2Bytes = e.Preset.L2Bytes
@@ -208,23 +207,11 @@ func (e *Experiment) config(d DesignPoint, pol PolicyKind, lk energy.Lookup) sim
 	return cfg
 }
 
-// Config assembles the sim configuration for one cell, exactly as Run
-// does. Validation tooling uses it to replay captured streams under the
-// same configuration the sampled executor saw.
-func (e *Experiment) Config(d DesignPoint, pol PolicyKind, lk energy.Lookup) sim.Config {
-	return e.config(d, pol, lk)
-}
-
 // Capture returns (building once) the workload's L1-filtered L2 stream —
 // the same cached stream Run uses for OPT and sampled cells.
 func (e *Experiment) Capture(w workloads.Workload) (*sim.L2Stream, error) {
-	return e.capture(w)
-}
-
-// capture returns (building once) the workload's L1-filtered L2 stream.
-func (e *Experiment) capture(w workloads.Workload) (*sim.L2Stream, error) {
 	return e.captures.get(w.Name, func() (*sim.L2Stream, error) {
-		cfg := e.config(BaselineDesign(), PolicyLRU, energy.Serial)
+		cfg := e.Config(BaselineDesign(), PolicyLRU, energy.Serial)
 		gens, err := w.Generators(cfg.Cores, cfg.LineBytes, cfg.L2Bytes, cfg.Seed)
 		if err != nil {
 			return nil, err
@@ -247,7 +234,7 @@ func (e *Experiment) samplePlan(w workloads.Workload, stream *sim.L2Stream) (*sa
 // (workload, design, policy) row, covering every lookup in sampledLookups.
 func (e *Experiment) sampledLegs(w workloads.Workload, d DesignPoint, pol PolicyKind) (legWalk, error) {
 	return e.legs.get(legKey{workload: w.Name, design: d.Label, policy: pol}, func() (legWalk, error) {
-		stream, err := e.capture(w)
+		stream, err := e.Capture(w)
 		if err != nil {
 			return legWalk{}, fmt.Errorf("capture %s: %w", w.Name, err)
 		}
@@ -255,7 +242,7 @@ func (e *Experiment) sampledLegs(w workloads.Workload, d DesignPoint, pol Policy
 		if err != nil {
 			return legWalk{}, fmt.Errorf("plan %s: %w", w.Name, err)
 		}
-		cfg := e.config(d, pol, sampledLookups[0])
+		cfg := e.Config(d, pol, sampledLookups[0])
 		ms, est, err := sample.RunLookups(cfg, stream, plan, sampledLookups)
 		if err != nil {
 			return legWalk{}, fmt.Errorf("sampled %s/%s: %w", w.Name, d.Label, err)
@@ -281,8 +268,8 @@ func (e *Experiment) runSampled(w workloads.Workload, d DesignPoint, pol PolicyK
 		return RunResult{}, fmt.Errorf("zcache: sampled mode has no %v lookup variant", lk)
 	}
 	m := walk.ms[i]
-	cfg := e.config(d, pol, lk)
-	eval, err := e.Model.Evaluate(cfg.L2Spec(), m.Counts)
+	cfg := e.Config(d, pol, lk)
+	eval, err := evaluate(cfg, m)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -298,10 +285,10 @@ func (e *Experiment) Run(w workloads.Workload, d DesignPoint, pol PolicyKind, lk
 	if e.Sampled != nil {
 		return e.runSampled(w, d, pol, lk)
 	}
-	cfg := e.config(d, pol, lk)
+	cfg := e.Config(d, pol, lk)
 	var m sim.Metrics
 	if pol == PolicyOPT {
-		stream, err := e.capture(w)
+		stream, err := e.Capture(w)
 		if err != nil {
 			return RunResult{}, fmt.Errorf("capture %s: %w", w.Name, err)
 		}
@@ -323,7 +310,7 @@ func (e *Experiment) Run(w workloads.Workload, d DesignPoint, pol PolicyKind, lk
 			return RunResult{}, fmt.Errorf("run %s/%s: %w", w.Name, d.Label, err)
 		}
 	}
-	eval, err := e.Model.Evaluate(cfg.L2Spec(), m.Counts)
+	eval, err := evaluate(cfg, m)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -694,7 +681,7 @@ func (e *Experiment) Fig3(design DesignKind, variants []int, names []string) ([]
 	}
 	var out []Fig3Case
 	for _, w := range ws {
-		stream, err := e.capture(w)
+		stream, err := e.Capture(w)
 		if err != nil {
 			return nil, err
 		}

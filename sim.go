@@ -83,13 +83,19 @@ func RunSystemWith(cfg SimConfig, gens []Generator) (SystemResult, error) {
 	if err != nil {
 		return SystemResult{}, err
 	}
-	model := energy.NewSystemModel()
-	model.Cores = cfg.Cores
-	eval, err := model.Evaluate(cfg.L2Spec(), m.Counts)
+	eval, err := evaluate(cfg, m)
 	if err != nil {
 		return SystemResult{}, err
 	}
 	return SystemResult{Metrics: m, Eval: eval}, nil
+}
+
+// evaluate prices a run's event counts under the paper's system model sized
+// to cfg's core count. Every run this package reports is evaluated here.
+func evaluate(cfg SimConfig, m SimMetrics) (energy.Result, error) {
+	model := energy.NewSystemModel()
+	model.Cores = cfg.Cores
+	return model.Evaluate(cfg.L2Spec(), m.Counts)
 }
 
 // CaptureL2Stream records the L1-filtered L2 reference stream of a workload
@@ -114,9 +120,7 @@ func ReplayL2(cfg SimConfig, stream *sim.L2Stream) (SystemResult, error) {
 	if err != nil {
 		return SystemResult{}, err
 	}
-	model := energy.NewSystemModel()
-	model.Cores = cfg.Cores
-	eval, err := model.Evaluate(cfg.L2Spec(), m.Counts)
+	eval, err := evaluate(cfg, m)
 	if err != nil {
 		return SystemResult{}, err
 	}
