@@ -81,7 +81,7 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		maxPipe  = fs.Int("max-pipeline", 0, "shed requests past this per-connection pipeline depth with a busy reply (0 = 1024, negative = off)")
 		metrics  = fs.String("metrics", "", "optional HTTP address serving /metrics (empty = off)")
 		noMig    = fs.Bool("no-migrate", false, "refuse MIGRATE/FORGET (standalone deployments that should never hand keys off)")
-		migPage  = fs.Int("migrate-page", 0, "MIGRATE reply page budget in bytes (0 = 64KiB); requests may ask for less")
+		migPage  = fs.Int("migrate-page", 0, "MIGRATE reply page budget in bytes (0 = 256KiB); requests may ask for less")
 		persist  = fs.String("persist", "", "directory for mmap-backed persistent shards (empty = off); warm-restores valid shard images on boot")
 		psync    = fs.Bool("persist-sync", false, "msync every persisted mutation (crash-bounded loss, much slower)")
 	)
