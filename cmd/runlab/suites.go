@@ -41,7 +41,7 @@ func (c *cli) runSuites(args []string) error {
 	fs := c.flagSet("run")
 	sh.register(fs, "store", "preset", "policy", "workloads", "check", "quarantine", "sampled", "intervals", "clusters", "prof")
 	suiteFlag := fs.String("suite", "all", "comma-separated: "+strings.Join(suiteOrder, ", ")+", or all")
-	workers := fs.Int("workers", 0, "concurrent cells (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "concurrent cells (0 = GOMAXPROCS); also the dispatch window, in workloads, of exact execution-driven cells, so at most 2x this many workloads' tapes are held at once")
 	flushEvery := fs.Int("flush-every", 0, "checkpoint interval in cells (0 = default 16)")
 	durable := fs.Bool("durable", false, "fsync store appends and flushes")
 	strict := fs.Bool("strict", false, "treat corrupt store records as fatal")

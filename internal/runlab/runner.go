@@ -120,6 +120,15 @@ func (r *Runner) Last() Progress {
 	return r.last
 }
 
+// EffectiveWorkers returns how many cells Run computes at once: Workers,
+// or GOMAXPROCS when Workers <= 0.
+func (r *Runner) EffectiveWorkers() int {
+	if r.Workers > 0 {
+		return r.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // Run executes every cell, serving from the store where possible, and
 // returns raw JSON results in key order. On error the returned slice
 // holds the cells that did finish (nil elsewhere); everything computed
@@ -132,10 +141,7 @@ func (r *Runner) Run(ctx context.Context, keys []CellKey, compute ComputeFunc) (
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := r.EffectiveWorkers()
 	flushEvery := r.FlushEvery
 	if flushEvery <= 0 {
 		flushEvery = 16

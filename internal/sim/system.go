@@ -127,6 +127,35 @@ func (h *coreHeap) due() (c *core, a trace.Access, ok bool) {
 	return nil, trace.Access{}, false
 }
 
+// RecordTape returns the exact prefix of gen's stream that one core of a
+// System under cfg consumes. The rule is due's: per phase, warm-up (if any)
+// then measured, the core draws accesses while its retired instructions are
+// below the phase's stop, then draws one more and discards it; a stream that
+// ends first ends the tape. A trace.Replay of the tape therefore drives the
+// core exactly as gen would, and holds nothing the core never reads.
+func RecordTape(cfg Config, gen trace.Generator) []trace.Access {
+	c := &core{gen: gen, buf: make([]trace.Access, coreBatchLen)}
+	phases := []uint64{cfg.InstructionsPerCore}
+	if cfg.WarmupInstructionsPerCore > 0 {
+		phases = []uint64{cfg.WarmupInstructionsPerCore, cfg.InstructionsPerCore}
+	}
+	var tape []trace.Access
+	for _, target := range phases {
+		for stop := c.instrs + target; ; {
+			a, ok := c.next()
+			if !ok {
+				break
+			}
+			tape = append(tape, a)
+			if c.instrs >= stop {
+				break
+			}
+			c.instrs += uint64(a.Gap) + 1
+		}
+	}
+	return tape
+}
+
 // pop removes the root.
 func (h *coreHeap) pop() {
 	old := *h

@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 
 	"zcache/internal/runlab"
+	"zcache/internal/sim"
+	"zcache/internal/trace"
+	"zcache/internal/workloads"
 )
 
 // DefaultStoreDir is where `runlab run` keeps cached cells.
@@ -82,19 +86,45 @@ func (e *Experiment) cellKey(c MatrixCell) runlab.CellKey {
 // resumable.
 //
 // Cells are dispatched round-robin over workloads (each workload's first
-// cell, then each one's second, …): a workload's capture and sampling plan
-// are built once, by the first of its cells to run, and a worker that took a
-// second cell of the same workload would block until they are done. Results
-// come back in cell order all the same.
+// cell, then each one's second, …): a workload's capture, sampling plan and
+// tape are built once, by the first of its cells to run, and a worker that
+// took a second cell of the same workload would block until they are done.
+// Results come back in cell order all the same.
+//
+// A workload's exact, non-OPT cells that are to be computed replay one tape
+// (tapeTable): the first records it, and the last to finish drops it. When
+// there are such cells, the round-robin goes inside windows of as many
+// workloads as Lab has workers, which keeps at most 2 × workers tapes alive
+// at once.
 func (e *Experiment) RunMatrix(ctx context.Context, cells []MatrixCell) ([]RunResult, error) {
-	order := roundRobin(cells) // order[j] is the cell dispatched j-th
+	fps := make([]runlab.Fingerprint, len(cells))
 	keys := make([]runlab.CellKey, len(cells))
-	for j, i := range order {
-		keys[j] = e.cellKey(cells[i])
+	tapes := &tapeTable{e: e, left: map[string]int{}}
+	taped := make([]bool, len(cells))
+	for i, c := range cells {
+		keys[i] = e.cellKey(c)
+		fps[i] = keys[i].Fingerprint()
+		if e.Sampled == nil && c.Policy != PolicyOPT && !e.served(fps[i]) {
+			taped[i] = true
+			tapes.left[c.Workload.Name]++
+		}
 	}
-	raws, _, err := e.Lab.Run(ctx, keys, func(j int, _ runlab.CellKey) (any, error) {
-		c := cells[order[j]]
-		return e.Run(c.Workload, c.Design, c.Policy, c.Lookup)
+	window := len(cells) // with no tape to bound, one window holds every workload
+	if len(tapes.left) > 0 {
+		window = e.Lab.EffectiveWorkers()
+	}
+	order := roundRobin(cells, window) // order[j] is the cell dispatched j-th
+	dispatched := make([]runlab.CellKey, len(cells))
+	for j, i := range order {
+		dispatched[j] = keys[i]
+	}
+	raws, _, err := e.Lab.Run(ctx, dispatched, func(j int, _ runlab.CellKey) (any, error) {
+		i := order[j]
+		if !taped[i] {
+			return e.run(cells[i], fps[i], nil)
+		}
+		defer tapes.release(cells[i].Workload.Name)
+		return e.run(cells[i], fps[i], tapes)
 	})
 	var qerr *runlab.QuarantineError
 	if err != nil && !errors.As(err, &qerr) {
@@ -116,7 +146,7 @@ func (e *Experiment) RunMatrix(ctx context.Context, cells []MatrixCell) ([]RunRe
 			continue
 		}
 		if err := json.Unmarshal(raws[j], &out[i]); err != nil {
-			return nil, fmt.Errorf("zcache: decode cached cell %s: %w", keys[j].Fingerprint(), err)
+			return nil, fmt.Errorf("zcache: decode cached cell %s: %w", fps[i], err)
 		}
 	}
 	if len(missing) > 0 {
@@ -125,9 +155,74 @@ func (e *Experiment) RunMatrix(ctx context.Context, cells []MatrixCell) ([]RunRe
 	return out, nil
 }
 
+// served reports whether the cell with fingerprint fp needs no simulation:
+// the attached store or this Experiment already holds its result.
+func (e *Experiment) served(fp runlab.Fingerprint) bool {
+	if st := e.Lab.Store; st != nil {
+		if _, ok := st.Get(fp); ok {
+			return true
+		}
+	}
+	_, ok := e.done.get(fp)
+	return ok
+}
+
+// tapeTable holds one RunMatrix call's tapes. A workload's tape is, per
+// core, the exact prefix of its access stream a sim.System consumes
+// (sim.RecordTape); it does not depend on the design, policy or lookup, so
+// every execution-driven cell of the workload can replay it.
+type tapeTable struct {
+	e     *Experiment
+	tapes memo[string, [][]trace.Access]
+	mu    sync.Mutex
+	left  map[string]int // cells of each workload still to replay its tape
+}
+
+// generators returns trace.Replay generators over w's tape, recording the
+// tape first if no cell has.
+func (t *tapeTable) generators(w workloads.Workload) ([]trace.Generator, error) {
+	tapes, err := t.tapes.get(w.Name, func() ([][]trace.Access, error) {
+		if t.e.onTape != nil {
+			t.e.onTape(+1)
+		}
+		gens, err := t.e.generators(w)
+		if err != nil {
+			return nil, err
+		}
+		cfg := t.e.streamConfig()
+		tapes := make([][]trace.Access, len(gens))
+		for i, g := range gens {
+			tapes[i] = sim.RecordTape(cfg, g)
+		}
+		return tapes, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	gens := make([]trace.Generator, len(tapes))
+	for i, tape := range tapes {
+		gens[i] = trace.NewReplay(w.Name, tape)
+	}
+	return gens, nil
+}
+
+// release marks one of the workload's cells finished, dropping the tape
+// after the last.
+func (t *tapeTable) release(workload string) {
+	t.mu.Lock()
+	t.left[workload]--
+	last := t.left[workload] == 0
+	t.mu.Unlock()
+	if last && t.tapes.forget(workload) && t.e.onTape != nil {
+		t.e.onTape(-1)
+	}
+}
+
 // roundRobin orders cell indices round-robin over workloads, in order of
-// first appearance, keeping cell order within each workload.
-func roundRobin(cells []MatrixCell) []int {
+// first appearance, keeping cell order within each workload. It goes
+// window workloads at a time: every cell of one window is dispatched
+// before any of the next.
+func roundRobin(cells []MatrixCell, window int) []int {
 	var rows [][]int
 	row := map[string]int{}
 	for i, c := range cells {
@@ -140,10 +235,15 @@ func roundRobin(cells []MatrixCell) []int {
 		rows[r] = append(rows[r], i)
 	}
 	order := make([]int, 0, len(cells))
-	for k := 0; len(order) < len(cells); k++ {
-		for _, r := range rows {
-			if k < len(r) {
-				order = append(order, r[k])
+	for lo := 0; lo < len(rows); lo += window {
+		win := rows[lo:min(lo+window, len(rows))]
+		for k, more := 0, true; more; k++ {
+			more = false
+			for _, r := range win {
+				if k < len(r) {
+					order = append(order, r[k])
+					more = true
+				}
 			}
 		}
 	}

@@ -311,3 +311,40 @@ func TestMemoBuildsEachKeyOnce(t *testing.T) {
 		t.Fatalf("%d builds for 2 keys", n)
 	}
 }
+
+// TestMemoRemembersPanickingBuild: a build that panics leaves its key
+// failed, not empty. The caller whose build panicked panics; every other
+// caller, concurrent or later, gets an error that unwraps to the panic
+// value. No caller ever gets the zero value with a nil error.
+func TestMemoRemembersPanickingBuild(t *testing.T) {
+	var m memo[string, *int]
+	boom := errors.New("boom")
+	var panics atomic.Int32
+	var wg sync.WaitGroup
+	get := func() {
+		defer func() {
+			if r := recover(); r != nil {
+				if r != boom {
+					t.Errorf("panic value %v, want %v", r, boom)
+				}
+				panics.Add(1)
+			}
+		}()
+		v, err := m.get("k", func() (*int, error) { panic(boom) })
+		if v != nil || !errors.Is(err, boom) {
+			t.Errorf("get = (%v, %v), want (nil, an error wrapping %v)", v, err, boom)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			get()
+		}()
+	}
+	wg.Wait()
+	get()
+	if n := panics.Load(); n != 1 {
+		t.Fatalf("%d callers panicked, want the one whose build ran", n)
+	}
+}

@@ -5,7 +5,6 @@ import (
 
 	"zcache/internal/energy"
 	"zcache/internal/sim"
-	"zcache/internal/trace"
 	"zcache/internal/workloads"
 )
 
@@ -71,11 +70,7 @@ func RunSystem(cfg SimConfig, workloadName string) (SystemResult, error) {
 // RunSystemWith executes caller-supplied per-core generators on the
 // configured CMP (one generator per core).
 func RunSystemWith(cfg SimConfig, gens []Generator) (SystemResult, error) {
-	inner := make([]trace.Generator, len(gens))
-	for i, g := range gens {
-		inner[i] = g
-	}
-	sys, err := sim.NewSystem(cfg, inner)
+	sys, err := sim.NewSystem(cfg, gens)
 	if err != nil {
 		return SystemResult{}, err
 	}
