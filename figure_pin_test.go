@@ -18,13 +18,13 @@ import (
 // the figure drivers must leave every value in place.
 var figureDigests = map[string]string{
 	"fig4-lru":          "a05e8a0d75ce921217d7bc4553e0fbf7e05e1109dc80f69dcfce69faf0d7d7cc",
-	"fig4-lru/partial":  "596696bf2dac07ef1f32f26474a1ec04f0a989a25c4400573fc54dd1af607ea3",
+	"fig4-lru/partial":  "e641c5527d5657ee9a15464955c6b9189e951d1565b8652786111265103d64e1",
 	"fig4-opt":          "97d8d303881c83ea989ab84c7100aa96c9b14119f7dd12811372f22a4e6cf6cf",
 	"fig4-opt/partial":  "e312eb75a5535ded49778630e69372650ffe872b12169e1a717a51c1e82d3b95",
 	"fig5-lru":          "ca3f0baa1a1feb652c5dfa256da220e5c8752e5196f6d7a6325c23349a16d577",
-	"fig5-lru/partial":  "9c83b17c43fa96a1349ef2bed7c0a18f7cbcbd1960eab59b121444fbf5e79aac",
+	"fig5-lru/partial":  "6fd0d9d2d8b4d6a10f03ba5f85fffd4bde005fd20d20a50bca127401b5a87b8a",
 	"policies":          "542e1957f41da253a62da4bddc417351b02224db7566bc9dd9eb9e23d1225f37",
-	"policies/partial":  "314ea5f94137a8387df339f29feaab9c65d5471cac840f6c79ccd67055aa5c16",
+	"policies/partial":  "18d804eb77e832b61d0de8548137edd1d29ef5d5009a64a57e7aa885a5e45c99",
 	"bandwidth":         "f8092f671adb4e607ae1492a1e2a1bc077e705aad6f73870eaef5e0ede23a123",
 	"bandwidth/partial": "9c9ebef680ec5a659d69d09611ad5d69e6b07cdea74214c6c79990ce9007ff84",
 }
