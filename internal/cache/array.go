@@ -107,6 +107,12 @@ type Counters struct {
 	Relocations uint64
 }
 
+// probe charges one demand lookup across ways ways.
+func (c *Counters) probe(ways int) {
+	c.TagLookups++
+	c.TagReads += uint64(ways)
+}
+
 // EmptyLine is the tag of an empty slot. A tag is the resident line address
 // and nothing else (§III-A: the array holds tags only), so one address is
 // reserved to mean "no line". The simulator never produces it — its lines

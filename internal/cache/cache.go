@@ -155,16 +155,20 @@ func (c *Cache) LineSize() uint64 { return 1 << c.lineBits }
 // Line returns the line address of a byte address.
 func (c *Cache) Line(addr uint64) uint64 { return addr >> c.lineBits }
 
-// lookup probes the array through its concrete type when known.
+// lookup probes the array through its concrete type when known. For the
+// tag-store arrays it spells out their Lookup, charge then locate, so the hot
+// path makes one call, not two.
 func (c *Cache) lookup(line uint64) (repl.BlockID, bool) {
 	if line == EmptyLine {
 		c.refuseEmptyLine()
 	}
 	switch {
 	case c.saFast != nil:
-		return c.saFast.Lookup(line)
+		c.saFast.ctr.probe(c.saFast.tags.ways)
+		return c.saFast.locate(line)
 	case c.zFast != nil:
-		return c.zFast.Lookup(line)
+		c.zFast.ctr.probe(c.zFast.tags.ways)
+		return c.zFast.locate(line)
 	default:
 		return c.array.Lookup(line)
 	}
@@ -291,6 +295,46 @@ func (c *Cache) AccessSlot(addr uint64, write bool) (repl.BlockID, bool) {
 // still advance, as for any probe).
 func (c *Cache) Peek(addr uint64) (repl.BlockID, bool) {
 	return c.lookup(addr >> c.lineBits)
+}
+
+// Locate returns the slot holding addr's line, like Peek, but advances no
+// counter either: it is bookkeeping, not a modelled tag access, for a layer
+// that keeps per-slot state beside the tags (the simulator's directory) and
+// must find a line's entry without moving the bank loads. A zcache's probe
+// leaves its rows in the memo the next Lookup of the line reads. It is
+// defined for the tag-store arrays (set-associative, skew and zcache) and
+// panics on any other.
+func (c *Cache) Locate(addr uint64) (repl.BlockID, bool) {
+	line := addr >> c.lineBits
+	if line == EmptyLine {
+		c.refuseEmptyLine()
+	}
+	switch {
+	case c.saFast != nil:
+		return c.saFast.locate(line)
+	case c.zFast != nil:
+		return c.zFast.locate(line)
+	}
+	panic(c.noTagStore())
+}
+
+// LineAt returns the line in slot id, or false for an empty slot, without
+// advancing any counter. Like Locate it is defined for the tag-store arrays
+// only.
+func (c *Cache) LineAt(id repl.BlockID) (line uint64, ok bool) {
+	t := c.tags()
+	if t == nil {
+		panic(c.noTagStore())
+	}
+	line = t.at(id)
+	return line, line != EmptyLine
+}
+
+// noTagStore is the violation Locate and LineAt raise on an array whose
+// slots they cannot read.
+func (c *Cache) noTagStore() *check.Violation {
+	return check.Violationf("cache/no-tag-store",
+		"%s: slot probes need a set-associative or zcache array", c.array.Name())
 }
 
 // Touch records a demand read hit on slot id as if Access had found it

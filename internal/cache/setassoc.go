@@ -70,10 +70,13 @@ func (a *SetAssoc) Ways() int { return a.tags.ways }
 
 // Lookup probes all ways of the indexed set.
 func (a *SetAssoc) Lookup(line uint64) (repl.BlockID, bool) {
-	row := a.row(line)
-	a.ctr.TagLookups++
-	a.ctr.TagReads += uint64(a.tags.ways)
-	id := repl.BlockID(row)
+	a.ctr.probe(a.tags.ways)
+	return a.locate(line)
+}
+
+// locate is Lookup without the tag accounting.
+func (a *SetAssoc) locate(line uint64) (repl.BlockID, bool) {
+	id := repl.BlockID(a.row(line))
 	step := repl.BlockID(a.tags.rows)
 	for w := 0; w < a.tags.ways; w++ {
 		if a.tags.e[id] == line {

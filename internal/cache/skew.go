@@ -78,8 +78,12 @@ func (s *skewTags) Counters() *Counters { return &s.ctr }
 // not read unless the table hands them over free, and a full-probe miss
 // leaves every row in the memo for the walk that follows.
 func (s *skewTags) Lookup(line uint64) (repl.BlockID, bool) {
-	s.ctr.TagLookups++
-	s.ctr.TagReads += uint64(s.tags.ways)
+	s.ctr.probe(s.tags.ways)
+	return s.locate(line)
+}
+
+// locate is Lookup without the tag accounting, through the same row memo.
+func (s *skewTags) locate(line uint64) (repl.BlockID, bool) {
 	if s.memoLine != line {
 		s.memoLine, s.memoN = line, 0
 	}

@@ -1,39 +1,103 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
+	"zcache/internal/check"
 	"zcache/internal/repl"
 )
 
 // TestCheckModeCleanAndBehaviourPreserving: enabling Config.Check must
-// neither trip an invariant on a healthy system nor perturb its metrics —
-// the checks run only at phase boundaries exactly so counters stay
-// untouched.
+// neither trip an invariant on a healthy system nor perturb its metrics, on
+// any design, under shared-write traffic that exercises every coherence path.
 func TestCheckModeCleanAndBehaviourPreserving(t *testing.T) {
-	for _, design := range []Design{SetAssocH3, ZCacheL3} {
+	for d := SetAssocBitSel; d.valid(); d++ {
 		run := func(checkOn bool) Metrics {
-			cfg := tinyConfig(design, repl.KindBucketedLRU)
+			cfg := tinyConfig(d, repl.KindBucketedLRU)
 			cfg.InstructionsPerCore = 50_000
 			cfg.WarmupInstructionsPerCore = 10_000
 			cfg.Check = checkOn
-			gens := zipfGens(t, cfg, 1<<20, 0.8, 0.2)
-			sys, err := NewSystem(cfg, gens)
+			sys, err := NewSystem(cfg, sharedGens(t, cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
 			m, err := sys.Run()
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%v: %v", d, err)
 			}
 			return m
 		}
 		plain, checked := run(false), run(true)
-		if plain.Counts != checked.Counts {
-			t.Errorf("%v: check mode changed behaviour:\n plain %+v\n check %+v",
-				design, plain.Counts, checked.Counts)
+		if !reflect.DeepEqual(plain, checked) {
+			t.Errorf("%v: check mode changed behaviour:\n plain %+v\n check %+v", d, plain, checked)
 		}
 	}
+}
+
+// TestCheckInvariantsCatchCorruption breaks one invariant at a time in a
+// warm system and requires CheckInvariants to name it.
+func TestCheckInvariantsCatchCorruption(t *testing.T) {
+	cfg := tinyConfig(ZCacheL3, repl.KindLRU)
+	cfg.InstructionsPerCore = 30_000
+	for _, c := range []struct {
+		invariant string
+		corrupt   func(t *testing.T, s *System)
+	}{
+		{"sim/dir-empty-slot", func(t *testing.T, s *System) {
+			// Empty slot 0 the way the protocol would, then leave a
+			// sharer behind in it.
+			cc := s.banks[0].cache
+			line, ok := cc.LineAt(0)
+			if present, _ := cc.Invalidate(line << s.lineBits); !ok || !present {
+				t.Fatal("bank 0's slot 0 is empty after a run")
+			}
+			s.dirs[0].e[0].sharers = 1
+		}},
+		{"sim/inclusion", func(t *testing.T, s *System) {
+			line, _ := s.cores[1].l1.LineAt(residentL1Slot(t, s, 1))
+			e := s.entry(line)
+			e.sharers &^= 1 << 1
+			e.owner = -1
+		}},
+		{"sim/dir-l1", func(t *testing.T, s *System) {
+			line, _ := s.cores[2].l1.LineAt(residentL1Slot(t, s, 2))
+			s.cores[2].l1.Invalidate(line << s.lineBits)
+		}},
+		{"sim/mesi-owner", func(t *testing.T, s *System) {
+			line, _ := s.cores[3].l1.LineAt(residentL1Slot(t, s, 3))
+			e := s.entry(line)
+			e.sharers |= 1 << 3
+			e.owner = 0
+		}},
+	} {
+		t.Run(c.invariant, func(t *testing.T) {
+			sys, err := NewSystem(cfg, sharedGens(t, cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.Run(); err != nil {
+				t.Fatal(err)
+			}
+			c.corrupt(t, sys)
+			v, ok := check.AsViolation(sys.CheckInvariants())
+			if !ok || v.Invariant != c.invariant {
+				t.Fatalf("CheckInvariants = %v, want a %s violation", v, c.invariant)
+			}
+		})
+	}
+}
+
+// residentL1Slot returns a slot of core cid's L1 that holds a line.
+func residentL1Slot(t *testing.T, s *System, cid int) repl.BlockID {
+	l1 := s.cores[cid].l1
+	for id := repl.BlockID(0); int(id) < l1.Array().Blocks(); id++ {
+		if _, ok := l1.LineAt(id); ok {
+			return id
+		}
+	}
+	t.Fatalf("core %d's L1 is empty", cid)
+	return 0
 }
 
 // TestCheckInvariantsExplicitPass: after a full run the directory, MESI

@@ -62,7 +62,7 @@ func (q *queue) wait(now, occup uint64) uint64 {
 
 // newL2 builds the configured banks. Each bank gets its own hash seed and
 // policy seed (banks are physically separate arrays). The caller has
-// validated cfg and wires each bank's OnEviction to its own victim handling.
+// validated cfg and attaches its own victim handling to each bank.
 func newL2(cfg Config) (l2, error) {
 	l := l2{
 		cfg:      cfg,
@@ -100,10 +100,10 @@ func (l *l2) bankOf(line uint64) int { return int(line & l.bankMask) }
 // entropy).
 func (l *l2) bankAddr(line uint64) uint64 { return (line >> l.bankBits) << l.lineBits }
 
-// fullLine reconstructs the full line address from a bank's synthetic byte
-// address.
-func (l *l2) fullLine(bank int, bankByteAddr uint64) uint64 {
-	return (bankByteAddr>>l.lineBits)<<l.bankBits | uint64(bank)
+// fullLine reconstructs the full line address from a line of a bank's array
+// (bankAddr's address without its line offset).
+func (l *l2) fullLine(bank int, bankLine uint64) uint64 {
+	return bankLine<<l.bankBits | uint64(bank)
 }
 
 // mcuOf returns the memory controller serving a line: controllers interleave

@@ -44,7 +44,7 @@ func TestL2CoreArithmetic(t *testing.T) {
 			if addr != tc.bankAddr {
 				t.Errorf("bankAddr(%#x) = %#x, want %#x", tc.line, addr, tc.bankAddr)
 			}
-			if back := l.fullLine(tc.bank, addr); back != tc.line {
+			if back := l.fullLine(tc.bank, addr>>l.lineBits); back != tc.line {
 				t.Errorf("fullLine(%d, bankAddr(%#x)) = %#x: routing does not round-trip", tc.bank, tc.line, back)
 			}
 		}
