@@ -70,6 +70,20 @@ func TestCheckInvariantsCatchCorruption(t *testing.T) {
 			e.sharers |= 1 << 3
 			e.owner = 0
 		}},
+		{"sim/mesi-dirty", func(t *testing.T, s *System) {
+			// A store that hits core 0's L1 without the upgrade the
+			// protocol would send leaves a dirty copy its directory
+			// entry does not name the owner of.
+			l1 := s.cores[0].l1
+			for id := repl.BlockID(0); int(id) < l1.Array().Blocks(); id++ {
+				line, ok := l1.LineAt(id)
+				if ok && !l1.DirtyAt(id) && s.entry(line).owner != 0 {
+					l1.Access(line<<s.lineBits, true)
+					return
+				}
+			}
+			t.Fatal("core 0's L1 holds no clean line it does not own")
+		}},
 	} {
 		t.Run(c.invariant, func(t *testing.T) {
 			sys, err := NewSystem(cfg, sharedGens(t, cfg))
