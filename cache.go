@@ -180,6 +180,10 @@ type Policy = repl.Policy
 // BlockID identifies a physical slot in an array.
 type BlockID = repl.BlockID
 
+// Move is one hop of a zcache relocation chain, as Policy.OnMoves receives
+// it: the block in slot From slides into the vacant slot To.
+type Move = repl.Move
+
 // NewWithPolicy builds a cache around a caller-constructed policy (for
 // instrumented or custom policies). The policy must be sized for the
 // configured block count.

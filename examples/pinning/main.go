@@ -61,16 +61,18 @@ func (p *pinningPolicy) OnEvict(id zcache.BlockID) {
 	p.Policy.OnEvict(id)
 }
 
-// OnMove migrates pin state with zcache relocations: relocating a pinned
-// block is fine — it stays cached.
-func (p *pinningPolicy) OnMove(from, to zcache.BlockID) {
-	p.Policy.OnMove(from, to)
-	if p.pinnedSlot[from] {
-		p.pinnedSlot[to] = true
-		delete(p.pinnedSlot, from)
+// OnMoves migrates pin state along a zcache relocation chain, hop by hop:
+// relocating a pinned block is fine — it stays cached.
+func (p *pinningPolicy) OnMoves(moves []zcache.Move) {
+	p.Policy.OnMoves(moves)
+	for _, m := range moves {
+		if p.pinnedSlot[m.From] {
+			p.pinnedSlot[m.To] = true
+			delete(p.pinnedSlot, m.From)
+		}
+		p.addrOf[m.To] = p.addrOf[m.From]
+		delete(p.addrOf, m.From)
 	}
-	p.addrOf[to] = p.addrOf[from]
-	delete(p.addrOf, from)
 }
 
 // Select prefers unpinned candidates, delegating the choice among them to

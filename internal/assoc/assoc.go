@@ -148,24 +148,17 @@ func (m *Instrumented) OnEvict(id repl.BlockID) {
 	m.inner.OnEvict(id)
 }
 
-// OnMove forwards and re-keys the tracking to the destination slot.
-func (m *Instrumented) OnMove(from, to repl.BlockID) {
-	liveFrom := m.live[from]
-	key := m.keys[from]
-	m.inner.OnMove(from, to)
-	if liveFrom {
-		m.keys[to], m.live[to] = key, true
-		m.live[from] = false
-	} else {
-		m.live[to] = false
-	}
-}
-
-// OnMoves applies a relocation chain through the instrumented OnMove so
-// tracking follows every hop.
+// OnMoves forwards the relocation chain and re-keys the tracking hop by hop,
+// from each source to its destination slot.
 func (m *Instrumented) OnMoves(moves []repl.Move) {
+	m.inner.OnMoves(moves)
 	for _, mv := range moves {
-		m.OnMove(mv.From, mv.To)
+		if m.live[mv.From] {
+			m.keys[mv.To], m.live[mv.To] = m.keys[mv.From], true
+			m.live[mv.From] = false
+		} else {
+			m.live[mv.To] = false
+		}
 	}
 }
 

@@ -284,8 +284,8 @@ func TestInstrumentedOnMoveOfUntrackedSlot(t *testing.T) {
 	pol, _ := repl.NewLRU(8)
 	m, _ := Instrument(pol, 8, 10)
 	m.OnInsert(0, 1)
-	m.live[0] = false // simulate an unmeasurable block
-	m.OnMove(0, 3)    // must not panic or mark 3 live
+	m.live[0] = false                        // simulate an unmeasurable block
+	m.OnMoves([]repl.Move{{From: 0, To: 3}}) // must not panic or mark 3 live
 	if m.live[3] {
 		t.Error("move of untracked block created a tracked one")
 	}

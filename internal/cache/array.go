@@ -45,8 +45,8 @@ type Candidate struct {
 }
 
 // Move records a relocation: the block in slot From moved to slot To. It is
-// an alias of repl.Move so batched policy notification (repl.MoveBatcher)
-// consumes install move slices without conversion.
+// an alias of repl.Move so the policy's OnMoves consumes install move slices
+// without conversion.
 type Move = repl.Move
 
 // Array is a physical cache organization.

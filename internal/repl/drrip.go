@@ -118,16 +118,11 @@ func (p *DRRIP) OnEvict(id BlockID) {
 	p.rrpv[id], p.last[id] = 0, 0
 }
 
-// OnMove transfers RRPV state to the new slot.
-func (p *DRRIP) OnMove(from, to BlockID) {
-	p.rrpv[to], p.last[to] = p.rrpv[from], p.last[from]
-	p.rrpv[from], p.last[from] = 0, 0
-}
-
-// OnMoves applies a relocation chain in one call.
+// OnMoves carries RRPV state with each relocated block to its new slot.
 func (p *DRRIP) OnMoves(moves []Move) {
 	for _, m := range moves {
-		p.OnMove(m.From, m.To)
+		p.rrpv[m.To], p.last[m.To] = p.rrpv[m.From], p.last[m.From]
+		p.rrpv[m.From], p.last[m.From] = 0, 0
 	}
 }
 

@@ -129,7 +129,7 @@ func TestDRRIPKeysUniqueAndMovable(t *testing.T) {
 		seen[k] = true
 	}
 	k := p.RetentionKey(3)
-	p.OnMove(3, 7)
+	p.OnMoves([]Move{{From: 3, To: 7}})
 	p.OnEvict(3) // no-op for state already moved; must not panic
 	if p.RetentionKey(7) != k {
 		t.Error("move lost state")

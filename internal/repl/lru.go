@@ -38,15 +38,10 @@ func (p *LRU) OnAccess(id BlockID, write bool) { p.touch(id) }
 // OnEvict clears the slot.
 func (p *LRU) OnEvict(id BlockID) { p.ts[id] = 0 }
 
-// OnMove transfers the timestamp to the new slot.
-func (p *LRU) OnMove(from, to BlockID) {
-	p.ts[to], p.ts[from] = p.ts[from], 0
-}
-
-// OnMoves applies a relocation chain in one call.
+// OnMoves carries the timestamp with each relocated block to its new slot.
 func (p *LRU) OnMoves(moves []Move) {
 	for _, m := range moves {
-		p.OnMove(m.From, m.To)
+		p.ts[m.To], p.ts[m.From] = p.ts[m.From], 0
 	}
 }
 
@@ -129,15 +124,10 @@ func (p *BucketedLRU) OnAccess(id BlockID, write bool) { p.touch(id) }
 // OnEvict clears the slot.
 func (p *BucketedLRU) OnEvict(id BlockID) { p.wrapped[id] = 0 }
 
-// OnMove transfers the timestamp to the new slot.
-func (p *BucketedLRU) OnMove(from, to BlockID) {
-	p.wrapped[to], p.wrapped[from] = p.wrapped[from], 0
-}
-
-// OnMoves applies a relocation chain in one call.
+// OnMoves carries the timestamp with each relocated block to its new slot.
 func (p *BucketedLRU) OnMoves(moves []Move) {
 	for _, m := range moves {
-		p.OnMove(m.From, m.To)
+		p.wrapped[m.To], p.wrapped[m.From] = p.wrapped[m.From], 0
 	}
 }
 

@@ -64,16 +64,11 @@ func (p *OPT) OnEvict(id BlockID) {
 	p.nextUse[id], p.inserted[id] = 0, 0
 }
 
-// OnMove transfers next-use state to the new slot.
-func (p *OPT) OnMove(from, to BlockID) {
-	p.nextUse[to], p.inserted[to] = p.nextUse[from], p.inserted[from]
-	p.nextUse[from], p.inserted[from] = 0, 0
-}
-
-// OnMoves applies a relocation chain in one call.
+// OnMoves carries next-use state with each relocated block to its new slot.
 func (p *OPT) OnMoves(moves []Move) {
 	for _, m := range moves {
-		p.OnMove(m.From, m.To)
+		p.nextUse[m.To], p.inserted[m.To] = p.nextUse[m.From], p.inserted[m.From]
+		p.nextUse[m.From], p.inserted[m.From] = 0, 0
 	}
 }
 

@@ -45,15 +45,10 @@ func (p *Random) OnAccess(id BlockID, write bool) {}
 // OnEvict clears the slot.
 func (p *Random) OnEvict(id BlockID) { p.seq[id] = 0 }
 
-// OnMove transfers the rank to the new slot.
-func (p *Random) OnMove(from, to BlockID) {
-	p.seq[to], p.seq[from] = p.seq[from], 0
-}
-
-// OnMoves applies a relocation chain in one call.
+// OnMoves carries the rank with each relocated block to its new slot.
 func (p *Random) OnMoves(moves []Move) {
 	for _, m := range moves {
-		p.OnMove(m.From, m.To)
+		p.seq[m.To], p.seq[m.From] = p.seq[m.From], 0
 	}
 }
 
@@ -112,16 +107,11 @@ func (p *LFU) OnEvict(id BlockID) {
 	p.freq[id], p.last[id] = 0, 0
 }
 
-// OnMove transfers frequency state to the new slot.
-func (p *LFU) OnMove(from, to BlockID) {
-	p.freq[to], p.last[to] = p.freq[from], p.last[from]
-	p.freq[from], p.last[from] = 0, 0
-}
-
-// OnMoves applies a relocation chain in one call.
+// OnMoves carries frequency state with each relocated block to its new slot.
 func (p *LFU) OnMoves(moves []Move) {
 	for _, m := range moves {
-		p.OnMove(m.From, m.To)
+		p.freq[m.To], p.last[m.To] = p.freq[m.From], p.last[m.From]
+		p.freq[m.From], p.last[m.From] = 0, 0
 	}
 }
 
@@ -201,16 +191,11 @@ func (p *SRRIP) OnEvict(id BlockID) {
 	p.rrpv[id], p.last[id] = 0, 0
 }
 
-// OnMove transfers RRPV state to the new slot.
-func (p *SRRIP) OnMove(from, to BlockID) {
-	p.rrpv[to], p.last[to] = p.rrpv[from], p.last[from]
-	p.rrpv[from], p.last[from] = 0, 0
-}
-
-// OnMoves applies a relocation chain in one call.
+// OnMoves carries RRPV state with each relocated block to its new slot.
 func (p *SRRIP) OnMoves(moves []Move) {
 	for _, m := range moves {
-		p.OnMove(m.From, m.To)
+		p.rrpv[m.To], p.last[m.To] = p.rrpv[m.From], p.last[m.From]
+		p.rrpv[m.From], p.last[m.From] = 0, 0
 	}
 }
 

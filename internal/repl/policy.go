@@ -22,7 +22,7 @@ import "fmt"
 
 // BlockID identifies a resident block's physical slot in a cache array
 // (way*rows + row). It is stable while the block stays in that slot; zcache
-// relocations move a block between slots via OnMove.
+// relocations move a block between slots via OnMoves.
 type BlockID uint32
 
 // NoVictim is returned by Select implementations when given no candidates.
@@ -35,18 +35,12 @@ type Move struct {
 	From, To BlockID
 }
 
-// MoveBatcher is implemented by policies that apply a whole relocation
-// chain in one call. The cache controller prefers OnMoves over per-move
-// OnMove so a K-deep chain costs one dynamic dispatch instead of K.
-type MoveBatcher interface {
-	OnMoves(moves []Move)
-}
-
 // Policy is a replacement policy driven by cache events.
 //
 // The cache wrapper guarantees: OnInsert is called at most once per slot
-// without an intervening OnEvict for that slot; OnAccess/OnEvict/OnMove only
-// reference slots previously inserted; OnMove's destination slot is vacant.
+// without an intervening OnEvict for that slot; OnAccess/OnEvict/OnMoves only
+// reference slots previously inserted; each move's destination slot is
+// vacant when it is applied.
 // Policies are not safe for concurrent use; each cache owns one instance.
 type Policy interface {
 	// Name identifies the policy, for reports.
@@ -57,9 +51,11 @@ type Policy interface {
 	OnAccess(id BlockID, write bool)
 	// OnEvict records that slot id's block left the cache.
 	OnEvict(id BlockID)
-	// OnMove records a zcache relocation of a resident block from one
-	// slot to another (the block itself, and thus its rank, is unchanged).
-	OnMove(from, to BlockID)
+	// OnMoves records a zcache relocation chain, one call per install:
+	// each resident block slides from its From slot to its To slot (the
+	// block itself, and thus its rank, is unchanged), in order, and
+	// leaves its source as an evicted slot.
+	OnMoves(moves []Move)
 	// Select returns the index within cands of the block to evict, or
 	// NoVictim if cands is empty. cands always holds resident slots.
 	Select(cands []BlockID) int

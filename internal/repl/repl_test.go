@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -100,31 +101,80 @@ func TestLRURetentionKeysStrictlyIncrease(t *testing.T) {
 	}
 }
 
+// TestOnMoveTransfersState is every policy's relocation contract: after
+// a warm history fed next uses through SetNextUse (OPT reads them), a
+// zcache chain of one to three hops, applied leaf-first in one OnMoves
+// call, leaves each moved block's per-slot state in its destination, the
+// vacated source in the state of an evicted slot, and every other slot as
+// it was.
 func TestOnMoveTransfersState(t *testing.T) {
-	for _, p := range allPolicies(t, 8) {
-		// Five inserts: bucketed LRU's counter (interval 4) has ticked.
-		for id := BlockID(0); id < 5; id++ {
-			feed(p, func() { p.OnInsert(id, 40+uint64(id)) })
-		}
-		key := rankState(p, 4)
-		p.OnMove(4, 5)
-		if got := rankState(p, 5); got != key {
-			t.Errorf("%s: key after move = %d, want %d", p.Name(), got, key)
+	const blocks = 16
+	chain := []Move{{From: 3, To: 12}, {From: 7, To: 3}, {From: 1, To: 7}}
+	for k := Kind(0); int(k) < len(kindNames); k++ {
+		for hops := 1; hops <= len(chain); hops++ {
+			p, err := k.New(blocks, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := uint64(0)
+			feedNext := func(f func()) {
+				if fa, ok := p.(FutureAware); ok {
+					next++
+					fa.SetNextUse(next * 10)
+				}
+				f()
+			}
+			// Slots 0..11 filled, slot 11 evicted, 12..15 never filled;
+			// the accesses give the blocks distinct ranks.
+			for id := BlockID(0); id < 12; id++ {
+				feedNext(func() { p.OnInsert(id, 0x40*uint64(id+1)) })
+			}
+			for _, id := range []BlockID{3, 1, 3, 9, 7} {
+				feedNext(func() { p.OnAccess(id, id == 9) })
+			}
+			p.OnEvict(11)
+			evicted := slotState(t, p, 11)
+
+			moves := chain[:hops]
+			before := make([][]uint64, blocks)
+			for id := range before {
+				before[id] = slotState(t, p, BlockID(id))
+			}
+			p.OnMoves(moves)
+
+			want := before
+			for _, m := range moves {
+				want[m.To], want[m.From] = want[m.From], evicted
+			}
+			for id := range want {
+				if got := slotState(t, p, BlockID(id)); !reflect.DeepEqual(got, want[id]) {
+					t.Errorf("%v, %d hops: slot %d holds %v, want %v", k, hops, id, got, want[id])
+				}
+			}
 		}
 	}
 }
 
-// rankState is what p ranks block id by: its RetentionKey, or the LRU
-// family's timestamp (their global order is touch order, which only the
-// instrumentation keys).
-func rankState(p Policy, id BlockID) uint64 {
+// slotState is all the per-slot state p keeps for slot id.
+func slotState(t *testing.T, p Policy, id BlockID) []uint64 {
 	switch p := p.(type) {
 	case *LRU:
-		return p.ts[id]
+		return []uint64{p.ts[id]}
 	case *BucketedLRU:
-		return uint64(p.wrapped[id])
+		return []uint64{uint64(p.wrapped[id])}
+	case *OPT:
+		return []uint64{p.nextUse[id], p.inserted[id]}
+	case *Random:
+		return []uint64{p.seq[id]}
+	case *LFU:
+		return []uint64{p.freq[id], p.last[id]}
+	case *SRRIP:
+		return []uint64{uint64(p.rrpv[id]), p.last[id]}
+	case *DRRIP:
+		return []uint64{uint64(p.rrpv[id]), p.last[id]}
 	}
-	return p.(Ranker).RetentionKey(id)
+	t.Fatalf("slotState does not know %T", p)
+	return nil
 }
 
 func TestBucketedLRUWrapAroundDecision(t *testing.T) {
