@@ -14,10 +14,7 @@
 // under content-addressed fingerprints.
 package sample
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // Buckets is the number of power-of-two reuse-distance buckets a signature
 // holds. Bucket b counts reuses at access-count distance in [2^b, 2^(b+1));
@@ -60,17 +57,6 @@ func (s *Signature) AddCold() {
 	s.Total++
 }
 
-// Merge adds o's counts into s. Only valid when the two signatures were
-// built over disjoint access populations (e.g. chunk summaries after
-// boundary reconciliation).
-func (s *Signature) Merge(o Signature) {
-	s.Cold += o.Cold
-	s.Total += o.Total
-	for b := range s.Hist {
-		s.Hist[b] += o.Hist[b]
-	}
-}
-
 // Vector returns the normalized feature vector used for clustering:
 // [cold fraction, bucket fractions...]. A zero-total signature yields the
 // zero vector.
@@ -105,65 +91,4 @@ func (s Signature) PredictMissRatio(capacityLines uint64) float64 {
 		miss += s.Hist[b]
 	}
 	return float64(miss) / float64(s.Total)
-}
-
-// Chunk is a mergeable partial-stream summary: the signature of the
-// chunk's accesses scored in isolation, plus the first/last access index
-// of every line touched, which is exactly the state needed to reconcile
-// reuses that span a chunk boundary. Merging adjacent chunks left to right
-// reproduces the single-pass signature bit for bit.
-type Chunk struct {
-	Sig Signature
-
-	start, end uint64            // global access-index range [start, end)
-	first      map[uint64]uint64 // line -> first global index in chunk
-	last       map[uint64]uint64 // line -> last global index in chunk
-}
-
-// NewChunk starts an empty chunk at global access index start.
-func NewChunk(start uint64) *Chunk {
-	return &Chunk{start: start, end: start,
-		first: map[uint64]uint64{}, last: map[uint64]uint64{}}
-}
-
-// Observe scores the next access (to line) at the chunk's running index.
-func (c *Chunk) Observe(line uint64) {
-	idx := c.end
-	c.end++
-	if prev, ok := c.last[line]; ok {
-		c.Sig.AddReuse(idx - prev)
-	} else {
-		c.Sig.AddCold()
-		c.first[line] = idx
-	}
-	c.last[line] = idx
-}
-
-// Merge folds the immediately following chunk into c. Every line whose
-// first access in next has a prior access in c was mis-scored cold by
-// next's isolated pass; it is re-scored as a reuse across the boundary.
-func (c *Chunk) Merge(next *Chunk) error {
-	if next.start != c.end {
-		return fmt.Errorf("sample: merging non-adjacent chunks [%d,%d) and [%d,%d)",
-			c.start, c.end, next.start, next.end)
-	}
-	merged := c.Sig
-	merged.Merge(next.Sig)
-	for line, fi := range next.first {
-		if li, ok := c.last[line]; ok {
-			merged.Cold--
-			merged.Hist[bucketOf(fi-li)]++
-		}
-	}
-	for line, fi := range next.first {
-		if _, ok := c.first[line]; !ok {
-			c.first[line] = fi
-		}
-	}
-	for line, li := range next.last {
-		c.last[line] = li
-	}
-	c.Sig = merged
-	c.end = next.end
-	return nil
 }

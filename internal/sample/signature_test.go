@@ -82,57 +82,6 @@ func TestSignatureGolden(t *testing.T) {
 	}
 }
 
-// TestChunkMergeMatchesSinglePass is the mergeability property: per-chunk
-// signatures merged left to right must equal the single-pass signature bit
-// for bit, for every chunking — boundary reuses are reconciled exactly.
-func TestChunkMergeMatchesSinglePass(t *testing.T) {
-	lines := goldenStream(4096)
-
-	var single Signature
-	last := map[uint64]int{}
-	for i, line := range lines {
-		if prev, ok := last[line]; ok {
-			single.AddReuse(uint64(i - prev))
-		} else {
-			single.AddCold()
-		}
-		last[line] = i
-	}
-
-	for _, chunkSize := range []int{1, 7, 64, 500, 4096, 9999} {
-		merged := NewChunk(0)
-		for start := 0; start < len(lines); start += chunkSize {
-			end := start + chunkSize
-			if end > len(lines) {
-				end = len(lines)
-			}
-			c := NewChunk(uint64(start))
-			for _, line := range lines[start:end] {
-				c.Observe(line)
-			}
-			if start == 0 {
-				merged = c
-				continue
-			}
-			if err := merged.Merge(c); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if merged.Sig != single {
-			t.Errorf("chunkSize=%d: merged signature differs from single pass\nmerged: %+v\nsingle: %+v",
-				chunkSize, merged.Sig, single)
-		}
-	}
-
-	// Non-adjacent chunks must refuse to merge.
-	a, b := NewChunk(0), NewChunk(100)
-	a.Observe(1)
-	b.Observe(1)
-	if err := a.Merge(b); err == nil {
-		t.Error("merging non-adjacent chunks succeeded")
-	}
-}
-
 func TestBucketOf(t *testing.T) {
 	cases := []struct {
 		dist uint64
