@@ -107,7 +107,9 @@ type Config struct {
 	// L1Bytes / L1Ways / LineBytes: per-core L1 data cache geometry.
 	// (Table I's L1s are split I/D; instruction fetch is modelled as
 	// always hitting L1I — in-order cores with small loops — so only the
-	// D-side is simulated. DESIGN.md records the substitution.)
+	// D-side is simulated. DESIGN.md records the substitution.) An L1
+	// hit costs nothing beyond an IPC=1 core's cycle, so the L1 has no
+	// latency.
 	L1Bytes   uint64
 	L1Ways    int
 	LineBytes uint64
@@ -119,9 +121,6 @@ type Config struct {
 	Design   Design
 	L2Policy repl.Kind
 	Lookup   energy.Lookup
-	// L1Latency is the L1 hit latency (cycles); L1 hits do not stall an
-	// IPC=1 core.
-	L1Latency int
 	// L1ToL2 is the average NUCA network latency to an L2 bank.
 	L1ToL2 int
 	// MemControllers and MemLatency: MCU count and zero-load latency.
@@ -165,7 +164,6 @@ func PaperSystem(design Design, policy repl.Kind, lookup energy.Lookup, l2Ways i
 		Design:              design,
 		L2Policy:            policy,
 		Lookup:              lookup,
-		L1Latency:           1,
 		L1ToL2:              4,
 		MemControllers:      4,
 		MemLatency:          200,
@@ -231,7 +229,7 @@ func (c Config) Validate() error {
 	if c.MemControllers <= 0 || c.MemControllers&(c.MemControllers-1) != 0 {
 		return fmt.Errorf("sim: memory controllers must be a positive power of two, got %d", c.MemControllers)
 	}
-	if c.MemLatency < 0 || c.L1ToL2 < 0 || c.L1Latency < 0 {
+	if c.MemLatency < 0 || c.L1ToL2 < 0 {
 		return fmt.Errorf("sim: negative latency")
 	}
 	if c.MemBytesPerCycle <= 0 {

@@ -22,7 +22,6 @@ func tinyConfig(design Design, policy repl.Kind) Config {
 		Design:              design,
 		L2Policy:            policy,
 		Lookup:              energy.Serial,
-		L1Latency:           1,
 		L1ToL2:              4,
 		MemControllers:      2,
 		MemLatency:          200,
