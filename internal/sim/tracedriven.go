@@ -134,23 +134,29 @@ func ReplayL2(cfg Config, stream *L2Stream) (Metrics, error) {
 		return StreamMetrics(cfg, stream, energy.SystemCounts{}, make([]uint64, cfg.Cores), 0, 0), nil
 	}
 
-	// Next-use annotation over the fixed global stream feeds OPT.
-	lineBits := cfg.lineBits()
-	accesses := make([]trace.Access, len(stream.Refs))
-	for i, r := range stream.Refs {
-		accesses[i] = trace.Access{Addr: r.Line << lineBits, Write: r.Write}
-	}
-	nextUse, err := trace.AnnotateNextUse(accesses, cfg.LineBytes)
-	if err != nil {
-		return Metrics{}, err
-	}
-
 	x, err := NewL2Replayer(cfg)
 	if err != nil {
 		return Metrics{}, err
 	}
+	// Next-use annotation over the fixed global stream feeds OPT; no
+	// other policy reads it, so none pays for it.
+	var nextUse []uint64
+	if _, future := x.banks[0].cache.Policy().(repl.FutureAware); future {
+		lineBits := cfg.lineBits()
+		accesses := make([]trace.Access, len(stream.Refs))
+		for i, r := range stream.Refs {
+			accesses[i] = trace.Access{Addr: r.Line << lineBits, Write: r.Write}
+		}
+		if nextUse, err = trace.AnnotateNextUse(accesses, cfg.LineBytes); err != nil {
+			return Metrics{}, err
+		}
+	}
 	for i, r := range stream.Refs {
-		x.Replay(r, nextUse[i])
+		next := trace.NoNextUse
+		if nextUse != nil {
+			next = nextUse[i]
+		}
+		x.Replay(r, next)
 	}
 	lc := x.Leg()
 	return StreamMetrics(cfg, stream, lc.Counts, lc.CoreStalls, float64(lc.Demand), float64(lc.TagLookups)), nil
