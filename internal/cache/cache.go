@@ -145,9 +145,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Counters returns the underlying array's access accounting.
 func (c *Cache) Counters() Counters { return *c.array.Counters() }
 
-// LineSize returns the line size in bytes.
-func (c *Cache) LineSize() uint64 { return 1 << c.lineBits }
-
 // Line returns the line address of a byte address.
 func (c *Cache) Line(addr uint64) uint64 { return addr >> c.lineBits }
 

@@ -7,52 +7,6 @@ import (
 	"zcache/internal/repl"
 )
 
-func TestTimelineMatchesFig1g(t *testing.T) {
-	// Fig. 1g's worked example: 3 ways, 3 levels, 4-cycle tag and data
-	// arrays, 100-cycle memory, victim at level 3 (2 relocations): walk
-	// finishes at cycle 12, the whole process at 20, well inside 100.
-	tl, err := Timeline(3, 3, 4, 4, 100, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl.WalkDone != 12 {
-		t.Errorf("WalkDone = %d, want 12", tl.WalkDone)
-	}
-	if tl.RelocationsDone != 20 {
-		t.Errorf("RelocationsDone = %d, want 20", tl.RelocationsDone)
-	}
-	if !tl.Hidden {
-		t.Error("replacement process not hidden behind the 100-cycle fetch")
-	}
-}
-
-func TestTimelineExposesSlowWalks(t *testing.T) {
-	// A deep walk against a fast memory is NOT hidden — the §III early-
-	// stop knob exists for this case.
-	tl, err := Timeline(4, 3, 4, 4, 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl.Hidden {
-		t.Errorf("replacement %d cycles hidden behind a 10-cycle fetch?", tl.RelocationsDone)
-	}
-}
-
-func TestTimelineValidation(t *testing.T) {
-	if _, err := Timeline(0, 1, 4, 4, 100, 0); err == nil {
-		t.Error("0 ways accepted")
-	}
-	if _, err := Timeline(4, 0, 4, 4, 100, 0); err == nil {
-		t.Error("0 levels accepted")
-	}
-	if _, err := Timeline(4, 2, 0, 4, 100, 0); err == nil {
-		t.Error("0 tag latency accepted")
-	}
-	if _, err := Timeline(4, 2, 4, 4, 100, 5); err == nil {
-		t.Error("5 relocations with a 2-level walk accepted")
-	}
-}
-
 func newVictim(t testing.TB, ways int, sets uint64, entries int) *VictimCache {
 	t.Helper()
 	idx, err := hash.NewBitSelect(0, sets)

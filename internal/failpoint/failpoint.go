@@ -25,7 +25,6 @@ package failpoint
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -159,14 +158,6 @@ func WithSeed(seed uint64) Option {
 	return func(p *point) { p.seed = hash.Mix64(seed ^ hashName(p.name)) }
 }
 
-// Disable removes one failpoint.
-func Disable(name string) {
-	registry.Delete(name)
-	stillActive := false
-	registry.Range(func(_, _ any) bool { stillActive = true; return false })
-	active.Store(stillActive)
-}
-
 // Reset removes every failpoint; tests defer it to restore the
 // production configuration.
 func Reset() {
@@ -244,28 +235,6 @@ func Fired(name string) uint64 {
 		return 0
 	}
 	return v.(*point).fired.Load()
-}
-
-// Status describes one enabled failpoint for diagnostics.
-type Status struct {
-	Name  string
-	Mode  Mode
-	Prob  float64
-	Calls uint64
-	Fired uint64
-}
-
-// List returns the enabled failpoints sorted by name.
-func List() []Status {
-	var out []Status
-	registry.Range(func(_, v any) bool {
-		p := v.(*point)
-		out = append(out, Status{Name: p.name, Mode: p.mode, Prob: p.prob,
-			Calls: p.calls.Load(), Fired: p.fired.Load()})
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // SplitSpec splits a fault spec into its semicolon-separated terms, trimmed,

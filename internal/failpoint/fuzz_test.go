@@ -46,26 +46,26 @@ func FuzzConfigure(f *testing.F) {
 	f.Fuzz(func(t *testing.T, spec string, seed uint64) {
 		defer Reset()
 		err := Configure(spec, seed)
-		pts := List()
+		pts := enabled()
 		if err != nil {
 			if len(pts) != 0 {
 				t.Fatalf("Configure(%q) errored (%v) but enabled %d points", spec, err, len(pts))
 			}
 			return
 		}
-		for _, st := range pts {
-			if math.IsNaN(st.Prob) || !(st.Prob > 0 && st.Prob <= 1) {
-				t.Fatalf("Configure(%q) accepted probability %v for %q", spec, st.Prob, st.Name)
+		for _, p := range pts {
+			if math.IsNaN(p.prob) || !(p.prob > 0 && p.prob <= 1) {
+				t.Fatalf("Configure(%q) accepted probability %v for %q", spec, p.prob, p.name)
 			}
-			if st.Mode < Error || st.Mode > Torn {
-				t.Fatalf("Configure(%q) produced mode %v for %q", spec, st.Mode, st.Name)
+			if p.mode < Error || p.mode > Torn {
+				t.Fatalf("Configure(%q) produced mode %v for %q", spec, p.mode, p.name)
 			}
-			if strings.TrimSpace(st.Name) == "" {
+			if strings.TrimSpace(p.name) == "" {
 				t.Fatalf("Configure(%q) accepted empty point name", spec)
 			}
 			// An Eval on the fuzzer-chosen name must not panic either
 			// (Delay-mode sleeps are not applied by Eval, only sized).
-			act := Eval(st.Name)
+			act := Eval(p.name)
 			if act.Mode == Torn && act.Truncate < 1 {
 				t.Fatalf("Configure(%q): torn action with truncate %d", spec, act.Truncate)
 			}

@@ -136,15 +136,6 @@ func (t *Treap) Kth(k int) (uint64, bool) {
 	}
 }
 
-// Min returns the smallest key and true, or 0 and false if empty.
-func (t *Treap) Min() (uint64, bool) { return t.Kth(0) }
-
-// Max returns the largest key and true, or 0 and false if empty.
-func (t *Treap) Max() (uint64, bool) { return t.Kth(t.Len() - 1) }
-
-// Clear removes all keys.
-func (t *Treap) Clear() { t.root = nil }
-
 // split partitions n into keys < key and keys >= key.
 func split(n *node, key uint64) (l, r *node) {
 	if n == nil {

@@ -13,11 +13,8 @@ func TestEmptyTreap(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Errorf("empty Len = %d", tr.Len())
 	}
-	if _, ok := tr.Min(); ok {
-		t.Error("empty Min returned ok")
-	}
-	if _, ok := tr.Max(); ok {
-		t.Error("empty Max returned ok")
+	if _, ok := tr.Kth(-1); ok {
+		t.Error("empty Kth(-1) returned ok")
 	}
 	if _, ok := tr.Kth(0); ok {
 		t.Error("empty Kth(0) returned ok")
@@ -56,11 +53,11 @@ func TestInsertDeleteBasics(t *testing.T) {
 	if got := tr.Rank(100); got != 5 {
 		t.Errorf("Rank(100) = %d, want 5", got)
 	}
-	if k, _ := tr.Min(); k != 1 {
-		t.Errorf("Min = %d, want 1", k)
+	if k, _ := tr.Kth(0); k != 1 {
+		t.Errorf("Kth(0) = %d, want 1", k)
 	}
-	if k, _ := tr.Max(); k != 9 {
-		t.Errorf("Max = %d, want 9", k)
+	if k, _ := tr.Kth(tr.Len() - 1); k != 9 {
+		t.Errorf("Kth(Len-1) = %d, want 9", k)
 	}
 	if err := tr.Delete(3); err != nil {
 		t.Fatal(err)
@@ -194,22 +191,6 @@ func TestRankPropertyQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestClear(t *testing.T) {
-	var tr Treap
-	for i := uint64(0); i < 100; i++ {
-		if err := tr.Insert(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tr.Clear()
-	if tr.Len() != 0 {
-		t.Errorf("Len after Clear = %d", tr.Len())
-	}
-	if err := tr.Insert(5); err != nil {
-		t.Errorf("insert after Clear: %v", err)
 	}
 }
 

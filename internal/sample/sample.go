@@ -108,57 +108,51 @@ type Estimate struct {
 	Clusters  int `json:"clusters"`
 }
 
-// epochSet is a fixed-size open-addressing set of line addresses with
-// epoch-stamped entries: reset is O(1) and membership tests and inserts
-// never allocate, which keeps the sampled hot path at zero allocs/access.
+// epochSet is the fixed-size open-addressing set of the lines one sampled
+// walk has seen; RunLookups builds a fresh one per walk. Membership tests and
+// inserts never allocate, which keeps the sampled hot path at zero
+// allocs/access.
 type epochSet struct {
-	keys   []uint64
-	epochs []uint32
-	epoch  uint32
-	mask   uint64
-	count  int
+	keys  []uint64 // emptyLine marks a free slot
+	mask  uint64
+	count int
 }
+
+// emptyLine is no line address: line addresses are byte addresses shifted
+// right by the line bits.
+const emptyLine = ^uint64(0)
 
 func newEpochSet(capHint int) *epochSet {
 	size := 1024
 	for size < 4*capHint {
 		size <<= 1
 	}
-	return &epochSet{
-		keys:   make([]uint64, size),
-		epochs: make([]uint32, size),
-		epoch:  1,
-		mask:   uint64(size) - 1,
+	keys := make([]uint64, size)
+	for i := range keys {
+		keys[i] = emptyLine
 	}
+	return &epochSet{keys: keys, mask: uint64(size) - 1}
 }
 
-func (s *epochSet) reset() {
-	s.epoch++
-	s.count = 0
-	if s.epoch == 0 { // uint32 wrap: invalidate everything explicitly
-		for i := range s.epochs {
-			s.epochs[i] = 0
-		}
-		s.epoch = 1
-	}
-}
-
-// insert adds line and reports whether it was absent. When the table is
-// at capacity and the line is absent, it reports (false, false).
+// insert adds line and reports whether it was absent. When the table is at
+// capacity and the line is absent, or line is emptyLine, it reports (false,
+// false): the caller replays the reference.
 func (s *epochSet) insert(line uint64) (added, ok bool) {
+	if line == emptyLine {
+		return false, false
+	}
 	i := hash.Mix64(line) & s.mask
 	for {
-		if s.epochs[i] != s.epoch {
+		switch s.keys[i] {
+		case line:
+			return false, true
+		case emptyLine:
 			if s.count >= len(s.keys)*3/4 {
 				return false, false
 			}
 			s.keys[i] = line
-			s.epochs[i] = s.epoch
 			s.count++
 			return true, true
-		}
-		if s.keys[i] == line {
-			return false, true
 		}
 		i = (i + 1) & s.mask
 	}
@@ -259,10 +253,12 @@ func RunLookups(cfg sim.Config, stream *sim.L2Stream, plan *Plan, lookups []ener
 	for _, lk := range lookups[1:] {
 		x.AddLookupTiming(lk)
 	}
-	// DEW arms for the whole walk when the stream's total footprint
-	// provably fits residency: then a replayed line can only be displaced
-	// by set-conflict skew, and the first eviction disarms the fast path
-	// before any stale skip can happen.
+	// DEW arms for the whole walk when the stream's total footprint fits
+	// the DEWPermille bound, and the first eviction disarms it. It is a
+	// heuristic, not exact: a skipped re-access leaves its line's recency
+	// stale, so the eviction that disarms the filter can pick a different
+	// victim than full replay would (TestDEWSkipCanChangeTheVictim). Its
+	// error is bounded only by validate-sampled's 2% gate.
 	dew := maxDEW > 0 && plan.Footprint > 0 && plan.Footprint <= maxDEW
 	var seen *epochSet
 	if dew {
@@ -276,7 +272,7 @@ func RunLookups(cfg sim.Config, stream *sim.L2Stream, plan *Plan, lookups []ener
 				if x.Evictions() != 0 {
 					dew = false
 				} else if added, ok := seen.insert(refs[i].Line); ok && !added {
-					continue // warm-region re-access: state no-op
+					continue // warm-region re-access: recency left stale
 				}
 			}
 			x.Warm(refs[i])

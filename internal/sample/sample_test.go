@@ -191,3 +191,47 @@ func BenchmarkSampledReplayAccess(b *testing.B) {
 		x.Replay(refs[i&mask], 0)
 	}
 }
+
+// TestDEWSkipCanChangeTheVictim pins that the DEW fast path is not exact. On
+// one 16-set, 4-way bit-selected LRU bank, lines 0, 16, 32, 48 and 64 share
+// set 0. The skipped re-access of line 0 leaves it least recently used, so
+// line 64 evicts 0 instead of 16, and the final access to 0 misses: 6 misses
+// where full replay counts 5. With the filter off the sampled walk of the
+// one interval is full replay.
+func TestDEWSkipCanChangeTheVictim(t *testing.T) {
+	cfg := sim.PaperSystem(sim.SetAssocBitSel, repl.KindLRU, energy.Serial, 4)
+	cfg.Cores = 1
+	cfg.L2Bytes = 16 * 4 * 64
+	cfg.L2Banks = 1
+	stream := &sim.L2Stream{PerCoreInstructions: make([]uint64, 1)}
+	for _, line := range []uint64{0, 16, 32, 48, 0, 64, 0} {
+		stream.Refs = append(stream.Refs, sim.L2Ref{Line: line, Gap: 1, Demand: true})
+		stream.PerCoreInstructions[0]++
+		stream.Instructions++
+	}
+	full, err := sim.ReplayL2(cfg, stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := func(dewPermille int) (uint64, uint64) {
+		t.Helper()
+		plan, err := BuildPlan(stream, cfg.L2Bytes/cfg.LineBytes, Spec{Intervals: 1, Clusters: 1, DEWPermille: dewPermille})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, est, err := Run(cfg, stream, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Counts.L2Misses, est.SkippedHits
+	}
+	if full.Counts.L2Misses != 5 {
+		t.Fatalf("full replay: %d misses, want 5", full.Counts.L2Misses)
+	}
+	if off, skipped := misses(-1); off != full.Counts.L2Misses || skipped != 0 {
+		t.Errorf("DEW off: %d misses, %d skipped hits; want full replay's %d and 0", off, skipped, full.Counts.L2Misses)
+	}
+	if on, skipped := misses(0); on != 6 || skipped != 1 {
+		t.Errorf("DEW on: %d misses, %d skipped hits; want 6 and 1", on, skipped)
+	}
+}

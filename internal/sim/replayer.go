@@ -43,8 +43,8 @@ type L2Replayer struct {
 }
 
 // Evictions counts L2 evictions since construction (not reset by
-// ResetCounters). The DEW filter watches it: its residency proof assumes
-// no line is ever displaced, so the first eviction disarms the fast path.
+// ResetCounters). The DEW filter watches it: the first eviction disarms the
+// fast path.
 func (x *L2Replayer) Evictions() uint64 { return x.evictions }
 
 // NewL2Replayer builds the configured L2 banks. OPT is accepted (the caller
@@ -136,12 +136,13 @@ func (x *L2Replayer) Warm(r L2Ref) {
 	x.banks[x.bankOf(r.Line)].cache.Access(x.bankAddr(r.Line), r.Write || !r.Demand)
 }
 
-// NoteGuaranteedHit accounts a reference the DEW filter proved to be a hit
+// NoteGuaranteedHit accounts a reference the DEW filter settled as a hit
 // without touching the arrays: the counters and the stall charge are those
 // of a hit, and one tag lookup is credited analytically so the bandwidth
-// figures stay consistent. Recency state is deliberately not updated — the
-// filter only fires when the leg's footprint fits residency, where
-// replacement order cannot change the leg's outcome.
+// figures stay consistent. Recency state is not updated, so the eviction
+// that later disarms the filter can pick a different victim than full
+// replay would; the sampled executor's error is bounded only by
+// validate-sampled's 2% gate.
 func (x *L2Replayer) NoteGuaranteedHit(r L2Ref) {
 	x.counts.L2Accesses++
 	x.counts.L2Hits++

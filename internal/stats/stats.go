@@ -72,55 +72,6 @@ func (h *Histogram) CDF() []float64 {
 	return out
 }
 
-// Mean returns the mean of the recorded samples, approximated at bin centers.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var sum float64
-	w := 1.0 / float64(len(h.bins))
-	for i, c := range h.bins {
-		center := (float64(i) + 0.5) * w
-		sum += center * float64(c)
-	}
-	return sum / float64(h.total)
-}
-
-// Quantile returns the approximate q-quantile (0<=q<=1) of the samples.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.total)
-	var cum float64
-	for i, c := range h.bins {
-		cum += float64(c)
-		if cum >= target {
-			return (float64(i) + 1) / float64(len(h.bins))
-		}
-	}
-	return 1
-}
-
-// Merge adds other's samples into h. The histograms must have the same
-// number of bins.
-func (h *Histogram) Merge(other *Histogram) error {
-	if len(h.bins) != len(other.bins) {
-		return fmt.Errorf("stats: merging histograms with %d and %d bins", len(h.bins), len(other.bins))
-	}
-	for i, c := range other.bins {
-		h.bins[i] += c
-	}
-	h.total += other.total
-	return nil
-}
-
 // UniformityCDF returns F_A(x) = x^n evaluated at the right edge of each of
 // bins equal bins — the associativity CDF of a cache that draws n
 // independent uniform replacement candidates (paper §IV-B, Fig. 2).
@@ -161,27 +112,6 @@ func GeoMean(xs []float64) (float64, error) {
 		sum += math.Log(x)
 	}
 	return math.Exp(sum / float64(len(xs))), nil
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Sorted returns a sorted copy of xs. The Fig. 4 presentation sorts each
-// design's per-workload improvements so every line is monotone.
-func Sorted(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	copy(out, xs)
-	sort.Float64s(out)
-	return out
 }
 
 // TopKIndices returns the indices of the k largest values in xs, in

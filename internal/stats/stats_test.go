@@ -54,39 +54,6 @@ func TestHistogramCDFMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogramMeanQuantile(t *testing.T) {
-	h := NewHistogram(1000)
-	for i := 0; i < 10000; i++ {
-		h.Add(float64(i) / 10000)
-	}
-	if m := h.Mean(); math.Abs(m-0.5) > 0.01 {
-		t.Errorf("Mean of uniform = %.4f, want ~0.5", m)
-	}
-	if q := h.Quantile(0.9); math.Abs(q-0.9) > 0.01 {
-		t.Errorf("Quantile(0.9) = %.4f, want ~0.9", q)
-	}
-	if q := h.Quantile(0); q > 0.002 {
-		t.Errorf("Quantile(0) = %.4f, want ~0", q)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(4)
-	b := NewHistogram(4)
-	a.Add(0.1)
-	b.Add(0.9)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != 2 {
-		t.Errorf("merged Count = %d, want 2", a.Count())
-	}
-	c := NewHistogram(8)
-	if err := a.Merge(c); err == nil {
-		t.Error("merge with mismatched bins succeeded")
-	}
-}
-
 func TestUniformityCDF(t *testing.T) {
 	// F(x) = x^n: check endpoints and a known interior value.
 	cdf := UniformityCDF(16, 100)
@@ -147,23 +114,6 @@ func TestGeoMean(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMeanSorted(t *testing.T) {
-	if m := Mean([]float64{1, 2, 3}); math.Abs(m-2) > 1e-12 {
-		t.Errorf("Mean = %g", m)
-	}
-	if m := Mean(nil); m != 0 {
-		t.Errorf("Mean(nil) = %g", m)
-	}
-	in := []float64{3, 1, 2}
-	out := Sorted(in)
-	if out[0] != 1 || out[1] != 2 || out[2] != 3 {
-		t.Errorf("Sorted = %v", out)
-	}
-	if in[0] != 3 {
-		t.Error("Sorted mutated its input")
 	}
 }
 

@@ -120,11 +120,7 @@ type Server struct {
 	sem        chan struct{} // bounded worker pool: one slot per live conn
 	inShutdown atomic.Bool
 	started    atomic.Bool
-	// drainDeadline (unix nanos; 0 = not draining) clamps every
-	// per-connection deadline once Shutdown begins, so no idle or
-	// in-progress read can outlive the drain window.
-	drainDeadline atomic.Int64
-	wg            sync.WaitGroup
+	wg         sync.WaitGroup
 
 	mu    sync.Mutex
 	ln    net.Listener
@@ -231,9 +227,11 @@ func (s *Server) Serve(ln net.Listener) error {
 			return ErrServerClosed
 		}
 		s.conns[conn] = struct{}{}
+		// Under mu: Shutdown waits only after taking mu with inShutdown
+		// set, so it waits for every handler admitted here.
+		s.wg.Add(1)
 		s.mu.Unlock()
 		s.connsTotal.Add(1)
-		s.wg.Add(1)
 		go func() {
 			defer func() {
 				s.mu.Lock()
@@ -260,24 +258,16 @@ func shedConn(conn net.Conn) {
 }
 
 // Shutdown stops accepting, then lets live connections drain buffered and
-// in-flight requests for up to DrainTimeout before they are force-closed
-// (counted in zkv_drain_force_closes_total). It returns nil once every
-// connection has finished, or ctx.Err() if ctx expires first (connections
-// are then closed immediately).
+// in-flight requests until they finish on their own, DrainTimeout passes or
+// ctx expires, whichever comes first. It then closes every connection still
+// open, counting each in zkv_drain_force_closes_total: a handler's own
+// deadlines are never touched, and none of them can undo a Close. It returns
+// ctx.Err() if ctx ended the drain, else nil.
 func (s *Server) Shutdown(ctx context.Context) error {
-	deadline := time.Now().Add(s.cfg.DrainTimeout)
-	s.drainDeadline.Store(deadline.UnixNano())
 	s.inShutdown.Store(true)
 	s.mu.Lock()
 	if s.ln != nil {
 		s.ln.Close()
-	}
-	for conn := range s.conns {
-		// Unblock handlers parked in a read: already-buffered pipelined
-		// frames still get decoded and answered; only waiting for *new*
-		// bytes times out. deadlineConn clamps any deadline it sets after
-		// this point to the same drain deadline.
-		conn.SetReadDeadline(deadline)
 	}
 	s.mu.Unlock()
 
@@ -286,29 +276,24 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.wg.Wait()
 		close(done)
 	}()
+	drain := time.NewTimer(s.cfg.DrainTimeout)
+	defer drain.Stop()
+	var err error
 	select {
 	case <-done:
 		return nil
+	case <-drain.C:
 	case <-ctx.Done():
-		s.mu.Lock()
-		for conn := range s.conns {
-			conn.Close()
-		}
-		s.mu.Unlock()
-		<-done
-		return ctx.Err()
+		err = ctx.Err()
 	}
-}
-
-// clampDrain caps t at the drain deadline once Shutdown has begun. A zero
-// t means "no deadline" and clamps to the drain deadline alone.
-func (s *Server) clampDrain(t time.Time) time.Time {
-	if dd := s.drainDeadline.Load(); dd != 0 {
-		if d := time.Unix(0, dd); t.IsZero() || d.Before(t) {
-			return d
-		}
+	s.mu.Lock()
+	for conn := range s.conns {
+		conn.Close()
+		s.drainCloses.Add(1)
 	}
-	return t
+	s.mu.Unlock()
+	<-done
+	return err
 }
 
 // isTimeout reports whether a conn error is a deadline expiry.
@@ -324,7 +309,7 @@ func isTimeout(err error) bool {
 // arms a deadline only immediately before an underlying Read or Write: a
 // handler blocks nowhere else, so a burst that arrives in one read and leaves
 // in one write pays for two timers, not two per request. serveConn owns both
-// flags; every deadline goes through deadlineIn, hence through clampDrain.
+// flags.
 type deadlineConn struct {
 	net.Conn
 	s *Server
@@ -340,11 +325,11 @@ type deadlineConn struct {
 func (c *deadlineConn) Read(p []byte) (int, error) {
 	switch {
 	case !c.inFrame:
-		c.Conn.SetReadDeadline(c.s.deadlineIn(c.s.cfg.IdleTimeout))
+		c.Conn.SetReadDeadline(deadlineIn(c.s.cfg.IdleTimeout))
 	case !c.frameArmed:
 		// With ReadTimeout disabled this clears the idle deadline the
 		// burst's first read left armed.
-		c.Conn.SetReadDeadline(c.s.deadlineIn(c.s.cfg.ReadTimeout))
+		c.Conn.SetReadDeadline(deadlineIn(c.s.cfg.ReadTimeout))
 		c.frameArmed = true
 	}
 	n, err := c.Conn.Read(p)
@@ -356,19 +341,18 @@ func (c *deadlineConn) Read(p []byte) (int, error) {
 
 func (c *deadlineConn) Write(p []byte) (int, error) {
 	if c.s.cfg.WriteTimeout > 0 {
-		c.Conn.SetWriteDeadline(c.s.deadlineIn(c.s.cfg.WriteTimeout))
+		c.Conn.SetWriteDeadline(deadlineIn(c.s.cfg.WriteTimeout))
 	}
 	return c.Conn.Write(p)
 }
 
 // deadlineIn returns the instant d from now, or no deadline when d is 0 (the
-// timer is disabled), clamped to the drain deadline either way.
-func (s *Server) deadlineIn(d time.Duration) time.Time {
-	var t time.Time
+// timer is disabled).
+func deadlineIn(d time.Duration) time.Time {
 	if d > 0 {
-		t = time.Now().Add(d)
+		return time.Now().Add(d)
 	}
-	return s.clampDrain(t)
+	return time.Time{}
 }
 
 // serveConn runs one connection's request loop. All per-request state is
@@ -377,9 +361,8 @@ func (s *Server) deadlineIn(d time.Duration) time.Time {
 // Deadline discipline (deadlineConn): a read that waits for a burst's first
 // byte runs under the idle timeout; a frame whose first byte is in must
 // complete within ReadTimeout of the first read that blocks on it; each
-// underlying write gets WriteTimeout. Every deadline is clamped to the drain
-// deadline during shutdown, so a silent or stalled peer can never hold the
-// drain hostage.
+// underlying write gets WriteTimeout. None of them bounds a drain: Shutdown
+// closes the connection when the drain window ends, whatever is armed.
 func (s *Server) serveConn(conn net.Conn) {
 	dc := &deadlineConn{Conn: conn, s: s}
 	br := bufio.NewReaderSize(dc, 64<<10)
@@ -395,14 +378,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		err := req.ReadFrom(br)
 		if err != nil {
 			if isTimeout(err) {
-				switch {
-				case s.inShutdown.Load():
-					s.drainCloses.Add(1)
-				case dc.inFrame:
+				if dc.inFrame {
 					// A frame started arriving and never finished: slow
 					// loris.
 					s.readCloses.Add(1)
-				default:
+				} else {
 					s.idleCloses.Add(1)
 				}
 				return

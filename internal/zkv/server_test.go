@@ -503,11 +503,15 @@ func burstOf(n int) []zkvproto.Request {
 type hookConn struct {
 	net.Conn
 	readArms, writeArms atomic.Int32
-	afterRead           func(n int) // optional
+	afterRead           func(n int)      // optional
+	beforeReadArm       func(call int32) // optional; call counts from 1
 }
 
 func (c *hookConn) SetReadDeadline(t time.Time) error {
-	c.readArms.Add(1)
+	call := c.readArms.Add(1)
+	if c.beforeReadArm != nil {
+		c.beforeReadArm(call)
+	}
 	return c.Conn.SetReadDeadline(t)
 }
 
@@ -640,6 +644,78 @@ func TestServerShutdownAnswersBufferedBurst(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("drain took %v, want ~DrainTimeout (%v)", d, drain)
+	}
+	if err := <-errc; !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("Serve returned %v", err)
+	}
+	if got := srv.ShedStats().DrainCloses; got != 1 {
+		t.Fatalf("DrainCloses = %d, want 1", got)
+	}
+}
+
+// TestServerDrainOutlastsStaleIdleArm: a handler that computed its idle
+// deadline before Shutdown began and arms it after cannot hold the drain
+// open. The hook parks the idle re-arm that follows a Ping until Shutdown has
+// begun (and, should Shutdown arm a read deadline of its own, until that one
+// is in), so the five-minute idle deadline is the last one armed. Shutdown
+// must still return nil about DrainTimeout later, the connection counted as
+// one drain close.
+func TestServerDrainOutlastsStaleIdleArm(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	laterArm := make(chan struct{}, 1)
+	wrap := func(conn net.Conn) net.Conn {
+		return &hookConn{Conn: conn, beforeReadArm: func(call int32) {
+			switch {
+			case call == 2: // the idle re-arm after the Ping's reply
+				close(parked)
+				<-release
+			case call > 2:
+				select {
+				case laterArm <- struct{}{}:
+				default:
+				}
+			}
+		}}
+	}
+	const drain = 300 * time.Millisecond
+	srv := NewServer(testStore(t), ServerConfig{DrainTimeout: drain})
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(hookListener{ln, wrap}) }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := zkvproto.NewClient(conn).Ping(); err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	start := time.Now()
+	sdErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		sdErr <- srv.Shutdown(ctx)
+	}()
+	for !srv.inShutdown.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-laterArm:
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+
+	if err := <-sdErr; err != nil {
+		t.Fatalf("shutdown after a stale idle arm: %v", err)
+	}
+	if d := time.Since(start); d > 1500*time.Millisecond {
 		t.Fatalf("drain took %v, want ~DrainTimeout (%v)", d, drain)
 	}
 	if err := <-errc; !errors.Is(err, ErrServerClosed) {

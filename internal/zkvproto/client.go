@@ -120,9 +120,6 @@ func (c *Client) QueueGet(key []byte) error { return c.Queue(OpGet, key, nil) }
 // QueueSet buffers a SET without flushing.
 func (c *Client) QueueSet(key, val []byte) error { return c.Queue(OpSet, key, val) }
 
-// QueueDel buffers a DEL without flushing.
-func (c *Client) QueueDel(key []byte) error { return c.Queue(OpDel, key, nil) }
-
 // Flush writes all buffered requests to the connection.
 func (c *Client) Flush() error { return c.bw.Flush() }
 
