@@ -6,13 +6,15 @@
 //	runlab sim -workload canneal -design z-L3 ...               # one Table I cell, every metric
 //	runlab cost [table2|merit|ratios|sweep]                     # Table II, §III-B
 //	runlab validate-sampled                                     # sampled vs exact execution
-//	runlab status | gc | repair                                 # the result store
+//	runlab status | gc                                          # the result store
 //
 // `run` pushes every matrix cell through the content-addressed result store
 // and then prints the suite's figure. It checkpoints completed cells as it
 // goes; Ctrl-C (or a crash) loses at most one flush interval of work, and
 // re-invoking the same command resumes from the cells already on disk. A
 // fully warm rerun performs zero simulations. `-store ""` attaches no store.
+// Every checkpoint is fsynced; a store that a crash left with torn lines
+// still serves its intact cells, exits 3, and `gc` compacts it clean.
 //
 // Tables go to stdout; logs and the progress meter go to stderr.
 //
@@ -75,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"validate-sampled": c.validateSampled,
 		"status":           c.status,
 		"gc":               c.gc,
-		"repair":           c.repair,
 	}
 	verb, ok := verbs[args[0]]
 	switch {
@@ -113,7 +114,6 @@ verbs:
   validate-sampled  check sampled execution's work and error against the exact suite
   status            show store contents and run history
   gc                compact the store, dropping stale-schema and corrupt records
-  repair            rewrite corrupt shards from surviving records
 
 'runlab <verb> -h' lists a verb's flags. Shared flags mean the same in every
 verb that takes them: -preset test|quick|full, -policy lru|lru-full|opt|random|
@@ -125,7 +125,7 @@ exit codes:
   0  success
   1  runtime error
   2  usage error
-  3  store corruption detected (run 'runlab repair')
+  3  store corruption detected (run 'runlab gc')
   4  cells quarantined; results are partial (rerun to backfill)
 `
 
@@ -246,15 +246,17 @@ func (c *cli) status(args []string) error {
 	fs := c.flagSet("status")
 	sh.register(fs, "store")
 	manifestTail := fs.Int("runs", 10, "manifest entries to show")
-	strict := fs.Bool("strict", false, "treat corrupt store records as fatal while loading")
 	if err := parse(fs, args); err != nil {
 		return err
+	}
+	if *manifestTail < 0 {
+		return usagef("-runs must be >= 0, got %d", *manifestTail)
 	}
 	dir, err := sh.storeDir()
 	if err != nil {
 		return err
 	}
-	st, err := runlab.OpenWith(dir, runlab.Options{Strict: *strict})
+	st, err := runlab.Open(dir)
 	if err != nil {
 		return err
 	}
@@ -287,10 +289,7 @@ func (c *cli) status(args []string) error {
 		}
 	}
 	if stale > 0 || sum.Corrupt > 0 {
-		fmt.Fprintf(w, "\n%d stale-schema and %d corrupt records; `runlab gc` reclaims stale, `runlab repair` rewrites corrupt shards\n", stale, sum.Corrupt)
-	}
-	if shards := st.CorruptShards(); len(shards) > 0 {
-		fmt.Fprintf(w, "corrupt shards: %s\n", strings.Join(shards, ", "))
+		fmt.Fprintf(w, "\n%d stale-schema and %d corrupt records; `runlab gc` reclaims both\n", stale, sum.Corrupt)
 	}
 	entries, err := st.Manifest()
 	if err != nil {
@@ -310,7 +309,7 @@ func (c *cli) status(args []string) error {
 		fmt.Fprint(w, mt.String())
 	}
 	if sum.Corrupt > 0 {
-		return &exitErr{code: 3, msg: fmt.Sprintf("%d corrupt store line(s); `runlab repair` rewrites the damaged shards", sum.Corrupt)}
+		return &exitErr{code: 3, msg: fmt.Sprintf("%d corrupt store line(s); `runlab gc` compacts them away", sum.Corrupt)}
 	}
 	return nil
 }
@@ -350,35 +349,5 @@ func (c *cli) gc(args []string) error {
 	}
 	fmt.Fprintf(c.stdout, "gc: kept %d, dropped %d stale, removed %d corrupt lines; %.1f MB -> %.1f MB\n",
 		kept, dropped, before.Corrupt, float64(before.Bytes)/1e6, float64(after.Bytes)/1e6)
-	return nil
-}
-
-// repair rewrites only the shards that held corrupt lines, keeping every
-// record that survived, and reports what was reclaimed.
-func (c *cli) repair(args []string) error {
-	sh := newShared()
-	fs := c.flagSet("repair")
-	sh.register(fs, "store")
-	durable := fs.Bool("durable", true, "fsync the rewritten shards")
-	if err := parse(fs, args); err != nil {
-		return err
-	}
-	dir, err := sh.storeDir()
-	if err != nil {
-		return err
-	}
-	st, err := runlab.OpenWith(dir, runlab.Options{Durable: *durable})
-	if err != nil {
-		return err
-	}
-	if shards := st.CorruptShards(); len(shards) > 0 {
-		fmt.Fprintf(c.stdout, "corrupt shards: %s\n", strings.Join(shards, ", "))
-	}
-	rep, err := st.Repair()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(c.stdout, "repair: scanned %d shard(s), rewrote %d, kept %d record(s), dropped %d corrupt line(s)\n",
-		rep.ShardsScanned, rep.ShardsRewritten, rep.RecordsKept, rep.LinesDropped)
 	return nil
 }

@@ -38,7 +38,6 @@ func TestVerbsExitZero(t *testing.T) {
 		{"validate-sampled", "-preset", "test", "-workloads", "canneal"},
 		{"status", "-store", store},
 		{"gc", "-store", store},
-		{"repair", "-store", store},
 		{"run", "-h"},
 	} {
 		if out := mustExit(t, 0, args...); out == "" && args[1] != "-h" {
@@ -78,6 +77,7 @@ func TestRunWorkloadsReachEverySuite(t *testing.T) {
 }
 
 func TestUsageErrors(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "store")
 	for _, args := range [][]string{
 		{},
 		{"frobnicate"},
@@ -88,6 +88,9 @@ func TestUsageErrors(t *testing.T) {
 		{"run", "-policy", "mru"},
 		{"run", "-workloads", "canneal,nosuch"},
 		{"run", "-sampled", "-policy", "opt"},
+		{"run", "-durable"},
+		{"run", "-strict"},
+		{"run", "-flush-every", "4"},
 		{"assoc", "-fig", "7"},
 		{"assoc", "-fig", "3", "-panel", "z"},
 		{"sim", "-design", "sa-9"},
@@ -96,7 +99,10 @@ func TestUsageErrors(t *testing.T) {
 		{"cost", "table3"},
 		{"cost", "merit", "ratios"},
 		{"validate-sampled", "-policy", "opt"},
+		{"validate-sampled", "-max-rel-err", "0.5"},
 		{"status", "-store", ""},
+		{"status", "-store", store, "-runs", "-1"},
+		{"repair", "-store", store},
 	} {
 		if code, _, errw := invoke(args...); code != 2 || errw == "" {
 			t.Errorf("runlab %v: exit %d, stderr %q; want 2 and a message", args, code, errw)
@@ -106,7 +112,7 @@ func TestUsageErrors(t *testing.T) {
 
 // TestQuarantineThenRepair is the chaos job's CLI contract: two injected
 // cell failures quarantine (exit 4) with the missing cells listed, and
-// after a repair the rerun backfills them (exit 0).
+// after a gc the rerun backfills them (exit 0).
 func TestQuarantineThenRepair(t *testing.T) {
 	store := filepath.Join(t.TempDir(), "store")
 	args := []string{"run", "-store", store, "-preset", "test", "-suite", "fig4", "-workloads", "canneal,gamess,mcf"}
@@ -114,11 +120,11 @@ func TestQuarantineThenRepair(t *testing.T) {
 	if !strings.Contains(out, "MISSING CELLS (2") {
 		t.Errorf("partial figure does not list the missing cells:\n%s", out)
 	}
-	mustExit(t, 0, "repair", "-store", store)
+	mustExit(t, 0, "gc", "-store", store)
 	mustExit(t, 0, append(args, "-check")...)
 }
 
-// TestStatusCorruptStore: a garbage line in a shard is exit 3 until repair.
+// TestStatusCorruptStore: a garbage line in a shard is exit 3 until gc.
 func TestStatusCorruptStore(t *testing.T) {
 	store := filepath.Join(t.TempDir(), "store")
 	mustExit(t, 0, "run", "-store", store, "-preset", "test", "-suite", "bw", "-workloads", "canneal")
@@ -137,7 +143,7 @@ func TestStatusCorruptStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustExit(t, 3, "status", "-store", store)
-	mustExit(t, 0, "repair", "-store", store)
+	mustExit(t, 0, "gc", "-store", store)
 	mustExit(t, 0, "status", "-store", store)
 }
 

@@ -42,9 +42,6 @@ func (c *cli) runSuites(args []string) error {
 	sh.register(fs, "store", "preset", "policy", "workloads", "check", "quarantine", "sampled", "intervals", "clusters", "prof")
 	suiteFlag := fs.String("suite", "all", "comma-separated: "+strings.Join(suiteOrder, ", ")+", or all")
 	workers := fs.Int("workers", 0, "concurrent cells (0 = GOMAXPROCS); also the dispatch window, in workloads, of exact execution-driven cells, so at most 2x this many workloads' tapes are held at once")
-	flushEvery := fs.Int("flush-every", 0, "checkpoint interval in cells (0 = default 16)")
-	durable := fs.Bool("durable", false, "fsync store appends and flushes")
-	strict := fs.Bool("strict", false, "treat corrupt store records as fatal")
 	failpoints := fs.String("failpoints", "", "fault injection, e.g. 'runlab/compute=panic:p=0.2;runlab/store/append=torn'")
 	failSeed := fs.Uint64("fail-seed", 1, "seed for deterministic failpoint firing")
 	if err := parse(fs, args); err != nil {
@@ -102,7 +99,7 @@ func (c *cli) runSuites(args []string) error {
 	e := zcache.NewExperiment(preset)
 	var st *runlab.Store
 	if sh.store != "" {
-		if st, err = e.AttachStoreOptions(sh.store, runlab.Options{Durable: *durable, Strict: *strict}); err != nil {
+		if st, err = e.AttachStore(sh.store); err != nil {
 			return err
 		}
 		before, err := st.Stats()
@@ -120,7 +117,6 @@ func (c *cli) runSuites(args []string) error {
 	e.Check = sh.check
 	e.Lab.Quarantine = sh.quarantine
 	e.Lab.Workers = *workers
-	e.Lab.FlushEvery = *flushEvery
 	e.Lab.OnProgress = c.progressMeter()
 
 	start := time.Now()
@@ -155,7 +151,7 @@ func (c *cli) runSuites(args []string) error {
 	// Corrupt store lines surface as exit 3 even when every figure
 	// rendered: their cells were recomputed rather than served.
 	if st != nil && st.Corrupt() > 0 {
-		return &exitErr{code: 3, msg: fmt.Sprintf("%d corrupt store line(s) detected; `runlab repair` rewrites the damaged shards", st.Corrupt())}
+		return &exitErr{code: 3, msg: fmt.Sprintf("%d corrupt store line(s) detected; `runlab gc` compacts them away", st.Corrupt())}
 	}
 	return nil
 }

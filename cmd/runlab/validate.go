@@ -29,7 +29,7 @@ var suiteLookups = []energy.Lookup{energy.Serial, energy.Parallel}
 // and fails the process if either is violated:
 //
 //   - Accuracy: every (workload, design) cell's sampled miss ratio must be
-//     within -max-rel-err of the full-stream replay of the same captured
+//     within maxMissRatioErr of the full-stream replay of the same captured
 //     stream — the estimator's exact limit. (Execution-driven results
 //     differ from replay structurally — no back-invalidations, cold replay
 //     L1 state — so replay is the honest reference; DESIGN.md §13.)
@@ -42,15 +42,19 @@ var suiteLookups = []energy.Lookup{energy.Serial, energy.Parallel}
 //     × {serial, parallel} lookup, which sampled execution serves from one
 //     walk per design.
 //
-// maxRefsFrac sits just over the default plan's 12 legs of 32 intervals.
-const maxRefsFrac = 0.40
+// maxMissRatioErr is a constant, not a flag: a gate the caller can loosen
+// from the command line gates nothing. maxRefsFrac sits just over the
+// default plan's 12 legs of 32 intervals.
+const (
+	maxMissRatioErr = 0.02
+	maxRefsFrac     = 0.40
+)
 
 func (c *cli) validateSampled(args []string) error {
 	sh := newShared()
 	sh.preset = "test"
 	fs := c.flagSet("validate-sampled")
 	sh.register(fs, "preset", "policy", "workloads", "intervals", "clusters")
-	maxRelErr := fs.Float64("max-rel-err", 0.02, "per-cell miss-ratio error bound vs full replay")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -150,7 +154,7 @@ func (c *cli) validateSampled(args []string) error {
 			abs := math.Abs(rel)
 			maxErr = max(maxErr, abs)
 			mark := ""
-			if abs > *maxRelErr {
+			if abs > maxMissRatioErr {
 				failures++
 				mark = "  FAIL"
 			}
@@ -167,10 +171,10 @@ func (c *cli) validateSampled(args []string) error {
 		sampledRefs, totalRefs, refsFrac, maxRefsFrac, skippedHits)
 	fmt.Fprintf(c.stdout, "exact %s  sampled %s  speedup %.2fx (not gated)\n",
 		exactWall.Round(time.Millisecond), sampledWall.Round(time.Millisecond), speedup)
-	fmt.Fprintf(c.stdout, "max |rel err| %.3f%% (bound %.1f%%)\n", 100*maxErr, 100**maxRelErr)
+	fmt.Fprintf(c.stdout, "max |rel err| %.3f%% (bound %.1f%%)\n", 100*maxErr, 100*maxMissRatioErr)
 
 	if failures > 0 {
-		return fmt.Errorf("%d cell(s) exceed the %.1f%% miss-ratio error bound", failures, 100**maxRelErr)
+		return fmt.Errorf("%d cell(s) exceed the %.1f%% miss-ratio error bound", failures, 100*maxMissRatioErr)
 	}
 	if refsFrac > maxRefsFrac {
 		return fmt.Errorf("measured legs walk %.4f of the references, over the %.2f bound", refsFrac, maxRefsFrac)

@@ -32,8 +32,8 @@ func chaosCompute(i int, _ CellKey) (any, error) {
 // chaos test: a 64-cell run with five fault classes live at once (worker
 // panics, persistent cell errors, torn shard appends, crash-before-fsync,
 // delayed workers, failing checkpoint flushes) must complete in
-// quarantine mode; after disabling the faults and repairing the store, a
-// warm rerun must match a fault-free reference run bit-for-bit.
+// quarantine mode; after disabling the faults and compacting the store
+// with GC, a warm rerun must match a fault-free reference run bit-for-bit.
 func TestChaosRunQuarantinesRecoversAndRerunsIdentically(t *testing.T) {
 	const n = 64
 	keys := make([]CellKey, n)
@@ -61,7 +61,7 @@ func TestChaosRunQuarantinesRecoversAndRerunsIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRunner := &Runner{Store: refStore, Workers: 4, FlushEvery: 8}
+	refRunner := &Runner{Store: refStore, Workers: 4}
 	refRaw, _, err := refRunner.Run(context.Background(), keys, compute)
 	if err != nil {
 		t.Fatal(err)
@@ -79,11 +79,11 @@ func TestChaosRunQuarantinesRecoversAndRerunsIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	st, err := OpenWith(dir, Options{Durable: true})
+	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Runner{Store: st, Workers: 4, FlushEvery: 4, Quarantine: true}
+	r := &Runner{Store: st, Workers: 4, Quarantine: true}
 	_, prog, err := r.Run(context.Background(), keys, compute)
 	var qerr *QuarantineError
 	if err != nil && !errors.As(err, &qerr) && !strings.Contains(err.Error(), "failpoint") {
@@ -109,7 +109,7 @@ func TestChaosRunQuarantinesRecoversAndRerunsIdentically(t *testing.T) {
 
 	// "Recovery": faults stop (the process restarts), the store reopens.
 	failpoint.Reset()
-	st2, err := OpenWith(dir, Options{Durable: true})
+	st2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,21 +126,22 @@ func TestChaosRunQuarantinesRecoversAndRerunsIdentically(t *testing.T) {
 		t.Log("torn appends fired but left no corrupt tail (all fell on flush boundaries)")
 	}
 	if st2.Corrupt() > 0 {
-		rep, err := st2.Repair()
+		survivors := st2.Len()
+		kept, dropped, err := st2.GC(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.LinesDropped == 0 {
-			t.Errorf("repair of a corrupt store dropped no lines: %+v", rep)
+		if kept != survivors || dropped != 0 {
+			t.Errorf("gc of a corrupt store kept %d and dropped %d of %d intact cells", kept, dropped, survivors)
 		}
 		if st2.Corrupt() != 0 {
-			t.Fatalf("store still reports %d corrupt lines after repair", st2.Corrupt())
+			t.Fatalf("store still reports %d corrupt lines after gc", st2.Corrupt())
 		}
 	}
 
 	// Property 3: the warm rerun completes everything and is bit-identical
 	// to the fault-free reference.
-	r2 := &Runner{Store: st2, Workers: 4, FlushEvery: 8}
+	r2 := &Runner{Store: st2, Workers: 4}
 	raw2, prog2, err := r2.Run(context.Background(), keys, compute)
 	if err != nil {
 		t.Fatal(err)
@@ -154,12 +155,12 @@ func TestChaosRunQuarantinesRecoversAndRerunsIdentically(t *testing.T) {
 		}
 	}
 	// A reopened store must verify clean end-to-end.
-	st3, err := OpenWith(dir, Options{Strict: true})
+	st3, err := Open(dir)
 	if err != nil {
-		t.Fatalf("strict reopen after repair: %v", err)
+		t.Fatal(err)
 	}
-	if st3.Len() != n {
-		t.Fatalf("store holds %d cells after rerun, want %d", st3.Len(), n)
+	if st3.Len() != n || st3.Corrupt() != 0 {
+		t.Fatalf("reopen after gc and rerun: %d cells / %d corrupt, want %d / 0", st3.Len(), st3.Corrupt(), n)
 	}
 }
 
@@ -247,8 +248,7 @@ func TestViolationQuarantinedWithoutRetry(t *testing.T) {
 
 // TestStoreTornWriteRecoveryAndRepair (satellite): truncate a shard
 // mid-record and append a garbage partial line; the reopened store counts
-// the damage, serves every intact record, and Repair rewrites the shard
-// clean.
+// the damage, serves every intact record, and GC rewrites the shard clean.
 func TestStoreTornWriteRecoveryAndRepair(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -288,9 +288,6 @@ func TestStoreTornWriteRecoveryAndRepair(t *testing.T) {
 	if s2.Corrupt() != 2 {
 		t.Fatalf("corrupt = %d, want 2 (torn record + garbage line)", s2.Corrupt())
 	}
-	if got := s2.CorruptShards(); len(got) != 1 || got[0] != filepath.Base(victim) {
-		t.Fatalf("CorruptShards() = %v, want [%s]", got, filepath.Base(victim))
-	}
 	survivors := 0
 	for i := 0; i < n; i++ {
 		if got, ok := s2.Get(testKey(i).Fingerprint()); ok {
@@ -304,69 +301,24 @@ func TestStoreTornWriteRecoveryAndRepair(t *testing.T) {
 		t.Fatalf("%d survivors, want %d (exactly the torn record lost)", survivors, n-1)
 	}
 
-	rep, err := s2.Repair()
+	kept, dropped, err := s2.GC(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.LinesDropped != 2 || rep.ShardsRewritten != 1 {
-		t.Errorf("repair report %+v, want 2 lines dropped in 1 shard", rep)
-	}
-	if rep.RecordsKept != s2.Len()-countOutsideShard(s2, filepath.Base(victim)) {
-		t.Errorf("repair kept %d records, inconsistent with shard population", rep.RecordsKept)
+	if kept != n-1 || dropped != 0 {
+		t.Errorf("gc kept %d and dropped %d, want %d / 0", kept, dropped, n-1)
 	}
 	if s2.Corrupt() != 0 {
-		t.Errorf("corrupt = %d after repair, want 0", s2.Corrupt())
+		t.Errorf("corrupt = %d after gc, want 0", s2.Corrupt())
 	}
 
-	// Strict reopen proves the shard really is clean on disk now.
-	s3, err := OpenWith(dir, Options{Strict: true})
+	// A reopen proves the shard really is clean on disk now.
+	s3, err := Open(dir)
 	if err != nil {
-		t.Fatalf("strict reopen after repair: %v", err)
+		t.Fatal(err)
 	}
 	if s3.Len() != n-1 || s3.Corrupt() != 0 {
-		t.Fatalf("after repair: %d cells / %d corrupt, want %d / 0", s3.Len(), s3.Corrupt(), n-1)
-	}
-}
-
-// countOutsideShard counts in-memory records whose fingerprint does not
-// map to the given shard file.
-func countOutsideShard(s *Store, shard string) int {
-	n := 0
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for fp := range s.mem {
-		if fp.Shard() != shard {
-			n++
-		}
-	}
-	return n
-}
-
-// TestStrictOpenRejectsCorruption: Options.Strict turns tolerated
-// corruption into a load error, while the default stays tolerant.
-func TestStrictOpenRejectsCorruption(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Put(testKey(0), json.RawMessage(`{"n":1}`))
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	shard := filepath.Join(dir, testKey(0).Fingerprint().Shard())
-	if err := appendFile(shard, []byte("not json at all\n"), false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenWith(dir, Options{Strict: true}); err == nil || !strings.Contains(err.Error(), "strict") {
-		t.Fatalf("strict open tolerated corruption (err=%v)", err)
-	}
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Corrupt() != 1 || s2.Len() != 1 {
-		t.Fatalf("tolerant open: corrupt=%d len=%d, want 1/1", s2.Corrupt(), s2.Len())
+		t.Fatalf("after gc: %d cells / %d corrupt, want %d / 0", s3.Len(), s3.Corrupt(), n-1)
 	}
 }
 
@@ -376,7 +328,7 @@ func TestStrictOpenRejectsCorruption(t *testing.T) {
 func TestDurableFlushRetriesAfterFsyncFailure(t *testing.T) {
 	defer failpoint.Reset()
 	dir := t.TempDir()
-	s, err := OpenWith(dir, Options{Durable: true})
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +340,7 @@ func TestDurableFlushRetriesAfterFsyncFailure(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatalf("retry flush: %v", err)
 	}
-	s2, err := OpenWith(dir, Options{Strict: true})
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,10 @@
 // by giving each cell a stable fingerprint (a content address over every
 // input that can change the result) and persisting finished cells to a
 // sharded JSONL store. A runner wraps the compute function with cache
-// lookups, bounded workers, retry, context cancellation, and periodic
-// checkpoint flushes, so an interrupted suite resumes from completed
-// cells and a fully warm rerun performs zero simulations.
+// lookups, bounded workers, panic recovery, context cancellation, and
+// periodic checkpoint flushes, so an interrupted suite resumes from
+// completed cells and a fully warm rerun performs zero simulations. Each
+// cell is computed once; a failure is reported, never retried.
 //
 // The package is generic: it knows nothing about the root zcache package
 // (which imports it). Cell identity is carried by CellKey and results

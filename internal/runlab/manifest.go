@@ -50,7 +50,7 @@ func (s *Store) AppendManifest(e ManifestEntry) error {
 	if err != nil {
 		return fmt.Errorf("runlab: encode manifest entry: %w", err)
 	}
-	return appendFile(filepath.Join(s.dir, manifestName), append(line, '\n'), s.opts.Durable)
+	return appendFile(filepath.Join(s.dir, manifestName), append(line, '\n'))
 }
 
 // Manifest returns every readable manifest entry in append order,

@@ -206,7 +206,7 @@ func TestRunnerCachesAndResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cold atomic.Int64
-	r := &Runner{Store: st, Workers: 4, FlushEvery: 3, Label: "test"}
+	r := &Runner{Store: st, Workers: 4, Label: "test"}
 	out, prog, err := r.Run(context.Background(), keys, compute(&cold))
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestRunnerInterruptionCheckpointsCompletedCells(t *testing.T) {
 	st, _ := Open(dir)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	r := &Runner{Store: st, Workers: 1, FlushEvery: 1}
+	r := &Runner{Store: st, Workers: 1}
 	r.OnProgress = func(p Progress) {
 		if p.Done >= 4 {
 			cancel() // simulate the user killing the run mid-way
@@ -299,6 +299,40 @@ func TestRunnerInterruptionCheckpointsCompletedCells(t *testing.T) {
 	}
 	if prog.Cached != onDisk || int(resumed.Load()) != len(keys)-onDisk {
 		t.Fatalf("resume computed %d, cached %d, store had %d", resumed.Load(), prog.Cached, onDisk)
+	}
+}
+
+// TestRunnerCheckpointsDuringRun: completed cells reach disk while the run
+// is still going, every flushEvery computed cells, not only at the final
+// flush. With one worker, cell 32 starts after 32 cells completed, so a
+// second handle opened from inside its compute sees both checkpoints.
+func TestRunnerCheckpointsDuringRun(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]CellKey, 40)
+	for i := range keys {
+		keys[i] = testKey(i)
+	}
+	onDisk := -1
+	r := &Runner{Store: st, Workers: 1}
+	_, _, err = r.Run(context.Background(), keys, func(i int, key CellKey) (any, error) {
+		if i == 2*flushEvery {
+			peek, err := Open(dir)
+			if err != nil {
+				return nil, err
+			}
+			onDisk = peek.Len()
+		}
+		return cellResult{N: i}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if onDisk < 2*flushEvery {
+		t.Fatalf("%d cells on disk when cell %d started, want >= %d", onDisk, 2*flushEvery, 2*flushEvery)
 	}
 }
 

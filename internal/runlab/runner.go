@@ -83,20 +83,22 @@ func (e *panicError) Unwrap() error {
 	return nil
 }
 
+// flushEvery is the checkpoint cadence: the store is flushed after every
+// flushEvery computed cells, so a crash or kill loses at most that much
+// work. A final flush always happens, even on error or cancellation.
+const flushEvery = 16
+
 // Runner executes cell matrices with cache lookups, bounded workers, panic
-// recovery, and periodic checkpoint flushes. A cell is a pure function of
-// its key, so it is computed once: a failure is reported, never retried.
-// The zero value runs without a store and fails fast.
+// recovery, and periodic checkpoint flushes (every flushEvery computed
+// cells). A cell is a pure function of its key, so it is computed once: a
+// failure is reported, never retried. The zero value runs without a store
+// and fails fast.
 type Runner struct {
 	// Store, when non-nil, serves previously computed cells and persists
 	// new ones.
 	Store *Store
 	// Workers bounds concurrent compute calls (<=0: GOMAXPROCS).
 	Workers int
-	// FlushEvery checkpoints the store after this many computed cells
-	// (<=0: 16). A final flush always happens, even on error or
-	// cancellation, so completed cells survive an interrupted run.
-	FlushEvery int
 	// Label tags this run's manifest entry ("fig4/lru", ...).
 	Label string
 	// Quarantine sets failing cells aside and keeps going: the run
@@ -142,10 +144,6 @@ func (r *Runner) Run(ctx context.Context, keys []CellKey, compute ComputeFunc) (
 	defer cancel()
 
 	workers := r.EffectiveWorkers()
-	flushEvery := r.FlushEvery
-	if flushEvery <= 0 {
-		flushEvery = 16
-	}
 
 	out := make([]json.RawMessage, len(keys))
 	errs := make([]error, len(keys))

@@ -26,52 +26,30 @@ type record struct {
 	SavedAt time.Time       `json:"saved_at"`
 }
 
-// Options tunes how a store is opened.
-type Options struct {
-	// Durable makes every Flush fsync the shard files it touched and
-	// every GC/Repair rewrite fsync before its atomic rename, so a
-	// machine crash (not just a process crash) cannot lose committed
-	// records or leave a half-renamed shard.
-	Durable bool
-	// Strict turns corrupt lines found at load time into errors instead
-	// of skip-and-count. Use it when silent tolerance is unacceptable
-	// (CI gates, post-repair verification).
-	Strict bool
-}
-
 // Store is an on-disk content-addressed result store: fingerprint-sharded
 // JSONL files under a directory, fully loaded into memory on Open.
-// Writes are buffered by Put and persisted by Flush, which appends whole
-// records in a single write per shard (torn tails from a crash are
-// skipped and reported by the next Open rather than poisoning the store;
-// Repair rewrites damaged shards clean). All methods are safe for
-// concurrent use.
+// Writes are buffered by Put and committed by Flush, which appends whole
+// records in a single fsynced write per shard (torn tails from a crash
+// are skipped and counted by the next Open rather than poisoning the
+// store; GC rewrites them away). All methods are safe for concurrent use.
 type Store struct {
-	dir  string
-	opts Options
+	dir string
 
 	mu      sync.Mutex
 	mem     map[Fingerprint]record
 	dirty   []record
 	corrupt int // malformed or fingerprint-mismatched lines skipped at load
-	// corruptByShard remembers which shard files the skipped lines came
-	// from, so Repair only rewrites what is actually damaged.
-	corruptByShard map[string]int
 }
 
-// Open loads (creating if needed) the store at dir with default options:
-// corrupt lines — truncated JSON from a killed run, or records whose
-// stored fingerprint does not match their key — are skipped and counted,
-// never fatal.
-func Open(dir string) (*Store, error) { return OpenWith(dir, Options{}) }
-
-// OpenWith loads (creating if needed) the store at dir.
-func OpenWith(dir string, opts Options) (*Store, error) {
+// Open loads (creating if needed) the store at dir. Corrupt lines —
+// truncated JSON from a killed run, or records whose stored fingerprint
+// does not match their key — are skipped and counted (Corrupt), never
+// fatal: their cells are simply computed again.
+func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runlab: create store dir: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts,
-		mem: map[Fingerprint]record{}, corruptByShard: map[string]int{}}
+	s := &Store{dir: dir, mem: map[Fingerprint]record{}}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("runlab: read store dir: %w", err)
@@ -96,8 +74,7 @@ func isShardName(name string) bool {
 	return Fingerprint(name[:2] + strings.Repeat("0", 30)).Valid()
 }
 
-// loadShard reads one shard file, tolerating bad lines (or rejecting
-// them, under Options.Strict).
+// loadShard reads one shard file, skipping and counting bad lines.
 func (s *Store) loadShard(path string) error {
 	if err := failpoint.Inject("runlab/store/load"); err != nil {
 		return fmt.Errorf("runlab: open shard %s: %w", path, err)
@@ -107,23 +84,16 @@ func (s *Store) loadShard(path string) error {
 		return fmt.Errorf("runlab: open shard: %w", err)
 	}
 	defer f.Close()
-	shard := filepath.Base(path)
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	lineNo := 0
 	for sc.Scan() {
-		lineNo++
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
 		var rec record
 		if err := json.Unmarshal(line, &rec); err != nil || rec.Fp != rec.Key.Fingerprint() || len(rec.Result) == 0 {
-			if s.opts.Strict {
-				return fmt.Errorf("runlab: corrupt record at %s:%d (strict mode)", path, lineNo)
-			}
 			s.corrupt++
-			s.corruptByShard[shard]++
 			continue
 		}
 		s.mem[rec.Fp] = rec // last write wins
@@ -134,12 +104,6 @@ func (s *Store) loadShard(path string) error {
 	return nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Durable reports whether the store fsyncs on Flush.
-func (s *Store) Durable() bool { return s.opts.Durable }
-
 // Get returns the stored result for fp, if present (including records
 // buffered by Put but not yet flushed).
 func (s *Store) Get(fp Fingerprint) (json.RawMessage, bool) {
@@ -147,14 +111,6 @@ func (s *Store) Get(fp Fingerprint) (json.RawMessage, bool) {
 	defer s.mu.Unlock()
 	rec, ok := s.mem[fp]
 	return rec.Result, ok
-}
-
-// Key returns the cell key stored under fp, if present.
-func (s *Store) Key(fp Fingerprint) (CellKey, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.mem[fp]
-	return rec.Key, ok
 }
 
 // Put buffers one result for the key. The record is visible to Get
@@ -170,10 +126,10 @@ func (s *Store) Put(key CellKey, result json.RawMessage) {
 // Flush appends all buffered records to their shards. Each shard receives
 // its records as one write of complete lines, so a concurrent reader (or
 // a crash mid-flush) sees either whole records or a torn tail that the
-// next Open skips and Repair removes. Buffered records are kept on error
-// so a later Flush retries them (replays are idempotent: last write wins
-// at load). In durable mode each touched shard is fsynced before Flush
-// returns.
+// next Open skips and GC removes. Each touched shard is fsynced before
+// Flush returns, so a machine crash (not just a process crash) cannot
+// lose a committed record. Buffered records are kept on error so a later
+// Flush retries them (replays are idempotent: last write wins at load).
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -197,7 +153,7 @@ func (s *Store) Flush() error {
 			buf.Write(line)
 			buf.WriteByte('\n')
 		}
-		if err := appendFile(filepath.Join(s.dir, shard), buf.Bytes(), s.opts.Durable); err != nil {
+		if err := appendFile(filepath.Join(s.dir, shard), buf.Bytes()); err != nil {
 			return err
 		}
 	}
@@ -205,19 +161,26 @@ func (s *Store) Flush() error {
 	return nil
 }
 
-// appendFile appends data to path in a single write, fsyncing before
-// close when durable. Every error — including the success-path Close,
-// whose failure can silently drop buffered records — is propagated.
-func appendFile(path string, data []byte, durable bool) error {
+// appendFile appends data to path in a single write and fsyncs it before
+// close; when the write starts the file, the directory is fsynced too, so
+// the new entry survives a machine crash. Every error — including the
+// success-path Close, whose failure can silently drop buffered records —
+// is propagated.
+func appendFile(path string, data []byte) error {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("runlab: open %s: %w", path, err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("runlab: stat %s: %w", path, err)
 	}
 	// A crash mid-append can leave the file without a trailing newline.
 	// Appending straight after it would glue the first new record onto
 	// the torn line, corrupting both; terminate the torn tail first so
 	// only the partial record is lost.
-	if st, err := f.Stat(); err == nil && st.Size() > 0 {
+	if st.Size() > 0 {
 		var last [1]byte
 		if _, err := f.ReadAt(last[:], st.Size()-1); err == nil && last[0] != '\n' {
 			data = append([]byte{'\n'}, data...)
@@ -244,22 +207,24 @@ func appendFile(path string, data []byte, durable bool) error {
 		f.Close()
 		return fmt.Errorf("runlab: sync %s: %w", path, err)
 	}
-	if durable {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("runlab: sync %s: %w", path, err)
-		}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("runlab: sync %s: %w", path, err)
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("runlab: close %s: %w", path, err)
 	}
+	if st.Size() == 0 {
+		return syncDir(filepath.Dir(path))
+	}
 	return nil
 }
 
-// writeFileAtomic writes data to path via a temp file and atomic rename,
-// fsyncing file and directory first when durable, so readers (and
-// crashes) see either the old shard or the complete new one.
-func writeFileAtomic(path string, data []byte, durable bool) error {
+// writeFileAtomic writes data to path via a fsynced temp file and an
+// atomic rename, so readers (and crashes) see either the old shard or the
+// complete new one. The caller fsyncs the directory to make the rename
+// itself durable.
+func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -270,12 +235,10 @@ func writeFileAtomic(path string, data []byte, durable bool) error {
 		os.Remove(tmp)
 		return fmt.Errorf("runlab: write %s: %w", tmp, err)
 	}
-	if durable {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("runlab: sync %s: %w", tmp, err)
-		}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("runlab: sync %s: %w", tmp, err)
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
@@ -285,15 +248,11 @@ func writeFileAtomic(path string, data []byte, durable bool) error {
 		os.Remove(tmp)
 		return fmt.Errorf("runlab: rename %s: %w", tmp, err)
 	}
-	if durable {
-		if err := syncDir(filepath.Dir(path)); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// syncDir fsyncs a directory so a completed rename survives a crash.
+// syncDir fsyncs a directory so a created file, a completed rename or a
+// removal survives a crash.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
@@ -320,19 +279,6 @@ func (s *Store) Corrupt() int {
 	return s.corrupt
 }
 
-// CorruptShards returns the shard files that contained bad lines at load
-// time, sorted.
-func (s *Store) CorruptShards() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.corruptByShard))
-	for shard := range s.corruptByShard {
-		out = append(out, shard)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // StoreStats summarizes the store for status reporting.
 type StoreStats struct {
 	Cells   int
@@ -342,8 +288,6 @@ type StoreStats struct {
 	// Sampled counts cells produced by sampled execution (key.Sampled
 	// set); Cells - Sampled are exact.
 	Sampled int
-	// CorruptShards counts shard files containing at least one bad line.
-	CorruptShards int
 	// Presets counts cells per preset name; Schemas per schema version.
 	Presets map[string]int
 	Schemas map[int]int
@@ -353,8 +297,7 @@ type StoreStats struct {
 func (s *Store) Stats() (StoreStats, error) {
 	s.mu.Lock()
 	st := StoreStats{Cells: len(s.mem), Corrupt: s.corrupt,
-		CorruptShards: len(s.corruptByShard),
-		Presets:       map[string]int{}, Schemas: map[int]int{}}
+		Presets: map[string]int{}, Schemas: map[int]int{}}
 	for _, rec := range s.mem {
 		st.Presets[rec.Key.Preset.Name]++
 		st.Schemas[rec.Key.Schema]++
@@ -397,69 +340,13 @@ func shardLines(recs []record) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RepairReport summarizes a repair pass.
-type RepairReport struct {
-	// ShardsScanned is how many damaged shards the pass examined.
-	ShardsScanned int
-	// ShardsRewritten is how many were rewritten clean.
-	ShardsRewritten int
-	// RecordsKept counts the intact records surviving in rewritten
-	// shards; LinesDropped counts the corrupt lines removed.
-	RecordsKept  int
-	LinesDropped int
-}
-
-// Repair rewrites every shard that contained corrupt lines at load time,
-// keeping the intact records (deduplicated, last write wins) and
-// dropping the bad lines. Rewrites are atomic (temp file + rename) and
-// fsynced in durable mode, so a crash mid-repair loses nothing. Unflushed
-// Puts are flushed first. After a successful repair the store reports
-// zero corruption; reopening verifies the shards are clean.
-func (s *Store) Repair() (RepairReport, error) {
-	if err := s.Flush(); err != nil {
-		return RepairReport{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var rep RepairReport
-	for shard, badLines := range s.corruptByShard {
-		rep.ShardsScanned++
-		var recs []record
-		for fp, rec := range s.mem {
-			if fp.Shard() == shard {
-				recs = append(recs, rec)
-			}
-		}
-		path := filepath.Join(s.dir, shard)
-		if len(recs) == 0 {
-			// Every line in the shard was bad: remove the file.
-			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-				return rep, fmt.Errorf("runlab: remove %s: %w", path, err)
-			}
-		} else {
-			data, err := shardLines(recs)
-			if err != nil {
-				return rep, err
-			}
-			if err := writeFileAtomic(path, data, s.opts.Durable); err != nil {
-				return rep, err
-			}
-		}
-		rep.ShardsRewritten++
-		rep.RecordsKept += len(recs)
-		rep.LinesDropped += badLines
-		s.corrupt -= badLines
-		delete(s.corruptByShard, shard)
-	}
-	return rep, nil
-}
-
 // GC compacts the store: records for which keep returns false are
 // dropped, duplicates collapse to one line, and corrupt lines disappear.
-// Each shard is rewritten to a temp file and atomically renamed into
-// place (or removed when it empties), fsynced in durable mode. Unflushed
-// Puts are flushed into the compaction. Returns the records kept and
-// dropped.
+// It is the store's one rewrite. Each shard is written to a fsynced temp
+// file and atomically renamed into place (or removed when it empties),
+// and the directory is fsynced before GC returns, so a crash mid-GC
+// leaves every shard either old or new. Unflushed Puts are flushed into
+// the compaction. Returns the records kept and dropped.
 func (s *Store) GC(keep func(CellKey) bool) (kept, dropped int, err error) {
 	if err := s.Flush(); err != nil {
 		return 0, 0, err
@@ -497,7 +384,7 @@ func (s *Store) GC(keep func(CellKey) bool) (kept, dropped int, err error) {
 		if err != nil {
 			return kept, dropped, err
 		}
-		if err := writeFileAtomic(path, data, s.opts.Durable); err != nil {
+		if err := writeFileAtomic(path, data); err != nil {
 			return kept, dropped, err
 		}
 		delete(byShard, shard)
@@ -509,11 +396,13 @@ func (s *Store) GC(keep func(CellKey) bool) (kept, dropped int, err error) {
 		if err != nil {
 			return kept, dropped, err
 		}
-		if err := writeFileAtomic(filepath.Join(s.dir, shard), data, s.opts.Durable); err != nil {
+		if err := writeFileAtomic(filepath.Join(s.dir, shard), data); err != nil {
 			return kept, dropped, err
 		}
 	}
+	if err := syncDir(s.dir); err != nil {
+		return kept, dropped, err
+	}
 	s.corrupt = 0
-	s.corruptByShard = map[string]int{}
 	return kept, dropped, nil
 }

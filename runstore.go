@@ -18,16 +18,10 @@ const DefaultStoreDir = "results/store"
 
 // AttachStore opens (creating if needed) the runlab result store at dir
 // and routes this experiment's matrix runs through it. Returns the store
-// for status inspection; tune worker count, flush cadence, quarantine or
-// progress reporting via the Lab field.
+// for status inspection; tune worker count, quarantine or progress
+// reporting via the Lab field.
 func (e *Experiment) AttachStore(dir string) (*runlab.Store, error) {
-	return e.AttachStoreOptions(dir, runlab.Options{})
-}
-
-// AttachStoreOptions is AttachStore with explicit store durability and
-// strictness options (see runlab.Options).
-func (e *Experiment) AttachStoreOptions(dir string, opts runlab.Options) (*runlab.Store, error) {
-	st, err := runlab.OpenWith(dir, opts)
+	st, err := runlab.Open(dir)
 	if err != nil {
 		return nil, err
 	}

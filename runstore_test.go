@@ -92,7 +92,6 @@ func TestRunMatrixInterruptedRunResumes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	e.Lab.Workers = 1
-	e.Lab.FlushEvery = 1
 	e.Lab.OnProgress = func(p runlab.Progress) {
 		if p.Done >= 2 {
 			cancel()
