@@ -75,20 +75,23 @@ func FuzzOpen(f *testing.F) {
 	f.Add([]byte(Magic))           // magic, nothing else
 	f.Add([]byte{})                // empty file
 	f.Add(make([]byte, len(seed))) // all zeroes at the right size
-	twoWords := sizeClass(2)       // the class of the seed's free extent
+	// One flipped byte: each header field, slot 0's tag and its locator's
+	// class and offset bytes, the cleared slot's locator, and slot 0's
+	// extent (the lengths word's vlen and klen, the key, its padding).
+	freeClass := sizeClass(1 + 1 + 1) // the seed's free extent: lengths, "fuzz-b", "v"
 	for _, off := range []int{offMagic, offVersion, offState, offHashVersion,
 		offGeneration, offSlots, offHeapSize, offGeomSum, offHeapUsed,
-		offFreeHeads + 8*twoWords,
-		headerBytes + slotTag, headerBytes + slotMeta, headerBytes + slotMeta + 4,
-		headerBytes + slotOff, headerBytes + slotCap,
-		headerBytes + 2*slotBytes + slotOff, // the cleared slot's extent
-		base, base + 7} {                    // slot 0's key and its padding
+		offFreeHeads + 8*freeClass,
+		headerBytes + slotTag,
+		headerBytes + slotLoc, headerBytes + slotLoc + 1, headerBytes + slotLoc + 7,
+		headerBytes + 2*slotBytes + slotLoc,
+		base, base + 4, base + 8, base + 15} {
 		flipped := append([]byte(nil), seed...)
 		flipped[off] ^= 0x41
 		f.Add(flipped)
 	}
-	// Empty slots whose tag is not Empty: the cleared slot keeping its
-	// tenant's tag, and a never-used one holding a zero word.
+	// Slots whose tag says resident where no entry is: the cleared slot
+	// taking another slot's tag, and a never-used one holding a zero word.
 	stale := append([]byte(nil), seed...)
 	copy(stale[headerBytes+2*slotBytes+slotTag:], seed[headerBytes+slotTag:headerBytes+slotTag+8])
 	f.Add(stale)
@@ -115,18 +118,17 @@ func FuzzOpen(f *testing.F) {
 		}
 		defer s.Close(false)
 		// The store validated: re-check the no-wrong-values invariant from
-		// the outside, and that the tag array has no line in an empty slot.
+		// the outside, and that the lock-free reader follows every line in
+		// the tag array to its entry.
 		check := func() {
 			n := 0
 			v := s.View()
-			for id := 0; id < fuzzConfig().Slots; id++ {
-				if (v.Meta(id) == 0) != (v.Tag(id) == Empty) {
-					t.Fatalf("slot %d: meta %#x beside tag %#x", id, v.Meta(id), v.Tag(id))
-				}
-			}
 			s.Range(func(slot int, fp uint64, key, val []byte) bool {
 				if got := hash.Bytes64(key); got != fp || v.Tag(slot) != Line(fp) {
 					t.Fatalf("resident slot %d: fingerprint %#x under tag %#x, key hashes to %#x", slot, fp, v.Tag(slot), got)
+				}
+				if got, hit, clean := v.Read(slot, key, nil); !hit || !clean || string(got) != string(val) {
+					t.Fatalf("resident slot %d: View.Read hit %t clean %t", slot, hit, clean)
 				}
 				gotKey, _, ok := s.Lookup(fp)
 				if !ok || string(gotKey) != string(key) {

@@ -15,9 +15,10 @@ import (
 var reservedKey = append([]byte("zcache:reserved:"), 0x02, 0x0c, 0x00, 0x09, 0x06, 0x01, 0x3c, 0x0e, 0x1b, 0x1c, 0x04, 0x06, 0x1d, 0x01, 0x02, 0x0b)
 
 // hostileImage builds a clean image with every structure validate walks:
-// resident slots 0 ("alpha") and 1 ("beta"), a cleared slot 2 that keeps its
-// extent, a one-entry free list (slot 3 outgrew its first extent) and the
-// reserved key in slot 4.
+// resident slots 0 ("alpha") and 1 ("beta") in adjacent extents, a cleared
+// slot 2 that keeps its extent and its tenant's bytes, that tenant ("gone")
+// written again into slot 10, a one-entry free list (slot 3 outgrew its first
+// extent) and the reserved key in slot 4.
 func hostileImage(t *testing.T, cfg Config) (raw []byte, s *Store) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "base.slc")
@@ -35,6 +36,7 @@ func hostileImage(t *testing.T, cfg Config) (raw []byte, s *Store) {
 	if err := s.End(); err != nil {
 		t.Fatal(err)
 	}
+	put(t, s, "gone", "value-c, again", 10)
 	if err := s.Close(true); err != nil {
 		t.Fatal(err)
 	}
@@ -65,20 +67,29 @@ func slc1Image(cfg Config) []byte {
 	return raw
 }
 
-// TestHostileImages: every violation of an SLC3 invariant is refused at
+// TestHostileImages: every violation of an SLC4 invariant is refused at
 // Open with the error class the caller rebuilds on — never a panic, never a
 // store. Each case breaks one thing in an otherwise valid clean image, and
 // the reason is matched so a case cannot pass on somebody else's check.
 func TestHostileImages(t *testing.T) {
 	cfg := testConfig()
 	base, s := hostileImage(t, cfg)
-	slotField := func(id, field int) int { return s.slot(id) + field }
+	tagAt := func(id int) int { return s.slot(id) + slotTag }
+	locAt := func(id int) int { return s.slot(id) + slotLoc }
 	get := func(raw []byte, off int) uint64 { return le.Uint64(raw[off:]) }
 	set := func(raw []byte, off int, v uint64) { le.PutUint64(raw[off:], v) }
-	freeClass := sizeClass(2) // "grows"+"v": slot 3's first, freed extent
+	// extent and setExtent read and write slot id's locator as a byte
+	// offset and a size class; head is the offset of its lengths word.
+	extent := func(raw []byte, id int) (off, class int) { return located(get(raw, locAt(id))) }
+	setExtent := func(raw []byte, id, off, class int) { set(raw, locAt(id), locator(off, class)) }
+	head := func(raw []byte, id int) int { off, _ := extent(raw, id); return off }
+	freeClass := sizeClass(1 + 1 + 1) // "grows"+"v" and its lengths: slot 3's first, freed extent
 	freeHead := offFreeHeads + 8*freeClass
 	if get(base, freeHead) == 0 {
 		t.Fatal("base image has no free extent to corrupt")
+	}
+	if a, ac := extent(base, 0); a+classWords(ac)*8 != head(base, 1) {
+		t.Fatal("base image's first two extents are not adjacent")
 	}
 
 	cases := []struct {
@@ -88,49 +99,74 @@ func TestHostileImages(t *testing.T) {
 		reason string
 	}{
 		{"extent past EOF", func(raw []byte) []byte {
-			set(raw, slotField(0, slotOff), uint64(len(raw)))
+			_, class := extent(raw, 0)
+			setExtent(raw, 0, len(raw), class)
 			return raw
 		}, ErrNeedsRebuild, "outside the heap"},
 		{"extent past the carved heap", func(raw []byte) []byte {
-			set(raw, slotField(0, slotOff), uint64(s.heapBase)+get(raw, offHeapUsed))
+			_, class := extent(raw, 0)
+			setExtent(raw, 0, s.heapBase+int(get(raw, offHeapUsed)), class)
 			return raw
 		}, ErrNeedsRebuild, "outside the heap"},
 		{"extent inside the slot table", func(raw []byte) []byte {
-			set(raw, slotField(0, slotOff), headerBytes)
+			_, class := extent(raw, 0)
+			setExtent(raw, 0, headerBytes, class)
+			return raw
+		}, ErrNeedsRebuild, "outside the heap"},
+		{"locator offset past the heap", func(raw []byte) []byte {
+			// Every offset bit set: the bounds check must not overflow.
+			set(raw, locAt(0), get(raw, locAt(0))|^uint64(classMask))
 			return raw
 		}, ErrNeedsRebuild, "outside the heap"},
 		{"misaligned extent", func(raw []byte) []byte {
-			set(raw, slotField(0, slotOff), get(raw, slotField(0, slotOff))+4)
+			// A locator counts words; a free-list link is the one extent
+			// offset that can be misaligned.
+			set(raw, freeHead, get(raw, freeHead)+4)
 			return raw
 		}, ErrNeedsRebuild, "misaligned"},
 		{"capacity of no size class", func(raw []byte) []byte {
-			set(raw, slotField(3, slotCap), 9*8)
+			off, _ := extent(raw, 3)
+			setExtent(raw, 3, off, numClasses)
+			return raw
+		}, ErrNeedsRebuild, "of no size class"},
+		{"locator class field at its maximum", func(raw []byte) []byte {
+			set(raw, locAt(3), get(raw, locAt(3))|classMask)
 			return raw
 		}, ErrNeedsRebuild, "of no size class"},
 		{"klen+vlen over capacity", func(raw []byte) []byte {
-			set(raw, slotField(0, slotMeta), 5<<32|get(raw, slotField(0, slotCap)))
+			_, class := extent(raw, 0)
+			set(raw, head(raw, 0), 5<<32|uint64(classWords(class))*8)
+			return raw
+		}, ErrNeedsRebuild, "bytes in a"},
+		{"lengths fill the extent but for their own word", func(raw []byte) []byte {
+			// "beta" has three words: key and value may fill two of them.
+			_, class := extent(raw, 1)
+			set(raw, head(raw, 1), 4<<32|uint64(classWords(class)-1)*8)
 			return raw
 		}, ErrNeedsRebuild, "bytes in a"},
 		{"zero-length key", func(raw []byte) []byte {
-			set(raw, slotField(0, slotMeta), 7)
+			set(raw, head(raw, 0), 7)
 			return raw
 		}, ErrNeedsRebuild, "bytes in a"},
 		{"resident without an extent", func(raw []byte) []byte {
-			set(raw, slotField(5, slotMeta), 1<<32|1)
+			set(raw, tagAt(5), hash.Bytes64([]byte("ghost")))
 			return raw
 		}, ErrNeedsRebuild, "without an extent"},
 		{"two slots sharing an extent", func(raw []byte) []byte {
-			copy(raw[slotField(2, slotOff):], raw[slotField(0, slotOff):s.slot(0)+slotBytes])
+			set(raw, locAt(2), get(raw, locAt(0)))
 			return raw
 		}, ErrNeedsRebuild, "overlap"},
 		{"overlapping extents", func(raw []byte) []byte {
-			set(raw, slotField(2, slotOff), get(raw, slotField(0, slotOff))+8)
-			set(raw, slotField(2, slotCap), 8)
+			setExtent(raw, 2, head(raw, 0)+8, 0)
+			return raw
+		}, ErrNeedsRebuild, "overlap"},
+		{"locators straddling two extents", func(raw []byte) []byte {
+			// Two words: the last of slot 0's extent, the first of slot 1's.
+			setExtent(raw, 2, head(raw, 1)-8, 1)
 			return raw
 		}, ErrNeedsRebuild, "overlap"},
 		{"free extent owned by a slot", func(raw []byte) []byte {
-			set(raw, slotField(6, slotOff), get(raw, freeHead))
-			set(raw, slotField(6, slotCap), 16)
+			setExtent(raw, 6, int(get(raw, freeHead)), 1)
 			return raw
 		}, ErrNeedsRebuild, "overlap"},
 		{"free list leaves the heap", func(raw []byte) []byte {
@@ -142,25 +178,22 @@ func TestHostileImages(t *testing.T) {
 			return raw
 		}, ErrNeedsRebuild, "loops"},
 		{"fingerprint disagrees with key", func(raw []byte) []byte {
-			raw[slotField(1, slotTag)] ^= 1
-			return raw
-		}, ErrNeedsRebuild, "does not match its key"},
-		{"reserved key under its raw fingerprint", func(raw []byte) []byte {
-			// Slot 4 holds the key whose fingerprint is Empty; its tag
-			// must be Line(Empty), not the fingerprint.
-			set(raw, slotField(4, slotTag), hash.Bytes64(reservedKey))
+			raw[tagAt(1)] ^= 1
 			return raw
 		}, ErrNeedsRebuild, "does not match its key"},
 		{"cleared slot keeps its tenant's tag", func(raw []byte) []byte {
-			set(raw, slotField(2, slotTag), hash.Bytes64([]byte("gone")))
+			// The tag is the only mark of residency: slot 2's extent still
+			// holds "gone", which slot 10 holds too, so the stale tag makes
+			// one line resident twice.
+			set(raw, tagAt(2), hash.Bytes64([]byte("gone")))
 			return raw
-		}, ErrNeedsRebuild, "empty slot 2 holds tag"},
+		}, ErrNeedsRebuild, "slot 10 repeats a fingerprint"},
 		{"never-used slot with a zero tag", func(raw []byte) []byte {
-			set(raw, slotField(7, slotTag), 0)
+			set(raw, tagAt(7), 0)
 			return raw
-		}, ErrNeedsRebuild, "empty slot 7 holds tag"},
+		}, ErrNeedsRebuild, "slot 7 is resident without an extent"},
 		{"non-zero padding", func(raw []byte) []byte {
-			raw[get(raw, slotField(0, slotOff))+7] = 1 // "alpha" pads 3 bytes
+			raw[head(raw, 0)+8+7] = 1 // "alpha" pads 3 bytes
 			return raw
 		}, ErrNeedsRebuild, "padding"},
 		{"heap size disagrees with file size", func(raw []byte) []byte {
@@ -183,9 +216,14 @@ func TestHostileImages(t *testing.T) {
 			return raw
 		}, ErrInvalidFormat, "bad magic"},
 		{"SLC3 magic over an SLC2 version", func(raw []byte) []byte {
+			copy(raw[offMagic:], "SLC3")
 			le.PutUint32(raw[offVersion:], 2)
 			return raw
-		}, ErrInvalidFormat, "version 2"},
+		}, ErrInvalidFormat, "bad magic"},
+		{"SLC4 magic over an SLC3 version", func(raw []byte) []byte {
+			le.PutUint32(raw[offVersion:], 3)
+			return raw
+		}, ErrInvalidFormat, "version 3"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

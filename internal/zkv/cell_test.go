@@ -119,12 +119,13 @@ func TestSetAllocs(t *testing.T) {
 
 // TestBytesPerEntry is the footprint gate: the live Go heap a full store of
 // 8-byte keys and 64-byte values holds, per resident entry. On the heap one
-// cell per entry measures ~124 B (10 B of tag word, 8-bit LRU stamp and
-// dirty flag, the 32-byte slot and the 80-byte extent); a second in-memory
-// copy of the entry fails the bound. With PersistDir the cells are the
-// mapped file, and what is left on the heap, ~11.4 B, is those 10 B per slot
-// plus fixed costs: any heap copy of the entries, or two more bytes of
-// per-slot state, fails that row.
+// cell per entry measures ~99 B: the 16-byte slot header (tag and extent
+// locator), the 80-byte extent (lengths word, key word, eight value words)
+// and what the persist row measures alone; a header regrown by one word, or
+// a second in-memory copy of the entry, fails the bound. With PersistDir the
+// slot table and the extents are the mapped file, and what is left on the
+// heap, ~2.4 B, is the 8-bit LRU stamp per slot plus fixed costs: any heap
+// copy of the entries, or two more bytes of per-slot state, fails that row.
 func TestBytesPerEntry(t *testing.T) {
 	liveHeap := func() uint64 {
 		runtime.GC()
@@ -137,7 +138,7 @@ func TestBytesPerEntry(t *testing.T) {
 		name    string
 		persist bool
 		bound   float64
-	}{{"heap", false, 120}, {"persist", true, 5}} {
+	}{{"heap", false, 105}, {"persist", true, 5}} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := Config{Shards: 2, Ways: 4, Rows: 4096, Levels: 2, Seed: 9}
 			if c.persist {

@@ -38,11 +38,12 @@ func (s *Store) MigrateRange(start, end, cursor uint64, maxBytes int, dst []byte
 		v := sh.cells.View()
 		for ; gi < segEnd; gi++ {
 			id := int(gi % blocks)
-			if v.Meta(id) == 0 {
+			tag := v.Tag(id)
+			if tag == slotstore.Empty {
 				continue
 			}
 			key, val := sh.cells.Entry(id)
-			if !zkvproto.InArc(zkvproto.RingPoint(slotstore.Fingerprint(v.Tag(id), key)), start, end) {
+			if !zkvproto.InArc(zkvproto.RingPoint(slotstore.Fingerprint(tag, key)), start, end) {
 				continue
 			}
 			if count > 0 && len(dst)-base+zkvproto.MigrateEntrySize(len(key), len(val)) > maxBytes {

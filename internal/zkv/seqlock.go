@@ -90,15 +90,14 @@ func (sh *shard) getLockFree(fp uint64, key, dst []byte) ([]byte, bool) {
 	return dst, ok
 }
 
-// probe hashes fp's line to its one slot per way and reads the slots through
-// v, looking for a cell that holds fp. It
-// reports (dst', slot, hit, collision, clean); clean=false flags a slot
-// whose header v cannot follow (a torn window) that the caller must retry.
+// probe hashes fp's line to its one slot per way and reads the slots' tags
+// through v until one holds the line, then that slot's entry. It reports
+// (dst', slot, hit, collision, clean); clean=false flags a slot whose extent
+// v cannot follow (a torn window) that the caller must retry.
 // A hit compares the key word by word and copies the value words straight
 // into dst, whatever the key length: zero allocations when dst has capacity
 // for the value, one otherwise.
 func (sh *shard) probe(v slotstore.View, fp, line uint64, key, dst []byte) ([]byte, uint64, bool, bool, bool) {
-	var meta, slot uint64
 	// The rows live on this reader's stack (only a store wider than any
 	// the paper considers spills them to the heap) and are hashed as the
 	// probe goes, so a hit pays for no way it did not read.
@@ -107,21 +106,18 @@ func (sh *shard) probe(v slotstore.View, fp, line uint64, key, dst []byte) ([]by
 	if ways > len(buf) {
 		rows = make([]uint64, ways)
 	}
-	for w, n := 0, 0; w < ways && meta == 0; w++ {
+	for w, n := 0, 0; w < ways; w++ {
 		if w == n {
 			n = sh.ix.RowsFrom(w, line, rows)
 		}
 		if id := uint64(w)*sh.rowsPer + rows[w]; v.Tag(int(id)) == line {
-			meta, slot = v.Meta(int(id)), id
+			// A live slot with this fingerprint and another key is an
+			// alias: a verified miss.
+			out, hit, clean := v.Read(int(id), key, dst)
+			return out, id, hit, clean && !hit, clean
 		}
 	}
-	if meta == 0 {
-		return dst, 0, false, false, true
-	}
-	// A live slot with this fingerprint and another key is an alias: a
-	// verified miss.
-	out, hit, clean := v.Read(int(slot), meta, key, dst)
-	return out, slot, hit, clean && !hit, clean
+	return dst, 0, false, false, true
 }
 
 // noteTouch records a validated read hit for the ranking. The fast path is a

@@ -403,8 +403,7 @@ func (sh *shard) get(fp uint64, key, dst []byte) ([]byte, bool) {
 		sh.getMisses.Add(1)
 		return dst, false
 	}
-	v := sh.cells.View()
-	dst, hit, _ := v.Read(int(id), v.Meta(int(id)), key, dst)
+	dst, hit, _ := sh.cells.View().Read(int(id), key, dst)
 	if !hit {
 		sh.collisions.Add(1)
 		sh.getMisses.Add(1)
