@@ -12,21 +12,22 @@ import (
 	"zcache/internal/hash"
 )
 
-// The pinned image: testdata/slc3.slc was written by the first SLC3 build
-// with writePinnedImage below, before the shard's tag array moved into the
-// slot table. It holds every structure the format has — entries with keys
-// of 1–24 bytes and values of 0–200, the key whose fingerprint is Empty,
-// slots that were relocated, deleted and overwritten past their extent, a
-// heap that grew once and free lists in several classes. Any later build
-// must open it warm and find exactly these entries; regenerating it defeats
-// the purpose (SLOTSTORE_WRITE_PINNED=1 does, for a deliberate format
-// change). testdata/slc2.slc is the previous format's pinned image, the same
-// history less the reserved key, whose empty slots keep stale tags: it must
-// open cold.
+// The pinned image: testdata/slc4.slc was written by the first SLC4 build
+// with writePinnedImage below, when slot headers shrank to a tag and an
+// extent locator. It holds every structure the format has — entries with
+// keys of 1–24 bytes and values of 0–200, the key whose fingerprint is
+// Empty, slots that were relocated, deleted and overwritten past their
+// extent, a heap that grew once and free lists in several classes. Any later
+// build must open it warm and find exactly these entries; regenerating it
+// defeats the purpose (SLOTSTORE_WRITE_PINNED=1 does, for a deliberate
+// format change). testdata/slc3.slc and testdata/slc2.slc are the previous
+// formats' pinned images, the same history (SLC2's less the reserved key):
+// they must open cold.
 const (
-	pinnedPath     = "testdata/slc3.slc"
+	pinnedPath     = "testdata/slc4.slc"
 	pinnedDigest   = "ca60c1e961d71a0c334bdd619955099b8100db974f7047bb346c481fde96d053"
 	pinnedResident = 377
+	slc3Path       = "testdata/slc3.slc"
 	slc2Path       = "testdata/slc2.slc"
 )
 
@@ -153,18 +154,24 @@ func TestPinnedImageOpensWarm(t *testing.T) {
 	}
 }
 
-// TestSLC2ImageOpensCold: an image from the previous format is refused as
-// foreign, so the caller starts the shard cold instead of reading its stale
-// empty-slot tags as lines.
-func TestSLC2ImageOpensCold(t *testing.T) {
+// TestSLC3ImageOpensCold: an image from the previous format is refused as
+// foreign, so the caller starts the shard cold instead of reading its
+// 32-byte headers as tags and locators.
+func TestSLC3ImageOpensCold(t *testing.T) { testOpensCold(t, slc3Path) }
+
+// TestSLC2ImageOpensCold: so is one from the format before, whose empty
+// slots keep stale tags.
+func TestSLC2ImageOpensCold(t *testing.T) { testOpensCold(t, slc2Path) }
+
+func testOpensCold(t *testing.T, image string) {
 	if !Supported() {
 		t.Skip("slotstore unsupported on this platform")
 	}
-	raw, err := os.ReadFile(slc2Path)
+	raw, err := os.ReadFile(image)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "slc2.slc")
+	path := filepath.Join(t.TempDir(), filepath.Base(image))
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +180,6 @@ func TestSLC2ImageOpensCold(t *testing.T) {
 		s.Close(false)
 	}
 	if !errors.Is(err, ErrInvalidFormat) {
-		t.Fatalf("Open of an SLC2 image = %v, want ErrInvalidFormat", err)
+		t.Fatalf("Open of %s = %v, want ErrInvalidFormat", image, err)
 	}
 }
