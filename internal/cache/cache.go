@@ -45,10 +45,12 @@ type Cache struct {
 	array    Array
 	policy   repl.Policy
 	lineBits uint
-	// dirty is nil for a zcache over borrowed tags (NewZCacheOver): there
-	// the tags are a store's records and the records its entries, written
-	// in place, so no line is ever written back and nothing reads a flag.
-	dirty []bool
+	// dirty holds one bit per slot, read and written through DirtyAt and
+	// putDirty. It is nil for a zcache over borrowed tags (NewZCacheOver):
+	// there the tags are a store's records and the records its entries,
+	// written in place, so no line is ever written back and nothing reads a
+	// flag.
+	dirty []uint64
 	stats Stats
 
 	// Concrete-typed views of array and policy, populated at construction
@@ -122,7 +124,7 @@ func New(array Array, policy repl.Policy, lineBits uint) (*Cache, error) {
 		}
 	}
 	if c.zFast == nil || !c.zFast.tags.borrowed {
-		c.dirty = make([]bool, array.Blocks())
+		c.dirty = make([]uint64, (array.Blocks()+63)/64)
 	}
 	switch p := policy.(type) {
 	case *repl.LRU:
@@ -232,11 +234,9 @@ func (c *Cache) onMoves(moves []Move) {
 		return
 	}
 	c.policy.OnMoves(moves)
-	if c.dirty != nil {
-		for _, m := range moves {
-			c.dirty[m.To] = c.dirty[m.From]
-			c.dirty[m.From] = false
-		}
+	for _, m := range moves {
+		c.putDirty(m.To, c.DirtyAt(m.From))
+		c.putDirty(m.From, false)
 	}
 	if c.slotObs != nil {
 		for _, m := range moves {
@@ -264,8 +264,8 @@ func (c *Cache) AccessSlot(addr uint64, write bool) (repl.BlockID, bool) {
 	if id, ok := c.lookup(line); ok {
 		c.stats.Hits++
 		c.onAccess(id, write)
-		if write && c.dirty != nil {
-			c.dirty[id] = true
+		if write {
+			c.putDirty(id, true)
 		}
 		return id, true
 	}
@@ -320,7 +320,21 @@ func (c *Cache) LineAt(id repl.BlockID) (line uint64, ok bool) {
 // without advancing any counter. A zcache over borrowed tags keeps no dirty
 // bits and reports false.
 func (c *Cache) DirtyAt(id repl.BlockID) bool {
-	return c.dirty != nil && c.dirty[id]
+	return c.dirty != nil && c.dirty[id/64]&(1<<(id%64)) != 0
+}
+
+// putDirty sets or clears slot id's dirty bit; without dirty bits it does
+// nothing.
+func (c *Cache) putDirty(id repl.BlockID, d bool) {
+	if c.dirty == nil {
+		return
+	}
+	w, bit := &c.dirty[id/64], uint64(1)<<(id%64)
+	if d {
+		*w |= bit
+	} else {
+		*w &^= bit
+	}
 }
 
 // noTagStore is the violation Locate and LineAt raise on an array whose
@@ -430,7 +444,7 @@ func (c *Cache) finishFlat(id repl.BlockID, oldAddr uint64, oldValid bool, line 
 		c.retire(id, oldAddr)
 	}
 	c.onInsert(id, line)
-	c.dirty[id] = write
+	c.putDirty(id, write)
 	return id
 }
 
@@ -440,7 +454,7 @@ func (c *Cache) finishFlat(id repl.BlockID, oldAddr uint64, oldValid bool, line 
 // occupant, which the caller installs or relocates into it.
 func (c *Cache) retire(id repl.BlockID, line uint64) {
 	c.stats.Evictions++
-	dirty := c.dirty != nil && c.dirty[id]
+	dirty := c.DirtyAt(id)
 	if dirty {
 		c.stats.Writebacks++
 	}
@@ -639,9 +653,7 @@ func (c *Cache) finishInstall(line uint64, cands []Candidate, victim int, moves 
 	}
 	id := cands[root].ID
 	c.onInsert(id, line)
-	if c.dirty != nil {
-		c.dirty[id] = write
-	}
+	c.putDirty(id, write)
 	return id
 }
 
@@ -739,13 +751,11 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	if !ok {
 		return false, false
 	}
-	d := c.dirty != nil && c.dirty[id]
+	d := c.DirtyAt(id)
 	if c.slotObs != nil {
 		c.slotObs.SlotEvicted(id, line, d)
 	}
 	c.onEvict(id)
-	if d {
-		c.dirty[id] = false
-	}
+	c.putDirty(id, false)
 	return true, d
 }

@@ -42,42 +42,49 @@ func TestCheckInvariantsCatchCorruption(t *testing.T) {
 	cfg.InstructionsPerCore = 30_000
 	for _, c := range []struct {
 		invariant string
-		corrupt   func(t *testing.T, s *System)
+		// name, if set, tells apart two cases of one invariant.
+		name    string
+		corrupt func(t *testing.T, s *System)
 	}{
-		{"sim/dir-empty-slot", func(t *testing.T, s *System) {
+		{"sim/dir-empty-slot", "", func(t *testing.T, s *System) {
 			// Empty slot 0 the way the protocol would, then leave a
 			// sharer behind in it.
-			cc := s.banks[0].cache
-			line, ok := cc.LineAt(0)
-			if present, _ := cc.Invalidate(line << s.lineBits); !ok || !present {
-				t.Fatal("bank 0's slot 0 is empty after a run")
-			}
-			s.dirs[0].e[0].sharers = 1
+			emptySlot0(t, s)
+			s.dirs[0].sharers[0] = 1
 		}},
-		{"sim/inclusion", func(t *testing.T, s *System) {
+		{"sim/dir-empty-slot", "sim/dir-empty-slot-owned", func(t *testing.T, s *System) {
+			// The same, leaving the owned bit behind instead.
+			emptySlot0(t, s)
+			s.dirs[0].setOwned(0, true)
+		}},
+		{"sim/inclusion", "", func(t *testing.T, s *System) {
 			line, _ := s.cores[1].l1.LineAt(residentL1Slot(t, s, 1))
-			e := s.entry(line)
-			e.sharers &^= 1 << 1
-			e.owner = -1
+			d, id := s.entry(line)
+			d.sharers[id] &^= 1 << 1
+			d.setOwned(id, false)
 		}},
-		{"sim/dir-l1", func(t *testing.T, s *System) {
+		{"sim/dir-l1", "", func(t *testing.T, s *System) {
 			line, _ := s.cores[2].l1.LineAt(residentL1Slot(t, s, 2))
 			s.cores[2].l1.Invalidate(line << s.lineBits)
 		}},
-		{"sim/mesi-owner", func(t *testing.T, s *System) {
+		{"sim/mesi-owner", "", func(t *testing.T, s *System) {
+			// M state on a mask that names core 3 and core 0.
 			line, _ := s.cores[3].l1.LineAt(residentL1Slot(t, s, 3))
-			e := s.entry(line)
-			e.sharers |= 1 << 3
-			e.owner = 0
+			d, id := s.entry(line)
+			d.sharers[id] |= 1<<3 | 1<<0
+			d.setOwned(id, true)
 		}},
-		{"sim/mesi-dirty", func(t *testing.T, s *System) {
+		{"sim/mesi-dirty", "", func(t *testing.T, s *System) {
 			// A store that hits core 0's L1 without the upgrade the
 			// protocol would send leaves a dirty copy its directory
-			// entry does not name the owner of.
+			// does not name the owner of.
 			l1 := s.cores[0].l1
 			for id := repl.BlockID(0); int(id) < l1.Array().Blocks(); id++ {
 				line, ok := l1.LineAt(id)
-				if ok && !l1.DirtyAt(id) && s.entry(line).owner != 0 {
+				if !ok || l1.DirtyAt(id) {
+					continue
+				}
+				if d, slot := s.entry(line); d.owner(slot) != 0 {
 					l1.Access(line<<s.lineBits, true)
 					return
 				}
@@ -85,7 +92,11 @@ func TestCheckInvariantsCatchCorruption(t *testing.T) {
 			t.Fatal("core 0's L1 holds no clean line it does not own")
 		}},
 	} {
-		t.Run(c.invariant, func(t *testing.T) {
+		name := c.invariant
+		if c.name != "" {
+			name = c.name
+		}
+		t.Run(name, func(t *testing.T) {
 			sys, err := NewSystem(cfg, sharedGens(t, cfg))
 			if err != nil {
 				t.Fatal(err)
@@ -99,6 +110,16 @@ func TestCheckInvariantsCatchCorruption(t *testing.T) {
 				t.Fatalf("CheckInvariants = %v, want a %s violation", v, c.invariant)
 			}
 		})
+	}
+}
+
+// emptySlot0 empties slot 0 of bank 0 the way the protocol would: an
+// invalidation, which clears the slot's directory state with it.
+func emptySlot0(t *testing.T, s *System) {
+	cc := s.banks[0].cache
+	line, ok := cc.LineAt(0)
+	if present, _ := cc.Invalidate(line << s.lineBits); !ok || !present {
+		t.Fatal("bank 0's slot 0 is empty after a run")
 	}
 }
 

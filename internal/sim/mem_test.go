@@ -13,13 +13,12 @@ import (
 // L2 line at the benchmark's simulator geometry (the root package's
 // TestPreset: Table I with 4 cores and a 512 KB L2 in 4 banks), so a second
 // per-line structure beside the tag arrays cannot return unnoticed. Per line
-// the L2 holds a tag (8 B), a dirty flag (1 B), an LRU stamp (8 B) and a
-// directory entry (16 B); the L1s, the cores' batch buffers and a zcache's
-// walk state add the rest. Each bound is the value measured when it was set
-// plus 2 B; the line-keyed directory index the entries once had cost 40 B
-// more.
+// the L2 holds what TestHeapBytesPerL2Slot pins, 24¼ B; the L1s, the cores'
+// batch buffers and a zcache's walk state add the rest. Each bound is the
+// value measured when it was set plus 2 B; the line-keyed directory index
+// the directory once had cost 40 B more.
 func TestHostBytesPerL2Line(t *testing.T) {
-	bounds := [...]float64{SetAssocBitSel: 43, SetAssocH3: 44, SkewAssoc: 49, ZCacheL2: 50, ZCacheL3: 53}
+	bounds := [...]float64{SetAssocBitSel: 34, SetAssocH3: 35, SkewAssoc: 40, ZCacheL2: 41, ZCacheL3: 44}
 	liveHeap := func() uint64 {
 		runtime.GC()
 		runtime.GC()
@@ -45,6 +44,47 @@ func TestHostBytesPerL2Line(t *testing.T) {
 		t.Logf("%v: %.2f B per L2 line", d, per)
 		if per > bounds[d] {
 			t.Errorf("%v: %.2f host bytes per L2 line, want at most %.0f", d, per, bounds[d])
+		}
+	}
+}
+
+// TestHeapBytesPerL2Slot pins what one L2 slot costs NewSystem on the Go
+// heap, on every design: a tag (8 B), a full-LRU stamp (8 B), a dirty bit
+// (⅛ B) and the directory's sharer mask and owned bit (8⅛ B). It builds the
+// same system at two L2 sizes and divides the extra bytes allocated by the
+// extra slots, so the L1s and every fixed cost cancel out. Each size takes
+// the least of three builds: the runtime's own allocations can only add.
+func TestHeapBytesPerL2Slot(t *testing.T) {
+	const want = 8 + 8 + 1.0/8 + 8 + 1.0/8
+	allocated := func(cfg Config) uint64 {
+		least := ^uint64(0)
+		for range 3 {
+			gens := make([]trace.Generator, cfg.Cores)
+			for i := range gens {
+				gens[i] = trace.NewReplay("empty", nil)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sys, err := NewSystem(cfg, gens)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.KeepAlive(sys)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	for d := SetAssocBitSel; d.valid(); d++ {
+		small := PaperSystem(d, repl.KindLRU, energy.Serial, 4)
+		small.Cores, small.L2Bytes, small.L2Banks = 4, 1<<20, 4
+		large := small
+		large.L2Bytes *= 4
+		slots := float64((large.L2Bytes - small.L2Bytes) / small.LineBytes)
+		per := float64(int64(allocated(large))-int64(allocated(small))) / slots
+		t.Logf("%v: %.3f B per L2 slot", d, per)
+		if per < want-0.05 || per > want+0.05 {
+			t.Errorf("%v: %.3f heap bytes per L2 slot, want %.3f", d, per, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"testing"
 
 	"zcache/internal/energy"
@@ -203,7 +204,7 @@ func TestInclusionInvariant(t *testing.T) {
 				continue
 			}
 			held++
-			if sys.entry(l).sharers&(1<<uint(cid)) == 0 {
+			if d, slot := sys.entry(l); d.sharers[slot]&(1<<uint(cid)) == 0 {
 				t.Fatalf("core %d holds line %#x not tracked by directory", cid, l)
 			}
 		}
@@ -213,24 +214,48 @@ func TestInclusionInvariant(t *testing.T) {
 	}
 }
 
+// TestSingleOwnerInvariant runs shared-write traffic through every design,
+// the zcaches' relocation chains included, and requires every owned slot to
+// name exactly one sharer and every L1-dirty line to be its core's.
 func TestSingleOwnerInvariant(t *testing.T) {
-	cfg := tinyConfig(SetAssocH3, repl.KindLRU)
-	cfg.InstructionsPerCore = 50_000
-	gens := make([]trace.Generator, cfg.Cores)
-	for i := range gens {
-		inner, _ := trace.NewZipf(uint64(i)<<40, 1<<18, 64, 0.8, 1, 0.3, uint64(i)+5)
-		sh, _ := trace.NewSharedRegion(inner, 1<<50, 1<<14, 64, 0.5, 0.5, uint64(i)+9)
-		gens[i] = sh
-	}
-	sys, _ := NewSystem(cfg, gens)
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for b, dir := range sys.dirs {
-		for id, e := range dir.e {
-			if e.owner >= 0 && e.sharers != 1<<uint(e.owner) {
-				t.Fatalf("bank %d slot %d owned by core %d but sharers = %b", b, id, e.owner, e.sharers)
+	for design := SetAssocBitSel; design.valid(); design++ {
+		cfg := tinyConfig(design, repl.KindLRU)
+		cfg.InstructionsPerCore = 50_000
+		gens := make([]trace.Generator, cfg.Cores)
+		for i := range gens {
+			inner, _ := trace.NewZipf(uint64(i)<<40, 1<<18, 64, 0.8, 1, 0.3, uint64(i)+5)
+			sh, _ := trace.NewSharedRegion(inner, 1<<50, 1<<14, 64, 0.5, 0.5, uint64(i)+9)
+			gens[i] = sh
+		}
+		sys, err := NewSystem(cfg, gens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := sys.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.L2Spec().ZLevels > 1 && m.Counts.L2Relocations == 0 {
+			t.Errorf("%v: no relocations; the owned bit never rode a chain", design)
+		}
+		owned := 0
+		for b := range sys.dirs {
+			dir := &sys.dirs[b]
+			for id, sharers := range dir.sharers {
+				if !dir.ownedAt(repl.BlockID(id)) {
+					continue
+				}
+				owned++
+				if bits.OnesCount64(sharers) != 1 {
+					t.Fatalf("%v: bank %d slot %d is owned but sharers = %b", design, b, id, sharers)
+				}
 			}
+		}
+		if owned == 0 {
+			t.Errorf("%v: no slot is owned after shared writes", design)
+		}
+		if err := sys.CheckInvariants(); err != nil {
+			t.Errorf("%v: %v", design, err)
 		}
 	}
 }

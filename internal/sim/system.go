@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"zcache/internal/cache"
 	"zcache/internal/check"
@@ -11,26 +12,40 @@ import (
 	"zcache/internal/trace"
 )
 
-// dirEntry is one line's directory state at the inclusive L2 (Table I:
-// "MESI directory coherence"). Sharers is a core bitmask; owner is the core
-// holding the line modified, or -1.
-type dirEntry struct {
-	sharers uint64
-	owner   int8
+// bankDir is one L2 bank's MESI directory (Table I: "MESI directory
+// coherence"). Inclusion gives every line it tracks a slot in the bank, so
+// the bank's tag array is its index: slot id's line has the core bitmask
+// sharers[id], and its owned bit says the line is modified (MESI M) in the
+// L1 of the mask's single core. As the bank's cache.SlotObserver it moves a
+// slot's state with its line along a zcache relocation chain and clears it
+// when the line leaves the bank.
+type bankDir struct {
+	s       *System
+	bank    int
+	sharers []uint64
+	owned   []uint64
 }
 
-// noEntry is an empty L2 slot's directory state: no sharers, no owner.
-var noEntry = dirEntry{owner: -1}
+// ownedAt reports slot id's owned bit.
+func (d *bankDir) ownedAt(id repl.BlockID) bool { return d.owned[id/64]&(1<<(id%64)) != 0 }
 
-// bankDir is one L2 bank's directory. Inclusion gives every line it tracks a
-// slot in the bank, so the bank's tag array is its index: e[id] is the state
-// of the line in slot id. As the bank's cache.SlotObserver it moves an entry
-// with its line along a zcache relocation chain and retires it when the line
-// leaves the bank.
-type bankDir struct {
-	s    *System
-	bank int
-	e    []dirEntry
+// owner returns the core holding slot id's line in M state, or -1. An owned
+// bit on a mask that names no core yields 64, which CheckInvariants reports.
+func (d *bankDir) owner(id repl.BlockID) int {
+	if !d.ownedAt(id) {
+		return -1
+	}
+	return bits.TrailingZeros64(d.sharers[id])
+}
+
+// setOwned sets or clears slot id's owned bit.
+func (d *bankDir) setOwned(id repl.BlockID, m bool) {
+	w, bit := &d.owned[id/64], uint64(1)<<(id%64)
+	if m {
+		*w |= bit
+	} else {
+		*w &^= bit
+	}
 }
 
 // SlotEvicted is the L2 victim handling: back-invalidate every L1 copy
@@ -39,17 +54,20 @@ type bankDir struct {
 func (d *bankDir) SlotEvicted(id repl.BlockID, bankLine uint64, l2dirty bool) {
 	s := d.s
 	line := s.fullLine(d.bank, bankLine)
-	l1dirty := s.invalidateL1s(line, d.e[id].sharers)
-	d.e[id] = noEntry
+	l1dirty := s.invalidateL1s(line, d.sharers[id])
+	d.sharers[id] = 0
+	d.setOwned(id, false)
 	if l1dirty || l2dirty {
 		s.counts.Writebacks++
 		s.memAccess(line, false)
 	}
 }
 
-// SlotMoved slides a relocated line's entry into its new slot.
+// SlotMoved slides a relocated line's state into its new slot.
 func (d *bankDir) SlotMoved(from, to repl.BlockID) {
-	d.e[to], d.e[from] = d.e[from], noEntry
+	d.sharers[to], d.sharers[from] = d.sharers[from], 0
+	d.setOwned(to, d.ownedAt(from))
+	d.setOwned(from, false)
 }
 
 // coreBatchLen is the per-core generator batch size: 4 KiB of accesses,
@@ -280,10 +298,8 @@ func NewSystem(cfg Config, gens []trace.Generator) (*System, error) {
 	for b := range s.banks {
 		cc := s.banks[b].cache
 		d := &s.dirs[b]
-		*d = bankDir{s: s, bank: b, e: make([]dirEntry, cc.Array().Blocks())}
-		for id := range d.e {
-			d.e[id] = noEntry
-		}
+		n := cc.Array().Blocks()
+		*d = bankDir{s: s, bank: b, sharers: make([]uint64, n), owned: make([]uint64, (n+63)/64)}
 		cc.SetSlotObserver(d)
 	}
 	return s, nil
@@ -320,44 +336,43 @@ func (s *System) Run() (Metrics, error) {
 // CheckInvariants verifies the cross-layer coherence invariants the
 // protocol relies on and returns a *check.Violation describing the first
 // breach, or nil. Checked per L2 slot: an empty slot carries no directory
-// state; a resident line's entry is MESI-legal (the mask names only existing
-// cores, an owner holds the line exclusively) and agrees with the L1s
+// state; a resident line's state is MESI-legal (the mask names only existing
+// cores, an owned line has exactly one sharer) and agrees with the L1s
 // (every named sharer holds the line). Checked per L1 line: inclusion — the
 // line is resident in its L2 bank and the directory names the core a sharer
 // — and a dirty copy belongs to the line's owner, so at most one L1 holds a
 // line dirty.
-// An entry cannot sit in another bank's directory or outlive its line: it is
-// stored at its line's slot. Every probe is counter-neutral (cache.LineAt,
-// cache.Locate, cache.DirtyAt), yet Run checks only at phase boundaries, where no access is
-// in flight.
+// Directory state cannot sit in another bank's directory or outlive its
+// line: it is stored at its line's slot. Every probe is counter-neutral
+// (cache.LineAt, cache.Locate, cache.DirtyAt), yet Run checks only at phase
+// boundaries, where no access is in flight.
 func (s *System) CheckInvariants() error {
 	coreMask := uint64(1)<<uint(s.cfg.Cores) - 1
 	for b := range s.dirs {
 		cc := s.banks[b].cache
-		for id, e := range s.dirs[b].e {
+		d := &s.dirs[b]
+		for id, sharers := range d.sharers {
+			owned := d.ownedAt(repl.BlockID(id))
 			bankLine, resident := cc.LineAt(repl.BlockID(id))
 			if !resident {
-				if e != noEntry {
+				if sharers != 0 || owned {
 					return check.Violationf("sim/dir-empty-slot",
-						"empty slot %d of L2 bank %d has sharers %#x and owner %d", id, b, e.sharers, e.owner)
+						"empty slot %d of L2 bank %d has sharers %#x (owned %t)", id, b, sharers, owned)
 				}
 				continue
 			}
 			line := s.fullLine(b, bankLine)
 			switch {
-			case e.sharers&^coreMask != 0:
+			case sharers&^coreMask != 0:
 				return check.Violationf("sim/mesi-sharers",
-					"line %#x sharer mask %#x names cores beyond %d", line, e.sharers, s.cfg.Cores)
-			case int(e.owner) >= s.cfg.Cores:
+					"line %#x sharer mask %#x names cores beyond %d", line, sharers, s.cfg.Cores)
+			case owned && bits.OnesCount64(sharers) != 1:
 				return check.Violationf("sim/mesi-owner",
-					"line %#x owned by nonexistent core %d", line, e.owner)
-			case e.owner >= 0 && e.sharers != 1<<uint(e.owner):
-				return check.Violationf("sim/mesi-owner",
-					"line %#x owned by core %d but sharer mask is %#x (M state must be exclusive)",
-					line, e.owner, e.sharers)
+					"line %#x is owned but its sharer mask is %#x (M state must name exactly one core)",
+					line, sharers)
 			}
 			for cid := range s.cores {
-				if e.sharers&(1<<uint(cid)) == 0 {
+				if sharers&(1<<uint(cid)) == 0 {
 					continue
 				}
 				if _, ok := s.cores[cid].l1.Locate(line << s.lineBits); !ok {
@@ -375,18 +390,19 @@ func (s *System) CheckInvariants() error {
 				continue
 			}
 			b := s.bankOf(line)
+			d := &s.dirs[b]
 			slot, ok := s.banks[b].cache.Locate(s.bankAddr(line))
 			switch {
 			case !ok:
 				return check.Violationf("sim/inclusion",
 					"core %d's L1 holds line %#x but L2 bank %d does not", cid, line, b)
-			case s.dirs[b].e[slot].sharers&(1<<uint(cid)) == 0:
+			case d.sharers[slot]&(1<<uint(cid)) == 0:
 				return check.Violationf("sim/inclusion",
 					"core %d's L1 holds line %#x but the directory does not name it a sharer", cid, line)
-			case c.l1.DirtyAt(repl.BlockID(id)) && s.dirs[b].e[slot].owner != int8(cid):
+			case c.l1.DirtyAt(repl.BlockID(id)) && d.owner(slot) != cid:
 				return check.Violationf("sim/mesi-dirty",
 					"core %d's L1 holds line %#x dirty but the directory names owner %d",
-					cid, line, s.dirs[b].e[slot].owner)
+					cid, line, d.owner(slot))
 			}
 		}
 	}
@@ -441,22 +457,22 @@ func (s *System) step(c *core, a trace.Access) {
 // copies are invalidated and c becomes owner (MESI S/E→M). A line c already
 // owns has no other copies, so nothing changes.
 func (s *System) writeUpgrade(coreID int, line uint64) {
-	if s.makeOwner(s.entry(line), line, coreID) {
+	if d, id := s.entry(line); s.makeOwner(d, id, line, coreID) {
 		s.stall += uint64(s.cfg.L1ToL2) // upgrade round trip
 	}
 }
 
-// makeOwner gives coreID the line exclusively (MESI M): every other copy is
-// invalidated, a dirty one folding into the L2 (one bank write access), and
-// e names coreID the only sharer and the owner. It reports whether any
-// other copy existed.
-func (s *System) makeOwner(e *dirEntry, line uint64, coreID int) bool {
-	others := e.sharers &^ (1 << uint(coreID))
+// makeOwner gives coreID the line in slot id of d exclusively (MESI M):
+// every other copy is invalidated, a dirty one folding into the L2 (one bank
+// write access), and the slot names coreID the only sharer and owns the
+// line. It reports whether any other copy existed.
+func (s *System) makeOwner(d *bankDir, id repl.BlockID, line uint64, coreID int) bool {
+	others := d.sharers[id] &^ (1 << uint(coreID))
 	if others != 0 && s.invalidateL1s(line, others) {
 		s.writebackToL2(line)
 	}
-	e.sharers = 1 << uint(coreID)
-	e.owner = int8(coreID)
+	d.sharers[id] = 1 << uint(coreID)
+	d.setOwned(id, true)
 	return others != 0
 }
 
@@ -480,21 +496,21 @@ func (s *System) invalidateL1s(line uint64, mask uint64) (dirty bool) {
 	return dirty
 }
 
-// entry returns the directory entry of a line some L1 holds. The slot probe
-// advances no counter.
-func (s *System) entry(line uint64) *dirEntry {
+// entry returns the directory and slot of a line some L1 holds. The slot
+// probe advances no counter.
+func (s *System) entry(line uint64) (*bankDir, repl.BlockID) {
 	b := s.bankOf(line)
 	id, ok := s.banks[b].cache.Locate(s.bankAddr(line))
 	if !ok {
 		panic(notIncluded(line))
 	}
-	return &s.dirs[b].e[id]
+	return &s.dirs[b], id
 }
 
 // writebackToL2 folds an L1 dirty line into its L2 bank (off the critical
 // path; counted for bandwidth and energy) and returns the line's directory
-// entry.
-func (s *System) writebackToL2(line uint64) *dirEntry {
+// and slot.
+func (s *System) writebackToL2(line uint64) (*bankDir, repl.BlockID) {
 	b := s.bankOf(line)
 	s.counts.L2Accesses++
 	s.counts.Writebacks++
@@ -503,7 +519,7 @@ func (s *System) writebackToL2(line uint64) *dirEntry {
 		panic(notIncluded(line))
 	}
 	s.counts.L2Hits++
-	return &s.dirs[b].e[id]
+	return &s.dirs[b], id
 }
 
 // notIncluded is the violation of an L1 line the L2 does not hold. The
@@ -530,30 +546,30 @@ func (s *System) l2Fetch(coreID int, line uint64, write bool) {
 		s.counts.L2Misses++
 		s.stall += s.memAccess(line, true)
 	}
-	// The line's entry is its slot's. It stays put below: the forward and
-	// the invalidations write back into the L2 only lines it holds, which
-	// hit and move nothing.
-	e := &s.dirs[b].e[id]
+	// The line's directory state is its slot's. It stays put below: the
+	// forward and the invalidations write back into the L2 only lines it
+	// holds, which hit and move nothing.
+	d := &s.dirs[b]
 
 	// A dirty copy in another L1 must fold into the L2 (the directory
 	// forwards the request; we charge one extra hop). An owned line is
 	// L2-resident, so the demand access above hit; two hits leave the same
 	// counts, policy state, dirty bit and stall in either order, so the
-	// forward follows the access that found the entry.
-	if e.owner >= 0 && int(e.owner) != coreID {
-		if s.invalidateL1s(line, 1<<uint(e.owner)) {
+	// forward follows the access that found the slot.
+	if o := d.owner(id); o >= 0 && o != coreID {
+		if s.invalidateL1s(line, 1<<uint(o)) {
 			s.writebackToL2(line)
 		}
 		s.stall += uint64(s.cfg.L1ToL2)
-		e.sharers &^= 1 << uint(e.owner)
-		e.owner = -1
+		d.sharers[id] &^= 1 << uint(o)
+		d.setOwned(id, false)
 	}
 
 	// Directory: record the requester.
 	if write {
-		s.makeOwner(e, line, coreID)
+		s.makeOwner(d, id, line, coreID)
 	} else {
-		e.sharers |= 1 << uint(coreID)
+		d.sharers[id] |= 1 << uint(coreID)
 	}
 }
 
@@ -561,19 +577,20 @@ func (s *System) l2Fetch(coreID int, line uint64, write bool) {
 // victims into the L2.
 func (s *System) l1Evicted(coreID int, addr uint64, dirty bool) {
 	line := addr >> s.lineBits
-	// A dirty victim's writeback finds the entry; a clean one needs the
+	// A dirty victim's writeback finds the slot; a clean one needs the
 	// slot probe. Either way the directory update follows the L2 access,
-	// which hits and leaves the entry alone.
-	var e *dirEntry
+	// which hits and moves no line.
+	var d *bankDir
+	var id repl.BlockID
 	if dirty {
-		e = s.writebackToL2(line)
+		d, id = s.writebackToL2(line)
 	} else {
-		e = s.entry(line)
+		d, id = s.entry(line)
 	}
-	e.sharers &^= 1 << uint(coreID)
-	if e.owner == int8(coreID) {
-		e.owner = -1
+	if d.owner(id) == coreID {
+		d.setOwned(id, false)
 	}
+	d.sharers[id] &^= 1 << uint(coreID)
 }
 
 // memAccess models one DRAM access through the line's memory controller:

@@ -148,28 +148,18 @@ func TestZipfIndexedSearchMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buckets := float64(len(g.cellStart))
+		buckets := len(g.cellBound) - 1
 		check := func(u float64) {
-			b := int(u * buckets)
-			lo, hi := int(g.cellStart[b]), int(g.cellEnd[b])
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if g.cdf[mid] < u {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if want := lowerBound(g.cdf, u); lo != want {
-				t.Fatalf("theta=%g u=%v: narrowed search picks cell %d, full search %d", theta, u, lo, want)
+			if got, want := g.cell(u), lowerBound(g.cdf, u); got != want {
+				t.Fatalf("theta=%g u=%v: narrowed search picks cell %d, full search %d", theta, u, got, want)
 			}
 		}
 		const sweep = 100_000
 		for i := 0; i < sweep; i++ {
 			check(float64(i) / sweep)
 		}
-		for b := 0; b < len(g.cellStart); b++ {
-			edge := float64(b) / buckets
+		for b := 0; b < buckets; b++ {
+			edge := float64(b) / float64(buckets)
 			check(edge)
 			if below := math.Nextafter(edge, 0); below >= 0 {
 				check(below)

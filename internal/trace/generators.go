@@ -100,12 +100,12 @@ type Zipf struct {
 	// inverse-CDF table, sampled: cdf[i] is cumulative probability of
 	// ranks [0..i] over a coarse grid; lookup interpolates.
 	cdf []float64
-	// cellStart/cellEnd narrow the CDF binary search: bucket b of the
-	// quantized draw u covers results in [cellStart[b], cellEnd[b]], which
-	// for a skewed CDF is usually a single cell. The narrowed search
+	// cellBound narrows the CDF binary search: bucket b of the quantized
+	// draw u covers results in [cellBound[b], cellBound[b+1]], which for a
+	// skewed CDF is usually a single cell. It holds one bound per bucket
+	// edge, so one more than there are buckets. The narrowed search
 	// visits the same lower bound the full-range search would.
-	cellStart []int32
-	cellEnd   []int32
+	cellBound []int32
 	// perm and p2mask implement a cycle-walking permutation scrambling
 	// rank → line: multiplication by an odd constant is bijective on the
 	// power-of-two domain covering lines, and out-of-range values walk
@@ -170,11 +170,9 @@ func NewZipf(base, footprint, lineSize uint64, theta float64, gap uint32, writeF
 	// bucket b (u ∈ [b/B, (b+1)/B)) can only land between the bounds of
 	// the bucket's endpoints.
 	const buckets = 2048
-	g.cellStart = make([]int32, buckets)
-	g.cellEnd = make([]int32, buckets)
-	for b := 0; b < buckets; b++ {
-		g.cellStart[b] = int32(lowerBound(g.cdf, float64(b)/buckets))
-		g.cellEnd[b] = int32(lowerBound(g.cdf, float64(b+1)/buckets))
+	g.cellBound = make([]int32, buckets+1)
+	for b := range g.cellBound {
+		g.cellBound[b] = int32(lowerBound(g.cdf, float64(b)/buckets))
 	}
 	g.Reset()
 	return g, nil
@@ -205,14 +203,13 @@ func cellWeight(lo, width, theta float64) float64 {
 	return (math.Pow(lo+width+1, p) - math.Pow(lo+1, p)) / p
 }
 
-// Next returns the next zipf-distributed access.
-func (g *Zipf) Next() (Access, bool) {
-	u := g.r.float()
-	// Binary search the CDF grid, narrowed by the bucket index (u < 1, so
-	// the bucket never overflows; the narrowed range provably brackets
-	// the full-range lower bound).
-	b := int(u * float64(len(g.cellStart)))
-	lo, hi := int(g.cellStart[b]), int(g.cellEnd[b])
+// cell returns the CDF grid cell of draw u ∈ [0, 1): lowerBound's answer,
+// by a binary search narrowed to u's bucket (u < 1, so the bucket never
+// overflows; the narrowed range provably brackets the full-range lower
+// bound).
+func (g *Zipf) cell(u float64) int {
+	b := int(u * float64(len(g.cellBound)-1))
+	lo, hi := int(g.cellBound[b]), int(g.cellBound[b+1])
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if g.cdf[mid] < u {
@@ -221,6 +218,13 @@ func (g *Zipf) Next() (Access, bool) {
 			hi = mid
 		}
 	}
+	return lo
+}
+
+// Next returns the next zipf-distributed access.
+func (g *Zipf) Next() (Access, bool) {
+	u := g.r.float()
+	lo := g.cell(u)
 	cellLines := g.lines / uint64(len(g.cdf))
 	if cellLines == 0 {
 		cellLines = 1
