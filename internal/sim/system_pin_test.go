@@ -80,3 +80,91 @@ func TestSystemDigestsPinned(t *testing.T) {
 		}
 	}
 }
+
+// coreCountDigests pins System.Run's Metrics, as systemDigests does, at core
+// counts whose directory sharer fields differ in width (1, 3 and 64 cores),
+// on a set-associative and a zcache L2 under full LRU, with Config.Check
+// armed so every phase boundary also verifies the coherence invariants.
+var coreCountDigests = map[string]string{
+	"sa/1":    "bef50c235a649af7b51d260860e1f360cdf614859bce2d4249fcac37ac68d198",
+	"sa/3":    "30e947e26c7acc8b61dd8a4c2c4f8562f5bece0e489e81965c57354fef974c7d",
+	"sa/64":   "753510156ab9d076077cf0c9ec13f31521c0c7367ecfca87525cd575b9c69f2d",
+	"z-L3/1":  "e44333cf552eeca0ef76d6709b225ee6367ec257f7fabbb3b87393991d8cc6c9",
+	"z-L3/3":  "d72a8d4aba09d4c6534596f3e51f874c409a9f258910eae00ae1f0eb137411df",
+	"z-L3/64": "30a9798d0eba511e10476ab227197b4c3950eed500589ef7efe606d6946ca7c3",
+}
+
+// TestSystemDigestsAcrossCoreCounts runs the table above.
+func TestSystemDigestsAcrossCoreCounts(t *testing.T) {
+	for _, d := range []Design{SetAssocBitSel, ZCacheL3} {
+		for _, cores := range []int{1, 3, 64} {
+			name := fmt.Sprintf("%v/%d", d, cores)
+			cfg := tinyConfig(d, repl.KindLRU)
+			cfg.Cores = cores
+			cfg.InstructionsPerCore = 240_000 / uint64(cores)
+			cfg.WarmupInstructionsPerCore = cfg.InstructionsPerCore / 3
+			cfg.Check = true
+			sys, err := NewSystem(cfg, sharedGens(t, cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := sys.Run()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			// With one core nothing is shared, and its 8 KB L1 drops a
+			// line long before the 256 KB L2 evicts it.
+			if (cores > 1 && m.Invalidations == 0) || m.Counts.L2Misses == 0 {
+				t.Errorf("%s: traffic too tame: %d invalidations, %d L2 misses", name, m.Invalidations, m.Counts.L2Misses)
+			}
+			if got, want := metricsDigest(t, m), coreCountDigests[name]; got != want {
+				t.Errorf("%q: %q, // want %q", name, got, want)
+			}
+		}
+	}
+}
+
+// replayDigests pins ReplayL2's Metrics under full LRU on a stream captured
+// from sharedGens, for every design: the trace-driven path's L2 banks run the
+// same replacement policy as System's without a directory beside it.
+var replayDigests = map[string]string{
+	"sa":    "c1d140a5248345c585ef7f0bf96e3867f83c65d5dfa83cb0c7f987ac55ea96e6",
+	"sa-h3": "0833d6461dd497376653bb5fc79a74cbaad1fdde615aa1997541bb2cff8321e9",
+	"skew":  "b6507ce5f0c12ebc14a65487574a4818f3f0214475fcb8738f386b32b289b079",
+	"z-L2":  "bbfc5ecd891d9a8fd910b128cb8d6b3aab181dce677e7699cd5bc6bbbe000992",
+	"z-L3":  "1afcfca824642ec4b4e385a9bfd28d545fac7a26d5ab20ea033944e582a0abfc",
+}
+
+// TestReplayDigestsPinned runs the table above.
+func TestReplayDigestsPinned(t *testing.T) {
+	cfg := tinyConfig(SetAssocBitSel, repl.KindLRU)
+	cfg.InstructionsPerCore = 60_000
+	stream, err := CaptureL2Stream(cfg, sharedGens(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := SetAssocBitSel; d.valid(); d++ {
+		cfg.Design = d
+		m, err := ReplayL2(cfg, stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Counts.L2Misses == 0 {
+			t.Errorf("%v: no L2 misses", d)
+		}
+		if got, want := metricsDigest(t, m), replayDigests[d.String()]; got != want {
+			t.Errorf("%q: %q, // want %q", d.String(), got, want)
+		}
+	}
+}
+
+// metricsDigest is the SHA-256 of m's JSON.
+func metricsDigest(t *testing.T, m Metrics) string {
+	t.Helper()
+	raw, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:])
+}
