@@ -159,7 +159,7 @@ func TestOnMoveTransfersState(t *testing.T) {
 func slotState(t *testing.T, p Policy, id BlockID) []uint64 {
 	switch p := p.(type) {
 	case *LRU:
-		return []uint64{p.ts[id]}
+		return []uint64{uint64(p.ts[id])}
 	case *BucketedLRU:
 		return []uint64{uint64(p.wrapped[id])}
 	case *OPT:
@@ -399,7 +399,7 @@ func TestSelectReturnsValidIndexQuick(t *testing.T) {
 }
 
 // TestHeapBytesPerBlock pins what the paper's two LRUs cost per cache block
-// on the Go heap: bucketed LRU's 8-bit stamp and full LRU's 64-bit
+// on the Go heap: bucketed LRU's 8-bit stamp and full LRU's 32-bit
 // timestamp, and nothing beside them — the global order the instrumentation
 // measures them against is its own touch count.
 func TestHeapBytesPerBlock(t *testing.T) {
@@ -410,7 +410,7 @@ func TestHeapBytesPerBlock(t *testing.T) {
 		build func() (Policy, error)
 	}{
 		{"lru-bucketed", 1, func() (Policy, error) { return PaperBucketedLRU(blocks) }},
-		{"lru", 8, func() (Policy, error) { return NewLRU(blocks) }},
+		{"lru", 4, func() (Policy, error) { return NewLRU(blocks) }},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

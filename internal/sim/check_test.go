@@ -38,43 +38,50 @@ func TestCheckModeCleanAndBehaviourPreserving(t *testing.T) {
 // TestCheckInvariantsCatchCorruption breaks one invariant at a time in a
 // warm system and requires CheckInvariants to name it.
 func TestCheckInvariantsCatchCorruption(t *testing.T) {
-	cfg := tinyConfig(ZCacheL3, repl.KindLRU)
-	cfg.InstructionsPerCore = 30_000
 	for _, c := range []struct {
 		invariant string
 		// name, if set, tells apart two cases of one invariant.
-		name    string
+		name string
+		// cores, if set, replaces tinyConfig's 4.
+		cores   int
 		corrupt func(t *testing.T, s *System)
 	}{
-		{"sim/dir-empty-slot", "", func(t *testing.T, s *System) {
+		{"sim/dir-empty-slot", "", 0, func(t *testing.T, s *System) {
 			// Empty slot 0 the way the protocol would, then leave a
 			// sharer behind in it.
 			emptySlot0(t, s)
-			s.dirs[0].sharers[0] = 1
+			s.dirs[0].setSharers(0, 1)
 		}},
-		{"sim/dir-empty-slot", "sim/dir-empty-slot-owned", func(t *testing.T, s *System) {
+		{"sim/dir-empty-slot", "sim/dir-empty-slot-owned", 0, func(t *testing.T, s *System) {
 			// The same, leaving the owned bit behind instead.
 			emptySlot0(t, s)
 			s.dirs[0].setOwned(0, true)
 		}},
-		{"sim/inclusion", "", func(t *testing.T, s *System) {
+		{"sim/inclusion", "", 0, func(t *testing.T, s *System) {
 			line, _ := s.cores[1].l1.LineAt(residentL1Slot(t, s, 1))
 			d, id := s.entry(line)
-			d.sharers[id] &^= 1 << 1
+			d.setSharers(id, d.sharersAt(id)&^(1<<1))
 			d.setOwned(id, false)
 		}},
-		{"sim/dir-l1", "", func(t *testing.T, s *System) {
+		{"sim/dir-l1", "", 0, func(t *testing.T, s *System) {
 			line, _ := s.cores[2].l1.LineAt(residentL1Slot(t, s, 2))
 			s.cores[2].l1.Invalidate(line << s.lineBits)
 		}},
-		{"sim/mesi-owner", "", func(t *testing.T, s *System) {
+		{"sim/mesi-owner", "", 0, func(t *testing.T, s *System) {
 			// M state on a mask that names core 3 and core 0.
 			line, _ := s.cores[3].l1.LineAt(residentL1Slot(t, s, 3))
 			d, id := s.entry(line)
-			d.sharers[id] |= 1<<3 | 1<<0
+			d.setSharers(id, d.sharersAt(id)|1<<3|1<<0)
 			d.setOwned(id, true)
 		}},
-		{"sim/mesi-dirty", "", func(t *testing.T, s *System) {
+		{"sim/mesi-sharers", "", 3, func(t *testing.T, s *System) {
+			// Three cores get 4-bit sharer fields: name a fourth core
+			// on a resident line.
+			line, _ := s.cores[0].l1.LineAt(residentL1Slot(t, s, 0))
+			d, id := s.entry(line)
+			d.setSharers(id, d.sharersAt(id)|1<<3)
+		}},
+		{"sim/mesi-dirty", "", 0, func(t *testing.T, s *System) {
 			// A store that hits core 0's L1 without the upgrade the
 			// protocol would send leaves a dirty copy its directory
 			// does not name the owner of.
@@ -97,6 +104,11 @@ func TestCheckInvariantsCatchCorruption(t *testing.T) {
 			name = c.name
 		}
 		t.Run(name, func(t *testing.T) {
+			cfg := tinyConfig(ZCacheL3, repl.KindLRU)
+			cfg.InstructionsPerCore = 30_000
+			if c.cores != 0 {
+				cfg.Cores = c.cores
+			}
 			sys, err := NewSystem(cfg, sharedGens(t, cfg))
 			if err != nil {
 				t.Fatal(err)

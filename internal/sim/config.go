@@ -204,7 +204,7 @@ func (c Config) l1Spec() cache.Spec {
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Cores <= 0 || c.Cores > 64 {
-		return fmt.Errorf("sim: cores must be in [1,64] (directory uses a 64-bit sharer mask), got %d", c.Cores)
+		return fmt.Errorf("sim: cores must be in [1,64] (a directory sharer field is at most 64 bits), got %d", c.Cores)
 	}
 	if c.LineBytes == 0 || c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("sim: line size must be a power of two, got %d", c.LineBytes)

@@ -60,7 +60,7 @@ func TestConfigValidation(t *testing.T) {
 	bad = good
 	bad.Cores = 65
 	if bad.Validate() == nil {
-		t.Error("65 cores accepted (sharer mask is 64-bit)")
+		t.Error("65 cores accepted (a sharer field is at most 64 bits)")
 	}
 	bad = good
 	bad.L2Banks = 3
@@ -204,7 +204,7 @@ func TestInclusionInvariant(t *testing.T) {
 				continue
 			}
 			held++
-			if d, slot := sys.entry(l); d.sharers[slot]&(1<<uint(cid)) == 0 {
+			if d, slot := sys.entry(l); d.sharersAt(slot)&(1<<uint(cid)) == 0 {
 				t.Fatalf("core %d holds line %#x not tracked by directory", cid, l)
 			}
 		}
@@ -241,12 +241,12 @@ func TestSingleOwnerInvariant(t *testing.T) {
 		owned := 0
 		for b := range sys.dirs {
 			dir := &sys.dirs[b]
-			for id, sharers := range dir.sharers {
-				if !dir.ownedAt(repl.BlockID(id)) {
+			for id := repl.BlockID(0); int(id) < sys.banks[b].cache.Array().Blocks(); id++ {
+				if !dir.ownedAt(id) {
 					continue
 				}
 				owned++
-				if bits.OnesCount64(sharers) != 1 {
+				if sharers := dir.sharersAt(id); bits.OnesCount64(sharers) != 1 {
 					t.Fatalf("%v: bank %d slot %d is owned but sharers = %b", design, b, id, sharers)
 				}
 			}
