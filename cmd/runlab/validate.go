@@ -126,9 +126,9 @@ func (c *cli) validateSampled(args []string) error {
 		}
 		return float64(m.Counts.L2Misses) / float64(m.Counts.L2Accesses)
 	}
-	t := stats.NewTable("workload", "design", "replay miss", "sampled miss", "rel err", "err95", "dew skips")
+	t := stats.NewTable("workload", "design", "replay miss", "sampled miss", "rel err", "err95")
 	var maxErr float64
-	var totalRefs, sampledRefs, skippedHits uint64
+	var totalRefs, sampledRefs uint64
 	failures := 0
 	for _, w := range ws {
 		stream, err := sampled.Capture(w)
@@ -143,7 +143,6 @@ func (c *cli) validateSampled(args []string) error {
 			r := results[w.Name+"/"+d.Label]
 			totalRefs += uint64(r.Sampled.TotalRefs)
 			sampledRefs += uint64(r.Sampled.SampledRefs)
-			skippedHits += r.Sampled.SkippedHits
 			fm, sm := missRatio(full), missRatio(r.Metrics)
 			rel := 0.0
 			if fm > 0 {
@@ -160,15 +159,15 @@ func (c *cli) validateSampled(args []string) error {
 			}
 			t.AddRow(w.Name, d.Label, fmt.Sprintf("%.4f", fm), fmt.Sprintf("%.4f", sm),
 				fmt.Sprintf("%+.3f%%%s", 100*rel, mark),
-				fmt.Sprintf("±%.4f", r.Sampled.MissRatioErr), r.Sampled.SkippedHits)
+				fmt.Sprintf("±%.4f", r.Sampled.MissRatioErr))
 		}
 	}
 	fmt.Fprint(c.stdout, t.String())
 	fmt.Fprintf(c.stdout, "\nsuite: %d cells (%d workloads × %d designs × %d lookups), policy %s, preset %s\n",
 		len(ws)*len(designs)*len(suiteLookups), len(ws), len(designs), len(suiteLookups), sh.policy, sh.preset)
 	refsFrac := float64(sampledRefs) / float64(max(totalRefs, 1))
-	fmt.Fprintf(c.stdout, "measured legs walk %d of %d references: %.4f (bound %.2f); DEW settled %d of them without the arrays\n",
-		sampledRefs, totalRefs, refsFrac, maxRefsFrac, skippedHits)
+	fmt.Fprintf(c.stdout, "measured legs walk %d of %d references: %.4f (bound %.2f)\n",
+		sampledRefs, totalRefs, refsFrac, maxRefsFrac)
 	fmt.Fprintf(c.stdout, "exact %s  sampled %s  speedup %.2fx (not gated)\n",
 		exactWall.Round(time.Millisecond), sampledWall.Round(time.Millisecond), speedup)
 	fmt.Fprintf(c.stdout, "max |rel err| %.3f%% (bound %.1f%%)\n", 100*maxErr, 100*maxMissRatioErr)

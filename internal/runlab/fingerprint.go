@@ -93,15 +93,11 @@ type CellKey struct {
 }
 
 // SampledKey is the sampled-execution half of a cell's identity: every
-// sampling parameter that changes the extrapolated result. WarmupRefs is
-// always 0; it named a retired stitched warm-up mode and stays in the key
-// so sampled fingerprints, and stores filled before, do not move.
+// sampling parameter that changes the extrapolated result.
 type SampledKey struct {
-	Intervals   int    `json:"intervals"`
-	Clusters    int    `json:"clusters"`
-	WarmupRefs  int    `json:"warmup_refs"`
-	DEWPermille int    `json:"dew_permille"`
-	Seed        uint64 `json:"seed"`
+	Intervals int    `json:"intervals"`
+	Clusters  int    `json:"clusters"`
+	Seed      uint64 `json:"seed"`
 }
 
 // Fingerprint hashes the key's fields in fixed order. The serialization
@@ -134,8 +130,6 @@ func (k CellKey) Fingerprint() Fingerprint {
 			"sampled",
 			strconv.Itoa(k.Sampled.Intervals),
 			strconv.Itoa(k.Sampled.Clusters),
-			strconv.Itoa(k.Sampled.WarmupRefs),
-			strconv.Itoa(k.Sampled.DEWPermille),
 			strconv.FormatUint(k.Sampled.Seed, 10),
 		} {
 			io.WriteString(h, f)

@@ -41,7 +41,15 @@ func TestFingerprintStableAndDistinct(t *testing.T) {
 	if fp != k.Fingerprint() {
 		t.Error("fingerprint not stable")
 	}
-	// Every field must matter.
+	// Every field must matter, the sampled ones included: a sampled key
+	// hashes apart from the exact one and from each of its neighbours.
+	sampled := func(mut func(*SampledKey)) func(*CellKey) {
+		return func(k *CellKey) {
+			s := SampledKey{Intervals: 32, Clusters: 12, Seed: 1}
+			mut(&s)
+			k.Sampled = &s
+		}
+	}
 	mutations := []func(*CellKey){
 		func(k *CellKey) { k.Schema++ },
 		func(k *CellKey) { k.Preset.Name = "full" },
@@ -57,6 +65,10 @@ func TestFingerprintStableAndDistinct(t *testing.T) {
 		func(k *CellKey) { k.Ways++ },
 		func(k *CellKey) { k.Policy++ },
 		func(k *CellKey) { k.Lookup++ },
+		sampled(func(*SampledKey) {}),
+		sampled(func(s *SampledKey) { s.Intervals++ }),
+		sampled(func(s *SampledKey) { s.Clusters++ }),
+		sampled(func(s *SampledKey) { s.Seed++ }),
 	}
 	seen := map[Fingerprint]int{fp: -1}
 	for i, mut := range mutations {

@@ -121,34 +121,3 @@ func TestSplitCrossIntervalReuse(t *testing.T) {
 		t.Errorf("interval 1 missing the distance-5 reuse: %+v", ivs[1].Sig)
 	}
 }
-
-func TestEpochSet(t *testing.T) {
-	s := newEpochSet(8)
-	if added, ok := s.insert(42); !added || !ok {
-		t.Fatal("first insert not added")
-	}
-	if added, ok := s.insert(42); added || !ok {
-		t.Fatal("re-insert reported added")
-	}
-	// The free-slot sentinel is never taken for a line.
-	if added, ok := s.insert(emptyLine); added || ok {
-		t.Fatalf("sentinel insert = %t, %t, want false, false", added, ok)
-	}
-	// Fill toward the load cap: inserts must either report presence
-	// exactly or report !ok, never mis-report it.
-	seen := map[uint64]bool{42: true}
-	for i := uint64(0); i < 10000; i++ {
-		line := i * 2654435761 % 5000
-		added, ok := s.insert(line)
-		if !ok {
-			if seen[line] {
-				t.Fatalf("present line %d reported !ok", line)
-			}
-			continue
-		}
-		if added == seen[line] {
-			t.Fatalf("insert(%d) added=%t, but present=%t", line, added, seen[line])
-		}
-		seen[line] = true
-	}
-}

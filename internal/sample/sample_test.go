@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -131,22 +132,17 @@ func TestRunEmptyStream(t *testing.T) {
 // TestSpecNormalized pins the default resolution the fingerprints fold.
 func TestSpecNormalized(t *testing.T) {
 	n := Spec{}.Normalized()
-	if n.Intervals != 32 || n.Clusters != 12 || n.DEWPermille != 500 || n.Seed != 1 {
+	if n.Intervals != 32 || n.Clusters != 12 || n.Seed != 1 {
 		t.Errorf("defaults: %+v", n)
 	}
 	n = Spec{Intervals: 8, Clusters: 20}.Normalized()
 	if n.Clusters != 8 {
 		t.Errorf("clusters not clamped to intervals: %+v", n)
 	}
-	n = Spec{DEWPermille: -1}.Normalized()
-	if n.DEWPermille >= 0 {
-		t.Errorf("negative DEWPermille (disabled) not preserved: %+v", n)
-	}
 }
 
-// TestSampledHotPathZeroAllocs: the per-reference leg path — warm, replay
-// (with a registered second timing variant), guaranteed-hit note, and the
-// DEW membership insert — must never allocate.
+// TestSampledHotPathZeroAllocs: the per-reference leg path — warm and
+// replay, with a registered second timing variant — must never allocate.
 func TestSampledHotPathZeroAllocs(t *testing.T) {
 	cfg := testConfig()
 	x, err := sim.NewL2Replayer(cfg)
@@ -154,15 +150,12 @@ func TestSampledHotPathZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	x.AddLookupTiming(energy.Parallel)
-	seen := newEpochSet(4096)
 	refs := testStream(4096).Refs
 	i := 0
 	allocs := testing.AllocsPerRun(5000, func() {
 		r := refs[i%len(refs)]
-		seen.insert(r.Line)
 		x.Warm(r)
 		x.Replay(r, 0)
-		x.NoteGuaranteedHit(r)
 		i++
 	})
 	if allocs != 0 {
@@ -192,46 +185,110 @@ func BenchmarkSampledReplayAccess(b *testing.B) {
 	}
 }
 
-// TestDEWSkipCanChangeTheVictim pins that the DEW fast path is not exact. On
-// one 16-set, 4-way bit-selected LRU bank, lines 0, 16, 32, 48 and 64 share
-// set 0. The skipped re-access of line 0 leaves it least recently used, so
-// line 64 evicts 0 instead of 16, and the final access to 0 misses: 6 misses
-// where full replay counts 5. With the filter off the sampled walk of the
-// one interval is full replay.
-func TestDEWSkipCanChangeTheVictim(t *testing.T) {
-	cfg := sim.PaperSystem(sim.SetAssocBitSel, repl.KindLRU, energy.Serial, 4)
-	cfg.Cores = 1
-	cfg.L2Bytes = 16 * 4 * 64
-	cfg.L2Banks = 1
-	stream := &sim.L2Stream{PerCoreInstructions: make([]uint64, 1)}
-	for _, line := range []uint64{0, 16, 32, 48, 0, 64, 0} {
-		stream.Refs = append(stream.Refs, sim.L2Ref{Line: line, Gap: 1, Demand: true})
-		stream.PerCoreInstructions[0]++
-		stream.Instructions++
-	}
-	full, err := sim.ReplayL2(cfg, stream)
+// legCounts is the part of a leg's counts that the leg identity pins.
+type legCounts struct {
+	Accesses, Hits, Misses, Writebacks, Relocations, WalkTagReads uint64
+}
+
+func legOf(c energy.SystemCounts) legCounts {
+	return legCounts{c.L2Accesses, c.L2Hits, c.L2Misses, c.Writebacks,
+		c.L2Relocations, c.L2WalkTagReads}
+}
+
+// checkLegIdentity asserts the leg identity for every interval of a
+// nIntervals-way split of stream: a plan whose one cluster is interval j
+// with weight 1 must report exactly the counts a full L2Replayer pass
+// accumulates over interval j, when that pass resets its counters at each
+// interval's start and harvests them at its end. It returns the full pass's
+// per-interval counts.
+func checkLegIdentity(t *testing.T, cfg sim.Config, stream *sim.L2Stream, nIntervals int) []legCounts {
+	t.Helper()
+	plan, err := BuildPlan(stream, cfg.L2Bytes/cfg.LineBytes, Spec{Intervals: nIntervals, Clusters: nIntervals})
 	if err != nil {
 		t.Fatal(err)
 	}
-	misses := func(dewPermille int) (uint64, uint64) {
-		t.Helper()
-		plan, err := BuildPlan(stream, cfg.L2Bytes/cfg.LineBytes, Spec{Intervals: 1, Clusters: 1, DEWPermille: dewPermille})
+	x, err := sim.NewL2Replayer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := make([]legCounts, len(plan.Intervals))
+	for j, iv := range plan.Intervals {
+		x.ResetCounters()
+		for i := iv.Start; i < iv.End; i++ {
+			x.Replay(stream.Refs[i], 0)
+		}
+		full[j] = legOf(x.Leg().Counts)
+	}
+	for j := range plan.Intervals {
+		one := *plan
+		one.Clusters = []Cluster{{Rep: j, Members: []int{j}, Weight: 1}}
+		m, _, err := Run(cfg, stream, &one)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, est, err := Run(cfg, stream, plan)
-		if err != nil {
-			t.Fatal(err)
+		if got := legOf(m.Counts); got != full[j] {
+			t.Errorf("interval %d: sampled leg %+v, full replay %+v", j, got, full[j])
 		}
-		return m.Counts.L2Misses, est.SkippedHits
 	}
-	if full.Counts.L2Misses != 5 {
-		t.Fatalf("full replay: %d misses, want 5", full.Counts.L2Misses)
+	return full
+}
+
+// TestLegIdentity pins that sampling costs only extrapolation error: every
+// gap reference is warmed through the same cache access a replay makes, so
+// each measured leg counts exactly what full replay counts over the same
+// interval, under every Fig. 4 design and every policy the sampled
+// executor accepts.
+func TestLegIdentity(t *testing.T) {
+	stream := testStream(16000)
+	designs := []struct {
+		design sim.Design
+		ways   int
+	}{
+		{sim.SetAssocH3, 16}, {sim.SetAssocH3, 32}, {sim.SkewAssoc, 4},
+		{sim.ZCacheL2, 4}, {sim.ZCacheL3, 4},
 	}
-	if off, skipped := misses(-1); off != full.Counts.L2Misses || skipped != 0 {
-		t.Errorf("DEW off: %d misses, %d skipped hits; want full replay's %d and 0", off, skipped, full.Counts.L2Misses)
+	kinds := []repl.Kind{repl.KindBucketedLRU, repl.KindLRU, repl.KindRandom,
+		repl.KindLFU, repl.KindSRRIP, repl.KindDRRIP}
+	for _, d := range designs {
+		for _, k := range kinds {
+			t.Run(fmt.Sprintf("%v-%d/%v", d.design, d.ways, k), func(t *testing.T) {
+				cfg := testConfig()
+				cfg.Design, cfg.L2Ways, cfg.L2Policy = d.design, d.ways, k
+				cfg.L2Bytes = 64 << 10 // 1024 lines: the hot phase alone overflows it
+				var total legCounts
+				for _, c := range checkLegIdentity(t, cfg, stream, 8) {
+					total.Misses += c.Misses
+					total.Writebacks += c.Writebacks
+					total.Relocations += c.Relocations
+				}
+				if total.Misses == 0 || total.Writebacks == 0 {
+					t.Errorf("stream exercises too little: %+v", total)
+				}
+				if (d.design == sim.ZCacheL2 || d.design == sim.ZCacheL3) && total.Relocations == 0 {
+					t.Errorf("zcache walk never relocated: %+v", total)
+				}
+			})
+		}
 	}
-	if on, skipped := misses(0); on != 6 || skipped != 1 {
-		t.Errorf("DEW on: %d misses, %d skipped hits; want 6 and 1", on, skipped)
-	}
+
+	// One 16-set, 4-way bit-selected LRU bank, where lines 0, 16, 32, 48
+	// and 64 share set 0: line 64 evicts 16, the least recently used line,
+	// so the final access to 0 hits and the one interval counts 5 misses.
+	// A filter that skipped the re-access of 0 as a guaranteed hit would
+	// leave 0 least recently used, evict it instead, and count 6.
+	t.Run("victim-stream", func(t *testing.T) {
+		cfg := sim.PaperSystem(sim.SetAssocBitSel, repl.KindLRU, energy.Serial, 4)
+		cfg.Cores = 1
+		cfg.L2Bytes = 16 * 4 * 64
+		cfg.L2Banks = 1
+		stream := &sim.L2Stream{PerCoreInstructions: make([]uint64, 1)}
+		for _, line := range []uint64{0, 16, 32, 48, 0, 64, 0} {
+			stream.Refs = append(stream.Refs, sim.L2Ref{Line: line, Gap: 1, Demand: true})
+			stream.PerCoreInstructions[0]++
+			stream.Instructions++
+		}
+		if full := checkLegIdentity(t, cfg, stream, 1); full[0].Misses != 5 {
+			t.Errorf("full replay: %d misses, want 5", full[0].Misses)
+		}
+	})
 }

@@ -37,15 +37,8 @@ type L2Replayer struct {
 	l2
 	timings []timing
 
-	counts    energy.SystemCounts
-	skipped   uint64
-	evictions uint64
+	counts energy.SystemCounts
 }
-
-// Evictions counts L2 evictions since construction (not reset by
-// ResetCounters). The DEW filter watches it: the first eviction disarms the
-// fast path.
-func (x *L2Replayer) Evictions() uint64 { return x.evictions }
 
 // NewL2Replayer builds the configured L2 banks. OPT is accepted (the caller
 // feeds next-use annotations through Replay). The replayer starts with one
@@ -60,7 +53,6 @@ func NewL2Replayer(cfg Config) (*L2Replayer, error) {
 	}
 	x := &L2Replayer{l2: banked, timings: []timing{newTiming(cfg)}}
 	evicted := func(_ uint64, dirty bool) {
-		x.evictions++
 		if dirty {
 			x.counts.Writebacks++
 			x.counts.DRAMAccesses++
@@ -136,23 +128,6 @@ func (x *L2Replayer) Warm(r L2Ref) {
 	x.banks[x.bankOf(r.Line)].cache.Access(x.bankAddr(r.Line), r.Write || !r.Demand)
 }
 
-// NoteGuaranteedHit accounts a reference the DEW filter settled as a hit
-// without touching the arrays: the counters and the stall charge are those
-// of a hit, and one tag lookup is credited analytically so the bandwidth
-// figures stay consistent. Recency state is not updated, so the eviction
-// that later disarms the filter can pick a different victim than full
-// replay would; the sampled executor's error is bounded only by
-// validate-sampled's 2% gate.
-func (x *L2Replayer) NoteGuaranteedHit(r L2Ref) {
-	x.counts.L2Accesses++
-	x.counts.L2Hits++
-	x.skipped++
-	if r.Demand {
-		x.banks[x.bankOf(r.Line)].demand++
-		x.charge(int(r.Core), uint64(r.Gap), r.Line, true)
-	}
-}
-
 // ResetCounters zeroes everything measurement-visible — activity counts,
 // stall accumulators, bank demand and tag counters, MCU queues — while
 // keeping cache contents and policy state warm, exactly the warm-up
@@ -160,7 +135,6 @@ func (x *L2Replayer) NoteGuaranteedHit(r L2Ref) {
 // (except that a leg's clocks restart at zero, so its MCU queues do too).
 func (x *L2Replayer) ResetCounters() {
 	x.counts = energy.SystemCounts{}
-	x.skipped = 0
 	for t := range x.timings {
 		tm := &x.timings[t]
 		clear(tm.coreCycles)
@@ -187,23 +161,16 @@ type LegCounts struct {
 	// CoreStalls).
 	CoreStalls    []uint64
 	VariantStalls [][]uint64
-	// SkippedHits counts references the DEW filter settled analytically.
-	SkippedHits uint64
 }
 
 // Leg harvests the counters accumulated since the last ResetCounters.
 func (x *L2Replayer) Leg() LegCounts {
-	lc := LegCounts{
-		Counts:      x.counts,
-		SkippedHits: x.skipped,
-	}
+	lc := LegCounts{Counts: x.counts}
 	lc.VariantStalls = make([][]uint64, len(x.timings))
 	for t := range x.timings {
 		lc.VariantStalls[t] = append([]uint64(nil), x.timings[t].coreStalls...)
 	}
 	lc.CoreStalls = lc.VariantStalls[0]
 	lc.Demand, lc.TagLookups = x.fold(&lc.Counts)
-	// DEW-skipped hits would each have cost one tag lookup.
-	lc.TagLookups += x.skipped
 	return lc
 }

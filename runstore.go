@@ -41,10 +41,9 @@ func (e *Experiment) cellKey(c MatrixCell) runlab.CellKey {
 		// fingerprint byte-identical to pre-sampling builds.
 		spec := e.Sampled.Normalized()
 		sampled = &runlab.SampledKey{
-			Intervals:   spec.Intervals,
-			Clusters:    spec.Clusters,
-			DEWPermille: spec.DEWPermille,
-			Seed:        spec.Seed,
+			Intervals: spec.Intervals,
+			Clusters:  spec.Clusters,
+			Seed:      spec.Seed,
 		}
 	}
 	return runlab.CellKey{
