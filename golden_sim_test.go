@@ -33,15 +33,15 @@ var goldenSimDigests = map[string]string{
 	"empty-stream/SA-4/sampled":  "335da73c094f400385bee6d945dcbfdc885143e5036afedb091b7f2d62ecff73",
 	"empty-stream/Z4/52/replay":  "ba04945dc7d70ff60f509b2dcf7b7c8be24a6ed4f837d02a3ec36ed83c4eee7b",
 	"empty-stream/Z4/52/sampled": "335da73c094f400385bee6d945dcbfdc885143e5036afedb091b7f2d62ecff73",
-	"gamess/SA-4/sampled-blru":   "6f2225ed6532016300fc14cba1b393895a54df6866cfe4e94c2edce9ebb66a89",
-	"gamess/Z4/52/sampled-blru":  "6f2225ed6532016300fc14cba1b393895a54df6866cfe4e94c2edce9ebb66a89",
+	"gamess/SA-4/sampled-blru":   "98cbcbfa20b6f16ff4cac0e832635b5dbac5cf3170f3543bc63e963e4195edbf",
+	"gamess/Z4/52/sampled-blru":  "98cbcbfa20b6f16ff4cac0e832635b5dbac5cf3170f3543bc63e963e4195edbf",
 }
 
 // TestGoldenSimMetrics replays the table above. canneal is the
 // cache-sensitive workload (misses, relocations and MCU queueing all fire);
-// gamess fits the DEW residency bound, so its sampled rows cover
-// NoteGuaranteedHit; the empty-stream rows cover the L1-resident
-// degenerate case.
+// gamess is a small-footprint stream that never evicts, so its sampled rows
+// cover legs of hits and cold misses only; the empty-stream rows cover the
+// L1-resident degenerate case.
 func TestGoldenSimMetrics(t *testing.T) {
 	e := NewExperiment(TestPreset())
 	z452 := DesignPoint{Label: "Z4/52", Design: sim.ZCacheL3, Ways: 4}
