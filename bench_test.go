@@ -271,10 +271,10 @@ func BenchmarkHeadlineClaims(b *testing.B) {
 	}
 }
 
-// BenchmarkSectionIIComparators races the §II design space — victim cache,
-// column-associative, V-Way-style indirection (via DesignVictimCache /
-// DesignColumnAssociative) and the zcache — on a conflict-prone workload at
-// equal capacity and reports each design's miss rate.
+// BenchmarkSectionIIComparators races the §II design space — victim cache
+// and column-associative (DesignVictimCache / DesignColumnAssociative),
+// skew and the zcache — on a conflict-prone workload at equal capacity and
+// reports each design's miss rate.
 func BenchmarkSectionIIComparators(b *testing.B) {
 	const capacity = 256 << 10
 	cases := []struct {

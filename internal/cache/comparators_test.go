@@ -202,136 +202,3 @@ func TestColumnAssocValidation(t *testing.T) {
 		t.Error("identical hash functions accepted")
 	}
 }
-
-func newVWay(t testing.TB, blocks, tagWays int, sets uint64) *VWay {
-	t.Helper()
-	idx, err := hash.NewH3(71, sets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := NewVWay(blocks, tagWays, sets, 16, idx, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
-}
-
-func TestVWayBasicFillAndHit(t *testing.T) {
-	v := newVWay(t, 64, 4, 32) // 128 tag entries for 64 blocks (2x)
-	pol, _ := repl.NewLRU(v.Blocks())
-	c, _ := New(v, pol, 6)
-	for i := uint64(0); i < 64; i++ {
-		c.Access(i<<6, false)
-	}
-	if c.Stats().Evictions != 0 {
-		t.Errorf("evictions during fill = %d", c.Stats().Evictions)
-	}
-	for i := uint64(0); i < 64; i++ {
-		if !c.Access(i<<6, false) {
-			t.Fatalf("line %d missed after fill", i)
-		}
-	}
-}
-
-func TestVWayGlobalReplacementApproachesFullAssociativity(t *testing.T) {
-	// The design claim: global replacement makes the miss rate track a
-	// highly-associative cache even at 4 tag ways. Compare against a
-	// plain 4-way of equal capacity on a hot/cold mix.
-	run := func(arr Array) uint64 {
-		pol, _ := repl.NewLRU(arr.Blocks())
-		c, _ := New(arr, pol, 6)
-		state := uint64(11)
-		for i := 0; i < 200000; i++ {
-			state = hash.Mix64(state)
-			var line uint64
-			if state%4 != 0 { // 75% hot
-				line = state % 192
-			} else {
-				line = 1000 + state%4096
-			}
-			c.Access(line<<6, false)
-		}
-		return c.Stats().Misses
-	}
-	vw := newVWay(t, 256, 4, 128)
-	idx, _ := hash.NewH3(71, 64)
-	sa, _ := NewSetAssoc(4, 64, idx)
-	vwMisses, saMisses := run(vw), run(sa)
-	if vwMisses > saMisses {
-		t.Errorf("v-way misses %d above 4-way set-associative %d; global replacement broken", vwMisses, saMisses)
-	}
-}
-
-func TestVWayLocalFallbackOnFullTagSet(t *testing.T) {
-	// 1.0x tag provisioning makes tag-set conflicts common, forcing the
-	// local path.
-	idx, _ := hash.NewBitSelect(0, 16)
-	v, err := NewVWay(64, 4, 16, 8, idx, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, _ := repl.NewLRU(v.Blocks())
-	c, _ := New(v, pol, 6)
-	// Hammer one tag set: lines ≡ 0 mod 16.
-	for i := 0; i < 5000; i++ {
-		c.Access(uint64(i%8)*16*64, false)
-	}
-	if v.LocalFallbacks == 0 {
-		t.Error("no local fallbacks despite saturated tag set")
-	}
-}
-
-func TestVWayConsistencyUnderChurn(t *testing.T) {
-	v := newVWay(t, 128, 4, 64)
-	pol, _ := repl.NewLRU(v.Blocks())
-	c, _ := New(v, pol, 6)
-	resident := map[uint64]bool{}
-	c.OnEviction = func(addr uint64, dirty bool) { delete(resident, addr>>6) }
-	state := uint64(23)
-	for i := 0; i < 60000; i++ {
-		state = hash.Mix64(state)
-		line := state % 1024
-		hit := c.Access(line<<6, state%6 == 0)
-		if hit != resident[line] {
-			t.Fatalf("step %d: hit=%v resident=%v for line %d", i, hit, resident[line], line)
-		}
-		resident[line] = true
-	}
-	// Pointer integrity: every valid tag's data block points back.
-	for ti, ok := range v.tagValid {
-		if !ok {
-			continue
-		}
-		d := v.tagData[ti]
-		if !v.dataValid[d] || int(v.dataTag[d]) != ti {
-			t.Fatalf("tag %d ↔ data %d pointer mismatch", ti, d)
-		}
-	}
-	// And no orphaned valid data blocks.
-	for d, ok := range v.dataValid {
-		if !ok {
-			continue
-		}
-		ti := v.dataTag[d]
-		if !v.tagValid[ti] || int(v.tagData[ti]) != d {
-			t.Fatalf("data %d orphaned", d)
-		}
-	}
-}
-
-func TestVWayValidation(t *testing.T) {
-	idx, _ := hash.NewBitSelect(0, 16)
-	if _, err := NewVWay(0, 4, 16, 8, idx, 1); err == nil {
-		t.Error("0 blocks accepted")
-	}
-	if _, err := NewVWay(128, 4, 16, 8, idx, 1); err == nil {
-		t.Error("tag entries below blocks accepted")
-	}
-	if _, err := NewVWay(32, 4, 16, 0, idx, 1); err == nil {
-		t.Error("0 sample accepted")
-	}
-	idx8, _ := hash.NewBitSelect(0, 8)
-	if _, err := NewVWay(32, 4, 16, 8, idx8, 1); err == nil {
-		t.Error("mismatched index accepted")
-	}
-}

@@ -84,7 +84,6 @@ func TestAllArraysSatisfyControllerInvariants(t *testing.T) {
 	fns2, _ := hash.H3Family{Seed: 6}.New(ways, rows)
 	fns3, _ := hash.H3Family{Seed: 7}.New(ways, rows)
 	cfns, _ := hash.H3Family{Seed: 8}.New(2, capacity)
-	vidx, _ := hash.NewH3(9, uint64(capacity)/4)
 
 	cases := []func() (*Cache, string){
 		func() (*Cache, string) { a, e := NewSetAssoc(ways, rows, idx); return mkRet(mk)(t, "sa-bitsel", a, e) },
@@ -103,10 +102,6 @@ func TestAllArraysSatisfyControllerInvariants(t *testing.T) {
 		func() (*Cache, string) {
 			a, e := NewColumnAssoc(uint64(capacity), cfns[0], cfns[1])
 			return mkRet(mk)(t, "column", a, e)
-		},
-		func() (*Cache, string) {
-			a, e := NewVWay(capacity, 4, uint64(capacity)/4, 12, vidx, 5)
-			return mkRet(mk)(t, "vway", a, e)
 		},
 	}
 	for _, build := range cases {
