@@ -2,16 +2,17 @@
 // a stream is split into fixed-size intervals, each interval is summarized
 // by a log-bucketed reuse-distance signature, the signatures are clustered
 // deterministically, and only one representative interval per cluster is
-// simulated (with a cache warm-up prefix and a DEW-style guaranteed-hit
-// fast path). Full-stream metrics are extrapolated as weighted sums with
-// cluster-variance error bars.
+// measured. One pass over the stream warms every reference before a
+// representative and replays the representative itself, so each leg counts
+// exactly what full replay counts over that interval (TestLegIdentity).
+// Full-stream metrics are extrapolated as weighted sums with
+// cluster-variance error bars; extrapolation is the only error.
 //
 // The approach follows the representativeness-of-simulation-intervals line
-// of work (interval clustering by reuse-distance signature) combined with
-// DEW's observation that accesses provably resident can be settled without
-// touching the arrays. Everything here is deterministic under a fixed
-// seed and independent of GOMAXPROCS, so sampled results are safe to cache
-// under content-addressed fingerprints.
+// of work (interval clustering by reuse-distance signature). Everything
+// here is deterministic under a fixed seed and independent of GOMAXPROCS,
+// so sampled results are safe to cache under content-addressed
+// fingerprints.
 package sample
 
 import "math/bits"

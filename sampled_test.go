@@ -17,7 +17,7 @@ import (
 )
 
 // sampledTestWorkloads spans the accuracy-relevant behaviours: gamess
-// (small footprint, DEW fires), ammp and canneal (phase structure),
+// (small footprint, never evicts), ammp and canneal (phase structure),
 // wupwise (the historically worst-error workload).
 var sampledTestWorkloads = []string{"gamess", "ammp", "canneal", "wupwise"}
 
