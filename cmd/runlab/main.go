@@ -282,14 +282,8 @@ func (c *cli) status(args []string) error {
 		}
 		fmt.Fprint(w, pt.String())
 	}
-	stale := 0
-	for v, n := range sum.Schemas {
-		if v != runlab.SchemaVersion {
-			stale += n
-		}
-	}
-	if stale > 0 || sum.Corrupt > 0 {
-		fmt.Fprintf(w, "\n%d stale-schema and %d corrupt records; `runlab gc` reclaims both\n", stale, sum.Corrupt)
+	if sum.Stale > 0 || sum.Corrupt > 0 {
+		fmt.Fprintf(w, "\n%d stale-schema and %d corrupt records; `runlab gc` reclaims both\n", sum.Stale, sum.Corrupt)
 	}
 	entries, err := st.Manifest()
 	if err != nil {
@@ -335,10 +329,7 @@ func (c *cli) gc(args []string) error {
 		return err
 	}
 	kept, dropped, err := st.GC(func(k runlab.CellKey) bool {
-		if k.Schema != runlab.SchemaVersion {
-			return false
-		}
-		return *preset == "" || k.Preset.Name != *preset
+		return *preset == "" || k.Preset != *preset
 	})
 	if err != nil {
 		return err
@@ -347,7 +338,7 @@ func (c *cli) gc(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(c.stdout, "gc: kept %d, dropped %d stale, removed %d corrupt lines; %.1f MB -> %.1f MB\n",
-		kept, dropped, before.Corrupt, float64(before.Bytes)/1e6, float64(after.Bytes)/1e6)
+	fmt.Fprintf(c.stdout, "gc: kept %d, dropped %d, removed %d stale-schema and %d corrupt lines; %.1f MB -> %.1f MB\n",
+		kept, dropped, before.Stale, before.Corrupt, float64(before.Bytes)/1e6, float64(after.Bytes)/1e6)
 	return nil
 }

@@ -147,6 +147,41 @@ func TestStatusCorruptStore(t *testing.T) {
 	mustExit(t, 0, "status", "-store", store)
 }
 
+// TestStaleSchemaStore: lines an older schema wrote (an exact and a
+// sampled cell of the schema-2 layout) are stale, not corrupt. run
+// recomputes their cells, prints what a run without a store prints and
+// exits 0; status reports them and exits 0; gc drops them.
+func TestStaleSchemaStore(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("..", "..", "internal", "runlab", "testdata", "schema2.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := filepath.Join(t.TempDir(), "store")
+	if err := os.MkdirAll(store, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(store, "ff.jsonl"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range [][]string{nil, {"-sampled"}} {
+		args := append([]string{"run", "-preset", "test", "-suite", "fig4", "-workloads", "mcf,canneal"}, mode...)
+		code, out, errw := invoke(append(args, "-store", store)...)
+		if code != 0 || !strings.Contains(errw, "0 cached, 12 computed") {
+			t.Fatalf("run %v over a stale store: exit %d, stderr %q", mode, code, errw)
+		}
+		if bare := mustExit(t, 0, append(args, "-store", "")...); bare != out {
+			t.Errorf("run %v over a stale store prints other figures than -store \"\"", mode)
+		}
+	}
+	if out := mustExit(t, 0, "status", "-store", store); !strings.Contains(out, "2 stale-schema and 0 corrupt") {
+		t.Errorf("status does not report the stale lines:\n%s", out)
+	}
+	mustExit(t, 0, "gc", "-store", store)
+	if out := mustExit(t, 0, "status", "-store", store); strings.Contains(out, "stale-schema") {
+		t.Errorf("stale lines survive gc:\n%s", out)
+	}
+}
+
 // TestPinnedResults: the model tables and the fast §IV figures reproduce
 // the checked-in results byte for byte.
 func TestPinnedResults(t *testing.T) {

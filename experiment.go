@@ -122,13 +122,15 @@ type Experiment struct {
 	// Check enables the simulator invariant checker on every cell
 	// (sim.Config.Check): candidate trees are validated per miss and
 	// MESI/directory/inclusion invariants at phase boundaries. Checking
-	// does not alter results and is excluded from cell fingerprints.
+	// does not alter results, so cellKey zeroes it: a checked run serves,
+	// and is served by, unchecked cells.
 	Check bool
 	// Sampled, when non-nil, switches every cell to sampled execution:
 	// the workload's captured L2 stream is split into intervals,
 	// clustered by reuse-distance signature, and only one representative
-	// leg per cluster is simulated (internal/sample). Sampled cells get
-	// fingerprints disjoint from exact ones, so a sampled run can never
+	// leg per cluster is simulated (internal/sample). cellKey folds the
+	// normalized spec into a sampled cell's inputs, so sampled cells get
+	// fingerprints disjoint from exact ones and a sampled run can never
 	// poison the exact store. OPT cells reject sampling.
 	Sampled *sample.Spec
 

@@ -14,16 +14,18 @@ import (
 
 func testKey(i int) CellKey {
 	return CellKey{
-		Schema: SchemaVersion,
-		Preset: PresetKey{Name: "test", Cores: 4, L2Bytes: 512 << 10, L2Banks: 4,
-			Instructions: 60_000, Warmup: 20_000, Seed: 0xC0FFEE},
+		Schema:   SchemaVersion,
+		Preset:   "test",
 		Workload: fmt.Sprintf("wl%d", i),
 		Design:   "Z4/52",
-		DesignID: 4,
-		Ways:     4,
-		Policy:   1,
-		Lookup:   0,
+		Inputs:   testInputs(4, 512<<10, 200),
 	}
+}
+
+// testInputs stands in for a cell's encoded inputs. The note needs
+// escaping, as a string in real inputs may.
+func testInputs(cores, l2Bytes, memLatency int) json.RawMessage {
+	return json.RawMessage(fmt.Sprintf(`{"cores":%d, "l2_bytes":%d, "mem_latency":%d, "note":"<&>"}`, cores, l2Bytes, memLatency))
 }
 
 type cellResult struct {
@@ -41,34 +43,30 @@ func TestFingerprintStableAndDistinct(t *testing.T) {
 	if fp != k.Fingerprint() {
 		t.Error("fingerprint not stable")
 	}
-	// Every field must matter, the sampled ones included: a sampled key
-	// hashes apart from the exact one and from each of its neighbours.
-	sampled := func(mut func(*SampledKey)) func(*CellKey) {
-		return func(k *CellKey) {
-			s := SampledKey{Intervals: 32, Clusters: 12, Seed: 1}
-			mut(&s)
-			k.Sampled = &s
-		}
+	// A key read back from a stored record fingerprints as it did when
+	// written.
+	line, err := json.Marshal(record{Fp: fp, Key: k})
+	if err != nil {
+		t.Fatal(err)
 	}
+	var back record
+	if err := json.Unmarshal(line, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Key.Fingerprint() != fp {
+		t.Errorf("key does not round-trip: %s", line)
+	}
+	// Every field must matter, each input included.
 	mutations := []func(*CellKey){
 		func(k *CellKey) { k.Schema++ },
-		func(k *CellKey) { k.Preset.Name = "full" },
-		func(k *CellKey) { k.Preset.Cores++ },
-		func(k *CellKey) { k.Preset.L2Bytes *= 2 },
-		func(k *CellKey) { k.Preset.L2Banks *= 2 },
-		func(k *CellKey) { k.Preset.Instructions++ },
-		func(k *CellKey) { k.Preset.Warmup++ },
-		func(k *CellKey) { k.Preset.Seed++ },
+		func(k *CellKey) { k.Preset = "full" },
 		func(k *CellKey) { k.Workload = "other" },
 		func(k *CellKey) { k.Design = "SA-4" },
-		func(k *CellKey) { k.DesignID++ },
-		func(k *CellKey) { k.Ways++ },
-		func(k *CellKey) { k.Policy++ },
-		func(k *CellKey) { k.Lookup++ },
-		sampled(func(*SampledKey) {}),
-		sampled(func(s *SampledKey) { s.Intervals++ }),
-		sampled(func(s *SampledKey) { s.Clusters++ }),
-		sampled(func(s *SampledKey) { s.Seed++ }),
+		func(k *CellKey) { k.Sampled = true },
+		func(k *CellKey) { k.Inputs = testInputs(8, 512<<10, 200) },
+		func(k *CellKey) { k.Inputs = testInputs(4, 512<<10+1, 200) },
+		func(k *CellKey) { k.Inputs = testInputs(4, 512<<10, 400) },
+		func(k *CellKey) { k.Inputs = nil },
 	}
 	seen := map[Fingerprint]int{fp: -1}
 	for i, mut := range mutations {
@@ -197,6 +195,56 @@ func TestStoreGCDropsByPredicate(t *testing.T) {
 	s2, _ := Open(dir)
 	if s2.Len() != 1 {
 		t.Errorf("reopened store has %d cells, want 1", s2.Len())
+	}
+}
+
+// TestStoreSkipsStaleSchemaLines: lines a previous schema wrote (one exact
+// and one sampled cell, as the schema-2 layout stored them) are stale, not
+// corrupt. Open serves none of them and counts them apart from corrupt
+// lines, and GC removes them.
+func TestStoreSkipsStaleSchemaLines(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "schema2.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	s.Put(testKey(0), json.RawMessage(`{"n":0}`))
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "ff.jsonl"), append(old, "{not json\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s2.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cells != 1 || st.Stale != 2 || st.Corrupt != 1 {
+		t.Fatalf("stats = %+v, want 1 cell, 2 stale and 1 corrupt line", st)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(old)), "\n") {
+		var rec struct{ Fp Fingerprint }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s2.Get(rec.Fp); ok {
+			t.Errorf("stale cell %s is served", rec.Fp)
+		}
+	}
+	if _, _, err := s2.GC(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "ff.jsonl")); !os.IsNotExist(err) {
+		t.Errorf("gc kept the shard of stale lines (%v)", err)
+	}
+	s3, _ := Open(dir)
+	if st, _ := s3.Stats(); st.Cells != 1 || st.Stale != 0 || st.Corrupt != 0 {
+		t.Errorf("after gc: stats = %+v, want 1 cell and no bad lines", st)
 	}
 }
 
@@ -426,7 +474,7 @@ func TestStoreStats(t *testing.T) {
 	if st.Cells != 5 || st.Shards == 0 || st.Bytes == 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.Presets["test"] != 5 || st.Schemas[SchemaVersion] != 5 {
+	if st.Presets["test"] != 5 || st.Stale != 0 || st.Corrupt != 0 {
 		t.Errorf("stats breakdown = %+v", st)
 	}
 }

@@ -248,7 +248,7 @@ func (r *Runner) Run(ctx context.Context, keys []CellKey, compute ComputeFunc) (
 	if r.Store != nil && len(keys) > 0 {
 		sampled := 0
 		for _, k := range keys {
-			if k.Sampled != nil {
+			if k.Sampled {
 				sampled++
 			}
 		}
@@ -256,7 +256,7 @@ func (r *Runner) Run(ctx context.Context, keys []CellKey, compute ComputeFunc) (
 			Sampled:     sampled,
 			GitRev:      GitRev(),
 			Label:       r.Label,
-			Preset:      keys[0].Preset.Name,
+			Preset:      keys[0].Preset,
 			StartedAt:   start.UTC(),
 			WallSeconds: time.Since(start).Seconds(),
 			Total:       final.Total,

@@ -39,12 +39,15 @@ type Store struct {
 	mem     map[Fingerprint]record
 	dirty   []record
 	corrupt int // malformed or fingerprint-mismatched lines skipped at load
+	stale   int // lines of another SchemaVersion skipped at load
 }
 
 // Open loads (creating if needed) the store at dir. Corrupt lines —
 // truncated JSON from a killed run, or records whose stored fingerprint
 // does not match their key — are skipped and counted (Corrupt), never
-// fatal: their cells are simply computed again.
+// fatal: their cells are simply computed again. Lines written under
+// another SchemaVersion are skipped and counted as stale (Stale); their
+// keys are not read past the schema, since the key layout may differ.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runlab: create store dir: %w", err)
@@ -89,6 +92,15 @@ func (s *Store) loadShard(path string) error {
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
+			continue
+		}
+		var head struct {
+			Key struct {
+				Schema int `json:"schema"`
+			} `json:"key"`
+		}
+		if err := json.Unmarshal(line, &head); err == nil && head.Key.Schema != SchemaVersion {
+			s.stale++
 			continue
 		}
 		var rec record
@@ -285,23 +297,22 @@ type StoreStats struct {
 	Shards  int
 	Bytes   int64
 	Corrupt int
+	Stale   int
 	// Sampled counts cells produced by sampled execution (key.Sampled
 	// set); Cells - Sampled are exact.
 	Sampled int
-	// Presets counts cells per preset name; Schemas per schema version.
+	// Presets counts cells per preset name.
 	Presets map[string]int
-	Schemas map[int]int
 }
 
 // Stats walks the store directory and the in-memory index.
 func (s *Store) Stats() (StoreStats, error) {
 	s.mu.Lock()
-	st := StoreStats{Cells: len(s.mem), Corrupt: s.corrupt,
-		Presets: map[string]int{}, Schemas: map[int]int{}}
+	st := StoreStats{Cells: len(s.mem), Corrupt: s.corrupt, Stale: s.stale,
+		Presets: map[string]int{}}
 	for _, rec := range s.mem {
-		st.Presets[rec.Key.Preset.Name]++
-		st.Schemas[rec.Key.Schema]++
-		if rec.Key.Sampled != nil {
+		st.Presets[rec.Key.Preset]++
+		if rec.Key.Sampled {
 			st.Sampled++
 		}
 	}
@@ -341,7 +352,8 @@ func shardLines(recs []record) ([]byte, error) {
 }
 
 // GC compacts the store: records for which keep returns false are
-// dropped, duplicates collapse to one line, and corrupt lines disappear.
+// dropped, duplicates collapse to one line, and corrupt and stale lines
+// disappear.
 // It is the store's one rewrite. Each shard is written to a fsynced temp
 // file and atomically renamed into place (or removed when it empties),
 // and the directory is fsynced before GC returns, so a crash mid-GC
@@ -403,6 +415,6 @@ func (s *Store) GC(keep func(CellKey) bool) (kept, dropped int, err error) {
 	if err := syncDir(s.dir); err != nil {
 		return kept, dropped, err
 	}
-	s.corrupt = 0
+	s.corrupt, s.stale = 0, 0
 	return kept, dropped, nil
 }

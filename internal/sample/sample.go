@@ -19,8 +19,6 @@ type Spec struct {
 	// Clusters is the k of the signature clustering — also the number of
 	// representative legs simulated (default 12).
 	Clusters int
-	// Seed drives the k-means++ seeding; 0 means 1.
-	Seed uint64
 }
 
 // Normalized resolves defaults into explicit values.
@@ -33,9 +31,6 @@ func (s Spec) Normalized() Spec {
 	}
 	if s.Clusters > s.Intervals {
 		s.Clusters = s.Intervals
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
 	}
 	return s
 }
@@ -63,7 +58,7 @@ func BuildPlan(stream *sim.L2Stream, capacityLines uint64, spec Spec) (*Plan, er
 		return p, nil
 	}
 	p.Intervals = Split(n, func(i int) uint64 { return stream.Refs[i].Line }, spec.Intervals)
-	p.Clusters = Clusters(p.Intervals, spec.Clusters, spec.Seed)
+	p.Clusters = Clusters(p.Intervals, spec.Clusters, 1) // a fixed k-means++ seed
 	p.predMiss = make([]float64, len(p.Intervals))
 	for i, iv := range p.Intervals {
 		p.predMiss[i] = iv.Sig.PredictMissRatio(capacityLines)

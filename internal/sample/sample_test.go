@@ -132,7 +132,7 @@ func TestRunEmptyStream(t *testing.T) {
 // TestSpecNormalized pins the default resolution the fingerprints fold.
 func TestSpecNormalized(t *testing.T) {
 	n := Spec{}.Normalized()
-	if n.Intervals != 32 || n.Clusters != 12 || n.Seed != 1 {
+	if n.Intervals != 32 || n.Clusters != 12 {
 		t.Errorf("defaults: %+v", n)
 	}
 	n = Spec{Intervals: 8, Clusters: 20}.Normalized()

@@ -222,6 +222,14 @@ func ByName(name string) (Workload, bool) {
 	return Workload{}, false
 }
 
+// Definition is a canonical encoding of everything Generators reads from
+// w: its name (which seeds every core's stream), its class and its
+// per-core specs. Changing any of them changes the encoding, so a result
+// store keyed on it never serves a cell of an older definition.
+func (w Workload) Definition() string {
+	return fmt.Sprintf("%s %d %v", w.Name, w.Class, w.specs)
+}
+
 // Generators builds one access generator per core for this workload.
 // l2Bytes anchors the relative footprints; seed makes runs reproducible.
 func (w Workload) Generators(cores int, lineBytes, l2Bytes uint64, seed uint64) ([]trace.Generator, error) {

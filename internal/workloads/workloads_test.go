@@ -1,6 +1,9 @@
 package workloads
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestSuiteComposition(t *testing.T) {
 	suite := Suite()
@@ -214,6 +217,51 @@ func BenchmarkSuiteGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if got := len(Suite()); got != 72 {
 			b.Fatal(got)
+		}
+	}
+}
+
+// TestDefinitionCoversEverySpecField: perturbing any spec field, on any
+// core, or the name or class changes a workload's definition encoding, so
+// a result store keyed on it cannot serve a cell of the old definition.
+// Every field of spec must have a perturbation here.
+func TestDefinitionCoversEverySpecField(t *testing.T) {
+	perturbations := map[string]func(*spec){
+		"kind":       func(s *spec) { s.kind++ },
+		"footFrac":   func(s *spec) { s.footFrac += 1e-9 },
+		"theta":      func(s *spec) { s.theta += 1e-9 },
+		"gap":        func(s *spec) { s.gap++ },
+		"writeFrac":  func(s *spec) { s.writeFrac += 1e-9 },
+		"sharedFrac": func(s *spec) { s.sharedFrac += 1e-9 },
+	}
+	typ := reflect.TypeOf(spec{})
+	for i := 0; i < typ.NumField(); i++ {
+		if perturbations[typ.Field(i).Name] == nil {
+			t.Errorf("spec.%s has no perturbation", typ.Field(i).Name)
+		}
+	}
+	mix, ok := ByName("cpu2006rand07")
+	if !ok {
+		t.Fatal("no cpu2006rand07")
+	}
+	base := mix.Definition()
+	for name, perturb := range perturbations {
+		for _, core := range []int{0, len(mix.specs) - 1} {
+			w := mix
+			w.specs = append([]spec(nil), mix.specs...)
+			perturb(&w.specs[core])
+			if w.Definition() == base {
+				t.Errorf("perturbing core %d's %s leaves the definition unchanged", core, name)
+			}
+		}
+	}
+	for what, w := range map[string]Workload{
+		"name":  {Name: mix.Name + "'", Class: mix.Class, specs: mix.specs},
+		"class": {Name: mix.Name, Class: mix.Class - 1, specs: mix.specs},
+		"cores": {Name: mix.Name, Class: mix.Class, specs: mix.specs[1:]},
+	} {
+		if w.Definition() == base {
+			t.Errorf("changing the %s leaves the definition unchanged", what)
 		}
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"sync"
 
+	"zcache/internal/energy"
 	"zcache/internal/runlab"
+	"zcache/internal/sample"
 	"zcache/internal/sim"
 	"zcache/internal/trace"
 	"zcache/internal/workloads"
@@ -29,42 +31,36 @@ func (e *Experiment) AttachStore(dir string) (*runlab.Store, error) {
 	return st, nil
 }
 
-// cellKey builds the content address of one matrix cell. Every preset
-// field that changes simulated behaviour is folded in, so two presets
-// that differ only in name still hash apart and a resized machine can
-// never serve stale cells.
+// cellKey builds the content address of one matrix cell from the values
+// the cell is computed from: its sim.Config (as Run builds it), the energy
+// model evaluate prices it with, its workload's definition and, for a
+// sampled cell, the normalized sampling spec (so every spelling of the
+// defaults addresses the same cells). A change to any of them moves the
+// key by construction; only a change to the code that computes a cell
+// needs a runlab.SchemaVersion bump.
 func (e *Experiment) cellKey(c MatrixCell) runlab.CellKey {
-	var sampled *runlab.SampledKey
+	return e.keyOf(c, e.Config(c.Design, c.Policy, c.Lookup), energy.NewSystemModel())
+}
+
+// keyOf is cellKey over a given configuration and energy model.
+func (e *Experiment) keyOf(c MatrixCell, cfg sim.Config, model *energy.SystemModel) runlab.CellKey {
+	cfg.Check = false // the invariant checker does not alter results
+	var spec *sample.Spec
 	if e.Sampled != nil {
-		// Fold the normalized spec so every spelling of the defaults
-		// addresses the same cells; exact cells keep a nil Sampled and a
-		// fingerprint byte-identical to pre-sampling builds.
-		spec := e.Sampled.Normalized()
-		sampled = &runlab.SampledKey{
-			Intervals: spec.Intervals,
-			Clusters:  spec.Clusters,
-			Seed:      spec.Seed,
-		}
+		s := e.Sampled.Normalized()
+		spec = &s
 	}
-	return runlab.CellKey{
-		Sampled: sampled,
-		Schema:  runlab.SchemaVersion,
-		Preset: runlab.PresetKey{
-			Name:         e.Preset.Name,
-			Cores:        e.Preset.Cores,
-			L2Bytes:      e.Preset.L2Bytes,
-			L2Banks:      e.Preset.L2Banks,
-			Instructions: e.Preset.InstructionsPerCore,
-			Warmup:       e.Preset.WarmupInstructionsPerCore,
-			Seed:         e.Preset.Seed,
-		},
-		Workload: c.Workload.Name,
-		Design:   c.Design.Label,
-		DesignID: int(c.Design.Design),
-		Ways:     c.Design.Ways,
-		Policy:   int(c.Policy),
-		Lookup:   int(c.Lookup),
+	inputs, err := json.Marshal(struct {
+		Config   sim.Config
+		Energy   *energy.SystemModel
+		Workload string
+		Sampled  *sample.Spec `json:",omitempty"`
+	}{cfg, model, c.Workload.Definition(), spec})
+	if err != nil {
+		panic("zcache: encode cell inputs: " + err.Error()) // numbers, strings and bools only
 	}
+	return runlab.CellKey{Schema: runlab.SchemaVersion, Preset: e.Preset.Name,
+		Workload: c.Workload.Name, Design: c.Design.Label, Sampled: spec != nil, Inputs: inputs}
 }
 
 // RunMatrix executes cells on Lab's bounded worker pool and returns results
