@@ -15,7 +15,10 @@ func benchStore(b testing.TB) (*Store, int) { return benchStoreKeyLen(b, 8) }
 
 // benchStoreKeyLen is benchStore with keys of klen ≥ 8 bytes: the counter in
 // the last eight, zeros before it.
-func benchStoreKeyLen(b testing.TB, klen int) (*Store, int) {
+func benchStoreKeyLen(b testing.TB, klen int) (*Store, int) { return benchStoreSized(b, klen, 64) }
+
+// benchStoreSized is benchStoreKeyLen with vlen-byte values.
+func benchStoreSized(b testing.TB, klen, vlen int) (*Store, int) {
 	b.Helper()
 	s, err := Open(Config{Shards: 4, Ways: 4, Rows: 1024, Levels: 2, Seed: 17})
 	if err != nil {
@@ -23,7 +26,7 @@ func benchStoreKeyLen(b testing.TB, klen int) (*Store, int) {
 	}
 	n := s.Capacity() / 2
 	key := make([]byte, klen)
-	val := make([]byte, 64)
+	val := make([]byte, vlen)
 	for i := 0; i < n; i++ {
 		binary.BigEndian.PutUint64(key[klen-8:], uint64(i))
 		if err := s.Set(key, val); err != nil {
@@ -87,14 +90,20 @@ func BenchmarkZKVGetParallel(b *testing.B) {
 // pipelinedGetDepth is the burst size of the serving-loop instruments.
 const pipelinedGetDepth = 16
 
-// servePipelinedGets boots a server over a prefilled store on loopback TCP
-// and returns burst, which sends pipelinedGetDepth GETs starting at key first
-// in one flush and reads every reply, and stop. Client and server run in this
-// process, so an allocation count taken around burst sees both sides. One
-// burst has already run, sizing both sides' reusable buffers.
+// servePipelinedGets boots a server over a prefilled store of 64-byte values
+// on loopback TCP and returns burst, which sends pipelinedGetDepth GETs
+// starting at key first in one flush and reads every reply, and stop. Client
+// and server run in this process, so an allocation count taken around burst
+// sees both sides. One burst has already run, sizing both sides' reusable
+// buffers.
 func servePipelinedGets(tb testing.TB) (burst func(first int), stop func()) {
+	return servePipelinedGetValues(tb, 64)
+}
+
+// servePipelinedGetValues is servePipelinedGets with vlen-byte values.
+func servePipelinedGetValues(tb testing.TB, vlen int) (burst func(first int), stop func()) {
 	tb.Helper()
-	s, n := benchStore(tb)
+	s, n := benchStoreSized(tb, 8, vlen)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
@@ -118,7 +127,7 @@ func servePipelinedGets(tb testing.TB) (burst func(first int), stop func()) {
 			tb.Fatal(err)
 		}
 		for i := 0; i < pipelinedGetDepth; i++ {
-			if resp, err := cl.ReadReply(); err != nil || resp.Status != zkvproto.StatusOK {
+			if resp, err := cl.ReadReply(); err != nil || resp.Status != zkvproto.StatusOK || len(resp.Val) != vlen {
 				tb.Fatalf("reply: %v, %+v", err, resp)
 			}
 		}
@@ -147,6 +156,30 @@ func BenchmarkServerPipelinedGet(b *testing.B) {
 	}
 	b.StopTimer()
 	stop()
+}
+
+// BenchmarkServerPipelinedGetValues is BenchmarkServerPipelinedGet at three
+// value sizes. A 16-deep burst of 64 B replies (1.1 KiB) fits the 4 KiB
+// buffers a connection starts with; one of 1 KiB replies (16.1 KiB) grows
+// both reply-side buffers to 32 KiB, and one of 4 KiB replies (64.1 KiB) to
+// the 64 KiB cap, during the set-up burst, so the timed bursts leave in as
+// few writes as with fixed 64 KiB buffers.
+func BenchmarkServerPipelinedGetValues(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		vlen int
+	}{{"64B", 64}, {"1KiB", 1 << 10}, {"4KiB", 4 << 10}} {
+		b.Run(c.name, func(b *testing.B) {
+			burst, stop := servePipelinedGetValues(b, c.vlen)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += pipelinedGetDepth {
+				burst(i)
+			}
+			b.StopTimer()
+			stop()
+		})
+	}
 }
 
 // TestServerPipelinedGetAllocs pins the serving loop at zero allocations per

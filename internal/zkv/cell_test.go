@@ -117,6 +117,16 @@ func TestSetAllocs(t *testing.T) {
 	})
 }
 
+// liveHeap is the heap still reachable after two collections (the second
+// frees what the first's finalizers released).
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
 // TestBytesPerEntry is the footprint gate: the live Go heap a full store of
 // 8-byte keys and 64-byte values holds, per resident entry. On the heap one
 // cell per entry measures ~99 B: the 16-byte slot header (tag and extent
@@ -127,13 +137,6 @@ func TestSetAllocs(t *testing.T) {
 // heap, ~2.4 B, is the 8-bit LRU stamp per slot plus fixed costs: any heap
 // copy of the entries, or two more bytes of per-slot state, fails that row.
 func TestBytesPerEntry(t *testing.T) {
-	liveHeap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
 	for _, c := range []struct {
 		name    string
 		persist bool

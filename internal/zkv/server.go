@@ -365,8 +365,7 @@ func deadlineIn(d time.Duration) time.Time {
 // closes the connection when the drain window ends, whatever is armed.
 func (s *Server) serveConn(conn net.Conn) {
 	dc := &deadlineConn{Conn: conn, s: s}
-	br := bufio.NewReaderSize(dc, 64<<10)
-	bw := bufio.NewWriterSize(dc, 64<<10)
+	bufs := zkvproto.NewConnBuffers(dc)
 	var (
 		req   zkvproto.Request
 		resp  zkvproto.Response
@@ -374,8 +373,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		depth int // requests executed in the current burst
 	)
 	for {
-		dc.inFrame, dc.frameArmed = br.Buffered() > 0, false
-		err := req.ReadFrom(br)
+		dc.inFrame, dc.frameArmed = bufs.R.Buffered() > 0, false
+		err := req.ReadFrom(bufs.R)
 		if err != nil {
 			if isTimeout(err) {
 				if dc.inFrame {
@@ -392,8 +391,8 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.protoErrors.Add(1)
 				resp.Status = zkvproto.StatusErr
 				resp.Val = append(resp.Val[:0], perr...)
-				if resp.WriteTo(bw) == nil {
-					bw.Flush()
+				if resp.WriteTo(bufs.W) == nil {
+					bufs.W.Flush()
 				}
 			}
 			return
@@ -446,16 +445,18 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.serveForget(&req, &resp)
 			}
 		}
-		if err := resp.WriteTo(bw); err != nil {
+		if err := resp.WriteTo(bufs.W); err != nil {
 			if isTimeout(err) {
 				s.writeCloses.Add(1)
 			}
 			return
 		}
 		// Pipelining: only pay the flush syscall once the client's burst
-		// is fully consumed.
-		if br.Buffered() == 0 {
-			if err := bw.Flush(); err != nil {
+		// is fully consumed. That is the burst boundary at which either
+		// buffer the burst outgrew grows.
+		if bufs.R.Buffered() == 0 {
+			bufs.EndRead()
+			if err := bufs.Flush(); err != nil {
 				if isTimeout(err) {
 					s.writeCloses.Add(1)
 				}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -498,11 +499,13 @@ func burstOf(n int) []zkvproto.Request {
 	return reqs
 }
 
-// hookConn counts the deadlines a server arms on its side of a connection
-// and reports the size of every read that returned data.
+// hookConn counts the deadlines a server arms on its side of a connection,
+// the reads that returned data and the writes, and reports the size of every
+// read that returned data.
 type hookConn struct {
 	net.Conn
 	readArms, writeArms atomic.Int32
+	reads, writes       atomic.Int32
 	afterRead           func(n int)      // optional
 	beforeReadArm       func(call int32) // optional; call counts from 1
 }
@@ -522,10 +525,18 @@ func (c *hookConn) SetWriteDeadline(t time.Time) error {
 
 func (c *hookConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	if n > 0 && c.afterRead != nil {
-		c.afterRead(n)
+	if n > 0 {
+		c.reads.Add(1)
+		if c.afterRead != nil {
+			c.afterRead(n)
+		}
 	}
 	return n, err
+}
+
+func (c *hookConn) Write(p []byte) (int, error) {
+	c.writes.Add(1) // before the write: the peer may see its bytes first
+	return c.Conn.Write(p)
 }
 
 // hookListener hands Serve every accepted connection through wrap.
@@ -576,6 +587,105 @@ func TestServerArmsDeadlinesPerSyscall(t *testing.T) {
 	<-done
 	if r, w := hc.readArms.Load(), hc.writeArms.Load(); r < 1 || r > 2 || w != 1 {
 		t.Fatalf("%d-frame burst armed %d read and %d write deadlines, want 1-2 and 1", n, r, w)
+	}
+}
+
+// TestServerBuffersFollowBursts: 16-deep bursts of 1 KiB SETs overflow the
+// server's starting read buffer and bursts of 1 KiB GETs its write buffer.
+// Each overflow is paid once: from the second burst of each kind on, a burst
+// reaches the server in one read and leaves it in one write, as it does with
+// 64 KiB buffers, and every reply is whole and in order.
+func TestServerBuffersFollowBursts(t *testing.T) {
+	srv := NewServer(testStore(t), ServerConfig{})
+	client, server := net.Pipe()
+	defer client.Close()
+	hc := &hookConn{Conn: server}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer server.Close()
+		srv.serveConn(hc)
+	}()
+	client.SetDeadline(time.Now().Add(10 * time.Second))
+	replies := bufio.NewReader(client)
+
+	const n = 16
+	val := func(round, i int) []byte {
+		return bytes.Repeat([]byte{byte(round*n + i)}, 1024)
+	}
+	for round := 0; round < 4; round++ {
+		sets, gets := make([]zkvproto.Request, n), make([]zkvproto.Request, n)
+		for i := range sets {
+			key := []byte(fmt.Sprintf("grow%02d", i))
+			sets[i] = zkvproto.Request{Op: zkvproto.OpSet, Key: key, Val: val(round, i)}
+			gets[i] = zkvproto.Request{Op: zkvproto.OpGet, Key: key}
+		}
+		for _, burst := range [][]zkvproto.Request{sets, gets} {
+			reads, writes := hc.reads.Load(), hc.writes.Load()
+			// A pipe write completes only as the server reads it, and the
+			// server's replies only as they are read here: send and read
+			// concurrently.
+			wire := encodeRequests(t, burst...)
+			sent := make(chan error, 1)
+			go func() {
+				_, err := client.Write(wire)
+				sent <- err
+			}()
+			var resp zkvproto.Response
+			for i := range burst {
+				want := []byte(nil)
+				if burst[i].Op == zkvproto.OpGet {
+					want = val(round, i)
+				}
+				if err := resp.ReadFrom(replies); err != nil || resp.Status != zkvproto.StatusOK || !bytes.Equal(resp.Val, want) {
+					t.Fatalf("round %d op %d reply %d: status %d, %d value bytes, err %v", round, burst[i].Op, i, resp.Status, len(resp.Val), err)
+				}
+			}
+			if err := <-sent; err != nil {
+				t.Fatal(err)
+			}
+			reads, writes = hc.reads.Load()-reads, hc.writes.Load()-writes
+			t.Logf("round %d op %d: %d reads, %d writes", round, burst[0].Op, reads, writes)
+			if round > 0 && (reads != 1 || writes != 1) {
+				t.Errorf("round %d: a 16-deep burst of op %d took %d reads and %d writes, want 1 and 1", round, burst[0].Op, reads, writes)
+			}
+		}
+	}
+	client.Close()
+	<-done
+}
+
+// TestBytesPerConnection is the per-connection footprint gate: the live heap
+// one idle client/server pair holds once a PING has crossed it, over loopback
+// TCP. It measures 17.7-18.3 KB: the four 4 KiB buffers both ends start
+// with, the two sockets, the client and the server's handler state. The
+// bound is that plus 2 KB, so a buffer that starts at 8 KiB fails it, as do
+// the fixed 64 KiB buffers every end held before (264 KB a pair).
+func TestBytesPerConnection(t *testing.T) {
+	const pairs, bound = 16, 20 << 10
+	srv, addr, errc := startServer(t, ServerConfig{MaxConns: pairs})
+	heap0 := liveHeap()
+	clients := make([]*zkvproto.Client, pairs)
+	for i := range clients {
+		c, err := zkvproto.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = c
+	}
+	heap1 := liveHeap()
+	runtime.KeepAlive(clients)
+	for _, c := range clients {
+		c.Close()
+	}
+	shutdownServer(t, srv, errc)
+	per := (float64(heap1) - float64(heap0)) / pairs
+	t.Logf("%.0f heap bytes per client/server pair", per)
+	if per > bound {
+		t.Errorf("%.0f heap bytes per idle client/server pair, want at most %d", per, bound)
 	}
 }
 

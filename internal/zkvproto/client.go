@@ -1,7 +1,6 @@
 package zkvproto
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -38,8 +37,7 @@ var errBroken = errors.New("connection broken by an earlier failure; Reconnect f
 // A Client is not safe for concurrent use; run one per goroutine.
 type Client struct {
 	conn    net.Conn
-	br      *bufio.Reader
-	bw      *bufio.Writer
+	bufs    *ConnBuffers
 	req     Request
 	resp    Response
 	pending int
@@ -68,11 +66,7 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 // NewClient wraps an established connection. A wrapped client cannot
 // reconnect (it does not know an address); use DialOptions for that.
 func NewClient(conn net.Conn) *Client {
-	return &Client{
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 64<<10),
-		bw:   bufio.NewWriterSize(conn, 64<<10),
-	}
+	return &Client{conn: conn, bufs: NewConnBuffers(conn)}
 }
 
 // Close closes the underlying connection.
@@ -97,8 +91,7 @@ func (c *Client) Reconnect() error {
 		return err
 	}
 	c.conn = conn
-	c.br.Reset(conn)
-	c.bw.Reset(conn)
+	c.bufs.Reset(conn)
 	c.pending = 0
 	c.broken = false
 	return nil
@@ -107,7 +100,7 @@ func (c *Client) Reconnect() error {
 // Queue buffers one request frame without flushing.
 func (c *Client) Queue(op byte, key, val []byte) error {
 	c.req.Op, c.req.Key, c.req.Val = op, key, val
-	if err := c.req.WriteTo(c.bw); err != nil {
+	if err := c.req.WriteTo(c.bufs.W); err != nil {
 		return err
 	}
 	c.pending++
@@ -120,19 +113,24 @@ func (c *Client) QueueGet(key []byte) error { return c.Queue(OpGet, key, nil) }
 // QueueSet buffers a SET without flushing.
 func (c *Client) QueueSet(key, val []byte) error { return c.Queue(OpSet, key, val) }
 
-// Flush writes all buffered requests to the connection.
-func (c *Client) Flush() error { return c.bw.Flush() }
+// Flush writes all buffered requests to the connection. It ends a burst:
+// the write buffer grows when the burst outgrew it (see ConnBuffers).
+func (c *Client) Flush() error { return c.bufs.Flush() }
 
 // ReadReply reads the next in-order response. The returned Response's Val
-// aliases an internal buffer valid until the next ReadReply.
+// aliases an internal buffer valid until the next ReadReply. The last
+// pending reply ends a burst: the read buffer grows when the burst's
+// replies outgrew it (see ConnBuffers).
 func (c *Client) ReadReply() (*Response, error) {
 	if c.pending == 0 {
 		return nil, fmt.Errorf("zkvproto: ReadReply with no pending requests")
 	}
-	if err := c.resp.ReadFrom(c.br); err != nil {
+	if err := c.resp.ReadFrom(c.bufs.R); err != nil {
 		return nil, err
 	}
-	c.pending--
+	if c.pending--; c.pending == 0 {
+		c.bufs.EndRead()
+	}
 	return &c.resp, nil
 }
 
