@@ -76,16 +76,16 @@ type ConflictReport struct {
 
 // CompareConflictMisses drives accesses through the configured design and
 // through an equal-capacity fully-associative cache with the same policy
-// kind, returning the conflict-miss decomposition.
+// kind, returning the conflict-miss decomposition. The reference takes only
+// the design's capacity, line size, policy and seed: the design's walk and
+// hash settings are the design's own.
 func CompareConflictMisses(cfg Config, accesses []Access) (ConflictReport, error) {
 	design, err := New(cfg)
 	if err != nil {
 		return ConflictReport{}, err
 	}
-	faCfg := cfg
-	faCfg.Design = DesignFullyAssociative
-	faCfg.Ways = 1
-	fa, err := New(faCfg)
+	fa, err := New(Config{CapacityBytes: cfg.CapacityBytes, LineBytes: cfg.LineBytes, Ways: 1,
+		Design: DesignFullyAssociative, Policy: cfg.Policy, Seed: cfg.Seed})
 	if err != nil {
 		return ConflictReport{}, err
 	}

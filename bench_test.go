@@ -97,11 +97,11 @@ func BenchmarkFig2Validation(b *testing.B) {
 
 // fig3Bench measures one Fig. 3 panel on a canneal-class stream and
 // reports the KS distance to the uniformity curve.
-func fig3Bench(b *testing.B, panel DesignKind, variant int) {
+func fig3Bench(b *testing.B, design Config) {
 	var ks float64
 	for i := 0; i < b.N; i++ {
 		e := NewExperiment(TestPreset())
-		cases, err := e.Fig3(panel, []int{variant}, []string{"canneal"})
+		cases, err := e.Fig3([]Config{design}, []string{"canneal"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,16 +111,24 @@ func fig3Bench(b *testing.B, panel DesignKind, variant int) {
 }
 
 // BenchmarkFig3a: set-associative (bit-selected), 16 ways.
-func BenchmarkFig3a(b *testing.B) { fig3Bench(b, DesignSetAssociative, 16) }
+func BenchmarkFig3a(b *testing.B) {
+	fig3Bench(b, Config{Design: DesignSetAssociative, Ways: 16})
+}
 
 // BenchmarkFig3b: set-associative with H3 hashing, 16 ways.
-func BenchmarkFig3b(b *testing.B) { fig3Bench(b, DesignSetAssociativeHashed, 16) }
+func BenchmarkFig3b(b *testing.B) {
+	fig3Bench(b, Config{Design: DesignSetAssociativeHashed, Ways: 16})
+}
 
 // BenchmarkFig3c: skew-associative, 4 ways.
-func BenchmarkFig3c(b *testing.B) { fig3Bench(b, DesignSkewAssociative, 4) }
+func BenchmarkFig3c(b *testing.B) {
+	fig3Bench(b, Config{Design: DesignZCache, Ways: 4, WalkLevels: 1})
+}
 
 // BenchmarkFig3d: 4-way zcache, 2-level walk (16 candidates).
-func BenchmarkFig3d(b *testing.B) { fig3Bench(b, DesignZCache, 2) }
+func BenchmarkFig3d(b *testing.B) {
+	fig3Bench(b, Config{Design: DesignZCache, Ways: 4, WalkLevels: 2})
+}
 
 // fig4Bench runs the Fig. 4 study over the reduced workload set and reports
 // the Z4/52 median MPKI and IPC improvements.
@@ -283,9 +291,9 @@ func BenchmarkSectionIIComparators(b *testing.B) {
 	}{
 		{"SA4-bitsel", Config{CapacityBytes: capacity, LineBytes: 64, Ways: 4, Design: DesignSetAssociative}},
 		{"SA4-h3", Config{CapacityBytes: capacity, LineBytes: 64, Ways: 4, Design: DesignSetAssociativeHashed}},
-		{"victim-4+16", Config{CapacityBytes: capacity, LineBytes: 64, Ways: 4, Design: DesignVictimCache, VictimEntries: 16}},
+		{"victim-4+16", Config{CapacityBytes: capacity, LineBytes: 64, Ways: 4, Design: DesignVictimCache}},
 		{"column", Config{CapacityBytes: capacity, LineBytes: 64, Ways: 1, Design: DesignColumnAssociative}},
-		{"skew-4", Config{CapacityBytes: capacity, LineBytes: 64, Ways: 4, Design: DesignSkewAssociative}},
+		{"skew-4", Config{CapacityBytes: capacity, LineBytes: 64, Ways: 4, Design: DesignZCache, WalkLevels: 1}},
 		{"Z4/16", Config{CapacityBytes: capacity, LineBytes: 64, Ways: 4, Design: DesignZCache, WalkLevels: 2}},
 		{"Z4/52", Config{CapacityBytes: capacity, LineBytes: 64, Ways: 4, Design: DesignZCache, WalkLevels: 3}},
 	}
@@ -357,7 +365,7 @@ func BenchmarkAntiLRUPathology(b *testing.B) {
 		name string
 		cfg  Config
 	}{
-		{"skew-4", Config{CapacityBytes: capacity, LineBytes: 64, Ways: 4, Design: DesignSkewAssociative}},
+		{"skew-4", Config{CapacityBytes: capacity, LineBytes: 64, Ways: 4, Design: DesignZCache, WalkLevels: 1}},
 		{"Z4/52", Config{CapacityBytes: capacity, LineBytes: 64, Ways: 4, Design: DesignZCache, WalkLevels: 3}},
 	} {
 		for _, pk := range []PolicyKind{PolicyLRU, PolicySRRIP} {

@@ -55,7 +55,8 @@ type DesignKind = cache.Org
 
 const (
 	// DesignZCache is the paper's contribution: skewed ways plus a
-	// multi-level replacement walk.
+	// multi-level replacement walk. At WalkLevels 1 it is a
+	// skew-associative array, the paper's Z W/W.
 	DesignZCache = cache.OrgZCache
 	// DesignSetAssociative is a conventional set-associative array with
 	// bit-selected indexing.
@@ -63,16 +64,13 @@ const (
 	// DesignSetAssociativeHashed indexes the set-associative array with
 	// an H3 hash (the paper's baseline).
 	DesignSetAssociativeHashed = cache.OrgSetAssocHashed
-	// DesignSkewAssociative is a skew-associative array (a zcache with a
-	// 1-level walk).
-	DesignSkewAssociative = cache.OrgSkew
 	// DesignFullyAssociative is the fully-associative reference.
 	DesignFullyAssociative = cache.OrgFullyAssoc
 	// DesignRandomCandidates is the §IV-B random-candidates construction
 	// (candidates drawn uniformly from the whole array).
 	DesignRandomCandidates = cache.OrgRandomCandidates
 	// DesignVictimCache is the §II-B comparator: a set-associative main
-	// array with a small fully-associative victim buffer (tags-only
+	// array with a 16-entry fully-associative victim buffer (tags-only
 	// miss-rate model).
 	DesignVictimCache = cache.OrgVictimCache
 	// DesignColumnAssociative is the §II-B comparator: direct-mapped with
@@ -93,18 +91,16 @@ type Config struct {
 	// Design selects the organization; the zero value is DesignZCache.
 	Design DesignKind
 	// WalkLevels is the zcache walk depth (ignored by other designs);
-	// 0 defaults to 2 (the paper's Z4/16 shape).
+	// 0 defaults to 2 (the paper's Z4/16 shape) and 1 is a
+	// skew-associative cache.
 	WalkLevels int
 	// Candidates sets the random-candidates design's draw count
 	// (ignored by other designs); 0 defaults to 16.
 	Candidates int
-	// VictimEntries sets the victim-cache buffer size (ignored by other
-	// designs); 0 defaults to 16.
-	VictimEntries int
 	// Policy selects the replacement policy; the zero value is the
 	// paper's bucketed LRU.
 	Policy PolicyKind
-	// Hash selects the hash family for hashed/skewed/z designs; the zero
+	// Hash selects the hash family for hashed and zcache designs; the zero
 	// value is HashH3 (the paper's choice). HashSHA1 is the §IV-C
 	// quality yardstick.
 	Hash HashKind
@@ -133,7 +129,7 @@ const (
 // spec returns the array design cfg names, at rows rows per way.
 func (c Config) spec(rows uint64) cache.Spec {
 	return cache.Spec{Org: c.Design, Ways: c.Ways, Rows: rows, Levels: c.WalkLevels,
-		Hash: c.Hash, Seed: c.Seed, Candidates: c.Candidates, VictimEntries: c.VictimEntries}
+		Hash: c.Hash, Seed: c.Seed, Candidates: c.Candidates}
 }
 
 // New builds a cache from the configuration, with the policy it names.

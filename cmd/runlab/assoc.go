@@ -149,7 +149,7 @@ func hashQuality(w io.Writer) error {
 			}
 			samples, ks, err := measureKS(zcache.Config{
 				CapacityBytes: blocks * 64, LineBytes: 64, Ways: ways,
-				Design: zcache.DesignSkewAssociative, Hash: fam, Seed: 17,
+				Design: zcache.DesignZCache, WalkLevels: 1, Hash: fam, Seed: 17,
 			}, zcache.PolicyLRU, gen, 1200000, ways, name)
 			if err != nil {
 				return err
@@ -217,24 +217,35 @@ func validate(w io.Writer) error {
 // paper's six benchmarks.
 func fig3(w io.Writer, preset zcache.Preset, panel string) error {
 	var (
-		d        zcache.DesignKind
-		variants []int
-		title    string
+		designs []zcache.Config
+		title   string
 	)
 	switch panel {
 	case "a":
-		d, variants, title = zcache.DesignSetAssociative, []int{4, 16}, "set-associative (bit-selected), 4/16 ways"
+		designs, title = []zcache.Config{
+			{Design: zcache.DesignSetAssociative, Ways: 4},
+			{Design: zcache.DesignSetAssociative, Ways: 16},
+		}, "set-associative (bit-selected), 4/16 ways"
 	case "b":
-		d, variants, title = zcache.DesignSetAssociativeHashed, []int{4, 16}, "set-associative with H3 hashing, 4/16 ways"
+		designs, title = []zcache.Config{
+			{Design: zcache.DesignSetAssociativeHashed, Ways: 4},
+			{Design: zcache.DesignSetAssociativeHashed, Ways: 16},
+		}, "set-associative with H3 hashing, 4/16 ways"
 	case "c":
-		d, variants, title = zcache.DesignSkewAssociative, []int{4, 16}, "skew-associative, 4/16 ways"
+		designs, title = []zcache.Config{
+			{Design: zcache.DesignZCache, Ways: 4, WalkLevels: 1},
+			{Design: zcache.DesignZCache, Ways: 16, WalkLevels: 1},
+		}, "skew-associative, 4/16 ways"
 	case "d":
-		d, variants, title = zcache.DesignZCache, []int{2, 3}, "4-way zcache, 2/3-level walks (16/52 candidates)"
+		designs, title = []zcache.Config{
+			{Design: zcache.DesignZCache, Ways: 4, WalkLevels: 2},
+			{Design: zcache.DesignZCache, Ways: 4, WalkLevels: 3},
+		}, "4-way zcache, 2/3-level walks (16/52 candidates)"
 	default:
 		return usagef("unknown panel %q", panel)
 	}
 	fmt.Fprintf(w, "Fig. 3%s: %s — LRU, %s preset\n\n", panel, title, preset.Name)
-	cases, err := zcache.NewExperiment(preset).Fig3(d, variants, nil)
+	cases, err := zcache.NewExperiment(preset).Fig3(designs, nil)
 	if err != nil {
 		return err
 	}

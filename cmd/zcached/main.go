@@ -30,9 +30,9 @@
 // Cluster deployments need no server-side configuration: membership lives
 // in the clients' consistent-hash ring (see internal/zcluster and
 // DESIGN.md §14), and the MIGRATE/FORGET verbs that power live resharding
-// are answered by every zcached. -no-migrate refuses both verbs for
-// standalone deployments; -migrate-page bounds the per-page scan budget a
-// migration can hold a shard lock for.
+// are answered by every zcached. The client picks each MIGRATE page's size;
+// the server caps it at 256KiB, which bounds how long a page can hold a
+// shard lock.
 //
 // Exit codes: 0 on clean shutdown (including signal-triggered), 1 on
 // configuration or runtime failure.
@@ -80,8 +80,6 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		writeTO  = fs.Duration("write-timeout", 0, "close connections whose reads stall a response write this long (0 = 10s, negative = off)")
 		maxPipe  = fs.Int("max-pipeline", 0, "shed requests past this per-connection pipeline depth with a busy reply (0 = 1024, negative = off)")
 		metrics  = fs.String("metrics", "", "optional HTTP address serving /metrics (empty = off)")
-		noMig    = fs.Bool("no-migrate", false, "refuse MIGRATE/FORGET (standalone deployments that should never hand keys off)")
-		migPage  = fs.Int("migrate-page", 0, "MIGRATE reply page budget in bytes (0 = 256KiB); requests may ask for less")
 		persist  = fs.String("persist", "", "directory for mmap-backed persistent shards (empty = off); warm-restores valid shard images on boot")
 		psync    = fs.Bool("persist-sync", false, "msync every persisted mutation (crash-bounded loss, much slower)")
 	)
@@ -113,7 +111,7 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 	srv := zkv.NewServer(store, zkv.ServerConfig{
 		Addr: *addr, MaxConns: *maxConns, DrainTimeout: *drain,
 		IdleTimeout: *idleTO, ReadTimeout: *readTO, WriteTimeout: *writeTO,
-		MaxPipeline: *maxPipe, DisableMigration: *noMig, MigratePageBytes: *migPage,
+		MaxPipeline: *maxPipe,
 	})
 
 	// Signals share the shutdown path with ctx cancellation so tests can

@@ -92,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		vnodes    = fs.Int("vnodes", 0, "virtual nodes per server on the hash ring (0 = default)")
 		join      = fs.String("join", "", "node address added to the ring live, mid-run")
 		joinAfter = fs.Int("join-after", 0, "measured ops completed cluster-wide before the live join starts")
-		joinPage  = fs.Int("join-page", 0, "migration page budget in bytes for the live join (0 = server default)")
+		joinPage  = fs.Int("join-page", 0, "migration page budget in bytes for the live join (0 = the server's 256KiB cap)")
 
 		chaos     = fs.String("chaos", "", "netchaos fault spec; route all connections through in-process fault proxies (e.g. 'latency:d=1ms,p=0.1;reset:p=0.01')")
 		chaosSeed = fs.Uint64("chaos-seed", 1, "fault schedule seed (chaos mode)")

@@ -150,7 +150,7 @@ func main() {
 	fmt.Println()
 	run(zcache.DesignSetAssociative, 0)
 	run(zcache.DesignSetAssociativeHashed, 0)
-	run(zcache.DesignSkewAssociative, 0)
+	run(zcache.DesignZCache, 1)
 	run(zcache.DesignZCache, 2)
 	run(zcache.DesignZCache, 3)
 	fmt.Println()

@@ -767,12 +767,16 @@ type Fig3Case struct {
 // the paper's selection).
 var Fig3Workloads = []string{"wupwise", "apsi", "mgrid", "canneal", "fluidanimate", "blackscholes"}
 
-// Fig3 measures associativity distributions for one panel of Fig. 3: 3a
-// DesignSetAssociative, 3b DesignSetAssociativeHashed, 3c
-// DesignSkewAssociative, 3d DesignZCache. The L2-scale single-cache
-// measurement drives the workload's merged L2-level stream (captured
-// through the L1s) into an instrumented cache of the preset's L2 capacity.
-func (e *Experiment) Fig3(design DesignKind, variants []int, names []string) ([]Fig3Case, error) {
+// Fig3 measures the associativity distribution of each design in panel on
+// each named workload (Fig3Workloads when names is empty). The paper's
+// panels are 3a DesignSetAssociative, 3b DesignSetAssociativeHashed, 3c
+// skew-associative (DesignZCache at WalkLevels 1) and 3d DesignZCache. A
+// panel Config names its design by Design, Ways, WalkLevels and Hash; Fig3
+// sizes it to the preset's L2 with 64-byte lines and runs it under LRU with
+// the preset's seed. The L2-scale single-cache measurement drives the
+// workload's merged L2-level stream (captured through the L1s) into the
+// instrumented cache.
+func (e *Experiment) Fig3(panel []Config, names []string) ([]Fig3Case, error) {
 	if len(names) == 0 {
 		names = Fig3Workloads
 	}
@@ -786,8 +790,8 @@ func (e *Experiment) Fig3(design DesignKind, variants []int, names []string) ([]
 		if err != nil {
 			return nil, err
 		}
-		for _, v := range variants {
-			c, cands, label, err := e.fig3Cache(design, v)
+		for _, cfg := range panel {
+			c, cands, label, err := e.fig3Cache(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -816,23 +820,10 @@ func (e *Experiment) Fig3(design DesignKind, variants []int, names []string) ([]
 }
 
 // fig3Cache builds one instrumented single-cache design for Fig. 3.
-// variant means ways for the set-associative and skew designs, and walk
-// levels for the 4-way zcache.
-func (e *Experiment) fig3Cache(design DesignKind, variant int) (*Cache, int, string, error) {
-	cfg := Config{
-		CapacityBytes: e.Preset.L2Bytes,
-		LineBytes:     64,
-		Ways:          variant,
-		Design:        design,
-		Policy:        PolicyLRU,
-		Seed:          e.Preset.Seed,
-	}
-	switch design {
-	case DesignSetAssociative, DesignSetAssociativeHashed, DesignSkewAssociative:
-	case DesignZCache:
-		cfg.Ways, cfg.WalkLevels = 4, variant
-	default:
-		return nil, 0, "", fmt.Errorf("zcache: design %d is not a Fig. 3 panel", design)
+func (e *Experiment) fig3Cache(cfg Config) (*Cache, int, string, error) {
+	cfg.CapacityBytes, cfg.LineBytes, cfg.Policy, cfg.Seed = e.Preset.L2Bytes, 64, PolicyLRU, e.Preset.Seed
+	if cfg.Label() == "" {
+		return nil, 0, "", fmt.Errorf("zcache: design %d is not a Fig. 3 design", cfg.Design)
 	}
 	cands := cfg.Ways
 	if l := cfg.spec(0).WalkLevels(); l > 0 {

@@ -19,7 +19,7 @@ import (
 func TestDirtyBitsFollowLines(t *testing.T) {
 	for _, spec := range []Spec{
 		{Org: OrgSetAssoc, Ways: 4, Rows: 64},
-		{Org: OrgSkew, Ways: 4, Rows: 64, Seed: 3},
+		{Org: OrgZCache, Ways: 4, Rows: 64, Levels: 1, Seed: 3},
 		{Org: OrgZCache, Ways: 4, Rows: 64, Levels: 2, Seed: 3},
 		{Org: OrgZCache, Ways: 4, Rows: 64, Levels: 3, Seed: 3},
 		{Org: OrgColumnAssoc, Ways: 1, Rows: 256, Seed: 3},

@@ -260,8 +260,11 @@ func BenchmarkWalkAblation(b *testing.B) {
 
 func TestDFSWalkProducesChain(t *testing.T) {
 	fns := mkFns(t, 4, 256, 60)
-	z, err := NewZCache(256, fns, 3, WithWalkStrategy(WalkDFS), WithMaxCandidates(20))
+	z, err := NewZCache(256, fns, 3, WithWalkStrategy(WalkDFS))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := z.SetWalkBudget(20); err != nil {
 		t.Fatal(err)
 	}
 	pol, _ := repl.NewLRU(z.Blocks())
@@ -293,7 +296,10 @@ func TestDFSWalkProducesChain(t *testing.T) {
 
 func TestDFSWalkContentsStayConsistent(t *testing.T) {
 	fns := mkFns(t, 4, 128, 61)
-	z, _ := NewZCache(128, fns, 3, WithWalkStrategy(WalkDFS), WithMaxCandidates(16))
+	z, _ := NewZCache(128, fns, 3, WithWalkStrategy(WalkDFS))
+	if err := z.SetWalkBudget(16); err != nil {
+		t.Fatal(err)
+	}
 	pol, _ := repl.NewLRU(z.Blocks())
 	c, _ := New(z, pol, 6)
 	state := uint64(8)
@@ -321,7 +327,10 @@ func TestDFSCostsMoreRelocationsThanBFS(t *testing.T) {
 	// sit at most L-1 deep).
 	relocsPerMiss := func(strategy WalkStrategy) float64 {
 		fns := mkFns(t, 4, 512, 62)
-		z, _ := NewZCache(512, fns, 3, WithWalkStrategy(strategy), WithMaxCandidates(16))
+		z, _ := NewZCache(512, fns, 3, WithWalkStrategy(strategy))
+		if err := z.SetWalkBudget(16); err != nil {
+			t.Fatal(err)
+		}
 		pol, _ := repl.NewLRU(z.Blocks())
 		c, _ := New(z, pol, 6)
 		state := uint64(2)

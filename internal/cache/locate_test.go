@@ -13,7 +13,7 @@ import (
 var locateSpecs = []Spec{
 	{Org: OrgSetAssoc, Ways: 4, Rows: 64},
 	{Org: OrgSetAssocHashed, Ways: 4, Rows: 64, Seed: 3},
-	{Org: OrgSkew, Ways: 4, Rows: 64, Seed: 3},
+	{Org: OrgZCache, Ways: 4, Rows: 64, Levels: 1, Seed: 3},
 	{Org: OrgZCache, Ways: 4, Rows: 64, Levels: 2, Seed: 3},
 	{Org: OrgZCache, Ways: 4, Rows: 64, Levels: 3, Seed: 3},
 }

@@ -46,15 +46,17 @@ func (d *walkDigest) cands(cs []Candidate) {
 func pinWalk(t *testing.T, g walkGeom, strategy WalkStrategy, expandL, steps int) walkDigest {
 	t.Helper()
 	opts := []ZOption{WithWalkStrategy(strategy)}
-	if g.budget > 0 {
-		opts = append(opts, WithMaxCandidates(g.budget))
-	}
 	if g.bloom {
 		opts = append(opts, WithRepeatAvoidance(8, 2))
 	}
 	z, err := NewZCache(g.rows, mkFns(t, g.ways, g.rows, g.seed), g.levels, opts...)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if g.budget > 0 {
+		if err := z.SetWalkBudget(g.budget); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rng := rand.New(rand.NewSource(int64(g.seed)))
 	space := uint64(z.Blocks()) * 3

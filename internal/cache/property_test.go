@@ -91,7 +91,10 @@ func TestAllArraysSatisfyControllerInvariants(t *testing.T) {
 		func() (*Cache, string) { a, e := NewSkew(rows, fns); return mkRet(mk)(t, "skew", a, e) },
 		func() (*Cache, string) { a, e := NewZCache(rows, fns2, 3); return mkRet(mk)(t, "zcache", a, e) },
 		func() (*Cache, string) {
-			a, e := NewZCache(rows, fns3, 3, WithWalkStrategy(WalkDFS), WithMaxCandidates(16))
+			a, e := NewZCache(rows, fns3, 3, WithWalkStrategy(WalkDFS))
+			if e == nil {
+				e = a.SetWalkBudget(16)
+			}
 			return mkRet(mk)(t, "zcache-dfs", a, e)
 		},
 		func() (*Cache, string) { a, e := NewFullyAssoc(capacity); return mkRet(mk)(t, "fa", a, e) },

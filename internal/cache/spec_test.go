@@ -46,7 +46,7 @@ func TestSpecBuildsEveryOrg(t *testing.T) {
 	}{
 		{Spec{Org: OrgZCache, Ways: 4, Rows: 64}, "z-4w-64r-L2", "Z4/16", 2},
 		{Spec{Org: OrgZCache, Ways: 4, Rows: 64, Levels: 3}, "z-4w-64r-L3", "Z4/52", 3},
-		{Spec{Org: OrgSkew, Ways: 4, Rows: 64, Levels: 3}, "z-4w-64r-L1", "Z4/4", 1},
+		{Spec{Org: OrgZCache, Ways: 4, Rows: 64, Levels: 1}, "z-4w-64r-L1", "Z4/4", 1},
 		{Spec{Org: OrgSetAssoc, Ways: 4, Rows: 64}, "sa-4w-64s-bitselect[shift=0,b=64]", "SAbit-4", 0},
 		{Spec{Org: OrgFullyAssoc, Ways: 4, Rows: 64}, "fa-256", "", 0},
 		{Spec{Org: OrgRandomCandidates, Ways: 4, Rows: 64}, "randcand-256-n16", "", 0},

@@ -149,7 +149,7 @@ type walkGeom struct {
 	rows    uint64
 	levels  int
 	seed    uint64
-	budget  int // 0 = natural R
+	budget  int // 0 = natural R, else at least ways
 	bloom   bool
 	expandL int // hybrid expansion depth (0 = never expand)
 }
@@ -164,9 +164,6 @@ func newWalkArrays(t *testing.T, g walkGeom) (flat, ref, over *ZCache, table *sl
 			t.Fatal(err)
 		}
 		var opts []ZOption
-		if g.budget > 0 {
-			opts = append(opts, WithMaxCandidates(g.budget))
-		}
 		if g.bloom {
 			opts = append(opts, WithRepeatAvoidance(8, 2))
 		}
@@ -178,6 +175,11 @@ func newWalkArrays(t *testing.T, g walkGeom) (flat, ref, over *ZCache, table *sl
 		}
 		if err != nil {
 			t.Fatal(err)
+		}
+		if g.budget > 0 {
+			if err := z.SetWalkBudget(g.budget); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return z
 	}
@@ -372,6 +374,10 @@ func foldWalkGeom(ways, rowBits, levels uint8, seed uint64, budget uint16, bloom
 		budget:  int(budget % 64),
 		bloom:   bloom,
 		expandL: int(expandL % 4),
+	}
+	// 0 or ways..63: SetWalkBudget refuses a budget below the first level.
+	if g.budget < g.ways {
+		g.budget = 0
 	}
 	// Keep R(W, L) — the scratch every constructor preallocates — small.
 	for g.levels > 1 && ReplacementCandidates(g.ways, g.levels) > 400 {

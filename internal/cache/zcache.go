@@ -30,9 +30,10 @@ type ZCache struct {
 	skewTags
 	name   string
 	levels int
-	// maxCands lets the controller stop the walk early under bandwidth or
-	// energy pressure (§III: "the replacement process can be stopped
-	// early, simply resulting in a worse replacement candidate").
+	// maxCands bounds the walk: R(W, L) until SetWalkBudget lowers it to
+	// stop the walk early under bandwidth or energy pressure (§III: "the
+	// replacement process can be stopped early, simply resulting in a worse
+	// replacement candidate").
 	maxCands int
 	// repeatFilter, when non-nil, suppresses expansion through addresses
 	// already visited in this walk (§III-D's Bloom-filter extension).
@@ -108,18 +109,6 @@ func WithWalkStrategy(s WalkStrategy) ZOption {
 	}
 }
 
-// WithMaxCandidates stops the walk once n candidates have been gathered,
-// modelling the early-stop bandwidth/energy safety valve.
-func WithMaxCandidates(n int) ZOption {
-	return func(z *ZCache) error {
-		if n < 1 {
-			return fmt.Errorf("cache: max candidates must be positive, got %d", n)
-		}
-		z.maxCands = n
-		return nil
-	}
-}
-
 // WithRepeatAvoidance attaches a Bloom filter that prunes walk expansion
 // through already-visited addresses (§III-D).
 func WithRepeatAvoidance(logBits uint, hashes int) ZOption {
@@ -181,23 +170,18 @@ func newZCache(tags tagStore, fns []hash.Func, levels int, opts []ZOption) (*ZCa
 	if err := checkWalkSize(len(fns), levels); err != nil {
 		return nil, err
 	}
+	r := ReplacementCandidates(len(fns), levels)
 	z := &ZCache{
 		skewTags: st,
 		name:     fmt.Sprintf("z-%dw-%dr-L%d", len(fns), rows, levels),
 		levels:   levels,
+		maxCands: r,
 		walkRows: make([]uint64, len(fns)),
 	}
 	for _, opt := range opts {
 		if err := opt(z); err != nil {
 			return nil, err
 		}
-	}
-	r := ReplacementCandidates(len(fns), levels)
-	if z.maxCands == 0 || z.maxCands > r {
-		// A budget above R cannot be spent — the walk runs out of tree
-		// first — but it would inflate ExpandFrom's 2×budget bound past
-		// MaxCandidates. Clamp, mirroring SetWalkBudget.
-		z.maxCands = r
 	}
 	// A relocation chain visits strictly decreasing candidate indices, so
 	// its length is bounded by the candidate count: 2R covers the walk plus

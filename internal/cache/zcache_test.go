@@ -108,9 +108,6 @@ func TestZCacheConstructorValidation(t *testing.T) {
 	if _, err := NewZCache(64, []hash.Func{same, same}, 2); err == nil {
 		t.Error("identical way hashes accepted")
 	}
-	if _, err := NewZCache(64, fns, 2, WithMaxCandidates(0)); err == nil {
-		t.Error("zero candidate budget accepted")
-	}
 }
 
 func TestZCacheFillsBeforeEvicting(t *testing.T) {
@@ -403,8 +400,11 @@ func TestZCacheEnergyAccountingPerMiss(t *testing.T) {
 
 func TestZCacheEarlyStopBudget(t *testing.T) {
 	fns := mkFns(t, 4, 256, 10)
-	z, err := NewZCache(256, fns, 3, WithMaxCandidates(10))
+	z, err := NewZCache(256, fns, 3)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := z.SetWalkBudget(10); err != nil {
 		t.Fatal(err)
 	}
 	pol, _ := repl.NewLRU(z.Blocks())

@@ -14,7 +14,7 @@
 //   - H3: the universal, pairwise-independent family of Carter and Wegman,
 //     built from a random 0/1 matrix applied over GF(2) (a few XOR gates per
 //     output bit in hardware). This is the family the paper deploys (§III-C).
-//   - SHA1: a cryptographic-strength folding of a from-scratch SHA-1 digest.
+//   - SHA1: a cryptographic-strength folding of a SHA-1 digest (crypto/sha1).
 //     Used only as a quality yardstick (§IV-C notes H3 vs SHA-1 experiments).
 //
 // All implementations are deterministic given their seed, safe for concurrent

@@ -59,7 +59,7 @@ var designs = [...]struct {
 }{
 	{"sa", cache.Spec{Org: cache.OrgSetAssoc}},
 	{"sa-h3", cache.Spec{Org: cache.OrgSetAssocHashed}},
-	{"skew", cache.Spec{Org: cache.OrgSkew}},
+	{"skew", cache.Spec{Org: cache.OrgZCache, Levels: 1}},
 	{"z-L2", cache.Spec{Org: cache.OrgZCache, Levels: 2}},
 	{"z-L3", cache.Spec{Org: cache.OrgZCache, Levels: 3}},
 }

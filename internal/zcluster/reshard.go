@@ -8,9 +8,10 @@ import (
 
 // ReshardOpts tunes AddNode.
 type ReshardOpts struct {
-	// PageBytes caps each MIGRATE page (0 = the server's configured
-	// default). Smaller pages mean shorter per-shard lock holds on the
-	// source — the knob trading handoff speed against serving latency.
+	// PageBytes caps each MIGRATE page's entry bytes (0, or more than the
+	// server's 256KiB cap, gets the cap). Smaller pages mean shorter
+	// per-shard lock holds on the source — the knob trading handoff speed
+	// against serving latency.
 	PageBytes int
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"zcache/internal/slotstore"
+	"zcache/internal/zkvproto"
 )
 
 // Persistence: with a PersistDir, each shard's cell store is one mapped
@@ -110,7 +111,7 @@ func (s *Store) attachPersist(i int) (*shard, error) {
 func (s *Store) warmShard(i int, cells *slotstore.Store) *shard {
 	var drop []int
 	cells.Range(func(slot int, _ uint64, key, val []byte) bool {
-		if len(key) > s.cfg.MaxKeyBytes || len(val) > s.cfg.MaxValBytes {
+		if len(key) > zkvproto.MaxKeyLen || len(val) > s.cfg.MaxValBytes {
 			drop = append(drop, slot)
 		}
 		return true

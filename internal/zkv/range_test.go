@@ -194,24 +194,77 @@ func TestForgetRange(t *testing.T) {
 	}
 }
 
-// TestServerMigrationDisabled: the -no-migrate escape hatch refuses both
-// verbs at the protocol level.
-func TestServerMigrationDisabled(t *testing.T) {
-	srv, addr, errc := startServer(t, ServerConfig{DisableMigration: true})
+// TestServerMigratePageSize: over the wire, the client owns a MIGRATE
+// page's size and the server only caps it. A request for 512 bytes gets
+// pages of at most 512 entry bytes, or of one entry when that entry alone is
+// larger; a request for 0 or for more than 256KiB gets pages capped at
+// 256KiB.
+func TestServerMigratePageSize(t *testing.T) {
+	srv, addr, errc := startServer(t, ServerConfig{})
 	defer shutdownServer(t, srv, errc)
 	cl, err := zkvproto.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, _, err := cl.Migrate(zkvproto.MigrateReq{}); err == nil {
-		t.Fatal("MIGRATE succeeded with migration disabled")
+	// 400 entries of about 80 bytes and 300 of about 1KiB: 340KiB in all,
+	// in a store of 2048 slots.
+	for i := 0; i < 700; i++ {
+		val := bytes.Repeat([]byte{byte(i)}, 64)
+		if i%7 < 3 {
+			val = bytes.Repeat([]byte{byte(i)}, 1024)
+		}
+		if err := cl.Set([]byte(fmt.Sprintf("page-key-%04d", i)), val); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := cl.Forget(zkvproto.ForgetReq{}); err == nil {
-		t.Fatal("FORGET succeeded with migration disabled")
+	entryBytes := func(entries []zkvproto.MigrateEntry) (n, largest int) {
+		for _, e := range entries {
+			size := zkvproto.MigrateEntrySize(len(e.Key), len(e.Val))
+			n += size
+			largest = max(largest, size)
+		}
+		return n, largest
 	}
-	if err := cl.Ping(); err != nil {
-		t.Fatalf("serving path damaged: %v", err)
+
+	var cursor uint64
+	total, shared, alone := 0, 0, 0
+	for {
+		next, entries, err := cl.Migrate(zkvproto.MigrateReq{Cursor: cursor, MaxBytes: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _ := entryBytes(entries)
+		switch {
+		case len(entries) > 1 && n > 512:
+			t.Fatalf("page of %d entries holds %d entry bytes, asked for 512", len(entries), n)
+		case len(entries) > 1:
+			shared++
+		case n > 512:
+			alone++
+		}
+		total += n
+		if next == 0 {
+			break
+		}
+		cursor = next
+	}
+	if shared == 0 || alone == 0 {
+		t.Fatalf("512-byte scan: %d shared pages, %d single oversized entries; want both", shared, alone)
+	}
+	if total <= 256<<10 {
+		t.Fatalf("store holds %d entry bytes, too few to reach the 256KiB cap", total)
+	}
+
+	for _, asked := range []uint32{0, 256<<10 + 1, 1 << 20} {
+		next, entries, err := cl.Migrate(zkvproto.MigrateReq{MaxBytes: asked})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, largest := entryBytes(entries)
+		if next == 0 || n > 256<<10 || n+largest <= 256<<10 {
+			t.Fatalf("asked for %d: first page holds %d entry bytes (next %d), want the 256KiB cap", asked, n, next)
+		}
 	}
 }
 

@@ -51,16 +51,12 @@ type ServerConfig struct {
 	// StatusBusy without touching the store; the shed contract
 	// guarantees they were not executed, so clients retry them safely.
 	MaxPipeline int
-	// DisableMigration rejects the cluster resharding verbs (MIGRATE,
-	// FORGET) with StatusErr. Off by default: a standalone zcached answers
-	// them too — they only read or drop data the caller could reach with
-	// GET/DEL anyway.
-	DisableMigration bool
-	// MigratePageBytes caps one MIGRATE response page's entry bytes
-	// (default 256KiB; always clamped under the protocol frame limit).
-	// Clients may ask for less per page, never more.
-	MigratePageBytes int
 }
+
+// migratePageBytes caps one MIGRATE response page's entry bytes. The client
+// owns the page size (MigrateReq.MaxBytes); this only bounds it, and a
+// request for 0 gets the cap.
+const migratePageBytes = 256 << 10
 
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.Addr == "" {
@@ -95,12 +91,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 		c.MaxPipeline = 1024
 	case c.MaxPipeline < 0:
 		c.MaxPipeline = 0
-	}
-	if c.MigratePageBytes <= 0 {
-		c.MigratePageBytes = 256 << 10
-	}
-	if c.MigratePageBytes > zkvproto.MaxValLen-64 {
-		c.MigratePageBytes = zkvproto.MaxValLen - 64
 	}
 	return c
 }
@@ -471,18 +461,13 @@ func (s *Server) serveConn(conn net.Conn) {
 // built straight into the response buffer: header reserved, entries appended
 // under the store's per-shard locks, header patched with the resume cursor.
 func (s *Server) serveMigrate(req *zkvproto.Request, resp *zkvproto.Response) {
-	if s.cfg.DisableMigration {
-		resp.Status = zkvproto.StatusErr
-		resp.Val = append(resp.Val[:0], "migration disabled"...)
-		return
-	}
 	mreq, err := zkvproto.ParseMigrateReq(req.Key)
 	if err != nil {
 		resp.Status = zkvproto.StatusErr
 		resp.Val = append(resp.Val[:0], err.Error()...)
 		return
 	}
-	maxBytes := s.cfg.MigratePageBytes
+	maxBytes := migratePageBytes
 	if mreq.MaxBytes > 0 && int(mreq.MaxBytes) < maxBytes {
 		maxBytes = int(mreq.MaxBytes)
 	}
@@ -499,11 +484,6 @@ func (s *Server) serveMigrate(req *zkvproto.Request, resp *zkvproto.Response) {
 // serveForget drops an arc's entries and clean-marks the shard files, so the
 // on-disk image a crash would restore reflects the handoff.
 func (s *Server) serveForget(req *zkvproto.Request, resp *zkvproto.Response) {
-	if s.cfg.DisableMigration {
-		resp.Status = zkvproto.StatusErr
-		resp.Val = append(resp.Val[:0], "migration disabled"...)
-		return
-	}
 	freq, err := zkvproto.ParseForgetReq(req.Key)
 	if err != nil {
 		resp.Status = zkvproto.StatusErr

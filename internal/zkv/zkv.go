@@ -36,6 +36,7 @@ import (
 	"zcache/internal/hash"
 	"zcache/internal/repl"
 	"zcache/internal/slotstore"
+	"zcache/internal/zkvproto"
 )
 
 // Config sizes a Store. The zero value is not valid; Open fills defaults
@@ -60,9 +61,9 @@ type Config struct {
 	// Seed derives every shard's H3 way hashes and the shard-selection
 	// salt; identical seeds build identical stores.
 	Seed uint64
-	// MaxKeyBytes and MaxValBytes bound entry sizes (defaults 64KiB-1 and
-	// 1MiB). Oversized Sets fail; oversized Gets/Deletes miss.
-	MaxKeyBytes int
+	// MaxValBytes bounds a value's size (default 1MiB); a key's is the
+	// wire's zkvproto.MaxKeyLen (64KiB-1). Oversized Sets fail; oversized
+	// Gets/Deletes miss.
 	MaxValBytes int
 
 	// PersistDir, when non-empty, keeps every shard's cells in an mmap'd
@@ -92,9 +93,6 @@ func (c Config) withDefaults() Config {
 		c.Rows = 1024
 	}
 	c.Levels = c.shardSpec(0).WalkLevels() // 2 when unset, as every zcache's
-	if c.MaxKeyBytes == 0 {
-		c.MaxKeyBytes = 1<<16 - 1
-	}
 	if c.MaxValBytes == 0 {
 		c.MaxValBytes = 1 << 20
 	}
@@ -117,9 +115,6 @@ func Open(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Shards < 1 || cfg.Shards&(cfg.Shards-1) != 0 {
 		return nil, fmt.Errorf("zkv: shard count must be a power of two, got %d", cfg.Shards)
-	}
-	if cfg.MaxKeyBytes < 1 || cfg.MaxKeyBytes > 1<<16-1 {
-		return nil, fmt.Errorf("zkv: max key bytes must be in [1, 65535], got %d", cfg.MaxKeyBytes)
 	}
 	if cfg.MaxValBytes < 1 || uint64(cfg.MaxValBytes) > math.MaxUint32 {
 		return nil, fmt.Errorf("zkv: max value bytes must be in [1, 2^32), got %d", cfg.MaxValBytes)
@@ -185,7 +180,7 @@ func (s *Store) shardFor(fp uint64) *shard {
 // mutation raced, so readers never wait behind a relocation chain. Steady
 // state allocates nothing when dst has capacity. A closed store misses.
 func (s *Store) Get(key, dst []byte) ([]byte, bool) {
-	if len(key) == 0 || len(key) > s.cfg.MaxKeyBytes {
+	if len(key) == 0 || len(key) > zkvproto.MaxKeyLen {
 		return dst, false
 	}
 	fp := hash.Bytes64(key)
@@ -200,8 +195,8 @@ var ErrClosed = errors.New("zkv: store is closed")
 // key's slots. Overwrites touch the ranking like write hits; inserts run
 // the same walk+install the simulator's miss path runs.
 func (s *Store) Set(key, val []byte) error {
-	if len(key) == 0 || len(key) > s.cfg.MaxKeyBytes {
-		return fmt.Errorf("zkv: key length %d outside [1, %d]", len(key), s.cfg.MaxKeyBytes)
+	if len(key) == 0 || len(key) > zkvproto.MaxKeyLen {
+		return fmt.Errorf("zkv: key length %d outside [1, %d]", len(key), zkvproto.MaxKeyLen)
 	}
 	if len(val) > s.cfg.MaxValBytes {
 		return fmt.Errorf("zkv: value length %d exceeds %d", len(val), s.cfg.MaxValBytes)
@@ -218,7 +213,7 @@ func (s *Store) Set(key, val []byte) error {
 
 // Delete removes key if resident, reporting whether it was.
 func (s *Store) Delete(key []byte) bool {
-	if len(key) == 0 || len(key) > s.cfg.MaxKeyBytes {
+	if len(key) == 0 || len(key) > zkvproto.MaxKeyLen {
 		return false
 	}
 	fp := hash.Bytes64(key)

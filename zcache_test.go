@@ -101,7 +101,7 @@ func TestNewValidatesConfig(t *testing.T) {
 func TestAllDesignsAndPoliciesConstruct(t *testing.T) {
 	designs := []DesignKind{
 		DesignZCache, DesignSetAssociative, DesignSetAssociativeHashed,
-		DesignSkewAssociative, DesignFullyAssociative, DesignRandomCandidates,
+		DesignFullyAssociative, DesignRandomCandidates,
 	}
 	policies := []PolicyKind{PolicyLRU, PolicyBucketedLRU, PolicyRandom, PolicyLFU, PolicySRRIP, PolicyDRRIP}
 	for _, d := range designs {
@@ -295,7 +295,7 @@ func TestExperimentBandwidth(t *testing.T) {
 
 func TestExperimentFig3(t *testing.T) {
 	e := NewExperiment(TestPreset())
-	cases, err := e.Fig3(DesignZCache, []int{2}, []string{"canneal"})
+	cases, err := e.Fig3([]Config{{Design: DesignZCache, Ways: 4, WalkLevels: 2}}, []string{"canneal"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestComparatorDesignsThroughFacade(t *testing.T) {
 	// behave like caches through the public API.
 	vc, err := New(Config{
 		CapacityBytes: 1 << 15, LineBytes: 64, Ways: 2,
-		Design: DesignVictimCache, VictimEntries: 8, Policy: PolicyLRU, Seed: 3,
+		Design: DesignVictimCache, Policy: PolicyLRU, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -489,6 +489,19 @@ func TestCompareConflictMisses(t *testing.T) {
 	if repZ.ConflictMisses*2 > rep.ConflictMisses {
 		t.Errorf("zcache conflict misses %d not ≪ direct-mapped %d", repZ.ConflictMisses, rep.ConflictMisses)
 	}
+	// A hybrid walk belongs to the design alone: the fully-associative
+	// reference is the one the plain zcache was compared against.
+	repH, err := CompareConflictMisses(Config{
+		CapacityBytes: 64 * 512, LineBytes: 64, Ways: 4,
+		Design: DesignZCache, WalkLevels: 2, HybridWalkLevels: 1, Policy: PolicyLRU, Seed: 1,
+	}, accs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repH.FullAssocMisses != repZ.FullAssocMisses {
+		t.Errorf("hybrid zcache's reference missed %d times, the plain zcache's %d",
+			repH.FullAssocMisses, repZ.FullAssocMisses)
+	}
 }
 
 func TestConflictMissProxyCanGoNegative(t *testing.T) {
@@ -517,7 +530,7 @@ func TestHashFamilySelection(t *testing.T) {
 	for _, h := range []HashKind{HashH3, HashSHA1} {
 		c, err := New(Config{
 			CapacityBytes: 1 << 15, LineBytes: 64, Ways: 4,
-			Design: DesignSkewAssociative, Hash: h, Policy: PolicyLRU, Seed: 3,
+			Design: DesignZCache, WalkLevels: 1, Hash: h, Policy: PolicyLRU, Seed: 3,
 		})
 		if err != nil {
 			t.Fatalf("hash %d: %v", h, err)
@@ -540,7 +553,7 @@ func TestHashFamilySelection(t *testing.T) {
 	miss := func(h HashKind) uint64 {
 		c, _ := New(Config{
 			CapacityBytes: 1 << 15, LineBytes: 64, Ways: 2,
-			Design: DesignSkewAssociative, Hash: h, Policy: PolicyLRU, Seed: 3,
+			Design: DesignZCache, WalkLevels: 1, Hash: h, Policy: PolicyLRU, Seed: 3,
 		})
 		for i := uint64(0); i < 30000; i++ {
 			c.Access(i%1024*64, false)
