@@ -279,11 +279,10 @@ func BenchmarkHeadlineClaims(b *testing.B) {
 	}
 }
 
-// BenchmarkSectionIIComparators races the §II design space — victim cache
-// and column-associative (DesignVictimCache / DesignColumnAssociative),
-// skew and the zcache — on a conflict-prone workload at equal capacity and
-// reports each design's miss rate.
-func BenchmarkSectionIIComparators(b *testing.B) {
+// BenchmarkAliasThrashMissRate races bit-selected and hashed set
+// associativity, skew and the zcache on a conflict-prone workload at equal
+// capacity and reports each design's miss rate.
+func BenchmarkAliasThrashMissRate(b *testing.B) {
 	const capacity = 256 << 10
 	cases := []struct {
 		name string
@@ -291,8 +290,6 @@ func BenchmarkSectionIIComparators(b *testing.B) {
 	}{
 		{"SA4-bitsel", Config{CapacityBytes: capacity, LineBytes: 64, Ways: 4, Design: DesignSetAssociative}},
 		{"SA4-h3", Config{CapacityBytes: capacity, LineBytes: 64, Ways: 4, Design: DesignSetAssociativeHashed}},
-		{"victim-4+16", Config{CapacityBytes: capacity, LineBytes: 64, Ways: 4, Design: DesignVictimCache}},
-		{"column", Config{CapacityBytes: capacity, LineBytes: 64, Ways: 1, Design: DesignColumnAssociative}},
 		{"skew-4", Config{CapacityBytes: capacity, LineBytes: 64, Ways: 4, Design: DesignZCache, WalkLevels: 1}},
 		{"Z4/16", Config{CapacityBytes: capacity, LineBytes: 64, Ways: 4, Design: DesignZCache, WalkLevels: 2}},
 		{"Z4/52", Config{CapacityBytes: capacity, LineBytes: 64, Ways: 4, Design: DesignZCache, WalkLevels: 3}},
@@ -309,9 +306,7 @@ func BenchmarkSectionIIComparators(b *testing.B) {
 			// Alias thrash + reuse: 96 hot lines that all collide in
 			// one bit-selected set (stride = set count), cycled, over a
 			// zipf background that fits comfortably. Hashing, skewing,
-			// and walks disperse the aliases; the victim buffer (16
-			// entries) and the column cache (2 locations) only
-			// partially absorb 96-deep conflicts.
+			// and walks disperse the aliases; bit selection cannot.
 			aliased := make([]Access, 0, 96)
 			for k := uint64(0); k < 96; k++ {
 				aliased = append(aliased, Access{Addr: k * 1024 * 64})

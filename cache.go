@@ -69,14 +69,6 @@ const (
 	// DesignRandomCandidates is the §IV-B random-candidates construction
 	// (candidates drawn uniformly from the whole array).
 	DesignRandomCandidates = cache.OrgRandomCandidates
-	// DesignVictimCache is the §II-B comparator: a set-associative main
-	// array with a 16-entry fully-associative victim buffer (tags-only
-	// miss-rate model).
-	DesignVictimCache = cache.OrgVictimCache
-	// DesignColumnAssociative is the §II-B comparator: direct-mapped with
-	// primary/secondary locations and swap-on-secondary-hit (tags-only
-	// miss-rate model; Ways must be 1).
-	DesignColumnAssociative = cache.OrgColumnAssoc
 )
 
 // Config describes a cache to build.

@@ -60,9 +60,9 @@ type Array interface {
 	Name() string
 	// Blocks returns the capacity in lines.
 	Blocks() int
-	// Ways returns the number of physical ways.
-	Ways() int
-	// Lookup returns the slot holding line, if resident.
+	// Lookup returns the slot holding line, if resident. It moves no
+	// line: a slot's line changes only through Install (its moves and its
+	// eviction) and Invalidate, which the controller sees and reports.
 	Lookup(line uint64) (repl.BlockID, bool)
 	// Candidates appends the replacement candidates for an incoming line
 	// to buf and returns it. line must not be resident.

@@ -13,17 +13,14 @@ import (
 // dirty as the access was, and a relocation chain carries every moved
 // line's bit with it. After every access each resident line's DirtyAt must
 // be the shadow's bit, and every OnEviction must report the evicted line's.
-// The two tags-only comparators swap lines inside Lookup without telling
-// the controller, so there a swap leaves the bits with their slots (the
-// comparators' documented simplification), and the model follows suit.
+// No array moves a line except through Install's moves or a reported
+// eviction, so a hit leaves every line where it was.
 func TestDirtyBitsFollowLines(t *testing.T) {
 	for _, spec := range []Spec{
 		{Org: OrgSetAssoc, Ways: 4, Rows: 64},
 		{Org: OrgZCache, Ways: 4, Rows: 64, Levels: 1, Seed: 3},
 		{Org: OrgZCache, Ways: 4, Rows: 64, Levels: 2, Seed: 3},
 		{Org: OrgZCache, Ways: 4, Rows: 64, Levels: 3, Seed: 3},
-		{Org: OrgColumnAssoc, Ways: 1, Rows: 256, Seed: 3},
-		{Org: OrgVictimCache, Ways: 4, Rows: 64},
 	} {
 		c, err := spec.NewCache(repl.KindLRU, 1, 6)
 		if err != nil {
@@ -40,8 +37,6 @@ func TestDirtyBitsFollowLines(t *testing.T) {
 			}
 			delete(shadow, line)
 		}
-		before := make([]uint64, c.Array().Blocks())
-		moved := map[uint64]bool{}
 		state := uint64(0x5eed)
 		for step := 0; step < 20_000; step++ {
 			state = hash.Mix64(state)
@@ -50,34 +45,13 @@ func TestDirtyBitsFollowLines(t *testing.T) {
 				line = state >> 32 % 64 // a hot set, so writes meet resident lines
 			}
 			write := state>>16%10 < 3
-			for id := range before {
-				before[id] = tags.at(repl.BlockID(id))
-			}
 			if c.Access(line<<6, write) {
-				// A hit that changed slots swapped them inside Lookup:
-				// each changed slot's new line takes the bit its old
-				// line left there, and a line that left every slot (into
-				// the victim buffer) leaves the model.
-				clear(moved)
-				for id, old := range before {
-					if now := tags.at(repl.BlockID(id)); now != old && now != EmptyLine {
-						moved[now] = shadow[old]
-					}
-				}
-				for id, old := range before {
-					if tags.at(repl.BlockID(id)) != old {
-						delete(shadow, old)
-					}
-				}
-				for l, d := range moved {
-					shadow[l] = d
-				}
 				shadow[line] = shadow[line] || write
 			} else {
 				shadow[line] = write
 			}
 			resident := 0
-			for id := range before {
+			for id := 0; id < c.Array().Blocks(); id++ {
 				l := tags.at(repl.BlockID(id))
 				if l == EmptyLine {
 					continue
@@ -96,10 +70,8 @@ func TestDirtyBitsFollowLines(t *testing.T) {
 		if st.Writebacks == 0 {
 			t.Errorf("%s: no dirty line was ever evicted", name)
 		}
-		if spec.WalkLevels() > 1 || spec.Org == OrgColumnAssoc || spec.Org == OrgVictimCache {
-			if ctr.Relocations == 0 {
-				t.Errorf("%s: no line ever moved", name)
-			}
+		if spec.WalkLevels() > 1 && ctr.Relocations == 0 {
+			t.Errorf("%s: no line ever moved", name)
 		}
 	}
 }
@@ -110,10 +82,6 @@ func slotTags(a Array) *tagStore {
 	case *SetAssoc:
 		return &a.tags
 	case *ZCache:
-		return &a.tags
-	case *ColumnAssoc:
-		return &a.tags
-	case *VictimCache:
 		return &a.tags
 	}
 	panic("slotTags: " + a.Name() + " has no tag store")

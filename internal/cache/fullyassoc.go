@@ -109,9 +109,6 @@ func NewFullyAssoc(blocks int) (*FullyAssoc, error) {
 	return &FullyAssoc{newSlotMap(fmt.Sprintf("fa-%d", blocks), blocks)}, nil
 }
 
-// Ways returns the associativity, which equals the capacity.
-func (a *FullyAssoc) Ways() int { return a.blocks }
-
 // Candidates returns a single empty slot while the array is filling; once
 // full, it returns every slot with its validity, letting the controller
 // reuse invalidation holes.
@@ -157,9 +154,6 @@ func NewRandomCandidates(blocks, candidates int, seed uint64) (*RandomCandidates
 		state:   seed | 1,
 	}, nil
 }
-
-// Ways returns 1: the design has no way structure.
-func (a *RandomCandidates) Ways() int { return 1 }
 
 // Candidates returns one empty slot while the array is filling, then n
 // random slots (with repetition, as §IV-B specifies).

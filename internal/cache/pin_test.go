@@ -235,8 +235,8 @@ func TestSkewDigestsPinned(t *testing.T) {
 // references into twice its capacity (a fifth of them writes, every ninth
 // step an invalidation) and digests the array's name, every hit and slot,
 // every eviction with its dirtiness, in order, every invalidation's
-// (present, dirty), and at the end the array's Counters, the controller's
-// Stats and, for a victim cache, its buffer hits.
+// (present, dirty), and at the end the array's Counters and the
+// controller's Stats.
 func pinComparator(t *testing.T, arr Array, steps int) walkDigest {
 	t.Helper()
 	pol, err := repl.KindLRU.New(arr.Blocks(), 5)
@@ -269,17 +269,14 @@ func pinComparator(t *testing.T, arr Array, steps int) walkDigest {
 		st.Accesses, st.Hits, st.Misses, st.Evictions, st.Writebacks, st.CycleRetries} {
 		d.add(v)
 	}
-	if v, ok := arr.(*VictimCache); ok {
-		d.add(v.VictimHits)
-	}
 	return d
 }
 
-// TestComparatorDigestsPinned checks the §II–§IV comparators — the
-// fully-associative reference, the random-candidates array and the victim
-// cache — under accesses and invalidations against the digests recorded when
-// the pin was taken. The invalidation holes of the unconstrained arrays and
-// the victim buffer's pseudo-slot invalidation are on these paths.
+// TestComparatorDigestsPinned checks the §IV comparators — the
+// fully-associative reference and the random-candidates array — under
+// accesses and invalidations against the digests recorded when the pin was
+// taken. The invalidation holes of the unconstrained arrays are on these
+// paths.
 func TestComparatorDigestsPinned(t *testing.T) {
 	fa, err := NewFullyAssoc(256)
 	if err != nil {
@@ -295,7 +292,6 @@ func TestComparatorDigestsPinned(t *testing.T) {
 	}{
 		{fa, 0xaf225bab48190fa0},
 		{rc, 0x922e51a2db6b5dfa},
-		{newVictim(t, 4, 64, 8), 0xf15913db83f01bf7},
 	} {
 		if got := pinComparator(t, tc.arr, 30_000); got != tc.want {
 			t.Errorf("%s: digest %#x, pinned %#x", tc.arr.Name(), uint64(got), uint64(tc.want))

@@ -15,9 +15,6 @@ import (
 //  2. a hit is returned iff the controller previously installed the line
 //     and has not evicted it (tracked via OnEviction);
 //  3. the number of resident lines never exceeds capacity.
-//
-// VictimCache is excluded from invariant 2 (its buffer silently drops
-// entries by design); it has its own tests.
 func propertyDrive(t *testing.T, name string, c *Cache, capacity int, lineSpace uint64, steps int, seed uint64) {
 	t.Helper()
 	resident := map[uint64]bool{}
@@ -83,7 +80,6 @@ func TestAllArraysSatisfyControllerInvariants(t *testing.T) {
 	fns, _ := hash.H3Family{Seed: 5}.New(ways, rows)
 	fns2, _ := hash.H3Family{Seed: 6}.New(ways, rows)
 	fns3, _ := hash.H3Family{Seed: 7}.New(ways, rows)
-	cfns, _ := hash.H3Family{Seed: 8}.New(2, capacity)
 
 	cases := []func() (*Cache, string){
 		func() (*Cache, string) { a, e := NewSetAssoc(ways, rows, idx); return mkRet(mk)(t, "sa-bitsel", a, e) },
@@ -101,10 +97,6 @@ func TestAllArraysSatisfyControllerInvariants(t *testing.T) {
 		func() (*Cache, string) {
 			a, e := NewRandomCandidates(capacity, 16, 3)
 			return mkRet(mk)(t, "randcand", a, e)
-		},
-		func() (*Cache, string) {
-			a, e := NewColumnAssoc(uint64(capacity), cfns[0], cfns[1])
-			return mkRet(mk)(t, "column", a, e)
 		},
 	}
 	for _, build := range cases {

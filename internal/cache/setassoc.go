@@ -65,9 +65,6 @@ func (a *SetAssoc) Name() string { return a.name }
 // Blocks returns the capacity in lines.
 func (a *SetAssoc) Blocks() int { return a.tags.ways * int(a.tags.rows) }
 
-// Ways returns the number of ways.
-func (a *SetAssoc) Ways() int { return a.tags.ways }
-
 // Lookup probes all ways of the indexed set.
 func (a *SetAssoc) Lookup(line uint64) (repl.BlockID, bool) {
 	a.ctr.probe(a.tags.ways)

@@ -27,14 +27,6 @@ const (
 	// OrgRandomCandidates is the §IV-B random-candidates construction
 	// (candidates drawn uniformly from the whole array).
 	OrgRandomCandidates
-	// OrgVictimCache is the §II-B comparator: a bit-selected
-	// set-associative main array with a 16-entry fully-associative victim
-	// buffer (tags-only miss-rate model).
-	OrgVictimCache
-	// OrgColumnAssoc is the §II-B comparator: direct-mapped with primary
-	// and secondary locations and swap-on-secondary-hit (tags-only
-	// miss-rate model; Ways must be 1).
-	OrgColumnAssoc
 )
 
 // HashKind selects the index hash family (§III-C, §IV-C).
@@ -64,8 +56,8 @@ type Spec struct {
 	// shape). WalkLevels resolves it.
 	Levels int
 	// Hash and Seed give the hashed organizations their index functions:
-	// the family's first functions at Seed, one per way (two for the
-	// column-associative array). The zero Hash is H3.
+	// the family's first functions at Seed, one per way. The zero Hash
+	// is H3.
 	Hash HashKind
 	Seed uint64
 	// Candidates is the random-candidates draw count; 0 means 16.
@@ -145,21 +137,6 @@ func (s Spec) Build(opts ...ZOption) (Array, error) {
 			n = 16
 		}
 		return NewRandomCandidates(blocks, n, s.Seed|1)
-	case OrgVictimCache:
-		idx, err := hash.NewBitSelect(0, s.Rows)
-		if err != nil {
-			return nil, err
-		}
-		return NewVictimCache(s.Ways, s.Rows, 16, idx)
-	case OrgColumnAssoc:
-		if s.Ways != 1 {
-			return nil, fmt.Errorf("cache: column-associative is physically direct-mapped; set Ways to 1, got %d", s.Ways)
-		}
-		fns, err := s.hashes(2)
-		if err != nil {
-			return nil, err
-		}
-		return NewColumnAssoc(s.Rows, fns[0], fns[1])
 	default:
 		return nil, fmt.Errorf("cache: unknown organization %d", s.Org)
 	}

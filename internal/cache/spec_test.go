@@ -50,8 +50,6 @@ func TestSpecBuildsEveryOrg(t *testing.T) {
 		{Spec{Org: OrgSetAssoc, Ways: 4, Rows: 64}, "sa-4w-64s-bitselect[shift=0,b=64]", "SAbit-4", 0},
 		{Spec{Org: OrgFullyAssoc, Ways: 4, Rows: 64}, "fa-256", "", 0},
 		{Spec{Org: OrgRandomCandidates, Ways: 4, Rows: 64}, "randcand-256-n16", "", 0},
-		{Spec{Org: OrgVictimCache, Ways: 4, Rows: 64}, "victim-4w-64s+16", "", 0},
-		{Spec{Org: OrgColumnAssoc, Ways: 1, Rows: 64}, "column-64r", "", 0},
 	} {
 		arr, err := c.spec.Build()
 		if err != nil {
@@ -65,7 +63,6 @@ func TestSpecBuildsEveryOrg(t *testing.T) {
 	for _, bad := range []Spec{
 		{Org: Org(99), Ways: 4, Rows: 64},
 		{Org: OrgZCache, Ways: 4, Rows: 64, Hash: HashKind(9)},
-		{Org: OrgColumnAssoc, Ways: 2, Rows: 64},
 	} {
 		if _, err := bad.Build(); err == nil {
 			t.Errorf("%+v built", bad)

@@ -33,7 +33,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("ragged ways accepted")
 	}
 	bad = good
-	bad.Design = cache.OrgVictimCache
+	bad.Design = cache.OrgRandomCandidates
 	if _, err := New(bad); err == nil {
 		t.Error("unknown design accepted")
 	}

@@ -2,8 +2,11 @@ package zcache
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
@@ -425,6 +428,43 @@ func TestCellKeyFoldsEveryInput(t *testing.T) {
 	}
 	if seen != len(neutral) {
 		t.Errorf("the walk met %d of the %d neutral fields", seen, len(neutral))
+	}
+}
+
+// schemaPins records, for each runlab.SchemaVersion, one hash of the
+// simulated-result pins in force under it: goldenSimDigests and
+// figureDigests. A store serves a cell whose inputs are unchanged, so code
+// that changes a pinned result must also bump SchemaVersion, or stores
+// filled by the old code keep serving its cells. A recorded entry is never
+// edited; a re-pin adds the next version's.
+var schemaPins = map[int]string{
+	3: "62a79244875d2a82c08d9de839e45156eb655c22b6ea325842a42a7f226f8e94",
+}
+
+// TestSchemaVersionFollowsPins fails when either pin table is re-pinned
+// without a SchemaVersion bump.
+func TestSchemaVersionFollowsPins(t *testing.T) {
+	h := sha256.New()
+	for _, table := range []map[string]string{goldenSimDigests, figureDigests} {
+		keys := make([]string, 0, len(table))
+		for k := range table {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			fmt.Fprintf(h, "%s=%s\n", k, table[k])
+		}
+		h.Write([]byte{0})
+	}
+	got, v := hex.EncodeToString(h.Sum(nil)), runlab.SchemaVersion
+	want, ok := schemaPins[v]
+	switch {
+	case !ok:
+		t.Fatalf("runlab.SchemaVersion %d has no schemaPins entry: add %d: %q", v, v, got)
+	case got != want:
+		t.Fatalf("goldenSimDigests or figureDigests changed under runlab.SchemaVersion %d (pins hash %s, recorded %s). "+
+			"A result the code computes changed, so stores must stop serving cells the old code computed: "+
+			"bump runlab.SchemaVersion to %d and add %d: %q to schemaPins", v, got, want, v+1, v+1, got)
 	}
 }
 

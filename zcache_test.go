@@ -371,40 +371,6 @@ func TestExperimentDeterminism(t *testing.T) {
 	}
 }
 
-func TestComparatorDesignsThroughFacade(t *testing.T) {
-	// §II comparators: victim cache and column-associative must build and
-	// behave like caches through the public API.
-	vc, err := New(Config{
-		CapacityBytes: 1 << 15, LineBytes: 64, Ways: 2,
-		Design: DesignVictimCache, Policy: PolicyLRU, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ca, err := New(Config{
-		CapacityBytes: 1 << 15, LineBytes: 64, Ways: 1,
-		Design: DesignColumnAssociative, Policy: PolicyLRU, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Config{
-		CapacityBytes: 1 << 15, LineBytes: 64, Ways: 2,
-		Design: DesignColumnAssociative, Policy: PolicyLRU, Seed: 3,
-	}); err == nil {
-		t.Error("column-associative accepted 2 ways")
-	}
-	for _, c := range []*Cache{vc, ca} {
-		for i := uint64(0); i < 5000; i++ {
-			c.Access(i%700*64, i%9 == 0)
-		}
-		st := c.Stats()
-		if st.Hits == 0 || st.Misses == 0 {
-			t.Errorf("degenerate behaviour: %+v", st)
-		}
-	}
-}
-
 func TestHybridWalkThroughFacade(t *testing.T) {
 	c, err := New(Config{
 		CapacityBytes: 1 << 16, LineBytes: 64, Ways: 4,
