@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"zcache/internal/energy"
+	"zcache/internal/sim"
 )
 
 // benchWorkloads is the reduced suite used by the figure benches: two
@@ -157,6 +158,42 @@ func BenchmarkFig4OPT(b *testing.B) { fig4Bench(b, PolicyOPT) }
 
 // BenchmarkFig4LRU regenerates Fig. 4b (bucketed LRU, execution-driven).
 func BenchmarkFig4LRU(b *testing.B) { fig4Bench(b, PolicyBucketedLRU) }
+
+// BenchmarkReplaySetAssoc times the trace-driven replay of the benchmark
+// workloads' captured L2 streams through the wide hashed set-associative
+// designs of Fig. 4 under full LRU, where a probe and a victim selection
+// each read all W slots of a set, and reports the time per L2 reference.
+func BenchmarkReplaySetAssoc(b *testing.B) {
+	e := NewExperiment(TestPreset())
+	ws, err := SuiteWorkloads(benchWorkloads)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var streams []*sim.L2Stream
+	refs := 0
+	for _, w := range ws {
+		s, err := e.Capture(w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		streams = append(streams, s)
+		refs += len(s.Refs)
+	}
+	for _, ways := range []int{16, 32} {
+		d := NewDesignPoint(sim.SetAssocH3, ways)
+		cfg := e.Config(d, PolicyLRU, energy.Serial)
+		b.Run(d.Label, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, s := range streams {
+					if _, err := sim.ReplayL2(cfg, s); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*refs), "ns/ref")
+		})
+	}
+}
 
 // BenchmarkFig5 regenerates Fig. 5 (IPC and BIPS/W, serial vs parallel) and
 // reports the Z4/52-parallel geomean gains over the serial SA-4 baseline.

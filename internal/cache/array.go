@@ -34,7 +34,8 @@ type Candidate struct {
 	// Valid is false if the slot is empty (the incoming line can be
 	// installed there without an eviction).
 	Valid bool
-	// Way and Row locate the slot; ID == Way*rows + Row.
+	// Way and Row locate the slot: ID == Way*rows + Row in a zcache,
+	// Row*ways + Way in a set-associative array.
 	Way int
 	Row uint64
 	// Level is 1 for direct conflicts, increasing along the walk.
@@ -126,15 +127,22 @@ const EmptyLine = ^uint64(0)
 // load and one compare. The arrays' own stores are dense (e[id], shift 0). A
 // zcache over borrowed words (NewZCacheOver) reads its tags out of another
 // layer's per-slot records instead, e[id<<shift], and never writes them.
+//
+// A zcache numbers its slots way-major (id = way·rows + row): a line's W
+// slots lie in W different rows anyway. A set-associative array numbers
+// them set-major (id = row·ways + way), so a set's W tags, and the policy's
+// W per-slot entries, sit side by side in host memory.
 type tagStore struct {
 	ways int
 	rows uint64
-	e    []uint64 // slot id = way*rows + row; its tag is e[id<<shift]
+	e    []uint64 // slot id's tag is e[id<<shift]
 	// shift is log2 of the word stride between two slots' tags.
 	shift uint
 	// borrowed marks words the array does not own: the controller's
 	// SlotObserver applies every tag change (see NewZCacheOver).
 	borrowed bool
+	// setMajor selects the set-associative numbering.
+	setMajor bool
 }
 
 func newTagStore(ways int, rows uint64) tagStore {
@@ -153,11 +161,19 @@ func emptyTags(n uint64) []uint64 {
 	return e
 }
 
+// slot numbers the slot at way and row.
 func (t *tagStore) slot(way int, row uint64) repl.BlockID {
+	if t.setMajor {
+		return repl.BlockID(row*uint64(t.ways) + uint64(way))
+	}
 	return repl.BlockID(uint64(way)*t.rows + row)
 }
 
+// wayRow inverts slot.
 func (t *tagStore) wayRow(id repl.BlockID) (int, uint64) {
+	if t.setMajor {
+		return int(uint64(id) % uint64(t.ways)), uint64(id) / uint64(t.ways)
+	}
 	return int(uint64(id) / t.rows), uint64(id) % t.rows
 }
 

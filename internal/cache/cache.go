@@ -78,7 +78,9 @@ type Cache struct {
 
 	// OnEviction, if set, is called with each evicted line's byte address
 	// and dirtiness before the new line is installed. Inclusive
-	// hierarchies use it for back-invalidations and writeback routing.
+	// hierarchies use it for writeback routing; the simulator's System
+	// records the L1 victim with it and retires it once the access that
+	// evicted it returns the slot.
 	OnEviction func(addr uint64, dirty bool)
 
 	// slotObs, if set, receives slot-level eviction and relocation events
@@ -285,8 +287,9 @@ func (c *Cache) Peek(addr uint64) (repl.BlockID, bool) {
 
 // Locate returns the slot holding addr's line, like Peek, but advances no
 // counter either: it is bookkeeping, not a modelled tag access, for a layer
-// that keeps per-slot state beside the tags (the simulator's directory) and
-// must find a line's entry without moving the bank loads. A zcache's probe
+// that keeps per-slot state beside the tags (the simulator's L1-to-L2 slot
+// links and its check mode) and must find a line's entry without moving the
+// bank loads. A zcache's probe
 // leaves its rows in the memo the next Lookup of the line reads. It is
 // defined for the tag-store arrays (set-associative, skew and zcache) and
 // panics on any other.
@@ -302,6 +305,30 @@ func (c *Cache) Locate(addr uint64) (repl.BlockID, bool) {
 		return c.zFast.locate(line)
 	}
 	panic(c.noTagStore())
+}
+
+// AccessAt is a hit on slot id, whose line the caller already knows is
+// resident there: it charges exactly what AccessSlot charges on a hit (the
+// access and the hit, the probe's tag lookup and reads, the policy touch and,
+// for a write, the dirty bit) without searching for the slot. The simulator
+// models an L1 writeback this way, from the L2 slot it recorded at the fill.
+// A zcache's row memo, only a cache of what rows a line hashes to, is left
+// as it was. Like Locate it is defined for the tag-store arrays only.
+func (c *Cache) AccessAt(id repl.BlockID, write bool) {
+	switch {
+	case c.saFast != nil:
+		c.saFast.ctr.probe(c.saFast.tags.ways)
+	case c.zFast != nil:
+		c.zFast.ctr.probe(c.zFast.tags.ways)
+	default:
+		panic(c.noTagStore())
+	}
+	c.stats.Accesses++
+	c.stats.Hits++
+	c.onAccess(id, write)
+	if write {
+		c.putDirty(id, true)
+	}
 }
 
 // LineAt returns the line in slot id, or false for an empty slot, without
@@ -337,8 +364,8 @@ func (c *Cache) putDirty(id repl.BlockID, d bool) {
 	}
 }
 
-// noTagStore is the violation Locate and LineAt raise on an array whose
-// slots they cannot read.
+// noTagStore is the violation Locate, LineAt and AccessAt raise on an array
+// whose slots they cannot read.
 func (c *Cache) noTagStore() *check.Violation {
 	return check.Violationf("cache/no-tag-store",
 		"%s: slot probes need a set-associative or zcache array", c.array.Name())
@@ -399,14 +426,13 @@ func (c *Cache) installFlat(line uint64, write bool) repl.BlockID {
 	var tags *tagStore
 	if a := c.saFast; a != nil {
 		tags = &a.tags
-		id := repl.BlockID(a.row(line))
-		step := repl.BlockID(tags.rows)
+		id := tags.slot(0, a.row(line))
 		for w := 0; w < tags.ways; w++ {
 			if tags.e[id] == EmptyLine {
 				return c.finishFlat(id, 0, false, line, write)
 			}
 			ids = append(ids, id)
-			id += step
+			id++
 		}
 	} else {
 		a := c.skFast

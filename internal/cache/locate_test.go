@@ -90,16 +90,67 @@ func TestLocateIsACounterNeutralLookup(t *testing.T) {
 	}
 }
 
+// TestAccessAtIsAHit drives two identical controllers with one random
+// stream. Where a line is resident, at records the hit with AccessAt on the
+// slot Locate finds, and plain with AccessSlot; elsewhere both miss through
+// AccessSlot. The two must agree on every slot, dirty bit, Counters and
+// Stats, so AccessAt charges what AccessSlot charges on a hit and leaves
+// the policy exactly where a hit leaves it.
+func TestAccessAtIsAHit(t *testing.T) {
+	for _, spec := range locateSpecs {
+		t.Run(spec.Label(), func(t *testing.T) {
+			build := func() *Cache {
+				c, err := spec.NewCache(repl.KindLRU, 5, 6)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}
+			at, plain := build(), build()
+			universe := 3 * at.Array().Blocks()
+			rng := rand.New(rand.NewSource(int64(spec.Org)<<8 | int64(spec.Levels)))
+			hits := 0
+			for step := 0; step < 20000; step++ {
+				addr, write := uint64(rng.Intn(universe))<<6, rng.Intn(4) == 0
+				wantID, wantHit := plain.AccessSlot(addr, write)
+				if id, ok := at.Locate(addr); ok {
+					hits++
+					at.AccessAt(id, write)
+					if !wantHit || id != wantID {
+						t.Fatalf("step %d: Locate(%#x) = %d; AccessSlot = %d, %t", step, addr, id, wantID, wantHit)
+					}
+				} else if id, hit := at.AccessSlot(addr, write); hit || wantHit || id != wantID {
+					t.Fatalf("step %d: miss on %#x lands in %d (%t), want %d (%t)", step, addr, id, hit, wantID, wantHit)
+				}
+			}
+			if at.Counters() != plain.Counters() || at.Stats() != plain.Stats() {
+				t.Fatalf("AccessAt moved the accounting:\n %+v %+v\n %+v %+v",
+					at.Counters(), at.Stats(), plain.Counters(), plain.Stats())
+			}
+			for id := repl.BlockID(0); int(id) < at.Array().Blocks(); id++ {
+				if at.DirtyAt(id) != plain.DirtyAt(id) {
+					t.Fatalf("slot %d: dirty %t, want %t", id, at.DirtyAt(id), plain.DirtyAt(id))
+				}
+			}
+			if hits == 0 {
+				t.Fatal("stream never hit")
+			}
+		})
+	}
+}
+
 // TestLocateRefusesUntaggedArrays: an array without a tag store has no slot
-// Locate or LineAt could read, and both say so instead of guessing.
+// Locate, LineAt or AccessAt could read, and each says so instead of
+// guessing.
 func TestLocateRefusesUntaggedArrays(t *testing.T) {
 	c, err := Spec{Org: OrgFullyAssoc, Ways: 4, Rows: 16}.NewCache(repl.KindLRU, 1, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, probe := range map[string]func(){
-		"Locate": func() { c.Locate(64) },
-		"LineAt": func() { c.LineAt(0) },
+		"Locate":   func() { c.Locate(64) },
+		"LineAt":   func() { c.LineAt(0) },
+		"AccessAt": func() { c.AccessAt(0, false) },
 	} {
 		func() {
 			defer func() {

@@ -118,7 +118,7 @@ func TestRestoreRejectsIllegalPlacements(t *testing.T) {
 	c, z := newTableCache(t, table, 16, 4, 2)
 	// A line in a slot it does not hash to.
 	legal := map[repl.BlockID]bool{}
-	for w := 0; w < z.Ways(); w++ {
+	for w := 0; w < z.Indexer().Ways(); w++ {
 		legal[z.tags.slot(w, z.idx.Row(w, 99))] = true
 	}
 	for id := repl.BlockID(0); int(id) < z.Blocks(); id++ {

@@ -39,6 +39,7 @@ func NewSetAssoc(ways int, sets uint64, index hash.Func) (*SetAssoc, error) {
 		index: index,
 		tags:  newTagStore(ways, sets),
 	}
+	a.tags.setMajor = true
 	switch f := index.(type) {
 	case *hash.H3:
 		a.idxH3 = f
@@ -71,15 +72,14 @@ func (a *SetAssoc) Lookup(line uint64) (repl.BlockID, bool) {
 	return a.locate(line)
 }
 
-// locate is Lookup without the tag accounting.
+// locate is Lookup without the tag accounting. The set's W slots are
+// consecutive.
 func (a *SetAssoc) locate(line uint64) (repl.BlockID, bool) {
-	id := repl.BlockID(a.row(line))
-	step := repl.BlockID(a.tags.rows)
-	for w := 0; w < a.tags.ways; w++ {
-		if a.tags.e[id] == line {
-			return id, true
+	base := a.row(line) * uint64(a.tags.ways)
+	for w, tag := range a.tags.e[base : base+uint64(a.tags.ways)] {
+		if tag == line {
+			return repl.BlockID(base + uint64(w)), true
 		}
-		id += step
 	}
 	return 0, false
 }
@@ -130,16 +130,12 @@ func (a *SetAssoc) installAt(id repl.BlockID, line uint64) {
 
 // Invalidate removes line if resident, returning its slot.
 func (a *SetAssoc) Invalidate(line uint64) (repl.BlockID, bool) {
-	row := a.row(line)
-	for w := 0; w < a.tags.ways; w++ {
-		id := a.tags.slot(w, row)
-		if a.tags.e[id] == line {
-			a.tags.e[id] = EmptyLine
-			a.ctr.TagWrites++
-			return id, true
-		}
+	id, ok := a.locate(line)
+	if ok {
+		a.tags.e[id] = EmptyLine
+		a.ctr.TagWrites++
 	}
-	return 0, false
+	return id, ok
 }
 
 // Counters exposes access accounting.

@@ -66,9 +66,6 @@ func (s *skewTags) Indexer() *hash.Indexer { return s.idx }
 // Blocks returns the capacity in lines.
 func (s *skewTags) Blocks() int { return s.tags.ways * int(s.tags.rows) }
 
-// Ways returns the number of ways.
-func (s *skewTags) Ways() int { return s.tags.ways }
-
 // Counters exposes access accounting.
 func (s *skewTags) Counters() *Counters { return &s.ctr }
 

@@ -21,8 +21,9 @@ package repl
 import "fmt"
 
 // BlockID identifies a resident block's physical slot in a cache array
-// (way*rows + row). It is stable while the block stays in that slot; zcache
-// relocations move a block between slots via OnMoves.
+// (way*rows + row in a zcache, row*ways + way in a set-associative array).
+// It is stable while the block stays in that slot; zcache relocations move
+// a block between slots via OnMoves.
 type BlockID uint32
 
 // NoVictim is returned by Select implementations when given no candidates.

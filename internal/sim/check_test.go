@@ -59,7 +59,7 @@ func TestCheckInvariantsCatchCorruption(t *testing.T) {
 		}},
 		{"sim/inclusion", "", 0, func(t *testing.T, s *System) {
 			line, _ := s.cores[1].l1.LineAt(residentL1Slot(t, s, 1))
-			d, id := s.entry(line)
+			d, id := dirEntry(t, s, line)
 			d.setSharers(id, d.sharersAt(id)&^(1<<1))
 			d.setOwned(id, false)
 		}},
@@ -70,7 +70,7 @@ func TestCheckInvariantsCatchCorruption(t *testing.T) {
 		{"sim/mesi-owner", "", 0, func(t *testing.T, s *System) {
 			// M state on a mask that names core 3 and core 0.
 			line, _ := s.cores[3].l1.LineAt(residentL1Slot(t, s, 3))
-			d, id := s.entry(line)
+			d, id := dirEntry(t, s, line)
 			d.setSharers(id, d.sharersAt(id)|1<<3|1<<0)
 			d.setOwned(id, true)
 		}},
@@ -78,8 +78,15 @@ func TestCheckInvariantsCatchCorruption(t *testing.T) {
 			// Three cores get 4-bit sharer fields: name a fourth core
 			// on a resident line.
 			line, _ := s.cores[0].l1.LineAt(residentL1Slot(t, s, 0))
-			d, id := s.entry(line)
+			d, id := dirEntry(t, s, line)
 			d.setSharers(id, d.sharersAt(id)|1<<3)
+		}},
+		{"sim/l1-slot", "", 0, func(t *testing.T, s *System) {
+			// Core 1 records a stale L2 slot for one of its lines.
+			id := residentL1Slot(t, s, 1)
+			line, _ := s.cores[1].l1.LineAt(id)
+			_, slot := dirEntry(t, s, line)
+			s.cores[1].l2Slot[id] = uint32(slot) ^ 1
 		}},
 		{"sim/mesi-dirty", "", 0, func(t *testing.T, s *System) {
 			// A store that hits core 0's L1 without the upgrade the
@@ -91,7 +98,7 @@ func TestCheckInvariantsCatchCorruption(t *testing.T) {
 				if !ok || l1.DirtyAt(id) {
 					continue
 				}
-				if d, slot := s.entry(line); d.owner(slot) != 0 {
+				if d, slot := dirEntry(t, s, line); d.owner(slot) != 0 {
 					l1.Access(line<<s.lineBits, true)
 					return
 				}
@@ -133,6 +140,18 @@ func emptySlot0(t *testing.T, s *System) {
 	if present, _ := cc.Invalidate(line << s.lineBits); !ok || !present {
 		t.Fatal("bank 0's slot 0 is empty after a run")
 	}
+}
+
+// dirEntry returns the directory and L2 slot of a line some L1 holds, found
+// by a counter-neutral probe of its bank.
+func dirEntry(t *testing.T, s *System, line uint64) (*bankDir, repl.BlockID) {
+	t.Helper()
+	b := s.bankOf(line)
+	id, ok := s.banks[b].cache.Locate(s.bankAddr(line))
+	if !ok {
+		t.Fatalf("line %#x is not in L2 bank %d", line, b)
+	}
+	return &s.dirs[b], id
 }
 
 // residentL1Slot returns a slot of core cid's L1 that holds a line.

@@ -204,7 +204,7 @@ func TestInclusionInvariant(t *testing.T) {
 				continue
 			}
 			held++
-			if d, slot := sys.entry(l); d.sharersAt(slot)&(1<<uint(cid)) == 0 {
+			if d, slot := dirEntry(t, sys, l); d.sharersAt(slot)&(1<<uint(cid)) == 0 {
 				t.Fatalf("core %d holds line %#x not tracked by directory", cid, l)
 			}
 		}

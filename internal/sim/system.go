@@ -94,18 +94,38 @@ func (d *bankDir) SlotEvicted(id repl.BlockID, bankLine uint64, l2dirty bool) {
 	}
 }
 
-// SlotMoved slides a relocated line's state into its new slot.
+// SlotMoved slides a relocated line's state into its new slot and points
+// each sharer's L1 copy at it. The line is the one now in to: Install writes
+// every tag of a chain before the controller reports its moves.
 func (d *bankDir) SlotMoved(from, to repl.BlockID) {
-	d.setSharers(to, d.sharersAt(from))
+	sharers := d.sharersAt(from)
+	d.setSharers(to, sharers)
 	d.setSharers(from, 0)
 	d.setOwned(to, d.ownedAt(from))
 	d.setOwned(from, false)
+	if sharers == 0 {
+		return
+	}
+	s := d.s
+	bankLine, _ := s.banks[d.bank].cache.LineAt(to)
+	addr := s.fullLine(d.bank, bankLine) << s.lineBits
+	for cid := 0; sharers != 0; cid++ {
+		if sharers&(1<<uint(cid)) == 0 {
+			continue
+		}
+		sharers &^= 1 << uint(cid)
+		c := s.cores[cid]
+		if id, ok := c.l1.Locate(addr); ok {
+			c.l2Slot[id] = uint32(to)
+		}
+	}
 }
 
-// coreBatchLen is the per-core generator batch size: 4 KiB of accesses,
-// enough to amortize the batch call without displacing the simulated tag
-// arrays from the host cache.
-const coreBatchLen = 256
+// coreBatchLen is the batch buffer of a core fed by a live generator: 1 KiB
+// of accesses, enough to amortize the batch call without displacing the
+// simulated tag arrays from the host cache. A core fed a trace.Replay reads
+// the tape in place and has none.
+const coreBatchLen = 64
 
 // core is one in-order CPU with its private L1.
 type core struct {
@@ -121,27 +141,58 @@ type core struct {
 	// stop is the instruction count at which the current phase retires
 	// the core.
 	stop uint64
-	// buf holds prefetched accesses (trace.FillBatch); it persists across
-	// warmup and measurement phases so the consumed stream is exactly the
-	// sequence repeated Next() calls would yield.
-	buf    []trace.Access
-	bufPos int
-	bufLen int
+	// next reads buf[pos:]. For a trace.Replay that is the rest of its
+	// tape, read in place and never written: every cell of the workload
+	// running at once shares the tape. For a live generator it is what
+	// the last trace.FillBatch wrote into batch. Either persists across
+	// warmup and measurement phases, so the consumed stream is exactly
+	// the sequence repeated Next() calls would yield.
+	buf   []trace.Access
+	pos   int
+	batch []trace.Access // nil for a tape: nothing is refilled
+	// l2Slot holds, per L1 slot of a System's core, the slot (within the
+	// line's L2 bank) of the line that L1 slot holds, so the directory
+	// and the L2 are reached without probing the bank (sim/l1-slot). An
+	// empty L1 slot's entry is stale and never read.
+	l2Slot []uint32
+	// evicted, victim and victimDirty record the L1 victim of the
+	// current access (OnEviction) for step to retire.
+	evicted     bool
+	victimDirty bool
+	victim      uint64
 }
 
-// next returns the core's next access, refilling the batch buffer from the
-// generator when drained. A zero-length refill is the end of the stream.
-func (c *core) next() (trace.Access, bool) {
-	if c.bufPos >= c.bufLen {
-		c.bufLen = trace.FillBatch(c.gen, c.buf)
-		c.bufPos = 0
-		if c.bufLen == 0 {
-			return trace.Access{}, false
-		}
+// newCore returns core id over l1, drawing its accesses from gen.
+func newCore(id int, gen trace.Generator, l1 *cache.Cache) *core {
+	c := &core{id: id, gen: gen, l1: l1}
+	if r, ok := gen.(*trace.Replay); ok {
+		c.buf = r.Drain()
+	} else {
+		c.batch = make([]trace.Access, coreBatchLen)
 	}
-	a := c.buf[c.bufPos]
-	c.bufPos++
+	return c
+}
+
+// next returns the core's next access, refilling the batch buffer from a
+// live generator when drained. A zero-length refill, or a tape's end, is the
+// end of the stream.
+func (c *core) next() (trace.Access, bool) {
+	if c.pos >= len(c.buf) && !c.refill() {
+		return trace.Access{}, false
+	}
+	a := c.buf[c.pos]
+	c.pos++
 	return a, true
+}
+
+// refill reads the next batch of a live generator into batch, reporting
+// whether it holds any access.
+func (c *core) refill() bool {
+	if c.batch == nil {
+		return false
+	}
+	c.buf, c.pos = c.batch[:trace.FillBatch(c.gen, c.batch)], 0
+	return len(c.buf) > 0
 }
 
 // coreHeap is a binary min-heap over cores ordered by (cycles, id). The
@@ -217,7 +268,7 @@ func (h *coreHeap) due() (c *core, a trace.Access, ok bool) {
 // ends first ends the tape. A trace.Replay of the tape therefore drives the
 // core exactly as gen would, and holds nothing the core never reads.
 func RecordTape(cfg Config, gen trace.Generator) []trace.Access {
-	c := &core{gen: gen, buf: make([]trace.Access, coreBatchLen)}
+	c := newCore(0, gen, nil)
 	phases := []uint64{cfg.InstructionsPerCore}
 	if cfg.WarmupInstructionsPerCore > 0 {
 		phases = []uint64{cfg.WarmupInstructionsPerCore, cfg.InstructionsPerCore}
@@ -320,11 +371,13 @@ func NewSystem(cfg Config, gens []trace.Generator) (*System, error) {
 		if cfg.Check {
 			l1.EnableChecks(true)
 		}
-		c := &core{id: i, gen: gens[i], l1: l1, buf: make([]trace.Access, coreBatchLen)}
-		// L1 victim handling: update the directory and write dirty
-		// victims back to the L2 (inclusive hierarchy).
-		coreID := i
-		l1.OnEviction = func(addr uint64, dirty bool) { s.l1Evicted(coreID, addr, dirty) }
+		c := newCore(i, gens[i], l1)
+		c.l2Slot = make([]uint32, l1.Array().Blocks())
+		// The L1 victim is recorded here and retired by step, once the
+		// L1 access that evicted it returns its slot.
+		l1.OnEviction = func(addr uint64, dirty bool) {
+			c.evicted, c.victim, c.victimDirty = true, addr>>s.lineBits, dirty
+		}
 		s.cores = append(s.cores, c)
 	}
 	for b := range s.banks {
@@ -370,8 +423,8 @@ func (s *System) Run() (Metrics, error) {
 // cores, an owned line has exactly one sharer) and agrees with the L1s
 // (every named sharer holds the line). Checked per L1 line: inclusion — the
 // line is resident in its L2 bank and the directory names the core a sharer
-// — and a dirty copy belongs to the line's owner, so at most one L1 holds a
-// line dirty.
+// —, the L2 slot the core recorded for it is the line's, and a dirty copy
+// belongs to the line's owner, so at most one L1 holds a line dirty.
 // Directory state cannot sit in another bank's directory or outlive its
 // line: it is stored at its line's slot. Every probe is counter-neutral
 // (cache.LineAt, cache.Locate, cache.DirtyAt), yet Run checks only at phase
@@ -426,6 +479,10 @@ func (s *System) CheckInvariants() error {
 			case !ok:
 				return check.Violationf("sim/inclusion",
 					"core %d's L1 holds line %#x but L2 bank %d does not", cid, line, b)
+			case uint32(slot) != c.l2Slot[id]:
+				return check.Violationf("sim/l1-slot",
+					"core %d's L1 records L2 slot %d for line %#x, which bank %d holds in slot %d",
+					cid, c.l2Slot[id], line, b, slot)
 			case d.sharersAt(slot)&(1<<uint(cid)) == 0:
 				return check.Violationf("sim/inclusion",
 					"core %d's L1 holds line %#x but the directory does not name it a sharer", cid, line)
@@ -472,22 +529,32 @@ func (s *System) step(c *core, a trace.Access) {
 	line := a.Addr >> s.lineBits
 	s.now = c.cycles
 	s.stall = 0
-	if c.l1.Access(a.Addr, a.Write) {
+	id, hit := c.l1.AccessSlot(a.Addr, a.Write)
+	if hit {
 		if a.Write {
-			s.writeUpgrade(c.id, line)
+			s.writeUpgrade(c.id, line, c.l2Slot[id])
 		}
 	} else {
+		// A set-associative L1 installs in its victim's slot, so
+		// c.l2Slot[id] still names the victim's L2 slot. Between
+		// OnEviction and here only the L1's own policy and dirty state
+		// changed.
+		if c.evicted {
+			c.evicted = false
+			s.l1Evicted(c.id, c.victim, c.victimDirty, c.l2Slot[id])
+		}
 		s.l1Misses++
-		s.l2Fetch(c.id, line, a.Write)
+		c.l2Slot[id] = s.l2Fetch(c.id, line, a.Write)
 	}
 	c.cycles += s.stall
 }
 
-// writeUpgrade handles a store hitting an L1 line that may be shared: other
-// copies are invalidated and c becomes owner (MESI S/E→M). A line c already
-// owns has no other copies, so nothing changes.
-func (s *System) writeUpgrade(coreID int, line uint64) {
-	if d, id := s.entry(line); s.makeOwner(d, id, line, coreID) {
+// writeUpgrade handles a store hitting an L1 line, held in slot id of its
+// L2 bank, that may be shared: other copies are invalidated and c becomes
+// owner (MESI S/E→M). A line c already owns has no other copies, so nothing
+// changes.
+func (s *System) writeUpgrade(coreID int, line uint64, id uint32) {
+	if s.makeOwner(&s.dirs[s.bankOf(line)], repl.BlockID(id), line, coreID) {
 		s.stall += uint64(s.cfg.L1ToL2) // upgrade round trip
 	}
 }
@@ -499,7 +566,7 @@ func (s *System) writeUpgrade(coreID int, line uint64) {
 func (s *System) makeOwner(d *bankDir, id repl.BlockID, line uint64, coreID int) bool {
 	others := d.sharersAt(id) &^ (1 << uint(coreID))
 	if others != 0 && s.invalidateL1s(line, others) {
-		s.writebackToL2(line)
+		s.writeback(d, id)
 	}
 	d.setSharers(id, 1<<uint(coreID))
 	d.setOwned(id, true)
@@ -526,41 +593,19 @@ func (s *System) invalidateL1s(line uint64, mask uint64) (dirty bool) {
 	return dirty
 }
 
-// entry returns the directory and slot of a line some L1 holds. The slot
-// probe advances no counter.
-func (s *System) entry(line uint64) (*bankDir, repl.BlockID) {
-	b := s.bankOf(line)
-	id, ok := s.banks[b].cache.Locate(s.bankAddr(line))
-	if !ok {
-		panic(notIncluded(line))
-	}
-	return &s.dirs[b], id
-}
-
-// writebackToL2 folds an L1 dirty line into its L2 bank (off the critical
-// path; counted for bandwidth and energy) and returns the line's directory
-// and slot.
-func (s *System) writebackToL2(line uint64) (*bankDir, repl.BlockID) {
-	b := s.bankOf(line)
+// writeback folds an L1 dirty line into slot id of its L2 bank d: a bank
+// write hit, off the critical path, counted for bandwidth and energy. The
+// hierarchy is inclusive, so every L1 line has its slot in the L2.
+func (s *System) writeback(d *bankDir, id repl.BlockID) {
 	s.counts.L2Accesses++
 	s.counts.Writebacks++
-	id, hit := s.banks[b].cache.AccessSlot(s.bankAddr(line), true)
-	if !hit {
-		panic(notIncluded(line))
-	}
 	s.counts.L2Hits++
-	return &s.dirs[b], id
+	s.banks[d.bank].cache.AccessAt(id, true)
 }
 
-// notIncluded is the violation of an L1 line the L2 does not hold. The
-// hierarchy is inclusive — an L2 eviction back-invalidates every L1 copy — so
-// a write hit, an L1 eviction or a writeback always finds its line in the L2.
-func notIncluded(line uint64) *check.Violation {
-	return check.Violationf("sim/inclusion", "an L1 holds line %#x but the L2 does not", line)
-}
-
-// l2Fetch services an L1 demand miss from the shared L2.
-func (s *System) l2Fetch(coreID int, line uint64, write bool) {
+// l2Fetch services an L1 demand miss from the shared L2 and returns the slot
+// of the line's bank that holds it.
+func (s *System) l2Fetch(coreID int, line uint64, write bool) uint32 {
 	b := s.bankOf(line)
 	bank := &s.banks[b]
 	bank.demand++
@@ -588,7 +633,7 @@ func (s *System) l2Fetch(coreID int, line uint64, write bool) {
 	// forward follows the access that found the slot.
 	if o := d.owner(id); o >= 0 && o != coreID {
 		if s.invalidateL1s(line, 1<<uint(o)) {
-			s.writebackToL2(line)
+			s.writeback(d, id)
 		}
 		s.stall += uint64(s.cfg.L1ToL2)
 		d.setSharers(id, d.sharersAt(id)&^(1<<uint(o)))
@@ -601,26 +646,21 @@ func (s *System) l2Fetch(coreID int, line uint64, write bool) {
 	} else {
 		d.setSharers(id, d.sharersAt(id)|1<<uint(coreID))
 	}
+	return uint32(id)
 }
 
-// l1Evicted is the L1 victim callback: maintain the directory, fold dirty
-// victims into the L2.
-func (s *System) l1Evicted(coreID int, addr uint64, dirty bool) {
-	line := addr >> s.lineBits
-	// A dirty victim's writeback finds the slot; a clean one needs the
-	// slot probe. Either way the directory update follows the L2 access,
-	// which hits and moves no line.
-	var d *bankDir
-	var id repl.BlockID
+// l1Evicted retires an L1 victim held in slot id of its L2 bank: it leaves
+// the directory, and a dirty one folds into the L2. The writeback hits and
+// moves no line.
+func (s *System) l1Evicted(coreID int, line uint64, dirty bool, id uint32) {
+	d, slot := &s.dirs[s.bankOf(line)], repl.BlockID(id)
 	if dirty {
-		d, id = s.writebackToL2(line)
-	} else {
-		d, id = s.entry(line)
+		s.writeback(d, slot)
 	}
-	if d.owner(id) == coreID {
-		d.setOwned(id, false)
+	if d.owner(slot) == coreID {
+		d.setOwned(slot, false)
 	}
-	d.setSharers(id, d.sharersAt(id)&^(1<<uint(coreID)))
+	d.setSharers(slot, d.sharersAt(slot)&^(1<<uint(coreID)))
 }
 
 // memAccess models one DRAM access through the line's memory controller:

@@ -59,7 +59,7 @@ func CaptureL2Stream(cfg Config, gens []trace.Generator) (*L2Stream, error) {
 		if err != nil {
 			return nil, err
 		}
-		cores[i] = &core{id: i, gen: gens[i], l1: l1, buf: make([]trace.Access, coreBatchLen)}
+		cores[i] = newCore(i, gens[i], l1)
 		coreID := i
 		l1.OnEviction = func(addr uint64, dirty bool) {
 			if dirty && recording {
