@@ -128,10 +128,9 @@ const EmptyLine = ^uint64(0)
 // zcache over borrowed words (NewZCacheOver) reads its tags out of another
 // layer's per-slot records instead, e[id<<shift], and never writes them.
 //
-// A zcache numbers its slots way-major (id = way·rows + row): a line's W
-// slots lie in W different rows anyway. A set-associative array numbers
-// them set-major (id = row·ways + way), so a set's W tags, and the policy's
-// W per-slot entries, sit side by side in host memory.
+// slot and wayRow number a zcache's slots way-major (id = way·rows + row): a
+// line's W slots lie in W different rows anyway. SetAssoc numbers its own
+// set-major (SetAssoc.slot).
 type tagStore struct {
 	ways int
 	rows uint64
@@ -141,8 +140,6 @@ type tagStore struct {
 	// borrowed marks words the array does not own: the controller's
 	// SlotObserver applies every tag change (see NewZCacheOver).
 	borrowed bool
-	// setMajor selects the set-associative numbering.
-	setMajor bool
 }
 
 func newTagStore(ways int, rows uint64) tagStore {
@@ -161,19 +158,13 @@ func emptyTags(n uint64) []uint64 {
 	return e
 }
 
-// slot numbers the slot at way and row.
+// slot numbers the slot at way and row way-major.
 func (t *tagStore) slot(way int, row uint64) repl.BlockID {
-	if t.setMajor {
-		return repl.BlockID(row*uint64(t.ways) + uint64(way))
-	}
 	return repl.BlockID(uint64(way)*t.rows + row)
 }
 
 // wayRow inverts slot.
 func (t *tagStore) wayRow(id repl.BlockID) (int, uint64) {
-	if t.setMajor {
-		return int(uint64(id) % uint64(t.ways)), uint64(id) / uint64(t.ways)
-	}
 	return int(uint64(id) / t.rows), uint64(id) % t.rows
 }
 

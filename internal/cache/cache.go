@@ -71,9 +71,9 @@ type Cache struct {
 	// the reference behaviour.
 	noFastPath bool
 
-	// strictCheck validates every candidate tree on the miss path
-	// (EnableChecks); disabled it costs one predictable branch per miss
-	// and nothing on hits.
+	// strictCheck validates every candidate tree on the miss path and the
+	// slot of every AccessAt (EnableChecks); disabled it costs one
+	// predictable branch per miss or AccessAt and nothing on other hits.
 	strictCheck bool
 
 	// OnEviction, if set, is called with each evicted line's byte address
@@ -313,7 +313,9 @@ func (c *Cache) Locate(addr uint64) (repl.BlockID, bool) {
 // for a write, the dirty bit) without searching for the slot. The simulator
 // models an L1 writeback this way, from the L2 slot it recorded at the fill.
 // A zcache's row memo, only a cache of what rows a line hashes to, is left
-// as it was. Like Locate it is defined for the tag-store arrays only.
+// as it was. Like Locate it is defined for the tag-store arrays only. With
+// checks enabled, an empty slot, which holds nothing to hit, panics with a
+// *check.Violation.
 func (c *Cache) AccessAt(id repl.BlockID, write bool) {
 	switch {
 	case c.saFast != nil:
@@ -322,6 +324,10 @@ func (c *Cache) AccessAt(id repl.BlockID, write bool) {
 		c.zFast.ctr.probe(c.zFast.tags.ways)
 	default:
 		panic(c.noTagStore())
+	}
+	if c.strictCheck && c.tags().at(id) == EmptyLine {
+		panic(check.Violationf("cache/access-at",
+			"%s: AccessAt on empty slot %d", c.array.Name(), id))
 	}
 	c.stats.Accesses++
 	c.stats.Hits++
@@ -426,7 +432,7 @@ func (c *Cache) installFlat(line uint64, write bool) repl.BlockID {
 	var tags *tagStore
 	if a := c.saFast; a != nil {
 		tags = &a.tags
-		id := tags.slot(0, a.row(line))
+		id := a.slot(0, a.row(line))
 		for w := 0; w < tags.ways; w++ {
 			if tags.e[id] == EmptyLine {
 				return c.finishFlat(id, 0, false, line, write)
@@ -686,12 +692,13 @@ func (c *Cache) finishInstall(line uint64, cands []Candidate, victim int, moves 
 // EnableChecks toggles strict miss-path validation: every candidate tree
 // produced by the array is checked for structural legality before a
 // victim is selected, and a malformed tree panics with *check.Violation
-// (which run engines recover and quarantine). Hits are unaffected; a
-// disabled check costs one branch per miss.
+// (which run engines recover and quarantine), as does an AccessAt on an
+// empty slot. Other hits are unaffected; a disabled check costs one branch
+// per miss or AccessAt.
 func (c *Cache) EnableChecks(on bool) { c.strictCheck = on }
 
-// tags returns the indexed array's tag store geometry when the array is
-// one of the shipped tagStore-backed designs, for slot-arithmetic checks.
+// tags returns the indexed array's tag store when the array is one of the
+// shipped tagStore-backed designs, for reading a slot's tag.
 func (c *Cache) tags() *tagStore {
 	switch {
 	case c.saFast != nil:
@@ -700,6 +707,19 @@ func (c *Cache) tags() *tagStore {
 		return &c.zFast.tags
 	default:
 		return nil
+	}
+}
+
+// slotAt numbers the slot at way and row as the indexed array does, or
+// reports false for an array whose numbering the controller does not know.
+func (c *Cache) slotAt(way int, row uint64) (repl.BlockID, bool) {
+	switch {
+	case c.saFast != nil:
+		return c.saFast.slot(way, row), true
+	case c.zFast != nil:
+		return c.zFast.tags.slot(way, row), true
+	default:
+		return 0, false
 	}
 }
 
@@ -714,7 +734,6 @@ func (c *Cache) checkCandidates(line uint64, cands []Candidate) *check.Violation
 		return check.Violationf("cache/walk-tree",
 			"%s: empty candidate set for line %#x", c.array.Name(), line)
 	}
-	tags := c.tags()
 	blocks := c.array.Blocks()
 	for i := range cands {
 		cd := &cands[i]
@@ -722,7 +741,7 @@ func (c *Cache) checkCandidates(line uint64, cands []Candidate) *check.Violation
 			return check.Violationf("cache/walk-tree",
 				"%s: candidate %d slot %d outside [0,%d)", c.array.Name(), i, cd.ID, blocks)
 		}
-		if tags != nil && tags.slot(cd.Way, cd.Row) != cd.ID {
+		if id, ok := c.slotAt(cd.Way, cd.Row); ok && id != cd.ID {
 			return check.Violationf("cache/walk-tree",
 				"%s: candidate %d ID %d != slot(way %d, row %d)",
 				c.array.Name(), i, cd.ID, cd.Way, cd.Row)

@@ -139,6 +139,34 @@ func TestAccessAtIsAHit(t *testing.T) {
 	}
 }
 
+// TestAccessAtRefusesEmptySlotsUnderChecks: with checks enabled, AccessAt on
+// an empty slot, which holds no line to hit, panics instead of charging the
+// hit; a resident slot still hits.
+func TestAccessAtRefusesEmptySlotsUnderChecks(t *testing.T) {
+	for _, spec := range locateSpecs {
+		t.Run(spec.Label(), func(t *testing.T) {
+			c, err := spec.NewCache(repl.KindLRU, 5, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.EnableChecks(true)
+			id, _ := c.AccessSlot(64, false)
+			c.AccessAt(id, true)
+			if !c.DirtyAt(id) {
+				t.Fatalf("AccessAt(%d, true) on a resident slot left it clean", id)
+			}
+			empty := (id + 1) % repl.BlockID(c.Array().Blocks())
+			defer func() {
+				v, ok := recover().(*check.Violation)
+				if !ok || v.Invariant != "cache/access-at" {
+					t.Errorf("AccessAt on empty slot %d: recovered %v, want a cache/access-at violation", empty, v)
+				}
+			}()
+			c.AccessAt(empty, false)
+		})
+	}
+}
+
 // TestLocateRefusesUntaggedArrays: an array without a tag store has no slot
 // Locate, LineAt or AccessAt could read, and each says so instead of
 // guessing.

@@ -39,7 +39,6 @@ func NewSetAssoc(ways int, sets uint64, index hash.Func) (*SetAssoc, error) {
 		index: index,
 		tags:  newTagStore(ways, sets),
 	}
-	a.tags.setMajor = true
 	switch f := index.(type) {
 	case *hash.H3:
 		a.idxH3 = f
@@ -72,10 +71,17 @@ func (a *SetAssoc) Lookup(line uint64) (repl.BlockID, bool) {
 	return a.locate(line)
 }
 
+// slot numbers the slot at way and row set-major (id = row·ways + way), so a
+// set's W tags, and the policy's W per-slot entries, sit side by side in host
+// memory.
+func (a *SetAssoc) slot(way int, row uint64) repl.BlockID {
+	return repl.BlockID(row*uint64(a.tags.ways) + uint64(way))
+}
+
 // locate is Lookup without the tag accounting. The set's W slots are
 // consecutive.
 func (a *SetAssoc) locate(line uint64) (repl.BlockID, bool) {
-	base := a.row(line) * uint64(a.tags.ways)
+	base := uint64(a.slot(0, a.row(line)))
 	for w, tag := range a.tags.e[base : base+uint64(a.tags.ways)] {
 		if tag == line {
 			return repl.BlockID(base + uint64(w)), true
@@ -90,7 +96,7 @@ func (a *SetAssoc) locate(line uint64) (repl.BlockID, bool) {
 func (a *SetAssoc) Candidates(line uint64, buf []Candidate) []Candidate {
 	row := a.row(line)
 	for w := 0; w < a.tags.ways; w++ {
-		id := a.tags.slot(w, row)
+		id := a.slot(w, row)
 		buf = append(buf, Candidate{
 			ID:     id,
 			Addr:   a.tags.e[id],

@@ -6,6 +6,7 @@ import (
 
 	"zcache/internal/check"
 	"zcache/internal/repl"
+	"zcache/internal/trace"
 )
 
 // TestCheckModeCleanAndBehaviourPreserving: enabling Config.Check must
@@ -130,6 +131,39 @@ func TestCheckInvariantsCatchCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestStaleLinkFailsAtTheAccess: in check mode a stale L1-to-L2 link stops
+// the run at the first access that reads it, before the access charges or
+// edits another line's L2 slot, rather than at the next phase end.
+func TestStaleLinkFailsAtTheAccess(t *testing.T) {
+	cfg := tinyConfig(ZCacheL3, repl.KindLRU)
+	cfg.InstructionsPerCore = 30_000
+	cfg.Check = true
+	sys, err := NewSystem(cfg, sharedGens(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	c := sys.cores[1]
+	id := residentL1Slot(t, sys, 1)
+	line, _ := c.l1.LineAt(id)
+	_, slot := dirEntry(t, sys, line)
+	c.l2Slot[id] = uint32(slot) ^ 1
+	bank := sys.banks[sys.bankOf(line)].cache
+	before := bank.Stats()
+	defer func() {
+		v, ok := recover().(*check.Violation)
+		if !ok || v.Invariant != "sim/l1-slot" {
+			t.Fatalf("a write hit over a stale link: recovered %v, want a sim/l1-slot violation", v)
+		}
+		if bank.Stats() != before {
+			t.Fatalf("the L2 bank was charged before the violation: %+v, was %+v", bank.Stats(), before)
+		}
+	}()
+	sys.step(c, trace.Access{Addr: line << sys.lineBits, Write: true})
 }
 
 // emptySlot0 empties slot 0 of bank 0 the way the protocol would: an

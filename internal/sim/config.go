@@ -9,9 +9,8 @@
 //     through its L1 into the shared L2, with back-invalidations,
 //     writebacks, and coherence modelled. Each L1 line carries the slot of
 //     its L2 copy, so an L1 eviction, a write upgrade and a writeback
-//     reach the directory and the L2 without probing a bank, and a core
-//     fed a recorded tape reads it in place. Used for the LRU studies
-//     (Fig. 4b, Fig. 5).
+//     reach the directory and the L2 without probing a bank. Used for the
+//     LRU studies (Fig. 4b, Fig. 5).
 //   - CaptureL2Stream / ReplayL2: trace-driven — the L1-filtered L2
 //     reference stream is captured once (it depends only on the fixed L1s),
 //     annotated with next-use indices, and replayed through each L2 design.

@@ -14,10 +14,10 @@ import (
 // TestPreset: Table I with 4 cores and a 512 KB L2 in 4 banks), so a second
 // per-line structure beside the tag arrays cannot return unnoticed. Per line
 // the L2 holds what TestHeapBytesPerL2Slot pins, 12¾ B at 4 cores; the L1s
-// with their 4-byte L2 slot links and a zcache's walk state add the rest.
-// The cores replay tapes, which they read in place, so none holds a batch
-// buffer. Each bound is the value measured when it was set plus 2 B; the
-// line-keyed directory index the directory once had cost 40 B more.
+// with their 4-byte L2 slot links, the cores' batch buffers and a zcache's
+// walk state add the rest. Each bound is the value measured when it was set
+// plus about 2 B; the line-keyed directory index the directory once had
+// cost 40 B more.
 func TestHostBytesPerL2Line(t *testing.T) {
 	bounds := [...]float64{SetAssocBitSel: 20, SetAssocH3: 21, SkewAssoc: 26, ZCacheL2: 27, ZCacheL3: 30}
 	liveHeap := func() uint64 {

@@ -121,10 +121,9 @@ func (d *bankDir) SlotMoved(from, to repl.BlockID) {
 	}
 }
 
-// coreBatchLen is the batch buffer of a core fed by a live generator: 1 KiB
-// of accesses, enough to amortize the batch call without displacing the
-// simulated tag arrays from the host cache. A core fed a trace.Replay reads
-// the tape in place and has none.
+// coreBatchLen is the per-core generator batch size: 1 KiB of accesses,
+// enough to amortize the batch call without displacing the simulated tag
+// arrays from the host cache.
 const coreBatchLen = 64
 
 // core is one in-order CPU with its private L1.
@@ -141,15 +140,12 @@ type core struct {
 	// stop is the instruction count at which the current phase retires
 	// the core.
 	stop uint64
-	// next reads buf[pos:]. For a trace.Replay that is the rest of its
-	// tape, read in place and never written: every cell of the workload
-	// running at once shares the tape. For a live generator it is what
-	// the last trace.FillBatch wrote into batch. Either persists across
-	// warmup and measurement phases, so the consumed stream is exactly
-	// the sequence repeated Next() calls would yield.
-	buf   []trace.Access
-	pos   int
-	batch []trace.Access // nil for a tape: nothing is refilled
+	// buf holds prefetched accesses (trace.FillBatch); it persists across
+	// warmup and measurement phases so the consumed stream is exactly the
+	// sequence repeated Next() calls would yield.
+	buf    []trace.Access
+	bufPos int
+	bufLen int
 	// l2Slot holds, per L1 slot of a System's core, the slot (within the
 	// line's L2 bank) of the line that L1 slot holds, so the directory
 	// and the L2 are reached without probing the bank (sim/l1-slot). An
@@ -164,35 +160,22 @@ type core struct {
 
 // newCore returns core id over l1, drawing its accesses from gen.
 func newCore(id int, gen trace.Generator, l1 *cache.Cache) *core {
-	c := &core{id: id, gen: gen, l1: l1}
-	if r, ok := gen.(*trace.Replay); ok {
-		c.buf = r.Drain()
-	} else {
-		c.batch = make([]trace.Access, coreBatchLen)
-	}
-	return c
+	return &core{id: id, gen: gen, l1: l1, buf: make([]trace.Access, coreBatchLen)}
 }
 
-// next returns the core's next access, refilling the batch buffer from a
-// live generator when drained. A zero-length refill, or a tape's end, is the
-// end of the stream.
+// next returns the core's next access, refilling the batch buffer from the
+// generator when drained. A zero-length refill is the end of the stream.
 func (c *core) next() (trace.Access, bool) {
-	if c.pos >= len(c.buf) && !c.refill() {
-		return trace.Access{}, false
+	if c.bufPos >= c.bufLen {
+		c.bufLen = trace.FillBatch(c.gen, c.buf)
+		c.bufPos = 0
+		if c.bufLen == 0 {
+			return trace.Access{}, false
+		}
 	}
-	a := c.buf[c.pos]
-	c.pos++
+	a := c.buf[c.bufPos]
+	c.bufPos++
 	return a, true
-}
-
-// refill reads the next batch of a live generator into batch, reporting
-// whether it holds any access.
-func (c *core) refill() bool {
-	if c.batch == nil {
-		return false
-	}
-	c.buf, c.pos = c.batch[:trace.FillBatch(c.gen, c.batch)], 0
-	return len(c.buf) > 0
 }
 
 // coreHeap is a binary min-heap over cores ordered by (cycles, id). The
@@ -532,7 +515,7 @@ func (s *System) step(c *core, a trace.Access) {
 	id, hit := c.l1.AccessSlot(a.Addr, a.Write)
 	if hit {
 		if a.Write {
-			s.writeUpgrade(c.id, line, c.l2Slot[id])
+			s.writeUpgrade(c.id, line, s.link(c, id, line))
 		}
 	} else {
 		// A set-associative L1 installs in its victim's slot, so
@@ -541,7 +524,7 @@ func (s *System) step(c *core, a trace.Access) {
 		// changed.
 		if c.evicted {
 			c.evicted = false
-			s.l1Evicted(c.id, c.victim, c.victimDirty, c.l2Slot[id])
+			s.l1Evicted(c.id, c.victim, c.victimDirty, s.link(c, id, c.victim))
 		}
 		s.l1Misses++
 		c.l2Slot[id] = s.l2Fetch(c.id, line, a.Write)
@@ -549,12 +532,29 @@ func (s *System) step(c *core, a trace.Access) {
 	c.cycles += s.stall
 }
 
+// link returns the L2 slot core c recorded for line, the line of its L1 slot
+// id (or the victim that just left it). In check mode it first confirms that
+// line's bank holds line there: a stale link would charge and edit another
+// line's slot, and the phase-end sim/l1-slot check would see it too late.
+func (s *System) link(c *core, id repl.BlockID, line uint64) repl.BlockID {
+	slot := repl.BlockID(c.l2Slot[id])
+	if s.cfg.Check {
+		b := s.bankOf(line)
+		if got, ok := s.banks[b].cache.LineAt(slot); !ok || s.fullLine(b, got) != line {
+			panic(check.Violationf("sim/l1-slot",
+				"core %d's L1 slot %d links line %#x to L2 slot %d of bank %d, which does not hold it",
+				c.id, id, line, slot, b))
+		}
+	}
+	return slot
+}
+
 // writeUpgrade handles a store hitting an L1 line, held in slot id of its
 // L2 bank, that may be shared: other copies are invalidated and c becomes
 // owner (MESI S/E→M). A line c already owns has no other copies, so nothing
 // changes.
-func (s *System) writeUpgrade(coreID int, line uint64, id uint32) {
-	if s.makeOwner(&s.dirs[s.bankOf(line)], repl.BlockID(id), line, coreID) {
+func (s *System) writeUpgrade(coreID int, line uint64, id repl.BlockID) {
+	if s.makeOwner(&s.dirs[s.bankOf(line)], id, line, coreID) {
 		s.stall += uint64(s.cfg.L1ToL2) // upgrade round trip
 	}
 }
@@ -652,15 +652,15 @@ func (s *System) l2Fetch(coreID int, line uint64, write bool) uint32 {
 // l1Evicted retires an L1 victim held in slot id of its L2 bank: it leaves
 // the directory, and a dirty one folds into the L2. The writeback hits and
 // moves no line.
-func (s *System) l1Evicted(coreID int, line uint64, dirty bool, id uint32) {
-	d, slot := &s.dirs[s.bankOf(line)], repl.BlockID(id)
+func (s *System) l1Evicted(coreID int, line uint64, dirty bool, id repl.BlockID) {
+	d := &s.dirs[s.bankOf(line)]
 	if dirty {
-		s.writeback(d, slot)
+		s.writeback(d, id)
 	}
-	if d.owner(slot) == coreID {
-		d.setOwned(slot, false)
+	if d.owner(id) == coreID {
+		d.setOwned(id, false)
 	}
-	d.setSharers(slot, d.sharersAt(slot)&^(1<<uint(coreID)))
+	d.setSharers(id, d.sharersAt(id)&^(1<<uint(coreID)))
 }
 
 // memAccess models one DRAM access through the line's memory controller:

@@ -7,8 +7,6 @@ package sim
 import (
 	"fmt"
 	"reflect"
-	"slices"
-	"sync"
 	"testing"
 
 	"zcache/internal/energy"
@@ -80,7 +78,7 @@ func TestTapeReplayMatchesGenerators(t *testing.T) {
 					for i, g := range replays {
 						tape := RecordTape(cfg, g)
 						c := sysA.cores[i]
-						if consumed := direct[i].(*counted).n - (len(c.buf) - c.pos); len(tape) != consumed {
+						if consumed := direct[i].(*counted).n - (c.bufLen - c.bufPos); len(tape) != consumed {
 							t.Fatalf("core %d: tape holds %d accesses, the System consumed %d", i, len(tape), consumed)
 						}
 						replays[i] = trace.NewReplay(name, tape)
@@ -139,63 +137,5 @@ func TestTapeEndsWithItsStream(t *testing.T) {
 	}
 	if a, b := run(short()), run(tapes); !reflect.DeepEqual(a, b) {
 		t.Fatalf("metrics diverge:\nstream %+v\ntape   %+v", a, b)
-	}
-}
-
-// TestSharedTapeIsReadOnly runs two Systems at once over replays of the same
-// tapes, as the cells of one workload do: the cores read the tapes in place,
-// so both must finish bit-identically and leave every tape as recorded.
-// Under -race a write to a shared tape is also a reported race.
-func TestSharedTapeIsReadOnly(t *testing.T) {
-	w, ok := workloads.ByName("fluidanimate")
-	if !ok {
-		t.Fatal("unknown workload fluidanimate")
-	}
-	cfg := tinyConfig(ZCacheL3, repl.KindLRU)
-	cfg.InstructionsPerCore, cfg.WarmupInstructionsPerCore = 30_000, 10_000
-	gens, err := w.Generators(cfg.Cores, cfg.LineBytes, cfg.L2Bytes, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tapes := make([][]trace.Access, len(gens))
-	for i, g := range gens {
-		tapes[i] = RecordTape(cfg, g)
-	}
-	recorded := make([][]trace.Access, len(tapes))
-	for i, tape := range tapes {
-		recorded[i] = slices.Clone(tape)
-	}
-	var wg sync.WaitGroup
-	var ms [2]Metrics
-	var errs [2]error
-	for k := range ms {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			replays := make([]trace.Generator, len(tapes))
-			for i, tape := range tapes {
-				replays[i] = trace.NewReplay("shared", tape)
-			}
-			sys, err := NewSystem(cfg, replays)
-			if err != nil {
-				errs[k] = err
-				return
-			}
-			ms[k], errs[k] = sys.Run()
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(ms[0], ms[1]) {
-		t.Fatalf("metrics diverge:\n%+v\n%+v", ms[0], ms[1])
-	}
-	for i := range tapes {
-		if !slices.Equal(tapes[i], recorded[i]) {
-			t.Fatalf("core %d's tape changed under the Systems replaying it", i)
-		}
 	}
 }

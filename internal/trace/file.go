@@ -119,16 +119,6 @@ func (g *Replay) NextBatch(buf []Access) int {
 	return n
 }
 
-// Drain returns the accesses not yet replayed and marks them replayed, so a
-// caller reads them in place instead of copying them out with NextBatch. The
-// slice aliases the recording, which other replays may share: it must not be
-// written.
-func (g *Replay) Drain() []Access {
-	rest := g.accesses[g.pos:]
-	g.pos = len(g.accesses)
-	return rest
-}
-
 // Reset rewinds to the beginning.
 func (g *Replay) Reset() { g.pos = 0 }
 
