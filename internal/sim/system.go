@@ -140,12 +140,13 @@ type core struct {
 	// stop is the instruction count at which the current phase retires
 	// the core.
 	stop uint64
-	// buf holds prefetched accesses (trace.FillBatch); it persists across
-	// warmup and measurement phases so the consumed stream is exactly the
-	// sequence repeated Next() calls would yield.
-	buf    []trace.Access
-	bufPos int
-	bufLen int
+	// buf is what the last trace.FillBatch wrote into batch, and buf[pos]
+	// the next access; both persist across warmup and measurement phases
+	// so the consumed stream is exactly the sequence repeated Next() calls
+	// would yield.
+	buf   []trace.Access
+	pos   int
+	batch []trace.Access
 	// l2Slot holds, per L1 slot of a System's core, the slot (within the
 	// line's L2 bank) of the line that L1 slot holds, so the directory
 	// and the L2 are reached without probing the bank (sim/l1-slot). An
@@ -160,22 +161,25 @@ type core struct {
 
 // newCore returns core id over l1, drawing its accesses from gen.
 func newCore(id int, gen trace.Generator, l1 *cache.Cache) *core {
-	return &core{id: id, gen: gen, l1: l1, buf: make([]trace.Access, coreBatchLen)}
+	return &core{id: id, gen: gen, l1: l1, batch: make([]trace.Access, coreBatchLen)}
 }
 
 // next returns the core's next access, refilling the batch buffer from the
 // generator when drained. A zero-length refill is the end of the stream.
 func (c *core) next() (trace.Access, bool) {
-	if c.bufPos >= c.bufLen {
-		c.bufLen = trace.FillBatch(c.gen, c.buf)
-		c.bufPos = 0
-		if c.bufLen == 0 {
-			return trace.Access{}, false
-		}
+	if c.pos >= len(c.buf) && !c.refill() {
+		return trace.Access{}, false
 	}
-	a := c.buf[c.bufPos]
-	c.bufPos++
+	a := c.buf[c.pos]
+	c.pos++
 	return a, true
+}
+
+// refill reads the generator's next batch into batch, reporting whether it
+// holds any access. Kept out of next, so the per-access path stays small.
+func (c *core) refill() bool {
+	c.buf, c.pos = c.batch[:trace.FillBatch(c.gen, c.batch)], 0
+	return len(c.buf) > 0
 }
 
 // coreHeap is a binary min-heap over cores ordered by (cycles, id). The
@@ -539,14 +543,20 @@ func (s *System) step(c *core, a trace.Access) {
 func (s *System) link(c *core, id repl.BlockID, line uint64) repl.BlockID {
 	slot := repl.BlockID(c.l2Slot[id])
 	if s.cfg.Check {
-		b := s.bankOf(line)
-		if got, ok := s.banks[b].cache.LineAt(slot); !ok || s.fullLine(b, got) != line {
-			panic(check.Violationf("sim/l1-slot",
-				"core %d's L1 slot %d links line %#x to L2 slot %d of bank %d, which does not hold it",
-				c.id, id, line, slot, b))
-		}
+		s.checkLink(c, id, line, slot)
 	}
 	return slot
+}
+
+// checkLink panics with a sim/l1-slot violation unless line's bank holds
+// line in slot, the L2 slot core c recorded at its L1 slot id.
+func (s *System) checkLink(c *core, id repl.BlockID, line uint64, slot repl.BlockID) {
+	b := s.bankOf(line)
+	if got, ok := s.banks[b].cache.LineAt(slot); !ok || s.fullLine(b, got) != line {
+		panic(check.Violationf("sim/l1-slot",
+			"core %d's L1 slot %d links line %#x to L2 slot %d of bank %d, which does not hold it",
+			c.id, id, line, slot, b))
+	}
 }
 
 // writeUpgrade handles a store hitting an L1 line, held in slot id of its

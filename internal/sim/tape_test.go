@@ -78,7 +78,7 @@ func TestTapeReplayMatchesGenerators(t *testing.T) {
 					for i, g := range replays {
 						tape := RecordTape(cfg, g)
 						c := sysA.cores[i]
-						if consumed := direct[i].(*counted).n - (c.bufLen - c.bufPos); len(tape) != consumed {
+						if consumed := direct[i].(*counted).n - (len(c.buf) - c.pos); len(tape) != consumed {
 							t.Fatalf("core %d: tape holds %d accesses, the System consumed %d", i, len(tape), consumed)
 						}
 						replays[i] = trace.NewReplay(name, tape)
